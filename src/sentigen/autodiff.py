@@ -23,7 +23,9 @@ class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     Tensors produced by ops keep references to their parents and a backward
-    rule; ``backward`` walks that graph in reverse topological order. Data is
+    rule; ``backward`` walks that graph in reverse topological order. An op
+    whose inputs all lack ``requires_grad`` records nothing, so a forward pass
+    over constants (frozen parameters, say) leaves no graph behind. Data is
     treated as immutable once a tensor has been consumed by an op; gradients
     accumulate across repeated backward calls until ``zero_grad``.
     """
@@ -72,9 +74,10 @@ def _accumulate(t, g):
 
 
 def _make(data, op, parents, rule):
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), op=op, parents=parents)
-    if out.requires_grad:
-        out._rule = rule
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data, op=op)
+    out = Tensor(data, requires_grad=True, op=op, parents=parents)
+    out._rule = rule
     return out
 
 
@@ -211,18 +214,6 @@ def slice_rows(a, start, stop):
     return _make(a.data[start:stop].copy(), "slice_rows", (a,), rule)
 
 
-def slice_cols(a, start, stop):
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] invalid for {a.shape}")
-
-    def rule(g):
-        buf = np.zeros_like(a.data)
-        buf[:, start:stop] = g
-        _accumulate(a, buf)
-
-    return _make(a.data[:, start:stop].copy(), "slice_cols", (a,), rule)
-
-
 def tile_rows(v, n):
     """Repeat a vector (d,) into a matrix (n, d)."""
     if v.data.ndim != 1:
@@ -347,6 +338,49 @@ def softmax(a):
         _accumulate(a, p * (g - dot))
 
     return _make(p, "softmax", (a,), rule)
+
+
+def attention(q, k, v, bias, heads):
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` is (Lq, d) and ``k``, ``v`` are (Lk, d); column block h of width
+    d / heads belongs to head h. ``bias`` is a constant (Lq, Lk) array, or
+    (1, Lk) to apply one row to every query, holding 0 where a query may
+    attend and a large negative number where it may not. Returns the per-head outputs side by side, (Lq, d).
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
+    lq, d = q.shape
+    lk = k.shape[0]
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    hd = d // heads
+    bias = np.asarray(bias, dtype=np.float64)
+    if bias.ndim != 2 or bias.shape[0] not in (1, lq) or bias.shape[1] != lk:
+        raise ShapeError(f"attention: bias {bias.shape} does not fit ({lq}, {lk})")
+    norm = 1.0 / float(np.sqrt(hd))
+
+    def split(x, rows):  # (rows, d) -> (heads, rows, hd)
+        return x.reshape(rows, heads, hd).transpose(1, 0, 2)
+
+    qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
+    z = (qh @ kh.transpose(0, 2, 1)) * norm + bias
+    e = np.exp(z - z.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+    out = (p @ vh).transpose(1, 0, 2).reshape(lq, d)
+
+    def rule(g):
+        gh = split(g, lq)
+        if v.requires_grad:
+            _accumulate(v, (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(lk, d))
+        dp = gh @ vh.transpose(0, 2, 1)
+        dz = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * norm
+        if q.requires_grad:
+            _accumulate(q, (dz @ kh).transpose(1, 0, 2).reshape(lq, d))
+        if k.requires_grad:
+            _accumulate(k, (dz.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(lk, d))
+
+    return _make(out, "attention", (q, k, v), rule)
 
 
 def softmax_cross_entropy(logits, targets):

@@ -26,7 +26,7 @@ from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_a
 from .data import POOL_DATASET_ID, Registry, load_corpus
 from .errors import ConfigError, SentigenError
 from .evaluation import evaluate_records
-from .model import encode, load_checkpoint
+from .model import encode, freeze_params, load_checkpoint
 from .prompt import Vocab, build_prompt
 from .training import TrainConfig, run_finetune, run_pretrain_stage1, run_pretrain_stage2
 
@@ -320,6 +320,7 @@ def cmd_eval(args):
 def cmd_export_embeddings(args):
     records, registry = _load_inputs(args)
     params, config, vocab = _load_model(args.checkpoint, registry)
+    params = freeze_params(params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(args.out, "export-embeddings", None, {"checkpoint": str(args.checkpoint)})

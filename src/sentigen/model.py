@@ -11,11 +11,18 @@ tied to the token embedding table.
 
 Everything here processes one sample at a time; batching lives in the loss
 functions, which average per-sample graphs. That keeps shapes 2-D and the
-autodiff rules simple, and is fast enough at desk scale.
+autodiff rules simple, and is fast enough at desk scale. Multi-head attention
+is one fused autodiff op over projected queries, keys and values.
+
+Training and inference share one forward code path. Inference runs it on
+``freeze_params`` constants, which record no graph, and greedy decoding feeds
+``decoder_states`` one token at a time through a ``DecoderCache`` of keys
+and values instead of re-running the decoder over every prefix.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -50,7 +57,7 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def validate(self):
-        if self.model_dim % self.heads != 0:
+        if self.heads < 1 or self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
         if self.vocab_size <= 0 or self.num_datasets <= 0:
             raise ConfigError("vocab_size and num_datasets must be set from the vocabulary and registry")
@@ -128,39 +135,47 @@ def init_params(config, rng):
     return p
 
 
-def param_shapes(config):
-    rng = np.random.default_rng(0)
-    return {name: t.shape for name, t in init_params(config, rng).items()}
+def freeze_params(params):
+    """Constant views of ``params`` sharing their arrays. Ops over them record
+    no graph, which is how every inference pass runs."""
+    return {name: ad.constant(t.data) for name, t in params.items()}
 
 
-def _attention(params, prefix, x_q, x_kv, config, mask_bias):
-    """Multi-head scaled dot-product attention. ``mask_bias`` is a constant
-    (Lq, Lk) matrix of 0 / -inf-like entries added to the logits."""
-    d = config.model_dim
-    hd = d // config.heads
-    q = ad.add(ad.matmul(x_q, params[f"{prefix}_wq"]), params[f"{prefix}_bq"])
-    k = ad.add(ad.matmul(x_kv, params[f"{prefix}_wk"]), params[f"{prefix}_bk"])
-    v = ad.add(ad.matmul(x_kv, params[f"{prefix}_wv"]), params[f"{prefix}_bv"])
-    scale = 1.0 / float(np.sqrt(hd))
-    heads_out = []
-    bias = ad.constant(mask_bias)
-    for h in range(config.heads):
-        lo, hi = h * hd, (h + 1) * hd
-        qh = ad.slice_cols(q, lo, hi)
-        kh = ad.slice_cols(k, lo, hi)
-        vh = ad.slice_cols(v, lo, hi)
-        scores = ad.add(ad.scale(ad.matmul(qh, ad.transpose(kh)), scale), bias)
-        heads_out.append(ad.matmul(ad.softmax(scores), vh))
-    cat = heads_out[0]
-    if len(heads_out) > 1:
-        # column-wise concat via row concat of transposes
-        cat = ad.transpose(ad.concat_rows([ad.transpose(t) for t in heads_out]))
-    return ad.add(ad.matmul(cat, params[f"{prefix}_wo"]), params[f"{prefix}_bo"])
+def _linear(params, prefix, x, w, b):
+    return ad.add(ad.matmul(x, params[f"{prefix}_{w}"]), params[f"{prefix}_{b}"])
+
+
+def _keys_values(params, prefix, x_kv, cache=None, grow=False):
+    """Key and value projections of ``x_kv`` for one attention block.
+
+    With a ``cache``, a growing (self-attention) block appends the new rows to
+    the keys and values held so far; a fixed (cross-attention) block projects
+    once and then reuses what it holds.
+    """
+    held = cache.kv.get(prefix) if cache is not None else None
+    if held is not None and not grow:
+        return held
+    k = _linear(params, prefix, x_kv, "wk", "bk")
+    v = _linear(params, prefix, x_kv, "wv", "bv")
+    if held is not None:
+        k, v = ad.concat_rows([held[0], k]), ad.concat_rows([held[1], v])
+    if cache is not None:
+        cache.kv[prefix] = (k, v)
+    return k, v
+
+
+def _attention(params, prefix, x_q, kv, config, mask_bias):
+    """Multi-head scaled dot-product attention of ``x_q`` over projected
+    ``kv``. ``mask_bias`` is a constant (Lq, Lk) or (1, Lk) array of
+    0 / -inf-like entries added to the logits."""
+    q = _linear(params, prefix, x_q, "wq", "bq")
+    mixed = ad.attention(q, kv[0], kv[1], mask_bias, config.heads)
+    return _linear(params, prefix, mixed, "wo", "bo")
 
 
 def _ffn(params, prefix, x):
-    h = ad.gelu(ad.add(ad.matmul(x, params[f"{prefix}_w1"]), params[f"{prefix}_b1"]))
-    return ad.add(ad.matmul(h, params[f"{prefix}_w2"]), params[f"{prefix}_b2"])
+    h = ad.gelu(_linear(params, prefix, x, "w1", "b1"))
+    return _linear(params, prefix, h, "w2", "b2")
 
 
 def _maybe_dropout(x, config, train, rng):
@@ -244,9 +259,10 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
     x = _maybe_dropout(x, config, train, rng)
 
     key_bias = np.where(keep, 0.0, _NEG_INF)[None, :]  # broadcast over query rows
-    bias = np.repeat(key_bias, total, axis=0)
     for i in range(config.layers_enc):
-        a = _maybe_dropout(_attention(params, f"enc{i}_attn", x, x, config, bias), config, train, rng)
+        prefix = f"enc{i}_attn"
+        a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, key_bias)
+        a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
@@ -255,27 +271,50 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
     return EncoderOutput(states=x, pooled=pooled, keep=keep, token_length=n_tok)
 
 
-def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None):
-    """Teacher-forced decoder pass; returns hidden states (len(dec_ids), d)."""
+class DecoderCache:
+    """Per-record decoder state for incremental decoding: how many positions
+    have been fed, and each attention block's keys and values (the encoder's
+    for cross-attention, every fed position's for self-attention)."""
+
+    def __init__(self):
+        self.length = 0
+        self.kv = {}
+
+
+def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cache=None):
+    """Decoder pass over ``dec_ids``; returns their hidden states (len(dec_ids), d).
+
+    Without a ``cache`` the ids are the whole teacher-forced stream. With one,
+    they continue the positions already fed through that cache: the first
+    call stores the cross-attention keys and values, and each call appends
+    the new positions' self-attention keys and values, so a token is never
+    run through the decoder twice. Both give the same states up to rounding.
+    """
     if not dec_ids:
         raise ContractError("decoder needs at least one input token")
-    n = len(dec_ids)
+    past = cache.length if cache is not None else 0
+    n = past + len(dec_ids)
     if n > config.max_len:
         raise ContractError(f"decoder stream of {n} positions exceeds max length {config.max_len}")
     x = ad.matmul(ad.embedding(params["tok_emb"], dec_ids), params["w_text"])
-    x = ad.add(x, ad.embedding(params["pos_emb"], np.arange(n)))
+    x = ad.add(x, ad.embedding(params["pos_emb"], np.arange(past, n)))
     x = _maybe_dropout(x, config, train, rng)
 
-    causal = np.where(np.tril(np.ones((n, n), dtype=bool)), 0.0, _NEG_INF)
-    cross = np.repeat(np.where(enc_out.keep, 0.0, _NEG_INF)[None, :], n, axis=0)
+    causal = np.where(np.arange(n)[None, :] <= np.arange(past, n)[:, None], 0.0, _NEG_INF)
+    cross = np.where(enc_out.keep, 0.0, _NEG_INF)[None, :]
     for i in range(config.layers_dec):
-        a = _maybe_dropout(_attention(params, f"dec{i}_self", x, x, config, causal), config, train, rng)
+        prefix = f"dec{i}_self"
+        kv = _keys_values(params, prefix, x, cache, grow=True)
+        a = _maybe_dropout(_attention(params, prefix, x, kv, config, causal), config, train, rng)
         x = ad.layer_norm(ad.add(x, a), params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"])
-        c = _maybe_dropout(_attention(params, f"dec{i}_cross", x, enc_out.states, config, cross),
-                           config, train, rng)
+        prefix = f"dec{i}_cross"
+        kv = _keys_values(params, prefix, enc_out.states, cache)
+        c = _maybe_dropout(_attention(params, prefix, x, kv, config, cross), config, train, rng)
         x = ad.layer_norm(ad.add(x, c), params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"])
         f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, train, rng)
         x = ad.layer_norm(ad.add(x, f), params[f"dec{i}_ln3_g"], params[f"dec{i}_ln3_b"])
+    if cache is not None:
+        cache.length = n
     return x
 
 
@@ -287,20 +326,25 @@ def token_logits(hidden, params):
 
 def generate(ps, params, config, vocab, max_new=8):
     """Greedy decoding: start from <bos>, stop at <eos> or after ``max_new``
-    tokens. Returns generated ids (<eos> included when produced). Deterministic."""
+    tokens. Returns generated ids (<eos> included when produced). Deterministic.
+
+    Runs on frozen parameters, so it records no graph, and feeds the decoder
+    one token per step through a ``DecoderCache``. A stream longer than
+    ``config.max_len`` raises ``ContractError`` at the step that overflows.
+    """
     if max_new < 1:
         raise ContractError("max_new must be at least 1")
+    params = freeze_params(params)
     enc = encode(ps, params, config, vocab, mask_plan=None, train=False)
+    cache = DecoderCache()
     out = []
-    dec = [vocab.bos_id]
+    nxt = vocab.bos_id
     for _ in range(max_new):
-        h = decoder_states(dec, enc, params, config, train=False)
-        logits = token_logits(ad.slice_rows(h, len(dec) - 1, len(dec)), params)
-        nxt = int(np.argmax(logits.data[0]))
+        h = decoder_states([nxt], enc, params, config, cache=cache)
+        nxt = int(np.argmax(token_logits(h, params).data[0]))
         out.append(nxt)
         if nxt == vocab.eos_id:
             break
-        dec.append(nxt)
     return out
 
 
@@ -343,7 +387,9 @@ def save_checkpoint(path, config, arrays, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelConfig, arrays dict, meta dict)."""
+    """Read a checkpoint; returns (ModelConfig, arrays dict, meta dict).
+
+    Any malformed header or payload is a ``ConfigError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
@@ -351,20 +397,32 @@ def load_checkpoint(path):
     version, header_len = struct.unpack("<IQ", blob[4:16])
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    payload = blob[16 + header_len:]
-    arrays = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        stop = start + count * dtype.itemsize
-        if stop > len(payload):
-            raise ConfigError(f"{path}: truncated checkpoint payload at array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape).copy()
-    config = ModelConfig.from_json(header["config"])
-    return config, arrays, header.get("meta", {})
+    try:
+        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ConfigError(f"{path}: checkpoint header is not a JSON object")
+        payload = blob[16 + header_len:]
+        arrays = {}
+        for entry in header["arrays"]:
+            if entry["dtype"] not in ("<f8", "<i8"):
+                raise ConfigError(f"{path}: unsupported dtype {entry['dtype']!r} in checkpoint")
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(entry["shape"])
+            start = entry["offset"]
+            if not all(type(n) is int and n >= 0 for n in shape + (start,)):
+                raise ConfigError(f"{path}: bad shape or offset for array {entry['name']!r}")
+            stop = start + math.prod(shape) * dtype.itemsize
+            if stop > len(payload):
+                raise ConfigError(f"{path}: truncated checkpoint payload at array {entry['name']!r}")
+            arrays[entry["name"]] = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape).copy()
+        config = ModelConfig.from_json(header["config"]).validate()
+        meta = header.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}: checkpoint metadata is not a JSON object")
+    except (KeyError, TypeError, ValueError) as exc:
+        # ValueError covers undecodable bytes and malformed JSON
+        raise ConfigError(f"{path}: corrupt checkpoint header ({type(exc).__name__}: {exc})") from exc
+    return config, arrays, meta
 
 
 def params_to_arrays(params):

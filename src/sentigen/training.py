@@ -21,8 +21,8 @@ from .data import (POOL_DATASET_ID, Polarity, Registry, SaevalRecord, TaskType, 
 from .errors import ConfigError, ContractError, NumericError
 from .evaluation import evaluate_records
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
-from .model import (ModelConfig, encode, init_params, load_checkpoint, params_from_arrays,
-                    params_to_arrays, save_checkpoint)
+from .model import (ModelConfig, encode, freeze_params, init_params, load_checkpoint,
+                    params_from_arrays, params_to_arrays, save_checkpoint)
 from .objectives import (CentroidIndex, LossReport, PseudoLabelSet, Stage1Example,
                          Stage2Example, assign_pseudo_labels, build_centroids, generation_loss,
                          stage1_loss, stage2_loss)
@@ -383,8 +383,32 @@ class _Run:
             self.adam = Adam(self.params, train_config.learning_rate)
             self._resume_pools = None
 
+        self.resumed = resume_from is not None
+        self._logs = []
         self.metrics_path = self.out_dir / "metrics.jsonl"
-        self._metrics_fh = open(self.metrics_path, "w", encoding="utf-8")
+        self._metrics_fh = self.open_log(self.metrics_path)
+
+    def open_log(self, path):
+        """Open a per-step JSONL log for writing, closed by ``close``. A fresh
+        run starts it empty; a resumed run keeps the lines up to its
+        checkpoint step and appends, so the log ends up as an uninterrupted
+        run's would."""
+        kept = []
+        if self.resumed and path.exists():
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    try:
+                        step = json.loads(line)["step"]
+                    except (ValueError, KeyError, TypeError):
+                        break  # a line torn by the interruption
+                    if not line.endswith("\n") or step > self.step:
+                        break
+                    kept.append(line)
+        fh = open(path, "w", encoding="utf-8")
+        self._logs.append(fh)
+        fh.writelines(kept)
+        fh.flush()
+        return fh
 
     def log_step(self, report):
         line = json.dumps({
@@ -432,8 +456,11 @@ class _Run:
         save_checkpoint(path, self.model_config, arrays, meta=meta)
         return Path(path)
 
+    def close(self):
+        for fh in self._logs:
+            fh.close()
+
     def finish(self, pools_state):
-        self._metrics_fh.close()
         return self.save(self.out_dir / "checkpoint.ckpt", pools_state)
 
     def maybe_periodic_save(self, pools_state):
@@ -470,35 +497,39 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
         pools.load_state(run._resume_pools)
 
     total_steps = run.total_steps(2 * pools.pairs_per_pass())
-    while run.step < total_steps:
-        run.step += 1
-        batch = []
-        for pol, i, j in pools.draw_pairs(cfg.batch_size, run.rngs["data"]):
-            combined = combine_queries(records[i], records[j])
-            ps = build_prompt(combined, run.vocab, registry, run.model_config.max_len)
-            if cfg.modal_mask_augment:
-                setting = sample_modal_setting(ps, run.rngs["mask"])
-                ps = apply_modal_setting(ps, setting)
-            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
-            batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
-        report, total = stage1_loss(batch, run.params, run.model_config, run.vocab,
-                                    weights=cfg.loss_weights[:3], train=True,
-                                    rng=run.rngs["dropout"])
-        run.check_finite(report)
-        run.optimize(total)
-        run.log_step(report)
-        run.maybe_periodic_save(pools.state())
+    try:
+        while run.step < total_steps:
+            run.step += 1
+            batch = []
+            for pol, i, j in pools.draw_pairs(cfg.batch_size, run.rngs["data"]):
+                combined = combine_queries(records[i], records[j])
+                ps = build_prompt(combined, run.vocab, registry, run.model_config.max_len)
+                if cfg.modal_mask_augment:
+                    setting = sample_modal_setting(ps, run.rngs["mask"])
+                    ps = apply_modal_setting(ps, setting)
+                plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
+                batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
+            report, total = stage1_loss(batch, run.params, run.model_config, run.vocab,
+                                        weights=cfg.loss_weights[:3], train=True,
+                                        rng=run.rngs["dropout"])
+            run.check_finite(report)
+            run.optimize(total)
+            run.log_step(report)
+            run.maybe_periodic_save(pools.state())
+    finally:
+        run.close()
     return run.finish(pools.state())
 
 
 def _refresh_centroids(run):
     """Frozen-snapshot pass: clean encodings of the full corpus with all
     modalities, grouped by gold label, plus per-record pseudo assignments."""
+    params = freeze_params(run.params)
     items = []
     pooled = []
     for record in run.records:
         ps = build_prompt(record, run.vocab, run.registry, run.model_config.max_len)
-        enc = encode(ps, run.params, run.model_config, run.vocab, mask_plan=None, train=False)
+        enc = encode(ps, params, run.model_config, run.vocab, mask_plan=None, train=False)
         vec = enc.pooled.data.copy()
         key = run.registry.spec(record.dataset_id).answer.render(record.label)
         items.append((record.task_type, key, vec))
@@ -521,26 +552,30 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
         pool.load_state(run._resume_pools)
 
     total_steps = run.total_steps(len(records))
-    while run.step < total_steps:
-        run.step += 1
-        if run.centroids is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
-            _refresh_centroids(run)
-        batch = []
-        for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
-            record = records[idx]
-            ps = build_prompt(record, run.vocab, registry, run.model_config.max_len)
-            if cfg.modal_mask_augment:
-                setting = sample_modal_setting(ps, run.rngs["mask"])
-                ps = apply_modal_setting(ps, setting)
-            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
-            batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
-        report, total = stage2_loss(batch, run.params, run.model_config, run.vocab, run.centroids,
-                                    weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
-                                    train=True, rng=run.rngs["dropout"])
-        run.check_finite(report)
-        run.optimize(total)
-        run.log_step(report)
-        run.maybe_periodic_save(pool.state())
+    try:
+        while run.step < total_steps:
+            run.step += 1
+            if run.centroids is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
+                _refresh_centroids(run)
+            batch = []
+            for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
+                record = records[idx]
+                ps = build_prompt(record, run.vocab, registry, run.model_config.max_len)
+                if cfg.modal_mask_augment:
+                    setting = sample_modal_setting(ps, run.rngs["mask"])
+                    ps = apply_modal_setting(ps, setting)
+                plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
+                batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
+            report, total = stage2_loss(batch, run.params, run.model_config, run.vocab,
+                                        run.centroids,
+                                        weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
+                                        train=True, rng=run.rngs["dropout"])
+            run.check_finite(report)
+            run.optimize(total)
+            run.log_step(report)
+            run.maybe_periodic_save(pool.state())
+    finally:
+        run.close()
     return run.finish(pool.state())
 
 
@@ -563,9 +598,8 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
 
     steps_per_epoch = max(1, len(records) // cfg.batch_size)
     total_steps = run.total_steps(len(records))
-    val_path = run.out_dir / "val_metrics.jsonl"
-    val_fh = open(val_path, "w", encoding="utf-8")
     try:
+        val_fh = run.open_log(run.out_dir / "val_metrics.jsonl")
         while run.step < total_steps:
             run.step += 1
             batch = []
@@ -597,5 +631,5 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
                     val_fh.write(json.dumps(line) + "\n")
                     val_fh.flush()
     finally:
-        val_fh.close()
+        run.close()
     return run.finish(pools.state())

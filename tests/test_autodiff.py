@@ -77,7 +77,7 @@ def test_structural_ops_match_fd(seed):
     def fn():
         cat = ad.concat_rows([a, b])
         sl = ad.slice_rows(cat, 1, 6)
-        cols = ad.slice_cols(sl, 1, 3)
+        cols = ad.transpose(ad.slice_rows(ad.transpose(sl), 1, 3))  # columns 1:3
         tiled = ad.tile_rows(ad.reshape(ad.slice_rows(cols, 0, 1), (2,)), 3)
         tr = ad.transpose(ad.reshape(cols, (2, 5)))
         return ad.add(ad.sum_all(ad.mul(tr, tr)), ad.sum_all(tiled))
@@ -123,6 +123,52 @@ def test_embedding_rows_and_fd():
     assert np.all(table.grad[3] == 2.0)
     assert np.all(table.grad[1] == 1.0)
     assert np.all(table.grad[2] == 0.0) and np.all(table.grad[5] == 0.0)
+
+
+def attention_reference(q, k, v, bias, heads):
+    """Per-head loop over column blocks: the fused op's forward oracle."""
+    hd = q.shape[1] // heads
+    out = []
+    for h in range(heads):
+        cols = slice(h * hd, (h + 1) * hd)
+        z = q[:, cols] @ k[:, cols].T / math.sqrt(hd) + bias
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        out.append((p / p.sum(axis=1, keepdims=True)) @ v[:, cols])
+    return np.concatenate(out, axis=1)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_reference_and_fd(heads):
+    rng = np.random.default_rng(400 + heads)
+    lq, lk, d = 3, 5, 8
+    q, k, v = rand_leaf(rng, lq, d), rand_leaf(rng, lk, d), rand_leaf(rng, lk, d)
+    bias = np.zeros((lq, lk))
+    bias[:, [1, 4]] = -1e30          # masked key columns
+    bias[0, 2] = -1e30               # and one masked entry
+    w = ad.constant(rng.normal(size=(lq, d)))
+
+    out = ad.attention(q, k, v, bias, heads)
+    ref = attention_reference(q.data, k.data, v.data, bias, heads)
+    assert np.allclose(out.data, ref, atol=1e-12)
+    fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, bias, heads), w))
+    for t in (q, k, v):
+        assert ad.finite_diff_check(fn, t) < 1e-6
+    # masked keys and values get exactly no gradient
+    ad.zero_grads([k, v])
+    ad.backward(fn(None))
+    assert np.all(k.grad[[1, 4]] == 0.0) and np.all(v.grad[[1, 4]] == 0.0)
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, bias, 3)
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, bias[:, :2], heads)
+
+
+def test_ops_over_constants_record_no_graph():
+    a = ad.constant(np.ones((2, 2)))
+    out = ad.sum_all(ad.matmul(a, ad.transpose(a)))
+    assert out.parents == () and out._rule is None and not out.requires_grad
+    x = leaf(np.ones((2, 2)))
+    assert ad.matmul(a, x).parents == (a, x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import sentigen.autodiff as ad
-from sentigen.errors import ConfigError, ContractError, ShapeError
-from sentigen.model import (ModelConfig, decoder_states, encode, generate, init_params,
-                            load_checkpoint, params_from_arrays, params_to_arrays,
-                            save_checkpoint, token_logits)
+import sentigen.model as model
+from sentigen.errors import ConfigError, ContractError, SentigenError, ShapeError
+from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, freeze_params,
+                            generate, init_params, load_checkpoint, params_from_arrays,
+                            params_to_arrays, save_checkpoint, token_logits)
 from sentigen.prompt import build_prompt, flatten_prompt
 
 from conftest import small_config
@@ -153,6 +154,99 @@ def test_generate_is_deterministic_and_bounded(world):
         generate(ps, params, config, vocab, max_new=0)
 
 
+def test_cached_decoder_matches_teacher_forced(world):
+    vocab, registry, records, config, params = world
+    frozen = freeze_params(params)
+    ids = [vocab.bos_id, 20, 21, 5, 22, 30, 31]
+    for dataset in ("sst-toy", "meld-toy", "mosi-toy"):
+        ps = build_prompt(pick(records, dataset), vocab, registry, config.max_len)
+        enc = encode(ps, frozen, config, vocab)
+        full = decoder_states(ids, enc, params, config).data
+        for chunks in ([1] * len(ids), [2, 1, 3, 1]):
+            cache = DecoderCache()
+            fed = 0
+            for n in chunks:
+                rows = decoder_states(ids[fed:fed + n], enc, frozen, config, cache=cache).data
+                assert np.max(np.abs(rows - full[fed:fed + n])) <= 1e-12
+                fed += n
+            assert cache.length == len(ids)
+
+
+def perturbed_models(world):
+    """Random and perturbed parameter sets. In each boosted set the <eos>
+    output row is 1.5x the row of a token the perturbed set emits first, so
+    its answers end early."""
+    vocab, registry, records, config, params = world
+    ps = build_prompt(records[0], vocab, registry, config.max_len)
+    out = [params]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        noisy = {n: ad.constant(t.data + rng.normal(0.0, 0.3, size=t.shape))
+                 for n, t in params.items()}
+        table = noisy["tok_emb"].data.copy()
+        table[vocab.eos_id] = 1.5 * table[generate(ps, noisy, config, vocab, max_new=1)[0]]
+        out += [noisy, {**noisy, "tok_emb": ad.constant(table)}]
+    return out
+
+
+def test_generate_is_greedy_over_its_own_output(world):
+    """Fuzz: each generated id is the argmax of a teacher-forced pass over
+    the ids before it, and decoding stops exactly at the first <eos>."""
+    vocab, registry, records, config, params = world
+    max_new = 6
+    early = 0
+    for p in perturbed_models(world):
+        for r in records[::3]:
+            ps = build_prompt(r, vocab, registry, config.max_len)
+            ids = generate(ps, p, config, vocab, max_new=max_new)
+            enc = encode(ps, p, config, vocab)
+            h = decoder_states([vocab.bos_id] + ids[:-1], enc, p, config)
+            assert list(np.argmax(token_logits(h, p).data, axis=1)) == ids
+            assert vocab.eos_id not in ids[:-1]
+            assert len(ids) == max_new or ids[-1] == vocab.eos_id
+            early += len(ids) < max_new
+    assert early > 0
+
+
+def test_generate_overflow_is_contract_error(world):
+    vocab, registry, records, config, params = world
+    for p in perturbed_models(world):
+        ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
+        short = replace(config, max_len=ps.token_length + ps.frame_count)
+        ids = generate(ps, p, config, vocab, max_new=short.max_len + 1)
+        if vocab.eos_id in ids[:short.max_len]:
+            assert generate(ps, p, short, vocab, max_new=short.max_len + 1) == ids
+        else:
+            with pytest.raises(ContractError):
+                generate(ps, p, short, vocab, max_new=short.max_len + 1)
+
+
+def test_frozen_inference_builds_no_graph(world, monkeypatch):
+    vocab, registry, records, config, params = world
+    ps = build_prompt(pick(records, "meld-toy"), vocab, registry, config.max_len)
+    enc = encode(ps, freeze_params(params), config, vocab)
+    assert enc.states.parents == () and enc.pooled.parents == ()
+
+    # every tensor generate's forward passes return, on trainable params
+    seen = []
+
+    def recording(fn, *fields):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.extend([getattr(out, f) for f in fields] if fields else [out])
+            return out
+        return wrapped
+
+    monkeypatch.setattr(model, "encode", recording(model.encode, "states", "pooled"))
+    monkeypatch.setattr(model, "decoder_states", recording(model.decoder_states))
+    monkeypatch.setattr(model, "token_logits", recording(model.token_logits))
+    ad.zero_grads(params.values())
+    ids = generate(ps, params, config, vocab, max_new=4)
+    assert len(seen) == 2 + 2 * len(ids)
+    assert all(t.parents == () and not t.requires_grad for t in seen)
+    assert all(t.grad is None for t in params.values())
+
+
 # ---------------------------------------------------------------------------
 # gradients through the full model
 
@@ -231,6 +325,61 @@ def test_checkpoint_shape_errors(world, tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 32)
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def tiny_checkpoint(world, path):
+    vocab, registry, records, config, params = world
+    arrays = {"param/w_text": params["w_text"].data[:2, :3], "steps": np.arange(4)}
+    save_checkpoint(path, config, arrays, meta={"stage": "test", "note": ["alpha", 1]})
+    return path.read_bytes()
+
+
+def test_corrupt_checkpoint_header_is_config_error(world, tmp_path):
+    blob = tiny_checkpoint(world, tmp_path / "good.ckpt")
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = blob[16:16 + header_len]
+
+    def patched(at=None, byte=None, old=None, new=None):
+        data = bytearray(blob)
+        if at is not None:
+            data[at] = byte
+        else:
+            assert old in header and len(old) == len(new)
+            data[16:16 + header_len] = header.replace(old, new)
+        return bytes(data)
+
+    cases = {
+        "undecodable": patched(at=18, byte=0xFF),
+        "missing key": patched(at=18, byte=ord("}")),
+        "bad json": patched(at=16, byte=ord("[")),
+        "bad dtype": patched(old=b'"<f8"', new=b'"<f4"'),
+        "zero heads": patched(old=b'"heads": 2', new=b'"heads": 0'),
+        "header past end": blob[:8] + (2 ** 40).to_bytes(8, "little") + blob[16:],
+    }
+    for data in cases.values():
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+
+def test_checkpoint_byte_mutation_fuzz(world, tmp_path):
+    """Every one-byte change to the magic, version, length and header, and
+    a sample of payload bytes, either loads or raises a package error."""
+    blob = tiny_checkpoint(world, tmp_path / "good.ckpt")
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    rng = np.random.default_rng(0)
+    positions = list(range(header_end)) + list(rng.integers(header_end, len(blob), size=16))
+    path = tmp_path / "mutant.ckpt"
+    for at in positions:
+        for byte in (0x00, 0xFF, ord("}"), ord("0"), ord('"'), (blob[at] + 1) % 256):
+            data = bytearray(blob)
+            data[at] = byte
+            path.write_bytes(bytes(data))
+            try:
+                load_checkpoint(path)
+            except SentigenError:
+                pass
 
 
 def test_init_is_seeded(world):

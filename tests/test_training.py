@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sentigen import autodiff as ad
+from sentigen import training
 from sentigen.data import POOL_DATASET_ID, Polarity, Registry, TASK_ORDER, TaskType, to_polarity
 from sentigen.errors import ConfigError, NumericError
 from sentigen.model import ModelConfig
@@ -294,6 +295,48 @@ def test_finetune_resume_bit_exact_and_deterministic(toy, tmp_path):
     resumed = run_finetune(toy["records"], toy["registry"], config, cfg_full,
                            tmp_path / "resumed", resume_from=half)
     assert sha(a) == sha(resumed)
+
+
+RUNS = {"pretrain1": (run_pretrain_stage1, "stage1_loss"),
+        "pretrain2": (run_pretrain_stage2, "stage2_loss"),
+        "finetune": (run_finetune, "generation_loss")}
+
+
+@pytest.mark.parametrize("stage", sorted(RUNS))
+def test_interrupted_run_resumes_to_identical_logs(toy, tmp_path, monkeypatch, stage):
+    """Fault injection: a run that dies at step 5 and resumes from its step-2
+    checkpoint in the same directory leaves the same logs and final
+    checkpoint bytes as a run that was never interrupted."""
+    run, loss_name = RUNS[stage]
+    config = small_config(toy["vocab"], toy["registry"])
+    # 24 records in batches of 8: validation after steps 3 and 6
+    cfg = train_cfg(max_steps=6, batch_size=8, checkpoint_every=2, dropout_rate=0.1,
+                    validate_every_epochs=1, max_new_tokens=2)
+    full = run(toy["records"], toy["registry"], config, cfg, tmp_path / "full")
+
+    real_loss = getattr(training, loss_name)
+    calls = []
+
+    def failing_loss(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise RuntimeError("injected fault")
+        return real_loss(*args, **kwargs)
+
+    out = tmp_path / "cut"
+    monkeypatch.setattr(training, loss_name, failing_loss)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        run(toy["records"], toy["registry"], config, cfg, out)
+    monkeypatch.setattr(training, loss_name, real_loss)
+    cut_log = (out / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(l)["step"] for l in cut_log] == [1, 2, 3, 4]
+
+    resumed = run(toy["records"], toy["registry"], config, cfg, out,
+                  resume_from=out / "checkpoint_step2.ckpt")
+    assert resumed.read_bytes() == full.read_bytes()
+    logs = ["metrics.jsonl"] + (["val_metrics.jsonl"] if stage == "finetune" else [])
+    for name in logs:
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
 
 
 def test_resume_rejects_wrong_stage(toy, tmp_path):
