@@ -4,6 +4,12 @@ Deliberately small and CPU-only: row-major numpy storage, a dynamically
 recorded op graph, and a central-difference checker that the test suite uses
 as an independent oracle for every backward rule. All math runs in 64-bit
 floats so gradient checks are limited by truncation error, not rounding.
+
+Each op records its parents and a backward rule. A rule maps the gradient of
+the op's output to a tuple of gradients aligned with ``parents`` (``None``
+where a parent needs none). ``backward`` walks the graph once in reverse
+topological order, sums every tensor's incoming gradients in one dict, and
+writes each leaf's ``.grad`` once, into a buffer that leaf owns.
 """
 from __future__ import annotations
 
@@ -65,14 +71,6 @@ def parameter(shape, rng, std=0.02):
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True, op="param")
 
 
-def _accumulate(t, g):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
 def _make(data, op, parents, rule):
     if not any(p.requires_grad for p in parents):
         return Tensor(data, op=op)
@@ -93,42 +91,23 @@ def _check_finite(arr, op):
 def add(a, b):
     """Elementwise a + b. Also accepts b of shape (n,) against a of shape (m, n)."""
     if a.shape == b.shape:
-        out_data = a.data + b.data
-
-        def rule(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-
+        rule = lambda g: (g, g)
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out_data = a.data + b.data
-
-        def rule(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
-
+        rule = lambda g: (g, g.sum(axis=0))
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return _make(out_data, "add", (a, b), rule)
+    return _make(a.data + b.data, "add", (a, b), rule)
 
 
 def mul(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-    def rule(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return _make(a.data * b.data, "mul", (a, b), rule)
+    return _make(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a, s):
     s = float(s)
-
-    def rule(g):
-        _accumulate(a, g * s)
-
-    return _make(a.data * s, "scale", (a,), rule)
+    return _make(a.data * s, "scale", (a,), lambda g: (g * s,))
 
 
 def sub(a, b):
@@ -141,12 +120,8 @@ def div(a, b):
         raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
     if np.any(b.data == 0.0):
         raise NumericError("div: division by zero")
-
-    def rule(g):
-        _accumulate(a, g / b.data)
-        _accumulate(b, -g * a.data / (b.data * b.data))
-
-    return _make(a.data / b.data, "div", (a, b), rule)
+    return _make(a.data / b.data, "div", (a, b),
+                 lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
 
 
 def matmul(a, b):
@@ -154,33 +129,20 @@ def matmul(a, b):
         raise ShapeError(f"matmul: needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-
-    def rule(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, "matmul", (a, b), rule)
+    return _make(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def transpose(a):
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: needs a 2-D operand, got {a.shape}")
-
-    def rule(g):
-        _accumulate(a, g.T)
-
-    return _make(a.data.T, "transpose", (a,), rule)
+    return _make(a.data.T, "transpose", (a,), lambda g: (g.T,))
 
 
 def reshape(a, shape):
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def rule(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape), "reshape", (a,), rule)
+    return _make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
 def concat_rows(parts):
@@ -191,13 +153,10 @@ def concat_rows(parts):
     for p in parts:
         if p.data.ndim != 2 or p.shape[1] != cols:
             raise ShapeError(f"concat_rows: inconsistent shapes {[p.shape for p in parts]}")
-    sizes = [p.shape[0] for p in parts]
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
 
     def rule(g):
-        ofs = 0
-        for p, n in zip(parts, sizes):
-            _accumulate(p, g[ofs:ofs + n])
-            ofs += n
+        return tuple(g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     return _make(np.concatenate([p.data for p in parts], axis=0), "concat_rows", parts, rule)
 
@@ -209,7 +168,7 @@ def slice_rows(a, start, stop):
     def rule(g):
         buf = np.zeros_like(a.data)
         buf[start:stop] = g
-        _accumulate(a, buf)
+        return (buf,)
 
     return _make(a.data[start:stop].copy(), "slice_rows", (a,), rule)
 
@@ -218,11 +177,7 @@ def tile_rows(v, n):
     """Repeat a vector (d,) into a matrix (n, d)."""
     if v.data.ndim != 1:
         raise ShapeError(f"tile_rows: needs a vector, got {v.shape}")
-
-    def rule(g):
-        _accumulate(v, g.sum(axis=0))
-
-    return _make(np.tile(v.data, (int(n), 1)), "tile_rows", (v,), rule)
+    return _make(np.tile(v.data, (int(n), 1)), "tile_rows", (v,), lambda g: (g.sum(axis=0),))
 
 
 def embedding(table, ids):
@@ -239,20 +194,16 @@ def embedding(table, ids):
         raise IndexError(f"embedding: index out of range for table with {table.shape[0]} rows")
 
     def rule(g):
-        if not table.requires_grad:
-            return
         buf = np.zeros_like(table.data)
         np.add.at(buf, idx, g)
-        _accumulate(table, buf)
+        return (buf,)
 
     return _make(table.data[idx], "embedding", (table,), rule)
 
 
 def sum_all(a):
-    def rule(g):
-        _accumulate(a, np.full_like(a.data, float(np.asarray(g).reshape(()))))
-
-    return _make(a.data.sum(), "sum_all", (a,), rule)
+    return _make(a.data.sum(), "sum_all", (a,),
+                 lambda g: (np.full_like(a.data, float(np.asarray(g).reshape(()))),))
 
 
 def masked_mean_rows(a, keep):
@@ -267,7 +218,7 @@ def masked_mean_rows(a, keep):
     def rule(g):
         buf = np.zeros_like(a.data)
         buf[keep] = g / count
-        _accumulate(a, buf)
+        return (buf,)
 
     return _make(a.data[keep].mean(axis=0), "masked_mean_rows", (a,), rule)
 
@@ -277,11 +228,7 @@ def sqrt(a):
     if np.any(a.data < 0):
         raise NumericError("sqrt: negative input")
     root = np.sqrt(a.data)
-
-    def rule(g):
-        _accumulate(a, g * 0.5 / root)
-
-    return _make(root, "sqrt", (a,), rule)
+    return _make(root, "sqrt", (a,), lambda g: (g * 0.5 / root,))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +244,7 @@ def gelu(a):
 
     def rule(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
-        _accumulate(a, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du))
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du),)
 
     return _make(out, "gelu", (a,), rule)
 
@@ -318,9 +265,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
     def rule(g):
         h = g * gain.data
         dx = inv * (h - h.mean(axis=1, keepdims=True) - xhat * (h * xhat).mean(axis=1, keepdims=True))
-        _accumulate(a, dx)
-        _accumulate(gain, (g * xhat).sum(axis=0))
-        _accumulate(bias, g.sum(axis=0))
+        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _make(out, "layer_norm", (a, gain, bias), rule)
 
@@ -335,7 +280,7 @@ def softmax(a):
 
     def rule(g):
         dot = (g * p).sum(axis=1, keepdims=True)
-        _accumulate(a, p * (g - dot))
+        return (p * (g - dot),)
 
     return _make(p, "softmax", (a,), rule)
 
@@ -363,22 +308,23 @@ def attention(q, k, v, bias, heads):
     def split(x, rows):  # (rows, d) -> (heads, rows, hd)
         return x.reshape(rows, heads, hd).transpose(1, 0, 2)
 
+    def merge(x, rows):  # (heads, rows, hd) -> (rows, d)
+        return x.transpose(1, 0, 2).reshape(rows, d)
+
     qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
     z = (qh @ kh.transpose(0, 2, 1)) * norm + bias
     e = np.exp(z - z.max(axis=2, keepdims=True))
     p = e / e.sum(axis=2, keepdims=True)
-    out = (p @ vh).transpose(1, 0, 2).reshape(lq, d)
+    out = merge(p @ vh, lq)
 
     def rule(g):
         gh = split(g, lq)
-        if v.requires_grad:
-            _accumulate(v, (p.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(lk, d))
+        dv = merge(p.transpose(0, 2, 1) @ gh, lk) if v.requires_grad else None
         dp = gh @ vh.transpose(0, 2, 1)
         dz = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * norm
-        if q.requires_grad:
-            _accumulate(q, (dz @ kh).transpose(1, 0, 2).reshape(lq, d))
-        if k.requires_grad:
-            _accumulate(k, (dz.transpose(0, 2, 1) @ qh).transpose(1, 0, 2).reshape(lk, d))
+        dq = merge(dz @ kh, lq) if q.requires_grad else None
+        dk = merge(dz.transpose(0, 2, 1) @ qh, lk) if k.requires_grad else None
+        return dq, dk, dv
 
     return _make(out, "attention", (q, k, v), rule)
 
@@ -407,7 +353,7 @@ def softmax_cross_entropy(logits, targets):
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(b), idx] -= 1.0
-        _accumulate(logits, p * (float(np.asarray(g).reshape(())) / b))
+        return (p * (float(np.asarray(g).reshape(())) / b),)
 
     return _make(out, "softmax_cross_entropy", (logits,), rule)
 
@@ -423,7 +369,7 @@ def gather_cols(a, cols):
     def rule(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf.T, idx, g.T)
-        _accumulate(a, buf)
+        return (buf,)
 
     return _make(a.data[:, idx].copy(), "gather_cols", (a,), rule)
 
@@ -437,45 +383,35 @@ def dropout(a, rate, rng):
     keep = (rng.random(a.shape) >= rate)
     factor = 1.0 / (1.0 - rate)
     mask = keep.astype(np.float64) * factor
-
-    def rule(g):
-        _accumulate(a, g * mask)
-
-    return _make(a.data * mask, "dropout", (a,), rule)
+    return _make(a.data * mask, "dropout", (a,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
 # graph walking
 
 
-class ComputeGraph:
-    """Topologically ordered record of every tensor reachable from an output."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def from_output(cls, out):
-        order = []
-        seen = set()
-        stack = [(out, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        return cls(order)
+def _topological_order(out):
+    """Every tensor reachable from ``out``, each after all of its parents."""
+    order = []
+    seen = set()
+    stack = [(out, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
 
 
-def backward(loss, graph=None):
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires-grad tensor.
+def backward(loss):
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires-grad leaf.
 
     ``loss`` must hold a single value. Gradients add onto whatever is already
     stored, so callers reset with ``zero_grads`` between steps.
@@ -484,29 +420,24 @@ def backward(loss, graph=None):
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data.reshape(())):
         raise NumericError("backward: loss is not finite")
-    if graph is None:
-        graph = ComputeGraph.from_output(loss)
     grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(graph.nodes):
+    for node in reversed(_topological_order(loss)):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and node._rule is None:
-            # leaf: stash into the public buffer
-            _accumulate(node, g)
-            continue
         if node._rule is None:
+            if node.requires_grad:
+                # a rule may hand several parents one array, or a view of
+                # its input: copy so each leaf owns the buffer it is given
+                if node.grad is None:
+                    node.grad = np.array(g, order="C")
+                else:
+                    node.grad += g
             continue
-        # run the rule with a temporary accumulator redirect: rules call
-        # _accumulate on parents, which writes leaf grads directly; for
-        # interior nodes we want the flowing gradient, so let rules write
-        # into .grad and then move interior grads into the local map.
-        node._rule(g)
-        for p in node.parents:
-            if p.requires_grad and p._rule is not None and p.grad is not None:
+        for p, pg in zip(node.parents, node._rule(g)):
+            if pg is not None and p.requires_grad:
                 prev = grads.get(id(p))
-                grads[id(p)] = p.grad if prev is None else prev + p.grad
-                p.grad = None
+                grads[id(p)] = pg if prev is None else prev + pg
 
 
 def zero_grads(tensors):

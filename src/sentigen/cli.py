@@ -26,9 +26,10 @@ from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_a
 from .data import POOL_DATASET_ID, Registry, load_corpus
 from .errors import ConfigError, SentigenError
 from .evaluation import evaluate_records
-from .model import encode, freeze_params, load_checkpoint
-from .prompt import Vocab, build_prompt
-from .training import TrainConfig, run_finetune, run_pretrain_stage1, run_pretrain_stage2
+from .model import encode, freeze_params
+from .prompt import build_prompt
+from .training import (TrainConfig, load_model, run_finetune, run_pretrain_stage1,
+                       run_pretrain_stage2)
 
 log = logging.getLogger(__name__)
 
@@ -274,20 +275,6 @@ def cmd_finetune(args):
     return _run_training(args, run_finetune, "finetune", **extra)
 
 
-def _load_model(checkpoint_path, registry):
-    path = Path(checkpoint_path)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
-    config, arrays, meta = load_checkpoint(path)
-    from .model import params_from_arrays
-    vocab = Vocab(meta["vocab"], meta["vocab_datasets"], meta["vocab_speakers"])
-    if config.num_datasets != len(registry):
-        raise ConfigError(
-            f"checkpoint expects {config.num_datasets} datasets, registry has {len(registry)}")
-    params = params_from_arrays(config, arrays)
-    return params, config, vocab
-
-
 def _metric_table(payload):
     """Aligned text table: one row per dataset, one column per metric name."""
     names = sorted({m for row in payload.values() for m in row if m not in ("samples",)})
@@ -303,7 +290,7 @@ def _metric_table(payload):
 
 def cmd_eval(args):
     records, registry = _load_inputs(args)
-    params, config, vocab = _load_model(args.checkpoint, registry)
+    config, params, vocab, _, _ = load_model(args.checkpoint, registry)
     results = evaluate_records(records, params, config, vocab, registry, max_new=args.max_new)
     payload = {d: {**r.metrics, "fallback_rate": r.fallback_rate, "samples": len(r.golds)}
                for d, r in sorted(results.items())}
@@ -319,7 +306,7 @@ def cmd_eval(args):
 
 def cmd_export_embeddings(args):
     records, registry = _load_inputs(args)
-    params, config, vocab = _load_model(args.checkpoint, registry)
+    config, params, vocab, _, _ = load_model(args.checkpoint, registry)
     params = freeze_params(params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -485,21 +485,7 @@ def serialize_corpus(records, path):
 
 
 # ---------------------------------------------------------------------------
-# polarity pools and combined queries
-
-
-@dataclass
-class DataPool:
-    polarity: Polarity
-    records: list
-
-
-def build_pools(records):
-    """Partition records into three polarity pools via ``to_polarity``."""
-    pools = {pol: DataPool(polarity=pol, records=[]) for pol in Polarity}
-    for record in records:
-        pools[to_polarity(record.label, record.dataset_id)].records.append(record)
-    return pools
+# combined queries
 
 
 def _merge_features(a, b, field):

@@ -21,12 +21,12 @@ reconstruction + cross-task prediction.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import Polarity, TaskType, TASK_ORDER
+from .data import Polarity, TASK_ORDER
 from .errors import ContractError, VocabularyError
 from .model import decoder_states, encode, token_logits
 from .prompt import flatten_prompt, tokenize
@@ -65,6 +65,14 @@ def polarity_token_ids(vocab):
     return tuple(vocab.id_of(p.value) for p in POLARITY_ORDER)
 
 
+def _batch_mean(terms, batch_size):
+    """Sum of per-sample loss terms, added left to right, over the batch size."""
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return ad.scale(total, 1.0 / batch_size)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 
@@ -88,10 +96,7 @@ def loss_mcm(batch, params, config, vocab, train=False, rng=None):
         terms.append(ad.scale(ce, float(len(positions))))  # sum over masked tokens
     if not terms:
         return ad.constant(0.0)
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(batch))
+    return _batch_mean(terms, len(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +120,7 @@ def loss_spp(batch, params, config, vocab, train=False, rng=None):
     for ps, polarity in batch:
         enc = encode(ps, params, config, vocab, mask_plan=None, train=train, rng=rng)
         terms.append(_spp_term(enc, polarity, params, config, vocab, train=train, rng=rng))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(batch))
+    return _batch_mean(terms, len(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +299,7 @@ def loss_cep(batch, params, config, vocab, index, train=False, rng=None):
             ce = ad.softmax_cross_entropy(row, [labels.index(want)])
             sample = ce if sample is None else ad.add(sample, ce)
         terms.append(sample)
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(batch))
+    return _batch_mean(terms, len(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +313,8 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
         raise ContractError("stage1_loss: empty batch")
     mcm = loss_mcm([(e.prompt, e.plan) for e in batch], params, config, vocab, train=train, rng=rng)
     encs = [encode(e.prompt, params, config, vocab, mask_plan=None, train=train, rng=rng) for e in batch]
-    spp_terms = [_spp_term(enc, e.polarity, params, config, vocab, train=train, rng=rng)
-                 for enc, e in zip(encs, batch)]
-    spp = spp_terms[0]
-    for t in spp_terms[1:]:
-        spp = ad.add(spp, t)
-    spp = ad.scale(spp, 1.0 / len(batch))
+    spp = _batch_mean([_spp_term(enc, e.polarity, params, config, vocab, train=train, rng=rng)
+                       for enc, e in zip(encs, batch)], len(batch))
     ccl = loss_ccl([enc.pooled for enc in encs], [e.polarity for e in batch])
     total = ad.add(ad.add(ad.scale(mcm, weights[0]), ad.scale(spp, weights[1])),
                    ad.scale(ccl, weights[2]))
@@ -359,7 +354,4 @@ def generation_loss(batch, params, config, vocab, train=False, rng=None):
         logits = token_logits(h, params)
         ce = ad.softmax_cross_entropy(logits, targets)
         terms.append(ad.scale(ce, float(len(targets))))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(batch))
+    return _batch_mean(terms, len(batch))

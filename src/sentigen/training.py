@@ -1,4 +1,11 @@
-"""Training loops: two pre-training stages and answer fine-tuning.
+"""Training: two pre-training stages and answer fine-tuning on one driver.
+
+``_Run.drive`` owns the loop every stage shares: restore pool state on
+resume, step, check the loss is finite, back-propagate, clip, update, log,
+save periodically and finally write the last checkpoint. A stage supplies
+only its sampling pool, the number of units one pass over the data holds, a
+step function that draws a batch and returns its loss, and (fine-tuning
+only) a validation hook.
 
 Runs are bit-deterministic for a fixed (seed, config, corpus): RNG streams are
 spawned from the seed per concern (data order, masking, dropout, init), pools
@@ -10,19 +17,18 @@ run exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import (POOL_DATASET_ID, Polarity, Registry, SaevalRecord, TaskType, TASK_ORDER,
-                   build_pools, combine_queries, to_polarity)
-from .errors import ConfigError, ContractError, NumericError
+from .data import POOL_DATASET_ID, Polarity, TaskType, TASK_ORDER, combine_queries, to_polarity
+from .errors import ConfigError, NumericError, VocabularyError
 from .evaluation import evaluate_records
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
-from .model import (ModelConfig, encode, freeze_params, init_params, load_checkpoint,
-                    params_from_arrays, params_to_arrays, save_checkpoint)
+from .model import (encode, freeze_params, init_params, load_checkpoint, params_from_arrays,
+                    params_to_arrays, save_checkpoint)
 from .objectives import (CentroidIndex, LossReport, PseudoLabelSet, Stage1Example,
                          Stage2Example, assign_pseudo_labels, build_centroids, generation_loss,
                          stage1_loss, stage2_loss)
@@ -66,6 +72,10 @@ class TrainConfig:
             raise ConfigError("max_steps must be non-negative")
         if len(self.loss_weights) != 4:
             raise ConfigError("loss_weights must have four entries (mcm, spp, ccl, cep)")
+        if self.centroid_refresh_every < 1:
+            raise ConfigError("centroid_refresh_every must be positive")
+        if self.checkpoint_every is not None and self.checkpoint_every < 0:
+            raise ConfigError("checkpoint_every must be non-negative (0 or null disables it)")
         return self
 
     def to_json(self):
@@ -220,14 +230,12 @@ class PolarityPools:
     members, plus a rotation so batch slots cycle the polarities."""
 
     def __init__(self, records, rng):
-        groups = build_pools(records)
-        self.order = [pol for pol in Polarity if len(groups[pol].records) >= 2]
+        index_of = {pol: [] for pol in Polarity}
+        for i, r in enumerate(records):
+            index_of[to_polarity(r.label, r.dataset_id)].append(i)
+        self.order = [pol for pol in Polarity if len(index_of[pol]) >= 2]
         if not self.order:
             raise ConfigError("stage-one training needs a polarity pool with at least two records")
-        index_of = {}
-        for pol in self.order:
-            index_of[pol] = [i for i, r in enumerate(records)
-                             if to_polarity(r.label, r.dataset_id) is pol]
         self.pools = {pol: IndexPool(index_of[pol], rng) for pol in self.order}
         self.rotation = int(rng.integers(len(self.order)))
 
@@ -312,8 +320,40 @@ def _pseudo_from_json(obj):
     return [PseudoLabelSet(labels={TaskType(k): v for k, v in entry.items()}) for entry in obj]
 
 
+def _meta_field(meta, key, kind, source):
+    """``meta[key]`` if it is a ``kind`` (a bool is never an int), else a ConfigError."""
+    value = meta.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{source}: checkpoint field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def load_model(path, registry):
+    """Read a training checkpoint for ``registry``. Returns (config, params,
+    vocab, arrays, meta). A missing file, vocabulary fields that are missing
+    or mistyped, or a dataset count other than the registry's is a
+    ConfigError."""
+    if not Path(path).exists():
+        raise ConfigError(f"checkpoint not found: {path}")
+    config, arrays, meta = load_checkpoint(path)
+    tokens = _meta_field(meta, "vocab", list, path)
+    if not all(isinstance(t, str) for t in tokens):
+        raise ConfigError(f"{path}: checkpoint vocabulary holds a non-string token")
+    try:
+        vocab = Vocab(tokens, _meta_field(meta, "vocab_datasets", int, path),
+                      _meta_field(meta, "vocab_speakers", int, path))
+    except VocabularyError as exc:
+        raise ConfigError(f"{path}: bad checkpoint vocabulary ({exc})") from exc
+    if len(vocab) != config.vocab_size:
+        raise ConfigError("checkpoint vocabulary does not match its model config")
+    if config.num_datasets != len(registry):
+        raise ConfigError(
+            f"checkpoint expects {config.num_datasets} datasets, registry has {len(registry)}")
+    return config, params_from_arrays(config, arrays), vocab, arrays, meta
+
+
 class _Run:
-    """Shared plumbing for the three training loops."""
+    """Run state shared by the three stages, and the loop that drives them."""
 
     def __init__(self, stage, records, registry, model_config, train_config, out_dir,
                  init_checkpoint=None, resume_from=None):
@@ -341,31 +381,11 @@ class _Run:
                     f"dataset {dataset_id!r} declares visual_dim {spec.visual_dim}, "
                     f"model expects {model_config.visual_dim}")
 
+        self.rngs = _spawn_rngs(train_config.seed)
         source = resume_from or init_checkpoint
         if source is not None:
-            ck_config, arrays, meta = load_checkpoint(source)
+            ck_config, self.params, self.vocab, arrays, meta = load_model(source, registry)
             self.model_config = replace(ck_config, dropout_rate=train_config.dropout_rate)
-            self.vocab = Vocab(meta["vocab"], meta["vocab_datasets"], meta["vocab_speakers"])
-            if len(self.vocab) != self.model_config.vocab_size:
-                raise ConfigError("checkpoint vocabulary does not match its model config")
-            if self.model_config.num_datasets != len(registry):
-                raise ConfigError(
-                    f"checkpoint expects {self.model_config.num_datasets} datasets, registry has {len(registry)}")
-            self.params = params_from_arrays(self.model_config, arrays)
-            self.rngs = _spawn_rngs(train_config.seed)
-            self.adam = Adam(self.params, train_config.learning_rate)
-            if resume_from is not None:
-                if meta.get("stage") != stage:
-                    raise ConfigError(
-                        f"checkpoint holds {meta.get('stage')!r} state, cannot resume {stage!r}")
-                self.step = int(meta["step"])
-                self.adam.load_state(self.params, arrays, meta["adam_t"])
-                self.rngs.update(_restore_rngs(meta["rng"]))
-                self.centroids = _centroids_from_json(meta.get("centroids"))
-                self.pseudo = _pseudo_from_json(meta.get("pseudo"))
-                self._resume_pools = meta.get("pools")
-            else:
-                self._resume_pools = None
         else:
             self.vocab = build_vocab(records, registry, num_speakers=train_config.num_speakers)
             cfg = replace(model_config, dropout_rate=train_config.dropout_rate)
@@ -378,21 +398,29 @@ class _Run:
             if cfg.num_datasets != len(registry):
                 raise ConfigError(f"model config num_datasets {cfg.num_datasets} != registry size {len(registry)}")
             self.model_config = cfg.validate()
-            self.rngs = _spawn_rngs(train_config.seed)
             self.params = init_params(self.model_config, self.rngs["init"])
-            self.adam = Adam(self.params, train_config.learning_rate)
-            self._resume_pools = None
+        self.adam = Adam(self.params, train_config.learning_rate)
 
+        self._resume_pools = None
+        if resume_from is not None:
+            if meta.get("stage") != stage:
+                raise ConfigError(
+                    f"checkpoint holds {meta.get('stage')!r} state, cannot resume {stage!r}")
+            self.step = _meta_field(meta, "step", int, source)
+            self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
+            try:
+                self.rngs.update(_restore_rngs(_meta_field(meta, "rng", dict, source)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{source}: checkpoint field 'rng' is malformed ({exc})") from exc
+            self.centroids = _centroids_from_json(meta.get("centroids"))
+            self.pseudo = _pseudo_from_json(meta.get("pseudo"))
+            self._resume_pools = meta.get("pools")
         self.resumed = resume_from is not None
-        self._logs = []
-        self.metrics_path = self.out_dir / "metrics.jsonl"
-        self._metrics_fh = self.open_log(self.metrics_path)
 
     def open_log(self, path):
-        """Open a per-step JSONL log for writing, closed by ``close``. A fresh
-        run starts it empty; a resumed run keeps the lines up to its
-        checkpoint step and appends, so the log ends up as an uninterrupted
-        run's would."""
+        """Open a per-step JSONL log for writing. A fresh run starts it
+        empty; a resumed run keeps the lines up to its checkpoint step and
+        appends, so the log ends up as an uninterrupted run's would."""
         kept = []
         if self.resumed and path.exists():
             with open(path, encoding="utf-8") as fh:
@@ -405,12 +433,11 @@ class _Run:
                         break
                     kept.append(line)
         fh = open(path, "w", encoding="utf-8")
-        self._logs.append(fh)
         fh.writelines(kept)
         fh.flush()
         return fh
 
-    def log_step(self, report):
+    def log_step(self, fh, report):
         line = json.dumps({
             "step": self.step,
             "stage": self.stage,
@@ -421,8 +448,8 @@ class _Run:
             "total": report.total,
             "lr": self.train_config.learning_rate,
         })
-        self._metrics_fh.write(line + "\n")
-        self._metrics_fh.flush()
+        fh.write(line + "\n")
+        fh.flush()
 
     def check_finite(self, report):
         vals = (report.mcm, report.spp, report.ccl, report.cep, report.total)
@@ -456,30 +483,52 @@ class _Run:
         save_checkpoint(path, self.model_config, arrays, meta=meta)
         return Path(path)
 
-    def close(self):
-        for fh in self._logs:
-            fh.close()
-
-    def finish(self, pools_state):
-        return self.save(self.out_dir / "checkpoint.ckpt", pools_state)
-
-    def maybe_periodic_save(self, pools_state):
-        every = self.train_config.checkpoint_every
-        if every and self.step % every == 0:
-            self.save(self.out_dir / f"checkpoint_step{self.step}.ckpt", pools_state)
-
-    def total_steps(self, units_per_pass):
-        cfg = self.train_config
-        if cfg.max_steps is not None:
-            return cfg.max_steps
-        steps_per_epoch = max(1, units_per_pass // cfg.batch_size)
-        return cfg.epochs * steps_per_epoch
-
     def pool_rng(self):
         """Generator for initial pool construction. When resuming, pool state
         is about to be overwritten from the checkpoint, so construction must
         not consume the restored data stream."""
         return self.rngs["data"] if self._resume_pools is None else np.random.default_rng(0)
+
+    def drive(self, pools, units_per_pass, step, validate=None):
+        """Run the stage to its last step and return the final checkpoint path.
+
+        ``pools`` is the sampling state saved with each checkpoint,
+        ``units_per_pass`` the number of samples one pass over the data holds,
+        and ``step()`` draws a batch and returns its (LossReport, total
+        tensor). ``validate(fh)``, when given, runs after every step with the
+        open ``val_metrics.jsonl``. Logs are closed even when a step fails."""
+        cfg = self.train_config
+        if self._resume_pools is not None:
+            pools.load_state(self._resume_pools)
+        total_steps = (cfg.max_steps if cfg.max_steps is not None
+                       else cfg.epochs * max(1, units_per_pass // cfg.batch_size))
+        logs = []
+        try:
+            logs.append(self.open_log(self.out_dir / "metrics.jsonl"))
+            if validate is not None:
+                logs.append(self.open_log(self.out_dir / "val_metrics.jsonl"))
+            while self.step < total_steps:
+                self.step += 1
+                report, total = step()
+                self.check_finite(report)
+                self.optimize(total)
+                self.log_step(logs[0], report)
+                if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
+                    self.save(self.out_dir / f"checkpoint_step{self.step}.ckpt", pools.state())
+                if validate is not None:
+                    validate(logs[1])
+        finally:
+            for fh in logs:
+                fh.close()
+        return self.save(self.out_dir / "checkpoint.ckpt", pools.state())
+
+
+def _augmented_prompt(run, record):
+    """The record's prompt; with augmentation on, under a sampled modal setting."""
+    ps = build_prompt(record, run.vocab, run.registry, run.model_config.max_len)
+    if run.train_config.modal_mask_augment:
+        ps = apply_modal_setting(ps, sample_modal_setting(ps, run.rngs["mask"]))
+    return ps
 
 
 def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, resume_from=None):
@@ -493,32 +542,17 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
                resume_from=resume_from)
     cfg = run.train_config
     pools = PolarityPools(records, run.pool_rng())
-    if run._resume_pools is not None:
-        pools.load_state(run._resume_pools)
 
-    total_steps = run.total_steps(2 * pools.pairs_per_pass())
-    try:
-        while run.step < total_steps:
-            run.step += 1
-            batch = []
-            for pol, i, j in pools.draw_pairs(cfg.batch_size, run.rngs["data"]):
-                combined = combine_queries(records[i], records[j])
-                ps = build_prompt(combined, run.vocab, registry, run.model_config.max_len)
-                if cfg.modal_mask_augment:
-                    setting = sample_modal_setting(ps, run.rngs["mask"])
-                    ps = apply_modal_setting(ps, setting)
-                plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
-                batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
-            report, total = stage1_loss(batch, run.params, run.model_config, run.vocab,
-                                        weights=cfg.loss_weights[:3], train=True,
-                                        rng=run.rngs["dropout"])
-            run.check_finite(report)
-            run.optimize(total)
-            run.log_step(report)
-            run.maybe_periodic_save(pools.state())
-    finally:
-        run.close()
-    return run.finish(pools.state())
+    def step():
+        batch = []
+        for pol, i, j in pools.draw_pairs(cfg.batch_size, run.rngs["data"]):
+            ps = _augmented_prompt(run, combine_queries(records[i], records[j]))
+            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
+            batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
+        return stage1_loss(batch, run.params, run.model_config, run.vocab,
+                           weights=cfg.loss_weights[:3], train=True, rng=run.rngs["dropout"])
+
+    return run.drive(pools, 2 * pools.pairs_per_pass(), step)
 
 
 def _refresh_centroids(run):
@@ -548,35 +582,20 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from)
     cfg = run.train_config
     pool = IndexPool(range(len(records)), run.pool_rng())
-    if run._resume_pools is not None:
-        pool.load_state(run._resume_pools)
 
-    total_steps = run.total_steps(len(records))
-    try:
-        while run.step < total_steps:
-            run.step += 1
-            if run.centroids is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
-                _refresh_centroids(run)
-            batch = []
-            for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
-                record = records[idx]
-                ps = build_prompt(record, run.vocab, registry, run.model_config.max_len)
-                if cfg.modal_mask_augment:
-                    setting = sample_modal_setting(ps, run.rngs["mask"])
-                    ps = apply_modal_setting(ps, setting)
-                plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
-                batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
-            report, total = stage2_loss(batch, run.params, run.model_config, run.vocab,
-                                        run.centroids,
-                                        weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
-                                        train=True, rng=run.rngs["dropout"])
-            run.check_finite(report)
-            run.optimize(total)
-            run.log_step(report)
-            run.maybe_periodic_save(pool.state())
-    finally:
-        run.close()
-    return run.finish(pool.state())
+    def step():
+        if run.centroids is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
+            _refresh_centroids(run)
+        batch = []
+        for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
+            ps = _augmented_prompt(run, records[idx])
+            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
+            batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
+        return stage2_loss(batch, run.params, run.model_config, run.vocab, run.centroids,
+                           weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
+                           train=True, rng=run.rngs["dropout"])
+
+    return run.drive(pool, len(records), step)
 
 
 def gold_token_ids(record, registry, vocab):
@@ -593,43 +612,27 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from)
     cfg = run.train_config
     pools = TaskPools(records, run.pool_rng())
-    if run._resume_pools is not None:
-        pools.load_state(run._resume_pools)
-
     steps_per_epoch = max(1, len(records) // cfg.batch_size)
-    total_steps = run.total_steps(len(records))
-    try:
-        val_fh = run.open_log(run.out_dir / "val_metrics.jsonl")
-        while run.step < total_steps:
-            run.step += 1
-            batch = []
-            report_batch = []
-            for task, idx in task_average_sample(pools, cfg.batch_size, run.rngs["data"]):
-                record = records[idx]
-                ps = build_prompt(record, run.vocab, registry, run.model_config.max_len)
-                if cfg.modal_mask_augment:
-                    setting = sample_modal_setting(ps, run.rngs["mask"])
-                    ps = apply_modal_setting(ps, setting)
-                batch.append((ps, gold_token_ids(record, registry, run.vocab)))
-                report_batch.append(task)
-            total = generation_loss(batch, run.params, run.model_config, run.vocab,
-                                    train=True, rng=run.rngs["dropout"])
-            report = LossReport(total=total.item())
-            run.check_finite(report)
-            run.optimize(total)
-            run.log_step(report)
-            run.maybe_periodic_save(pools.state())
-            if run.step % steps_per_epoch == 0:
-                epoch = run.step // steps_per_epoch
-                if cfg.validate_every_epochs > 0 and epoch % cfg.validate_every_epochs == 0:
-                    results = evaluate_records(val_records if val_records is not None else records,
-                                               run.params, run.model_config, run.vocab, registry,
-                                               max_new=cfg.max_new_tokens)
-                    line = {"step": run.step, "epoch": epoch,
-                            "datasets": {d: (results[d].metrics if d in results else None)
-                                         for d in registry.dataset_ids}}
-                    val_fh.write(json.dumps(line) + "\n")
-                    val_fh.flush()
-    finally:
-        run.close()
-    return run.finish(pools.state())
+
+    def step():
+        batch = [(_augmented_prompt(run, records[idx]),
+                  gold_token_ids(records[idx], registry, run.vocab))
+                 for _, idx in task_average_sample(pools, cfg.batch_size, run.rngs["data"])]
+        total = generation_loss(batch, run.params, run.model_config, run.vocab,
+                                train=True, rng=run.rngs["dropout"])
+        return LossReport(total=total.item()), total
+
+    def validate(val_fh):
+        epoch, rest = divmod(run.step, steps_per_epoch)
+        if rest or cfg.validate_every_epochs <= 0 or epoch % cfg.validate_every_epochs:
+            return
+        results = evaluate_records(val_records if val_records is not None else records,
+                                   run.params, run.model_config, run.vocab, registry,
+                                   max_new=cfg.max_new_tokens)
+        line = {"step": run.step, "epoch": epoch,
+                "datasets": {d: (results[d].metrics if d in results else None)
+                             for d in registry.dataset_ids}}
+        val_fh.write(json.dumps(line) + "\n")
+        val_fh.flush()
+
+    return run.drive(pools, len(records), step, validate)

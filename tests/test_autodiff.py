@@ -213,12 +213,40 @@ def test_backward_needs_scalar_and_graph_is_acyclic():
     x = leaf(np.ones((2, 2)))
     with pytest.raises(ContractError):
         ad.backward(ad.mul(x, x))
-    g = ad.ComputeGraph.from_output(ad.sum_all(ad.mul(x, x)))
+    y = ad.mul(x, x)
+    loss = ad.sum_all(ad.add(y, ad.scale(y, 2.0)))
+    order = ad._topological_order(loss)
+    assert order[-1] is loss
+    assert len({id(t) for t in order}) == len(order) == 5  # x, y, scale, add, sum_all
     seen = set()
-    for node in g.nodes:
+    for node in order:
         for p in node.parents:
             assert id(p) in seen
         seen.add(id(node))
+
+
+def test_backward_gives_each_leaf_its_own_buffer():
+    a = leaf(np.ones((2, 3)))
+    b = leaf(np.ones((2, 3)))
+    ad.backward(ad.sum_all(ad.add(a, b)))
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    a.grad *= 0.5  # what clip_gradients does
+    assert np.all(b.grad == 1.0) and np.all(a.grad == 0.5)
+    # views handed out by structural rules are copied into row-major buffers
+    c, d = leaf(np.ones((2, 2))), leaf(np.ones((3, 2)))
+    ad.backward(ad.sum_all(ad.concat_rows([c, d])))
+    e = leaf(np.ones((2, 3)))
+    ad.backward(ad.sum_all(ad.mul(ad.transpose(e), leaf(np.ones((3, 2))))))
+    for t in (c, d, e):
+        assert t.grad.flags.c_contiguous and t.grad.flags.owndata
+
+
+def test_constant_parent_gets_no_grad():
+    c = ad.constant(np.ones((2, 2)))
+    x = leaf(np.full((2, 2), 3.0))
+    ad.backward(ad.sum_all(ad.mul(ad.add(c, x), c)))
+    assert c.grad is None
+    assert np.all(x.grad == 1.0)
 
 
 def test_div_by_zero_is_numeric_error():

@@ -158,6 +158,18 @@ def test_eval_prints_table_and_json(cli_corpus, finetuned, tmp_path, capsys):
     assert on_disk == payload
 
 
+def test_eval_checkpoint_without_meta_exits_2(cli_corpus, finetuned, tmp_path, capsys):
+    from sentigen.model import load_checkpoint, save_checkpoint
+    config, arrays, _ = load_checkpoint(finetuned / "checkpoint.ckpt")
+    save_checkpoint(tmp_path / "bare.ckpt", config, arrays, meta={})
+    for ck in (tmp_path / "bare.ckpt", tmp_path / "absent.ckpt"):
+        code, _, err = run(capsys, "eval", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                           "--registry", str(cli_corpus / "registry.json"),
+                           "--checkpoint", str(ck))
+        assert code == 2
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
 def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
     code, out, _ = run(capsys, "export-embeddings",
                        "--corpus", str(cli_corpus / "corpus.jsonl"),

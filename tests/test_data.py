@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sentigen.data import (POOL_DATASET_ID, Polarity, Registry, SaevalRecord, TaskType,
-                           build_pools, combine_queries, load_corpus, read_feature_sidecar,
+                           combine_queries, load_corpus, read_feature_sidecar,
                            record_to_json, render_scalar_label, serialize_corpus, to_polarity,
                            write_feature_sidecar)
 from sentigen.errors import ConfigError, ContractError, DataError
@@ -227,16 +227,6 @@ def test_polarity_mapping():
         to_polarity("sardonic")
     with pytest.raises(ConfigError):
         to_polarity(True)
-
-
-def test_build_pools_membership(toy):
-    records = toy["records"]
-    pools = build_pools(records)
-    total = sum(len(p.records) for p in pools.values())
-    assert total == len(records)
-    for pol, pool in pools.items():
-        for r in pool.records:
-            assert to_polarity(r.label, r.dataset_id) is pol
 
 
 def test_render_scalar_label():

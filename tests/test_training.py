@@ -174,6 +174,12 @@ def test_polarity_pools_drop_small_groups(toy):
                        if to_polarity(r.label, r.dataset_id) is Polarity.NEUTRAL)
     pools = PolarityPools(records + [neutral_one], np.random.default_rng(0))
     assert Polarity.NEUTRAL not in pools.order
+    # membership: each kept record sits in the pool of its own polarity, once
+    members = [int(i) for pol in pools.order for i in pools.pools[pol].indices]
+    assert sorted(members) == list(range(len(records)))
+    for pol in pools.order:
+        for i in pools.pools[pol].indices:
+            assert to_polarity(records[i].label, records[i].dataset_id) is pol
 
 
 def test_polarity_pools_need_one_pair(toy):
@@ -207,6 +213,11 @@ def test_train_config_validation():
         TrainConfig(mask_prob=1.5).validate()
     with pytest.raises(ConfigError):
         TrainConfig(loss_weights=(1.0, 1.0)).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(centroid_refresh_every=0).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(checkpoint_every=-1).validate()
+    TrainConfig(checkpoint_every=0).validate()  # 0, like None, disables periodic saves
     with pytest.raises(ConfigError):
         TrainConfig.from_json({"learnig_rate": 1e-4})
     cfg = TrainConfig.from_json({"loss_weights": [1, 2, 3, 4], "max_steps": 7})
@@ -371,6 +382,32 @@ def test_non_finite_state_raises(toy, tmp_path):
     with pytest.raises(NumericError):
         run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=2),
                      tmp_path / "blowup", init_checkpoint=poisoned)
+
+
+BAD_META = {"vocab": [None, "abc", [1, 2], ["<pad>"]], "vocab_datasets": [None, "5"],
+            "vocab_speakers": [True], "step": [None, 2.0], "adam_t": ["1"],
+            "rng": [None, {"data": 3}]}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_META))
+def test_bad_checkpoint_meta_is_config_error(toy, tmp_path, field):
+    """Every checkpoint field the loader or a resume reads is checked, so a
+    missing or mistyped one is a ConfigError, never a raw KeyError."""
+    from sentigen.model import load_checkpoint, save_checkpoint
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                      tmp_path / "seed")
+    ck_config, arrays, meta = load_checkpoint(ck)
+    bad = tmp_path / "bad.ckpt"
+    # a fresh run started from a checkpoint reads only the vocabulary fields
+    uses = ["resume_from"] + (["init_checkpoint"] if field.startswith("vocab") else [])
+    missing = {k: v for k, v in meta.items() if k != field}
+    for broken in [missing] + [{**meta, field: v} for v in BAD_META[field]]:
+        save_checkpoint(bad, ck_config, arrays, meta=broken)
+        for use in uses:
+            with pytest.raises(ConfigError, match=field):
+                run_finetune(toy["records"], toy["registry"], config, train_cfg(),
+                             tmp_path / use, **{use: bad})
 
 
 def test_gold_token_ids_render_labels(toy):
