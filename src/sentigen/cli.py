@@ -26,7 +26,7 @@ from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_a
 from .data import POOL_DATASET_ID, Registry, load_corpus
 from .errors import ConfigError, SentigenError
 from .evaluation import evaluate_records
-from .model import encode, freeze_params
+from .model import pooled_vectors
 from .prompt import build_prompt
 from .training import (TrainConfig, load_model, run_finetune, run_pretrain_stage1,
                        run_pretrain_stage2)
@@ -307,21 +307,20 @@ def cmd_eval(args):
 def cmd_export_embeddings(args):
     records, registry = _load_inputs(args)
     config, params, vocab, _, _ = load_model(args.checkpoint, registry)
-    params = freeze_params(params)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(args.out, "export-embeddings", None, {"checkpoint": str(args.checkpoint)})
+    prompts = [build_prompt(record, vocab, registry, config.max_len) for record in records]
+    vectors = pooled_vectors(prompts, params, config, vocab)
     path = out / "embeddings.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
-        for i, record in enumerate(records):
-            ps = build_prompt(record, vocab, registry, config.max_len)
-            enc = encode(ps, params, config, vocab, mask_plan=None, train=False)
+        for i, (record, vec) in enumerate(zip(records, vectors)):
             spec = registry.spec(record.dataset_id)
             fh.write(json.dumps({
                 "dataset_id": record.dataset_id,
                 "sample_id": i,
                 "label": spec.answer.render(record.label),
-                "vector": [float(x) for x in enc.pooled.data],
+                "vector": [float(x) for x in vec],
             }) + "\n")
     print(json.dumps({"embeddings": str(path), "records": len(records)}))
     return 0

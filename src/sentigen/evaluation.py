@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Registry, SaevalRecord
 from .errors import ContractError, DecodeError, MetricError
-from .model import generate
+from .model import generate, generate_batch
 from .prompt import build_prompt, decode_label
 
 
@@ -113,13 +113,11 @@ class EvalResult:
         return float(np.mean(self.fallbacks)) if self.fallbacks else 0.0
 
 
-def predict_label(record, params, config, vocab, registry, max_new=8):
-    """Generate greedily and decode onto the record's answer set. A decode
-    dead-end (empty generation) falls back to the default answer rather than
-    aborting an evaluation pass."""
+def _answer(record, ids, registry, vocab):
+    """Decode generated ``ids`` onto the record's answer set: (value, fallback).
+    A decode dead-end (empty generation) falls back to the default answer
+    rather than aborting an evaluation pass."""
     spec = registry.spec(record.dataset_id)
-    ps = build_prompt(record, vocab, registry, config.max_len)
-    ids = generate(ps, params, config, vocab, max_new=max_new)
     try:
         decoded = decode_label(ids, spec.answer, vocab)
     except DecodeError:
@@ -128,18 +126,32 @@ def predict_label(record, params, config, vocab, registry, max_new=8):
     return decoded.value, decoded.fallback
 
 
+def predict_label(record, params, config, vocab, registry, max_new=8):
+    """Generate greedily for one record and decode onto its answer set."""
+    ps = build_prompt(record, vocab, registry, config.max_len)
+    return _answer(record, generate(ps, params, config, vocab, max_new=max_new), registry, vocab)
+
+
+def predict_labels(records, params, config, vocab, registry, max_new=8):
+    """``predict_label`` for every record, in order, decoded in padded
+    batches of consecutive records."""
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    generated = generate_batch(prompts, params, config, vocab, max_new=max_new)
+    return [_answer(r, ids, registry, vocab) for r, ids in zip(records, generated)]
+
+
 def evaluate_records(records, params, config, vocab, registry, max_new=8):
     """Score records grouped by dataset with each dataset's registered
     metrics. Returns {dataset_id: EvalResult} for datasets present."""
     grouped = {}
-    for record in records:
-        grouped.setdefault(record.dataset_id, []).append(record)
+    for record, prediction in zip(records, predict_labels(records, params, config, vocab,
+                                                          registry, max_new=max_new)):
+        grouped.setdefault(record.dataset_id, []).append((record, prediction))
     results = {}
     for dataset_id, group in grouped.items():
         spec = registry.spec(dataset_id)
         golds, preds, fallbacks = [], [], []
-        for record in group:
-            pred, fb = predict_label(record, params, config, vocab, registry, max_new=max_new)
+        for record, (pred, fb) in group:
             gold = float(record.label) if spec.answer.scalar else str(record.label)
             golds.append(gold)
             preds.append(pred)
@@ -156,9 +168,9 @@ def decode_accuracy(records, params, config, vocab, registry, max_new=8, scalar_
     if not records:
         raise MetricError("cannot score an empty sample set")
     hits = 0
-    for record in records:
+    for record, (pred, _) in zip(records, predict_labels(records, params, config, vocab,
+                                                         registry, max_new=max_new)):
         spec = registry.spec(record.dataset_id)
-        pred, _ = predict_label(record, params, config, vocab, registry, max_new=max_new)
         if spec.answer.scalar:
             hits += abs(float(pred) - float(record.label)) <= scalar_tol
         else:

@@ -9,28 +9,34 @@ so where pads sit never changes the outputs. The decoder is autoregressive
 with cross-attention into the encoder states, and its output projection is
 tied to the token embedding table.
 
-Everything here processes one sample at a time; batching lives in the loss
-functions, which average per-sample graphs. That keeps shapes 2-D and the
-autodiff rules simple, and is fast enough at desk scale. Multi-head attention
-is one fused autodiff op over projected queries, keys and values.
+The encoder and decoder run on a batch of samples, padded to the longest
+stream. Tensors stay 2-D: a batch of B samples of L positions is B·L
+sample-major rows, and multi-head attention is one fused autodiff op whose
+per-sample bias keeps each sample's queries on its own keys and masks the
+pads. ``encode``, ``decoder_states`` and ``generate`` on one prompt are the
+batch of one. Training still calls them one sample at a time, and the loss
+functions average the per-sample graphs; inference batches records with
+``encode_batch``, ``pooled_vectors`` and ``generate_batch``.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
-``decoder_states`` one token at a time through a ``DecoderCache`` of keys
-and values instead of re-running the decoder over every prefix.
+``decoder_states`` one token per row at a time through a ``DecoderCache`` of
+keys and values instead of re-running the decoder over every prefix.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ShapeError
-from .prompt import PromptSequence, flatten_prompt
+from .prompt import flatten_prompt
 
 CHECKPOINT_MAGIC = b"SGCK"
 CHECKPOINT_VERSION = 1
@@ -145,12 +151,13 @@ def _linear(params, prefix, x, w, b):
     return ad.add(ad.matmul(x, params[f"{prefix}_{w}"]), params[f"{prefix}_{b}"])
 
 
-def _keys_values(params, prefix, x_kv, cache=None, grow=False):
+def _keys_values(params, prefix, x_kv, cache=None, grow=False, batch=1):
     """Key and value projections of ``x_kv`` for one attention block.
 
-    With a ``cache``, a growing (self-attention) block appends the new rows to
-    the keys and values held so far; a fixed (cross-attention) block projects
-    once and then reuses what it holds.
+    With a ``cache``, a growing (self-attention) block appends the new
+    positions of each of the ``batch`` samples to the keys and values held
+    so far, keeping the rows sample-major; a fixed (cross-attention) block
+    projects once and then reuses what it holds.
     """
     held = cache.kv.get(prefix) if cache is not None else None
     if held is not None and not grow:
@@ -158,7 +165,13 @@ def _keys_values(params, prefix, x_kv, cache=None, grow=False):
     k = _linear(params, prefix, x_kv, "wk", "bk")
     v = _linear(params, prefix, x_kv, "wv", "bv")
     if held is not None:
-        k, v = ad.concat_rows([held[0], k]), ad.concat_rows([held[1], v])
+        past, new = held[0].shape[0] // batch, k.shape[0] // batch
+        sample = np.arange(batch)[:, None]
+        pos = np.arange(past + new)[None, :]
+        order = np.where(pos < past, sample * past + pos,
+                         batch * past + sample * new + pos - past).reshape(-1)
+        k, v = (ad.embedding(ad.concat_rows([old, fresh]), order)
+                for old, fresh in zip(held, (k, v)))
     if cache is not None:
         cache.kv[prefix] = (k, v)
     return k, v
@@ -166,8 +179,8 @@ def _keys_values(params, prefix, x_kv, cache=None, grow=False):
 
 def _attention(params, prefix, x_q, kv, config, mask_bias):
     """Multi-head scaled dot-product attention of ``x_q`` over projected
-    ``kv``. ``mask_bias`` is a constant (Lq, Lk) or (1, Lk) array of
-    0 / -inf-like entries added to the logits."""
+    ``kv``. ``mask_bias`` is a constant (B, Lq, Lk) or (B, 1, Lk) array of
+    0 / -inf-like entries added to each sample's logits."""
     q = _linear(params, prefix, x_q, "wq", "bq")
     mixed = ad.attention(q, kv[0], kv[1], mask_bias, config.heads)
     return _linear(params, prefix, mixed, "wo", "bo")
@@ -188,34 +201,31 @@ def _maybe_dropout(x, config, train, rng):
 
 @dataclass
 class EncoderOutput:
-    states: ad.Tensor      # (L, model_dim)
-    pooled: ad.Tensor      # (model_dim,)
-    keep: np.ndarray       # bool (L,), False at pad positions
-    token_length: int      # number of token positions (pads included)
+    """Encoder states of one prompt, or of a batch of B prompts padded to the
+    longest stream L. For one prompt, B = 1 and ``keep`` and ``pooled`` drop
+    the batch axis."""
+
+    states: ad.Tensor      # (B * L, model_dim), sample-major
+    pooled: ad.Tensor      # (model_dim,), or (B, model_dim) for a batch
+    keep: np.ndarray       # bool (L,), or (B, L); False at pad positions
+    token_length: object   # token positions (pads included): int, or a list per sample
 
 
-def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
-    """Run the encoder over one prompt.
-
-    ``mask_plan`` (optional) corrupts the stream for reconstruction training:
-    listed token positions are replaced by the mask token, listed modal frames
-    by the learned per-modality mask vector. Masking never changes lengths.
-    """
+def _encoder_input(ps, mask_plan, params, config, vocab):
+    """One prompt's rows before the layer stack: token and projected frame
+    embeddings (L, d), which positions are not pads, and each row's type."""
     ids = flatten_prompt(ps, vocab)
     n_tok = len(ids)
-    n_frames = ps.frame_count
-    total = n_tok + n_frames
+    total = n_tok + ps.frame_count
     if total > config.max_len:
         raise ContractError(f"encoder stream of {total} positions exceeds max length {config.max_len}")
     if n_tok == 0:
         raise ContractError("cannot encode an empty prompt")
 
     corrupted = list(ids)
-    masked_tok = ()
     masked_frames = {}
     if mask_plan is not None:
-        masked_tok = tuple(mask_plan.masked_token_positions)
-        for pos in masked_tok:
+        for pos in mask_plan.masked_token_positions:
             if not (0 <= pos < n_tok):
                 raise IndexError(f"mask position {pos} outside the {n_tok}-token stream")
             corrupted[pos] = vocab.mask_id
@@ -245,20 +255,42 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
         parts.append(proj)
         type_ids.extend([_TYPE_INDEX[seg.kind]] * feats.shape[0])
 
-    x = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-
     keep = np.ones(total, dtype=bool)
     keep[:n_tok] = np.asarray(corrupted) != vocab.pad_id
-    # pads do not consume position slots
-    pos_ids = np.zeros(total, dtype=np.int64)
-    pos_ids[keep] = np.arange(int(keep.sum()))
+    x = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
+    return x, keep, type_ids
 
-    x = ad.add(x, ad.embedding(params["type_emb"], type_ids))
-    x = ad.add(x, ad.embedding(params["pos_emb"], pos_ids))
-    x = ad.add(x, ad.embedding(params["dataset_emb"], [ps.dataset_index] * total))
+
+def _encode(prompts, mask_plans, params, config, vocab, train, rng):
+    """The encoder over a padded batch: states (B * L, d), keep (B, L).
+
+    Each sample's rows are padded at the end to the longest stream. Pad rows
+    are masked out of every sample's keys, so they never change a real row.
+    """
+    inputs = [_encoder_input(ps, plan, params, config, vocab)
+              for ps, plan in zip(prompts, mask_plans)]
+    width = max(len(keep) for _, keep, _ in inputs)
+    keep = np.zeros((len(prompts), width), dtype=bool)
+    type_ids = np.zeros((len(prompts), width), dtype=np.int64)
+    parts = []
+    for i, (rows, sample_keep, sample_types) in enumerate(inputs):
+        n = len(sample_keep)
+        keep[i, :n] = sample_keep
+        type_ids[i, :n] = sample_types
+        parts.append(rows)
+        if n < width:
+            parts.append(ad.constant(np.zeros((width - n, config.model_dim))))
+    # pads do not consume position slots
+    pos_ids = np.where(keep, keep.cumsum(axis=1) - 1, 0)
+
+    x = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
+    x = ad.add(x, ad.embedding(params["type_emb"], type_ids.reshape(-1)))
+    x = ad.add(x, ad.embedding(params["pos_emb"], pos_ids.reshape(-1)))
+    x = ad.add(x, ad.embedding(params["dataset_emb"],
+                               np.array([ps.dataset_index for ps in prompts]).repeat(width)))
     x = _maybe_dropout(x, config, train, rng)
 
-    key_bias = np.where(keep, 0.0, _NEG_INF)[None, :]  # broadcast over query rows
+    key_bias = np.where(keep, 0.0, _NEG_INF)[:, None, :]  # broadcast over query rows
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
         a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, key_bias)
@@ -266,15 +298,38 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
+    return x, keep
 
-    pooled = ad.masked_mean_rows(x, keep)
-    return EncoderOutput(states=x, pooled=pooled, keep=keep, token_length=n_tok)
+
+def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
+    """Run the encoder over one prompt: the batch of one.
+
+    ``mask_plan`` (optional) corrupts the stream for reconstruction training:
+    listed token positions are replaced by the mask token, listed modal frames
+    by the learned per-modality mask vector. Masking never changes lengths.
+    """
+    x, keep = _encode([ps], [mask_plan], params, config, vocab, train, rng)
+    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep[0]), keep=keep[0],
+                         token_length=ps.token_length)
+
+
+def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
+    """Run the encoder over ``prompts`` as one batch padded to the longest
+    stream. Every sample's states, and its row of ``pooled``, equal what
+    ``encode`` gives it alone, up to rounding."""
+    if not prompts:
+        raise ContractError("cannot encode an empty batch")
+    plans = mask_plans if mask_plans is not None else [None] * len(prompts)
+    x, keep = _encode(prompts, plans, params, config, vocab, train, rng)
+    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), keep=keep,
+                         token_length=[ps.token_length for ps in prompts])
 
 
 class DecoderCache:
-    """Per-record decoder state for incremental decoding: how many positions
-    have been fed, and each attention block's keys and values (the encoder's
-    for cross-attention, every fed position's for self-attention)."""
+    """Decoder state for incremental decoding of one prompt or a batch: how
+    many positions each sample has been fed, and each attention block's keys
+    and values (the encoder's for cross-attention, every fed position's for
+    self-attention)."""
 
     def __init__(self):
         self.length = 0
@@ -282,7 +337,11 @@ class DecoderCache:
 
 
 def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cache=None):
-    """Decoder pass over ``dec_ids``; returns their hidden states (len(dec_ids), d).
+    """Decoder pass over ``dec_ids``; returns their hidden states, sample-major.
+
+    For one prompt ``dec_ids`` is a list of ids and the result is
+    (len(dec_ids), d). For a batch encoded by ``encode_batch`` it is a
+    (B, n) array, one row of n ids per sample, and the result (B * n, d).
 
     Without a ``cache`` the ids are the whole teacher-forced stream. With one,
     they continue the positions already fed through that cache: the first
@@ -290,21 +349,30 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     the new positions' self-attention keys and values, so a token is never
     run through the decoder twice. Both give the same states up to rounding.
     """
-    if not dec_ids:
+    enc_keep = enc_out.keep.reshape(-1, enc_out.keep.shape[-1])
+    batch = enc_keep.shape[0]
+    ids = np.asarray(dec_ids, dtype=np.int64)
+    if ids.ndim == 1:
+        ids = ids.reshape(1, -1)
+    if ids.ndim != 2 or ids.shape[0] != batch:
+        raise ShapeError(f"decoder ids of shape {ids.shape} do not fit a batch of {batch}")
+    if ids.shape[1] == 0:
         raise ContractError("decoder needs at least one input token")
     past = cache.length if cache is not None else 0
-    n = past + len(dec_ids)
+    n = past + ids.shape[1]
     if n > config.max_len:
         raise ContractError(f"decoder stream of {n} positions exceeds max length {config.max_len}")
-    x = ad.matmul(ad.embedding(params["tok_emb"], dec_ids), params["w_text"])
-    x = ad.add(x, ad.embedding(params["pos_emb"], np.arange(past, n)))
+    x = ad.matmul(ad.embedding(params["tok_emb"], ids.reshape(-1)), params["w_text"])
+    positions = np.arange(past, n)[None].repeat(batch, axis=0).reshape(-1)
+    x = ad.add(x, ad.embedding(params["pos_emb"], positions))
     x = _maybe_dropout(x, config, train, rng)
 
     causal = np.where(np.arange(n)[None, :] <= np.arange(past, n)[:, None], 0.0, _NEG_INF)
-    cross = np.where(enc_out.keep, 0.0, _NEG_INF)[None, :]
+    causal = causal[None].repeat(batch, axis=0)
+    cross = np.where(enc_keep, 0.0, _NEG_INF)[:, None, :]
     for i in range(config.layers_dec):
         prefix = f"dec{i}_self"
-        kv = _keys_values(params, prefix, x, cache, grow=True)
+        kv = _keys_values(params, prefix, x, cache, grow=True, batch=batch)
         a = _maybe_dropout(_attention(params, prefix, x, kv, config, causal), config, train, rng)
         x = ad.layer_norm(ad.add(x, a), params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"])
         prefix = f"dec{i}_cross"
@@ -324,28 +392,75 @@ def token_logits(hidden, params):
     return ad.matmul(ad.matmul(hidden, ad.transpose(params["w_text"])), ad.transpose(params["tok_emb"]))
 
 
+_ROW_BUDGET = 256  # padded encoder rows per inference batch; bounds the (B, heads, L, L) buffers
+
+
+def _row_chunks(prompts):
+    """Consecutive slices of ``prompts``, in order, each holding as many
+    prompts as fit in ``_ROW_BUDGET`` encoder rows once padded to the
+    slice's longest stream (at least one prompt, however long)."""
+    start, width = 0, 0
+    for i, ps in enumerate(prompts):
+        width = max(width, ps.token_length + ps.frame_count)
+        if i > start and (i + 1 - start) * width > _ROW_BUDGET:
+            yield prompts[start:i]
+            start, width = i, ps.token_length + ps.frame_count
+    if start < len(prompts):
+        yield prompts[start:]
+
+
+def pooled_vectors(prompts, params, config, vocab):
+    """Clean pooled encodings of ``prompts`` on frozen parameters, batched
+    by ``_row_chunks``: a (len(prompts), model_dim) array."""
+    params = freeze_params(params)
+    return np.concatenate([np.zeros((0, config.model_dim))] +
+                          [encode_batch(chunk, params, config, vocab).pooled.data
+                           for chunk in _row_chunks(prompts)])
+
+
+def generate_batch(prompts, params, config, vocab, max_new=8):
+    """Greedy decoding of many prompts, one padded batch per ``_row_chunks``
+    slice. Returns one id list per prompt, equal to what ``generate`` gives
+    it alone (up to rounding in near-ties of the argmax).
+
+    Every row of a batch is fed one token per step through a shared
+    ``DecoderCache``. A row stops recording at its first <eos>, and the
+    batch ends when every row has stopped or after ``max_new`` tokens. A
+    row still running when its stream would pass ``config.max_len`` raises
+    ``ContractError``.
+    """
+    if max_new < 1:
+        raise ContractError("max_new must be at least 1")
+    params = freeze_params(params)
+    out = []
+    for chunk in _row_chunks(prompts):
+        enc = encode_batch(chunk, params, config, vocab)
+        cache = DecoderCache()
+        ids = [[] for _ in chunk]
+        running = np.ones(len(chunk), dtype=bool)
+        nxt = np.full(len(chunk), vocab.bos_id)
+        for _ in range(max_new):
+            h = decoder_states(nxt[:, None], enc, params, config, cache=cache)
+            nxt = np.argmax(token_logits(h, params).data, axis=1)
+            for i in np.flatnonzero(running):
+                ids[i].append(int(nxt[i]))
+            running &= nxt != vocab.eos_id
+            if not running.any():
+                break
+        out.extend(ids)
+    return out
+
+
 def generate(ps, params, config, vocab, max_new=8):
-    """Greedy decoding: start from <bos>, stop at <eos> or after ``max_new``
-    tokens. Returns generated ids (<eos> included when produced). Deterministic.
+    """Greedy decoding of one prompt, the batch of one: start from <bos>,
+    stop at <eos> or after ``max_new`` tokens. Returns generated ids (<eos>
+    included when produced). Deterministic.
 
     Runs on frozen parameters, so it records no graph, and feeds the decoder
     one token per step through a ``DecoderCache``. A stream longer than
     ``config.max_len`` raises ``ContractError`` at the step that overflows.
     """
-    if max_new < 1:
-        raise ContractError("max_new must be at least 1")
-    params = freeze_params(params)
-    enc = encode(ps, params, config, vocab, mask_plan=None, train=False)
-    cache = DecoderCache()
-    out = []
-    nxt = vocab.bos_id
-    for _ in range(max_new):
-        h = decoder_states([nxt], enc, params, config, cache=cache)
-        nxt = int(np.argmax(token_logits(h, params).data[0]))
-        out.append(nxt)
-        if nxt == vocab.eos_id:
-            break
-    return out
+    return generate_batch([ps], params, config, vocab, max_new=max_new)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +470,8 @@ def generate(ps, params, config, vocab, max_new=8):
 def save_checkpoint(path, config, arrays, meta=None):
     """Write a self-contained checkpoint: fixed magic, version, a JSON header
     (model config, metadata, array manifest), then raw little-endian array
-    bytes. Byte-stable for identical inputs."""
+    bytes. Byte-stable for identical inputs, and atomic: the file at ``path``
+    is either the old one or the complete new one."""
     manifest = []
     blobs = []
     offset = 0
@@ -378,12 +494,21 @@ def save_checkpoint(path, config, arrays, meta=None):
         "arrays": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    # write a sibling temp file and swap it in, so a crash mid-write never
+    # leaves a torn checkpoint or truncates the one being resumed from
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path):

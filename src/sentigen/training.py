@@ -27,8 +27,10 @@ from .data import POOL_DATASET_ID, Polarity, TaskType, TASK_ORDER, combine_queri
 from .errors import ConfigError, NumericError, VocabularyError
 from .evaluation import evaluate_records
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
-from .model import (encode, freeze_params, init_params, load_checkpoint, params_from_arrays,
-                    params_to_arrays, save_checkpoint)
+# ``encode`` is no longer called here; it stays a module global because the
+# benchmark's tracer (benchmarks/tracing.py) patches it by name.
+from .model import (encode, init_params, load_checkpoint, params_from_arrays,  # noqa: F401
+                    params_to_arrays, pooled_vectors, save_checkpoint)
 from .objectives import (CentroidIndex, LossReport, PseudoLabelSet, Stage1Example,
                          Stage2Example, assign_pseudo_labels, build_centroids, generation_loss,
                          stage1_loss, stage2_loss)
@@ -178,8 +180,11 @@ class IndexPool:
         return {"perm": [int(i) for i in self.perm], "cursor": self.cursor}
 
     def load_state(self, state):
-        self.perm = np.asarray(state["perm"], dtype=np.int64)
-        self.cursor = int(state["cursor"])
+        perm = np.asarray(state["perm"], dtype=np.int64)
+        cursor = int(state["cursor"])
+        if not np.array_equal(np.sort(perm), self.indices) or not 0 <= cursor <= perm.size:
+            raise ValueError("pool state does not match the corpus")
+        self.perm, self.cursor = perm, cursor
 
 
 class TaskPools:
@@ -328,6 +333,15 @@ def _meta_field(meta, key, kind, source):
     return value
 
 
+def _parsed_field(meta, key, parse, source):
+    """``parse(meta.get(key))``, with any failure to parse a ConfigError."""
+    try:
+        return parse(meta.get(key))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: checkpoint field {key!r} is malformed "
+                          f"({type(exc).__name__}: {exc})") from exc
+
+
 def load_model(path, registry):
     """Read a training checkpoint for ``registry``. Returns (config, params,
     vocab, arrays, meta). A missing file, vocabulary fields that are missing
@@ -401,28 +415,25 @@ class _Run:
             self.params = init_params(self.model_config, self.rngs["init"])
         self.adam = Adam(self.params, train_config.learning_rate)
 
-        self._resume_pools = None
+        self._resume_meta = None
         if resume_from is not None:
             if meta.get("stage") != stage:
                 raise ConfigError(
                     f"checkpoint holds {meta.get('stage')!r} state, cannot resume {stage!r}")
             self.step = _meta_field(meta, "step", int, source)
             self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
-            try:
-                self.rngs.update(_restore_rngs(_meta_field(meta, "rng", dict, source)))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{source}: checkpoint field 'rng' is malformed ({exc})") from exc
-            self.centroids = _centroids_from_json(meta.get("centroids"))
-            self.pseudo = _pseudo_from_json(meta.get("pseudo"))
-            self._resume_pools = meta.get("pools")
-        self.resumed = resume_from is not None
+            self.rngs.update(_parsed_field(meta, "rng", _restore_rngs, source))
+            self.centroids = _parsed_field(meta, "centroids", _centroids_from_json, source)
+            self.pseudo = _parsed_field(meta, "pseudo", _pseudo_from_json, source)
+            self._resume_meta = meta
+        self.resume_from = resume_from
 
     def open_log(self, path):
         """Open a per-step JSONL log for writing. A fresh run starts it
         empty; a resumed run keeps the lines up to its checkpoint step and
         appends, so the log ends up as an uninterrupted run's would."""
         kept = []
-        if self.resumed and path.exists():
+        if self._resume_meta is not None and path.exists():
             with open(path, encoding="utf-8") as fh:
                 for line in fh:
                     try:
@@ -487,7 +498,7 @@ class _Run:
         """Generator for initial pool construction. When resuming, pool state
         is about to be overwritten from the checkpoint, so construction must
         not consume the restored data stream."""
-        return self.rngs["data"] if self._resume_pools is None else np.random.default_rng(0)
+        return self.rngs["data"] if self._resume_meta is None else np.random.default_rng(0)
 
     def drive(self, pools, units_per_pass, step, validate=None):
         """Run the stage to its last step and return the final checkpoint path.
@@ -498,8 +509,8 @@ class _Run:
         tensor). ``validate(fh)``, when given, runs after every step with the
         open ``val_metrics.jsonl``. Logs are closed even when a step fails."""
         cfg = self.train_config
-        if self._resume_pools is not None:
-            pools.load_state(self._resume_pools)
+        if self._resume_meta is not None:
+            _parsed_field(self._resume_meta, "pools", pools.load_state, self.resume_from)
         total_steps = (cfg.max_steps if cfg.max_steps is not None
                        else cfg.epochs * max(1, units_per_pass // cfg.batch_size))
         logs = []
@@ -558,20 +569,14 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
 def _refresh_centroids(run):
     """Frozen-snapshot pass: clean encodings of the full corpus with all
     modalities, grouped by gold label, plus per-record pseudo assignments."""
-    params = freeze_params(run.params)
-    items = []
-    pooled = []
-    for record in run.records:
-        ps = build_prompt(record, run.vocab, run.registry, run.model_config.max_len)
-        enc = encode(ps, params, run.model_config, run.vocab, mask_plan=None, train=False)
-        vec = enc.pooled.data.copy()
-        key = run.registry.spec(record.dataset_id).answer.render(record.label)
-        items.append((record.task_type, key, vec))
-        pooled.append(vec)
-    run.centroids = build_centroids(items)
-    run.pseudo = [assign_pseudo_labels(pooled[i], run.centroids, run.records[i].task_type,
-                                       items[i][1])
-                  for i in range(len(run.records))]
+    prompts = [build_prompt(r, run.vocab, run.registry, run.model_config.max_len)
+               for r in run.records]
+    pooled = pooled_vectors(prompts, run.params, run.model_config, run.vocab)
+    keys = [run.registry.spec(r.dataset_id).answer.render(r.label) for r in run.records]
+    run.centroids = build_centroids([(r.task_type, key, vec)
+                                     for r, key, vec in zip(run.records, keys, pooled)])
+    run.pseudo = [assign_pseudo_labels(vec, run.centroids, r.task_type, key)
+                  for r, key, vec in zip(run.records, keys, pooled)]
 
 
 def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,

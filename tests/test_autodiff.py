@@ -137,30 +137,91 @@ def attention_reference(q, k, v, bias, heads):
     return np.concatenate(out, axis=1)
 
 
+def batch_key_bias(batch, lq, lk):
+    """Per-sample biases: sample b masks key columns b and b + 2 of its own
+    keys (column 4 when b == 2), and sample 0 also masks one single entry."""
+    bias = np.zeros((batch, lq, lk))
+    for b in range(batch):
+        bias[b, :, [b, min(b + 2, lk - 1)]] = -1e30
+    bias[0, 0, 3] = -1e30
+    return bias
+
+
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_matches_reference_and_fd(heads):
-    rng = np.random.default_rng(400 + heads)
+    for batch in (1, 3):
+        check_attention(heads, batch)
+
+
+def check_attention(heads, batch):
+    rng = np.random.default_rng(400 + heads + 10 * batch)
     lq, lk, d = 3, 5, 8
-    q, k, v = rand_leaf(rng, lq, d), rand_leaf(rng, lk, d), rand_leaf(rng, lk, d)
-    bias = np.zeros((lq, lk))
-    bias[:, [1, 4]] = -1e30          # masked key columns
-    bias[0, 2] = -1e30               # and one masked entry
-    w = ad.constant(rng.normal(size=(lq, d)))
+    q, k, v = (rand_leaf(rng, batch * lq, d), rand_leaf(rng, batch * lk, d),
+               rand_leaf(rng, batch * lk, d))
+    bias = batch_key_bias(batch, lq, lk)
+    w = ad.constant(rng.normal(size=(batch * lq, d)))
 
     out = ad.attention(q, k, v, bias, heads)
-    ref = attention_reference(q.data, k.data, v.data, bias, heads)
+    ref = np.concatenate([
+        attention_reference(q.data[b * lq:(b + 1) * lq], k.data[b * lk:(b + 1) * lk],
+                            v.data[b * lk:(b + 1) * lk], bias[b], heads)
+        for b in range(batch)])
     assert np.allclose(out.data, ref, atol=1e-12)
+    if batch == 1:  # a 2-D bias is the batch of one
+        assert np.array_equal(ad.attention(q, k, v, bias[0], heads).data, out.data)
     fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, bias, heads), w))
     for t in (q, k, v):
         assert ad.finite_diff_check(fn, t) < 1e-6
-    # masked keys and values get exactly no gradient
+    # keys and values masked for every query of their sample get exactly no gradient
     ad.zero_grads([k, v])
     ad.backward(fn(None))
-    assert np.all(k.grad[[1, 4]] == 0.0) and np.all(v.grad[[1, 4]] == 0.0)
+    masked = [b * lk + c for b in range(batch) for c in range(lk) if np.all(bias[b, :, c] < 0)]
+    assert len(masked) == 2 * batch
+    assert np.all(k.grad[masked] == 0.0) and np.all(v.grad[masked] == 0.0)
     with pytest.raises(ShapeError):
         ad.attention(q, k, v, bias, 3)
     with pytest.raises(ShapeError):
-        ad.attention(q, k, v, bias[:, :2], heads)
+        ad.attention(q, k, v, bias[:, :, :2], heads)
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, np.zeros((batch + 1, lq, lk)), heads)
+
+
+def test_attention_samples_are_isolated():
+    """Perturbing one sample's keys and values leaves every other sample's
+    output bit-identical; a (B, 1, Lk) bias applies one row per sample."""
+    rng = np.random.default_rng(9)
+    batch, lq, lk, d = 3, 2, 4, 8
+    q = ad.constant(rng.normal(size=(batch * lq, d)))
+    k = rng.normal(size=(batch * lk, d))
+    v = rng.normal(size=(batch * lk, d))
+    bias = np.zeros((batch, 1, lk))
+    bias[1, 0, 3] = -1e30
+    base = ad.attention(q, ad.constant(k), ad.constant(v), bias, 2).data
+    k2, v2 = k.copy(), v.copy()
+    k2[2 * lk:] += rng.normal(size=(lk, d))
+    v2[2 * lk:] *= 7.0
+    moved = ad.attention(q, ad.constant(k2), ad.constant(v2), bias, 2).data
+    assert np.array_equal(moved[:2 * lq], base[:2 * lq])
+    assert not np.allclose(moved[2 * lq:], base[2 * lq:])
+    full = np.broadcast_to(bias, (batch, lq, lk))
+    assert np.array_equal(ad.attention(q, ad.constant(k), ad.constant(v), full, 2).data, base)
+
+
+def test_masked_mean_rows_per_sample():
+    rng = np.random.default_rng(12)
+    a = rand_leaf(rng, 3 * 4, 5)
+    keep = np.array([[1, 1, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
+    out = ad.masked_mean_rows(a, keep)
+    assert out.shape == (3, 5)
+    for b in range(3):
+        one = ad.masked_mean_rows(ad.constant(a.data[4 * b:4 * b + 4]), keep[b])
+        assert np.array_equal(out.data[b], one.data)
+    w = ad.constant(rng.normal(size=(3, 5)))
+    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.masked_mean_rows(a, keep), w)), a) < 1e-6
+    with pytest.raises(ContractError):
+        ad.masked_mean_rows(a, np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=bool))
+    with pytest.raises(ShapeError):
+        ad.masked_mean_rows(a, keep[:2])
 
 
 def test_ops_over_constants_record_no_graph():

@@ -221,6 +221,104 @@ def test_generate_overflow_is_contract_error(world):
                 generate(ps, p, short, vocab, max_new=short.max_len + 1)
 
 
+def stream_length(ps):
+    return ps.token_length + ps.frame_count
+
+
+def test_encode_batch_matches_per_prompt(world):
+    """Every sample of a padded batch gets the states, pooled vector and
+    keep mask that ``encode`` gives it alone; pads sit at each sample's end."""
+    vocab, registry, records, config, params = world
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    lengths = [stream_length(ps) for ps in prompts]
+    assert len(set(lengths)) > 1
+    batch = model.encode_batch(prompts, params, config, vocab)
+    width = max(lengths)
+    assert batch.states.shape == (len(prompts) * width, config.model_dim)
+    assert batch.pooled.shape == (len(prompts), config.model_dim)
+    assert batch.token_length == [ps.token_length for ps in prompts]
+    for i, ps in enumerate(prompts):
+        one = encode(ps, params, config, vocab)
+        rows = batch.states.data[i * width:i * width + lengths[i]]
+        assert np.max(np.abs(rows - one.states.data)) <= 1e-12
+        assert np.max(np.abs(batch.pooled.data[i] - one.pooled.data)) <= 1e-12
+        assert np.array_equal(batch.keep[i, :lengths[i]], one.keep)
+        assert not batch.keep[i, lengths[i]:].any()
+    chunked = model.pooled_vectors(prompts, params, config, vocab)
+    assert np.max(np.abs(chunked - batch.pooled.data)) <= 1e-12
+    assert model.pooled_vectors([], params, config, vocab).shape == (0, config.model_dim)
+    with pytest.raises(ContractError):
+        model.encode_batch([], params, config, vocab)
+    with pytest.raises(ShapeError):
+        decoder_states([[vocab.bos_id]] * 2, batch, params, config)
+
+
+def test_row_chunks_stay_within_budget(world, monkeypatch):
+    vocab, registry, records, config, params = world
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records] * 30
+    for budget in (model._ROW_BUDGET, 3 * max(stream_length(ps) for ps in prompts), 10):
+        monkeypatch.setattr(model, "_ROW_BUDGET", budget)
+        chunks = list(model._row_chunks(prompts))
+        assert [ps for chunk in chunks for ps in chunk] == prompts
+        fed = 0
+        for chunk in chunks:
+            rows = len(chunk) * max(stream_length(ps) for ps in chunk)
+            assert rows <= budget or len(chunk) == 1
+            fed += len(chunk)
+            if fed < len(prompts):  # the next prompt would not have fit
+                grown = chunk + [prompts[fed]]
+                assert len(grown) * max(stream_length(ps) for ps in grown) > budget
+        assert len(chunks) > 1
+
+
+def test_generate_batch_matches_per_record(world):
+    """Fuzz: batched greedy decoding over consecutive mixed-dataset chunks
+    gives every record the ids per-record ``generate`` gives it. Chunks mix
+    rows that stop at an early <eos> with rows that run to ``max_new``, and
+    text-only rows with multimodal rows of other lengths."""
+    vocab, registry, records, config, params = world
+    max_new = 6
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    mixed = 0
+    for p in perturbed_models(world):
+        alone = [generate(ps, p, config, vocab, max_new=max_new) for ps in prompts]
+        for size in (2, 5, 7, len(prompts)):
+            for start in range(0, len(prompts), size):
+                chunk = slice(start, start + size)
+                assert model.generate_batch(prompts[chunk], p, config, vocab,
+                                            max_new=max_new) == alone[chunk]
+                ids = alone[chunk]
+                mixed += (any(len(x) < max_new for x in ids)
+                          and any(len(x) == max_new for x in ids)
+                          and len({stream_length(ps) for ps in prompts[chunk]}) > 1
+                          and len({ps.frame_count > 0 for ps in prompts[chunk]}) == 2)
+    assert mixed > 0
+    assert model.generate_batch([], params, config, vocab) == []
+
+
+def test_generate_batch_overflow_only_running_rows_raise(world):
+    """A batch whose every row stops at <eos> within ``max_len`` decodes
+    fine even when ``max_new`` is larger; one row still running at the
+    overflow raises, whatever the others did."""
+    vocab, registry, records, config, params = world
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    short = replace(config, max_len=max(stream_length(ps) for ps in prompts))
+    max_new = short.max_len + 1
+    checked = 0
+    for p in perturbed_models(world):
+        alone = [generate(ps, p, config, vocab, max_new=max_new) for ps in prompts]
+        stops = [ps for ps, ids in zip(prompts, alone) if vocab.eos_id in ids[:short.max_len]]
+        runs = [ps for ps, ids in zip(prompts, alone) if vocab.eos_id not in ids]
+        if len(stops) < 2 or not runs:
+            continue
+        expected = [ids for ids in alone if vocab.eos_id in ids[:short.max_len]]
+        assert model.generate_batch(stops, p, short, vocab, max_new=max_new) == expected
+        with pytest.raises(ContractError):
+            model.generate_batch(stops[:1] + runs[:1], p, short, vocab, max_new=max_new)
+        checked += 1
+    assert checked > 0
+
+
 def test_frozen_inference_builds_no_graph(world, monkeypatch):
     vocab, registry, records, config, params = world
     ps = build_prompt(pick(records, "meld-toy"), vocab, registry, config.max_len)
@@ -237,7 +335,7 @@ def test_frozen_inference_builds_no_graph(world, monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(model, "encode", recording(model.encode, "states", "pooled"))
+    monkeypatch.setattr(model, "encode_batch", recording(model.encode_batch, "states", "pooled"))
     monkeypatch.setattr(model, "decoder_states", recording(model.decoder_states))
     monkeypatch.setattr(model, "token_logits", recording(model.token_logits))
     ad.zero_grads(params.values())

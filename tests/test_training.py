@@ -410,6 +410,86 @@ def test_bad_checkpoint_meta_is_config_error(toy, tmp_path, field):
                              tmp_path / use, **{use: bad})
 
 
+BAD_RESUME_STATE = {
+    "pools=None": ("pools", lambda v: None),
+    "pools={}": ("pools", lambda v: {}),
+    "pools=5": ("pools", lambda v: 5),
+    "pools-no-task-pools": ("pools", lambda v: {"rotation": 0, "pools": {}}),
+    "pools-short-perm": ("pools", lambda v: {**v, "pools": {
+        k: {**p, "perm": p["perm"][:-1]} for k, p in v["pools"].items()}}),
+    "pools-cursor-past-end": ("pools", lambda v: {**v, "pools": {
+        k: {**p, "cursor": 10 ** 6} for k, p in v["pools"].items()}}),
+    "pseudo=5": ("pseudo", lambda v: 5),
+    "pseudo=[1]": ("pseudo", lambda v: [1]),
+    "pseudo-unknown-task": ("pseudo", lambda v: [{"no-such-task": "x"}]),
+    "centroids=[1]": ("centroids", lambda v: [1]),
+    "centroids-unknown-task": ("centroids", lambda v: {"no-such-task": {}}),
+    "centroids-not-vectors": ("centroids", lambda v: {"sentiment": 3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RESUME_STATE))
+def test_bad_resume_state_is_config_error(toy, tmp_path, case):
+    """The sampling state, pseudo labels and centroids a resume restores are
+    checked too: a malformed one is a ConfigError naming the field."""
+    from sentigen.model import load_checkpoint, save_checkpoint
+    field, corrupt = BAD_RESUME_STATE[case]
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                      tmp_path / "seed")
+    ck_config, arrays, meta = load_checkpoint(ck)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, ck_config, arrays, meta={**meta, field: corrupt(meta[field])})
+    with pytest.raises(ConfigError, match=field):
+        run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=2),
+                     tmp_path / "resume", resume_from=bad)
+
+
+def test_checkpoint_write_is_atomic(toy, tmp_path, monkeypatch):
+    """A write that fails partway through the payload leaves the previous
+    checkpoint's bytes in place and no temporary file behind."""
+    import sentigen.model as model
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                      tmp_path / "run")
+    before = ck.read_bytes()
+    names = sorted(p.name for p in ck.parent.iterdir())
+    ck_config, arrays, meta = model.load_checkpoint(ck)
+    arrays["param/w_text"] = arrays["param/w_text"] + 1.0
+
+    class Torn:
+        """A file whose writes fail once 1,000 bytes have gone out."""
+
+        def __init__(self, fh):
+            self.fh, self.written = fh, 0
+
+        def write(self, blob):
+            if self.written + len(blob) > 1000:
+                raise OSError("disk full")
+            self.written += len(blob)
+            return self.fh.write(blob)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+    real_open = open
+    monkeypatch.setattr(model, "open", lambda *a, **k: Torn(real_open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        model.save_checkpoint(ck, ck_config, arrays, meta=meta)
+    monkeypatch.undo()
+    assert ck.read_bytes() == before
+    assert sorted(p.name for p in ck.parent.iterdir()) == names
+    model.save_checkpoint(ck, ck_config, arrays, meta=meta)
+    assert ck.read_bytes() != before
+    assert np.array_equal(model.load_checkpoint(ck)[1]["param/w_text"], arrays["param/w_text"])
+
+
 def test_gold_token_ids_render_labels(toy):
     record = next(r for r in toy["records"] if r.dataset_id == "mosi-toy")
     ids = gold_token_ids(record, toy["registry"], toy["vocab"])
