@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Registry, SaevalRecord
 from .errors import ContractError, DecodeError, MetricError
-from .model import generate, generate_batch
+from .model import generate, generate_batch  # noqa: F401  generate: traced by benchmarks/tracing.py
 from .prompt import build_prompt, decode_label
 
 
@@ -128,8 +128,7 @@ def _answer(record, ids, registry, vocab):
 
 def predict_label(record, params, config, vocab, registry, max_new=8):
     """Generate greedily for one record and decode onto its answer set."""
-    ps = build_prompt(record, vocab, registry, config.max_len)
-    return _answer(record, generate(ps, params, config, vocab, max_new=max_new), registry, vocab)
+    return predict_labels([record], params, config, vocab, registry, max_new=max_new)[0]
 
 
 def predict_labels(records, params, config, vocab, registry, max_new=8):

@@ -313,14 +313,13 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
                          token_length=ps.token_length)
 
 
-def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
-    """Run the encoder over ``prompts`` as one batch padded to the longest
-    stream. Every sample's states, and its row of ``pooled``, equal what
-    ``encode`` gives it alone, up to rounding."""
+def encode_batch(prompts, params, config, vocab):
+    """Run the encoder over ``prompts`` as one clean batch padded to the
+    longest stream. Every sample's states, and its row of ``pooled``, equal
+    what ``encode`` gives it alone, up to rounding."""
     if not prompts:
         raise ContractError("cannot encode an empty batch")
-    plans = mask_plans if mask_plans is not None else [None] * len(prompts)
-    x, keep = _encode(prompts, plans, params, config, vocab, train, rng)
+    x, keep = _encode(prompts, [None] * len(prompts), params, config, vocab, False, None)
     return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), keep=keep,
                          token_length=[ps.token_length for ps in prompts])
 

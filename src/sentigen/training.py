@@ -425,6 +425,12 @@ class _Run:
             self.rngs.update(_parsed_field(meta, "rng", _restore_rngs, source))
             self.centroids = _parsed_field(meta, "centroids", _centroids_from_json, source)
             self.pseudo = _parsed_field(meta, "pseudo", _pseudo_from_json, source)
+            if (self.pseudo is None) != (self.centroids is None):
+                raise ConfigError(f"{source}: checkpoint fields 'pseudo' and 'centroids' "
+                                  f"must be both set or both null")
+            if self.pseudo is not None and len(self.pseudo) != len(records):
+                raise ConfigError(f"{source}: checkpoint field 'pseudo' holds {len(self.pseudo)} "
+                                  f"labels for a corpus of {len(records)} records")
             self._resume_meta = meta
         self.resume_from = resume_from
 

@@ -445,6 +445,34 @@ def test_bad_resume_state_is_config_error(toy, tmp_path, case):
                      tmp_path / "resume", resume_from=bad)
 
 
+BAD_STAGE2_STATE = {
+    "pseudo=[]": ("pseudo", lambda v: []),
+    "pseudo-short": ("pseudo", lambda v: v[:-1]),
+    "pseudo=None": ("pseudo", lambda v: None),
+    "centroids=None": ("centroids", lambda v: None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STAGE2_STATE))
+def test_bad_stage2_resume_state_is_config_error(toy, tmp_path, case):
+    """Stage two reads the pseudo labels per record: a list that parses but
+    does not cover the corpus, or pseudo labels without centroids (or the
+    reverse), is a ConfigError on resume, not a failure mid-step."""
+    from sentigen.model import load_checkpoint, save_checkpoint
+    field, corrupt = BAD_STAGE2_STATE[case]
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_pretrain_stage2(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                             tmp_path / "seed")
+    ck_config, arrays, meta = load_checkpoint(ck)
+    assert meta["pseudo"] is not None and meta["centroids"] is not None
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, ck_config, arrays, meta={**meta, field: corrupt(meta[field])})
+    with pytest.raises(ConfigError, match=field):
+        run_pretrain_stage2(toy["records"], toy["registry"], config,
+                            train_cfg(max_steps=3, centroid_refresh_every=100),
+                            tmp_path / "resume", resume_from=bad)
+
+
 def test_checkpoint_write_is_atomic(toy, tmp_path, monkeypatch):
     """A write that fails partway through the payload leaves the previous
     checkpoint's bytes in place and no temporary file behind."""
