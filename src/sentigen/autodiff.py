@@ -66,11 +66,6 @@ def constant(data):
     return Tensor(data, requires_grad=False, op="const")
 
 
-def parameter(shape, rng, std=0.02):
-    """Gaussian-initialised leaf tensor that wants gradients."""
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True, op="param")
-
-
 def _make(data, op, parents, rule):
     if not any(p.requires_grad for p in parents):
         return Tensor(data, op=op)
@@ -278,21 +273,6 @@ def layer_norm(a, gain, bias, eps=1e-5):
         return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
 
     return _make(out, "layer_norm", (a, gain, bias), rule)
-
-
-def softmax(a):
-    """Row-wise softmax with max subtraction; each output row sums to 1."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax: needs a 2-D operand, got {a.shape}")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _make(p, "softmax", (a,), rule)
 
 
 def attention(q, k, v, bias, heads):

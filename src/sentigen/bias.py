@@ -9,6 +9,9 @@ accuracy matrix (percent) feeds two scores:
 
 A small published accuracy matrix over four conversation/sentiment corpora
 ships as a fixture so the score pipeline can be exercised without training.
+
+``label_centroids`` and ``nearest_labels`` are the one nearest-centroid kernel
+of the package: stage two's cross-task pseudo labels use it too.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DataError, ShapeError
 
 FIXTURE_NAME = "cross_annotation_accuracy.json"
 
@@ -50,8 +53,14 @@ class AccuracyMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(datasets=tuple(obj["datasets"]),
-                   acc=np.asarray(obj["accuracy_percent"], dtype=np.float64))
+        if not (isinstance(obj, dict) and isinstance(obj.get("datasets"), list)
+                and all(isinstance(d, str) for d in obj["datasets"])):
+            raise DataError("accuracy matrix must be an object with a 'datasets' list of names")
+        try:
+            acc = np.asarray(obj.get("accuracy_percent"), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"'accuracy_percent' must be a square table of numbers: {exc}") from None
+        return cls(datasets=tuple(obj["datasets"]), acc=acc)
 
 
 def fixture_accuracy_matrix():
@@ -120,24 +129,31 @@ def render_bias_report(report, digits=2):
 
 def label_centroids(items):
     """Mean vector per label over (label, vector) pairs, labels ordered
-    lexicographically."""
+    lexicographically. Each mean is an in-order running sum over the count,
+    not np.mean's pairwise sum: stage-two checkpoints store these bytes."""
     if not items:
         raise ContractError("cannot build centroids from zero items")
+    shape = np.shape(items[0][1])
     groups = {}
     for label, vec in items:
-        groups.setdefault(str(label), []).append(np.asarray(vec, dtype=np.float64))
-    dims = {v.shape for vecs in groups.values() for v in vecs}
-    if len(dims) != 1:
-        raise ShapeError(f"inconsistent vector shapes {sorted(dims)}")
-    return [(label, np.mean(np.stack(groups[label]), axis=0)) for label in sorted(groups)]
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != shape:
+            raise ShapeError(f"vector shape {vec.shape} differs from the first vector's {shape}")
+        groups.setdefault(str(label), []).append(vec)
+    return [(label, sum(vecs[1:], vecs[0]) / len(vecs)) for label, vecs in sorted(groups.items())]
 
 
-def nearest_label(vec, centroids):
-    """Label of the nearest centroid by squared distance; ties resolve to the
-    lexicographically earlier label (centroids arrive label-sorted)."""
-    v = np.asarray(vec, dtype=np.float64)
-    d = np.asarray([float(np.sum((v - c) ** 2)) for _, c in centroids])
-    return centroids[int(np.argmin(d))][0]
+def nearest_labels(vectors, centroids):
+    """Label of the nearest centroid for each row of ``vectors`` (N, d).
+    Squared distances are sums of ``(x - c) ** 2``, not the expanded form, so
+    exact ties stay exact; centroids arrive label-sorted, so a tie goes to
+    the lexicographically smaller label."""
+    x = np.asarray(vectors, dtype=np.float64)
+    if x.ndim != 2 or any(np.shape(c) != x.shape[1:] for _, c in centroids):
+        raise ShapeError(f"vectors of shape {x.shape} do not match centroids of shape "
+                         f"{sorted({np.shape(c) for _, c in centroids})}")
+    d2 = np.stack([((x - c) ** 2).sum(axis=1) for _, c in centroids], axis=1)
+    return [centroids[k][0] for k in np.argmin(d2, axis=1)]
 
 
 def cross_annotate(source_items, target_centroids, correspondence=None):
@@ -150,7 +166,7 @@ def cross_annotate(source_items, target_centroids, correspondence=None):
     """
     if not source_items:
         raise ContractError("cannot cross-annotate zero items")
-    pseudo = [nearest_label(vec, target_centroids) for _, vec in source_items]
+    pseudo = nearest_labels([vec for _, vec in source_items], target_centroids)
     hits = 0
     for (gold, _), assigned in zip(source_items, pseudo):
         expected = correspondence.get(str(gold)) if correspondence is not None else str(gold)

@@ -24,7 +24,7 @@ from . import __version__
 from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_accuracy_matrix,
                    render_bias_report)
 from .data import POOL_DATASET_ID, Registry, load_corpus
-from .errors import ConfigError, SentigenError
+from .errors import ConfigError, DataError, SentigenError
 from .evaluation import evaluate_records
 from .model import pooled_vectors
 from .prompt import build_prompt
@@ -44,16 +44,21 @@ def _setup_logging():
 # configuration
 
 
+def _read_json(path, what, error=ConfigError):
+    """Parse a JSON input file; a missing file is a ConfigError, bad JSON an ``error``."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} not found: {p}")
+    try:
+        return json.loads(p.read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {p} is not valid JSON: {exc}") from None
+
+
 def _load_config_file(path):
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        obj = json.loads(p.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
+    obj = _read_json(path, "config file")
     if not isinstance(obj, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(obj) - {"train", "model", "seed"}
@@ -291,6 +296,8 @@ def _metric_table(payload):
 def cmd_eval(args):
     records, registry = _load_inputs(args)
     config, params, vocab, _, _ = load_model(args.checkpoint, registry)
+    if not records:
+        raise DataError("corpus holds no records", path=str(args.corpus))
     results = evaluate_records(records, params, config, vocab, registry, max_new=args.max_new)
     payload = {d: {**r.metrics, "fallback_rate": r.fallback_rate, "samples": len(r.golds)}
                for d, r in sorted(results.items())}
@@ -333,15 +340,25 @@ def _matrix_from_embeddings(path, correspondence):
     items = {}
     order = []
     with open(p, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line, raw in enumerate(fh, 1):
             if not raw.strip():
                 continue
-            obj = json.loads(raw)
-            d = obj["dataset_id"]
+            try:
+                obj = json.loads(raw)
+                d, label = obj["dataset_id"], obj["label"]
+                vec = np.asarray(obj["vector"], dtype=np.float64)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"bad embeddings row: {type(exc).__name__}: {exc}",
+                                line=line, path=str(p)) from None
+            if not isinstance(d, str) or not isinstance(label, str):
+                raise DataError("dataset_id and label must be strings", line=line, path=str(p))
+            if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
+                raise DataError("vector must be a non-empty flat array of finite numbers",
+                                line=line, path=str(p))
             if d not in items:
                 items[d] = []
                 order.append(d)
-            items[d].append((obj["label"], np.asarray(obj["vector"], dtype=np.float64)))
+            items[d].append((label, vec))
     if not items:
         raise ConfigError(f"embeddings file {p} holds no rows")
     return build_accuracy_matrix(items, order=order, correspondence=correspondence)
@@ -350,25 +367,26 @@ def _matrix_from_embeddings(path, correspondence):
 def _load_correspondence(path):
     if path is None:
         return None
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"correspondence file not found: {p}")
-    obj = json.loads(p.read_text("utf-8"))
-    out = {}
-    for src, targets in obj.items():
-        for tgt, mapping in targets.items():
-            out[(src, tgt)] = dict(mapping)
-    return out
+    obj = _read_json(path, "correspondence file")
+    shape_ok = isinstance(obj, dict) and all(
+        isinstance(targets, dict) and all(
+            isinstance(mapping, dict) and all(v is None or isinstance(v, str)
+                                              for v in mapping.values())
+            for mapping in targets.values())
+        for targets in obj.values())
+    if not shape_ok:
+        raise ConfigError(f"correspondence file {path} must map source dataset -> target dataset "
+                          "-> {source label: target label or null}")
+    return {(src, tgt): dict(mapping)
+            for src, targets in obj.items() for tgt, mapping in targets.items()}
 
 
 def cmd_bias_report(args):
     if args.acc_matrix and args.embeddings:
         raise ConfigError("pass either --acc-matrix or --embeddings, not both")
     if args.acc_matrix:
-        p = Path(args.acc_matrix)
-        if not p.exists():
-            raise ConfigError(f"accuracy matrix file not found: {p}")
-        matrix = AccuracyMatrix.from_json(json.loads(p.read_text("utf-8")))
+        matrix = AccuracyMatrix.from_json(_read_json(args.acc_matrix, "accuracy matrix file",
+                                                     DataError))
     elif args.embeddings:
         matrix = _matrix_from_embeddings(args.embeddings, _load_correspondence(args.correspondence))
     else:

@@ -525,15 +525,3 @@ def combine_queries(a, b):
         label=pol_a.value,
         text_parts=parts,
     )
-
-
-def pool_dataset_spec(acoustic_dim=None, visual_dim=None):
-    """Registry entry for the reserved combined-query dataset."""
-    return DatasetSpec(
-        dataset_id=POOL_DATASET_ID,
-        task_type=TaskType.CA,
-        answer=AnswerSet.categorical([p.value for p in Polarity]),
-        acoustic_dim=acoustic_dim,
-        visual_dim=visual_dim,
-        metrics=("wa",),
-    )

@@ -16,22 +16,20 @@ Four losses over unified prompts:
   own task).
 
 Stage one totals reconstruction + polarity + contrastive; stage two totals
-reconstruction + cross-task prediction.
+reconstruction + cross-task prediction. Stage two's centroids and pseudo
+labels are computed by ``bias.label_centroids`` and ``bias.nearest_labels``,
+the kernel the dataset-bias cross-annotation also uses.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
+from .bias import label_centroids, nearest_labels
 from .data import Polarity, TASK_ORDER
 from .errors import ContractError, VocabularyError
 from .model import decoder_states, encode, token_logits
 from .prompt import flatten_prompt, tokenize
-
-log = logging.getLogger(__name__)
 
 POLARITY_ORDER = (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL)
 
@@ -184,38 +182,19 @@ class CentroidIndex:
     def labels(self, task):
         return tuple(lab for lab, _ in self.by_task[task])
 
-    def matrix(self, task):
-        return np.stack([vec for _, vec in self.by_task[task]], axis=0)
-
     def __contains__(self, task):
         return task in self.by_task
 
 
 def build_centroids(items):
-    """``items``: iterable of (TaskType, label_key, vector). Returns the
-    exact arithmetic mean per (task, label) group."""
-    sums = {}
-    counts = {}
-    for task, label, vec in items:
-        vec = np.asarray(vec, dtype=np.float64)
-        bucket = (task, str(label))
-        if bucket in sums:
-            sums[bucket] += vec
-            counts[bucket] += 1
-        else:
-            sums[bucket] = vec.copy()
-            counts[bucket] = 1
+    """``items``: iterable of (TaskType, label_key, vector). Returns a
+    CentroidIndex holding ``bias.label_centroids`` of each task's items."""
     by_task = {}
-    for (task, label), total in sums.items():
-        n = counts[(task, label)]
-        if n == 0:
-            log.warning("label group %s/%s is empty; excluded", task.value, label)
-            continue
-        by_task.setdefault(task, []).append((label, total / n))
+    for task, label, vec in items:
+        by_task.setdefault(task, []).append((label, vec))
     if not by_task:
         raise ContractError("build_centroids: no items")
-    return CentroidIndex(by_task={t: tuple(sorted(groups, key=lambda x: x[0]))
-                                  for t, groups in by_task.items()})
+    return CentroidIndex(by_task={t: tuple(label_centroids(group)) for t, group in by_task.items()})
 
 
 @dataclass(frozen=True)
@@ -228,25 +207,19 @@ class PseudoLabelSet:
         return self.labels[task]
 
 
-def nearest_centroid_label(vec, index, task):
-    """Label of the closest centroid (Euclidean); exact distance ties go to
-    the lexicographically smaller label."""
-    labels = index.labels(task)
-    mat = index.matrix(task)
-    d2 = ((mat - np.asarray(vec, dtype=np.float64)) ** 2).sum(axis=1)
-    return labels[int(np.argmin(d2))]  # labels are sorted, argmin takes the first minimum
-
-
-def assign_pseudo_labels(vec, index, own_task, gold_key):
-    if own_task not in index:
-        raise ContractError(f"centroid index has no entries for task {own_task.value!r}")
-    labels = {}
-    for task in index.tasks():
-        if task is own_task:
-            labels[task] = str(gold_key)
-        else:
-            labels[task] = nearest_centroid_label(vec, index, task)
-    return PseudoLabelSet(labels=labels)
+def assign_pseudo_labels(vectors, index, own_tasks, gold_keys):
+    """One PseudoLabelSet per row of ``vectors`` (N, d): the row's own task
+    keeps its gold key, every other task gets its nearest centroid's label."""
+    if not len(vectors) == len(own_tasks) == len(gold_keys):
+        raise ContractError(f"assign_pseudo_labels: {len(vectors)} vectors, {len(own_tasks)} "
+                            f"tasks and {len(gold_keys)} gold keys")
+    for task in own_tasks:
+        if task not in index:
+            raise ContractError(f"centroid index has no entries for task {task.value!r}")
+    nearest = {task: nearest_labels(vectors, index.by_task[task]) for task in index.tasks()}
+    return [PseudoLabelSet(labels={task: str(gold) if task is own else nearest[task][i]
+                                   for task in index.tasks()})
+            for i, (own, gold) in enumerate(zip(own_tasks, gold_keys))]
 
 
 # ---------------------------------------------------------------------------

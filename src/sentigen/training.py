@@ -581,8 +581,8 @@ def _refresh_centroids(run):
     keys = [run.registry.spec(r.dataset_id).answer.render(r.label) for r in run.records]
     run.centroids = build_centroids([(r.task_type, key, vec)
                                      for r, key, vec in zip(run.records, keys, pooled)])
-    run.pseudo = [assign_pseudo_labels(vec, run.centroids, r.task_type, key)
-                  for r, key, vec in zip(run.records, keys, pooled)]
+    run.pseudo = assign_pseudo_labels(pooled, run.centroids,
+                                      [r.task_type for r in run.records], keys)
 
 
 def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,

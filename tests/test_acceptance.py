@@ -321,14 +321,13 @@ def test_c07_pseudo_label_oracle():
             index = build_centroids(items)
             query = grid(dim)
             own = tasks[int(rng.integers(len(tasks)))]
-            pseudo = assign_pseudo_labels(query, index, own, "gold")
+            pseudo = assign_pseudo_labels([query], index, [own], ["gold"])[0]
             assert pseudo.label_for(own) == "gold"
             for task in index.tasks():
                 if task is own:
                     continue
                 labs = index.labels(task)
-                d2 = [float(np.sum((index.matrix(task)[k] - query) ** 2))
-                      for k in range(len(labs))]
+                d2 = [float(np.sum((c - query) ** 2)) for _, c in index.by_task[task]]
                 best = min(range(len(labs)), key=lambda k: (d2[k], labs[k]))
                 ties_seen += sum(d == d2[best] for d in d2) > 1
                 assert pseudo.label_for(task) == labs[best]

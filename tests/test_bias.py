@@ -3,7 +3,7 @@ import pytest
 
 from sentigen.bias import (AccuracyMatrix, bias_ana, bias_report, bias_sub,
                            build_accuracy_matrix, cross_annotate, fixture_accuracy_matrix,
-                           label_centroids, nearest_label, render_bias_report)
+                           label_centroids, nearest_labels, render_bias_report)
 from sentigen.errors import ContractError, ShapeError
 
 
@@ -74,10 +74,45 @@ def test_label_centroids_means_and_order():
         label_centroids([("a", [1.0]), ("b", [1.0, 2.0])])
 
 
-def test_nearest_label_tie_break():
+def test_label_centroids_sum_in_item_order():
+    # Nine copies of 0.1: the in-order running sum rounds differently from the
+    # pairwise summation np.mean uses over a stack of one-wide vectors.
+    total = 0.1
+    for _ in range(8):
+        total += 0.1
+    assert total / 9 != np.mean(np.full((9, 1), 0.1), axis=0)[0]
+    [(_, centroid)] = label_centroids([("x", [0.1])] * 9)
+    assert centroid[0] == total / 9
+
+
+def test_nearest_labels_matches_brute_force():
     cents = label_centroids([("beta", [1.0]), ("alpha", [-1.0])])
-    assert nearest_label([0.0], cents) == "alpha"
-    assert nearest_label([0.2], cents) == "beta"
+    assert nearest_labels([[0.0], [0.2]], cents) == ["alpha", "beta"]
+    rng = np.random.default_rng(31)
+    names = list("abcdefg")
+    ties = 0
+    for n, c, d in [(1, 1, 1), (1, 3, 1), (4, 1, 2), (1, 2, 3)] + [
+            tuple(int(x) for x in rng.integers(1, 6, size=3)) for _ in range(80)]:
+        # small integer grids so exact distance ties occur
+        labels = [str(x) for x in rng.permutation(names)[:c]]
+        cents = label_centroids([(lab, rng.integers(-1, 2, size=d).astype(float))
+                                 for lab in labels])
+        vectors = rng.integers(-1, 2, size=(n, d)).astype(float)
+        got = nearest_labels(vectors, cents)
+        assert len(got) == n
+        for x, label in zip(vectors, got):
+            d2 = {lab: float(np.sum((x - cv) ** 2)) for lab, cv in cents}
+            best = min(d2, key=lambda lab: (d2[lab], lab))
+            ties += sum(v == d2[best] for v in d2.values()) > 1
+            assert label == best
+    assert ties > 0
+
+
+def test_nearest_labels_rejects_bad_shapes():
+    cents = label_centroids([("a", [1.0, 2.0]), ("b", [0.0, 0.0])])
+    for bad in ([[1.0]], [1.0, 2.0], [[[1.0, 2.0]]]):
+        with pytest.raises(ShapeError):
+            nearest_labels(bad, cents)
 
 
 def test_cross_annotate_matches_brute_force():

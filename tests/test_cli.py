@@ -170,6 +170,16 @@ def test_eval_checkpoint_without_meta_exits_2(cli_corpus, finetuned, tmp_path, c
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+def test_eval_empty_corpus_is_data_error(cli_corpus, finetuned, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, _, err = run(capsys, "eval", "--corpus", str(empty),
+                       "--registry", str(cli_corpus / "registry.json"),
+                       "--checkpoint", str(finetuned / "checkpoint.ckpt"))
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "DataError"
+
+
 def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
     code, out, _ = run(capsys, "export-embeddings",
                        "--corpus", str(cli_corpus / "corpus.jsonl"),
@@ -207,3 +217,34 @@ def test_bias_report_rejects_conflicting_sources(tmp_path, capsys):
                        "--embeddings", "y.jsonl")
     assert code == 2
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+
+
+def jsonl(*rows):
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+EMBEDDINGS = jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
+                   {"dataset_id": "b", "label": "x", "vector": [2.0]})
+
+
+@pytest.mark.parametrize("files, error", [
+    ({"embeddings": EMBEDDINGS + "{not json\n"}, "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "vector": [1.0]})}, "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "label": "x", "vector": ["one"]})},
+     "DataError"),
+    ({"embeddings": EMBEDDINGS, "correspondence": "{not json"}, "ConfigError"),
+    ({"acc-matrix": "[1,2]"}, "DataError"),
+    ({"embeddings": jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
+                          {"dataset_id": "b", "label": "x", "vector": [1.0, 2.0]})}, "ShapeError"),
+], ids=["embeddings-not-json", "embeddings-no-label", "embeddings-text-vector",
+        "correspondence-not-json", "acc-matrix-list", "widths-1-and-2"])
+def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error):
+    argv = ["bias-report"]
+    for flag, text in files.items():
+        path = tmp_path / flag
+        path.write_text(text)
+        argv += [f"--{flag}", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == (2 if error == "ConfigError" else 1)
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == error

@@ -12,7 +12,7 @@ from sentigen.model import encode, init_params
 from sentigen.objectives import (CentroidIndex, PseudoLabelSet, Stage1Example, Stage2Example,
                                  assign_pseudo_labels, build_centroids, generation_loss,
                                  label_token_id, loss_ccl, loss_cep, loss_mcm, loss_spp,
-                                 nearest_centroid_label, polarity_token_ids, stage1_loss,
+                                 polarity_token_ids, stage1_loss,
                                  stage2_loss)
 from sentigen.prompt import build_prompt
 
@@ -189,45 +189,49 @@ def test_build_centroids_exact_means():
     index = build_centroids(items)
     assert index.tasks() == (TaskType.ERC, TaskType.CA)  # canonical task order
     assert index.labels(TaskType.ERC) == ("anger", "joy")  # lexicographic
-    np.testing.assert_array_equal(index.matrix(TaskType.ERC),
+    np.testing.assert_array_equal(np.stack([c for _, c in index.by_task[TaskType.ERC]]),
                                   np.array([[-2.0, 0.0], [2.0, 4.0]]))
     assert TaskType.MSA not in index
     with pytest.raises(ContractError):
         build_centroids([])
 
 
-def test_nearest_centroid_tie_breaks_lexicographically():
-    index = build_centroids([
-        (TaskType.CA, "beta", np.array([1.0, 0.0])),
-        (TaskType.CA, "alpha", np.array([-1.0, 0.0])),
-    ])
-    assert nearest_centroid_label(np.zeros(2), index, TaskType.CA) == "alpha"
-    assert nearest_centroid_label(np.array([0.9, 0.0]), index, TaskType.CA) == "beta"
-
-
 def test_assign_pseudo_labels_matches_brute_force():
     rng = np.random.default_rng(11)
+    tasks = TASK_ORDER[:3]
+    mixed = 0
     for _ in range(30):
         dim = int(rng.integers(1, 5))
         items = []
-        for task in TASK_ORDER[:3]:
+        for task in tasks:
             for k in range(int(rng.integers(2, 4))):
                 items.append((task, f"l{k}", rng.normal(size=dim)))
         index = build_centroids(items)
-        v = rng.normal(size=dim)
-        got = assign_pseudo_labels(v, index, TaskType.ABSA, "gold")
-        assert got.label_for(TaskType.ABSA) == "gold"
-        for task in (TaskType.MSA, TaskType.ERC):
-            labs = index.labels(task)
-            d2 = ((index.matrix(task) - v) ** 2).sum(axis=1)
-            best = min(range(len(labs)), key=lambda i: (d2[i], labs[i]))
-            assert got.label_for(task) == labs[best]
+        n = int(rng.integers(1, 6))
+        vectors = rng.normal(size=(n, dim))
+        own = [tasks[int(rng.integers(len(tasks)))] for _ in range(n)]
+        mixed += len(set(own)) > 1
+        got = assign_pseudo_labels(vectors, index, own, [f"gold{i}" for i in range(n)])
+        assert len(got) == n
+        for i, (v, pseudo) in enumerate(zip(vectors, got)):
+            assert tuple(pseudo.labels) == index.tasks()
+            assert pseudo.label_for(own[i]) == f"gold{i}"
+            for task in index.tasks():
+                if task is own[i]:
+                    continue
+                labs = index.labels(task)
+                d2 = [float(np.sum((c - v) ** 2)) for _, c in index.by_task[task]]
+                best = min(range(len(labs)), key=lambda k: (d2[k], labs[k]))
+                assert pseudo.label_for(task) == labs[best]
+    assert mixed > 0
 
 
 def test_assign_pseudo_labels_requires_own_task():
     index = build_centroids([(TaskType.CA, "x", np.zeros(2))])
     with pytest.raises(ContractError):
-        assign_pseudo_labels(np.zeros(2), index, TaskType.ERC, "anger")
+        assign_pseudo_labels(np.zeros((2, 2)), index, [TaskType.CA, TaskType.ERC], ["x", "anger"])
+    with pytest.raises(ContractError):
+        assign_pseudo_labels(np.zeros((2, 2)), index, [TaskType.CA], ["x"])
 
 
 def test_label_token_id_uses_last_piece(rig):
