@@ -85,9 +85,12 @@ def test_label_centroids_sum_in_item_order():
     assert centroid[0] == total / 9
 
 
-def test_nearest_labels_matches_brute_force():
+def test_nearest_label_tie_break():
     cents = label_centroids([("beta", [1.0]), ("alpha", [-1.0])])
     assert nearest_labels([[0.0], [0.2]], cents) == ["alpha", "beta"]
+
+
+def test_nearest_labels_matches_brute_force():
     rng = np.random.default_rng(31)
     names = list("abcdefg")
     ties = 0

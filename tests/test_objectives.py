@@ -196,6 +196,17 @@ def test_build_centroids_exact_means():
         build_centroids([])
 
 
+def test_nearest_centroid_tie_breaks_lexicographically():
+    index = build_centroids([
+        (TaskType.CA, "beta", np.array([1.0, 0.0])),
+        (TaskType.CA, "alpha", np.array([-1.0, 0.0])),
+        (TaskType.ERC, "anger", np.zeros(2)),
+    ])
+    got = assign_pseudo_labels(np.array([[0.0, 0.0], [0.9, 0.0]]), index,
+                               [TaskType.ERC, TaskType.ERC], ["anger", "anger"])
+    assert [pseudo.label_for(TaskType.CA) for pseudo in got] == ["alpha", "beta"]
+
+
 def test_assign_pseudo_labels_matches_brute_force():
     rng = np.random.default_rng(11)
     tasks = TASK_ORDER[:3]
