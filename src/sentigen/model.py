@@ -83,62 +83,48 @@ class ModelConfig:
         return cls(**obj)
 
 
-def _xavier(rng, fan_in, fan_out):
-    std = float(np.sqrt(2.0 / (fan_in + fan_out)))
-    return rng.normal(0.0, std, size=(fan_in, fan_out))
+_INIT = {"normal": lambda rng, shape: rng.normal(0.0, 0.1, size=shape),
+         "xavier": lambda rng, shape: rng.normal(0.0, float(np.sqrt(2.0 / sum(shape))), size=shape),
+         "zeros": lambda rng, shape: np.zeros(shape),
+         "ones": lambda rng, shape: np.ones(shape)}
+
+
+def param_layout(config):
+    """The model's parameters as an ordered ``(name, shape, init)`` table,
+    ``init`` being one of ``_INIT``'s rules. Table order is the optimizer's
+    update order and the checkpoint layout."""
+    config.validate()
+    d, f = config.model_dim, config.ffn_dim
+    attn = [(m, (d, d), "xavier") for m in ("wq", "wk", "wv", "wo")] + \
+           [(b, (d,), "zeros") for b in ("bq", "bk", "bv", "bo")]
+    ln = [("g", (d,), "ones"), ("b", (d,), "zeros")]
+    ffn = [("w1", (d, f), "xavier"), ("b1", (f,), "zeros"),
+           ("w2", (f, d), "xavier"), ("b2", (d,), "zeros")]
+    blocks = []
+    for i in range(config.layers_enc):
+        blocks += [(f"enc{i}_attn", attn), (f"enc{i}_ln1", ln), (f"enc{i}_ffn", ffn),
+                   (f"enc{i}_ln2", ln)]
+    for i in range(config.layers_dec):
+        blocks += [(f"dec{i}_self", attn), (f"dec{i}_ln1", ln), (f"dec{i}_cross", attn),
+                   (f"dec{i}_ln2", ln), (f"dec{i}_ffn", ffn), (f"dec{i}_ln3", ln)]
+    return [("tok_emb", (config.vocab_size, config.text_embed_dim), "normal"),
+            ("w_text", (config.text_embed_dim, d), "xavier"),
+            ("pos_emb", (config.max_len, d), "normal"),
+            ("type_emb", (len(_TYPE_INDEX), d), "normal"),
+            ("dataset_emb", (config.num_datasets, d), "normal"),
+            ("proj_acoustic_w", (config.acoustic_dim, d), "xavier"),
+            ("proj_acoustic_b", (d,), "zeros"),
+            ("proj_visual_w", (config.visual_dim, d), "xavier"),
+            ("proj_visual_b", (d,), "zeros"),
+            ("mask_vec_acoustic", (d,), "normal"),
+            ("mask_vec_visual", (d,), "normal")] + \
+        [(f"{prefix}_{name}", shape, init) for prefix, part in blocks for name, shape, init in part]
 
 
 def init_params(config, rng):
-    """Fresh parameter dict. Iteration order is creation order and is relied
-    on for deterministic optimizer updates and checkpoint layout."""
-    config.validate()
-    d = config.model_dim
-    p = {}
-
-    def add(name, arr):
-        p[name] = ad.Tensor(arr, requires_grad=True, op="param")
-
-    add("tok_emb", rng.normal(0.0, 0.1, size=(config.vocab_size, config.text_embed_dim)))
-    add("w_text", _xavier(rng, config.text_embed_dim, d))
-    add("pos_emb", rng.normal(0.0, 0.1, size=(config.max_len, d)))
-    add("type_emb", rng.normal(0.0, 0.1, size=(len(_TYPE_INDEX), d)))
-    add("dataset_emb", rng.normal(0.0, 0.1, size=(config.num_datasets, d)))
-    add("proj_acoustic_w", _xavier(rng, config.acoustic_dim, d))
-    add("proj_acoustic_b", np.zeros(d))
-    add("proj_visual_w", _xavier(rng, config.visual_dim, d))
-    add("proj_visual_b", np.zeros(d))
-    add("mask_vec_acoustic", rng.normal(0.0, 0.1, size=(d,)))
-    add("mask_vec_visual", rng.normal(0.0, 0.1, size=(d,)))
-
-    def attn_block(prefix):
-        for mat in ("wq", "wk", "wv", "wo"):
-            add(f"{prefix}_{mat}", _xavier(rng, d, d))
-        for vec in ("bq", "bk", "bv", "bo"):
-            add(f"{prefix}_{vec}", np.zeros(d))
-
-    def ln_block(prefix):
-        add(f"{prefix}_g", np.ones(d))
-        add(f"{prefix}_b", np.zeros(d))
-
-    def ffn_block(prefix):
-        add(f"{prefix}_w1", _xavier(rng, d, config.ffn_dim))
-        add(f"{prefix}_b1", np.zeros(config.ffn_dim))
-        add(f"{prefix}_w2", _xavier(rng, config.ffn_dim, d))
-        add(f"{prefix}_b2", np.zeros(d))
-
-    for i in range(config.layers_enc):
-        attn_block(f"enc{i}_attn")
-        ln_block(f"enc{i}_ln1")
-        ffn_block(f"enc{i}_ffn")
-        ln_block(f"enc{i}_ln2")
-    for i in range(config.layers_dec):
-        attn_block(f"dec{i}_self")
-        ln_block(f"dec{i}_ln1")
-        attn_block(f"dec{i}_cross")
-        ln_block(f"dec{i}_ln2")
-        ffn_block(f"dec{i}_ffn")
-        ln_block(f"dec{i}_ln3")
-    return p
+    """Fresh parameters drawn from ``rng`` in ``param_layout`` order."""
+    return {name: ad.Tensor(_INIT[init](rng, shape), requires_grad=True, op="param")
+            for name, shape, init in param_layout(config)}
 
 
 def freeze_params(params):
@@ -555,20 +541,17 @@ def params_to_arrays(params):
 
 def params_from_arrays(config, arrays):
     """Rebuild the parameter dict from checkpoint arrays, failing loudly on
-    any missing name or shape mismatch."""
-    rng = np.random.default_rng(0)
-    fresh = init_params(config, rng)
+    any name or shape that differs from ``param_layout``'s."""
     params = {}
-    for name, t in fresh.items():
-        key = f"param/{name}"
-        if key not in arrays:
+    for name, shape, _ in param_layout(config):
+        stored = arrays.get(f"param/{name}")
+        if stored is None:
             raise ShapeError(f"checkpoint is missing parameter {name!r}")
-        stored = arrays[key]
-        if tuple(stored.shape) != t.shape:
+        if tuple(stored.shape) != shape:
             raise ShapeError(
-                f"checkpoint parameter {name!r} has shape {tuple(stored.shape)}, expected {t.shape}")
+                f"checkpoint parameter {name!r} has shape {tuple(stored.shape)}, expected {shape}")
         params[name] = ad.Tensor(np.asarray(stored, dtype=np.float64), requires_grad=True, op="param")
-    extra = [k for k in arrays if k.startswith("param/") and k[len("param/"):] not in fresh]
+    extra = [k for k in arrays if k.startswith("param/") and k[len("param/"):] not in params]
     if extra:
         raise ShapeError(f"checkpoint carries unknown parameters {sorted(extra)}")
     return params

@@ -187,9 +187,29 @@ class IndexPool:
         self.perm, self.cursor = perm, cursor
 
 
-class TaskPools:
-    """One pool per task family plus the rotation offset that deals out the
-    batch remainder fairly across steps."""
+class _GroupPools:
+    """One ``IndexPool`` per group, built in group order, plus the rotation
+    that deals batch slots across the groups. ``state`` / ``load_state``
+    are the checkpoint's ``pools`` field."""
+
+    def __init__(self, groups, rng):
+        self.order = list(groups)
+        self.pools = {g: IndexPool(indices, rng) for g, indices in groups.items()}
+        self.rotation = int(rng.integers(len(self.order)))
+
+    def state(self):
+        return {"rotation": self.rotation,
+                "pools": {g.value: pool.state() for g, pool in self.pools.items()}}
+
+    def load_state(self, state):
+        self.rotation = int(state["rotation"])
+        for g, pool in self.pools.items():
+            pool.load_state(state["pools"][g.value])
+
+
+class TaskPools(_GroupPools):
+    """One pool per task family; the rotation deals out the batch remainder
+    fairly across steps."""
 
     def __init__(self, records, rng):
         by_task = {t: [] for t in TASK_ORDER}
@@ -198,17 +218,7 @@ class TaskPools:
         empty = [t.value for t in TASK_ORDER if not by_task[t]]
         if empty:
             raise ConfigError(f"task-average sampling needs records for every task; missing {empty}")
-        self.pools = {t: IndexPool(by_task[t], rng) for t in TASK_ORDER}
-        self.rotation = int(rng.integers(len(TASK_ORDER)))
-
-    def state(self):
-        return {"rotation": self.rotation,
-                "pools": {t.value: self.pools[t].state() for t in TASK_ORDER}}
-
-    def load_state(self, state):
-        self.rotation = int(state["rotation"])
-        for t in TASK_ORDER:
-            self.pools[t].load_state(state["pools"][t.value])
+        super().__init__(by_task, rng)
 
 
 def task_average_sample(task_pools, batch_size, rng):
@@ -230,19 +240,18 @@ def task_average_sample(task_pools, batch_size, rng):
     return batch
 
 
-class PolarityPools:
-    """Stage-one pair pools: one index pool per polarity with at least two
-    members, plus a rotation so batch slots cycle the polarities."""
+class PolarityPools(_GroupPools):
+    """Stage-one pair pools: one pool per polarity with at least two
+    members; the rotation cycles batch slots over the polarities."""
 
     def __init__(self, records, rng):
         index_of = {pol: [] for pol in Polarity}
         for i, r in enumerate(records):
             index_of[to_polarity(r.label, r.dataset_id)].append(i)
-        self.order = [pol for pol in Polarity if len(index_of[pol]) >= 2]
-        if not self.order:
+        groups = {pol: indices for pol, indices in index_of.items() if len(indices) >= 2}
+        if not groups:
             raise ConfigError("stage-one training needs a polarity pool with at least two records")
-        self.pools = {pol: IndexPool(index_of[pol], rng) for pol in self.order}
-        self.rotation = int(rng.integers(len(self.order)))
+        super().__init__(groups, rng)
 
     def draw_pairs(self, n_pairs, rng):
         """n_pairs (polarity, i, j) triples, cycling pools across slots. A
@@ -257,15 +266,6 @@ class PolarityPools:
 
     def pairs_per_pass(self):
         return sum(self.pools[pol].indices.size // 2 for pol in self.order)
-
-    def state(self):
-        return {"rotation": self.rotation,
-                "pools": {pol.value: self.pools[pol].state() for pol in self.order}}
-
-    def load_state(self, state):
-        self.rotation = int(state["rotation"])
-        for pol in self.order:
-            self.pools[pol].load_state(state["pools"][pol.value])
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +342,29 @@ def _parsed_field(meta, key, parse, source):
                           f"({type(exc).__name__}: {exc})") from exc
 
 
+def _fit_config(config, vocab, registry, source):
+    """``config`` if it fits ``vocab`` and ``registry``: the vocabulary size,
+    the dataset count and every feature width a dataset declares. ``source``
+    names the config in the ConfigError raised otherwise."""
+    if config.vocab_size != len(vocab):
+        raise ConfigError(f"{source} vocab_size {config.vocab_size} != vocabulary size {len(vocab)}")
+    if config.num_datasets != len(registry):
+        raise ConfigError(f"{source} num_datasets {config.num_datasets} != registry size {len(registry)}")
+    for dataset_id in registry.dataset_ids:
+        spec = registry.spec(dataset_id)
+        for field in ("acoustic_dim", "visual_dim"):
+            declared, expected = getattr(spec, field), getattr(config, field)
+            if declared is not None and declared != expected:
+                raise ConfigError(f"dataset {dataset_id!r} declares {field} {declared}, "
+                                  f"{source} expects {expected}")
+    return config
+
+
 def load_model(path, registry):
     """Read a training checkpoint for ``registry``. Returns (config, params,
     vocab, arrays, meta). A missing file, vocabulary fields that are missing
-    or mistyped, or a dataset count other than the registry's is a
-    ConfigError."""
+    or mistyped, or a model config that does not fit the vocabulary and the
+    registry (``_fit_config``) is a ConfigError."""
     if not Path(path).exists():
         raise ConfigError(f"checkpoint not found: {path}")
     config, arrays, meta = load_checkpoint(path)
@@ -358,11 +376,7 @@ def load_model(path, registry):
                       _meta_field(meta, "vocab_speakers", int, path))
     except VocabularyError as exc:
         raise ConfigError(f"{path}: bad checkpoint vocabulary ({exc})") from exc
-    if len(vocab) != config.vocab_size:
-        raise ConfigError("checkpoint vocabulary does not match its model config")
-    if config.num_datasets != len(registry):
-        raise ConfigError(
-            f"checkpoint expects {config.num_datasets} datasets, registry has {len(registry)}")
+    _fit_config(config, vocab, registry, f"checkpoint {path}")
     return config, params_from_arrays(config, arrays), vocab, arrays, meta
 
 
@@ -373,66 +387,56 @@ class _Run:
                  init_checkpoint=None, resume_from=None):
         if not records:
             raise ConfigError("training corpus is empty")
-        train_config.validate()
         self.stage = stage
         self.records = records
         self.registry = registry
-        self.train_config = train_config
+        self.train_config = train_config.validate()
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.step = 0
         self.centroids = None
         self.pseudo = None
-
-        for dataset_id in registry.dataset_ids:
-            spec = registry.spec(dataset_id)
-            if spec.acoustic_dim is not None and spec.acoustic_dim != model_config.acoustic_dim:
-                raise ConfigError(
-                    f"dataset {dataset_id!r} declares acoustic_dim {spec.acoustic_dim}, "
-                    f"model expects {model_config.acoustic_dim}")
-            if spec.visual_dim is not None and spec.visual_dim != model_config.visual_dim:
-                raise ConfigError(
-                    f"dataset {dataset_id!r} declares visual_dim {spec.visual_dim}, "
-                    f"model expects {model_config.visual_dim}")
-
         self.rngs = _spawn_rngs(train_config.seed)
+        self.resume_from = resume_from
+        self._resume_meta = None
+
+        # the model, fresh from ``model_config`` or whole from a checkpoint
         source = resume_from or init_checkpoint
-        if source is not None:
-            ck_config, self.params, self.vocab, arrays, meta = load_model(source, registry)
-            self.model_config = replace(ck_config, dropout_rate=train_config.dropout_rate)
-        else:
+        if source is None:
             self.vocab = build_vocab(records, registry, num_speakers=train_config.num_speakers)
-            cfg = replace(model_config, dropout_rate=train_config.dropout_rate)
-            if cfg.vocab_size == 0:
-                cfg = replace(cfg, vocab_size=len(self.vocab))
-            if cfg.num_datasets == 0:
-                cfg = replace(cfg, num_datasets=len(registry))
-            if cfg.vocab_size != len(self.vocab):
-                raise ConfigError(f"model config vocab_size {cfg.vocab_size} != vocabulary size {len(self.vocab)}")
-            if cfg.num_datasets != len(registry):
-                raise ConfigError(f"model config num_datasets {cfg.num_datasets} != registry size {len(registry)}")
-            self.model_config = cfg.validate()
-            self.params = init_params(self.model_config, self.rngs["init"])
+            config = _fit_config(replace(model_config, dropout_rate=train_config.dropout_rate,
+                                         vocab_size=model_config.vocab_size or len(self.vocab),
+                                         num_datasets=model_config.num_datasets or len(registry)),
+                                 self.vocab, registry, "model config")
+            self.params = init_params(config, self.rngs["init"])
+        else:
+            config, self.params, self.vocab, arrays, meta = load_model(source, registry)
+            config = replace(config, dropout_rate=train_config.dropout_rate)
+        self.model_config = config
         self.adam = Adam(self.params, train_config.learning_rate)
 
-        self._resume_meta = None
         if resume_from is not None:
-            if meta.get("stage") != stage:
-                raise ConfigError(
-                    f"checkpoint holds {meta.get('stage')!r} state, cannot resume {stage!r}")
-            self.step = _meta_field(meta, "step", int, source)
-            self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
-            self.rngs.update(_parsed_field(meta, "rng", _restore_rngs, source))
-            self.centroids = _parsed_field(meta, "centroids", _centroids_from_json, source)
-            self.pseudo = _parsed_field(meta, "pseudo", _pseudo_from_json, source)
-            if (self.pseudo is None) != (self.centroids is None):
-                raise ConfigError(f"{source}: checkpoint fields 'pseudo' and 'centroids' "
-                                  f"must be both set or both null")
-            if self.pseudo is not None and len(self.pseudo) != len(records):
-                raise ConfigError(f"{source}: checkpoint field 'pseudo' holds {len(self.pseudo)} "
-                                  f"labels for a corpus of {len(records)} records")
-            self._resume_meta = meta
-        self.resume_from = resume_from
+            self._restore(meta, arrays)
+
+    def _restore(self, meta, arrays):
+        """Step, optimizer, RNG, centroid and pseudo-label state of the run
+        being resumed."""
+        source = self.resume_from
+        if meta.get("stage") != self.stage:
+            raise ConfigError(
+                f"checkpoint holds {meta.get('stage')!r} state, cannot resume {self.stage!r}")
+        self.step = _meta_field(meta, "step", int, source)
+        self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
+        self.rngs.update(_parsed_field(meta, "rng", _restore_rngs, source))
+        self.centroids = _parsed_field(meta, "centroids", _centroids_from_json, source)
+        self.pseudo = _parsed_field(meta, "pseudo", _pseudo_from_json, source)
+        if (self.pseudo is None) != (self.centroids is None):
+            raise ConfigError(f"{source}: checkpoint fields 'pseudo' and 'centroids' "
+                              f"must be both set or both null")
+        if self.pseudo is not None and len(self.pseudo) != len(self.records):
+            raise ConfigError(f"{source}: checkpoint field 'pseudo' holds {len(self.pseudo)} "
+                              f"labels for a corpus of {len(self.records)} records")
+        self._resume_meta = meta
 
     def open_log(self, path):
         """Open a per-step JSONL log for writing. A fresh run starts it
