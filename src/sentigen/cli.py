@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_a
 from .data import POOL_DATASET_ID, Registry, load_corpus
 from .errors import ConfigError, DataError, SentigenError
 from .evaluation import evaluate_records
-from .model import pooled_vectors
+from .model import ModelConfig, config_from_json, pooled_vectors
 from .prompt import build_prompt
 from .training import (TrainConfig, load_model, run_finetune, run_pretrain_stage1,
                        run_pretrain_stage2)
@@ -55,34 +55,26 @@ def _read_json(path, what, error=ConfigError):
         raise error(f"{what} {p} is not valid JSON: {exc}") from None
 
 
+@dataclass
+class _ConfigFile:
+    """The top level of a ``--config`` file."""
+
+    seed: int | None = None
+    train: dict = field(default_factory=dict)
+    model: dict = field(default_factory=dict)
+
+
 def _load_config_file(path):
-    if path is None:
-        return {}
-    obj = _read_json(path, "config file")
-    if not isinstance(obj, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(obj) - {"train", "model", "seed"}
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    return obj
+    obj = {} if path is None else _read_json(path, "config file")
+    return config_from_json(_ConfigFile, obj, "config file")
 
 
 def _resolve_train_config(args, config):
-    train = dict(config.get("train", {}))
-    cfg = TrainConfig.from_json(train)
-    if config.get("seed") is not None:
-        cfg = replace(cfg, seed=int(config["seed"]))
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = TrainConfig.from_json(config.train)
+    for seed in (config.seed, getattr(args, "seed", None)):
+        if seed is not None:
+            cfg = replace(cfg, seed=seed)
     return cfg.validate()
-
-
-def _resolve_model_config(config):
-    from .model import ModelConfig
-    section = config.get("model", {})
-    if not isinstance(section, dict):
-        raise ConfigError("config 'model' section must be an object")
-    return ModelConfig.from_json(section) if section else ModelConfig()
 
 
 def _config_hash(payload):
@@ -105,15 +97,11 @@ def write_manifest(out_dir, command, seed, effective_config):
 
 
 def _load_inputs(args):
-    registry_path = Path(args.registry)
+    registry = Registry.load(args.registry)
     corpus_path = Path(args.corpus)
-    if not registry_path.exists():
-        raise ConfigError(f"registry file not found: {registry_path}")
     if not corpus_path.exists():
         raise ConfigError(f"corpus file not found: {corpus_path}")
-    registry = Registry.load(registry_path)
-    records = load_corpus(corpus_path, registry)
-    return records, registry
+    return load_corpus(corpus_path, registry), registry
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +238,7 @@ def cmd_validate(args):
 def _run_training(args, runner, command, **extra):
     config = _load_config_file(args.config)
     train_cfg = _resolve_train_config(args, config)
-    model_cfg = _resolve_model_config(config)
+    model_cfg = ModelConfig.from_json(config.model)
     records, registry = _load_inputs(args)
     write_manifest(args.out, command, train_cfg.seed,
                    {"train": train_cfg.to_json(), "model": model_cfg.to_json(),
@@ -360,7 +348,7 @@ def _matrix_from_embeddings(path, correspondence):
                 order.append(d)
             items[d].append((label, vec))
     if not items:
-        raise ConfigError(f"embeddings file {p} holds no rows")
+        raise DataError("embeddings file holds no rows", path=str(p))
     return build_accuracy_matrix(items, order=order, correspondence=correspondence)
 
 

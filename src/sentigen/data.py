@@ -115,12 +115,6 @@ class AnswerSet:
     def scalar_range(cls, lo=SCALAR_LO, hi=SCALAR_HI):
         return cls(labels=None, scalar=True, lo=float(lo), hi=float(hi))
 
-    def contains(self, label):
-        if self.scalar:
-            return isinstance(label, (int, float)) and not isinstance(label, bool) \
-                and self.lo <= float(label) <= self.hi
-        return isinstance(label, str) and label in self.labels
-
     def render(self, label):
         if self.scalar:
             return render_scalar_label(label)
@@ -325,10 +319,7 @@ def read_feature_sidecar(path):
 
 def _load_features(value, dim, field, path, line, base_dir):
     if value is None:
-        if dim is not None:
-            # modality declared but absent for this record is fine; records
-            # carry whatever subset they have
-            return None
+        # a declared modality may be absent: records carry whatever subset they have
         return None
     if dim is None:
         raise DataError(f"{field} present but the dataset declares no {field} features", line=line, path=path)

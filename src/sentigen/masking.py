@@ -31,7 +31,6 @@ _ALL_SETTINGS = (ModalitySetting.T, ModalitySetting.TA, ModalitySetting.TV, Moda
 
 @dataclass(frozen=True)
 class MaskPlan:
-    setting: ModalitySetting
     masked_token_positions: tuple
     masked_modal_frames: dict
 
@@ -78,18 +77,11 @@ def mcm_eligible_positions(ps):
     return eligible
 
 
-def sample_mcm_plan(ps, p_mask, rng, vocab, setting=None):
+def sample_mcm_plan(ps, p_mask, rng, vocab):
     """Draw a mask plan: each eligible token and each remaining modal frame is
     masked independently with probability ``p_mask``."""
     if not (0.0 <= p_mask <= 1.0):
         raise ContractError(f"mask probability {p_mask} outside [0, 1]")
-    if setting is None:
-        kinds = {seg.kind for seg in ps.modal_segments}
-        setting = {frozenset(): ModalitySetting.T,
-                   frozenset({"acoustic"}): ModalitySetting.TA,
-                   frozenset({"visual"}): ModalitySetting.TV,
-                   frozenset({"acoustic", "visual"}): ModalitySetting.TAV}[frozenset(kinds)]
-
     flat = flatten_prompt(ps, vocab)
     token_hits = []
     for pos in mcm_eligible_positions(ps):
@@ -103,5 +95,4 @@ def sample_mcm_plan(ps, p_mask, rng, vocab, setting=None):
         hits = tuple(i for i in range(seg.features.shape[0]) if rng.random() < p_mask)
         if hits:
             frame_hits[seg.kind] = hits
-    return MaskPlan(setting=setting, masked_token_positions=tuple(token_hits),
-                    masked_modal_frames=frame_hits)
+    return MaskPlan(masked_token_positions=tuple(token_hits), masked_modal_frames=frame_hits)

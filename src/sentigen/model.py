@@ -63,7 +63,11 @@ class ModelConfig:
     dropout_rate: float = 0.1
 
     def validate(self):
-        if self.heads < 1 or self.model_dim % self.heads != 0:
+        for name in ("model_dim", "text_embed_dim", "acoustic_dim", "visual_dim", "ffn_dim",
+                     "heads", "max_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} {getattr(self, name)} must be at least 1")
+        if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
         if self.vocab_size <= 0 or self.num_datasets <= 0:
             raise ConfigError("vocab_size and num_datasets must be set from the vocabulary and registry")
@@ -76,11 +80,29 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, obj):
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
-        if extra:
-            raise ConfigError(f"unknown model config keys {sorted(extra)}")
-        return cls(**obj)
+        return config_from_json(cls, obj, "model config")
+
+
+# JSON types a config field of each annotated type accepts: a bool is no
+# number, an int may stand for a float, and a list for a tuple
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "tuple": (list, tuple),
+               "dict": (dict,), "int | None": (int, type(None))}
+
+
+def config_from_json(cls, obj, section):
+    """``cls(**obj)`` for a config dataclass read from JSON. A ``section``
+    that is not an object, an unknown key, or a value whose JSON type does
+    not fit its field is a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{section} must be a JSON object")
+    fields = cls.__dataclass_fields__
+    extra = set(obj) - set(fields)
+    if extra:
+        raise ConfigError(f"unknown {section} keys {sorted(extra)}")
+    for key, value in obj.items():
+        if type(value) not in _JSON_TYPES[fields[key].type]:
+            raise ConfigError(f"{section} field {key!r} must be {fields[key].type}, got {value!r}")
+    return cls(**obj)
 
 
 _INIT = {"normal": lambda rng, shape: rng.normal(0.0, 0.1, size=shape),
@@ -525,7 +547,10 @@ def load_checkpoint(path):
             if stop > len(payload):
                 raise ConfigError(f"{path}: truncated checkpoint payload at array {entry['name']!r}")
             arrays[entry["name"]] = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape).copy()
-        config = ModelConfig.from_json(header["config"]).validate()
+        try:
+            config = ModelConfig.from_json(header["config"]).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: checkpoint {exc}") from exc
         meta = header.get("meta", {})
         if not isinstance(meta, dict):
             raise ConfigError(f"{path}: checkpoint metadata is not a JSON object")

@@ -29,8 +29,8 @@ from .evaluation import evaluate_records
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
 # ``encode`` is no longer called here; it stays a module global because the
 # benchmark's tracer (benchmarks/tracing.py) patches it by name.
-from .model import (encode, init_params, load_checkpoint, params_from_arrays,  # noqa: F401
-                    params_to_arrays, pooled_vectors, save_checkpoint)
+from .model import (config_from_json, encode, init_params, load_checkpoint,  # noqa: F401
+                    params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint)
 from .objectives import (CentroidIndex, LossReport, PseudoLabelSet, Stage1Example,
                          Stage2Example, assign_pseudo_labels, build_centroids, generation_loss,
                          stage1_loss, stage2_loss)
@@ -66,18 +66,24 @@ class TrainConfig:
     def validate(self):
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         if not (0.0 <= self.mask_prob <= 1.0):
             raise ConfigError(f"mask_prob {self.mask_prob} outside [0, 1]")
         if self.max_steps is not None and self.max_steps < 0:
             raise ConfigError("max_steps must be non-negative")
-        if len(self.loss_weights) != 4:
-            raise ConfigError("loss_weights must have four entries (mcm, spp, ccl, cep)")
+        if len(self.loss_weights) != 4 or not all(type(w) in (int, float) for w in self.loss_weights):
+            raise ConfigError("loss_weights must be four numbers (mcm, spp, ccl, cep)")
         if self.centroid_refresh_every < 1:
             raise ConfigError("centroid_refresh_every must be positive")
         if self.checkpoint_every is not None and self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be non-negative (0 or null disables it)")
+        if self.max_new_tokens < 1:
+            raise ConfigError("max_new_tokens must be positive")
         return self
 
     def to_json(self):
@@ -87,11 +93,7 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, obj):
-        known = set(cls.__dataclass_fields__)
-        extra = set(obj) - known
-        if extra:
-            raise ConfigError(f"unknown train config keys {sorted(extra)}")
-        cfg = cls(**obj)
+        cfg = config_from_json(cls, obj, "train config")
         cfg.loss_weights = tuple(cfg.loss_weights)
         return cfg
 

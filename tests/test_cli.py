@@ -88,6 +88,36 @@ def test_unknown_config_key_exits_2(cli_corpus, tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+BAD_CONFIGS = {
+    "batch_size-str": {"train": {"batch_size": "8"}},
+    "train-list": {"train": [1, 2]},
+    "loss_weights-number": {"train": {"loss_weights": 5}},
+    "learning_rate-str": {"train": {"learning_rate": "x"}},
+    "seed-str": {"seed": "x"},
+    "heads-str": {"model": {"heads": "4"}},
+    "model_dim-0": {"model": {"model_dim": 0}},
+    "ffn_dim-negative": {"model": {"ffn_dim": -1}},
+    "epochs-negative": {"train": {"epochs": -1}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_mistyped_config_value_exits_2(cli_corpus, tmp_path, capsys, case):
+    """A config value of the wrong JSON type or out of range is a one-line
+    ConfigError, never a traceback or a silent run."""
+    path = write_config(tmp_path / "cfg.json")
+    cfg = json.loads(path.read_text())
+    for key, value in BAD_CONFIGS[case].items():
+        cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                         "--registry", str(cli_corpus / "registry.json"),
+                         "--out", str(tmp_path / "out"), "--config", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "ConfigError"
+
+
 @pytest.fixture(scope="module")
 def finetuned(cli_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_ft")
@@ -170,6 +200,25 @@ def test_eval_checkpoint_without_meta_exits_2(cli_corpus, finetuned, tmp_path, c
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+def test_eval_checks_registry_feature_widths(cli_corpus, finetuned, tmp_path, capsys):
+    """The checkpoint's acoustic_dim (8) must match the registry's, even on a
+    corpus with no acoustic features."""
+    registry = json.loads((cli_corpus / "registry.json").read_text())
+    for spec in registry.values():
+        if spec["acoustic_dim"] is not None:
+            spec["acoustic_dim"] = 5
+    (tmp_path / "registry.json").write_text(json.dumps(registry))
+    text_only = [line for line in (cli_corpus / "corpus.jsonl").read_text().splitlines()
+                 if json.loads(line)["dataset_id"] == "sst-toy"]
+    (tmp_path / "corpus.jsonl").write_text("\n".join(text_only) + "\n")
+    code, _, err = run(capsys, "eval", "--corpus", str(tmp_path / "corpus.jsonl"),
+                       "--registry", str(tmp_path / "registry.json"),
+                       "--checkpoint", str(finetuned / "checkpoint.ckpt"))
+    assert code == 2
+    msg = json.loads(err.strip().splitlines()[-1])
+    assert msg["error"] == "ConfigError" and "acoustic_dim" in msg["message"]
+
+
 def test_eval_empty_corpus_is_data_error(cli_corpus, finetuned, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -229,6 +278,7 @@ EMBEDDINGS = jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
 
 @pytest.mark.parametrize("files, error", [
     ({"embeddings": EMBEDDINGS + "{not json\n"}, "DataError"),
+    ({"embeddings": "\n"}, "DataError"),
     ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "vector": [1.0]})}, "DataError"),
     ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "label": "x", "vector": ["one"]})},
      "DataError"),
@@ -236,7 +286,7 @@ EMBEDDINGS = jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
     ({"acc-matrix": "[1,2]"}, "DataError"),
     ({"embeddings": jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
                           {"dataset_id": "b", "label": "x", "vector": [1.0, 2.0]})}, "ShapeError"),
-], ids=["embeddings-not-json", "embeddings-no-label", "embeddings-text-vector",
+], ids=["embeddings-not-json", "embeddings-empty", "embeddings-no-label", "embeddings-text-vector",
         "correspondence-not-json", "acc-matrix-list", "widths-1-and-2"])
 def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error):
     argv = ["bias-report"]

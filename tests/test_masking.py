@@ -92,23 +92,20 @@ def test_sample_plan_probability_and_span_safety(toy):
         range(ps.modal_segments[0].features.shape[0]))
 
 
-def test_plan_infers_setting_and_respects_given_one(toy):
+def test_plan_respects_modal_setting(toy):
     vocab = toy["vocab"]
     ps = prompts(toy)["mosi-toy"]
     rng = np.random.default_rng(2)
-    plan = sample_mcm_plan(ps, 0.5, rng, vocab)
-    assert plan.setting is ModalitySetting.TAV  # inferred from present segments
     reduced = apply_modal_setting(ps, ModalitySetting.TV)
-    plan2 = sample_mcm_plan(reduced, 0.5, rng, vocab)
-    assert plan2.setting is ModalitySetting.TV
-    assert "acoustic" not in plan2.masked_modal_frames
+    plan = sample_mcm_plan(reduced, 0.5, rng, vocab)
+    assert "acoustic" not in plan.masked_modal_frames
 
     with pytest.raises(ContractError):
         sample_mcm_plan(ps, 1.5, rng, vocab)
 
 
 def test_mask_plan_normalizes_order():
-    plan = MaskPlan(setting=ModalitySetting.T, masked_token_positions=(5, 2, 9),
+    plan = MaskPlan(masked_token_positions=(5, 2, 9),
                     masked_modal_frames={"acoustic": (3, 1)})
     assert plan.masked_token_positions == (2, 5, 9)
     assert plan.masked_modal_frames["acoustic"] == (1, 3)

@@ -7,8 +7,8 @@ import sentigen.autodiff as ad
 import sentigen.model as model
 from sentigen.errors import ConfigError, ContractError, SentigenError, ShapeError
 from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, freeze_params,
-                            generate, init_params, load_checkpoint, params_from_arrays,
-                            params_to_arrays, save_checkpoint, token_logits)
+                            generate, init_params, load_checkpoint, param_layout,
+                            params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
 from sentigen.prompt import build_prompt, flatten_prompt
 
 from conftest import small_config
@@ -34,10 +34,19 @@ def test_config_validation():
         ModelConfig(model_dim=0).validate()
     with pytest.raises(ConfigError):
         ModelConfig(dropout_rate=1.0).validate()
+    for field in ("text_embed_dim", "acoustic_dim", "visual_dim", "ffn_dim", "heads", "max_len"):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: 0}).validate()
     with pytest.raises(ConfigError):
         ModelConfig.from_json({"model_dim": 8, "mystery": 1})
+    for bad in ({"heads": "4"}, {"heads": 4.0}, {"model_dim": False}, {"dropout_rate": None}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ModelConfig.from_json(bad)
+    with pytest.raises(ConfigError):
+        ModelConfig.from_json([("heads", 4)])
     cfg = ModelConfig.from_json(ModelConfig().to_json())
     assert cfg == ModelConfig()
+    assert ModelConfig.from_json({"dropout_rate": 0}).dropout_rate == 0
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +98,8 @@ def test_encode_rejects_overflow_and_bad_masks(world):
     with pytest.raises(ContractError):
         encode(huge, params, config, vocab)
 
-    from sentigen.masking import MaskPlan, ModalitySetting
-    bad = MaskPlan(setting=ModalitySetting.T,
-                   masked_token_positions=(ps.token_length + 5,),
+    from sentigen.masking import MaskPlan
+    bad = MaskPlan(masked_token_positions=(ps.token_length + 5,),
                    masked_modal_frames={})
     with pytest.raises(IndexError):
         encode(ps, params, config, vocab, mask_plan=bad)
@@ -99,11 +107,10 @@ def test_encode_rejects_overflow_and_bad_masks(world):
 
 def test_mask_plan_substitutes_learned_vectors(world):
     vocab, registry, records, config, params = world
-    from sentigen.masking import MaskPlan, ModalitySetting
+    from sentigen.masking import MaskPlan
     r = pick(records, "meld-toy")
     ps = build_prompt(r, vocab, registry, config.max_len)
-    plan = MaskPlan(setting=ModalitySetting.TA,
-                    masked_token_positions=(ps.token_length - 1,),
+    plan = MaskPlan(masked_token_positions=(ps.token_length - 1,),
                     masked_modal_frames={"acoustic": (0,)})
     clean = encode(ps, params, config, vocab)
     corrupted = encode(ps, params, config, vocab, mask_plan=plan)
@@ -452,6 +459,7 @@ def test_corrupt_checkpoint_header_is_config_error(world, tmp_path):
         "bad json": patched(at=16, byte=ord("[")),
         "bad dtype": patched(old=b'"<f8"', new=b'"<f4"'),
         "zero heads": patched(old=b'"heads": 2', new=b'"heads": 0'),
+        "float max_len": patched(old=b'"max_len": 96', new=b'"max_len":1e2'),
         "header past end": blob[:8] + (2 ** 40).to_bytes(8, "little") + blob[16:],
     }
     for data in cases.values():
@@ -478,6 +486,29 @@ def test_checkpoint_byte_mutation_fuzz(world, tmp_path):
                 load_checkpoint(path)
             except SentigenError:
                 pass
+
+
+def test_init_params_follows_param_layout(world):
+    vocab, registry, records, config, params = world
+    layout = param_layout(config)
+    assert [(name, t.shape) for name, t in params.items()] == [(n, s) for n, s, _ in layout]
+    assert {init for _, _, init in layout} == {"normal", "xavier", "zeros", "ones"}
+    for name, _, init in layout:
+        if init in ("zeros", "ones"):
+            assert np.all(params[name].data == (init == "ones"))
+
+
+def test_params_from_arrays_draws_no_fresh_model(world, monkeypatch):
+    vocab, registry, records, config, params = world
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("params_from_arrays drew random numbers")
+
+    monkeypatch.setattr(model, "init_params", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    back = params_from_arrays(config, params_to_arrays(params))
+    assert list(back) == list(params)
+    assert all(np.array_equal(back[name].data, params[name].data) for name in params)
 
 
 def test_init_is_seeded(world):

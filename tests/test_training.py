@@ -220,8 +220,19 @@ def test_train_config_validation():
     TrainConfig(checkpoint_every=0).validate()  # 0, like None, disables periodic saves
     with pytest.raises(ConfigError):
         TrainConfig.from_json({"learnig_rate": 1e-4})
+    with pytest.raises(ConfigError):
+        TrainConfig(epochs=-1).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(max_new_tokens=0).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(loss_weights=(1.0, 1.0, 1.0, "x")).validate()
     cfg = TrainConfig.from_json({"loss_weights": [1, 2, 3, 4], "max_steps": 7})
     assert cfg.loss_weights == (1, 2, 3, 4) and cfg.max_steps == 7
+    for bad in ({"batch_size": "8"}, {"batch_size": True}, {"learning_rate": "x"},
+                {"loss_weights": 5}, {"max_steps": 2.5}, {"modal_mask_augment": 1}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            TrainConfig.from_json(bad)
+    assert TrainConfig.from_json({"learning_rate": 1, "max_steps": None}).learning_rate == 1
 
 
 def test_run_rejects_dimension_mismatch(toy, tmp_path):
@@ -368,6 +379,34 @@ def test_init_checkpoint_carries_weights_not_step(toy, tmp_path):
     lines = [json.loads(l) for l in open(tmp_path / "ft" / "metrics.jsonl")]
     assert [l["step"] for l in lines] == [1, 2]
     assert out.exists()
+
+
+@pytest.mark.parametrize("runner", [run_pretrain_stage2, run_finetune])
+def test_init_checkpoint_brings_its_own_model(toy, tmp_path, runner):
+    """A run started from a checkpoint takes its model config from the
+    checkpoint: a default ModelConfig passed alongside (acoustic_dim 64, not
+    the registry's 8) is ignored, not checked against the registry."""
+    from sentigen.model import load_checkpoint
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_pretrain_stage1(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                             tmp_path / "s1")
+    out = runner(toy["records"], toy["registry"], ModelConfig(), train_cfg(max_steps=2),
+                 tmp_path / "next", init_checkpoint=ck)
+    got, _, _ = load_checkpoint(out)
+    assert (got.model_dim, got.acoustic_dim, got.visual_dim) == (16, 8, 4)
+
+
+def test_load_model_checks_registry_feature_widths(toy, tmp_path):
+    from dataclasses import replace
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                      tmp_path / "ft")
+    registry = toy["registry"]
+    specs = [registry.spec(d) for d in registry.dataset_ids]
+    wider = Registry([replace(s, acoustic_dim=5) if s.acoustic_dim else s for s in specs])
+    with pytest.raises(ConfigError, match="acoustic_dim"):
+        training.load_model(ck, wider)
+    training.load_model(ck, registry)
 
 
 def test_non_finite_state_raises(toy, tmp_path):
