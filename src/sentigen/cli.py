@@ -240,8 +240,11 @@ def _run_training(args, runner, command, **extra):
     train_cfg = _resolve_train_config(args, config)
     model_cfg = ModelConfig.from_json(config.model)
     records, registry = _load_inputs(args)
+    # a run from a checkpoint takes its model config from there, not from the file
+    source = extra.get("resume_from") or extra.get("init_checkpoint")
+    used = model_cfg if source is None else load_model(source, registry)[0]
     write_manifest(args.out, command, train_cfg.seed,
-                   {"train": train_cfg.to_json(), "model": model_cfg.to_json(),
+                   {"train": train_cfg.to_json(), "model": used.to_json(),
                     "corpus": str(args.corpus), "registry": str(args.registry)})
     path = runner(records, registry, model_cfg, train_cfg, args.out, **extra)
     print(json.dumps({"checkpoint": str(path)}))

@@ -14,9 +14,9 @@ stream. Tensors stay 2-D: a batch of B samples of L positions is B·L
 sample-major rows, and multi-head attention is one fused autodiff op whose
 per-sample bias keeps each sample's queries on its own keys and masks the
 pads. ``encode``, ``decoder_states`` and ``generate`` on one prompt are the
-batch of one. Training still calls them one sample at a time, and the loss
-functions average the per-sample graphs; inference batches records with
-``encode_batch``, ``pooled_vectors`` and ``generate_batch``.
+batch of one. Training and inference both run padded batches: a training
+step's losses read ``encode_batch`` encodings, with one dropout mask per
+batched tensor; inference uses ``pooled_vectors`` and ``generate_batch``.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
@@ -29,6 +29,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .errors import ConfigError, ContractError, ShapeError
 from .prompt import flatten_prompt
 
 CHECKPOINT_MAGIC = b"SGCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _NEG_INF = -1e30
 _TYPE_INDEX = {"text": 0, "acoustic": 1, "visual": 2}
@@ -67,6 +68,9 @@ class ModelConfig:
                      "heads", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} {getattr(self, name)} must be at least 1")
+        for name in ("layers_enc", "layers_dec"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} {getattr(self, name)} must be non-negative")
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
         if self.vocab_size <= 0 or self.num_datasets <= 0:
@@ -321,13 +325,15 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
                          token_length=ps.token_length)
 
 
-def encode_batch(prompts, params, config, vocab):
-    """Run the encoder over ``prompts`` as one clean batch padded to the
-    longest stream. Every sample's states, and its row of ``pooled``, equal
-    what ``encode`` gives it alone, up to rounding."""
+def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
+    """Run the encoder over ``prompts`` as one batch padded to the longest
+    stream, each corrupted by its entry of ``mask_plans`` (optional; see
+    ``encode``). Every sample's states, and its row of ``pooled``, equal
+    what ``encode`` gives it alone, up to rounding, with dropout off."""
     if not prompts:
         raise ContractError("cannot encode an empty batch")
-    x, keep = _encode(prompts, [None] * len(prompts), params, config, vocab, False, None)
+    plans = [None] * len(prompts) if mask_plans is None else mask_plans
+    x, keep = _encode(prompts, plans, params, config, vocab, train, rng)
     return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), keep=keep,
                          token_length=[ps.token_length for ps in prompts])
 
@@ -476,12 +482,12 @@ def generate(ps, params, config, vocab, max_new=8):
 
 def save_checkpoint(path, config, arrays, meta=None):
     """Write a self-contained checkpoint: fixed magic, version, a JSON header
-    (model config, metadata, array manifest), then raw little-endian array
-    bytes. Byte-stable for identical inputs, and atomic: the file at ``path``
-    is either the old one or the complete new one."""
+    (model config, metadata, array manifest, payload CRC-32), then raw
+    little-endian array bytes. Byte-stable for identical inputs, and atomic:
+    the file at ``path`` is either the old one or the complete new one."""
     manifest = []
     blobs = []
-    offset = 0
+    offset = crc = 0
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         if arr.dtype == np.float64:
@@ -494,11 +500,13 @@ def save_checkpoint(path, config, arrays, meta=None):
         manifest.append({"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset})
         blobs.append(blob)
         offset += len(blob)
+        crc = zlib.crc32(blob, crc)
     header = {
         "version": CHECKPOINT_VERSION,
         "config": config.to_json(),
         "meta": meta or {},
         "arrays": manifest,
+        "payload_crc32": crc,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     # write a sibling temp file and swap it in, so a crash mid-write never
@@ -521,7 +529,8 @@ def save_checkpoint(path, config, arrays, meta=None):
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelConfig, arrays dict, meta dict).
 
-    Any malformed header or payload is a ``ConfigError``."""
+    Any malformed header, or a payload that does not match the header's
+    CRC-32, is a ``ConfigError``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
@@ -534,6 +543,8 @@ def load_checkpoint(path):
         if not isinstance(header, dict):
             raise ConfigError(f"{path}: checkpoint header is not a JSON object")
         payload = blob[16 + header_len:]
+        if header["payload_crc32"] != zlib.crc32(payload):
+            raise ConfigError(f"{path}: checkpoint payload does not match its CRC-32")
         arrays = {}
         for entry in header["arrays"]:
             if entry["dtype"] not in ("<f8", "<i8"):

@@ -1,6 +1,13 @@
 """Pre-training objectives and their stage compositions.
 
-Four losses over unified prompts:
+Every loss is a head on one padded-batch encoding from
+``model.encode_batch``, and the stage compositions own the encoder passes:
+stage one makes a corrupted pass for reconstruction and a clean one for
+polarity and contrast; stage two makes one corrupted pass that
+reconstruction and cross-task prediction share; answer generation makes one
+clean pass. With dropout on, each batched tensor draws one mask, so stage
+two's terms share their encoder's dropped units; by linearity the expected
+loss is that of two separate passes. The four losses:
 
 * masked reconstruction (``loss_mcm``): predict the original tokens at masked
   positions from the corrupted encoder stream; summed per sample, averaged
@@ -24,11 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 from .bias import label_centroids, nearest_labels
 from .data import Polarity, TASK_ORDER
 from .errors import ContractError, VocabularyError
-from .model import decoder_states, encode, token_logits
+# ``encode`` is no longer called here; it stays a module global because the
+# benchmark's tracer (benchmarks/tracing.py) patches it by name.
+from .model import decoder_states, encode, encode_batch, token_logits  # noqa: F401
 from .prompt import flatten_prompt, tokenize
 
 POLARITY_ORDER = (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL)
@@ -63,62 +74,47 @@ def polarity_token_ids(vocab):
     return tuple(vocab.id_of(p.value) for p in POLARITY_ORDER)
 
 
-def _batch_mean(terms, batch_size):
-    """Sum of per-sample loss terms, added left to right, over the batch size."""
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / batch_size)
+def _width(enc, samples, name):
+    """``enc``'s padded stream length, once checked to encode ``samples``."""
+    b, width = enc.keep.reshape(-1, enc.keep.shape[-1]).shape
+    if not samples or len(samples) != b:
+        raise ContractError(f"{name}: {len(samples)} samples for an encoded batch of {b}")
+    return width
 
 
 # ---------------------------------------------------------------------------
 # reconstruction
 
 
-def loss_mcm(batch, params, config, vocab, train=False, rng=None):
-    """Masked-token reconstruction. ``batch`` is a list of (prompt, plan)."""
-    if not batch:
-        raise ContractError("loss_mcm: empty batch")
-    terms = []
-    for ps, plan in batch:
+def loss_mcm(enc, batch, params, vocab):
+    """Masked-token reconstruction from ``enc``, the corrupted encoding of
+    ``batch``, a list of (prompt, plan): one cross-entropy over the masked
+    rows of all samples, scaled to a per-sample sum averaged over the batch."""
+    width = _width(enc, batch, "loss_mcm")
+    rows, targets = [], []
+    for i, (ps, plan) in enumerate(batch):
         original = flatten_prompt(ps, vocab)
-        positions = list(plan.masked_token_positions)
-        enc = encode(ps, params, config, vocab, mask_plan=plan, train=train, rng=rng)
-        if not positions:
-            continue
-        hidden = ad.concat_rows([ad.slice_rows(enc.states, p, p + 1) for p in positions]) \
-            if len(positions) > 1 else ad.slice_rows(enc.states, positions[0], positions[0] + 1)
-        logits = token_logits(hidden, params)
-        targets = [original[p] for p in positions]
-        ce = ad.softmax_cross_entropy(logits, targets)
-        terms.append(ad.scale(ce, float(len(positions))))  # sum over masked tokens
-    if not terms:
+        rows.extend(i * width + p for p in plan.masked_token_positions)
+        targets.extend(original[p] for p in plan.masked_token_positions)
+    if not rows:
         return ad.constant(0.0)
-    return _batch_mean(terms, len(batch))
+    ce = ad.softmax_cross_entropy(token_logits(ad.embedding(enc.states, rows), params), targets)
+    return ad.scale(ce, len(rows) / len(batch))
 
 
 # ---------------------------------------------------------------------------
 # polarity prediction
 
 
-def _spp_term(enc, polarity, params, config, vocab, train=False, rng=None):
-    h = decoder_states([vocab.bos_id], enc, params, config, train=train, rng=rng)
-    logits = token_logits(h, params)
+def loss_spp(enc, polarities, params, config, vocab, train=False, rng=None):
+    """First-position polarity cross-entropy from ``enc``, the clean
+    encoding of a batch with one Polarity per sample: the decoder is fed
+    <bos> alone, and its logits are restricted to the three polarity tokens."""
+    _width(enc, polarities, "loss_spp")
+    bos = np.full((len(polarities), 1), vocab.bos_id)
+    logits = token_logits(decoder_states(bos, enc, params, config, train=train, rng=rng), params)
     restricted = ad.gather_cols(logits, list(polarity_token_ids(vocab)))
-    target = POLARITY_ORDER.index(polarity)
-    return ad.softmax_cross_entropy(restricted, [target])
-
-
-def loss_spp(batch, params, config, vocab, train=False, rng=None):
-    """First-position polarity cross-entropy on the uncorrupted input.
-    ``batch`` is a list of (prompt, Polarity)."""
-    if not batch:
-        raise ContractError("loss_spp: empty batch")
-    terms = []
-    for ps, polarity in batch:
-        enc = encode(ps, params, config, vocab, mask_plan=None, train=train, rng=rng)
-        terms.append(_spp_term(enc, polarity, params, config, vocab, train=train, rng=rng))
-    return _batch_mean(terms, len(batch))
+    return ad.softmax_cross_entropy(restricted, [POLARITY_ORDER.index(p) for p in polarities])
 
 
 # ---------------------------------------------------------------------------
@@ -128,40 +124,34 @@ def loss_spp(batch, params, config, vocab, train=False, rng=None):
 def loss_ccl(pooled, labels):
     """Sum over samples j of (same-label distance mass) / (total distance
     mass). Pairs at exactly zero distance contribute nothing and are treated
-    as constants, which matches the limit and keeps sqrt differentiable."""
+    as constants, which matches the limit and keeps sqrt differentiable.
+
+    ``pooled`` is a sequence of per-sample vectors, (d,) or (1, d), stacked
+    once. The live pairs j < k are gathered as two row blocks, and each
+    sample's masses are incidence-matrix products with the pair distances."""
     b = len(pooled)
-    if b != len(labels):
-        raise ContractError(f"loss_ccl: {b} vectors but {len(labels)} labels")
-    if b == 0:
-        raise ContractError("loss_ccl: empty batch")
-    key = [lab.value if isinstance(lab, Polarity) else str(lab) for lab in labels]
+    if b != len(labels) or b == 0:
+        raise ContractError(f"loss_ccl: {b} vectors and {len(labels)} labels")
+    key = np.array([lab.value if isinstance(lab, Polarity) else str(lab) for lab in labels])
+    x = ad.concat_rows([v if v.data.ndim == 2 else ad.reshape(v, (1, v.shape[0])) for v in pooled])
 
-    dist = {}
-    for j in range(b):
-        for k in range(j + 1, b):
-            diff = ad.sub(pooled[j], pooled[k])
-            sq = ad.sum_all(ad.mul(diff, diff))
-            if sq.item() > 0.0:
-                dist[(j, k)] = ad.sqrt(sq)
+    j, k = np.triu_indices(b, 1)
+    diff = x.data[j] - x.data[k]
+    live = (diff * diff).sum(axis=1) > 0.0
+    j, k = j[live], k[live]
+    same = key[j] == key[k]
+    involved = np.zeros((b, len(j)))
+    involved[j, np.arange(len(j))] = involved[k, np.arange(len(j))] = 1.0
+    # samples with no same-label partner at nonzero distance add 0
+    active = (involved * same).sum(axis=1) > 0.0
+    if not active.any():
+        return ad.constant(0.0)
 
-    total = ad.constant(0.0)
-    for j in range(b):
-        numer = None
-        denom = None
-        for k in range(b):
-            if k == j:
-                continue
-            pair = (j, k) if j < k else (k, j)
-            d = dist.get(pair)
-            if d is None:
-                continue
-            denom = d if denom is None else ad.add(denom, d)
-            if key[j] == key[k]:
-                numer = d if numer is None else ad.add(numer, d)
-        if denom is None or numer is None:
-            continue  # no distance mass or no same-label partner: term is 0
-        total = ad.add(total, ad.div(numer, denom))
-    return total
+    diff = ad.sub(ad.embedding(x, j), ad.embedding(x, k))
+    dist = ad.sqrt(ad.matmul(ad.mul(diff, diff), ad.constant(np.ones((x.shape[1], 1)))))
+    numer = ad.matmul(ad.constant(involved[active] * same), dist)
+    denom = ad.matmul(ad.constant(involved[active]), dist)
+    return ad.sum_all(ad.div(numer, denom))
 
 
 # ---------------------------------------------------------------------------
@@ -244,35 +234,29 @@ def _task_label_ids(index, task, vocab):
     return labels, ids
 
 
-def loss_cep(batch, params, config, vocab, index, train=False, rng=None):
-    """Cross-task prediction on the corrupted stream. ``batch`` is a list of
-    (prompt, plan, PseudoLabelSet). The decoder is fed the four task tokens;
-    position i classifies over task i's label vocabulary."""
-    if not batch:
-        raise ContractError("loss_cep: empty batch")
-    tasks = [t for t in TASK_ORDER if t in index]
+def loss_cep(enc, pseudos, params, config, vocab, index, train=False, rng=None):
+    """Cross-task prediction from ``enc``, the corrupted encoding of a batch
+    with one PseudoLabelSet per sample. The decoder is fed the task tokens;
+    position i classifies over task i's label vocabulary. Per sample the sum
+    of the tasks' cross-entropies, averaged over the batch."""
+    _width(enc, pseudos, "loss_cep")
+    tasks = index.tasks()
     if not tasks:
         raise ContractError("loss_cep: empty centroid index")
-    per_task = {t: _task_label_ids(index, t, vocab) for t in tasks}
-    dec_ids = [vocab.task_id(t) for t in tasks]
-
-    terms = []
-    for ps, plan, pseudo in batch:
-        enc = encode(ps, params, config, vocab, mask_plan=plan, train=train, rng=rng)
-        h = decoder_states(dec_ids, enc, params, config, train=train, rng=rng)
-        logits = token_logits(h, params)
-        sample = None
-        for i, task in enumerate(tasks):
-            labels, ids = per_task[task]
-            want = pseudo.label_for(task)
-            if want not in labels:
-                raise ContractError(
-                    f"pseudo label {want!r} for task {task.value!r} is outside the centroid labels")
-            row = ad.gather_cols(ad.slice_rows(logits, i, i + 1), ids)
-            ce = ad.softmax_cross_entropy(row, [labels.index(want)])
-            sample = ce if sample is None else ad.add(sample, ce)
-        terms.append(sample)
-    return _batch_mean(terms, len(batch))
+    dec_ids = np.array([[vocab.task_id(t) for t in tasks]] * len(pseudos))
+    logits = token_logits(decoder_states(dec_ids, enc, params, config, train=train, rng=rng), params)
+    total = None
+    for i, task in enumerate(tasks):
+        labels, ids = _task_label_ids(index, task, vocab)
+        wanted = [pseudo.label_for(task) for pseudo in pseudos]
+        stray = [want for want in wanted if want not in labels]
+        if stray:
+            raise ContractError(
+                f"pseudo label {stray[0]!r} for task {task.value!r} is outside the centroid labels")
+        rows = ad.embedding(logits, np.arange(len(pseudos)) * len(tasks) + i)
+        ce = ad.softmax_cross_entropy(ad.gather_cols(rows, ids), [labels.index(w) for w in wanted])
+        total = ce if total is None else ad.add(total, ce)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +264,16 @@ def loss_cep(batch, params, config, vocab, index, train=False, rng=None):
 
 
 def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=False, rng=None):
-    """Reconstruction + polarity + contrastive on combined two-query records.
-    Returns (LossReport, total tensor)."""
-    if not batch:
-        raise ContractError("stage1_loss: empty batch")
-    mcm = loss_mcm([(e.prompt, e.plan) for e in batch], params, config, vocab, train=train, rng=rng)
-    encs = [encode(e.prompt, params, config, vocab, mask_plan=None, train=train, rng=rng) for e in batch]
-    spp = _batch_mean([_spp_term(enc, e.polarity, params, config, vocab, train=train, rng=rng)
-                       for enc, e in zip(encs, batch)], len(batch))
-    ccl = loss_ccl([enc.pooled for enc in encs], [e.polarity for e in batch])
+    """Reconstruction on a corrupted pass, polarity + contrastive on a clean
+    one, over combined two-query records. Returns (LossReport, total tensor)."""
+    prompts = [e.prompt for e in batch]
+    masked = encode_batch(prompts, params, config, vocab, mask_plans=[e.plan for e in batch],
+                          train=train, rng=rng)
+    mcm = loss_mcm(masked, [(e.prompt, e.plan) for e in batch], params, vocab)
+    clean = encode_batch(prompts, params, config, vocab, train=train, rng=rng)
+    polarities = [e.polarity for e in batch]
+    spp = loss_spp(clean, polarities, params, config, vocab, train=train, rng=rng)
+    ccl = loss_ccl([ad.slice_rows(clean.pooled, i, i + 1) for i in range(len(batch))], polarities)
     total = ad.add(ad.add(ad.scale(mcm, weights[0]), ad.scale(spp, weights[1])),
                    ad.scale(ccl, weights[2]))
     report = LossReport(mcm=mcm.item(), spp=spp.item(), ccl=ccl.item(), cep=0.0, total=total.item())
@@ -296,14 +281,15 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
 
 
 def stage2_loss(batch, params, config, vocab, index, weights=(1.0, 1.0), train=False, rng=None):
-    """Reconstruction + cross-task prediction on original records.
-    Returns (LossReport, total tensor). Requires a centroid index."""
+    """Reconstruction + cross-task prediction on original records, sharing
+    one corrupted pass. Returns (LossReport, total tensor). Requires a
+    centroid index."""
     if index is None:
         raise ContractError("stage2_loss: centroid index has not been built")
-    if not batch:
-        raise ContractError("stage2_loss: empty batch")
-    mcm = loss_mcm([(e.prompt, e.plan) for e in batch], params, config, vocab, train=train, rng=rng)
-    cep = loss_cep([(e.prompt, e.plan, e.pseudo) for e in batch], params, config, vocab, index,
+    enc = encode_batch([e.prompt for e in batch], params, config, vocab,
+                       mask_plans=[e.plan for e in batch], train=train, rng=rng)
+    mcm = loss_mcm(enc, [(e.prompt, e.plan) for e in batch], params, vocab)
+    cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, index,
                    train=train, rng=rng)
     total = ad.add(ad.scale(mcm, weights[0]), ad.scale(cep, weights[1]))
     report = LossReport(mcm=mcm.item(), spp=0.0, ccl=0.0, cep=cep.item(), total=total.item())
@@ -313,18 +299,19 @@ def stage2_loss(batch, params, config, vocab, index, weights=(1.0, 1.0), train=F
 def generation_loss(batch, params, config, vocab, train=False, rng=None):
     """Teacher-forced answer generation: per sample the summed cross-entropy
     of the gold label tokens plus the end token, averaged over the batch.
-    ``batch`` is a list of (prompt, gold token ids)."""
-    if not batch:
-        raise ContractError("generation_loss: empty batch")
-    terms = []
-    for ps, gold in batch:
-        if not gold:
-            raise ContractError("generation_loss: empty gold sequence")
-        enc = encode(ps, params, config, vocab, mask_plan=None, train=train, rng=rng)
-        dec_in = [vocab.bos_id] + list(gold)
-        targets = list(gold) + [vocab.eos_id]
-        h = decoder_states(dec_in, enc, params, config, train=train, rng=rng)
-        logits = token_logits(h, params)
-        ce = ad.softmax_cross_entropy(logits, targets)
-        terms.append(ad.scale(ce, float(len(targets))))
-    return _batch_mean(terms, len(batch))
+    ``batch`` is a list of (prompt, gold token ids). The decoder runs once
+    over <bos> + gold, right-padded to the longest; the causal mask keeps
+    every real position blind to the pads after it."""
+    if any(not gold for _, gold in batch):
+        raise ContractError("generation_loss: empty gold sequence")
+    enc = encode_batch([ps for ps, _ in batch], params, config, vocab, train=train, rng=rng)
+    n = 1 + max(len(gold) for _, gold in batch)
+    dec_in = np.full((len(batch), n), vocab.pad_id)
+    rows, targets = [], []
+    for i, (_, gold) in enumerate(batch):
+        dec_in[i, :len(gold) + 1] = [vocab.bos_id, *gold]
+        rows.extend(range(i * n, i * n + len(gold) + 1))
+        targets.extend([*gold, vocab.eos_id])
+    h = decoder_states(dec_in, enc, params, config, train=train, rng=rng)
+    ce = ad.softmax_cross_entropy(token_logits(ad.embedding(h, rows), params), targets)
+    return ad.scale(ce, len(rows) / len(batch))

@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError("checkpoint_every must be non-negative (0 or null disables it)")
         if self.max_new_tokens < 1:
             raise ConfigError("max_new_tokens must be positive")
+        if self.num_speakers < 0:
+            raise ConfigError("num_speakers must be non-negative")
         return self
 
     def to_json(self):

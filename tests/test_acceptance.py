@@ -20,7 +20,7 @@ from sentigen.evaluation import (bin_scalar, decode_accuracy, metric_mf1_excl_ne
                                  metric_wa, metric_wf1, metrics_msa)
 from sentigen.masking import (ModalitySetting, mcm_eligible_positions, sample_mcm_plan,
                               sample_modal_setting)
-from sentigen.model import (ModelConfig, encode, init_params, load_checkpoint,
+from sentigen.model import (ModelConfig, encode, encode_batch, init_params, load_checkpoint,
                             params_from_arrays, save_checkpoint)
 from sentigen.objectives import (PseudoLabelSet, Stage1Example, Stage2Example,
                                  assign_pseudo_labels, build_centroids, generation_loss,
@@ -140,14 +140,16 @@ def test_c02_gradient_fidelity(acc):
             ccl_labels = [polarities[int(rng.integers(3))] for _ in prompts]
 
             losses = {
-                "mcm": lambda: loss_mcm([(prompts[0], plans[0]), (prompts[1], plans[1])],
-                                        params, config, vocab),
-                "spp": lambda: loss_spp([(prompts[0], polarities[seed % 3])],
-                                        params, config, vocab),
+                "mcm": lambda: loss_mcm(
+                    encode_batch(prompts[:2], params, config, vocab, mask_plans=plans[:2]),
+                    [(prompts[0], plans[0]), (prompts[1], plans[1])], params, vocab),
+                "spp": lambda: loss_spp(encode_batch(prompts[:1], params, config, vocab),
+                                        [polarities[seed % 3]], params, config, vocab),
                 "ccl": lambda: loss_ccl(
                     [encode(p, params, config, vocab).pooled for p in prompts], ccl_labels),
-                "cep": lambda: loss_cep([(prompts[1], plans[1], pseudo)],
-                                        params, config, vocab, index),
+                "cep": lambda: loss_cep(
+                    encode_batch(prompts[1:2], params, config, vocab, mask_plans=plans[1:2]),
+                    [pseudo], params, config, vocab, index),
                 "stage1": lambda: stage1_loss(
                     [Stage1Example(prompt=prompts[0], plan=plans[0], polarity=Polarity.POSITIVE),
                      Stage1Example(prompt=prompts[2], plan=plans[2], polarity=Polarity.NEGATIVE)],

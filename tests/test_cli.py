@@ -98,6 +98,9 @@ BAD_CONFIGS = {
     "model_dim-0": {"model": {"model_dim": 0}},
     "ffn_dim-negative": {"model": {"ffn_dim": -1}},
     "epochs-negative": {"train": {"epochs": -1}},
+    "num_speakers-negative": {"train": {"num_speakers": -1}},
+    "layers_enc-negative": {"model": {"layers_enc": -1}},
+    "layers_dec-negative": {"model": {"layers_dec": -1}},
 }
 
 
@@ -153,6 +156,28 @@ def test_config_hash_tracks_effective_config(cli_corpus, finetuned, tmp_path, ca
                      "--out", str(tmp_path / "seeded"), "--config", str(cfg), "--seed", "8")
     seeded = json.loads((tmp_path / "seeded" / "manifest.json").read_text())["config_hash"]
     assert seeded != base
+
+
+def test_config_hash_tracks_checkpoint_model(cli_corpus, finetuned, tmp_path, capsys):
+    """A run from ``--init`` hashes the checkpoint's model config, so the
+    config file's ``model`` section, which the run ignores, does not change
+    the hash."""
+    with_model = write_config(tmp_path / "with.json")
+    cfg = json.loads(with_model.read_text())
+    del cfg["model"]
+    without_model = tmp_path / "without.json"
+    without_model.write_text(json.dumps(cfg))
+    hashes = []
+    for name, path in (("with", with_model), ("without", without_model)):
+        code, _, _ = run(capsys, "finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                         "--registry", str(cli_corpus / "registry.json"),
+                         "--out", str(tmp_path / name), "--config", str(path),
+                         "--init", str(finetuned / "checkpoint.ckpt"))
+        assert code == 0
+        hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
+    assert hashes[0] == hashes[1]
+    assert (tmp_path / "with" / "checkpoint.ckpt").read_bytes() == \
+        (tmp_path / "without" / "checkpoint.ckpt").read_bytes()
 
 
 def test_pretrain_stages_run(cli_corpus, tmp_path, capsys):

@@ -37,6 +37,9 @@ def test_config_validation():
     for field in ("text_embed_dim", "acoustic_dim", "visual_dim", "ffn_dim", "heads", "max_len"):
         with pytest.raises(ConfigError, match=field):
             ModelConfig(**{field: 0}).validate()
+    for field in ("layers_enc", "layers_dec"):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: -1}).validate()
     with pytest.raises(ConfigError):
         ModelConfig.from_json({"model_dim": 8, "mystery": 1})
     for bad in ({"heads": "4"}, {"heads": 4.0}, {"model_dim": False}, {"dropout_rate": None}):
@@ -467,11 +470,17 @@ def test_corrupt_checkpoint_header_is_config_error(world, tmp_path):
         path.write_bytes(data)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+    # version-1 files predate the payload CRC-32 and are not read
+    assert int.from_bytes(blob[4:8], "little") == 2
+    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
+    with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_byte_mutation_fuzz(world, tmp_path):
     """Every one-byte change to the magic, version, length and header, and
-    a sample of payload bytes, either loads or raises a package error."""
+    a sample of payload bytes, either loads or raises a package error; every
+    payload change is a ConfigError, caught by the header's CRC-32."""
     blob = tiny_checkpoint(world, tmp_path / "good.ckpt")
     header_end = 16 + int.from_bytes(blob[8:16], "little")
     rng = np.random.default_rng(0)
@@ -482,6 +491,10 @@ def test_checkpoint_byte_mutation_fuzz(world, tmp_path):
             data = bytearray(blob)
             data[at] = byte
             path.write_bytes(bytes(data))
+            if at >= header_end and byte != blob[at]:
+                with pytest.raises(ConfigError, match="CRC-32"):
+                    load_checkpoint(path)
+                continue
             try:
                 load_checkpoint(path)
             except SentigenError:

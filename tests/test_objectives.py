@@ -7,14 +7,13 @@ import pytest
 from sentigen import autodiff as ad
 from sentigen.data import Polarity, TASK_ORDER, TaskType
 from sentigen.errors import ContractError, VocabularyError
-from sentigen.masking import sample_mcm_plan
-from sentigen.model import encode, init_params
-from sentigen.objectives import (CentroidIndex, PseudoLabelSet, Stage1Example, Stage2Example,
-                                 assign_pseudo_labels, build_centroids, generation_loss,
-                                 label_token_id, loss_ccl, loss_cep, loss_mcm, loss_spp,
-                                 polarity_token_ids, stage1_loss,
-                                 stage2_loss)
-from sentigen.prompt import build_prompt
+from sentigen.masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
+from sentigen.model import decoder_states, encode, encode_batch, init_params, token_logits
+from sentigen.objectives import (POLARITY_ORDER, CentroidIndex, PseudoLabelSet, Stage1Example,
+                                 Stage2Example, assign_pseudo_labels, build_centroids,
+                                 generation_loss, label_token_id, loss_ccl, loss_cep, loss_mcm,
+                                 loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
+from sentigen.prompt import build_prompt, flatten_prompt
 
 from conftest import small_config
 
@@ -37,6 +36,17 @@ def rig(toy):
 def plan_for(rig_, dataset, p=1.0, seed=0):
     return sample_mcm_plan(rig_["prompts"][dataset], p, np.random.default_rng(seed),
                            rig_["vocab"])
+
+
+def encoded(rig_, batch, params=None):
+    """The padded-batch encoding of ``batch``'s prompts, each corrupted by
+    its plan when entries are (prompt, plan, ...) and clean when they are
+    bare prompts."""
+    params = rig_["params"] if params is None else params
+    if batch and isinstance(batch[0], tuple):
+        return encode_batch([e[0] for e in batch], params, rig_["config"], rig_["vocab"],
+                            mask_plans=[e[1] for e in batch])
+    return encode_batch(batch, params, rig_["config"], rig_["vocab"])
 
 
 def letters_in_vocab(vocab, n):
@@ -75,7 +85,7 @@ def test_mcm_uniform_model_gives_log_vocab_per_mask(rig):
              (rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy"))]
     n = sum(len(plan.masked_token_positions) for _, plan in batch)
     assert n > 0
-    loss = loss_mcm(batch, rig["uniform"], config, vocab)
+    loss = loss_mcm(encoded(rig, batch, rig["uniform"]), batch, rig["uniform"], vocab)
     want = math.log(len(vocab)) * n / len(batch)
     assert abs(loss.item() - want) < 1e-9
 
@@ -83,14 +93,14 @@ def test_mcm_uniform_model_gives_log_vocab_per_mask(rig):
 def test_mcm_without_masked_positions_is_zero(rig):
     plan = plan_for(rig, "sst-toy", p=0.0)
     assert plan.masked_token_positions == ()
-    loss = loss_mcm([(rig["prompts"]["sst-toy"], plan)], rig["params"], rig["config"],
-                    rig["vocab"])
+    batch = [(rig["prompts"]["sst-toy"], plan)]
+    loss = loss_mcm(encoded(rig, batch), batch, rig["params"], rig["vocab"])
     assert loss.item() == 0.0
 
 
 def test_mcm_empty_batch(rig):
     with pytest.raises(ContractError):
-        loss_mcm([], rig["params"], rig["config"], rig["vocab"])
+        loss_mcm(encoded(rig, [rig["prompts"]["sst-toy"]]), [], rig["params"], rig["vocab"])
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +110,13 @@ def test_mcm_empty_batch(rig):
 def test_spp_uniform_model_gives_log3(rig):
     batch = [(rig["prompts"]["sst-toy"], Polarity.NEGATIVE),
              (rig["prompts"]["mosi-toy"], Polarity.POSITIVE)]
-    loss = loss_spp(batch, rig["uniform"], rig["config"], rig["vocab"])
+    loss = loss_spp(encoded(rig, [ps for ps, _ in batch], rig["uniform"]),
+                    [pol for _, pol in batch], rig["uniform"], rig["config"], rig["vocab"])
     assert abs(loss.item() - math.log(3)) < 1e-9
 
 
 def test_spp_trained_params_finite(rig):
-    loss = loss_spp([(rig["prompts"]["sst-toy"], Polarity.NEUTRAL)], rig["params"],
+    loss = loss_spp(encoded(rig, [rig["prompts"]["sst-toy"]]), [Polarity.NEUTRAL], rig["params"],
                     rig["config"], rig["vocab"])
     assert np.isfinite(loss.item()) and loss.item() > 0.0
 
@@ -265,7 +276,8 @@ def test_cep_uniform_model_sums_label_set_logs(rig):
     pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
     batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"), pseudo),
              (rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy", p=0.5), pseudo)]
-    loss = loss_cep(batch, rig["uniform"], config, vocab, index)
+    loss = loss_cep(encoded(rig, batch, rig["uniform"]), [e[2] for e in batch], rig["uniform"],
+                    config, vocab, index)
     want = sum(math.log(s) for s in sizes)
     assert abs(loss.item() - want) < 1e-9
 
@@ -275,9 +287,10 @@ def test_cep_rejects_label_outside_index(rig):
     index, labels = four_task_index(vocab, dim=config.model_dim)
     bad = {t: labels[t][0] for t in TASK_ORDER}
     bad[TaskType.MSA] = "definitely-not-a-label"
+    batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"))]
     with pytest.raises(ContractError):
-        loss_cep([(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"),
-                   PseudoLabelSet(labels=bad))], rig["params"], config, vocab, index)
+        loss_cep(encoded(rig, batch), [PseudoLabelSet(labels=bad)], rig["params"], config, vocab,
+                 index)
 
 
 def test_cep_rejects_colliding_representative_tokens(rig):
@@ -287,9 +300,9 @@ def test_cep_rejects_colliding_representative_tokens(rig):
         (TaskType.CA, "bobcat", np.ones(config.model_dim)),
     ])
     pseudo = PseudoLabelSet(labels={TaskType.CA: "cat"})
+    batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"))]
     with pytest.raises(VocabularyError):
-        loss_cep([(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"), pseudo)],
-                 rig["params"], config, vocab, index)
+        loss_cep(encoded(rig, batch), [pseudo], rig["params"], config, vocab, index)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +319,10 @@ def test_stage1_recomposes_weighted_components(rig):
     ]
     weights = (2.0, 0.5, 3.0)
     report, total = stage1_loss(batch, params, config, vocab, weights=weights)
-    mcm = loss_mcm([(e.prompt, e.plan) for e in batch], params, config, vocab).item()
-    spp = loss_spp([(e.prompt, e.polarity) for e in batch], params, config, vocab).item()
+    pairs = [(e.prompt, e.plan) for e in batch]
+    mcm = loss_mcm(encoded(rig, pairs), pairs, params, vocab).item()
+    spp = loss_spp(encoded(rig, [e.prompt for e in batch]), [e.polarity for e in batch],
+                   params, config, vocab).item()
     encs = [encode(e.prompt, params, config, vocab) for e in batch]
     ccl = loss_ccl([e.pooled for e in encs], [e.polarity for e in batch]).item()
     assert abs(report.mcm - mcm) < 1e-12
@@ -327,8 +342,9 @@ def test_stage2_recomposes_weighted_components(rig):
                            plan=plan_for(rig, "meld-toy", p=0.5), pseudo=pseudo)]
     weights = (1.5, 0.25)
     report, total = stage2_loss(batch, params, config, vocab, index, weights=weights)
-    mcm = loss_mcm([(e.prompt, e.plan) for e in batch], params, config, vocab).item()
-    cep = loss_cep([(e.prompt, e.plan, e.pseudo) for e in batch], params, config, vocab,
+    pairs = [(e.prompt, e.plan) for e in batch]
+    mcm = loss_mcm(encoded(rig, pairs), pairs, params, vocab).item()
+    cep = loss_cep(encoded(rig, pairs), [e.pseudo for e in batch], params, config, vocab,
                    index).item()
     assert abs(report.mcm - mcm) < 1e-12
     assert abs(report.cep - cep) < 1e-12
@@ -378,13 +394,14 @@ def loss_fd(rig, make_loss, names):
 
 def test_mcm_gradients(rig):
     batch = [(rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy", p=0.5))]
-    loss_fd(rig, lambda: loss_mcm(batch, rig["params"], rig["config"], rig["vocab"]),
+    loss_fd(rig, lambda: loss_mcm(encoded(rig, batch), batch, rig["params"], rig["vocab"]),
             ["enc0_ln1_g", "proj_acoustic_b"])
 
 
 def test_spp_gradients(rig):
-    batch = [(rig["prompts"]["sst-toy"], Polarity.POSITIVE)]
-    loss_fd(rig, lambda: loss_spp(batch, rig["params"], rig["config"], rig["vocab"]),
+    prompts = [rig["prompts"]["sst-toy"]]
+    loss_fd(rig, lambda: loss_spp(encoded(rig, prompts), [Polarity.POSITIVE], rig["params"],
+                                  rig["config"], rig["vocab"]),
             ["dec0_cross_bv", "enc0_attn_bq"])
 
 
@@ -404,8 +421,9 @@ def test_ccl_through_encoder_gradients(rig):
 def test_cep_gradients(rig):
     index, labels = four_task_index(rig["vocab"], dim=rig["config"].model_dim)
     pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
-    batch = [(rig["prompts"]["mosi-toy"], plan_for(rig, "mosi-toy", p=0.5), pseudo)]
-    loss_fd(rig, lambda: loss_cep(batch, rig["params"], rig["config"], rig["vocab"], index),
+    batch = [(rig["prompts"]["mosi-toy"], plan_for(rig, "mosi-toy", p=0.5))]
+    loss_fd(rig, lambda: loss_cep(encoded(rig, batch), [pseudo], rig["params"], rig["config"],
+                                  rig["vocab"], index),
             ["mask_vec_visual"])
 
 
@@ -413,3 +431,169 @@ def test_generation_gradients(rig):
     batch = [(rig["prompts"]["sst-toy"], [rig["vocab"].id_of("positive")])]
     loss_fd(rig, lambda: generation_loss(batch, rig["params"], rig["config"], rig["vocab"]),
             ["dec0_self_bo"])
+
+
+# ---------------------------------------------------------------------------
+# batched losses against a per-sample reference
+
+
+def ref_mcm(batch, params, config, vocab):
+    total = ad.constant(0.0)
+    for ps, plan in batch:
+        pos = list(plan.masked_token_positions)
+        if pos:
+            enc = encode(ps, params, config, vocab, mask_plan=plan)
+            original = flatten_prompt(ps, vocab)
+            ce = ad.softmax_cross_entropy(token_logits(ad.embedding(enc.states, pos), params),
+                                          [original[p] for p in pos])
+            total = ad.add(total, ad.scale(ce, len(pos)))
+    return ad.scale(total, 1.0 / len(batch))
+
+
+def ref_spp(batch, params, config, vocab):
+    total = ad.constant(0.0)
+    for ps, pol in batch:
+        h = decoder_states([vocab.bos_id], encode(ps, params, config, vocab), params, config)
+        logits = ad.gather_cols(token_logits(h, params), list(polarity_token_ids(vocab)))
+        total = ad.add(total, ad.softmax_cross_entropy(logits, [POLARITY_ORDER.index(pol)]))
+    return ad.scale(total, 1.0 / len(batch))
+
+
+def ref_ccl(pooled, labels):
+    """The O(B^2) scalar-node form: one distance node per live pair."""
+    dist = {}
+    for j in range(len(pooled)):
+        for k in range(j + 1, len(pooled)):
+            diff = ad.sub(pooled[j], pooled[k])
+            sq = ad.sum_all(ad.mul(diff, diff))
+            if sq.item() > 0.0:
+                dist[j, k] = dist[k, j] = ad.sqrt(sq)
+    total = ad.constant(0.0)
+    for j in range(len(pooled)):
+        mass = [(dist[j, k], labels[j] == labels[k]) for k in range(len(pooled)) if (j, k) in dist]
+        if any(same for _, same in mass):
+            numer, denom = ad.constant(0.0), ad.constant(0.0)
+            for d, same in mass:
+                denom = ad.add(denom, d)
+                numer = ad.add(numer, d) if same else numer
+            total = ad.add(total, ad.div(numer, denom))
+    return total
+
+
+def ref_cep(batch, params, config, vocab, index):
+    tasks = index.tasks()
+    total = ad.constant(0.0)
+    for ps, plan, pseudo in batch:
+        enc = encode(ps, params, config, vocab, mask_plan=plan)
+        h = decoder_states([vocab.task_id(t) for t in tasks], enc, params, config)
+        logits = token_logits(h, params)
+        for i, task in enumerate(tasks):
+            labels = index.labels(task)
+            row = ad.gather_cols(ad.slice_rows(logits, i, i + 1),
+                                 [label_token_id(lab, vocab) for lab in labels])
+            total = ad.add(total, ad.softmax_cross_entropy(
+                row, [labels.index(pseudo.label_for(task))]))
+    return ad.scale(total, 1.0 / len(batch))
+
+
+def ref_generation(batch, params, config, vocab):
+    total = ad.constant(0.0)
+    for ps, gold in batch:
+        h = decoder_states([vocab.bos_id] + gold, encode(ps, params, config, vocab), params, config)
+        ce = ad.softmax_cross_entropy(token_logits(h, params), gold + [vocab.eos_id])
+        total = ad.add(total, ad.scale(ce, len(gold) + 1))
+    return ad.scale(total, 1.0 / len(batch))
+
+
+def value_and_grads(make_loss, params):
+    ad.zero_grads(params.values())
+    loss = make_loss()
+    if loss.requires_grad:
+        ad.backward(loss)
+    return loss.item(), {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                         for n, t in params.items()}
+
+
+def test_batched_losses_match_per_sample_reference(rig):
+    """With dropout off, every loss on one padded-batch encoding gives the
+    value and parameter gradients of the per-sample losses, over mixed tasks,
+    modal settings, mask rates 0 / 0.3 / 1, golds of different lengths
+    (some ending early in <eos>), repeated prompts and batches of one."""
+    vocab, config, params = rig["vocab"], rig["config"], rig["params"]
+    records = [r for rs in rig["by_ds"].values() for r in rs]
+    index, labmap = four_task_index(vocab, dim=config.model_dim)
+    rng = np.random.default_rng(2024)
+    seen_tasks, seen_lengths = set(), set()
+    for trial in range(12):
+        size = 1 if trial % 4 == 0 else int(rng.integers(2, 6))
+        chosen = [records[int(i)] for i in rng.choice(len(records), size=size, replace=False)]
+        prompts = [build_prompt(r, vocab, rig["registry"], config.max_len) for r in chosen]
+        prompts = [apply_modal_setting(ps, sample_modal_setting(ps, rng)) for ps in prompts]
+        if trial % 4 == 1:
+            prompts[1] = prompts[0]  # a zero-distance pair for the contrastive term
+        rate = (0.0, 0.3, 1.0)[trial % 3]
+        plans = [sample_mcm_plan(ps, rate, rng, vocab) for ps in prompts]
+        pols = [POLARITY_ORDER[int(rng.integers(3))] for _ in prompts]
+        pseudos = [PseudoLabelSet(labels={t: labmap[t][int(rng.integers(len(labmap[t])))]
+                                          for t in TASK_ORDER}) for _ in prompts]
+        golds = [[int(t) for t in rng.integers(4, len(vocab), size=int(rng.integers(1, 5)))]
+                 for _ in prompts]
+        golds[0][-1] = vocab.eos_id
+        seen_tasks.update(r.task_type for r in chosen)
+        seen_lengths.add(tuple(len(g) for g in golds))
+        s1 = [Stage1Example(prompt=ps, plan=pl, polarity=po)
+              for ps, pl, po in zip(prompts, plans, pols)]
+        s2 = [Stage2Example(prompt=ps, plan=pl, pseudo=pd)
+              for ps, pl, pd in zip(prompts, plans, pseudos)]
+        masked = list(zip(prompts, plans))
+
+        def ref_stage1():
+            pooled = [encode(ps, params, config, vocab).pooled for ps in prompts]
+            return ad.add(ad.add(ref_mcm(masked, params, config, vocab),
+                                 ref_spp(list(zip(prompts, pols)), params, config, vocab)),
+                          ref_ccl(pooled, pols))
+
+        pairs = {
+            "mcm": (lambda: loss_mcm(encode_batch(prompts, params, config, vocab, mask_plans=plans),
+                                     masked, params, vocab),
+                    lambda: ref_mcm(masked, params, config, vocab)),
+            "spp": (lambda: loss_spp(encode_batch(prompts, params, config, vocab), pols,
+                                     params, config, vocab),
+                    lambda: ref_spp(list(zip(prompts, pols)), params, config, vocab)),
+            "cep": (lambda: loss_cep(encode_batch(prompts, params, config, vocab, mask_plans=plans),
+                                     pseudos, params, config, vocab, index),
+                    lambda: ref_cep(list(zip(prompts, plans, pseudos)), params, config, vocab,
+                                    index)),
+            "stage1": (lambda: stage1_loss(s1, params, config, vocab)[1], ref_stage1),
+            "stage2": (lambda: stage2_loss(s2, params, config, vocab, index)[1],
+                       lambda: ad.add(ref_mcm(masked, params, config, vocab),
+                                      ref_cep(list(zip(prompts, plans, pseudos)), params, config,
+                                              vocab, index))),
+            "generation": (lambda: generation_loss(list(zip(prompts, golds)), params, config, vocab),
+                           lambda: ref_generation(list(zip(prompts, golds)), params, config,
+                                                  vocab)),
+        }
+        for name, (batched, reference) in pairs.items():
+            got, got_grads = value_and_grads(batched, params)
+            want, want_grads = value_and_grads(reference, params)
+            assert abs(got - want) <= 1e-10, f"{name} at trial {trial}: {got} vs {want}"
+            for p in params:
+                err = np.max(np.abs(got_grads[p] - want_grads[p]))
+                assert err <= 1e-10, f"{name} gradient of {p} at trial {trial}: {err}"
+    assert len(seen_tasks) == len(TASK_ORDER)
+    assert any(len(set(lengths)) > 1 for lengths in seen_lengths)
+
+
+def test_ccl_graph_is_a_few_matrix_ops():
+    x = ad.Tensor(np.random.default_rng(0).normal(size=(64, 16)), requires_grad=True, op="param")
+    rows = [ad.slice_rows(x, j, j + 1) for j in range(64)]
+    loss = loss_ccl(rows, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32)
+    seen, stack = {id(r) for r in rows}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    assert len(seen) - len(rows) < 200
+    assert abs(loss.item() - ref_ccl(rows, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32).item()) \
+        <= 1e-10

@@ -224,6 +224,9 @@ def test_train_config_validation():
         TrainConfig(epochs=-1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(max_new_tokens=0).validate()
+    with pytest.raises(ConfigError, match="num_speakers"):
+        TrainConfig(num_speakers=-1).validate()
+    TrainConfig(num_speakers=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(loss_weights=(1.0, 1.0, 1.0, "x")).validate()
     cfg = TrainConfig.from_json({"loss_weights": [1, 2, 3, 4], "max_steps": 7})
@@ -359,6 +362,23 @@ def test_interrupted_run_resumes_to_identical_logs(toy, tmp_path, monkeypatch, s
     logs = ["metrics.jsonl"] + (["val_metrics.jsonl"] if stage == "finetune" else [])
     for name in logs:
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage,passes", [("pretrain1", 2), ("pretrain2", 1), ("finetune", 1)])
+def test_encoder_passes_per_step(toy, tmp_path, monkeypatch, stage, passes):
+    """Stage one encodes each batch twice (corrupted, clean); stage two's
+    losses share one corrupted pass and fine-tuning makes one clean pass."""
+    from sentigen import objectives
+    real, calls = objectives.encode_batch, []
+
+    def counting(prompts, *args, **kwargs):
+        calls.append(len(prompts))
+        return real(prompts, *args, **kwargs)
+
+    monkeypatch.setattr(objectives, "encode_batch", counting)
+    config = small_config(toy["vocab"], toy["registry"])
+    RUNS[stage][0](toy["records"], toy["registry"], config, train_cfg(max_steps=3), tmp_path)
+    assert calls == [4] * (3 * passes)
 
 
 def test_resume_rejects_wrong_stage(toy, tmp_path):
