@@ -168,13 +168,6 @@ def slice_rows(a, start, stop):
     return _make(a.data[start:stop].copy(), "slice_rows", (a,), rule)
 
 
-def tile_rows(v, n):
-    """Repeat a vector (d,) into a matrix (n, d)."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"tile_rows: needs a vector, got {v.shape}")
-    return _make(np.tile(v.data, (int(n), 1)), "tile_rows", (v,), lambda g: (g.sum(axis=0),))
-
-
 def embedding(table, ids):
     """Row gather: out[i] = table[ids[i]]. Backward scatter-adds into the table.
 

@@ -302,7 +302,10 @@ def read_feature_sidecar(path):
     path = Path(path)
     if not path.exists():
         raise DataError("feature sidecar not found", path=str(path))
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:  # a directory, say, or a file we may not read
+        raise DataError(f"cannot read feature sidecar ({exc.strerror})", path=str(path)) from None
     if len(blob) < 12 or blob[:4] != SIDECAR_MAGIC:
         raise DataError("bad sidecar magic", path=str(path))
     rows, cols = struct.unpack("<II", blob[4:12])
@@ -427,23 +430,32 @@ def _parse_record(obj, registry, path, line, base_dir):
 
 
 def load_corpus(path, registry):
-    """Parse and validate a JSONL corpus. Raises DataError naming the line of
-    the first malformed record."""
+    """Parse and validate a UTF-8 JSONL corpus. Raises DataError naming the
+    line of the first malformed record."""
     path = Path(path)
     if not path.exists():
         raise DataError("corpus file not found", path=str(path))
+    try:
+        # split before decoding, so an undecodable line can be named; bytes
+        # split on the same line ends as text mode's universal newlines
+        lines = path.read_bytes().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read corpus ({exc.strerror})", path=str(path)) from None
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON ({exc.msg})", line=lineno, path=str(path)) from None
-            if not isinstance(obj, dict):
-                raise DataError("record must be a JSON object", line=lineno, path=str(path))
-            records.append(_parse_record(obj, registry, str(path), lineno, path.parent))
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8 ({exc.reason})", line=lineno, path=str(path)) from None
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON ({exc.msg})", line=lineno, path=str(path)) from None
+        if not isinstance(obj, dict):
+            raise DataError("record must be a JSON object", line=lineno, path=str(path))
+        records.append(_parse_record(obj, registry, str(path), lineno, path.parent))
     return records
 
 

@@ -13,10 +13,13 @@ The encoder and decoder run on a batch of samples, padded to the longest
 stream. Tensors stay 2-D: a batch of B samples of L positions is B·L
 sample-major rows, and multi-head attention is one fused autodiff op whose
 per-sample bias keeps each sample's queries on its own keys and masks the
-pads. ``encode``, ``decoder_states`` and ``generate`` on one prompt are the
-batch of one. Training and inference both run padded batches: a training
-step's losses read ``encode_batch`` encodings, with one dropout mask per
-batched tensor; inference uses ``pooled_vectors`` and ``generate_batch``.
+pads. A batch's input rows are one gather from one table of every sample's
+token embeddings, the projected acoustic and visual frames, the mask vectors
+and a zero row, so masking a token or a frame, or padding a stream, is a
+choice of row. ``encode``, ``decoder_states`` and ``generate`` on one prompt
+are the batch of one. Training and inference both run padded batches: a
+training step's losses read ``encode_batch`` encodings, with one dropout mask
+per batched tensor; inference uses ``pooled_vectors`` and ``generate_batch``.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
@@ -220,83 +223,79 @@ class EncoderOutput:
     states: ad.Tensor      # (B * L, model_dim), sample-major
     pooled: ad.Tensor      # (model_dim,), or (B, model_dim) for a batch
     keep: np.ndarray       # bool (L,), or (B, L); False at pad positions
-    token_length: object   # token positions (pads included): int, or a list per sample
 
 
-def _encoder_input(ps, mask_plan, params, config, vocab):
-    """One prompt's rows before the layer stack: token and projected frame
-    embeddings (L, d), which positions are not pads, and each row's type."""
-    ids = flatten_prompt(ps, vocab)
-    n_tok = len(ids)
-    total = n_tok + ps.frame_count
-    if total > config.max_len:
-        raise ContractError(f"encoder stream of {total} positions exceeds max length {config.max_len}")
-    if n_tok == 0:
-        raise ContractError("cannot encode an empty prompt")
-
-    corrupted = list(ids)
-    masked_frames = {}
-    if mask_plan is not None:
-        for pos in mask_plan.masked_token_positions:
-            if not (0 <= pos < n_tok):
-                raise IndexError(f"mask position {pos} outside the {n_tok}-token stream")
-            corrupted[pos] = vocab.mask_id
-        masked_frames = {k: tuple(v) for k, v in mask_plan.masked_modal_frames.items()}
-
-    parts = [ad.matmul(ad.embedding(params["tok_emb"], corrupted), params["w_text"])]
-    type_ids = [0] * n_tok
-    for seg in ps.modal_segments:
-        feats = ad.constant(np.asarray(seg.features, dtype=np.float64))
-        w = params[f"proj_{seg.kind}_w"]
-        b = params[f"proj_{seg.kind}_b"]
-        if feats.shape[1] != w.shape[0]:
-            raise ShapeError(
-                f"{seg.kind} features have dim {feats.shape[1]}, model expects {w.shape[0]}")
-        proj = ad.add(ad.matmul(feats, w), b)
-        hit = masked_frames.get(seg.kind, ())
-        if hit:
-            rows = feats.shape[0]
-            sel = np.zeros((rows, config.model_dim))
-            for i in hit:
-                if not (0 <= i < rows):
-                    raise IndexError(f"masked {seg.kind} frame {i} outside {rows} frames")
-                sel[i] = 1.0
-            keep_m = ad.constant(1.0 - sel)
-            proj = ad.add(ad.mul(proj, keep_m),
-                          ad.mul(ad.tile_rows(params[f"mask_vec_{seg.kind}"], rows), ad.constant(sel)))
-        parts.append(proj)
-        type_ids.extend([_TYPE_INDEX[seg.kind]] * feats.shape[0])
-
-    keep = np.ones(total, dtype=bool)
-    keep[:n_tok] = np.asarray(corrupted) != vocab.pad_id
-    x = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-    return x, keep, type_ids
+# An encoder batch's input rows come from one table of blocks: 0 every
+# sample's tokens, 1 acoustic and 2 visual frames (block = type id), 3 and 4
+# the acoustic and visual mask vectors, and a zero row for pads. A position
+# takes the type id of the block it reads.
+_PAD = 5
+_BLOCK_TYPE = np.array([0, 1, 2, 1, 2, 0])
 
 
 def _encode(prompts, mask_plans, params, config, vocab, train, rng):
     """The encoder over a padded batch: states (B * L, d), keep (B, L).
 
-    Each sample's rows are padded at the end to the longest stream. Pad rows
-    are masked out of every sample's keys, so they never change a real row.
+    Each sample's stream is its prompt tokens, then its modal frames, padded
+    at the end to the longest stream. A masked token reads the mask id's
+    embedding, a masked frame its modality's mask vector, a padded position
+    the zero row. Pad rows are masked out of every sample's keys, so they
+    never change a real row.
     """
-    inputs = [_encoder_input(ps, plan, params, config, vocab)
-              for ps, plan in zip(prompts, mask_plans)]
-    width = max(len(keep) for _, keep, _ in inputs)
-    keep = np.zeros((len(prompts), width), dtype=bool)
-    type_ids = np.zeros((len(prompts), width), dtype=np.int64)
-    parts = []
-    for i, (rows, sample_keep, sample_types) in enumerate(inputs):
-        n = len(sample_keep)
-        keep[i, :n] = sample_keep
-        type_ids[i, :n] = sample_types
-        parts.append(rows)
-        if n < width:
-            parts.append(ad.constant(np.zeros((width - n, config.model_dim))))
+    tokens, frames = [], {"acoustic": [], "visual": []}
+    src, rows = [], []  # per sample: the block, and the row in it, that each position reads
+    for ps, plan in zip(prompts, mask_plans):
+        ids = flatten_prompt(ps, vocab)
+        n_tok = len(ids)
+        total = n_tok + ps.frame_count
+        if total > config.max_len:
+            raise ContractError(f"encoder stream of {total} positions exceeds max length {config.max_len}")
+        if n_tok == 0:
+            raise ContractError("cannot encode an empty prompt")
+        masked_frames = {} if plan is None else plan.masked_modal_frames
+        for pos in () if plan is None else plan.masked_token_positions:
+            if not (0 <= pos < n_tok):
+                raise IndexError(f"mask position {pos} outside the {n_tok}-token stream")
+            ids[pos] = vocab.mask_id
+        src.append([0] * n_tok)
+        rows.append(list(range(len(tokens), len(tokens) + n_tok)))
+        tokens.extend(ids)
+        for seg in ps.modal_segments:
+            feats = np.asarray(seg.features, dtype=np.float64)
+            w = params[f"proj_{seg.kind}_w"]
+            if feats.shape[1] != w.shape[0]:
+                raise ShapeError(
+                    f"{seg.kind} features have dim {feats.shape[1]}, model expects {w.shape[0]}")
+            n, hit = feats.shape[0], set(masked_frames.get(seg.kind, ()))
+            if not hit <= set(range(n)):
+                raise IndexError(f"masked {seg.kind} frame {min(hit - set(range(n)))} outside {n} frames")
+            block, seen = _TYPE_INDEX[seg.kind], sum(len(f) for f in frames[seg.kind])
+            src[-1] += [block + 2 if i in hit else block for i in range(n)]
+            rows[-1] += [0 if i in hit else seen + i for i in range(n)]
+            frames[seg.kind].append(feats)
+
+    width = max(len(s) for s in src)
+    src = np.array([s + [_PAD] * (width - len(s)) for s in src])
+    rows = np.array([r + [0] * (width - len(r)) for r in rows])
+    keep = src != _PAD
+    keep[src == 0] = np.asarray(tokens)[rows[src == 0]] != vocab.pad_id
     # pads do not consume position slots
     pos_ids = np.where(keep, keep.cumsum(axis=1) - 1, 0)
 
-    x = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-    x = ad.add(x, ad.embedding(params["type_emb"], type_ids.reshape(-1)))
+    # a block no position reads stays out, so its parameters get no gradient;
+    # frames all masked still project, and their projection gets a zero one
+    d = config.model_dim
+    table = {0: ad.matmul(ad.embedding(params["tok_emb"], tokens), params["w_text"]),
+             _PAD: ad.constant(np.zeros((1, d)))}
+    for kind, block in (("acoustic", 1), ("visual", 2)):
+        if frames[kind]:
+            proj = ad.matmul(ad.constant(np.concatenate(frames[kind])), params[f"proj_{kind}_w"])
+            table[block] = ad.add(proj, params[f"proj_{kind}_b"])
+        if (src == block + 2).any():
+            table[block + 2] = ad.reshape(params[f"mask_vec_{kind}"], (1, d))
+    first = np.cumsum([0] + [table[b].shape[0] if b in table else 0 for b in range(_PAD)])
+    x = ad.embedding(ad.concat_rows([table[b] for b in sorted(table)]), (first[src] + rows).reshape(-1))
+    x = ad.add(x, ad.embedding(params["type_emb"], _BLOCK_TYPE[src].reshape(-1)))
     x = ad.add(x, ad.embedding(params["pos_emb"], pos_ids.reshape(-1)))
     x = ad.add(x, ad.embedding(params["dataset_emb"],
                                np.array([ps.dataset_index for ps in prompts]).repeat(width)))
@@ -321,8 +320,7 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
     by the learned per-modality mask vector. Masking never changes lengths.
     """
     x, keep = _encode([ps], [mask_plan], params, config, vocab, train, rng)
-    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep[0]), keep=keep[0],
-                         token_length=ps.token_length)
+    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep[0]), keep=keep[0])
 
 
 def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
@@ -334,8 +332,7 @@ def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, r
         raise ContractError("cannot encode an empty batch")
     plans = [None] * len(prompts) if mask_plans is None else mask_plans
     x, keep = _encode(prompts, plans, params, config, vocab, train, rng)
-    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), keep=keep,
-                         token_length=[ps.token_length for ps in prompts])
+    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), keep=keep)
 
 
 class DecoderCache:

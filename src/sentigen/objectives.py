@@ -126,14 +126,16 @@ def loss_ccl(pooled, labels):
     mass). Pairs at exactly zero distance contribute nothing and are treated
     as constants, which matches the limit and keeps sqrt differentiable.
 
-    ``pooled`` is a sequence of per-sample vectors, (d,) or (1, d), stacked
-    once. The live pairs j < k are gathered as two row blocks, and each
-    sample's masses are incidence-matrix products with the pair distances."""
-    b = len(pooled)
+    ``pooled`` is a sequence of row blocks, (rows, d), or (d,) for one row,
+    stacked once, with one label per row. The live pairs j < k are gathered
+    as two row blocks, and each sample's masses are incidence-matrix
+    products with the pair distances."""
+    parts = [v if v.data.ndim == 2 else ad.reshape(v, (1, v.shape[0])) for v in pooled]
+    b = sum(p.shape[0] for p in parts)
     if b != len(labels) or b == 0:
         raise ContractError(f"loss_ccl: {b} vectors and {len(labels)} labels")
     key = np.array([lab.value if isinstance(lab, Polarity) else str(lab) for lab in labels])
-    x = ad.concat_rows([v if v.data.ndim == 2 else ad.reshape(v, (1, v.shape[0])) for v in pooled])
+    x = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
 
     j, k = np.triu_indices(b, 1)
     diff = x.data[j] - x.data[k]
@@ -273,7 +275,7 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
     clean = encode_batch(prompts, params, config, vocab, train=train, rng=rng)
     polarities = [e.polarity for e in batch]
     spp = loss_spp(clean, polarities, params, config, vocab, train=train, rng=rng)
-    ccl = loss_ccl([ad.slice_rows(clean.pooled, i, i + 1) for i in range(len(batch))], polarities)
+    ccl = loss_ccl([clean.pooled], polarities)
     total = ad.add(ad.add(ad.scale(mcm, weights[0]), ad.scale(spp, weights[1])),
                    ad.scale(ccl, weights[2]))
     report = LossReport(mcm=mcm.item(), spp=spp.item(), ccl=ccl.item(), cep=0.0, total=total.item())

@@ -15,6 +15,7 @@ the unknown token.
 """
 from __future__ import annotations
 
+import functools
 import re
 import string
 from dataclasses import dataclass, field, replace
@@ -66,7 +67,8 @@ def text_pieces(text):
 class Vocab:
     """Token <-> id table. Special tokens come first in a fixed order: core
     markers, task tokens, dataset tokens (registry order), speaker tokens.
-    The id of a token is its line number in the saved vocabulary file."""
+    The id of a token is its index in ``tokens``; checkpoints carry the
+    token list in their metadata."""
 
     def __init__(self, tokens, num_datasets, num_speakers):
         self.tokens = list(tokens)
@@ -145,36 +147,6 @@ class Vocab:
             raise VocabularyError(
                 f"speaker index {k} outside the reserved range [0, {self.num_speakers})")
         return self.id_of(speaker_token(k))
-
-    def save(self, path):
-        """One token per line; the line number (from zero) is the id."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
-        while tokens and tokens[-1] == "":
-            tokens.pop()
-        num_datasets, num_speakers = _count_reserved(tokens)
-        return cls(tokens, num_datasets, num_speakers)
-
-
-def _count_reserved(tokens):
-    """Recover the dataset/speaker token counts from the special block. Both
-    kinds use bracketed surfaces the tokenizer can never emit for raw text."""
-    i = len(_CORE_SPECIALS) + len(TASK_ORDER)
-    start = i
-    while i < len(tokens) and tokens[i].startswith("<data:") and tokens[i].endswith(">"):
-        i += 1
-    num_datasets = i - start
-    k = 0
-    while i < len(tokens) and tokens[i] == speaker_token(k):
-        i += 1
-        k += 1
-    return num_datasets, k
 
 
 def _scalar_literal_pieces():
@@ -467,8 +439,11 @@ def build_prompt(record, vocab, registry, max_len):
     )
 
 
+@functools.lru_cache(maxsize=4096)
 def edit_distance(a, b):
-    """Classic Levenshtein distance; plenty at label-string scale."""
+    """Classic Levenshtein distance; plenty at label-string scale. Memoized:
+    decoding compares the same few outputs with the same labels again and
+    again."""
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))

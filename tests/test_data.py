@@ -7,7 +7,7 @@ from sentigen.data import (POOL_DATASET_ID, Polarity, Registry, SaevalRecord, Ta
                            combine_queries, load_corpus, read_feature_sidecar,
                            record_to_json, render_scalar_label, serialize_corpus, to_polarity,
                            write_feature_sidecar)
-from sentigen.errors import ConfigError, ContractError, DataError
+from sentigen.errors import ConfigError, ContractError, DataError, SentigenError
 
 
 def mini_registry():
@@ -209,6 +209,52 @@ def test_sidecar_reference_in_corpus(tmp_path):
                                 audio="a.saev")])
     records = load_corpus(path, reg)
     assert np.array_equal(records[0].audio, feats)
+
+
+def test_unreadable_corpus_and_sidecars_are_data_errors(tmp_path):
+    reg = mini_registry()
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [full_row()])
+    path.write_bytes(path.read_bytes() + b'{"text": "caf\xe9"}\n')  # Latin-1, not UTF-8
+    with pytest.raises(DataError, match=r":2: not UTF-8"):
+        load_corpus(path, reg)
+    for sidecar in ("", ".", "sub"):
+        (tmp_path / "sub").mkdir(exist_ok=True)
+        write_lines(path, [full_row(task_type="erc", dataset_id="conv", label="joy", context=[],
+                                    speaker_id="s0", utterance_index=0, audio=sidecar)])
+        with pytest.raises(DataError, match="cannot read feature sidecar"):
+            load_corpus(path, reg)
+    with pytest.raises(DataError, match="cannot read corpus"):
+        load_corpus(tmp_path / "sub", reg)
+
+
+def test_corpus_byte_mutation_fuzz(tmp_path):
+    """Every single-byte change to a corpus file or its sidecar loads or
+    raises a SentigenError, never a raw Python exception."""
+    reg = mini_registry()
+    write_feature_sidecar(tmp_path / "a.saev", np.array([[0.5, -1.0, 2.0]], dtype=np.float32))
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [full_row(),
+                       full_row(task_type="erc", dataset_id="conv", label="joy", context=[["s1", "hi"]],
+                                speaker_id="s0", utterance_index=1, audio="a.saev"),
+                       full_row(task_type="msa", dataset_id="score", text="meh", label=-1.5,
+                                audio=[[0.0, 1.0, 2.0]], image=[[1.0, 2.0]])])
+    loaded = rejected = 0
+    for target in (path, tmp_path / "a.saev"):
+        clean = target.read_bytes()
+        for i in range(len(clean)):
+            for byte in b"\x00\xff\"{":
+                if clean[i] == byte:
+                    continue
+                target.write_bytes(clean[:i] + bytes([byte]) + clean[i + 1:])
+                try:
+                    load_corpus(path, reg)
+                    loaded += 1
+                except SentigenError:
+                    rejected += 1
+        target.write_bytes(clean)
+    assert loaded and rejected
+    assert len(load_corpus(path, reg)) == 3
 
 
 # ---------------------------------------------------------------------------

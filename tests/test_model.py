@@ -6,6 +6,7 @@ import pytest
 import sentigen.autodiff as ad
 import sentigen.model as model
 from sentigen.errors import ConfigError, ContractError, SentigenError, ShapeError
+from sentigen.masking import MaskPlan, apply_modal_setting, sample_mcm_plan, sample_modal_setting
 from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, freeze_params,
                             generate, init_params, load_checkpoint, param_layout,
                             params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
@@ -64,7 +65,6 @@ def test_encode_shapes_and_stream_layout(world):
     total = ps.token_length + ps.frame_count
     assert enc.states.data.shape == (total, config.model_dim)
     assert enc.pooled.data.shape == (config.model_dim,)
-    assert enc.token_length == ps.token_length
     assert enc.keep.all()  # no pads in a freshly built prompt
 
 
@@ -101,16 +101,25 @@ def test_encode_rejects_overflow_and_bad_masks(world):
     with pytest.raises(ContractError):
         encode(huge, params, config, vocab)
 
-    from sentigen.masking import MaskPlan
     bad = MaskPlan(masked_token_positions=(ps.token_length + 5,),
                    masked_modal_frames={})
     with pytest.raises(IndexError):
         encode(ps, params, config, vocab, mask_plan=bad)
+    with pytest.raises(ContractError):
+        encode(replace(ps, z_tokens=(), y_tokens=(), x_context=(), x_tokens=()), params, config, vocab)
+
+    modal = build_prompt(pick(records, "mosi-toy"), vocab, registry, config.max_len)
+    frames = modal.modal_segments[0]
+    bad = MaskPlan(masked_token_positions=(), masked_modal_frames={frames.kind: (frames.features.shape[0],)})
+    with pytest.raises(IndexError):
+        encode(modal, params, config, vocab, mask_plan=bad)
+    wide = replace(frames, features=np.zeros((2, frames.features.shape[1] + 1)))
+    with pytest.raises(ShapeError):
+        encode(replace(modal, modal_segments=(wide,)), params, config, vocab)
 
 
 def test_mask_plan_substitutes_learned_vectors(world):
     vocab, registry, records, config, params = world
-    from sentigen.masking import MaskPlan
     r = pick(records, "meld-toy")
     ps = build_prompt(r, vocab, registry, config.max_len)
     plan = MaskPlan(masked_token_positions=(ps.token_length - 1,),
@@ -246,7 +255,6 @@ def test_encode_batch_matches_per_prompt(world):
     width = max(lengths)
     assert batch.states.shape == (len(prompts) * width, config.model_dim)
     assert batch.pooled.shape == (len(prompts), config.model_dim)
-    assert batch.token_length == [ps.token_length for ps in prompts]
     for i, ps in enumerate(prompts):
         one = encode(ps, params, config, vocab)
         rows = batch.states.data[i * width:i * width + lengths[i]]
@@ -261,6 +269,137 @@ def test_encode_batch_matches_per_prompt(world):
         model.encode_batch([], params, config, vocab)
     with pytest.raises(ShapeError):
         decoder_states([[vocab.bos_id]] * 2, batch, params, config)
+
+
+def reference_encode(ps, plan, params, config, vocab):
+    """One prompt through the encoder, its input rows built segment by
+    segment: the token rows, then each modal segment's projection with its
+    masked frames swapped for the mask vector by selection-matrix
+    arithmetic. Returns (states, pooled)."""
+    d = config.model_dim
+    ids = flatten_prompt(ps, vocab)
+    for pos in plan.masked_token_positions:
+        ids[pos] = vocab.mask_id
+    parts = [ad.matmul(ad.embedding(params["tok_emb"], ids), params["w_text"])]
+    types = [0] * len(ids)
+    for seg in ps.modal_segments:
+        feats = ad.constant(np.asarray(seg.features, dtype=np.float64))
+        proj = ad.add(ad.matmul(feats, params[f"proj_{seg.kind}_w"]), params[f"proj_{seg.kind}_b"])
+        rows = feats.shape[0]
+        hit = list(plan.masked_modal_frames.get(seg.kind, ()))
+        if hit:
+            sel = np.zeros((rows, d))
+            sel[hit] = 1.0
+            tiled = ad.matmul(ad.constant(np.ones((rows, 1))),
+                              ad.reshape(params[f"mask_vec_{seg.kind}"], (1, d)))
+            proj = ad.add(ad.mul(proj, ad.constant(1.0 - sel)), ad.mul(tiled, ad.constant(sel)))
+        parts.append(proj)
+        types += [model._TYPE_INDEX[seg.kind]] * rows
+    keep = np.ones(len(types), dtype=bool)
+    keep[:len(ids)] = np.asarray(ids) != vocab.pad_id
+    x = ad.concat_rows(parts)
+    x = ad.add(x, ad.embedding(params["type_emb"], types))
+    x = ad.add(x, ad.embedding(params["pos_emb"], np.where(keep, keep.cumsum() - 1, 0)))
+    x = ad.add(x, ad.embedding(params["dataset_emb"], [ps.dataset_index] * len(types)))
+    key_bias = np.where(keep, 0.0, model._NEG_INF)[None, :]
+    for i in range(config.layers_enc):
+        prefix = f"enc{i}_attn"
+        a = model._attention(params, prefix, x, model._keys_values(params, prefix, x), config, key_bias)
+        x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
+        f = model._ffn(params, f"enc{i}_ffn", x)
+        x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
+    return x, ad.masked_mean_rows(x, keep)
+
+
+def grads_of(loss, params):
+    ad.zero_grads(params.values())
+    ad.backward(loss)
+    return {n: None if t.grad is None else t.grad.copy() for n, t in params.items()}
+
+
+def test_batch_input_gather_matches_per_sample_reference(world):
+    """Fuzz, dropout off: ``encode_batch`` states, pooled rows and every
+    parameter gradient equal a per-sample reference within 1e-12, over mixed
+    modal settings, mask rates 0 / 0.3 / 1, pads inside a stream, batches of
+    one and batches without acoustic or visual frames. A parameter behind no
+    input row has no gradient: a projection when its modality has no
+    frames, a mask vector when no frame of its modality is masked."""
+    vocab, registry, records, config, params = world
+    config = replace(config, layers_enc=2)
+    params = init_params(config, np.random.default_rng(3))
+    rng = np.random.default_rng(99)
+    absent = set()
+    for trial in range(24):
+        size = 1 if trial % 6 == 0 else int(rng.integers(2, 7))
+        chosen = [records[int(i)] for i in rng.choice(len(records), size=size, replace=False)]
+        prompts = [build_prompt(r, vocab, registry, config.max_len) for r in chosen]
+        kinds = (None, (), ("acoustic",), ("visual",))[trial % 4]
+        prompts = [apply_modal_setting(ps, sample_modal_setting(ps, rng)) if kinds is None else
+                   replace(ps, modal_segments=tuple(s for s in ps.modal_segments if s.kind in kinds))
+                   for ps in prompts]
+        if trial % 2:
+            ps = prompts[-1]
+            prompts[-1] = replace(ps, x_tokens=ps.x_tokens[:1] + (vocab.pad_id,) + ps.x_tokens[1:])
+        plans = [sample_mcm_plan(ps, (0.0, 0.3, 1.0)[trial % 3], rng, vocab) for ps in prompts]
+        enc = model.encode_batch(prompts, params, config, vocab, mask_plans=plans)
+        width = enc.keep.shape[1]
+        lengths = [stream_length(ps) for ps in prompts]
+        weights = rng.normal(size=enc.states.shape)
+        for i, n in enumerate(lengths):
+            weights[i * width + n:(i + 1) * width] = 0.0
+        lift = rng.normal(size=enc.pooled.shape)
+        got = grads_of(ad.add(ad.sum_all(ad.mul(enc.states, ad.constant(weights))),
+                              ad.sum_all(ad.mul(enc.pooled, ad.constant(lift)))), params)
+        total = None
+        for i, (ps, plan) in enumerate(zip(prompts, plans)):
+            states, pooled = reference_encode(ps, plan, params, config, vocab)
+            rows = enc.states.data[i * width:i * width + lengths[i]]
+            assert np.max(np.abs(rows - states.data)) <= 1e-12
+            assert np.max(np.abs(enc.pooled.data[i] - pooled.data)) <= 1e-12
+            part = ad.add(ad.sum_all(ad.mul(states, ad.constant(weights[i * width:i * width + lengths[i]]))),
+                          ad.sum_all(ad.mul(pooled, ad.constant(lift[i]))))
+            total = part if total is None else ad.add(total, part)
+        want = grads_of(total, params)
+        for name in params:
+            assert (got[name] is None) == (want[name] is None), name
+            if got[name] is not None:
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12, (trial, name)
+        for kind in ("acoustic", "visual"):
+            has_frames = any(s.kind == kind for ps in prompts for s in ps.modal_segments)
+            has_masked = any(plan.masked_modal_frames.get(kind) for plan in plans)
+            assert (got[f"proj_{kind}_w"] is None) == (not has_frames)
+            assert (got[f"mask_vec_{kind}"] is None) == (not has_masked)
+            if not has_frames:
+                absent.add(kind)
+        if trial % 3 == 2 and any(ps.modal_segments for ps in prompts):
+            assert all(len(plan.masked_modal_frames.get(s.kind, ())) == s.features.shape[0]
+                       for ps, plan in zip(prompts, plans) for s in ps.modal_segments)
+    assert absent == {"acoustic", "visual"}
+
+
+def test_encoder_input_graph_does_not_grow_with_batch(world):
+    """The graph up to the first encoder layer is a fixed set of ops: one
+    token gather, one projection per modality, one gather of the batch's
+    rows, whatever the batch size."""
+    vocab, registry, records, config, params = world
+    config = replace(config, layers_enc=0)
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    both = [ps for ps in prompts if {s.kind for s in ps.modal_segments} == {"acoustic", "visual"}]
+    assert both
+    counts = []
+    for size in (1, 4, 16):
+        batch = [both[i % len(both)] for i in range(size)]
+        plans = [MaskPlan(masked_token_positions=(ps.token_length - 1,),
+                          masked_modal_frames={"acoustic": (0,), "visual": (0,)}) for ps in batch]
+        enc = model.encode_batch(batch, params, config, vocab, mask_plans=plans)
+        seen, stack = set(), [enc.states]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node.parents)
+        counts.append(len(seen))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_row_chunks_stay_within_budget(world, monkeypatch):

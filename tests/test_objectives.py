@@ -597,3 +597,7 @@ def test_ccl_graph_is_a_few_matrix_ops():
     assert len(seen) - len(rows) < 200
     assert abs(loss.item() - ref_ccl(rows, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32).item()) \
         <= 1e-10
+    # row blocks of any size, or single (d,) rows, stack to the same batch
+    for blocks in ([x], [ad.slice_rows(x, 0, 40), ad.reshape(rows[40], (16,)), ad.slice_rows(x, 41, 64)]):
+        again = loss_ccl(blocks, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32)
+        assert abs(again.item() - loss.item()) <= 1e-12

@@ -34,19 +34,6 @@ def test_special_block_order(world):
     assert not vocab.is_special(vocab.n_special)
 
 
-def test_vocab_save_load_roundtrip(world, tmp_path):
-    vocab, _, _ = world
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    lines = path.read_text("utf-8").splitlines()
-    assert lines == vocab.tokens  # one token per line, line number = id
-    again = Vocab.load(path)
-    assert again.tokens == vocab.tokens
-    assert again.num_datasets == vocab.num_datasets
-    assert again.num_speakers == vocab.num_speakers
-    assert again.id_of("<mask>") == 4
-
-
 def test_vocab_rejects_bad_prefix():
     with pytest.raises(VocabularyError):
         Vocab(["<pad>", "<bos>"], 0, 0)
