@@ -19,6 +19,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
+NEG_INF = -1e30  # an attention bias entry that masks its key: exp underflows to 0
 
 
 def _as_f64(data):
@@ -124,7 +125,12 @@ def matmul(a, b):
         raise ShapeError(f"matmul: needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    return _make(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+    def rule(g):
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
+
+    return _make(a.data @ b.data, "matmul", (a, b), rule)
 
 
 def transpose(a):
@@ -169,7 +175,9 @@ def slice_rows(a, start, stop):
 
 
 def embedding(table, ids):
-    """Row gather: out[i] = table[ids[i]]. Backward scatter-adds into the table.
+    """Row gather: out[i] = table[ids[i]]. Backward sums the gradient rows
+    of each id into its table row: a stable sort of the ids, then one
+    segmented sum per distinct id, in place of an unbuffered scatter-add.
 
     Rows never indexed receive an exactly-zero gradient contribution.
     """
@@ -183,7 +191,11 @@ def embedding(table, ids):
 
     def rule(g):
         buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
+        if idx.size:
+            order = np.argsort(idx, kind="stable")
+            ids = idx[order]
+            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+            buf[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
         return (buf,)
 
     return _make(table.data[idx], "embedding", (table,), rule)
@@ -194,28 +206,48 @@ def sum_all(a):
                  lambda g: (np.full_like(a.data, float(np.asarray(g).reshape(()))),))
 
 
-def masked_mean_rows(a, keep):
-    """Mean over the rows of ``a`` selected by boolean mask ``keep``.
+def _offsets(offsets, rows, op):
+    """``offsets`` as an int array, once checked to be B + 1 ascending row
+    bounds from 0 to ``rows``: sample i owns rows offsets[i]:offsets[i + 1]."""
+    off = np.asarray(offsets, dtype=np.int64)
+    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows or (off[1:] < off[:-1]).any():
+        raise ShapeError(f"{op}: offsets of shape {off.shape} do not bound {rows} rows")
+    return off
 
-    A (rows,) mask gives one mean, (d,). A (B, L) mask over B·L sample-major
-    rows gives one mean per sample, (B, d), each computed exactly as its
-    sample's own (L,) mask would."""
+
+def _padded_slots(off):
+    """The longest segment of checked ``off`` and each row's index in the
+    (B * longest)-row padded layout; None for the index when every segment
+    is that long, and packed rows are already that layout."""
+    lengths = off[1:] - off[:-1]
+    width = int(lengths.max())
+    if lengths.min() == width:
+        return width, None
+    return width, np.arange(off[-1]) + np.repeat(np.arange(len(lengths)) * width - off[:-1], lengths)
+
+
+def masked_mean_rows(a, keep, offsets=None):
+    """Mean over the rows of ``a`` selected by the boolean (rows,) mask ``keep``.
+
+    Without ``offsets`` this is one mean, (d,). With ``offsets`` (see
+    ``_offsets``) it is one mean per segment, (B, d), all summed in one
+    segmented reduction, each exactly as its segment's alone would be."""
     keep = np.asarray(keep, dtype=bool)
-    if a.data.ndim != 2 or keep.ndim not in (1, 2) or keep.size != a.shape[0]:
+    if a.data.ndim != 2 or keep.shape != (a.shape[0],):
         raise ShapeError(f"masked_mean_rows: mask {keep.shape} does not fit {a.shape}")
-    per_sample = keep.reshape(-1, keep.shape[-1])
-    counts = per_sample.sum(axis=1)
+    bounds = [0, a.shape[0]] if offsets is None else _offsets(offsets, a.shape[0], "masked_mean_rows")
+    seen = np.concatenate(([0], keep.cumsum()))[bounds]
+    counts = np.diff(seen)  # kept rows per segment
     if (counts == 0).any():
         raise ContractError("masked_mean_rows: no rows selected")
-    rows = a.data.reshape(per_sample.shape + (a.shape[1],))
-    means = np.array([r[k].mean(axis=0) for r, k in zip(rows, per_sample)])
+    means = np.add.reduceat(a.data[keep], seen[:-1], axis=0) / counts[:, None]
 
     def rule(g):
-        buf = np.zeros_like(rows)
-        buf[per_sample] = (g.reshape(means.shape) / counts[:, None]).repeat(counts, axis=0)
-        return (buf.reshape(a.shape),)
+        buf = np.zeros_like(a.data)
+        buf[keep] = (g.reshape(means.shape) / counts[:, None]).repeat(counts, axis=0)
+        return (buf,)
 
-    return _make(means.reshape(keep.shape[:-1] + (a.shape[1],)), "masked_mean_rows", (a,), rule)
+    return _make(means if offsets is not None else means[0], "masked_mean_rows", (a,), rule)
 
 
 def sqrt(a):
@@ -268,16 +300,22 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _make(out, "layer_norm", (a, gain, bias), rule)
 
 
-def attention(q, k, v, bias, heads):
-    """Multi-head scaled dot-product attention over a batch of samples, as one node.
+def attention(q, k, v, bias, heads, q_offsets=None, k_offsets=None):
+    """Multi-head scaled dot-product attention over a batch of B samples, as one node.
 
-    ``bias`` is a constant (B, Lq, Lk) array, or (B, 1, Lk) to apply one row
-    to every query of a sample, holding 0 where a query may attend a key and
-    a large negative number where it may not. ``q`` then holds B·Lq
-    sample-major rows and ``k``, ``v`` B·Lk rows each, so no query sees
-    another sample's keys. A 2-D bias, (Lq, Lk) or (1, Lk), is a batch of
-    one. Column block h of width d / heads belongs to head h. Returns the
-    per-head outputs side by side, (B·Lq, d).
+    Each side's rows are dense, B equal-length samples stacked sample-major,
+    or packed: ``q_offsets`` / ``k_offsets`` hold B + 1 row bounds, sample i
+    owning rows offsets[i]:offsets[i + 1] (the ``cu_seqlens`` layout). The
+    op scatters packed rows into (B, heads, L, d / heads) buffers padded to
+    the longest sample, masks every key beyond its sample's length, and
+    gathers the outputs back, so no query sees another sample's keys; its
+    backward does the reverse. ``bias`` is None or a constant (B, Lq, Lk)
+    array over that padded layout, or (B, 1, Lk) to apply one row to every
+    query of a sample, holding 0 where a query may attend a key and a large
+    negative number where it may not. A 2-D bias is a batch of one, and so
+    is a call with neither offsets nor bias. Column block h of width
+    d / heads belongs to head h. Returns the per-head outputs side by side,
+    one row per row of ``q``.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
@@ -285,36 +323,55 @@ def attention(q, k, v, bias, heads):
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     hd = d // heads
-    bias = np.asarray(bias, dtype=np.float64)
-    if bias.ndim == 2:
-        bias = bias[None]
-    b = bias.shape[0] if bias.ndim == 3 else 0
-    if b < 1 or q.shape[0] % b or k.shape[0] % b:
-        raise ShapeError(f"attention: bias {bias.shape} does not fit q {q.shape}, k {k.shape}")
-    lq, lk = q.shape[0] // b, k.shape[0] // b
-    if bias.shape[1] not in (1, lq) or bias.shape[2] != lk:
+    qoff = None if q_offsets is None else _offsets(q_offsets, q.shape[0], "attention")
+    koff = None if k_offsets is None else _offsets(k_offsets, k.shape[0], "attention")
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        bias = bias[None] if bias.ndim == 2 else bias
+        if bias.ndim != 3:
+            raise ShapeError(f"attention: bias of shape {bias.shape} is not 2-D or 3-D")
+    sizes = {len(off) - 1 for off in (qoff, koff) if off is not None}
+    sizes |= set() if bias is None else {bias.shape[0]}
+    b = sizes.pop() if len(sizes) == 1 else (1 if not sizes else 0)
+    if b < 1 or (qoff is None and q.shape[0] % b) or (koff is None and k.shape[0] % b):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, bias and offsets disagree on the batch")
+    lq, qslot = (q.shape[0] // b, None) if qoff is None else _padded_slots(qoff)
+    lk, kslot = (k.shape[0] // b, None) if koff is None else _padded_slots(koff)
+    if bias is not None and (bias.shape[1] not in (1, lq) or bias.shape[2] != lk):
         raise ShapeError(f"attention: bias {bias.shape} does not fit ({b}, {lq}, {lk})")
+    if kslot is not None:  # mask the padded slots past each sample's last key
+        past_end = np.full(b * lk, NEG_INF)
+        past_end[kslot] = 0.0
+        bias = past_end.reshape(b, 1, lk) if bias is None else bias + past_end.reshape(b, 1, lk)
     norm = 1.0 / float(np.sqrt(hd))
 
-    def split(x, rows):  # (B * rows, d) -> (B, heads, rows, hd)
+    def split(x, slot, rows):  # packed or dense rows -> (B, heads, rows, hd)
+        if slot is not None:
+            x, packed = np.zeros((b * rows, d)), x
+            x[slot] = packed
         return x.reshape(b, rows, heads, hd).transpose(0, 2, 1, 3)
 
-    def merge(x, rows):  # (B, heads, rows, hd) -> (B * rows, d)
-        return x.transpose(0, 2, 1, 3).reshape(b * rows, d)
+    def merge(x, slot, rows):  # (B, heads, rows, hd) -> packed or dense rows
+        x = x.transpose(0, 2, 1, 3).reshape(b * rows, d)
+        return x if slot is None else x[slot]
 
-    qh, kh, vh = split(q.data, lq), split(k.data, lk), split(v.data, lk)
-    z = (qh @ kh.swapaxes(2, 3)) * norm + bias[:, None]
-    e = np.exp(z - z.max(axis=3, keepdims=True))
-    p = e / e.sum(axis=3, keepdims=True)
-    out = merge(p @ vh, lq)
+    qh, kh, vh = split(q.data, qslot, lq), split(k.data, kslot, lk), split(v.data, kslot, lk)
+    z = qh @ kh.swapaxes(2, 3)
+    z *= norm
+    if bias is not None:
+        z += bias[:, None]
+    z -= z.max(axis=3, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= p.sum(axis=3, keepdims=True)
+    out = merge(p @ vh, qslot, lq)
 
     def rule(g):
-        gh = split(g, lq)
-        dv = merge(p.swapaxes(2, 3) @ gh, lk) if v.requires_grad else None
+        gh = split(g, qslot, lq)
+        dv = merge(p.swapaxes(2, 3) @ gh, kslot, lk) if v.requires_grad else None
         dp = gh @ vh.swapaxes(2, 3)
         dz = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * norm
-        dq = merge(dz @ kh, lq) if q.requires_grad else None
-        dk = merge(dz.swapaxes(2, 3) @ qh, lk) if k.requires_grad else None
+        dq = merge(dz @ kh, qslot, lq) if q.requires_grad else None
+        dk = merge(dz.swapaxes(2, 3) @ qh, kslot, lk) if k.requires_grad else None
         return dq, dk, dv
 
     return _make(out, "attention", (q, k, v), rule)

@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__
 from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_accuracy_matrix,
                    render_bias_report)
-from .data import POOL_DATASET_ID, Registry, load_corpus
+from .data import POOL_DATASET_ID, Registry, load_corpus, read_json
 from .errors import ConfigError, DataError, SentigenError
 from .evaluation import evaluate_records
-from .model import ModelConfig, config_from_json, pooled_vectors
+from .model import ModelConfig, config_from_json, pooled_vectors, write_file_atomic
 from .prompt import build_prompt
 from .training import (TrainConfig, load_model, run_finetune, run_pretrain_stage1,
                        run_pretrain_stage2)
@@ -44,17 +44,6 @@ def _setup_logging():
 # configuration
 
 
-def _read_json(path, what, error=ConfigError):
-    """Parse a JSON input file; a missing file is a ConfigError, bad JSON an ``error``."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
-    try:
-        return json.loads(p.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise error(f"{what} {p} is not valid JSON: {exc}") from None
-
-
 @dataclass
 class _ConfigFile:
     """The top level of a ``--config`` file."""
@@ -65,7 +54,7 @@ class _ConfigFile:
 
 
 def _load_config_file(path):
-    obj = {} if path is None else _read_json(path, "config file")
+    obj = {} if path is None else read_json(path, "config file")
     return config_from_json(_ConfigFile, obj, "config file")
 
 
@@ -90,9 +79,8 @@ def write_manifest(out_dir, command, seed, effective_config):
         "config_hash": _config_hash(effective_config),
         "code_version": __version__,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_file_atomic(out / "manifest.json", [text.encode("utf-8")])
     return manifest
 
 
@@ -358,7 +346,7 @@ def _matrix_from_embeddings(path, correspondence):
 def _load_correspondence(path):
     if path is None:
         return None
-    obj = _read_json(path, "correspondence file")
+    obj = read_json(path, "correspondence file")
     shape_ok = isinstance(obj, dict) and all(
         isinstance(targets, dict) and all(
             isinstance(mapping, dict) and all(v is None or isinstance(v, str)
@@ -376,7 +364,7 @@ def cmd_bias_report(args):
     if args.acc_matrix and args.embeddings:
         raise ConfigError("pass either --acc-matrix or --embeddings, not both")
     if args.acc_matrix:
-        matrix = AccuracyMatrix.from_json(_read_json(args.acc_matrix, "accuracy matrix file",
+        matrix = AccuracyMatrix.from_json(read_json(args.acc_matrix, "accuracy matrix file",
                                                      DataError))
     elif args.embeddings:
         matrix = _matrix_from_embeddings(args.embeddings, _load_correspondence(args.correspondence))
@@ -473,6 +461,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out is not None and Path(out).exists() and not Path(out).is_dir():
+            raise ConfigError(f"output directory {out} exists and is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

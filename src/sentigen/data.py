@@ -144,6 +144,25 @@ class DatasetSpec:
     metrics: tuple
 
 
+def read_json(path, what, error=ConfigError):
+    """Parse the JSON file at ``path``, named ``what`` in errors. A missing
+    or unreadable path (a directory, say) is a ConfigError; bytes that are
+    not UTF-8 or not JSON are an ``error``."""
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path} ({exc.strerror})") from None
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 class Registry:
     """Ordered collection of dataset declarations. Declaration order is the
     dataset index used by the model's dataset embedding."""
@@ -196,7 +215,8 @@ class Registry:
                 raise ConfigError(f"registry entry {dataset_id!r}: scalar answer sets are for msa datasets only")
             for dim_key in ("acoustic_dim", "visual_dim"):
                 dim = entry[dim_key]
-                if dim is not None and (not isinstance(dim, int) or dim <= 0):
+                # a bool is no int here, as in config files
+                if dim is not None and (type(dim) is not int or dim <= 0):
                     raise ConfigError(f"registry entry {dataset_id!r}: {dim_key} must be null or a positive int")
             metrics = entry["metrics"]
             if not isinstance(metrics, list) or not metrics or any(m not in METRIC_NAMES for m in metrics):
@@ -226,15 +246,7 @@ class Registry:
 
     @classmethod
     def load(cls, path):
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"registry file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"registry {path} is not valid JSON: {exc}") from None
-        return cls.from_json(obj)
+        return cls.from_json(read_json(path, "registry file"))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

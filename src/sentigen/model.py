@@ -9,17 +9,23 @@ so where pads sit never changes the outputs. The decoder is autoregressive
 with cross-attention into the encoder states, and its output projection is
 tied to the token embedding table.
 
-The encoder and decoder run on a batch of samples, padded to the longest
-stream. Tensors stay 2-D: a batch of B samples of L positions is B·L
-sample-major rows, and multi-head attention is one fused autodiff op whose
-per-sample bias keeps each sample's queries on its own keys and masks the
-pads. A batch's input rows are one gather from one table of every sample's
-token embeddings, the projected acoustic and visual frames, the mask vectors
-and a zero row, so masking a token or a frame, or padding a stream, is a
-choice of row. ``encode``, ``decoder_states`` and ``generate`` on one prompt
-are the batch of one. Training and inference both run padded batches: a
-training step's losses read ``encode_batch`` encodings, with one dropout mask
-per batched tensor; inference uses ``pooled_vectors`` and ``generate_batch``.
+The encoder runs on a batch of samples packed end to end. Tensors stay 2-D:
+a batch of B streams is N = the summed stream lengths rows, sample after
+sample, with ``offsets`` (B + 1 row bounds, the ``cu_seqlens`` layout)
+marking where each sample starts. Every per-row op (input gather,
+projections, dropout, residual adds, ``layer_norm``, the FFN) runs on those
+N rows only, so no arithmetic goes to padding. Multi-head attention is one
+fused autodiff op that alone sees the sample bounds: it pads the rows inside
+itself, keeps each sample's queries on its own keys and gathers back. A
+batch's input rows are one gather from one table of every sample's token
+embeddings, the projected acoustic and visual frames and the mask vectors,
+so masking a token or a frame is a choice of row. The decoder's rows stay
+dense, B samples of n ids each; its cross-attention reads the packed encoder
+rows through their offsets. ``encode``, ``decoder_states`` and ``generate``
+on one prompt are the batch of one. Training and inference both run these
+batches: a training step's losses read ``encode_batch`` encodings, with one
+dropout mask per batched tensor; inference uses ``pooled_vectors`` and
+``generate_batch``.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
@@ -45,7 +51,6 @@ from .prompt import flatten_prompt
 CHECKPOINT_MAGIC = b"SGCK"
 CHECKPOINT_VERSION = 2
 
-_NEG_INF = -1e30
 _TYPE_INDEX = {"text": 0, "acoustic": 1, "visual": 2}
 
 
@@ -192,12 +197,13 @@ def _keys_values(params, prefix, x_kv, cache=None, grow=False, batch=1):
     return k, v
 
 
-def _attention(params, prefix, x_q, kv, config, mask_bias):
+def _attention(params, prefix, x_q, kv, config, mask_bias, q_offsets=None, k_offsets=None):
     """Multi-head scaled dot-product attention of ``x_q`` over projected
-    ``kv``. ``mask_bias`` is a constant (B, Lq, Lk) or (B, 1, Lk) array of
+    ``kv``, each side dense or packed by its offsets (see ``ad.attention``).
+    ``mask_bias`` is None or a constant (B, Lq, Lk) or (B, 1, Lk) array of
     0 / -inf-like entries added to each sample's logits."""
     q = _linear(params, prefix, x_q, "wq", "bq")
-    mixed = ad.attention(q, kv[0], kv[1], mask_bias, config.heads)
+    mixed = ad.attention(q, kv[0], kv[1], mask_bias, config.heads, q_offsets, k_offsets)
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
@@ -216,34 +222,50 @@ def _maybe_dropout(x, config, train, rng):
 
 @dataclass
 class EncoderOutput:
-    """Encoder states of one prompt, or of a batch of B prompts padded to the
-    longest stream L. For one prompt, B = 1 and ``keep`` and ``pooled`` drop
-    the batch axis."""
+    """Encoder states of a batch of B prompts, packed: sample i's stream is
+    rows offsets[i]:offsets[i + 1] of ``states``, with no pad rows between
+    samples. For one prompt, B = 1 and ``pooled`` drops the batch axis."""
 
-    states: ad.Tensor      # (B * L, model_dim), sample-major
-    pooled: ad.Tensor      # (model_dim,), or (B, model_dim) for a batch
-    keep: np.ndarray       # bool (L,), or (B, L); False at pad positions
+    states: ad.Tensor      # (N, model_dim), N = offsets[-1], the summed stream lengths
+    pooled: ad.Tensor      # (B, model_dim), or (model_dim,) for one prompt
+    offsets: np.ndarray    # int (B + 1,): where each sample's rows start, then N
+    keep: np.ndarray       # bool (N,); False at pad tokens inside a stream
 
 
 # An encoder batch's input rows come from one table of blocks: 0 every
 # sample's tokens, 1 acoustic and 2 visual frames (block = type id), 3 and 4
-# the acoustic and visual mask vectors, and a zero row for pads. A position
-# takes the type id of the block it reads.
-_PAD = 5
-_BLOCK_TYPE = np.array([0, 1, 2, 1, 2, 0])
+# the acoustic and visual mask vectors. A position takes the type id of the
+# block it reads.
+_BLOCK_TYPE = np.array([0, 1, 2, 1, 2])
+
+
+def _key_bias(keep, offsets):
+    """The attention bias, (B, 1, longest stream), that masks the pad tokens
+    inside packed streams as keys; None when there are none. Keys past a
+    sample's end are the attention op's to mask."""
+    if keep.all():
+        return None
+    lengths = np.diff(offsets)
+    sample = np.repeat(np.arange(len(lengths)), lengths)
+    bias = np.zeros((len(lengths), 1, lengths.max()))
+    bias[sample[~keep], 0, (np.arange(len(keep)) - offsets[sample])[~keep]] = ad.NEG_INF
+    return bias
 
 
 def _encode(prompts, mask_plans, params, config, vocab, train, rng):
-    """The encoder over a padded batch: states (B * L, d), keep (B, L).
+    """The encoder over a packed batch: states (N, d), offsets (B + 1,) and
+    keep (N,), N being the summed stream lengths.
 
-    Each sample's stream is its prompt tokens, then its modal frames, padded
-    at the end to the longest stream. A masked token reads the mask id's
-    embedding, a masked frame its modality's mask vector, a padded position
-    the zero row. Pad rows are masked out of every sample's keys, so they
-    never change a real row.
+    Each sample's stream is its prompt tokens, then its modal frames, and
+    every per-row op runs on the N stream rows alone; only attention sees
+    the sample bounds. A masked token reads the mask id's embedding, a
+    masked frame its modality's mask vector. A pad token inside a stream
+    keeps its row but is masked as a key and skipped by position counting
+    and pooling, so it never changes another row.
     """
     tokens, frames = [], {"acoustic": [], "visual": []}
-    src, rows = [], []  # per sample: the block, and the row in it, that each position reads
+    src, rows = [], []  # the block, and the row in it, that each position reads
+    lengths = []  # each sample's stream length
     for ps, plan in zip(prompts, mask_plans):
         ids = flatten_prompt(ps, vocab)
         n_tok = len(ids)
@@ -257,8 +279,8 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
             if not (0 <= pos < n_tok):
                 raise IndexError(f"mask position {pos} outside the {n_tok}-token stream")
             ids[pos] = vocab.mask_id
-        src.append([0] * n_tok)
-        rows.append(list(range(len(tokens), len(tokens) + n_tok)))
+        src += [0] * n_tok
+        rows += range(len(tokens), len(tokens) + n_tok)
         tokens.extend(ids)
         for seg in ps.modal_segments:
             feats = np.asarray(seg.features, dtype=np.float64)
@@ -270,46 +292,48 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
             if not hit <= set(range(n)):
                 raise IndexError(f"masked {seg.kind} frame {min(hit - set(range(n)))} outside {n} frames")
             block, seen = _TYPE_INDEX[seg.kind], sum(len(f) for f in frames[seg.kind])
-            src[-1] += [block + 2 if i in hit else block for i in range(n)]
-            rows[-1] += [0 if i in hit else seen + i for i in range(n)]
+            src += [block + 2 if i in hit else block for i in range(n)]
+            rows += [0 if i in hit else seen + i for i in range(n)]
             frames[seg.kind].append(feats)
+        lengths.append(total)
 
-    width = max(len(s) for s in src)
-    src = np.array([s + [_PAD] * (width - len(s)) for s in src])
-    rows = np.array([r + [0] * (width - len(r)) for r in rows])
-    keep = src != _PAD
+    src, rows = np.array(src), np.array(rows)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    keep = np.ones(len(src), dtype=bool)
     keep[src == 0] = np.asarray(tokens)[rows[src == 0]] != vocab.pad_id
-    # pads do not consume position slots
-    pos_ids = np.where(keep, keep.cumsum(axis=1) - 1, 0)
+    # pads do not consume position slots: a row's position counts the kept
+    # rows of its sample before it
+    kept = np.concatenate(([0], keep.cumsum()))
+    pos_ids = np.where(keep, kept[:-1] - np.repeat(kept[offsets[:-1]], lengths), 0)
 
     # a block no position reads stays out, so its parameters get no gradient;
     # frames all masked still project, and their projection gets a zero one
     d = config.model_dim
-    table = {0: ad.matmul(ad.embedding(params["tok_emb"], tokens), params["w_text"]),
-             _PAD: ad.constant(np.zeros((1, d)))}
+    table = {0: ad.matmul(ad.embedding(params["tok_emb"], tokens), params["w_text"])}
     for kind, block in (("acoustic", 1), ("visual", 2)):
         if frames[kind]:
             proj = ad.matmul(ad.constant(np.concatenate(frames[kind])), params[f"proj_{kind}_w"])
             table[block] = ad.add(proj, params[f"proj_{kind}_b"])
         if (src == block + 2).any():
             table[block + 2] = ad.reshape(params[f"mask_vec_{kind}"], (1, d))
-    first = np.cumsum([0] + [table[b].shape[0] if b in table else 0 for b in range(_PAD)])
-    x = ad.embedding(ad.concat_rows([table[b] for b in sorted(table)]), (first[src] + rows).reshape(-1))
-    x = ad.add(x, ad.embedding(params["type_emb"], _BLOCK_TYPE[src].reshape(-1)))
-    x = ad.add(x, ad.embedding(params["pos_emb"], pos_ids.reshape(-1)))
+    first = np.cumsum([0] + [table[b].shape[0] if b in table else 0 for b in range(len(_BLOCK_TYPE))])
+    x = ad.embedding(ad.concat_rows([table[b] for b in sorted(table)]), first[src] + rows)
+    x = ad.add(x, ad.embedding(params["type_emb"], _BLOCK_TYPE[src]))
+    x = ad.add(x, ad.embedding(params["pos_emb"], pos_ids))
     x = ad.add(x, ad.embedding(params["dataset_emb"],
-                               np.array([ps.dataset_index for ps in prompts]).repeat(width)))
+                               np.array([ps.dataset_index for ps in prompts]).repeat(lengths)))
     x = _maybe_dropout(x, config, train, rng)
 
-    key_bias = np.where(keep, 0.0, _NEG_INF)[:, None, :]  # broadcast over query rows
+    key_bias = _key_bias(keep, offsets)
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
-        a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, key_bias)
+        a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, key_bias,
+                       offsets, offsets)
         a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
-    return x, keep
+    return x, offsets, keep
 
 
 def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
@@ -319,20 +343,21 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
     listed token positions are replaced by the mask token, listed modal frames
     by the learned per-modality mask vector. Masking never changes lengths.
     """
-    x, keep = _encode([ps], [mask_plan], params, config, vocab, train, rng)
-    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep[0]), keep=keep[0])
+    x, offsets, keep = _encode([ps], [mask_plan], params, config, vocab, train, rng)
+    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), offsets=offsets, keep=keep)
 
 
 def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
-    """Run the encoder over ``prompts`` as one batch padded to the longest
-    stream, each corrupted by its entry of ``mask_plans`` (optional; see
-    ``encode``). Every sample's states, and its row of ``pooled``, equal
-    what ``encode`` gives it alone, up to rounding, with dropout off."""
+    """Run the encoder over ``prompts`` as one packed batch, each corrupted
+    by its entry of ``mask_plans`` (optional; see ``encode``). Every
+    sample's states, and its row of ``pooled``, equal what ``encode`` gives
+    it alone, up to rounding, with dropout off."""
     if not prompts:
         raise ContractError("cannot encode an empty batch")
     plans = [None] * len(prompts) if mask_plans is None else mask_plans
-    x, keep = _encode(prompts, plans, params, config, vocab, train, rng)
-    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), keep=keep)
+    x, offsets, keep = _encode(prompts, plans, params, config, vocab, train, rng)
+    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep, offsets),
+                         offsets=offsets, keep=keep)
 
 
 class DecoderCache:
@@ -351,7 +376,9 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
 
     For one prompt ``dec_ids`` is a list of ids and the result is
     (len(dec_ids), d). For a batch encoded by ``encode_batch`` it is a
-    (B, n) array, one row of n ids per sample, and the result (B * n, d).
+    (B, n) array, one row of n ids per sample, and the result (B * n, d):
+    the decoder's rows are dense, and only its cross-attention reads the
+    packed encoder rows, through ``enc_out.offsets``.
 
     Without a ``cache`` the ids are the whole teacher-forced stream. With one,
     they continue the positions already fed through that cache: the first
@@ -359,8 +386,7 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     the new positions' self-attention keys and values, so a token is never
     run through the decoder twice. Both give the same states up to rounding.
     """
-    enc_keep = enc_out.keep.reshape(-1, enc_out.keep.shape[-1])
-    batch = enc_keep.shape[0]
+    batch = len(enc_out.offsets) - 1
     ids = np.asarray(dec_ids, dtype=np.int64)
     if ids.ndim == 1:
         ids = ids.reshape(1, -1)
@@ -377,9 +403,9 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     x = ad.add(x, ad.embedding(params["pos_emb"], positions))
     x = _maybe_dropout(x, config, train, rng)
 
-    causal = np.where(np.arange(n)[None, :] <= np.arange(past, n)[:, None], 0.0, _NEG_INF)
+    causal = np.where(np.arange(n)[None, :] <= np.arange(past, n)[:, None], 0.0, ad.NEG_INF)
     causal = causal[None].repeat(batch, axis=0)
-    cross = np.where(enc_keep, 0.0, _NEG_INF)[:, None, :]
+    cross = _key_bias(enc_out.keep, enc_out.offsets)
     for i in range(config.layers_dec):
         prefix = f"dec{i}_self"
         kv = _keys_values(params, prefix, x, cache, grow=True, batch=batch)
@@ -387,7 +413,8 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
         x = ad.layer_norm(ad.add(x, a), params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"])
         prefix = f"dec{i}_cross"
         kv = _keys_values(params, prefix, enc_out.states, cache)
-        c = _maybe_dropout(_attention(params, prefix, x, kv, config, cross), config, train, rng)
+        c = _attention(params, prefix, x, kv, config, cross, k_offsets=enc_out.offsets)
+        c = _maybe_dropout(c, config, train, rng)
         x = ad.layer_norm(ad.add(x, c), params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"])
         f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, train, rng)
         x = ad.layer_norm(ad.add(x, f), params[f"dec{i}_ln3_g"], params[f"dec{i}_ln3_b"])
@@ -402,7 +429,9 @@ def token_logits(hidden, params):
     return ad.matmul(ad.matmul(hidden, ad.transpose(params["w_text"])), ad.transpose(params["tok_emb"]))
 
 
-_ROW_BUDGET = 256  # padded encoder rows per inference batch; bounds the (B, heads, L, L) buffers
+# encoder rows per inference batch, counted as if padded to the longest
+# stream: attention pads inside its one op, so this bounds its (B, heads, L, L) buffers
+_ROW_BUDGET = 256
 
 
 def _row_chunks(prompts):
@@ -506,21 +535,33 @@ def save_checkpoint(path, config, arrays, meta=None):
         "payload_crc32": crc,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    # write a sibling temp file and swap it in, so a crash mid-write never
-    # leaves a torn checkpoint or truncates the one being resumed from
-    tmp = Path(f"{path}.tmp")
+    # a crash mid-write never leaves a torn checkpoint or truncates the one
+    # being resumed from
+    write_file_atomic(path, [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
+                             header_bytes, *blobs])
+
+
+def write_file_atomic(path, chunks):
+    """Write the byte strings ``chunks`` to ``path`` through a synced
+    sibling temp file swapped in by rename, then sync the directory, so
+    ``path`` holds either its old bytes or all the new ones, whenever the
+    process or the machine stops."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path):

@@ -1,6 +1,6 @@
 """Pre-training objectives and their stage compositions.
 
-Every loss is a head on one padded-batch encoding from
+Every loss is a head on one packed-batch encoding from
 ``model.encode_batch``, and the stage compositions own the encoder passes:
 stage one makes a corrupted pass for reconstruction and a clean one for
 polarity and contrast; stage two makes one corrupted pass that
@@ -74,12 +74,10 @@ def polarity_token_ids(vocab):
     return tuple(vocab.id_of(p.value) for p in POLARITY_ORDER)
 
 
-def _width(enc, samples, name):
-    """``enc``'s padded stream length, once checked to encode ``samples``."""
-    b, width = enc.keep.reshape(-1, enc.keep.shape[-1]).shape
+def _check_batch(enc, samples, name):
+    b = len(enc.offsets) - 1
     if not samples or len(samples) != b:
         raise ContractError(f"{name}: {len(samples)} samples for an encoded batch of {b}")
-    return width
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +88,11 @@ def loss_mcm(enc, batch, params, vocab):
     """Masked-token reconstruction from ``enc``, the corrupted encoding of
     ``batch``, a list of (prompt, plan): one cross-entropy over the masked
     rows of all samples, scaled to a per-sample sum averaged over the batch."""
-    width = _width(enc, batch, "loss_mcm")
+    _check_batch(enc, batch, "loss_mcm")
     rows, targets = [], []
-    for i, (ps, plan) in enumerate(batch):
+    for start, (ps, plan) in zip(enc.offsets, batch):
         original = flatten_prompt(ps, vocab)
-        rows.extend(i * width + p for p in plan.masked_token_positions)
+        rows.extend(start + p for p in plan.masked_token_positions)
         targets.extend(original[p] for p in plan.masked_token_positions)
     if not rows:
         return ad.constant(0.0)
@@ -110,7 +108,7 @@ def loss_spp(enc, polarities, params, config, vocab, train=False, rng=None):
     """First-position polarity cross-entropy from ``enc``, the clean
     encoding of a batch with one Polarity per sample: the decoder is fed
     <bos> alone, and its logits are restricted to the three polarity tokens."""
-    _width(enc, polarities, "loss_spp")
+    _check_batch(enc, polarities, "loss_spp")
     bos = np.full((len(polarities), 1), vocab.bos_id)
     logits = token_logits(decoder_states(bos, enc, params, config, train=train, rng=rng), params)
     restricted = ad.gather_cols(logits, list(polarity_token_ids(vocab)))
@@ -241,7 +239,7 @@ def loss_cep(enc, pseudos, params, config, vocab, index, train=False, rng=None):
     with one PseudoLabelSet per sample. The decoder is fed the task tokens;
     position i classifies over task i's label vocabulary. Per sample the sum
     of the tasks' cross-entropies, averaged over the batch."""
-    _width(enc, pseudos, "loss_cep")
+    _check_batch(enc, pseudos, "loss_cep")
     tasks = index.tasks()
     if not tasks:
         raise ContractError("loss_cep: empty centroid index")

@@ -30,7 +30,8 @@ from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
 # ``encode`` is no longer called here; it stays a module global because the
 # benchmark's tracer (benchmarks/tracing.py) patches it by name.
 from .model import (config_from_json, encode, init_params, load_checkpoint,  # noqa: F401
-                    params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint)
+                    params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint,
+                    write_file_atomic)
 from .objectives import (CentroidIndex, LossReport, PseudoLabelSet, Stage1Example,
                          Stage2Example, assign_pseudo_labels, build_centroids, generation_loss,
                          stage1_loss, stage2_loss)
@@ -443,9 +444,10 @@ class _Run:
         self._resume_meta = meta
 
     def open_log(self, path):
-        """Open a per-step JSONL log for writing. A fresh run starts it
-        empty; a resumed run keeps the lines up to its checkpoint step and
-        appends, so the log ends up as an uninterrupted run's would."""
+        """Open a per-step JSONL log for appending. A fresh run starts it
+        empty; a resumed run keeps the lines up to its checkpoint step, so
+        the log ends up as an uninterrupted run's would. The kept lines are
+        swapped in whole, so a crash while they are written loses none."""
         kept = []
         if self._resume_meta is not None and path.exists():
             with open(path, encoding="utf-8") as fh:
@@ -457,10 +459,8 @@ class _Run:
                     if not line.endswith("\n") or step > self.step:
                         break
                     kept.append(line)
-        fh = open(path, "w", encoding="utf-8")
-        fh.writelines(kept)
-        fh.flush()
-        return fh
+        write_file_atomic(path, [line.encode("utf-8") for line in kept])
+        return open(path, "a", encoding="utf-8")
 
     def log_step(self, fh, report):
         line = json.dumps({

@@ -205,21 +205,136 @@ def test_attention_samples_are_isolated():
     assert np.array_equal(ad.attention(q, ad.constant(k), ad.constant(v), full, 2).data, base)
 
 
+def packed_rows(rng, lengths, d):
+    return rand_leaf(rng, sum(lengths), d), np.cumsum([0] + list(lengths))
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_varlen_attention_matches_reference_and_fd(heads, with_bias):
+    """Packed rows: every sample's outputs equal the op run on that sample
+    alone, over uneven lengths (length-1 samples among them) and query
+    lengths that differ from key lengths; gradients pass finite differences,
+    and keys past a sample's end take no part."""
+    rng = np.random.default_rng(500 + heads + 10 * with_bias)
+    d = 4
+    for q_len, k_len in (([1, 3, 2], [1, 4, 3]), ([2, 1], [3, 3]), ([4, 1, 1, 2], [2, 1, 5, 1])):
+        q, q_off = packed_rows(rng, q_len, d)
+        k, k_off = packed_rows(rng, k_len, d)
+        v = rand_leaf(rng, sum(k_len), d)
+        b, lq, lk = len(q_len), max(q_len), max(k_len)
+        bias = None
+        if with_bias:  # mask one in-range key of each sample with two or more keys
+            bias = np.zeros((b, lq, lk))
+            for i, n in enumerate(k_len):
+                if n > 1:
+                    bias[i, :, n - 1] = -1e30
+        out = ad.attention(q, k, v, bias, heads, q_off, k_off)
+        assert out.shape == (sum(q_len), d)
+        for i in range(b):
+            qs, ks = slice(q_off[i], q_off[i + 1]), slice(k_off[i], k_off[i + 1])
+            want = attention_reference(q.data[qs], k.data[ks], v.data[ks],
+                                       0.0 if bias is None else bias[i, :q_len[i], :k_len[i]], heads)
+            assert np.max(np.abs(out.data[qs] - want)) <= 1e-12
+        w = ad.constant(rng.normal(size=out.shape))
+        fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, bias, heads, q_off, k_off), w))
+        for t in (q, k, v):
+            assert ad.finite_diff_check(fn, t) < 1e-6
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, None, heads, q_off, k_off[:-1])
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, None, heads, q_off[::-1], k_off)
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, np.zeros((b, lq, lk + 1)), heads, q_off, k_off)
+
+
+def test_packed_attention_equals_dense_at_equal_lengths():
+    """With every sample the same length, packed rows are the dense layout:
+    outputs and gradients agree with the dense op within 1e-12, whichever
+    side carries offsets."""
+    rng = np.random.default_rng(41)
+    batch, lq, lk, d = 3, 2, 4, 8
+    q, k, v = rand_leaf(rng, batch * lq, d), rand_leaf(rng, batch * lk, d), rand_leaf(rng, batch * lk, d)
+    bias = batch_key_bias(batch, lq, lk)
+    w = ad.constant(rng.normal(size=(batch * lq, d)))
+    q_off, k_off = np.arange(batch + 1) * lq, np.arange(batch + 1) * lk
+
+    def value_and_grads(*offsets):
+        ad.zero_grads([q, k, v])
+        out = ad.attention(q, k, v, bias, 2, *offsets)
+        ad.backward(ad.sum_all(ad.mul(out, w)))
+        return [out.data] + [t.grad.copy() for t in (q, k, v)]
+
+    dense = value_and_grads()
+    for offsets in ((q_off, k_off), (None, k_off), (q_off, None)):
+        for got, want in zip(value_and_grads(*offsets), dense):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_segment_mean_matches_per_segment_and_fd():
+    """Packed segments of uneven length, pad rows among them: each mean is
+    its segment's alone, and the gradient passes finite differences."""
+    rng = np.random.default_rng(13)
+    a, offsets = packed_rows(rng, [3, 1, 5, 2], 4)
+    keep = np.ones(11, dtype=bool)
+    keep[[1, 6, 8]] = False
+    out = ad.masked_mean_rows(a, keep, offsets)
+    assert out.shape == (4, 4)
+    for i in range(4):
+        rows = slice(offsets[i], offsets[i + 1])
+        assert np.array_equal(out.data[i], ad.masked_mean_rows(ad.constant(a.data[rows]), keep[rows]).data)
+    w = ad.constant(rng.normal(size=(4, 4)))
+    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.masked_mean_rows(a, keep, offsets), w)),
+                                a) < 1e-6
+    keep[offsets[1]] = False  # segment 1 loses its only row
+    with pytest.raises(ContractError):
+        ad.masked_mean_rows(a, keep, offsets)
+    with pytest.raises(ShapeError):
+        ad.masked_mean_rows(a, np.ones(11, dtype=bool), offsets[:-1])
+
+
+def test_embedding_backward_matches_scatter_add():
+    """The sorted segmented-sum backward equals an unbuffered scatter-add
+    within 1e-12: repeated ids, no ids, and ids covering the whole table."""
+    rng = np.random.default_rng(17)
+    table = rand_leaf(rng, 30, 6)
+    cases = [rng.integers(0, 30, size=200), np.array([], dtype=np.int64), rng.permutation(30),
+             np.repeat(rng.permutation(30), 7), np.array([4, 4, 4, 4])]
+    for ids in cases:
+        g = rng.normal(size=(len(ids), 6))
+        want = np.zeros((30, 6))
+        np.add.at(want, ids, g)
+        (got,) = ad.embedding(table, ids)._rule(g)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        assert np.all(got[np.setdiff1d(np.arange(30), ids)] == 0.0)
+
+
+def test_matmul_gives_a_constant_parent_no_gradient():
+    rng = np.random.default_rng(19)
+    c, x = ad.constant(rng.normal(size=(3, 4))), rand_leaf(rng, 4, 2)
+    g = rng.normal(size=(3, 2))
+    assert ad.matmul(c, x)._rule(g)[0] is None
+    assert np.allclose(ad.matmul(c, x)._rule(g)[1], c.data.T @ g)
+    assert ad.matmul(ad.transpose(x), ad.constant(rng.normal(size=(4, 3))))._rule(g.T)[1] is None
+
+
 def test_masked_mean_rows_per_sample():
     rng = np.random.default_rng(12)
     a = rand_leaf(rng, 3 * 4, 5)
     keep = np.array([[1, 1, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
-    out = ad.masked_mean_rows(a, keep)
+    offsets = np.arange(4) * 4
+    out = ad.masked_mean_rows(a, keep.reshape(-1), offsets)
     assert out.shape == (3, 5)
     for b in range(3):
         one = ad.masked_mean_rows(ad.constant(a.data[4 * b:4 * b + 4]), keep[b])
         assert np.array_equal(out.data[b], one.data)
     w = ad.constant(rng.normal(size=(3, 5)))
-    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.masked_mean_rows(a, keep), w)), a) < 1e-6
+    assert ad.finite_diff_check(
+        lambda _: ad.sum_all(ad.mul(ad.masked_mean_rows(a, keep.reshape(-1), offsets), w)), a) < 1e-6
     with pytest.raises(ContractError):
-        ad.masked_mean_rows(a, np.array([[1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=bool))
+        ad.masked_mean_rows(a, np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0], dtype=bool), offsets)
     with pytest.raises(ShapeError):
-        ad.masked_mean_rows(a, keep[:2])
+        ad.masked_mean_rows(a, keep[:2].reshape(-1), offsets)
 
 
 def test_ops_over_constants_record_no_graph():

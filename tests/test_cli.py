@@ -323,3 +323,40 @@ def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error)
     assert code == (2 if error == "ConfigError" else 1)
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
+BAD_INPUT_FILES = {
+    "validate-registry-dir": ("validate", "--registry", "dir"),
+    "validate-registry-not-utf8": ("validate", "--registry", "latin1"),
+    "pretrain1-config-dir": ("pretrain1", "--config", "dir"),
+    "pretrain1-config-not-utf8": ("pretrain1", "--config", "latin1"),
+    "pretrain1-out-file": ("pretrain1", "--out", "file"),
+    "make-corpus-out-file": ("make-corpus", "--out", "file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_bad_input_file_is_one_line_config_error(cli_corpus, tmp_path, capsys, case):
+    """A directory or undecodable bytes where an input file belongs, or an
+    existing file where the output directory belongs, exits 2 with one JSON
+    error line, and nothing is written."""
+    command, flag, kind = BAD_INPUT_FILES[case]
+    bad = {"dir": tmp_path / "a-dir", "latin1": tmp_path / "latin1.json",
+           "file": tmp_path / "a-file"}[kind]
+    if kind == "dir":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b'{"caf\xe9": 1}' if kind == "latin1" else b"x")
+    argv = {"--corpus": str(cli_corpus / "corpus.jsonl"), "--registry": str(cli_corpus / "registry.json")}
+    if command == "pretrain1":
+        argv.update({"--out": str(tmp_path / "run"), "--config": str(write_config(tmp_path / "c.json"))})
+    elif command == "make-corpus":
+        argv = {"--out": None}
+    argv[flag] = str(bad)
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, command, *[x for kv in argv.items() for x in kv])
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert sorted(tmp_path.iterdir()) == before

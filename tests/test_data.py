@@ -74,6 +74,16 @@ def test_registry_roundtrip_and_validation(tmp_path):
         Registry.from_json(bad)
 
 
+@pytest.mark.parametrize("field", ["acoustic_dim", "visual_dim"])
+@pytest.mark.parametrize("value", [True, False, 2.0, "3", 0, -1])
+def test_registry_dims_must_be_positive_ints(field, value):
+    """A bool is no int, as in config files: ``true`` is not a width of 1."""
+    bad = mini_registry().to_json()
+    bad["score"][field] = value
+    with pytest.raises(ConfigError, match=field):
+        Registry.from_json(bad)
+
+
 # ---------------------------------------------------------------------------
 # corpus loading
 

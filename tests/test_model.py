@@ -245,23 +245,26 @@ def stream_length(ps):
 
 
 def test_encode_batch_matches_per_prompt(world):
-    """Every sample of a padded batch gets the states, pooled vector and
-    keep mask that ``encode`` gives it alone; pads sit at each sample's end."""
+    """Every sample of a packed batch gets the states, pooled vector and
+    keep mask that ``encode`` gives it alone; its rows follow the previous
+    sample's, with no pad rows between them."""
     vocab, registry, records, config, params = world
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
     lengths = [stream_length(ps) for ps in prompts]
     assert len(set(lengths)) > 1
     batch = model.encode_batch(prompts, params, config, vocab)
-    width = max(lengths)
-    assert batch.states.shape == (len(prompts) * width, config.model_dim)
+    offsets = batch.offsets
+    assert np.array_equal(offsets, np.cumsum([0] + lengths))
+    assert batch.states.shape == (sum(lengths), config.model_dim)
     assert batch.pooled.shape == (len(prompts), config.model_dim)
+    assert batch.keep.shape == (sum(lengths),)
     for i, ps in enumerate(prompts):
         one = encode(ps, params, config, vocab)
-        rows = batch.states.data[i * width:i * width + lengths[i]]
+        rows = batch.states.data[offsets[i]:offsets[i + 1]]
         assert np.max(np.abs(rows - one.states.data)) <= 1e-12
         assert np.max(np.abs(batch.pooled.data[i] - one.pooled.data)) <= 1e-12
-        assert np.array_equal(batch.keep[i, :lengths[i]], one.keep)
-        assert not batch.keep[i, lengths[i]:].any()
+        assert np.array_equal(batch.keep[offsets[i]:offsets[i + 1]], one.keep)
+        assert np.array_equal(one.offsets, [0, lengths[i]])
     chunked = model.pooled_vectors(prompts, params, config, vocab)
     assert np.max(np.abs(chunked - batch.pooled.data)) <= 1e-12
     assert model.pooled_vectors([], params, config, vocab).shape == (0, config.model_dim)
@@ -301,7 +304,7 @@ def reference_encode(ps, plan, params, config, vocab):
     x = ad.add(x, ad.embedding(params["type_emb"], types))
     x = ad.add(x, ad.embedding(params["pos_emb"], np.where(keep, keep.cumsum() - 1, 0)))
     x = ad.add(x, ad.embedding(params["dataset_emb"], [ps.dataset_index] * len(types)))
-    key_bias = np.where(keep, 0.0, model._NEG_INF)[None, :]
+    key_bias = np.where(keep, 0.0, ad.NEG_INF)[None, :]
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
         a = model._attention(params, prefix, x, model._keys_values(params, prefix, x), config, key_bias)
@@ -342,21 +345,20 @@ def test_batch_input_gather_matches_per_sample_reference(world):
             prompts[-1] = replace(ps, x_tokens=ps.x_tokens[:1] + (vocab.pad_id,) + ps.x_tokens[1:])
         plans = [sample_mcm_plan(ps, (0.0, 0.3, 1.0)[trial % 3], rng, vocab) for ps in prompts]
         enc = model.encode_batch(prompts, params, config, vocab, mask_plans=plans)
-        width = enc.keep.shape[1]
+        offsets = enc.offsets
         lengths = [stream_length(ps) for ps in prompts]
+        assert np.array_equal(offsets, np.cumsum([0] + lengths))
         weights = rng.normal(size=enc.states.shape)
-        for i, n in enumerate(lengths):
-            weights[i * width + n:(i + 1) * width] = 0.0
         lift = rng.normal(size=enc.pooled.shape)
         got = grads_of(ad.add(ad.sum_all(ad.mul(enc.states, ad.constant(weights))),
                               ad.sum_all(ad.mul(enc.pooled, ad.constant(lift)))), params)
         total = None
         for i, (ps, plan) in enumerate(zip(prompts, plans)):
             states, pooled = reference_encode(ps, plan, params, config, vocab)
-            rows = enc.states.data[i * width:i * width + lengths[i]]
+            rows = enc.states.data[offsets[i]:offsets[i + 1]]
             assert np.max(np.abs(rows - states.data)) <= 1e-12
             assert np.max(np.abs(enc.pooled.data[i] - pooled.data)) <= 1e-12
-            part = ad.add(ad.sum_all(ad.mul(states, ad.constant(weights[i * width:i * width + lengths[i]]))),
+            part = ad.add(ad.sum_all(ad.mul(states, ad.constant(weights[offsets[i]:offsets[i + 1]]))),
                           ad.sum_all(ad.mul(pooled, ad.constant(lift[i]))))
             total = part if total is None else ad.add(total, part)
         want = grads_of(total, params)
@@ -400,6 +402,31 @@ def test_encoder_input_graph_does_not_grow_with_batch(world):
                 stack.extend(node.parents)
         counts.append(len(seen))
     assert counts[0] == counts[1] == counts[2], counts
+
+
+def test_encoder_rows_are_packed(world):
+    """On a batch of uneven streams, one with a pad token inside, every
+    per-row op of the encoder graph (each ``gelu`` and ``layer_norm``) runs
+    on N = the summed stream lengths rows, not batch size times the longest."""
+    vocab, registry, records, config, params = world
+    config = replace(config, layers_enc=2)
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:6]]
+    ps = prompts[0]
+    prompts[0] = replace(ps, x_tokens=ps.x_tokens[:1] + (vocab.pad_id,) + ps.x_tokens[1:])
+    lengths = [stream_length(ps) for ps in prompts]
+    assert len(set(lengths)) > 1
+    params = init_params(config, np.random.default_rng(5))
+    enc = model.encode_batch(prompts, params, config, vocab)
+    assert not enc.keep.all()
+    seen, stack, rows = set(), [enc.states], {}
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+            rows.setdefault(node.op, []).append(node.shape[0])
+    assert len(rows["gelu"]) == 2 and len(rows["layer_norm"]) == 4
+    assert set(rows["gelu"]) | set(rows["layer_norm"]) == {sum(lengths)}
 
 
 def test_row_chunks_stay_within_budget(world, monkeypatch):

@@ -1,5 +1,7 @@
+import builtins
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +364,66 @@ def test_interrupted_run_resumes_to_identical_logs(toy, tmp_path, monkeypatch, s
     logs = ["metrics.jsonl"] + (["val_metrics.jsonl"] if stage == "finetune" else [])
     for name in logs:
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+class TornWrite:
+    """A file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(28, "injected: no space left on device")
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_fault_in_log_prefix_rewrite_keeps_the_old_log(toy, tmp_path, monkeypatch):
+    """Fault injection: a resume whose rewrite of the kept log lines fails
+    leaves the old log whole, and a second resume still ends with the log
+    and checkpoint bytes of a run that was never interrupted."""
+    config = small_config(toy["vocab"], toy["registry"])
+    cfg = train_cfg(max_steps=6, checkpoint_every=2, dropout_rate=0.1)
+    full = run_finetune(toy["records"], toy["registry"], config, cfg, tmp_path / "full")
+    out = tmp_path / "cut"
+    run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=4, checkpoint_every=2,
+                                                                     dropout_rate=0.1), out)
+    old = (out / "metrics.jsonl").read_bytes()
+    assert len(old.splitlines()) == 4
+
+    real_open = builtins.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and Path(file).name.startswith("metrics.jsonl"):
+            return TornWrite(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", torn_open)
+    with pytest.raises(OSError, match="injected"):
+        run_finetune(toy["records"], toy["registry"], config, cfg, out,
+                     resume_from=out / "checkpoint_step2.ckpt")
+    monkeypatch.setattr(builtins, "open", real_open)
+    assert (out / "metrics.jsonl").read_bytes() == old
+    assert not (out / "metrics.jsonl.tmp").exists()
+
+    resumed = run_finetune(toy["records"], toy["registry"], config, cfg, out,
+                           resume_from=out / "checkpoint_step2.ckpt")
+    assert resumed.read_bytes() == full.read_bytes()
+    assert (out / "metrics.jsonl").read_bytes() == (tmp_path / "full" / "metrics.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("stage,passes", [("pretrain1", 2), ("pretrain2", 1), ("finetune", 1)])
