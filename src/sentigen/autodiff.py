@@ -19,7 +19,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
-NEG_INF = -1e30  # an attention bias entry that masks its key: exp underflows to 0
+_NEG_INF = -1e30  # added to the logit of a hidden key: its exp underflows to 0
 
 
 def _as_f64(data):
@@ -206,48 +206,43 @@ def sum_all(a):
                  lambda g: (np.full_like(a.data, float(np.asarray(g).reshape(()))),))
 
 
-def _offsets(offsets, rows, op):
-    """``offsets`` as an int array, once checked to be B + 1 ascending row
-    bounds from 0 to ``rows``: sample i owns rows offsets[i]:offsets[i + 1]."""
+def _segments(offsets, rows, op):
+    """``offsets`` as an int array, checked to be B + 1 ascending row bounds
+    from 0 to ``rows`` (sample i owns rows offsets[i]:offsets[i + 1]); the B
+    segment lengths; and the shortest and longest of them, as ints. Those
+    two come from a list: on the few samples of a decode step, two numpy
+    reductions cost more than the rest of the check."""
     off = np.asarray(offsets, dtype=np.int64)
-    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows or (off[1:] < off[:-1]).any():
+    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows:
         raise ShapeError(f"{op}: offsets of shape {off.shape} do not bound {rows} rows")
-    return off
-
-
-def _padded_slots(off):
-    """The longest segment of checked ``off`` and each row's index in the
-    (B * longest)-row padded layout; None for the index when every segment
-    is that long, and packed rows are already that layout."""
     lengths = off[1:] - off[:-1]
-    width = int(lengths.max())
-    if lengths.min() == width:
-        return width, None
-    return width, np.arange(off[-1]) + np.repeat(np.arange(len(lengths)) * width - off[:-1], lengths)
+    listed = lengths.tolist()
+    shortest, longest = min(listed), max(listed)
+    if shortest < 0:
+        raise ShapeError(f"{op}: offsets are not ascending")
+    return off, lengths, shortest, longest
 
 
-def masked_mean_rows(a, keep, offsets=None):
-    """Mean over the rows of ``a`` selected by the boolean (rows,) mask ``keep``.
+def _padded_slots(off, lengths, shortest, longest):
+    """Each row's index in the (B * longest)-row padded layout of checked
+    ``off``; None when every segment is the longest, and packed rows are
+    already that layout."""
+    if shortest == longest:
+        return None
+    return np.arange(off[-1]) + np.repeat(np.arange(len(lengths)) * longest - off[:-1], lengths)
 
-    Without ``offsets`` this is one mean, (d,). With ``offsets`` (see
-    ``_offsets``) it is one mean per segment, (B, d), all summed in one
-    segmented reduction, each exactly as its segment's alone would be."""
-    keep = np.asarray(keep, dtype=bool)
-    if a.data.ndim != 2 or keep.shape != (a.shape[0],):
-        raise ShapeError(f"masked_mean_rows: mask {keep.shape} does not fit {a.shape}")
-    bounds = [0, a.shape[0]] if offsets is None else _offsets(offsets, a.shape[0], "masked_mean_rows")
-    seen = np.concatenate(([0], keep.cumsum()))[bounds]
-    counts = np.diff(seen)  # kept rows per segment
-    if (counts == 0).any():
-        raise ContractError("masked_mean_rows: no rows selected")
-    means = np.add.reduceat(a.data[keep], seen[:-1], axis=0) / counts[:, None]
 
-    def rule(g):
-        buf = np.zeros_like(a.data)
-        buf[keep] = (g.reshape(means.shape) / counts[:, None]).repeat(counts, axis=0)
-        return (buf,)
-
-    return _make(means if offsets is not None else means[0], "masked_mean_rows", (a,), rule)
+def segment_mean(a, offsets):
+    """Mean of each segment of rows of ``a`` bounded by ``offsets`` (see
+    ``_segments``): (B, d), all summed in one segmented reduction, each
+    exactly as its segment's alone would be."""
+    if a.data.ndim != 2:
+        raise ShapeError(f"segment_mean: needs a 2-D operand, got {a.shape}")
+    off, counts, shortest, _ = _segments(offsets, a.shape[0], "segment_mean")
+    if shortest == 0:
+        raise ContractError("segment_mean: empty segment")
+    means = np.add.reduceat(a.data, off[:-1], axis=0) / counts[:, None]
+    return _make(means, "segment_mean", (a,), lambda g: ((g / counts[:, None]).repeat(counts, axis=0),))
 
 
 def sqrt(a):
@@ -286,10 +281,10 @@ def layer_norm(a, gain, bias, eps=1e-5):
     n = a.shape[1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not fit {a.shape}")
-    mu = a.data.mean(axis=1, keepdims=True)
-    var = a.data.var(axis=1, keepdims=True)
+    xc = a.data - a.data.mean(axis=1, keepdims=True)
+    var = (xc * xc).sum(axis=1, keepdims=True) / n  # what np.var computes, without its own centring pass
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def rule(g):
@@ -300,22 +295,21 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return _make(out, "layer_norm", (a, gain, bias), rule)
 
 
-def attention(q, k, v, bias, heads, q_offsets=None, k_offsets=None):
+def attention(q, k, v, heads, q_offsets, k_offsets, causal=False):
     """Multi-head scaled dot-product attention over a batch of B samples, as one node.
 
-    Each side's rows are dense, B equal-length samples stacked sample-major,
-    or packed: ``q_offsets`` / ``k_offsets`` hold B + 1 row bounds, sample i
-    owning rows offsets[i]:offsets[i + 1] (the ``cu_seqlens`` layout). The
-    op scatters packed rows into (B, heads, L, d / heads) buffers padded to
-    the longest sample, masks every key beyond its sample's length, and
-    gathers the outputs back, so no query sees another sample's keys; its
-    backward does the reverse. ``bias`` is None or a constant (B, Lq, Lk)
-    array over that padded layout, or (B, 1, Lk) to apply one row to every
-    query of a sample, holding 0 where a query may attend a key and a large
-    negative number where it may not. A 2-D bias is a batch of one, and so
-    is a call with neither offsets nor bias. Column block h of width
-    d / heads belongs to head h. Returns the per-head outputs side by side,
-    one row per row of ``q``.
+    Rows are packed in the ``cu_seqlens`` layout: ``q_offsets`` and
+    ``k_offsets`` each hold B + 1 row bounds, sample i owning query rows
+    q_offsets[i]:q_offsets[i + 1] and key and value rows
+    k_offsets[i]:k_offsets[i + 1]. The op scatters the rows into
+    (B, heads, L, d / heads) buffers padded to the longest sample, so no
+    query sees another sample's keys, and gathers the outputs back; its
+    backward does the reverse. It hides every key past its sample's end.
+    With ``causal``, query i of a sample with lq queries and lk >= lq keys
+    sees key j only when j - i <= lk - lq: bottom-right aligned, so a
+    sample's last query sees all its keys, as cached decoding needs. Column
+    block h of width d / heads belongs to head h. Returns the per-head
+    outputs side by side, one row per row of ``q``.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
         raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
@@ -323,43 +317,39 @@ def attention(q, k, v, bias, heads, q_offsets=None, k_offsets=None):
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     hd = d // heads
-    qoff = None if q_offsets is None else _offsets(q_offsets, q.shape[0], "attention")
-    koff = None if k_offsets is None else _offsets(k_offsets, k.shape[0], "attention")
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        bias = bias[None] if bias.ndim == 2 else bias
-        if bias.ndim != 3:
-            raise ShapeError(f"attention: bias of shape {bias.shape} is not 2-D or 3-D")
-    sizes = {len(off) - 1 for off in (qoff, koff) if off is not None}
-    sizes |= set() if bias is None else {bias.shape[0]}
-    b = sizes.pop() if len(sizes) == 1 else (1 if not sizes else 0)
-    if b < 1 or (qoff is None and q.shape[0] % b) or (koff is None and k.shape[0] % b):
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, bias and offsets disagree on the batch")
-    lq, qslot = (q.shape[0] // b, None) if qoff is None else _padded_slots(qoff)
-    lk, kslot = (k.shape[0] // b, None) if koff is None else _padded_slots(koff)
-    if bias is not None and (bias.shape[1] not in (1, lq) or bias.shape[2] != lk):
-        raise ShapeError(f"attention: bias {bias.shape} does not fit ({b}, {lq}, {lk})")
-    if kslot is not None:  # mask the padded slots past each sample's last key
-        past_end = np.full(b * lk, NEG_INF)
-        past_end[kslot] = 0.0
-        bias = past_end.reshape(b, 1, lk) if bias is None else bias + past_end.reshape(b, 1, lk)
+    qoff, qlen, qmin, lq = _segments(q_offsets, q.shape[0], "attention")
+    koff, klen, kmin, lk = _segments(k_offsets, k.shape[0], "attention")
+    if len(qlen) != len(klen):
+        raise ShapeError(f"attention: {len(qlen)} query samples but {len(klen)} key samples")
+    if causal and lq > kmin and (qlen > klen).any():
+        raise ShapeError("attention: a causal sample has more queries than keys")
+    b = len(qlen)
+    qslot, kslot = _padded_slots(qoff, qlen, qmin, lq), _padded_slots(koff, klen, kmin, lk)
+    # the keys each query may not see: none are hidden when every sample has
+    # all lk keys and, if causal, each query sees them all
+    hidden = None
+    if kslot is not None:  # (B, 1, Lk): past each sample's end
+        hidden = (np.arange(lk) >= klen[:, None])[:, None]
+    if causal and lq > 1:  # (B, Lq, Lk): ahead of each query
+        ahead = np.arange(lk) > np.arange(lq)[:, None] + (klen - qlen)[:, None, None]
+        hidden = ahead if hidden is None else ahead | hidden
     norm = 1.0 / float(np.sqrt(hd))
 
-    def split(x, slot, rows):  # packed or dense rows -> (B, heads, rows, hd)
+    def split(x, slot, rows):  # packed rows -> (B, heads, rows, hd)
         if slot is not None:
             x, packed = np.zeros((b * rows, d)), x
             x[slot] = packed
         return x.reshape(b, rows, heads, hd).transpose(0, 2, 1, 3)
 
-    def merge(x, slot, rows):  # (B, heads, rows, hd) -> packed or dense rows
+    def merge(x, slot, rows):  # (B, heads, rows, hd) -> packed rows
         x = x.transpose(0, 2, 1, 3).reshape(b * rows, d)
         return x if slot is None else x[slot]
 
     qh, kh, vh = split(q.data, qslot, lq), split(k.data, kslot, lk), split(v.data, kslot, lk)
     z = qh @ kh.swapaxes(2, 3)
     z *= norm
-    if bias is not None:
-        z += bias[:, None]
+    if hidden is not None:
+        z += np.where(hidden, _NEG_INF, 0.0)[:, None]
     z -= z.max(axis=3, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=3, keepdims=True)

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_accuracy_matrix,
                    render_bias_report)
-from .data import POOL_DATASET_ID, Registry, load_corpus, read_json
+from .data import POOL_DATASET_ID, Registry, load_corpus, read_bytes, read_json
 from .errors import ConfigError, DataError, SentigenError
 from .evaluation import evaluate_records
 from .model import ModelConfig, config_from_json, pooled_vectors, write_file_atomic
@@ -313,33 +313,34 @@ def cmd_export_embeddings(args):
 
 
 def _matrix_from_embeddings(path, correspondence):
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"embeddings file not found: {p}")
+    p = str(path)
     items = {}
     order = []
-    with open(p, "r", encoding="utf-8") as fh:
-        for line, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-                d, label = obj["dataset_id"], obj["label"]
-                vec = np.asarray(obj["vector"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"bad embeddings row: {type(exc).__name__}: {exc}",
-                                line=line, path=str(p)) from None
-            if not isinstance(d, str) or not isinstance(label, str):
-                raise DataError("dataset_id and label must be strings", line=line, path=str(p))
-            if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
-                raise DataError("vector must be a non-empty flat array of finite numbers",
-                                line=line, path=str(p))
-            if d not in items:
-                items[d] = []
-                order.append(d)
-            items[d].append((label, vec))
+    # split before decoding, so an undecodable line can be named; bytes split
+    # on the same line ends as text mode's universal newlines
+    for line, raw in enumerate(read_bytes(path, "embeddings file").splitlines(), 1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"embeddings row is not UTF-8 ({exc.reason})", line=line, path=p) from None
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+            d, label = obj["dataset_id"], obj["label"]
+            vec = np.asarray(obj["vector"], dtype=np.float64)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad embeddings row: {type(exc).__name__}: {exc}", line=line, path=p) from None
+        if not isinstance(d, str) or not isinstance(label, str):
+            raise DataError("dataset_id and label must be strings", line=line, path=p)
+        if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
+            raise DataError("vector must be a non-empty flat array of finite numbers", line=line, path=p)
+        if d not in items:
+            items[d] = []
+            order.append(d)
+        items[d].append((label, vec))
     if not items:
-        raise DataError("embeddings file holds no rows", path=str(p))
+        raise DataError("embeddings file holds no rows", path=p)
     return build_accuracy_matrix(items, order=order, correspondence=correspondence)
 
 

@@ -144,17 +144,23 @@ class DatasetSpec:
     metrics: tuple
 
 
-def read_json(path, what, error=ConfigError):
-    """Parse the JSON file at ``path``, named ``what`` in errors. A missing
-    or unreadable path (a directory, say) is a ConfigError; bytes that are
-    not UTF-8 or not JSON are an ``error``."""
+def read_bytes(path, what):
+    """The bytes of the file at ``path``, named ``what`` in errors. A
+    missing or unreadable path (a directory, say) is a ConfigError."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        return path.read_bytes()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path} ({exc.strerror})") from None
+
+
+def read_json(path, what, error=ConfigError):
+    """Parse the JSON file at ``path``, named ``what`` in errors. A missing
+    or unreadable path is a ConfigError (see ``read_bytes``); bytes that are
+    not UTF-8 or not JSON are an ``error``."""
+    raw = read_bytes(path, what)
     try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:

@@ -3,11 +3,11 @@
 The encoder consumes one stream per sample: token embeddings for the prompt
 spans, projected acoustic/visual frames appended after the text, each position
 carrying a modality-type embedding, a position embedding, and the dataset
-embedding row for the record's dataset. Attention is bidirectional; pad
-positions (if any) are dropped from attention, pooling, and position counting,
-so where pads sit never changes the outputs. The decoder is autoregressive
-with cross-attention into the encoder states, and its output projection is
-tied to the token embedding table.
+embedding row for the record's dataset. A stream holds no pad token:
+``_encode`` rejects one, so every position is real and is the one at its
+index. Attention is bidirectional. The decoder is autoregressive with
+cross-attention into the encoder states, and its output projection is tied
+to the token embedding table.
 
 The encoder runs on a batch of samples packed end to end. Tensors stay 2-D:
 a batch of B streams is N = the summed stream lengths rows, sample after
@@ -15,17 +15,18 @@ sample, with ``offsets`` (B + 1 row bounds, the ``cu_seqlens`` layout)
 marking where each sample starts. Every per-row op (input gather,
 projections, dropout, residual adds, ``layer_norm``, the FFN) runs on those
 N rows only, so no arithmetic goes to padding. Multi-head attention is one
-fused autodiff op that alone sees the sample bounds: it pads the rows inside
-itself, keeps each sample's queries on its own keys and gathers back. A
-batch's input rows are one gather from one table of every sample's token
-embeddings, the projected acoustic and visual frames and the mask vectors,
-so masking a token or a frame is a choice of row. The decoder's rows stay
-dense, B samples of n ids each; its cross-attention reads the packed encoder
-rows through their offsets. ``encode``, ``decoder_states`` and ``generate``
-on one prompt are the batch of one. Training and inference both run these
-batches: a training step's losses read ``encode_batch`` encodings, with one
-dropout mask per batched tensor; inference uses ``pooled_vectors`` and
-``generate_batch``.
+fused autodiff op that alone sees the sample bounds, and packed offsets are
+its only layout: it pads the rows inside itself, keeps each sample's queries
+on its own keys and gathers back. A batch's input rows are one gather from
+one table of every sample's token embeddings, the projected acoustic and
+visual frames and the mask vectors, so masking a token or a frame is a
+choice of row. The decoder's rows are B samples of n ids each, which is the
+packed layout with equal offsets; its self-attention is causal and its
+cross-attention reads the packed encoder rows through their offsets.
+``encode``, ``decoder_states`` and ``generate`` on one prompt are the batch
+of one. Training and inference both run these batches: a training step's
+losses read ``encode_batch`` encodings, with one dropout mask per batched
+tensor; inference uses ``pooled_vectors`` and ``generate_batch``.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
@@ -45,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .data import read_bytes
 from .errors import ConfigError, ContractError, ShapeError
 from .prompt import flatten_prompt
 
@@ -197,13 +199,11 @@ def _keys_values(params, prefix, x_kv, cache=None, grow=False, batch=1):
     return k, v
 
 
-def _attention(params, prefix, x_q, kv, config, mask_bias, q_offsets=None, k_offsets=None):
+def _attention(params, prefix, x_q, kv, config, q_offsets, k_offsets, causal=False):
     """Multi-head scaled dot-product attention of ``x_q`` over projected
-    ``kv``, each side dense or packed by its offsets (see ``ad.attention``).
-    ``mask_bias`` is None or a constant (B, Lq, Lk) or (B, 1, Lk) array of
-    0 / -inf-like entries added to each sample's logits."""
+    ``kv``, each side packed by its offsets (see ``ad.attention``)."""
     q = _linear(params, prefix, x_q, "wq", "bq")
-    mixed = ad.attention(q, kv[0], kv[1], mask_bias, config.heads, q_offsets, k_offsets)
+    mixed = ad.attention(q, kv[0], kv[1], config.heads, q_offsets, k_offsets, causal)
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
@@ -223,13 +223,14 @@ def _maybe_dropout(x, config, train, rng):
 @dataclass
 class EncoderOutput:
     """Encoder states of a batch of B prompts, packed: sample i's stream is
-    rows offsets[i]:offsets[i + 1] of ``states``, with no pad rows between
-    samples. For one prompt, B = 1 and ``pooled`` drops the batch axis."""
+    rows offsets[i]:offsets[i + 1] of ``states``, every row a real stream
+    position, with no pad rows inside or between samples. ``pooled`` is
+    each sample's mean row. For one prompt, B = 1 and ``pooled`` drops the
+    batch axis."""
 
     states: ad.Tensor      # (N, model_dim), N = offsets[-1], the summed stream lengths
     pooled: ad.Tensor      # (B, model_dim), or (model_dim,) for one prompt
     offsets: np.ndarray    # int (B + 1,): where each sample's rows start, then N
-    keep: np.ndarray       # bool (N,); False at pad tokens inside a stream
 
 
 # An encoder batch's input rows come from one table of blocks: 0 every
@@ -239,29 +240,16 @@ class EncoderOutput:
 _BLOCK_TYPE = np.array([0, 1, 2, 1, 2])
 
 
-def _key_bias(keep, offsets):
-    """The attention bias, (B, 1, longest stream), that masks the pad tokens
-    inside packed streams as keys; None when there are none. Keys past a
-    sample's end are the attention op's to mask."""
-    if keep.all():
-        return None
-    lengths = np.diff(offsets)
-    sample = np.repeat(np.arange(len(lengths)), lengths)
-    bias = np.zeros((len(lengths), 1, lengths.max()))
-    bias[sample[~keep], 0, (np.arange(len(keep)) - offsets[sample])[~keep]] = ad.NEG_INF
-    return bias
-
-
 def _encode(prompts, mask_plans, params, config, vocab, train, rng):
-    """The encoder over a packed batch: states (N, d), offsets (B + 1,) and
-    keep (N,), N being the summed stream lengths.
+    """The encoder over a packed batch: states (N, d) and offsets (B + 1,),
+    N being the summed stream lengths.
 
     Each sample's stream is its prompt tokens, then its modal frames, and
     every per-row op runs on the N stream rows alone; only attention sees
     the sample bounds. A masked token reads the mask id's embedding, a
-    masked frame its modality's mask vector. A pad token inside a stream
-    keeps its row but is masked as a key and skipped by position counting
-    and pooling, so it never changes another row.
+    masked frame its modality's mask vector. A stream holding the pad token
+    is a ContractError: no builder emits one, and every row counts as a
+    real position.
     """
     tokens, frames = [], {"acoustic": [], "visual": []}
     src, rows = [], []  # the block, and the row in it, that each position reads
@@ -297,14 +285,11 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
             frames[seg.kind].append(feats)
         lengths.append(total)
 
+    if vocab.pad_id in tokens:
+        raise ContractError("an encoder stream holds the pad token")
     src, rows = np.array(src), np.array(rows)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    keep = np.ones(len(src), dtype=bool)
-    keep[src == 0] = np.asarray(tokens)[rows[src == 0]] != vocab.pad_id
-    # pads do not consume position slots: a row's position counts the kept
-    # rows of its sample before it
-    kept = np.concatenate(([0], keep.cumsum()))
-    pos_ids = np.where(keep, kept[:-1] - np.repeat(kept[offsets[:-1]], lengths), 0)
+    pos_ids = np.arange(len(src)) - np.repeat(offsets[:-1], lengths)
 
     # a block no position reads stays out, so its parameters get no gradient;
     # frames all masked still project, and their projection gets a zero one
@@ -324,16 +309,14 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
                                np.array([ps.dataset_index for ps in prompts]).repeat(lengths)))
     x = _maybe_dropout(x, config, train, rng)
 
-    key_bias = _key_bias(keep, offsets)
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
-        a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, key_bias,
-                       offsets, offsets)
+        a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, offsets, offsets)
         a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
-    return x, offsets, keep
+    return x, offsets
 
 
 def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
@@ -343,8 +326,9 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
     listed token positions are replaced by the mask token, listed modal frames
     by the learned per-modality mask vector. Masking never changes lengths.
     """
-    x, offsets, keep = _encode([ps], [mask_plan], params, config, vocab, train, rng)
-    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep), offsets=offsets, keep=keep)
+    enc = encode_batch([ps], params, config, vocab, [mask_plan], train, rng)
+    enc.pooled = ad.reshape(enc.pooled, (config.model_dim,))
+    return enc
 
 
 def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
@@ -355,9 +339,8 @@ def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, r
     if not prompts:
         raise ContractError("cannot encode an empty batch")
     plans = [None] * len(prompts) if mask_plans is None else mask_plans
-    x, offsets, keep = _encode(prompts, plans, params, config, vocab, train, rng)
-    return EncoderOutput(states=x, pooled=ad.masked_mean_rows(x, keep, offsets),
-                         offsets=offsets, keep=keep)
+    x, offsets = _encode(prompts, plans, params, config, vocab, train, rng)
+    return EncoderOutput(states=x, pooled=ad.segment_mean(x, offsets), offsets=offsets)
 
 
 class DecoderCache:
@@ -377,8 +360,8 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     For one prompt ``dec_ids`` is a list of ids and the result is
     (len(dec_ids), d). For a batch encoded by ``encode_batch`` it is a
     (B, n) array, one row of n ids per sample, and the result (B * n, d):
-    the decoder's rows are dense, and only its cross-attention reads the
-    packed encoder rows, through ``enc_out.offsets``.
+    every sample has n rows, so its offsets are equal steps of n, and the
+    cross-attention reads the packed encoder rows through ``enc_out.offsets``.
 
     Without a ``cache`` the ids are the whole teacher-forced stream. With one,
     they continue the positions already fed through that cache: the first
@@ -403,17 +386,17 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     x = ad.add(x, ad.embedding(params["pos_emb"], positions))
     x = _maybe_dropout(x, config, train, rng)
 
-    causal = np.where(np.arange(n)[None, :] <= np.arange(past, n)[:, None], 0.0, ad.NEG_INF)
-    causal = causal[None].repeat(batch, axis=0)
-    cross = _key_bias(enc_out.keep, enc_out.offsets)
+    fed = np.arange(batch + 1) * ids.shape[1]  # each sample's new rows
+    held = np.arange(batch + 1) * n  # and its self-attention keys, past ones first
     for i in range(config.layers_dec):
         prefix = f"dec{i}_self"
         kv = _keys_values(params, prefix, x, cache, grow=True, batch=batch)
-        a = _maybe_dropout(_attention(params, prefix, x, kv, config, causal), config, train, rng)
+        a = _attention(params, prefix, x, kv, config, fed, held, causal=True)
+        a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(ad.add(x, a), params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"])
         prefix = f"dec{i}_cross"
         kv = _keys_values(params, prefix, enc_out.states, cache)
-        c = _attention(params, prefix, x, kv, config, cross, k_offsets=enc_out.offsets)
+        c = _attention(params, prefix, x, kv, config, fed, enc_out.offsets)
         c = _maybe_dropout(c, config, train, rng)
         x = ad.layer_norm(ad.add(x, c), params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"])
         f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, train, rng)
@@ -567,10 +550,9 @@ def write_file_atomic(path, chunks):
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelConfig, arrays dict, meta dict).
 
-    Any malformed header, or a payload that does not match the header's
-    CRC-32, is a ``ConfigError``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    A missing or unreadable path, any malformed header, or a payload that
+    does not match the header's CRC-32, is a ``ConfigError``."""
+    blob = read_bytes(path, "checkpoint")
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file")
     version, header_len = struct.unpack("<IQ", blob[4:16])

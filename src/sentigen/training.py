@@ -370,8 +370,6 @@ def load_model(path, registry):
     vocab, arrays, meta). A missing file, vocabulary fields that are missing
     or mistyped, or a model config that does not fit the vocabulary and the
     registry (``_fit_config``) is a ConfigError."""
-    if not Path(path).exists():
-        raise ConfigError(f"checkpoint not found: {path}")
     config, arrays, meta = load_checkpoint(path)
     tokens = _meta_field(meta, "vocab", list, path)
     if not all(isinstance(t, str) for t in tokens):

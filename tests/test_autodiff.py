@@ -91,12 +91,12 @@ def test_reduction_norm_softmax_match_fd(seed):
     a = rand_leaf(rng, 4, 6)
     gain = rand_leaf(rng, 6)
     bias = rand_leaf(rng, 6)
-    keep = np.array([1.0, 1.0, 0.0, 1.0])
 
     cases = {
         "layer_norm": lambda: ad.sum_all(ad.mul(ad.layer_norm(a, gain, bias),
                                                 ad.layer_norm(a, gain, bias))),
-        "masked_mean": lambda: ad.sum_all(ad.masked_mean_rows(a, keep)),
+        "segment_mean": lambda: ad.sum_all(ad.mul(ad.segment_mean(a, [0, 3, 4]),
+                                                  ad.segment_mean(a, [0, 3, 4]))),
         "sqrt": lambda: ad.sum_all(ad.sqrt(ad.add(ad.mul(a, a), ad.constant(np.ones((4, 6)))))),
         "div": lambda: ad.sum_all(ad.div(a, ad.add(ad.mul(a, a), ad.constant(np.full((4, 6), 2.0))))),
         "ce": lambda: ad.softmax_cross_entropy(a, [1, 0, 5, 3]),
@@ -123,9 +123,13 @@ def test_embedding_rows_and_fd():
     assert np.all(table.grad[2] == 0.0) and np.all(table.grad[5] == 0.0)
 
 
-def attention_reference(q, k, v, bias, heads):
-    """Per-head loop over column blocks: the fused op's forward oracle."""
+def attention_reference(q, k, v, heads, causal=False):
+    """One sample, per-head loop over column blocks: the fused op's forward
+    oracle. Causal hides key j from query i when j - i > lk - lq."""
     hd = q.shape[1] // heads
+    lq, lk = q.shape[0], k.shape[0]
+    ahead = np.arange(lk)[None, :] - np.arange(lq)[:, None] > lk - lq
+    bias = np.where(ahead, -np.inf, 0.0) if causal else 0.0
     out = []
     for h in range(heads):
         cols = slice(h * hd, (h + 1) * hd)
@@ -135,162 +139,136 @@ def attention_reference(q, k, v, bias, heads):
     return np.concatenate(out, axis=1)
 
 
-def batch_key_bias(batch, lq, lk):
-    """Per-sample biases: sample b masks key columns b and b + 2 of its own
-    keys (column 4 when b == 2), and sample 0 also masks one single entry."""
-    bias = np.zeros((batch, lq, lk))
-    for b in range(batch):
-        bias[b, :, [b, min(b + 2, lk - 1)]] = -1e30
-    bias[0, 0, 3] = -1e30
-    return bias
-
-
-@pytest.mark.parametrize("heads", [1, 2, 4])
-def test_attention_matches_reference_and_fd(heads):
-    for batch in (1, 3):
-        check_attention(heads, batch)
-
-
-def check_attention(heads, batch):
-    rng = np.random.default_rng(400 + heads + 10 * batch)
-    lq, lk, d = 3, 5, 8
-    q, k, v = (rand_leaf(rng, batch * lq, d), rand_leaf(rng, batch * lk, d),
-               rand_leaf(rng, batch * lk, d))
-    bias = batch_key_bias(batch, lq, lk)
-    w = ad.constant(rng.normal(size=(batch * lq, d)))
-
-    out = ad.attention(q, k, v, bias, heads)
-    ref = np.concatenate([
-        attention_reference(q.data[b * lq:(b + 1) * lq], k.data[b * lk:(b + 1) * lk],
-                            v.data[b * lk:(b + 1) * lk], bias[b], heads)
-        for b in range(batch)])
-    assert np.allclose(out.data, ref, atol=1e-12)
-    if batch == 1:  # a 2-D bias is the batch of one
-        assert np.array_equal(ad.attention(q, k, v, bias[0], heads).data, out.data)
-    fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, bias, heads), w))
-    for t in (q, k, v):
-        assert ad.finite_diff_check(fn, t) < 1e-6
-    # keys and values masked for every query of their sample get exactly no gradient
-    ad.zero_grads([k, v])
-    ad.backward(fn(None))
-    masked = [b * lk + c for b in range(batch) for c in range(lk) if np.all(bias[b, :, c] < 0)]
-    assert len(masked) == 2 * batch
-    assert np.all(k.grad[masked] == 0.0) and np.all(v.grad[masked] == 0.0)
-    with pytest.raises(ShapeError):
-        ad.attention(q, k, v, bias, 3)
-    with pytest.raises(ShapeError):
-        ad.attention(q, k, v, bias[:, :, :2], heads)
-    with pytest.raises(ShapeError):
-        ad.attention(q, k, v, np.zeros((batch + 1, lq, lk)), heads)
-
-
-def test_attention_samples_are_isolated():
-    """Perturbing one sample's keys and values leaves every other sample's
-    output bit-identical; a (B, 1, Lk) bias applies one row per sample."""
-    rng = np.random.default_rng(9)
-    batch, lq, lk, d = 3, 2, 4, 8
-    q = ad.constant(rng.normal(size=(batch * lq, d)))
-    k = rng.normal(size=(batch * lk, d))
-    v = rng.normal(size=(batch * lk, d))
-    bias = np.zeros((batch, 1, lk))
-    bias[1, 0, 3] = -1e30
-    base = ad.attention(q, ad.constant(k), ad.constant(v), bias, 2).data
-    k2, v2 = k.copy(), v.copy()
-    k2[2 * lk:] += rng.normal(size=(lk, d))
-    v2[2 * lk:] *= 7.0
-    moved = ad.attention(q, ad.constant(k2), ad.constant(v2), bias, 2).data
-    assert np.array_equal(moved[:2 * lq], base[:2 * lq])
-    assert not np.allclose(moved[2 * lq:], base[2 * lq:])
-    full = np.broadcast_to(bias, (batch, lq, lk))
-    assert np.array_equal(ad.attention(q, ad.constant(k), ad.constant(v), full, 2).data, base)
-
-
 def packed_rows(rng, lengths, d):
     return rand_leaf(rng, sum(lengths), d), np.cumsum([0] + list(lengths))
 
 
-@pytest.mark.parametrize("with_bias", [False, True])
+# (query lengths, key lengths) per sample: uneven, equal, length-1 samples,
+# fewer queries than keys, and one query per sample
+ATTENTION_CASES = (([1, 3, 2], [1, 4, 3]), ([2, 1], [3, 3]), ([3, 3, 3], [5, 5, 5]),
+                   ([1, 1, 1], [2, 4, 3]), ([2, 1, 1, 2], [2, 1, 5, 4]), ([2, 2], [2, 2]))
+
+
+def check_attention(rng, heads, d, q_len, k_len, causal):
+    """Every sample's outputs equal the reference on that sample alone
+    within 1e-12, and gradients pass finite differences."""
+    q, q_off = packed_rows(rng, q_len, d)
+    k, k_off = packed_rows(rng, k_len, d)
+    v = rand_leaf(rng, sum(k_len), d)
+    out = ad.attention(q, k, v, heads, q_off, k_off, causal)
+    assert out.shape == (sum(q_len), d)
+    for i in range(len(q_len)):
+        qs, ks = slice(q_off[i], q_off[i + 1]), slice(k_off[i], k_off[i + 1])
+        want = attention_reference(q.data[qs], k.data[ks], v.data[ks], heads, causal)
+        assert np.max(np.abs(out.data[qs] - want)) <= 1e-12
+    w = ad.constant(rng.normal(size=out.shape))
+    fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, heads, q_off, k_off, causal), w))
+    for t in (q, k, v):
+        assert ad.finite_diff_check(fn, t) < 1e-6
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_reference_and_fd(heads):
+    rng = np.random.default_rng(400 + heads)
+    for causal in (False, True):
+        for q_len, k_len in ATTENTION_CASES:
+            check_attention(rng, heads, 8, q_len, k_len, causal)
+    # more queries than keys is fine without the causal flag
+    check_attention(rng, heads, 8, [4, 1, 1, 2], [2, 1, 5, 1], False)
+
+
+@pytest.mark.parametrize("causal", [False, True])
 @pytest.mark.parametrize("heads", [1, 2])
-def test_varlen_attention_matches_reference_and_fd(heads, with_bias):
-    """Packed rows: every sample's outputs equal the op run on that sample
-    alone, over uneven lengths (length-1 samples among them) and query
-    lengths that differ from key lengths; gradients pass finite differences,
-    and keys past a sample's end take no part."""
-    rng = np.random.default_rng(500 + heads + 10 * with_bias)
-    d = 4
-    for q_len, k_len in (([1, 3, 2], [1, 4, 3]), ([2, 1], [3, 3]), ([4, 1, 1, 2], [2, 1, 5, 1])):
-        q, q_off = packed_rows(rng, q_len, d)
-        k, k_off = packed_rows(rng, k_len, d)
-        v = rand_leaf(rng, sum(k_len), d)
-        b, lq, lk = len(q_len), max(q_len), max(k_len)
-        bias = None
-        if with_bias:  # mask one in-range key of each sample with two or more keys
-            bias = np.zeros((b, lq, lk))
-            for i, n in enumerate(k_len):
-                if n > 1:
-                    bias[i, :, n - 1] = -1e30
-        out = ad.attention(q, k, v, bias, heads, q_off, k_off)
-        assert out.shape == (sum(q_len), d)
-        for i in range(b):
-            qs, ks = slice(q_off[i], q_off[i + 1]), slice(k_off[i], k_off[i + 1])
-            want = attention_reference(q.data[qs], k.data[ks], v.data[ks],
-                                       0.0 if bias is None else bias[i, :q_len[i], :k_len[i]], heads)
-            assert np.max(np.abs(out.data[qs] - want)) <= 1e-12
-        w = ad.constant(rng.normal(size=out.shape))
-        fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, bias, heads, q_off, k_off), w))
-        for t in (q, k, v):
-            assert ad.finite_diff_check(fn, t) < 1e-6
-    with pytest.raises(ShapeError):
-        ad.attention(q, k, v, None, heads, q_off, k_off[:-1])
-    with pytest.raises(ShapeError):
-        ad.attention(q, k, v, None, heads, q_off[::-1], k_off)
-    with pytest.raises(ShapeError):
-        ad.attention(q, k, v, np.zeros((b, lq, lk + 1)), heads, q_off, k_off)
+def test_varlen_attention_matches_reference_and_fd(heads, causal):
+    """Random uneven lengths at width 4: per-sample reference, finite
+    differences, and keys past a sample's end take no part in it."""
+    rng = np.random.default_rng(500 + heads + 10 * causal)
+    for _ in range(3):
+        b = int(rng.integers(1, 5))
+        k_len = [int(n) for n in rng.integers(1, 6, size=b)]
+        q_len = [int(rng.integers(1, n + 1)) for n in k_len]
+        check_attention(rng, heads, 4, q_len, k_len, causal)
 
 
-def test_packed_attention_equals_dense_at_equal_lengths():
-    """With every sample the same length, packed rows are the dense layout:
-    outputs and gradients agree with the dense op within 1e-12, whichever
-    side carries offsets."""
-    rng = np.random.default_rng(41)
-    batch, lq, lk, d = 3, 2, 4, 8
-    q, k, v = rand_leaf(rng, batch * lq, d), rand_leaf(rng, batch * lk, d), rand_leaf(rng, batch * lk, d)
-    bias = batch_key_bias(batch, lq, lk)
-    w = ad.constant(rng.normal(size=(batch * lq, d)))
-    q_off, k_off = np.arange(batch + 1) * lq, np.arange(batch + 1) * lk
+def test_attention_samples_are_isolated():
+    """Perturbing one sample's keys and values leaves every other sample's
+    output bit-identical; its own keys and values get gradient only from
+    its own queries."""
+    rng = np.random.default_rng(9)
+    q_len, k_len, d = [2, 1, 3], [4, 2, 3], 8
+    q = ad.constant(rng.normal(size=(sum(q_len), d)))
+    k, k_off = packed_rows(rng, k_len, d)
+    v = rand_leaf(rng, sum(k_len), d)
+    q_off = np.cumsum([0] + q_len)
+    for causal in (False, True):
+        base = ad.attention(q, ad.constant(k.data), ad.constant(v.data), 2, q_off, k_off, causal).data
+        k2, v2 = k.data.copy(), v.data.copy()
+        k2[k_off[2]:] += rng.normal(size=(k_len[2], d))
+        v2[k_off[2]:] *= 7.0
+        moved = ad.attention(q, ad.constant(k2), ad.constant(v2), 2, q_off, k_off, causal).data
+        assert np.array_equal(moved[:q_off[2]], base[:q_off[2]])
+        assert not np.allclose(moved[q_off[2]:], base[q_off[2]:])
+        w = np.zeros((sum(q_len), d))
+        w[q_off[1]:q_off[2]] = 1.0  # only sample 1's outputs count
+        ad.zero_grads([k, v])
+        ad.backward(ad.sum_all(ad.mul(ad.attention(q, k, v, 2, q_off, k_off, causal), ad.constant(w))))
+        outside = np.r_[0:k_off[1], k_off[2]:k_off[3]]
+        assert np.all(k.grad[outside] == 0.0) and np.all(v.grad[outside] == 0.0)
 
-    def value_and_grads(*offsets):
-        ad.zero_grads([q, k, v])
-        out = ad.attention(q, k, v, bias, 2, *offsets)
-        ad.backward(ad.sum_all(ad.mul(out, w)))
-        return [out.data] + [t.grad.copy() for t in (q, k, v)]
 
-    dense = value_and_grads()
-    for offsets in ((q_off, k_off), (None, k_off), (q_off, None)):
-        for got, want in zip(value_and_grads(*offsets), dense):
-            assert np.max(np.abs(got - want)) <= 1e-12
+def test_causal_attention_is_bottom_right_aligned():
+    """Feeding each sample's queries one at a time, each against the keys up
+    to its own position (one query per sample, no mask), gives the rows of
+    one causal call over the whole stream within 1e-12: what cached
+    decoding relies on."""
+    rng = np.random.default_rng(23)
+    b, n, d = 3, 4, 8
+    q, k, v = (rng.normal(size=(b * n, d)) for _ in range(3))
+    steps = np.arange(b + 1) * n
+    full = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 2, steps, steps, True).data
+    for t in range(n):
+        rows = np.arange(b) * n + t
+        prefix = (np.arange(b)[:, None] * n + np.arange(t + 1)).reshape(-1)
+        one = ad.attention(ad.constant(q[rows]), ad.constant(k[prefix]), ad.constant(v[prefix]), 2,
+                           np.arange(b + 1), np.arange(b + 1) * (t + 1), True).data
+        assert np.max(np.abs(one - full[rows])) <= 1e-12
+
+
+def test_attention_rejects_bad_offsets():
+    rng = np.random.default_rng(29)
+    q, q_off = packed_rows(rng, [2, 3], 4)
+    k, k_off = packed_rows(rng, [3, 3], 4)
+    v = rand_leaf(rng, 6, 4)
+    bad = {"heads": (q, k, v, 3, q_off, k_off), "short": (q, k, v, 2, q_off, k_off[:-1]),
+           "reversed": (q, k, v, 2, q_off[::-1], k_off), "descending": (q, k, v, 2, [0, 4, 2, 5], k_off),
+           "count": (q, k, v, 2, q_off, [0, 2, 4, 6]), "rows": (q, k, v, 2, [0, 2, 4], k_off),
+           "causal": (q, k, v, 2, [0, 4, 5], k_off, True)}
+    for name, args in bad.items():
+        with pytest.raises(ShapeError):
+            ad.attention(*args)
+            pytest.fail(name)
 
 
 def test_segment_mean_matches_per_segment_and_fd():
-    """Packed segments of uneven length, pad rows among them: each mean is
-    its segment's alone, and the gradient passes finite differences."""
+    """Packed segments of uneven length, a length-1 one among them: each
+    mean is its segment's alone, bit for bit, and the gradient passes finite
+    differences."""
     rng = np.random.default_rng(13)
     a, offsets = packed_rows(rng, [3, 1, 5, 2], 4)
-    keep = np.ones(11, dtype=bool)
-    keep[[1, 6, 8]] = False
-    out = ad.masked_mean_rows(a, keep, offsets)
+    out = ad.segment_mean(a, offsets)
     assert out.shape == (4, 4)
     for i in range(4):
-        rows = slice(offsets[i], offsets[i + 1])
-        assert np.array_equal(out.data[i], ad.masked_mean_rows(ad.constant(a.data[rows]), keep[rows]).data)
+        rows = a.data[offsets[i]:offsets[i + 1]]
+        assert np.array_equal(out.data[i], ad.segment_mean(ad.constant(rows), [0, len(rows)]).data[0])
+        assert np.max(np.abs(out.data[i] - rows.mean(axis=0))) <= 1e-15
     w = ad.constant(rng.normal(size=(4, 4)))
-    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.masked_mean_rows(a, keep, offsets), w)),
-                                a) < 1e-6
-    keep[offsets[1]] = False  # segment 1 loses its only row
+    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.segment_mean(a, offsets), w)), a) < 1e-6
     with pytest.raises(ContractError):
-        ad.masked_mean_rows(a, keep, offsets)
+        ad.segment_mean(a, [0, 3, 3, 11])  # an empty segment
     with pytest.raises(ShapeError):
-        ad.masked_mean_rows(a, np.ones(11, dtype=bool), offsets[:-1])
+        ad.segment_mean(a, offsets[:-1])
+    with pytest.raises(ShapeError):
+        ad.segment_mean(ad.reshape(a, (44,)), [0, 44])
 
 
 def test_embedding_backward_matches_scatter_add():
@@ -316,25 +294,6 @@ def test_matmul_gives_a_constant_parent_no_gradient():
     assert ad.matmul(c, x)._rule(g)[0] is None
     assert np.allclose(ad.matmul(c, x)._rule(g)[1], c.data.T @ g)
     assert ad.matmul(ad.transpose(x), ad.constant(rng.normal(size=(4, 3))))._rule(g.T)[1] is None
-
-
-def test_masked_mean_rows_per_sample():
-    rng = np.random.default_rng(12)
-    a = rand_leaf(rng, 3 * 4, 5)
-    keep = np.array([[1, 1, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
-    offsets = np.arange(4) * 4
-    out = ad.masked_mean_rows(a, keep.reshape(-1), offsets)
-    assert out.shape == (3, 5)
-    for b in range(3):
-        one = ad.masked_mean_rows(ad.constant(a.data[4 * b:4 * b + 4]), keep[b])
-        assert np.array_equal(out.data[b], one.data)
-    w = ad.constant(rng.normal(size=(3, 5)))
-    assert ad.finite_diff_check(
-        lambda _: ad.sum_all(ad.mul(ad.masked_mean_rows(a, keep.reshape(-1), offsets), w)), a) < 1e-6
-    with pytest.raises(ContractError):
-        ad.masked_mean_rows(a, np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0], dtype=bool), offsets)
-    with pytest.raises(ShapeError):
-        ad.masked_mean_rows(a, keep[:2].reshape(-1), offsets)
 
 
 def test_ops_over_constants_record_no_graph():

@@ -311,13 +311,22 @@ EMBEDDINGS = jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
     ({"acc-matrix": "[1,2]"}, "DataError"),
     ({"embeddings": jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
                           {"dataset_id": "b", "label": "x", "vector": [1.0, 2.0]})}, "ShapeError"),
+    ({"embeddings": None}, "ConfigError"),
+    ({"embeddings": EMBEDDINGS.encode() + b'{"caf\xe9": 1}\n'}, "DataError"),
 ], ids=["embeddings-not-json", "embeddings-empty", "embeddings-no-label", "embeddings-text-vector",
-        "correspondence-not-json", "acc-matrix-list", "widths-1-and-2"])
+        "correspondence-not-json", "acc-matrix-list", "widths-1-and-2", "embeddings-dir",
+        "embeddings-not-utf8"])
 def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error):
+    """Each file holds text, raw bytes, or is None for a directory in its place."""
     argv = ["bias-report"]
-    for flag, text in files.items():
+    for flag, content in files.items():
         path = tmp_path / flag
-        path.write_text(text)
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
         argv += [f"--{flag}", str(path)]
     code, out, err = run(capsys, *argv)
     assert code == (2 if error == "ConfigError" else 1)
@@ -332,6 +341,10 @@ BAD_INPUT_FILES = {
     "pretrain1-config-not-utf8": ("pretrain1", "--config", "latin1"),
     "pretrain1-out-file": ("pretrain1", "--out", "file"),
     "make-corpus-out-file": ("make-corpus", "--out", "file"),
+    "eval-checkpoint-dir": ("eval", "--checkpoint", "dir"),
+    "export-embeddings-checkpoint-dir": ("export-embeddings", "--checkpoint", "dir"),
+    "pretrain2-resume-dir": ("pretrain2", "--resume", "dir"),
+    "finetune-init-dir": ("finetune", "--init", "dir"),
 }
 
 
@@ -348,8 +361,10 @@ def test_bad_input_file_is_one_line_config_error(cli_corpus, tmp_path, capsys, c
     else:
         bad.write_bytes(b'{"caf\xe9": 1}' if kind == "latin1" else b"x")
     argv = {"--corpus": str(cli_corpus / "corpus.jsonl"), "--registry": str(cli_corpus / "registry.json")}
-    if command == "pretrain1":
+    if command in ("pretrain1", "pretrain2", "finetune"):
         argv.update({"--out": str(tmp_path / "run"), "--config": str(write_config(tmp_path / "c.json"))})
+    elif command == "export-embeddings":
+        argv["--out"] = str(tmp_path / "run")
     elif command == "make-corpus":
         argv = {"--out": None}
     argv[flag] = str(bad)

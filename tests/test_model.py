@@ -65,24 +65,23 @@ def test_encode_shapes_and_stream_layout(world):
     total = ps.token_length + ps.frame_count
     assert enc.states.data.shape == (total, config.model_dim)
     assert enc.pooled.data.shape == (config.model_dim,)
-    assert enc.keep.all()  # no pads in a freshly built prompt
+    assert np.array_equal(enc.offsets, [0, total])
 
 
-def test_pad_positions_are_inert(world):
+def test_pad_in_stream_is_contract_error(world):
+    """A stream holds no pad token: one at the end or inside a prompt's
+    query, alone or in one sample of a batch, is a ContractError."""
     vocab, registry, records, config, params = world
-    r = pick(records, "absa-toy")
-    ps = build_prompt(r, vocab, registry, config.max_len)
-    enc = encode(ps, params, config, vocab)
-
-    # pads appended at the end and spliced into the middle of the query
+    ps = build_prompt(pick(records, "absa-toy"), vocab, registry, config.max_len)
+    other = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
     pad = vocab.pad_id
     tail = replace(ps, x_tokens=ps.x_tokens + (pad, pad))
-    mid = replace(ps, x_tokens=ps.x_tokens[:2] + (pad,) + ps.x_tokens[2:] + (pad,))
+    mid = replace(ps, x_tokens=ps.x_tokens[:2] + (pad,) + ps.x_tokens[2:])
     for padded in (tail, mid):
-        out = encode(padded, params, config, vocab)
-        assert np.array_equal(out.pooled.data, enc.pooled.data)
-        keep_rows = out.states.data[out.keep]
-        assert np.array_equal(keep_rows, enc.states.data)
+        with pytest.raises(ContractError, match="pad"):
+            encode(padded, params, config, vocab)
+        with pytest.raises(ContractError, match="pad"):
+            model.encode_batch([other, padded], params, config, vocab)
 
 
 def test_distinct_dataset_indices_change_pooled(world):
@@ -245,9 +244,9 @@ def stream_length(ps):
 
 
 def test_encode_batch_matches_per_prompt(world):
-    """Every sample of a packed batch gets the states, pooled vector and
-    keep mask that ``encode`` gives it alone; its rows follow the previous
-    sample's, with no pad rows between them."""
+    """Every sample of a packed batch gets the states and pooled vector
+    that ``encode`` gives it alone; its rows follow the previous sample's,
+    with no pad rows between them."""
     vocab, registry, records, config, params = world
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
     lengths = [stream_length(ps) for ps in prompts]
@@ -257,13 +256,11 @@ def test_encode_batch_matches_per_prompt(world):
     assert np.array_equal(offsets, np.cumsum([0] + lengths))
     assert batch.states.shape == (sum(lengths), config.model_dim)
     assert batch.pooled.shape == (len(prompts), config.model_dim)
-    assert batch.keep.shape == (sum(lengths),)
     for i, ps in enumerate(prompts):
         one = encode(ps, params, config, vocab)
         rows = batch.states.data[offsets[i]:offsets[i + 1]]
         assert np.max(np.abs(rows - one.states.data)) <= 1e-12
         assert np.max(np.abs(batch.pooled.data[i] - one.pooled.data)) <= 1e-12
-        assert np.array_equal(batch.keep[offsets[i]:offsets[i + 1]], one.keep)
         assert np.array_equal(one.offsets, [0, lengths[i]])
     chunked = model.pooled_vectors(prompts, params, config, vocab)
     assert np.max(np.abs(chunked - batch.pooled.data)) <= 1e-12
@@ -298,20 +295,19 @@ def reference_encode(ps, plan, params, config, vocab):
             proj = ad.add(ad.mul(proj, ad.constant(1.0 - sel)), ad.mul(tiled, ad.constant(sel)))
         parts.append(proj)
         types += [model._TYPE_INDEX[seg.kind]] * rows
-    keep = np.ones(len(types), dtype=bool)
-    keep[:len(ids)] = np.asarray(ids) != vocab.pad_id
+    n = len(types)
     x = ad.concat_rows(parts)
     x = ad.add(x, ad.embedding(params["type_emb"], types))
-    x = ad.add(x, ad.embedding(params["pos_emb"], np.where(keep, keep.cumsum() - 1, 0)))
-    x = ad.add(x, ad.embedding(params["dataset_emb"], [ps.dataset_index] * len(types)))
-    key_bias = np.where(keep, 0.0, ad.NEG_INF)[None, :]
+    x = ad.add(x, ad.embedding(params["pos_emb"], np.arange(n)))
+    x = ad.add(x, ad.embedding(params["dataset_emb"], [ps.dataset_index] * n))
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
-        a = model._attention(params, prefix, x, model._keys_values(params, prefix, x), config, key_bias)
+        a = model._attention(params, prefix, x, model._keys_values(params, prefix, x), config,
+                             [0, n], [0, n])
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = model._ffn(params, f"enc{i}_ffn", x)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
-    return x, ad.masked_mean_rows(x, keep)
+    return x, ad.reshape(ad.matmul(ad.constant(np.full((1, n), 1.0 / n)), x), (d,))
 
 
 def grads_of(loss, params):
@@ -323,8 +319,8 @@ def grads_of(loss, params):
 def test_batch_input_gather_matches_per_sample_reference(world):
     """Fuzz, dropout off: ``encode_batch`` states, pooled rows and every
     parameter gradient equal a per-sample reference within 1e-12, over mixed
-    modal settings, mask rates 0 / 0.3 / 1, pads inside a stream, batches of
-    one and batches without acoustic or visual frames. A parameter behind no
+    modal settings, mask rates 0 / 0.3 / 1, batches of one and batches
+    without acoustic or visual frames. A parameter behind no
     input row has no gradient: a projection when its modality has no
     frames, a mask vector when no frame of its modality is masked."""
     vocab, registry, records, config, params = world
@@ -340,9 +336,6 @@ def test_batch_input_gather_matches_per_sample_reference(world):
         prompts = [apply_modal_setting(ps, sample_modal_setting(ps, rng)) if kinds is None else
                    replace(ps, modal_segments=tuple(s for s in ps.modal_segments if s.kind in kinds))
                    for ps in prompts]
-        if trial % 2:
-            ps = prompts[-1]
-            prompts[-1] = replace(ps, x_tokens=ps.x_tokens[:1] + (vocab.pad_id,) + ps.x_tokens[1:])
         plans = [sample_mcm_plan(ps, (0.0, 0.3, 1.0)[trial % 3], rng, vocab) for ps in prompts]
         enc = model.encode_batch(prompts, params, config, vocab, mask_plans=plans)
         offsets = enc.offsets
@@ -405,19 +398,17 @@ def test_encoder_input_graph_does_not_grow_with_batch(world):
 
 
 def test_encoder_rows_are_packed(world):
-    """On a batch of uneven streams, one with a pad token inside, every
-    per-row op of the encoder graph (each ``gelu`` and ``layer_norm``) runs
-    on N = the summed stream lengths rows, not batch size times the longest."""
+    """On a batch of uneven streams, every per-row op of the encoder graph
+    (each ``gelu`` and ``layer_norm``) runs on N = the summed stream lengths
+    rows, not batch size times the longest."""
     vocab, registry, records, config, params = world
     config = replace(config, layers_enc=2)
-    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:6]]
-    ps = prompts[0]
-    prompts[0] = replace(ps, x_tokens=ps.x_tokens[:1] + (vocab.pad_id,) + ps.x_tokens[1:])
+    prompts = [build_prompt(pick(records, d), vocab, registry, config.max_len)
+               for d in ("sst-toy", "absa-toy", "meld-toy", "mosi-toy")]
     lengths = [stream_length(ps) for ps in prompts]
     assert len(set(lengths)) > 1
     params = init_params(config, np.random.default_rng(5))
     enc = model.encode_batch(prompts, params, config, vocab)
-    assert not enc.keep.all()
     seen, stack, rows = set(), [enc.states], {}
     while stack:
         node = stack.pop()
