@@ -271,6 +271,36 @@ def test_segment_mean_matches_per_segment_and_fd():
         ad.segment_mean(ad.reshape(a, (44,)), [0, 44])
 
 
+def test_masked_mean_rows_per_sample():
+    """A (B * L)-row layout with a keep mask, packed to each sample's kept
+    rows: every sample's mean is its own alone, the gradient reaches exactly
+    the kept rows, an all-masked sample is an error, and offsets bounding
+    fewer rows than packed are a ShapeError."""
+    rng = np.random.default_rng(12)
+    a = rand_leaf(rng, 3 * 4, 5)
+    keep = np.array([[1, 1, 0, 1], [0, 1, 0, 0], [1, 1, 1, 1]], dtype=bool)
+    kept = np.flatnonzero(keep.ravel())
+
+    def pooled(x):
+        packed = ad.concat_rows([ad.slice_rows(x, i, i + 1) for i in kept])
+        return ad.segment_mean(packed, np.cumsum([0] + keep.sum(axis=1).tolist()))
+
+    out = pooled(a)
+    assert out.shape == (3, 5)
+    for b in range(3):
+        rows = a.data[4 * b:4 * b + 4][keep[b]]
+        one = ad.segment_mean(ad.constant(rows), [0, len(rows)])
+        assert np.array_equal(out.data[b], one.data[0])
+    w = ad.constant(rng.normal(size=(3, 5)))
+    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(pooled(a), w)), a) < 1e-6
+    ad.backward(ad.sum_all(ad.mul(pooled(a), w)))
+    assert np.all(a.grad[~keep.ravel()] == 0.0) and np.all(a.grad[kept] != 0.0)
+    with pytest.raises(ContractError):
+        ad.segment_mean(ad.slice_rows(a, 0, 5), [0, 4, 4, 5])  # sample 1 keeps no row
+    with pytest.raises(ShapeError):
+        ad.segment_mean(ad.slice_rows(a, 0, len(kept)), [0, 3, 4])
+
+
 def test_embedding_backward_matches_scatter_add():
     """The sorted segmented-sum backward equals an unbuffered scatter-add
     within 1e-12: repeated ids, no ids, and ids covering the whole table."""
