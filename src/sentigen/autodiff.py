@@ -162,18 +162,6 @@ def concat_rows(parts):
     return _make(np.concatenate([p.data for p in parts], axis=0), "concat_rows", parts, rule)
 
 
-def slice_rows(a, start, stop):
-    if a.data.ndim != 2 or not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] invalid for {a.shape}")
-
-    def rule(g):
-        buf = np.zeros_like(a.data)
-        buf[start:stop] = g
-        return (buf,)
-
-    return _make(a.data[start:stop].copy(), "slice_rows", (a,), rule)
-
-
 def embedding(table, ids):
     """Row gather: out[i] = table[ids[i]]. Backward sums the gradient rows
     of each id into its table row: a stable sort of the ids, then one

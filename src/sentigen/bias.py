@@ -130,7 +130,8 @@ def render_bias_report(report, digits=2):
 def label_centroids(items):
     """Mean vector per label over (label, vector) pairs, labels ordered
     lexicographically. Each mean is an in-order running sum over the count,
-    not np.mean's pairwise sum: stage-two checkpoints store these bytes."""
+    not np.mean's pairwise sum: stage-two pseudo labels, and through them
+    checkpoints, depend on these bits."""
     if not items:
         raise ContractError("cannot build centroids from zero items")
     shape = np.shape(items[0][1])

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_accuracy_matrix,
                    render_bias_report)
-from .data import POOL_DATASET_ID, Registry, load_corpus, read_bytes, read_json
+from .data import POOL_DATASET_ID, Registry, load_corpus, read_json, read_jsonl
 from .errors import ConfigError, DataError, SentigenError
 from .evaluation import evaluate_records
 from .model import ModelConfig, config_from_json, pooled_vectors, write_file_atomic
@@ -86,10 +86,7 @@ def write_manifest(out_dir, command, seed, effective_config):
 
 def _load_inputs(args):
     registry = Registry.load(args.registry)
-    corpus_path = Path(args.corpus)
-    if not corpus_path.exists():
-        raise ConfigError(f"corpus file not found: {corpus_path}")
-    return load_corpus(corpus_path, registry), registry
+    return load_corpus(args.corpus, registry), registry
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +225,8 @@ def _run_training(args, runner, command, **extra):
     train_cfg = _resolve_train_config(args, config)
     model_cfg = ModelConfig.from_json(config.model)
     records, registry = _load_inputs(args)
+    if getattr(args, "val_corpus", None):
+        extra["val_records"] = load_corpus(args.val_corpus, registry)
     # a run from a checkpoint takes its model config from there, not from the file
     source = extra.get("resume_from") or extra.get("init_checkpoint")
     used = model_cfg if source is None else load_model(source, registry)[0]
@@ -249,14 +248,8 @@ def cmd_pretrain2(args):
 
 
 def cmd_finetune(args):
-    extra = {"init_checkpoint": args.init, "resume_from": args.resume}
-    if args.val_corpus:
-        val_path = Path(args.val_corpus)
-        if not val_path.exists():
-            raise ConfigError(f"validation corpus not found: {val_path}")
-        registry = Registry.load(args.registry)
-        extra["val_records"] = load_corpus(val_path, registry)
-    return _run_training(args, run_finetune, "finetune", **extra)
+    return _run_training(args, run_finetune, "finetune",
+                         init_checkpoint=args.init, resume_from=args.resume)
 
 
 def _metric_table(payload):
@@ -316,20 +309,11 @@ def _matrix_from_embeddings(path, correspondence):
     p = str(path)
     items = {}
     order = []
-    # split before decoding, so an undecodable line can be named; bytes split
-    # on the same line ends as text mode's universal newlines
-    for line, raw in enumerate(read_bytes(path, "embeddings file").splitlines(), 1):
+    for line, obj in read_jsonl(path, "embeddings file"):
         try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"embeddings row is not UTF-8 ({exc.reason})", line=line, path=p) from None
-        if not text.strip():
-            continue
-        try:
-            obj = json.loads(text)
             d, label = obj["dataset_id"], obj["label"]
             vec = np.asarray(obj["vector"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad embeddings row: {type(exc).__name__}: {exc}", line=line, path=p) from None
         if not isinstance(d, str) or not isinstance(label, str):
             raise DataError("dataset_id and label must be strings", line=line, path=p)

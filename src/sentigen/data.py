@@ -8,6 +8,7 @@ type, answer set, feature dimensions, and evaluation metrics.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -105,13 +106,6 @@ class AnswerSet:
     hi: float = SCALAR_HI
 
     @classmethod
-    def categorical(cls, labels):
-        labels = tuple(str(x) for x in labels)
-        if not labels or len(set(labels)) != len(labels):
-            raise ConfigError(f"answer set must list distinct labels, got {labels}")
-        return cls(labels=labels)
-
-    @classmethod
     def scalar_range(cls, lo=SCALAR_LO, hi=SCALAR_HI):
         return cls(labels=None, scalar=True, lo=float(lo), hi=float(hi))
 
@@ -127,10 +121,22 @@ class AnswerSet:
 
     @classmethod
     def from_json(cls, obj):
+        """A list of distinct label strings, or ``{"kind": "scalar"}`` with
+        optional finite ``min`` < ``max``; anything else is a ConfigError."""
         if isinstance(obj, list):
-            return cls.categorical(obj)
+            if not obj or not all(isinstance(x, str) for x in obj) or len(set(obj)) != len(obj):
+                raise ConfigError(f"answer set must list distinct label strings, got {obj!r}")
+            return cls(labels=tuple(obj))
         if isinstance(obj, dict) and obj.get("kind") == "scalar":
-            return cls.scalar_range(obj.get("min", SCALAR_LO), obj.get("max", SCALAR_HI))
+            lo, hi = obj.get("min", SCALAR_LO), obj.get("max", SCALAR_HI)
+            for key, value in (("min", lo), ("max", hi)):
+                # a bool is no number here, as in config files
+                if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                        or not math.isfinite(value):
+                    raise ConfigError(f"scalar answer set {key} must be a finite number, got {value!r}")
+            if not lo < hi:
+                raise ConfigError(f"scalar answer set min {lo} is not below max {hi}")
+            return cls.scalar_range(lo, hi)
         raise ConfigError(f"unrecognised answer_set spec: {obj!r}")
 
 
@@ -144,16 +150,18 @@ class DatasetSpec:
     metrics: tuple
 
 
-def read_bytes(path, what):
+def read_bytes(path, what, error=ConfigError):
     """The bytes of the file at ``path``, named ``what`` in errors. A
-    missing or unreadable path (a directory, say) is a ConfigError."""
+    missing or unreadable path (a directory, say) is an ``error``: a
+    ConfigError for a path the user names, a DataError for one named inside
+    the data, such as a feature sidecar."""
     path = Path(path)
     try:
         return path.read_bytes()
     except FileNotFoundError:
-        raise ConfigError(f"{what} not found: {path}") from None
+        raise error(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path} ({exc.strerror})") from None
+        raise error(f"cannot read {what} {path} ({exc.strerror})") from None
 
 
 def read_json(path, what, error=ConfigError):
@@ -167,6 +175,29 @@ def read_json(path, what, error=ConfigError):
         raise error(f"{what} {path} is not UTF-8 ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def read_jsonl(path, what):
+    """Yield ``(line_no, obj)`` for each non-blank line of the JSONL file at
+    ``path``. The path is read by ``read_bytes``; a line that is not UTF-8,
+    not JSON or not a JSON object is a DataError naming the line."""
+    p = str(path)
+    # split before decoding, so an undecodable line can be named; bytes split
+    # on the same line ends as text mode's universal newlines
+    for line_no, raw in enumerate(read_bytes(path, what).splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"not UTF-8 ({exc.reason})", line=line_no, path=p) from None
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON ({exc.msg})", line=line_no, path=p) from None
+        if not isinstance(obj, dict):
+            raise DataError("not a JSON object", line=line_no, path=p)
+        yield line_no, obj
 
 
 class Registry:
@@ -216,7 +247,10 @@ class Registry:
                 task = TaskType(entry["task_type"])
             except ValueError:
                 raise ConfigError(f"registry entry {dataset_id!r}: unknown task_type {entry['task_type']!r}") from None
-            answer = AnswerSet.from_json(entry["answer_set"])
+            try:
+                answer = AnswerSet.from_json(entry["answer_set"])
+            except ConfigError as exc:
+                raise ConfigError(f"registry entry {dataset_id!r}: {exc}") from None
             if answer.scalar != (task is TaskType.MSA):
                 raise ConfigError(f"registry entry {dataset_id!r}: scalar answer sets are for msa datasets only")
             for dim_key in ("acoustic_dim", "visual_dim"):
@@ -317,13 +351,7 @@ def write_feature_sidecar(path, features):
 
 
 def read_feature_sidecar(path):
-    path = Path(path)
-    if not path.exists():
-        raise DataError("feature sidecar not found", path=str(path))
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:  # a directory, say, or a file we may not read
-        raise DataError(f"cannot read feature sidecar ({exc.strerror})", path=str(path)) from None
+    blob = read_bytes(path, "feature sidecar", DataError)
     if len(blob) < 12 or blob[:4] != SIDECAR_MAGIC:
         raise DataError("bad sidecar magic", path=str(path))
     rows, cols = struct.unpack("<II", blob[4:12])
@@ -448,33 +476,11 @@ def _parse_record(obj, registry, path, line, base_dir):
 
 
 def load_corpus(path, registry):
-    """Parse and validate a UTF-8 JSONL corpus. Raises DataError naming the
-    line of the first malformed record."""
+    """Parse and validate a UTF-8 JSONL corpus. A missing or unreadable path
+    is a ConfigError; a malformed record is a DataError naming its line."""
     path = Path(path)
-    if not path.exists():
-        raise DataError("corpus file not found", path=str(path))
-    try:
-        # split before decoding, so an undecodable line can be named; bytes
-        # split on the same line ends as text mode's universal newlines
-        lines = path.read_bytes().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read corpus ({exc.strerror})", path=str(path)) from None
-    records = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"not UTF-8 ({exc.reason})", line=lineno, path=str(path)) from None
-        if not text.strip():
-            continue
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON ({exc.msg})", line=lineno, path=str(path)) from None
-        if not isinstance(obj, dict):
-            raise DataError("record must be a JSON object", line=lineno, path=str(path))
-        records.append(_parse_record(obj, registry, str(path), lineno, path.parent))
-    return records
+    return [_parse_record(obj, registry, str(path), line_no, path.parent)
+            for line_no, obj in read_jsonl(path, "corpus")]
 
 
 def _features_to_json(arr):

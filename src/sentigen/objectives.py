@@ -225,36 +225,38 @@ def label_token_id(label, vocab):
     return ids[-1]
 
 
-def _task_label_ids(index, task, vocab):
-    labels = index.labels(task)
+def _task_label_ids(labels, task, vocab):
     ids = [label_token_id(lab, vocab) for lab in labels]
     if len(set(ids)) != len(ids):
         raise VocabularyError(
             f"labels of task {task.value!r} do not have distinct representative tokens: {labels}")
-    return labels, ids
+    return ids
 
 
-def loss_cep(enc, pseudos, params, config, vocab, index, train=False, rng=None):
+def loss_cep(enc, pseudos, params, config, vocab, labels, train=False, rng=None):
     """Cross-task prediction from ``enc``, the corrupted encoding of a batch
-    with one PseudoLabelSet per sample. The decoder is fed the task tokens;
-    position i classifies over task i's label vocabulary. Per sample the sum
-    of the tasks' cross-entropies, averaged over the batch."""
+    with one PseudoLabelSet per sample. ``labels`` maps each task to its
+    label vocabulary, a tuple in lexicographic order. The decoder is fed the
+    task tokens in TASK_ORDER; position i classifies over task i's labels.
+    Per sample the sum of the tasks' cross-entropies, averaged over the
+    batch."""
     _check_batch(enc, pseudos, "loss_cep")
-    tasks = index.tasks()
+    tasks = [t for t in TASK_ORDER if t in labels]
     if not tasks:
-        raise ContractError("loss_cep: empty centroid index")
+        raise ContractError("loss_cep: empty label table")
     dec_ids = np.array([[vocab.task_id(t) for t in tasks]] * len(pseudos))
     logits = token_logits(decoder_states(dec_ids, enc, params, config, train=train, rng=rng), params)
     total = None
     for i, task in enumerate(tasks):
-        labels, ids = _task_label_ids(index, task, vocab)
+        ids = _task_label_ids(labels[task], task, vocab)
         wanted = [pseudo.label_for(task) for pseudo in pseudos]
-        stray = [want for want in wanted if want not in labels]
+        stray = [want for want in wanted if want not in labels[task]]
         if stray:
             raise ContractError(
-                f"pseudo label {stray[0]!r} for task {task.value!r} is outside the centroid labels")
+                f"pseudo label {stray[0]!r} for task {task.value!r} is outside its label table")
         rows = ad.embedding(logits, np.arange(len(pseudos)) * len(tasks) + i)
-        ce = ad.softmax_cross_entropy(ad.gather_cols(rows, ids), [labels.index(w) for w in wanted])
+        ce = ad.softmax_cross_entropy(ad.gather_cols(rows, ids),
+                                      [labels[task].index(w) for w in wanted])
         total = ce if total is None else ad.add(total, ce)
     return total
 
@@ -280,16 +282,16 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
     return report, total
 
 
-def stage2_loss(batch, params, config, vocab, index, weights=(1.0, 1.0), train=False, rng=None):
+def stage2_loss(batch, params, config, vocab, labels, weights=(1.0, 1.0), train=False, rng=None):
     """Reconstruction + cross-task prediction on original records, sharing
-    one corrupted pass. Returns (LossReport, total tensor). Requires a
-    centroid index."""
-    if index is None:
-        raise ContractError("stage2_loss: centroid index has not been built")
+    one corrupted pass. Returns (LossReport, total tensor). ``labels`` is
+    ``loss_cep``'s per-task label table."""
+    if not labels:
+        raise ContractError("stage2_loss: no label table")
     enc = encode_batch([e.prompt for e in batch], params, config, vocab,
                        mask_plans=[e.plan for e in batch], train=train, rng=rng)
     mcm = loss_mcm(enc, [(e.prompt, e.plan) for e in batch], params, vocab)
-    cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, index,
+    cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, labels,
                    train=train, rng=rng)
     total = ad.add(ad.scale(mcm, weights[0]), ad.scale(cep, weights[1]))
     report = LossReport(mcm=mcm.item(), spp=0.0, ccl=0.0, cep=cep.item(), total=total.item())

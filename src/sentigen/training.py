@@ -10,7 +10,7 @@ only) a validation hook.
 Runs are bit-deterministic for a fixed (seed, config, corpus): RNG streams are
 spawned from the seed per concern (data order, masking, dropout, init), pools
 reshuffle from the data stream, and every piece of mutable state (parameters,
-optimizer moments, RNG states, pool cursors, centroid snapshots) is carried in
+optimizer moments, RNG states, pool cursors, pseudo labels) is carried in
 checkpoints, so resuming from a mid-run checkpoint replays the uninterrupted
 run exactly.
 """
@@ -32,7 +32,7 @@ from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
 from .model import (config_from_json, encode, init_params, load_checkpoint,  # noqa: F401
                     params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint,
                     write_file_atomic)
-from .objectives import (CentroidIndex, LossReport, PseudoLabelSet, Stage1Example,
+from .objectives import (LossReport, PseudoLabelSet, Stage1Example,
                          Stage2Example, assign_pseudo_labels, build_centroids, generation_loss,
                          stage1_loss, stage2_loss)
 from .prompt import Vocab, build_prompt, build_vocab, tokenize
@@ -298,26 +298,6 @@ def _restore_rngs(states):
     return out
 
 
-def _centroids_to_json(index):
-    if index is None:
-        return None
-    out = {}
-    for task in index.tasks():
-        out[task.value] = {lab: [float(x) for x in vec] for lab, vec in index.by_task[task]}
-    return out
-
-
-def _centroids_from_json(obj):
-    if obj is None:
-        return None
-    by_task = {}
-    for task_value, groups in obj.items():
-        task = TaskType(task_value)
-        by_task[task] = tuple(sorted(((lab, np.asarray(vec, dtype=np.float64))
-                                      for lab, vec in groups.items()), key=lambda x: x[0]))
-    return CentroidIndex(by_task=by_task)
-
-
 def _pseudo_to_json(pseudo_list):
     if pseudo_list is None:
         return None
@@ -397,7 +377,6 @@ class _Run:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.step = 0
-        self.centroids = None
         self.pseudo = None
         self.rngs = _spawn_rngs(train_config.seed)
         self.resume_from = resume_from
@@ -422,8 +401,8 @@ class _Run:
             self._restore(meta, arrays)
 
     def _restore(self, meta, arrays):
-        """Step, optimizer, RNG, centroid and pseudo-label state of the run
-        being resumed."""
+        """Step, optimizer, RNG and pseudo-label state of the run being
+        resumed."""
         source = self.resume_from
         if meta.get("stage") != self.stage:
             raise ConfigError(
@@ -431,11 +410,10 @@ class _Run:
         self.step = _meta_field(meta, "step", int, source)
         self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
         self.rngs.update(_parsed_field(meta, "rng", _restore_rngs, source))
-        self.centroids = _parsed_field(meta, "centroids", _centroids_from_json, source)
         self.pseudo = _parsed_field(meta, "pseudo", _pseudo_from_json, source)
-        if (self.pseudo is None) != (self.centroids is None):
-            raise ConfigError(f"{source}: checkpoint fields 'pseudo' and 'centroids' "
-                              f"must be both set or both null")
+        # stage two refreshes its pseudo labels before its first step
+        if self.stage == "pretrain2" and self.step and self.pseudo is None:
+            raise ConfigError(f"{source}: checkpoint field 'pseudo' is null at step {self.step}")
         if self.pseudo is not None and len(self.pseudo) != len(self.records):
             raise ConfigError(f"{source}: checkpoint field 'pseudo' holds {len(self.pseudo)} "
                               f"labels for a corpus of {len(self.records)} records")
@@ -497,7 +475,6 @@ class _Run:
             "adam_t": self.adam.t,
             "rng": _rng_states(self.rngs),
             "pools": pools_state,
-            "centroids": _centroids_to_json(self.centroids),
             "pseudo": _pseudo_to_json(self.pseudo),
             "train_config": self.train_config.to_json(),
         }
@@ -578,17 +555,16 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
     return run.drive(pools, 2 * pools.pairs_per_pass(), step)
 
 
-def _refresh_centroids(run):
+def _refresh_centroids(run, keys):
     """Frozen-snapshot pass: clean encodings of the full corpus with all
-    modalities, grouped by gold label, plus per-record pseudo assignments."""
+    modalities, grouped by gold key ``keys[i]`` into per-task centroids, then
+    one pseudo-label set per record. Only the pseudo labels are kept."""
     prompts = [build_prompt(r, run.vocab, run.registry, run.model_config.max_len)
                for r in run.records]
     pooled = pooled_vectors(prompts, run.params, run.model_config, run.vocab)
-    keys = [run.registry.spec(r.dataset_id).answer.render(r.label) for r in run.records]
-    run.centroids = build_centroids([(r.task_type, key, vec)
-                                     for r, key, vec in zip(run.records, keys, pooled)])
-    run.pseudo = assign_pseudo_labels(pooled, run.centroids,
-                                      [r.task_type for r in run.records], keys)
+    tasks = [r.task_type for r in run.records]
+    centroids = build_centroids(zip(tasks, keys, pooled))
+    run.pseudo = assign_pseudo_labels(pooled, centroids, tasks, keys)
 
 
 def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
@@ -599,16 +575,22 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from)
     cfg = run.train_config
     pool = IndexPool(range(len(records)), run.pool_rng())
+    keys = [registry.spec(r.dataset_id).answer.render(r.label) for r in records]
+    # each task's gold keys, sorted: the labels its centroids carry
+    by_task = {}
+    for r, key in zip(records, keys):
+        by_task.setdefault(r.task_type, set()).add(key)
+    labels = {task: tuple(sorted(by_task[task])) for task in TASK_ORDER if task in by_task}
 
     def step():
-        if run.centroids is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
-            _refresh_centroids(run)
+        if run.pseudo is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
+            _refresh_centroids(run, keys)
         batch = []
         for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
             ps = _augmented_prompt(run, records[idx])
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
             batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
-        return stage2_loss(batch, run.params, run.model_config, run.vocab, run.centroids,
+        return stage2_loss(batch, run.params, run.model_config, run.vocab, labels,
                            weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
                            train=True, rng=run.rngs["dropout"])
 

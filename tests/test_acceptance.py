@@ -102,16 +102,11 @@ def letters(vocab, n):
     return got[:n]
 
 
-def random_index(acc_rig, rng):
-    vocab, dim = acc_rig["vocab"], acc_rig["config"].model_dim
-    pool = iter(letters(vocab, 16))
-    items = []
-    labels = {}
-    for task in TASK_ORDER:
-        labels[task] = [next(pool) for _ in range(int(rng.integers(2, 5)))]
-        for lab in labels[task]:
-            items.append((task, lab, rng.normal(size=dim)))
-    return build_centroids(items), labels
+def random_labels(acc_rig, rng):
+    """A label table for ``loss_cep``: 2-4 distinct letters per task, in
+    lexicographic order."""
+    pool = iter(letters(acc_rig["vocab"], 16))
+    return {task: tuple(next(pool) for _ in range(int(rng.integers(2, 5)))) for task in TASK_ORDER}
 
 
 def test_c02_gradient_fidelity(acc):
@@ -133,7 +128,7 @@ def test_c02_gradient_fidelity(acc):
             prompts = [build_prompt(r, vocab, registry, config.max_len) for r in chosen]
             plans = [sample_mcm_plan(p, float(rng.uniform(0.3, 0.7)), rng, vocab)
                      for p in prompts]
-            index, labmap = random_index(acc, rng)
+            labmap = random_labels(acc, rng)
             pseudo = PseudoLabelSet(labels={
                 t: labmap[t][int(rng.integers(len(labmap[t])))] for t in TASK_ORDER})
             pair = [r for r in chosen[:2]]
@@ -149,14 +144,14 @@ def test_c02_gradient_fidelity(acc):
                     [encode(p, params, config, vocab).pooled for p in prompts], ccl_labels),
                 "cep": lambda: loss_cep(
                     encode_batch(prompts[1:2], params, config, vocab, mask_plans=plans[1:2]),
-                    [pseudo], params, config, vocab, index),
+                    [pseudo], params, config, vocab, labmap),
                 "stage1": lambda: stage1_loss(
                     [Stage1Example(prompt=prompts[0], plan=plans[0], polarity=Polarity.POSITIVE),
                      Stage1Example(prompt=prompts[2], plan=plans[2], polarity=Polarity.NEGATIVE)],
                     params, config, vocab)[1],
                 "stage2": lambda: stage2_loss(
                     [Stage2Example(prompt=prompts[0], plan=plans[0], pseudo=pseudo)],
-                    params, config, vocab, index)[1],
+                    params, config, vocab, labmap)[1],
                 "generation": lambda: generation_loss(
                     [(p, gold_token_ids(r, registry, vocab)) for p, r in zip(prompts[:2], pair)],
                     params, config, vocab),

@@ -76,8 +76,8 @@ def test_structural_ops_match_fd(seed):
 
     def fn():
         cat = ad.concat_rows([a, b])
-        sl = ad.slice_rows(cat, 1, 6)
-        cols = ad.transpose(ad.slice_rows(ad.transpose(sl), 1, 3))  # columns 1:3
+        sl = ad.embedding(cat, range(1, 6))
+        cols = ad.transpose(ad.embedding(ad.transpose(sl), range(1, 3)))  # columns 1:3
         tr = ad.transpose(ad.reshape(cols, (2, 5)))
         return ad.sum_all(ad.mul(tr, tr))
 
@@ -282,7 +282,7 @@ def test_masked_mean_rows_per_sample():
     kept = np.flatnonzero(keep.ravel())
 
     def pooled(x):
-        packed = ad.concat_rows([ad.slice_rows(x, i, i + 1) for i in kept])
+        packed = ad.embedding(x, kept)
         return ad.segment_mean(packed, np.cumsum([0] + keep.sum(axis=1).tolist()))
 
     out = pooled(a)
@@ -296,9 +296,9 @@ def test_masked_mean_rows_per_sample():
     ad.backward(ad.sum_all(ad.mul(pooled(a), w)))
     assert np.all(a.grad[~keep.ravel()] == 0.0) and np.all(a.grad[kept] != 0.0)
     with pytest.raises(ContractError):
-        ad.segment_mean(ad.slice_rows(a, 0, 5), [0, 4, 4, 5])  # sample 1 keeps no row
+        ad.segment_mean(ad.embedding(a, range(5)), [0, 4, 4, 5])  # sample 1 keeps no row
     with pytest.raises(ShapeError):
-        ad.segment_mean(ad.slice_rows(a, 0, len(kept)), [0, 3, 4])
+        ad.segment_mean(ad.embedding(a, range(len(kept))), [0, 3, 4])
 
 
 def test_embedding_backward_matches_scatter_add():

@@ -1,9 +1,11 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from sentigen.cli import main
+from sentigen.bias import fixture_accuracy_matrix
+from sentigen.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -311,19 +313,16 @@ EMBEDDINGS = jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
     ({"acc-matrix": "[1,2]"}, "DataError"),
     ({"embeddings": jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
                           {"dataset_id": "b", "label": "x", "vector": [1.0, 2.0]})}, "ShapeError"),
-    ({"embeddings": None}, "ConfigError"),
     ({"embeddings": EMBEDDINGS.encode() + b'{"caf\xe9": 1}\n'}, "DataError"),
 ], ids=["embeddings-not-json", "embeddings-empty", "embeddings-no-label", "embeddings-text-vector",
-        "correspondence-not-json", "acc-matrix-list", "widths-1-and-2", "embeddings-dir",
-        "embeddings-not-utf8"])
+        "correspondence-not-json", "acc-matrix-list", "widths-1-and-2", "embeddings-not-utf8"])
 def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error):
-    """Each file holds text, raw bytes, or is None for a directory in its place."""
+    """Each file holds text or raw bytes. Paths that cannot be read are rows
+    of ``test_bad_input_file_is_one_line_config_error``."""
     argv = ["bias-report"]
     for flag, content in files.items():
         path = tmp_path / flag
-        if content is None:
-            path.mkdir()
-        elif isinstance(content, bytes):
+        if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content)
@@ -334,44 +333,144 @@ def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error)
     assert json.loads(err.strip().splitlines()[-1])["error"] == error
 
 
-BAD_INPUT_FILES = {
-    "validate-registry-dir": ("validate", "--registry", "dir"),
-    "validate-registry-not-utf8": ("validate", "--registry", "latin1"),
-    "pretrain1-config-dir": ("pretrain1", "--config", "dir"),
-    "pretrain1-config-not-utf8": ("pretrain1", "--config", "latin1"),
-    "pretrain1-out-file": ("pretrain1", "--out", "file"),
-    "make-corpus-out-file": ("make-corpus", "--out", "file"),
-    "eval-checkpoint-dir": ("eval", "--checkpoint", "dir"),
-    "export-embeddings-checkpoint-dir": ("export-embeddings", "--checkpoint", "dir"),
-    "pretrain2-resume-dir": ("pretrain2", "--resume", "dir"),
-    "finetune-init-dir": ("finetune", "--init", "dir"),
+# The file each input flag names when it is valid: a key of ``valid_inputs``.
+INPUT_FILES = {
+    **{(cmd, flag): kind for cmd in ("validate", "pretrain1", "pretrain2", "finetune", "eval",
+                                     "export-embeddings")
+       for flag, kind in (("--corpus", "corpus"), ("--registry", "registry"))},
+    **{(cmd, "--config"): "config" for cmd in ("pretrain1", "pretrain2", "finetune")},
+    ("pretrain1", "--resume"): "pretrain1-checkpoint",
+    ("pretrain2", "--init"): "pretrain1-checkpoint",
+    ("pretrain2", "--resume"): "pretrain2-checkpoint",
+    ("finetune", "--init"): "finetune-checkpoint",
+    ("finetune", "--resume"): "finetune-checkpoint",
+    ("finetune", "--val-corpus"): "corpus",
+    ("eval", "--checkpoint"): "finetune-checkpoint",
+    ("export-embeddings", "--checkpoint"): "finetune-checkpoint",
+    ("bias-report", "--acc-matrix"): "acc-matrix",
+    ("bias-report", "--embeddings"): "embeddings",
+    ("bias-report", "--correspondence"): "correspondence",
 }
+# String options that name no input file. ``--out`` is an output directory,
+# covered by its own ``out-file`` rows.
+NOT_INPUT_FILES = {"--out"}
+# Kinds whose malformed content is a DataError; every other kind's is a ConfigError.
+DATA_FILES = {"corpus", "acc-matrix", "embeddings"}
+# A flag that needs another one beside it.
+NEEDS = {"--correspondence": "--embeddings"}
+CASES = ("missing", "dir", "empty", "not-utf8", "mutated")
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
-def test_bad_input_file_is_one_line_config_error(cli_corpus, tmp_path, capsys, case):
-    """A directory or undecodable bytes where an input file belongs, or an
-    existing file where the output directory belongs, exits 2 with one JSON
-    error line, and nothing is written."""
-    command, flag, kind = BAD_INPUT_FILES[case]
-    bad = {"dir": tmp_path / "a-dir", "latin1": tmp_path / "latin1.json",
-           "file": tmp_path / "a-file"}[kind]
+def cli_options():
+    """{subcommand: {option string: argparse action}}, walked from the parser."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag: action for action in sub._actions for flag in action.option_strings}
+            for name, sub in commands.choices.items()}
+
+
+def input_file_rows():
+    """One row per case of every string option of every subcommand, so a
+    new file flag without an INPUT_FILES entry fails its rows."""
+    rows = {}
+    for command, options in cli_options().items():
+        for flag, action in options.items():
+            if action.type is not None or action.nargs is not None:
+                continue  # not string-valued
+            if flag == "--out":
+                rows[f"{command}-out-file"] = (command, flag, "file")
+            elif flag not in NOT_INPUT_FILES:
+                for case in CASES:
+                    rows[f"{command}-{flag[2:]}-{case}"] = (command, flag, case)
+    return rows
+
+
+INPUT_FILE_ROWS = input_file_rows()
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(cli_corpus, finetuned, tmp_path_factory):
+    """A valid file of each kind an input flag names."""
+    out = tmp_path_factory.mktemp("valid_inputs")
+    files = {"corpus": cli_corpus / "corpus.jsonl", "registry": cli_corpus / "registry.json",
+             "config": write_config(out / "cfg.json"),
+             "finetune-checkpoint": finetuned / "checkpoint.ckpt",
+             "pretrain1-checkpoint": out / "s1" / "checkpoint.ckpt",
+             "pretrain2-checkpoint": out / "s2" / "checkpoint.ckpt",
+             "acc-matrix": out / "acc.json",
+             "embeddings": out / "emb" / "embeddings.jsonl",
+             "correspondence": out / "correspondence.json"}
+    io = ["--corpus", str(files["corpus"]), "--registry", str(files["registry"])]
+    assert main(["pretrain1", *io, "--config", str(files["config"]), "--out", str(out / "s1")]) == 0
+    assert main(["pretrain2", *io, "--config", str(files["config"]), "--out", str(out / "s2"),
+                 "--init", str(files["pretrain1-checkpoint"])]) == 0
+    assert main(["export-embeddings", *io, "--checkpoint", str(files["finetune-checkpoint"]),
+                 "--out", str(out / "emb")]) == 0
+    files["acc-matrix"].write_text(json.dumps(fixture_accuracy_matrix().to_json()))
+    files["correspondence"].write_text(json.dumps(
+        {"sst-toy": {"absa-toy": {"negative": "negative", "positive": "positive"}}}))
+    return files
+
+
+def bad_file_bytes(valid, case):
+    """The bytes of one ``case`` file made from the valid file's bytes, one
+    variant per mutation."""
+    if case == "empty":
+        return [b""]
+    if case == "not-utf8":
+        at = valid.find(b'{"') + 2  # the first character of the first key
+        return [valid[:at] + b"\xe9" + valid[at + 1:]]
+    spots = zip((len(valid) // 4, len(valid) // 2, 3 * len(valid) // 4), (b'"', b"7", b"\xff"))
+    return [valid[:i] + (b"{" if valid[i:i + 1] == byte else byte) + valid[i + 1:]
+            for i, byte in spots]
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_FILE_ROWS))
+def test_bad_input_file_is_one_line_config_error(cli_corpus, valid_inputs, tmp_path, capsys, case):
+    """Every input file of every subcommand, missing, a directory, empty,
+    not UTF-8 or byte-mutated, and an existing file where the output
+    directory belongs. A path that cannot be read (and ``--out`` naming a
+    file) exits 2 with one ConfigError JSON line, and nothing is written. Not
+    UTF-8 is one line of the file kind's error: a DataError for data files, a
+    ConfigError for the rest. Any other case exits 0, or 1 or 2 with one
+    JSON error line and nothing on stdout; never a traceback."""
+    command, flag, kind = INPUT_FILE_ROWS[case]
+    options = cli_options()[command]
+    if flag != "--out":
+        assert (command, flag) in INPUT_FILES, \
+            f"{command} {flag}: add the file it names to INPUT_FILES, or the flag to NOT_INPUT_FILES"
+    # the command's required flags, and its config (the default recipe trains for 40
+    # epochs), each naming a valid file
+    argv = {f: str(valid_inputs[INPUT_FILES[command, f]]) for f, action in options.items()
+            if (action.required or f == "--config") and (command, f) in INPUT_FILES}
+    if flag in NEEDS:
+        argv[NEEDS[flag]] = str(valid_inputs[INPUT_FILES[command, NEEDS[flag]]])
+    if "--out" in options:
+        argv["--out"] = str(tmp_path / "run")
+    for sidecar in cli_corpus.glob("*.saev"):  # a corpus written here finds its sidecars
+        (tmp_path / sidecar.name).write_bytes(sidecar.read_bytes())
+    bad = tmp_path / "bad-input"
     if kind == "dir":
         bad.mkdir()
+    if kind in ("missing", "dir", "file"):
+        variants = [b"x"] if kind == "file" else [None]
     else:
-        bad.write_bytes(b'{"caf\xe9": 1}' if kind == "latin1" else b"x")
-    argv = {"--corpus": str(cli_corpus / "corpus.jsonl"), "--registry": str(cli_corpus / "registry.json")}
-    if command in ("pretrain1", "pretrain2", "finetune"):
-        argv.update({"--out": str(tmp_path / "run"), "--config": str(write_config(tmp_path / "c.json"))})
-    elif command == "export-embeddings":
-        argv["--out"] = str(tmp_path / "run")
-    elif command == "make-corpus":
-        argv = {"--out": None}
+        variants = bad_file_bytes(valid_inputs[INPUT_FILES[command, flag]].read_bytes(), kind)
     argv[flag] = str(bad)
-    before = sorted(tmp_path.iterdir())
-    code, out, err = run(capsys, command, *[x for kv in argv.items() for x in kv])
-    assert code == 2 and out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ConfigError"
-    assert sorted(tmp_path.iterdir()) == before
+    for content in variants:
+        if content is not None:
+            bad.write_bytes(content)
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, command, *[x for kv in argv.items() for x in kv])
+        if code == 0 and kind in ("empty", "mutated"):
+            continue
+        assert code in (1, 2) and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert (error == "ConfigError") == (code == 2)
+        if kind in ("empty", "mutated"):
+            continue
+        data = kind == "not-utf8" and INPUT_FILES[command, flag] in DATA_FILES
+        assert error == ("DataError" if data else "ConfigError")
+        assert sorted(tmp_path.iterdir()) == before

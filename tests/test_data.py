@@ -72,6 +72,28 @@ def test_registry_roundtrip_and_validation(tmp_path):
     bad["conv"]["metrics"] = ["f2"]
     with pytest.raises(ConfigError):
         Registry.from_json(bad)
+    # answer sets are type-checked, never coerced: a bool is no number
+    for dataset_id, answer_set in [
+            ("score", {"kind": "scalar", "min": "a"}),
+            ("score", {"kind": "scalar", "min": [1]}),
+            ("score", {"kind": "scalar", "min": "1.5"}),
+            ("score", {"kind": "scalar", "min": True}),
+            ("score", {"kind": "scalar", "max": None}),
+            ("score", {"kind": "scalar", "max": float("inf")}),
+            ("score", {"kind": "scalar", "min": 3, "max": -3}),
+            ("score", {"kind": "scalar", "min": 1.0, "max": 1.0}),
+            ("conv", [1, None]),
+            ("conv", ["anger", 2]),
+            ("conv", [])]:
+        bad = reg.to_json()
+        bad[dataset_id]["answer_set"] = answer_set
+        with pytest.raises(ConfigError, match=dataset_id) as err:
+            Registry.from_json(bad)
+        assert "\n" not in str(err.value)
+    ok = reg.to_json()
+    ok["score"]["answer_set"] = {"kind": "scalar", "min": -2, "max": 2.5}
+    assert Registry.from_json(ok).spec("score").answer.to_json() == \
+        {"kind": "scalar", "min": -2.0, "max": 2.5}
 
 
 @pytest.mark.parametrize("field", ["acoustic_dim", "visual_dim"])
@@ -161,9 +183,6 @@ def test_load_corpus_more_errors(tmp_path):
     with pytest.raises(DataError):
         load_corpus(path, reg)
 
-    with pytest.raises(DataError):
-        load_corpus(tmp_path / "missing.jsonl", reg)
-
 
 def test_corpus_roundtrip_identity(toy, tmp_path):
     records = toy["records"]
@@ -234,8 +253,17 @@ def test_unreadable_corpus_and_sidecars_are_data_errors(tmp_path):
                                     speaker_id="s0", utterance_index=0, audio=sidecar)])
         with pytest.raises(DataError, match="cannot read feature sidecar"):
             load_corpus(path, reg)
-    with pytest.raises(DataError, match="cannot read corpus"):
+
+
+def test_unreadable_corpus_path_is_config_error(tmp_path):
+    """The corpus path is one the user names, so a missing or unreadable
+    one is a ConfigError, as for every other named input file."""
+    reg = mini_registry()
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(ConfigError, match="cannot read corpus"):
         load_corpus(tmp_path / "sub", reg)
+    with pytest.raises(ConfigError, match="corpus not found"):
+        load_corpus(tmp_path / "nope.jsonl", reg)
 
 
 def test_corpus_byte_mutation_fuzz(tmp_path):

@@ -55,17 +55,11 @@ def letters_in_vocab(vocab, n):
     return got[:n]
 
 
-def four_task_index(vocab, sizes=(4, 7, 3, 2), dim=16, seed=0):
-    rng = np.random.default_rng(seed)
-    letters = letters_in_vocab(vocab, sum(sizes))
-    it = iter(letters)
-    items = []
-    labels = {}
-    for task, size in zip(TASK_ORDER, sizes):
-        labels[task] = [next(it) for _ in range(size)]
-        for lab in labels[task]:
-            items.append((task, lab, rng.normal(size=dim)))
-    return build_centroids(items), labels
+def four_task_labels(vocab, sizes=(4, 7, 3, 2)):
+    """A label table for ``loss_cep``: per task, ``size`` distinct letters
+    in lexicographic order."""
+    it = iter(letters_in_vocab(vocab, sum(sizes)))
+    return {task: tuple(next(it) for _ in range(size)) for task, size in zip(TASK_ORDER, sizes)}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +174,7 @@ def test_ccl_gradient_matches_finite_differences():
     labels = ["p", "p", "n"]
 
     def f(t):
-        rows = [ad.slice_rows(t, j, j + 1) for j in range(3)]
+        rows = [ad.embedding(t, range(j, j + 1)) for j in range(3)]
         return loss_ccl(rows, labels)
 
     assert ad.finite_diff_check(f, x) < 1e-4
@@ -272,37 +266,34 @@ def test_label_token_id_uses_last_piece(rig):
 def test_cep_uniform_model_sums_label_set_logs(rig):
     vocab, config = rig["vocab"], rig["config"]
     sizes = (4, 7, 3, 2)
-    index, labels = four_task_index(vocab, sizes, dim=config.model_dim)
+    labels = four_task_labels(vocab, sizes)
     pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
     batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"), pseudo),
              (rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy", p=0.5), pseudo)]
     loss = loss_cep(encoded(rig, batch, rig["uniform"]), [e[2] for e in batch], rig["uniform"],
-                    config, vocab, index)
+                    config, vocab, labels)
     want = sum(math.log(s) for s in sizes)
     assert abs(loss.item() - want) < 1e-9
 
 
 def test_cep_rejects_label_outside_index(rig):
     vocab, config = rig["vocab"], rig["config"]
-    index, labels = four_task_index(vocab, dim=config.model_dim)
+    labels = four_task_labels(vocab)
     bad = {t: labels[t][0] for t in TASK_ORDER}
     bad[TaskType.MSA] = "definitely-not-a-label"
     batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"))]
     with pytest.raises(ContractError):
         loss_cep(encoded(rig, batch), [PseudoLabelSet(labels=bad)], rig["params"], config, vocab,
-                 index)
+                 labels)
 
 
 def test_cep_rejects_colliding_representative_tokens(rig):
     vocab, config = rig["vocab"], rig["config"]
-    index = build_centroids([
-        (TaskType.CA, "cat", np.zeros(config.model_dim)),
-        (TaskType.CA, "bobcat", np.ones(config.model_dim)),
-    ])
     pseudo = PseudoLabelSet(labels={TaskType.CA: "cat"})
     batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"))]
     with pytest.raises(VocabularyError):
-        loss_cep(encoded(rig, batch), [pseudo], rig["params"], config, vocab, index)
+        loss_cep(encoded(rig, batch), [pseudo], rig["params"], config, vocab,
+                 {TaskType.CA: ("bobcat", "cat")})
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +327,16 @@ def test_stage1_recomposes_weighted_components(rig):
 
 def test_stage2_recomposes_weighted_components(rig):
     vocab, config, params = rig["vocab"], rig["config"], rig["params"]
-    index, labels = four_task_index(vocab, dim=config.model_dim)
+    labels = four_task_labels(vocab)
     pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
     batch = [Stage2Example(prompt=rig["prompts"]["meld-toy"],
                            plan=plan_for(rig, "meld-toy", p=0.5), pseudo=pseudo)]
     weights = (1.5, 0.25)
-    report, total = stage2_loss(batch, params, config, vocab, index, weights=weights)
+    report, total = stage2_loss(batch, params, config, vocab, labels, weights=weights)
     pairs = [(e.prompt, e.plan) for e in batch]
     mcm = loss_mcm(encoded(rig, pairs), pairs, params, vocab).item()
     cep = loss_cep(encoded(rig, pairs), [e.pseudo for e in batch], params, config, vocab,
-                   index).item()
+                   labels).item()
     assert abs(report.mcm - mcm) < 1e-12
     assert abs(report.cep - cep) < 1e-12
     assert abs(report.total - (1.5 * mcm + 0.25 * cep)) < 1e-9
@@ -419,11 +410,11 @@ def test_ccl_through_encoder_gradients(rig):
 
 
 def test_cep_gradients(rig):
-    index, labels = four_task_index(rig["vocab"], dim=rig["config"].model_dim)
+    labels = four_task_labels(rig["vocab"])
     pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
     batch = [(rig["prompts"]["mosi-toy"], plan_for(rig, "mosi-toy", p=0.5))]
     loss_fd(rig, lambda: loss_cep(encoded(rig, batch), [pseudo], rig["params"], rig["config"],
-                                  rig["vocab"], index),
+                                  rig["vocab"], labels),
             ["mask_vec_visual"])
 
 
@@ -480,16 +471,16 @@ def ref_ccl(pooled, labels):
     return total
 
 
-def ref_cep(batch, params, config, vocab, index):
-    tasks = index.tasks()
+def ref_cep(batch, params, config, vocab, table):
+    tasks = [t for t in TASK_ORDER if t in table]
     total = ad.constant(0.0)
     for ps, plan, pseudo in batch:
         enc = encode(ps, params, config, vocab, mask_plan=plan)
         h = decoder_states([vocab.task_id(t) for t in tasks], enc, params, config)
         logits = token_logits(h, params)
         for i, task in enumerate(tasks):
-            labels = index.labels(task)
-            row = ad.gather_cols(ad.slice_rows(logits, i, i + 1),
+            labels = table[task]
+            row = ad.gather_cols(ad.embedding(logits, range(i, i + 1)),
                                  [label_token_id(lab, vocab) for lab in labels])
             total = ad.add(total, ad.softmax_cross_entropy(
                 row, [labels.index(pseudo.label_for(task))]))
@@ -521,7 +512,7 @@ def test_batched_losses_match_per_sample_reference(rig):
     (some ending early in <eos>), repeated prompts and batches of one."""
     vocab, config, params = rig["vocab"], rig["config"], rig["params"]
     records = [r for rs in rig["by_ds"].values() for r in rs]
-    index, labmap = four_task_index(vocab, dim=config.model_dim)
+    labmap = four_task_labels(vocab)
     rng = np.random.default_rng(2024)
     seen_tasks, seen_lengths = set(), set()
     for trial in range(12):
@@ -561,14 +552,14 @@ def test_batched_losses_match_per_sample_reference(rig):
                                      params, config, vocab),
                     lambda: ref_spp(list(zip(prompts, pols)), params, config, vocab)),
             "cep": (lambda: loss_cep(encode_batch(prompts, params, config, vocab, mask_plans=plans),
-                                     pseudos, params, config, vocab, index),
+                                     pseudos, params, config, vocab, labmap),
                     lambda: ref_cep(list(zip(prompts, plans, pseudos)), params, config, vocab,
-                                    index)),
+                                    labmap)),
             "stage1": (lambda: stage1_loss(s1, params, config, vocab)[1], ref_stage1),
-            "stage2": (lambda: stage2_loss(s2, params, config, vocab, index)[1],
+            "stage2": (lambda: stage2_loss(s2, params, config, vocab, labmap)[1],
                        lambda: ad.add(ref_mcm(masked, params, config, vocab),
                                       ref_cep(list(zip(prompts, plans, pseudos)), params, config,
-                                              vocab, index))),
+                                              vocab, labmap))),
             "generation": (lambda: generation_loss(list(zip(prompts, golds)), params, config, vocab),
                            lambda: ref_generation(list(zip(prompts, golds)), params, config,
                                                   vocab)),
@@ -586,7 +577,7 @@ def test_batched_losses_match_per_sample_reference(rig):
 
 def test_ccl_graph_is_a_few_matrix_ops():
     x = ad.Tensor(np.random.default_rng(0).normal(size=(64, 16)), requires_grad=True, op="param")
-    rows = [ad.slice_rows(x, j, j + 1) for j in range(64)]
+    rows = [ad.embedding(x, range(j, j + 1)) for j in range(64)]
     loss = loss_ccl(rows, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32)
     seen, stack = {id(r) for r in rows}, [loss]
     while stack:
@@ -598,6 +589,7 @@ def test_ccl_graph_is_a_few_matrix_ops():
     assert abs(loss.item() - ref_ccl(rows, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32).item()) \
         <= 1e-10
     # row blocks of any size, or single (d,) rows, stack to the same batch
-    for blocks in ([x], [ad.slice_rows(x, 0, 40), ad.reshape(rows[40], (16,)), ad.slice_rows(x, 41, 64)]):
+    for blocks in ([x], [ad.embedding(x, range(40)), ad.reshape(rows[40], (16,)),
+                   ad.embedding(x, range(41, 64))]):
         again = loss_ccl(blocks, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32)
         assert abs(again.item() - loss.item()) <= 1e-12

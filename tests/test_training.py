@@ -543,16 +543,13 @@ BAD_RESUME_STATE = {
     "pseudo=5": ("pseudo", lambda v: 5),
     "pseudo=[1]": ("pseudo", lambda v: [1]),
     "pseudo-unknown-task": ("pseudo", lambda v: [{"no-such-task": "x"}]),
-    "centroids=[1]": ("centroids", lambda v: [1]),
-    "centroids-unknown-task": ("centroids", lambda v: {"no-such-task": {}}),
-    "centroids-not-vectors": ("centroids", lambda v: {"sentiment": 3}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RESUME_STATE))
 def test_bad_resume_state_is_config_error(toy, tmp_path, case):
-    """The sampling state, pseudo labels and centroids a resume restores are
-    checked too: a malformed one is a ConfigError naming the field."""
+    """The sampling state and pseudo labels a resume restores are checked
+    too: a malformed one is a ConfigError naming the field."""
     from sentigen.model import load_checkpoint, save_checkpoint
     field, corrupt = BAD_RESUME_STATE[case]
     config = small_config(toy["vocab"], toy["registry"])
@@ -570,22 +567,21 @@ BAD_STAGE2_STATE = {
     "pseudo=[]": ("pseudo", lambda v: []),
     "pseudo-short": ("pseudo", lambda v: v[:-1]),
     "pseudo=None": ("pseudo", lambda v: None),
-    "centroids=None": ("centroids", lambda v: None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_STAGE2_STATE))
 def test_bad_stage2_resume_state_is_config_error(toy, tmp_path, case):
     """Stage two reads the pseudo labels per record: a list that parses but
-    does not cover the corpus, or pseudo labels without centroids (or the
-    reverse), is a ConfigError on resume, not a failure mid-step."""
+    does not cover the corpus, or none at all after a step, is a ConfigError
+    on resume, not a failure mid-step. Centroid vectors are not checkpointed."""
     from sentigen.model import load_checkpoint, save_checkpoint
     field, corrupt = BAD_STAGE2_STATE[case]
     config = small_config(toy["vocab"], toy["registry"])
     ck = run_pretrain_stage2(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
                              tmp_path / "seed")
     ck_config, arrays, meta = load_checkpoint(ck)
-    assert meta["pseudo"] is not None and meta["centroids"] is not None
+    assert meta["pseudo"] is not None and "centroids" not in meta
     bad = tmp_path / "bad.ckpt"
     save_checkpoint(bad, ck_config, arrays, meta={**meta, field: corrupt(meta[field])})
     with pytest.raises(ConfigError, match=field):
