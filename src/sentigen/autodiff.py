@@ -10,6 +10,10 @@ the op's output to a tuple of gradients aligned with ``parents`` (``None``
 where a parent needs none). ``backward`` walks the graph once in reverse
 topological order, sums every tensor's incoming gradients in one dict, and
 writes each leaf's ``.grad`` once, into a buffer that leaf owns.
+
+Each node keeps its output until the graph is dropped, so ``linear`` (matmul
+plus bias) and ``layer_norm``'s ``residual`` (add, then normalise) each fuse
+two nodes into one: the same floats in the same order, one array kept.
 """
 from __future__ import annotations
 
@@ -85,14 +89,9 @@ def _check_finite(arr, op):
 
 
 def add(a, b):
-    """Elementwise a + b. Also accepts b of shape (n,) against a of shape (m, n)."""
-    if a.shape == b.shape:
-        rule = lambda g: (g, g)
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        rule = lambda g: (g, g.sum(axis=0))
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return _make(a.data + b.data, "add", (a, b), rule)
+    return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def mul(a, b):
@@ -131,6 +130,21 @@ def matmul(a, b):
                 a.data.T @ g if b.requires_grad else None)
 
     return _make(a.data @ b.data, "matmul", (a, b), rule)
+
+
+def linear(x, w, b):
+    """``x @ w + b``, the bias row ``b`` added to every row, as one node."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: incompatible x {x.shape}, w {w.shape}, b {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def rule(g):
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None,
+                g.sum(axis=0))
+
+    return _make(out, "linear", (x, w, b), rule)
 
 
 def transpose(a):
@@ -262,25 +276,30 @@ def gelu(a):
     return _make(out, "gelu", (a,), rule)
 
 
-def layer_norm(a, gain, bias, eps=1e-5):
-    """Normalise each row of ``a`` to zero mean and unit variance, then scale and shift."""
+def layer_norm(a, gain, bias, residual=None, eps=1e-5):
+    """Normalise each row of ``a`` (of ``a + residual``, summed inside the
+    node, when given) to zero mean and unit variance; then scale and shift."""
     if a.data.ndim != 2:
         raise ShapeError(f"layer_norm: needs a 2-D operand, got {a.shape}")
     n = a.shape[1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not fit {a.shape}")
-    xc = a.data - a.data.mean(axis=1, keepdims=True)
+    if residual is not None and residual.shape != a.shape:
+        raise ShapeError(f"layer_norm: residual {residual.shape} does not fit {a.shape}")
+    x = a.data if residual is None else a.data + residual.data
+    xc = x - x.mean(axis=1, keepdims=True)
     var = (xc * xc).sum(axis=1, keepdims=True) / n  # what np.var computes, without its own centring pass
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
+    parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
 
     def rule(g):
         h = g * gain.data
         dx = inv * (h - h.mean(axis=1, keepdims=True) - xhat * (h * xhat).mean(axis=1, keepdims=True))
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        return (dx,) * (len(parents) - 2) + ((g * xhat).sum(axis=0), g.sum(axis=0))
 
-    return _make(out, "layer_norm", (a, gain, bias), rule)
+    return _make(out, "layer_norm", parents, rule)
 
 
 def attention(q, k, v, heads, q_offsets, k_offsets, causal=False):

@@ -286,6 +286,8 @@ def cmd_eval(args):
 def cmd_export_embeddings(args):
     records, registry = _load_inputs(args)
     config, params, vocab, _, _ = load_model(args.checkpoint, registry)
+    if not records:
+        raise DataError("corpus holds no records", path=str(args.corpus))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_manifest(args.out, "export-embeddings", None, {"checkpoint": str(args.checkpoint)})

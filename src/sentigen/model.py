@@ -13,20 +13,21 @@ The encoder runs on a batch of samples packed end to end. Tensors stay 2-D:
 a batch of B streams is N = the summed stream lengths rows, sample after
 sample, with ``offsets`` (B + 1 row bounds, the ``cu_seqlens`` layout)
 marking where each sample starts. Every per-row op (input gather,
-projections, dropout, residual adds, ``layer_norm``, the FFN) runs on those
-N rows only, so no arithmetic goes to padding. Multi-head attention is one
-fused autodiff op that alone sees the sample bounds, and packed offsets are
-its only layout: it pads the rows inside itself, keeps each sample's queries
-on its own keys and gathers back. A batch's input rows are one gather from
-one table of every sample's token embeddings, the projected acoustic and
-visual frames and the mask vectors, so masking a token or a frame is a
-choice of row. The decoder's rows are B samples of n ids each, which is the
-packed layout with equal offsets; its self-attention is causal and its
-cross-attention reads the packed encoder rows through their offsets.
-``encode``, ``decoder_states`` and ``generate`` on one prompt are the batch
-of one. Training and inference both run these batches: a training step's
-losses read ``encode_batch`` encodings, with one dropout mask per batched
-tensor; inference uses ``pooled_vectors`` and ``generate_batch``.
+projections, each one ``ad.linear`` node, dropout, ``layer_norm`` with the
+residual add inside its node, the FFN) runs on those N rows only, so no
+arithmetic goes to padding. Multi-head attention is one fused autodiff op
+that alone sees the sample bounds, and packed offsets are its only layout:
+it pads the rows inside itself, keeps each sample's queries on its own keys
+and gathers back. A batch's input rows are one gather from one table of
+every sample's token embeddings, the projected acoustic and visual frames
+and the mask vectors, so masking a token or a frame is a choice of row. The
+decoder's rows are B samples of n ids each, which is the packed layout with
+equal offsets; its self-attention is causal and its cross-attention reads
+the packed encoder rows through their offsets. ``encode``,
+``decoder_states`` and ``generate`` on one prompt are the batch of one.
+Training and inference both run these batches: a training step's losses read
+``encode_batch`` encodings, with one dropout mask per batched tensor;
+inference uses ``pooled_vectors`` and ``generate_batch``.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
@@ -170,7 +171,7 @@ def freeze_params(params):
 
 
 def _linear(params, prefix, x, w, b):
-    return ad.add(ad.matmul(x, params[f"{prefix}_{w}"]), params[f"{prefix}_{b}"])
+    return ad.linear(x, params[f"{prefix}_{w}"], params[f"{prefix}_{b}"])
 
 
 def _keys_values(params, prefix, x_kv, cache=None, grow=False, batch=1):
@@ -297,8 +298,8 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
     table = {0: ad.matmul(ad.embedding(params["tok_emb"], tokens), params["w_text"])}
     for kind, block in (("acoustic", 1), ("visual", 2)):
         if frames[kind]:
-            proj = ad.matmul(ad.constant(np.concatenate(frames[kind])), params[f"proj_{kind}_w"])
-            table[block] = ad.add(proj, params[f"proj_{kind}_b"])
+            table[block] = ad.linear(ad.constant(np.concatenate(frames[kind])),
+                                     params[f"proj_{kind}_w"], params[f"proj_{kind}_b"])
         if (src == block + 2).any():
             table[block + 2] = ad.reshape(params[f"mask_vec_{kind}"], (1, d))
     first = np.cumsum([0] + [table[b].shape[0] if b in table else 0 for b in range(len(_BLOCK_TYPE))])
@@ -313,9 +314,9 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
         prefix = f"enc{i}_attn"
         a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, offsets, offsets)
         a = _maybe_dropout(a, config, train, rng)
-        x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
+        x = ad.layer_norm(x, params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"], residual=a)
         f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
-        x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
+        x = ad.layer_norm(x, params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"], residual=f)
     return x, offsets
 
 
@@ -393,14 +394,14 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
         kv = _keys_values(params, prefix, x, cache, grow=True, batch=batch)
         a = _attention(params, prefix, x, kv, config, fed, held, causal=True)
         a = _maybe_dropout(a, config, train, rng)
-        x = ad.layer_norm(ad.add(x, a), params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"])
+        x = ad.layer_norm(x, params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"], residual=a)
         prefix = f"dec{i}_cross"
         kv = _keys_values(params, prefix, enc_out.states, cache)
         c = _attention(params, prefix, x, kv, config, fed, enc_out.offsets)
         c = _maybe_dropout(c, config, train, rng)
-        x = ad.layer_norm(ad.add(x, c), params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"])
+        x = ad.layer_norm(x, params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"], residual=c)
         f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, train, rng)
-        x = ad.layer_norm(ad.add(x, f), params[f"dec{i}_ln3_g"], params[f"dec{i}_ln3_b"])
+        x = ad.layer_norm(x, params[f"dec{i}_ln3_g"], params[f"dec{i}_ln3_b"], residual=f)
     if cache is not None:
         cache.length = n
     return x

@@ -512,6 +512,7 @@ class _Run:
                 report, total = step()
                 self.check_finite(report)
                 self.optimize(total)
+                del total  # the step's graph: drop it before the next step builds its own
                 self.log_step(logs[0], report)
                 if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
                     self.save(self.out_dir / f"checkpoint_step{self.step}.ckpt", pools.state())
@@ -581,6 +582,11 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
     for r, key in zip(records, keys):
         by_task.setdefault(r.task_type, set()).add(key)
     labels = {task: tuple(sorted(by_task[task])) for task in TASK_ORDER if task in by_task}
+    for i, entry in enumerate(run.pseudo or ()):  # restored: check each before any log opens
+        if set(entry.labels) != set(labels) or any(entry.labels[t] not in labels[t]
+                                                   for t in labels):
+            raise ConfigError(f"{run.resume_from}: checkpoint field 'pseudo' entry {i} does not "
+                              f"fit the corpus's label table")
 
     def step():
         if run.pseudo is None or (run.step - 1) % cfg.centroid_refresh_every == 0:

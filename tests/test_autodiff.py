@@ -55,16 +55,17 @@ def test_elementwise_ops_match_fd(seed):
     a = rand_leaf(rng, 4, 3)
     b = rand_leaf(rng, 4, 3)
     row = rand_leaf(rng, 3)
+    w = rand_leaf(rng, 3, 3)
     cases = {
         "add": lambda: ad.sum_all(ad.gelu(ad.add(a, b))),
-        "row_broadcast": lambda: ad.sum_all(ad.mul(ad.add(a, row), ad.add(a, row))),
+        "linear": lambda: ad.sum_all(ad.mul(ad.linear(a, w, row), ad.linear(a, w, row))),
         "sub": lambda: ad.sum_all(ad.mul(ad.sub(a, b), ad.sub(a, b))),
         "mul": lambda: ad.sum_all(ad.mul(a, b)),
         "scale": lambda: ad.sum_all(ad.scale(a, -2.5)),
         "gelu": lambda: ad.sum_all(ad.gelu(a)),
     }
     for name, fn in cases.items():
-        for t in (a, b, row):
+        for t in (a, b, row, w):
             assert ad.finite_diff_check(lambda _: fn(), t) < 1e-6, name
 
 
@@ -324,6 +325,68 @@ def test_matmul_gives_a_constant_parent_no_gradient():
     assert ad.matmul(c, x)._rule(g)[0] is None
     assert np.allclose(ad.matmul(c, x)._rule(g)[1], c.data.T @ g)
     assert ad.matmul(ad.transpose(x), ad.constant(rng.normal(size=(4, 3))))._rule(g.T)[1] is None
+
+
+def fused_cases(rng):
+    """Random shapes for the fused ops: x (n, k), w (k, m), a bias row (m,),
+    and two (n, m) inputs for the residual ``layer_norm``."""
+    n, k, m = (int(v) for v in rng.integers(1, 7, size=3))
+    return (rand_leaf(rng, n, k), rand_leaf(rng, k, m), rand_leaf(rng, m),
+            rand_leaf(rng, n, m), rand_leaf(rng, n, m), rand_leaf(rng, m))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_ops_match_fd(seed):
+    x, w, b, a, r, gain = fused_cases(np.random.default_rng(500 + seed))
+    cases = {
+        "linear": (lambda: ad.sum_all(ad.gelu(ad.linear(x, w, b))), (x, w, b)),
+        "residual layer_norm": (lambda: ad.sum_all(ad.mul(ad.layer_norm(a, gain, b, residual=r),
+                                                          ad.layer_norm(a, gain, b, residual=r))),
+                                (a, r, gain, b)),
+    }
+    for name, (fn, inputs) in cases.items():
+        for t in inputs:
+            assert ad.finite_diff_check(lambda _: fn(), t) < 1e-4, name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_ops_equal_their_compositions_bitwise(seed):
+    """Each fused node gives exactly the floats of the nodes it replaces, the
+    output and every gradient bit for bit: ``linear`` those of a ``matmul``
+    node and a bias-row add node (whose rules are spelled out here, as that
+    add no longer exists), ``layer_norm`` those of an ``add`` node and a
+    plain ``layer_norm``."""
+    x, w, b, a, r, gain = fused_cases(np.random.default_rng(600 + seed))
+    g = np.random.default_rng(seed).normal(size=a.shape)  # a non-uniform upstream gradient
+    up = ad.constant(g)
+
+    def grads(out, leaves):
+        ad.zero_grads(leaves)
+        ad.backward(ad.sum_all(ad.mul(out, up)))
+        return [t.grad for t in leaves]
+
+    fused = ad.linear(x, w, b)
+    assert np.array_equal(fused.data, x.data @ w.data + b.data)
+    for got, want in zip(grads(fused, (x, w, b)), (g @ w.data.T, x.data.T @ g, g.sum(axis=0))):
+        assert np.array_equal(got, want)
+
+    fused, composed = ad.layer_norm(a, gain, b, residual=r), ad.layer_norm(ad.add(a, r), gain, b)
+    assert np.array_equal(fused.data, composed.data)
+    leaves = (a, r, gain, b)
+    for got, want in zip(grads(fused, leaves), grads(composed, leaves)):
+        assert np.array_equal(got, want)
+
+
+def test_linear_gives_a_constant_input_no_gradient():
+    rng = np.random.default_rng(23)
+    c, w, b = ad.constant(rng.normal(size=(3, 4))), rand_leaf(rng, 4, 2), rand_leaf(rng, 2)
+    g = rng.normal(size=(3, 2))
+    dx, dw, db = ad.linear(c, w, b)._rule(g)
+    assert dx is None and np.array_equal(dw, c.data.T @ g) and np.array_equal(db, g.sum(axis=0))
+    ad.backward(ad.sum_all(ad.linear(c, w, b)))
+    assert c.grad is None and w.grad is not None
+    with pytest.raises(ShapeError):
+        ad.linear(c, w, rand_leaf(rng, 3))
 
 
 def test_ops_over_constants_record_no_graph():

@@ -256,6 +256,19 @@ def test_eval_empty_corpus_is_data_error(cli_corpus, finetuned, tmp_path, capsys
     assert json.loads(err.strip().splitlines()[-1])["error"] == "DataError"
 
 
+def test_export_embeddings_empty_corpus_is_data_error(cli_corpus, finetuned, tmp_path, capsys):
+    """As ``eval``: no records is a DataError, raised before any output is written."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    code, out, err = run(capsys, "export-embeddings", "--corpus", str(empty),
+                         "--registry", str(cli_corpus / "registry.json"),
+                         "--checkpoint", str(finetuned / "checkpoint.ckpt"),
+                         "--out", str(tmp_path / "emb"))
+    assert code == 1 and out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "DataError"
+    assert not (tmp_path / "emb").exists()
+
+
 def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
     code, out, _ = run(capsys, "export-embeddings",
                        "--corpus", str(cli_corpus / "corpus.jsonl"),

@@ -284,7 +284,7 @@ def reference_encode(ps, plan, params, config, vocab):
     types = [0] * len(ids)
     for seg in ps.modal_segments:
         feats = ad.constant(np.asarray(seg.features, dtype=np.float64))
-        proj = ad.add(ad.matmul(feats, params[f"proj_{seg.kind}_w"]), params[f"proj_{seg.kind}_b"])
+        proj = ad.linear(feats, params[f"proj_{seg.kind}_w"], params[f"proj_{seg.kind}_b"])
         rows = feats.shape[0]
         hit = list(plan.masked_modal_frames.get(seg.kind, ()))
         if hit:

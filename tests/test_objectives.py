@@ -1,5 +1,6 @@
 import math
 import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,6 +343,38 @@ def test_stage2_recomposes_weighted_components(rig):
     assert abs(report.total - (1.5 * mcm + 0.25 * cep)) < 1e-9
     assert abs(total.item() - report.total) < 1e-12
     assert report.spp == 0.0 and report.ccl == 0.0
+
+
+def test_loss_graphs_keep_their_fused_nodes(rig):
+    """Structural guard over a training stage-one, stage-two and fine-tune
+    loss graph, dropout on: no add node sums a matmul and a bias, and no add
+    node feeds a ``layer_norm``, whose residual sum happens inside it. The
+    one add over a matmul is the decoder input: token rows plus position
+    rows, which no bias can stand for."""
+    vocab = rig["vocab"]
+    config = replace(rig["config"], layers_enc=2, layers_dec=2, dropout_rate=0.1)
+    params = init_params(config, np.random.default_rng(11))
+    rng = np.random.default_rng(0)
+    prompts = list(rig["prompts"].values())
+    plans = [sample_mcm_plan(ps, 0.5, rng, vocab) for ps in prompts]
+    labels = four_task_labels(vocab)
+    pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
+    stage1 = [Stage1Example(prompt=ps, plan=plan, polarity=POLARITY_ORDER[i % 3])
+              for i, (ps, plan) in enumerate(zip(prompts, plans))]
+    stage2 = [Stage2Example(prompt=ps, plan=plan, pseudo=pseudo) for ps, plan in zip(prompts, plans)]
+    losses = {"stage1": stage1_loss(stage1, params, config, vocab, train=True, rng=rng)[1],
+              "stage2": stage2_loss(stage2, params, config, vocab, labels, train=True, rng=rng)[1],
+              "finetune": generation_loss([(ps, [4, 5]) for ps in prompts], params, config, vocab,
+                                          train=True, rng=rng)}
+    for name, loss in losses.items():
+        nodes = ad._topological_order(loss)
+        assert {"linear", "layer_norm", "dropout"} <= {n.op for n in nodes}, name
+        for node in nodes:
+            parents = sorted(p.op for p in node.parents)
+            if node.op == "add" and "matmul" in parents:
+                assert parents == ["embedding", "matmul"], name
+            if node.op == "layer_norm":
+                assert "add" not in parents and len(parents) == 4, name
 
 
 def test_stage2_requires_centroid_index(rig):

@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,28 @@ def test_encoder_passes_per_step(toy, tmp_path, monkeypatch, stage, passes):
     assert calls == [4] * (3 * passes)
 
 
+@pytest.mark.parametrize("stage", sorted(RUNS))
+def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, stage):
+    """One step graph is alive at a time: an activation of step k is freed
+    before step k + 1 builds its loss. The weak reference is to the node's
+    array, as a Tensor takes none."""
+    run, name = RUNS[stage]
+    real, held = getattr(training, name), []
+
+    def watched(*args, **kwargs):
+        assert all(ref() is None for ref in held), "the previous step's graph is still alive"
+        out = real(*args, **kwargs)
+        total = out if isinstance(out, ad.Tensor) else out[1]
+        held.append(weakref.ref(next(t.data for t in ad._topological_order(total)
+                                     if t.op == "layer_norm")))
+        return out
+
+    monkeypatch.setattr(training, name, watched)
+    config = small_config(toy["vocab"], toy["registry"])
+    run(toy["records"], toy["registry"], config, train_cfg(max_steps=3), tmp_path)
+    assert len(held) == 3
+
+
 def test_resume_rejects_wrong_stage(toy, tmp_path):
     config = small_config(toy["vocab"], toy["registry"])
     ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
@@ -567,14 +590,18 @@ BAD_STAGE2_STATE = {
     "pseudo=[]": ("pseudo", lambda v: []),
     "pseudo-short": ("pseudo", lambda v: v[:-1]),
     "pseudo=None": ("pseudo", lambda v: None),
+    "pseudo-label-outside-table": ("pseudo", lambda v: [{**e, "erc": "no-such-label"} for e in v]),
+    "pseudo-missing-task": ("pseudo", lambda v: [{k: e[k] for k in list(e)[1:]} for e in v]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_STAGE2_STATE))
 def test_bad_stage2_resume_state_is_config_error(toy, tmp_path, case):
     """Stage two reads the pseudo labels per record: a list that parses but
-    does not cover the corpus, or none at all after a step, is a ConfigError
-    on resume, not a failure mid-step. Centroid vectors are not checkpointed."""
+    does not cover the corpus, an entry that does not cover exactly the
+    label table's tasks or gives one a label outside the table, or none at
+    all after a step, is a ConfigError on resume, not a failure mid-step.
+    Centroid vectors are not checkpointed."""
     from sentigen.model import load_checkpoint, save_checkpoint
     field, corrupt = BAD_STAGE2_STATE[case]
     config = small_config(toy["vocab"], toy["registry"])
