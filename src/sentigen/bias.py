@@ -127,39 +127,41 @@ def render_bias_report(report, digits=2):
 # cross annotation from representations
 
 
-def label_centroids(items):
-    """Mean vector per label over (label, vector) pairs, labels ordered
-    lexicographically. Each mean is an in-order running sum over the count,
-    not np.mean's pairwise sum: stage-two pseudo labels, and through them
-    checkpoints, depend on these bits."""
-    if not items:
+def label_centroids(labels, vectors):
+    """The sorted distinct ``labels`` and a (C, d) matrix whose row k is the
+    mean of the ``vectors`` (N, d) labelled with the k-th of them. Each mean
+    is an in-order running sum over the count, not np.mean's pairwise sum:
+    stage-two pseudo labels, and through them checkpoints, depend on these
+    bits."""
+    if not len(labels):
         raise ContractError("cannot build centroids from zero items")
-    shape = np.shape(items[0][1])
-    groups = {}
-    for label, vec in items:
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != shape:
-            raise ShapeError(f"vector shape {vec.shape} differs from the first vector's {shape}")
-        groups.setdefault(str(label), []).append(vec)
-    return [(label, sum(vecs[1:], vecs[0]) / len(vecs)) for label, vecs in sorted(groups.items())]
+    try:
+        x = np.asarray(vectors, dtype=np.float64)
+    except ValueError:
+        raise ShapeError("vectors differ in shape") from None
+    if x.ndim != 2 or len(x) != len(labels):
+        raise ShapeError(f"{len(labels)} labels for vectors of shape {x.shape}")
+    names, which = np.unique(np.asarray(labels), return_inverse=True)
+    sums = np.zeros((len(names), x.shape[1]))
+    np.add.at(sums, which, x)
+    return names, sums / np.bincount(which)[:, None]
 
 
 def nearest_labels(vectors, centroids):
-    """Label of the nearest centroid for each row of ``vectors`` (N, d).
-    Squared distances are sums of ``(x - c) ** 2``, not the expanded form, so
-    exact ties stay exact; centroids arrive label-sorted, so a tie goes to
-    the lexicographically smaller label."""
+    """Row index of the nearest of ``centroids`` (C, d) for each row of
+    ``vectors`` (N, d). Squared distances are sums of ``(x - c) ** 2``, not
+    the expanded form, so exact ties stay exact, and a tie goes to the
+    smaller index."""
     x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2 or any(np.shape(c) != x.shape[1:] for _, c in centroids):
+    if x.ndim != 2 or np.ndim(centroids) != 2 or x.shape[1] != np.shape(centroids)[1]:
         raise ShapeError(f"vectors of shape {x.shape} do not match centroids of shape "
-                         f"{sorted({np.shape(c) for _, c in centroids})}")
-    d2 = np.stack([((x - c) ** 2).sum(axis=1) for _, c in centroids], axis=1)
-    return [centroids[k][0] for k in np.argmin(d2, axis=1)]
+                         f"{np.shape(centroids)}")
+    return np.argmin(np.stack([((x - c) ** 2).sum(axis=1) for c in centroids], axis=1), axis=1)
 
 
 def cross_annotate(source_items, target_centroids, correspondence=None):
-    """Re-annotate source (gold_label, vector) pairs with nearest target
-    centroids and score agreement.
+    """Re-annotate source (gold_label, vector) pairs with the nearest of the
+    target's ``label_centroids`` and score agreement.
 
     ``correspondence`` maps source gold labels onto target labels (identity by
     default); sources mapping to None never count as agreement. Returns
@@ -167,12 +169,11 @@ def cross_annotate(source_items, target_centroids, correspondence=None):
     """
     if not source_items:
         raise ContractError("cannot cross-annotate zero items")
-    pseudo = nearest_labels([vec for _, vec in source_items], target_centroids)
-    hits = 0
-    for (gold, _), assigned in zip(source_items, pseudo):
-        expected = correspondence.get(str(gold)) if correspondence is not None else str(gold)
-        if expected is not None and expected == assigned:
-            hits += 1
+    names, centroids = target_centroids
+    pseudo = names[nearest_labels([vec for _, vec in source_items], centroids)].tolist()
+    expected = [str(gold) if correspondence is None else correspondence.get(str(gold))
+                for gold, _ in source_items]
+    hits = sum(want is not None and want == got for want, got in zip(expected, pseudo))
     return pseudo, 100.0 * hits / len(source_items)
 
 
@@ -187,7 +188,9 @@ def build_accuracy_matrix(items_by_dataset, order=None, correspondence=None):
     for name in names:
         if name not in items_by_dataset:
             raise ContractError(f"no items for dataset {name!r}")
-    centroids = {name: label_centroids(items_by_dataset[name]) for name in names}
+    centroids = {name: label_centroids([str(gold) for gold, _ in items_by_dataset[name]],
+                                       [vec for _, vec in items_by_dataset[name]])
+                 for name in names}
     n = len(names)
     acc = np.zeros((n, n))
     for i, src in enumerate(names):

@@ -110,8 +110,11 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
     """Write a small deterministic corpus with planted lexical cues (so tiny
     models can actually fit it) plus its registry. One conversation record
     references a binary feature sidecar; everything else is inline. Returns
-    (corpus_path, registry_path)."""
+    (corpus_path, registry_path). ``per_task`` below 1 is a ConfigError,
+    raised before anything is written."""
     from .data import write_feature_sidecar
+    if per_task < 1:
+        raise ConfigError(f"per_task {per_task} must be at least 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -190,9 +193,7 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
                           "metrics": ["wa"]},
     }
     registry_path = out / "registry.json"
-    with open(registry_path, "w", encoding="utf-8") as fh:
-        json.dump(registry, fh, indent=2)
-        fh.write("\n")
+    Registry.from_json(registry).save(registry_path)
     return corpus_path, registry_path
 
 
@@ -266,6 +267,8 @@ def _metric_table(payload):
 
 
 def cmd_eval(args):
+    if args.max_new < 1:
+        raise ConfigError(f"--max-new {args.max_new} must be at least 1")
     records, registry = _load_inputs(args)
     config, params, vocab, _, _ = load_model(args.checkpoint, registry)
     if not records:

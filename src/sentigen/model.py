@@ -106,8 +106,9 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "tuple": (
 
 def config_from_json(cls, obj, section):
     """``cls(**obj)`` for a config dataclass read from JSON. A ``section``
-    that is not an object, an unknown key, or a value whose JSON type does
-    not fit its field is a ConfigError."""
+    that is not an object, an unknown key, a value whose JSON type does not
+    fit its field, or a NaN or infinity (JSON's ``NaN`` and ``Infinity``),
+    alone or in a list, is a ConfigError."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{section} must be a JSON object")
     fields = cls.__dataclass_fields__
@@ -117,6 +118,9 @@ def config_from_json(cls, obj, section):
     for key, value in obj.items():
         if type(value) not in _JSON_TYPES[fields[key].type]:
             raise ConfigError(f"{section} field {key!r} must be {fields[key].type}, got {value!r}")
+        items = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"{section} field {key!r} must be finite, got {value!r}")
     return cls(**obj)
 
 

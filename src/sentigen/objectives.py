@@ -18,14 +18,18 @@ loss is that of two separate passes. The four losses:
 * polarity-contrastive pull (``loss_ccl``): for each sample, the fraction of
   its total pairwise distance mass spent on same-polarity partners.
 * cross-task label prediction (``loss_cep``): four cross-entropies, one per
-  task family, each over that task's label vocabulary at a dedicated decoder
+  task family, each over that task's label tokens at a dedicated decoder
   position, targeting nearest-centroid pseudo labels (gold for the sample's
   own task).
 
 Stage one totals reconstruction + polarity + contrastive; stage two totals
-reconstruction + cross-task prediction. Stage two's centroids and pseudo
-labels are computed by ``bias.label_centroids`` and ``bias.nearest_labels``,
-the kernel the dataset-bias cross-annotation also uses.
+reconstruction + cross-task prediction. A pseudo label is an index into its
+task's sorted label table, so stage two's labels are one (N, T) int64 matrix
+over N records and the table's T tasks. ``build_centroids`` and
+``assign_pseudo_labels`` compute it with ``bias.label_centroids`` and
+``bias.nearest_labels``, the kernel the dataset-bias cross-annotation also
+uses, and ``label_token_ids`` turns the table into ``loss_cep``'s classes
+once per run.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .bias import label_centroids, nearest_labels
-from .data import Polarity, TASK_ORDER
+from .data import Polarity
 from .errors import ContractError, VocabularyError
 # ``encode`` is no longer called here; it stays a module global because the
 # benchmark's tracer (benchmarks/tracing.py) patches it by name.
@@ -67,7 +71,7 @@ class Stage1Example:
 class Stage2Example:
     prompt: object
     plan: object
-    pseudo: object          # PseudoLabelSet
+    pseudo: object          # (T,) label indices: a row of the pseudo-label matrix
 
 
 def polarity_token_ids(vocab):
@@ -158,58 +162,35 @@ def loss_ccl(pooled, labels):
 # centroids and pseudo labels
 
 
-@dataclass(frozen=True)
-class CentroidIndex:
-    """Per-task, per-label mean representations from a frozen snapshot.
-    Labels are kept in lexicographic order; scalar labels are keyed by their
-    one-decimal rendering."""
-
-    by_task: dict
-
-    def tasks(self):
-        return tuple(t for t in TASK_ORDER if t in self.by_task)
-
-    def labels(self, task):
-        return tuple(lab for lab, _ in self.by_task[task])
-
-    def __contains__(self, task):
-        return task in self.by_task
-
-
-def build_centroids(items):
-    """``items``: iterable of (TaskType, label_key, vector). Returns a
-    CentroidIndex holding ``bias.label_centroids`` of each task's items."""
-    by_task = {}
-    for task, label, vec in items:
-        by_task.setdefault(task, []).append((label, vec))
-    if not by_task:
-        raise ContractError("build_centroids: no items")
-    return CentroidIndex(by_task={t: tuple(label_centroids(group)) for t, group in by_task.items()})
+def build_centroids(vectors, own, gold):
+    """Per-task centroids from a frozen snapshot of ``vectors`` (N, d): row
+    i belongs to task column ``own[i]`` with label index ``gold[i]`` in that
+    task's label table. Returns one (C_t, d) ``bias.label_centroids`` matrix
+    per column, row k the centroid of label k; every column and every label
+    of its table must hold a row."""
+    x, own, gold = np.asarray(vectors), np.asarray(own), np.asarray(gold)
+    if not len(own) or not len(x) == len(own) == len(gold):
+        raise ContractError(f"build_centroids: {len(x)} rows, {len(own)} tasks, {len(gold)} golds")
+    out = []
+    for t in range(own.max() + 1):
+        labels, centroids = label_centroids(gold[own == t], x[own == t])
+        if not np.array_equal(labels, np.arange(len(labels))):
+            raise ContractError(f"build_centroids: task column {t} has no rows for some labels")
+        out.append(centroids)
+    return out
 
 
-@dataclass(frozen=True)
-class PseudoLabelSet:
-    """One label per task family; the record's own task carries its gold."""
-
-    labels: dict
-
-    def label_for(self, task):
-        return self.labels[task]
-
-
-def assign_pseudo_labels(vectors, index, own_tasks, gold_keys):
-    """One PseudoLabelSet per row of ``vectors`` (N, d): the row's own task
-    keeps its gold key, every other task gets its nearest centroid's label."""
-    if not len(vectors) == len(own_tasks) == len(gold_keys):
-        raise ContractError(f"assign_pseudo_labels: {len(vectors)} vectors, {len(own_tasks)} "
-                            f"tasks and {len(gold_keys)} gold keys")
-    for task in own_tasks:
-        if task not in index:
-            raise ContractError(f"centroid index has no entries for task {task.value!r}")
-    nearest = {task: nearest_labels(vectors, index.by_task[task]) for task in index.tasks()}
-    return [PseudoLabelSet(labels={task: str(gold) if task is own else nearest[task][i]
-                                   for task in index.tasks()})
-            for i, (own, gold) in enumerate(zip(own_tasks, gold_keys))]
+def assign_pseudo_labels(vectors, centroids, own, gold):
+    """The (N, T) int64 pseudo-label matrix for ``vectors`` (N, d) and
+    ``build_centroids``' T matrices: entry (i, t) is the index of row i's
+    nearest centroid of task t, except that row i's own task ``own[i]``
+    keeps its gold index ``gold[i]``."""
+    own = np.asarray(own)
+    if not len(vectors) == len(own) == len(gold) or own.max(initial=-1) >= len(centroids):
+        raise ContractError(f"assign_pseudo_labels: {len(own)} tasks for {len(centroids)} columns")
+    pseudo = np.stack([nearest_labels(vectors, c) for c in centroids], axis=1).astype(np.int64)
+    pseudo[np.arange(len(own)), own] = gold
+    return pseudo
 
 
 # ---------------------------------------------------------------------------
@@ -225,38 +206,38 @@ def label_token_id(label, vocab):
     return ids[-1]
 
 
-def _task_label_ids(labels, task, vocab):
-    ids = [label_token_id(lab, vocab) for lab in labels]
-    if len(set(ids)) != len(ids):
-        raise VocabularyError(
-            f"labels of task {task.value!r} do not have distinct representative tokens: {labels}")
-    return ids
+def label_token_ids(labels, vocab):
+    """``loss_cep``'s classes: for each task of the label table ``labels``
+    (task -> its labels in lexicographic order, tasks in TASK_ORDER), the
+    labels' representative tokens. Two labels of one task sharing a token
+    is a VocabularyError."""
+    out = {}
+    for task in labels:
+        out[task] = [label_token_id(lab, vocab) for lab in labels[task]]
+        if len(set(out[task])) != len(out[task]):
+            raise VocabularyError(f"labels of task {task.value!r} do not have distinct "
+                                  f"representative tokens: {labels[task]}")
+    return out
 
 
-def loss_cep(enc, pseudos, params, config, vocab, labels, train=False, rng=None):
-    """Cross-task prediction from ``enc``, the corrupted encoding of a batch
-    with one PseudoLabelSet per sample. ``labels`` maps each task to its
-    label vocabulary, a tuple in lexicographic order. The decoder is fed the
-    task tokens in TASK_ORDER; position i classifies over task i's labels.
-    Per sample the sum of the tasks' cross-entropies, averaged over the
-    batch."""
-    _check_batch(enc, pseudos, "loss_cep")
-    tasks = [t for t in TASK_ORDER if t in labels]
-    if not tasks:
-        raise ContractError("loss_cep: empty label table")
-    dec_ids = np.array([[vocab.task_id(t) for t in tasks]] * len(pseudos))
+def loss_cep(enc, targets, params, config, vocab, label_ids, train=False, rng=None):
+    """Cross-task prediction from ``enc``, the corrupted encoding of a batch,
+    against ``targets`` (B, T): entry (b, i) is sample b's label index for
+    the i-th task of ``label_ids`` (task -> ``label_token_ids``' classes, in
+    TASK_ORDER). The decoder is fed those tasks' tokens; position i
+    classifies over task i's label tokens. Per sample the sum of the tasks'
+    cross-entropies, averaged over the batch."""
+    targets, tasks = np.asarray(targets), list(label_ids)
+    if not tasks or targets.shape != (len(enc.offsets) - 1, len(tasks)):
+        raise ContractError(f"loss_cep: targets {targets.shape} for a batch and {len(tasks)} tasks")
+    if (targets < 0).any() or (targets >= [len(ids) for ids in label_ids.values()]).any():
+        raise ContractError("loss_cep: a target lies outside its task's label table")
+    dec_ids = np.array([[vocab.task_id(t) for t in tasks]] * len(targets))
     logits = token_logits(decoder_states(dec_ids, enc, params, config, train=train, rng=rng), params)
     total = None
     for i, task in enumerate(tasks):
-        ids = _task_label_ids(labels[task], task, vocab)
-        wanted = [pseudo.label_for(task) for pseudo in pseudos]
-        stray = [want for want in wanted if want not in labels[task]]
-        if stray:
-            raise ContractError(
-                f"pseudo label {stray[0]!r} for task {task.value!r} is outside its label table")
-        rows = ad.embedding(logits, np.arange(len(pseudos)) * len(tasks) + i)
-        ce = ad.softmax_cross_entropy(ad.gather_cols(rows, ids),
-                                      [labels[task].index(w) for w in wanted])
+        rows = ad.embedding(logits, np.arange(len(targets)) * len(tasks) + i)
+        ce = ad.softmax_cross_entropy(ad.gather_cols(rows, label_ids[task]), targets[:, i])
         total = ce if total is None else ad.add(total, ce)
     return total
 
@@ -282,16 +263,17 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
     return report, total
 
 
-def stage2_loss(batch, params, config, vocab, labels, weights=(1.0, 1.0), train=False, rng=None):
+def stage2_loss(batch, params, config, vocab, label_ids, weights=(1.0, 1.0), train=False,
+                rng=None):
     """Reconstruction + cross-task prediction on original records, sharing
-    one corrupted pass. Returns (LossReport, total tensor). ``labels`` is
-    ``loss_cep``'s per-task label table."""
-    if not labels:
+    one corrupted pass. Returns (LossReport, total tensor). ``label_ids``
+    is ``loss_cep``'s per-task classes."""
+    if not label_ids:
         raise ContractError("stage2_loss: no label table")
     enc = encode_batch([e.prompt for e in batch], params, config, vocab,
                        mask_plans=[e.plan for e in batch], train=train, rng=rng)
     mcm = loss_mcm(enc, [(e.prompt, e.plan) for e in batch], params, vocab)
-    cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, labels,
+    cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, label_ids,
                    train=train, rng=rng)
     total = ad.add(ad.scale(mcm, weights[0]), ad.scale(cep, weights[1]))
     report = LossReport(mcm=mcm.item(), spp=0.0, ccl=0.0, cep=cep.item(), total=total.item())

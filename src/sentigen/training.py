@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import POOL_DATASET_ID, Polarity, TaskType, TASK_ORDER, combine_queries, to_polarity
+from .data import POOL_DATASET_ID, Polarity, TASK_ORDER, combine_queries, to_polarity
 from .errors import ConfigError, NumericError, VocabularyError
 from .evaluation import evaluate_records
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
@@ -32,9 +32,9 @@ from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
 from .model import (config_from_json, encode, init_params, load_checkpoint,  # noqa: F401
                     params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint,
                     write_file_atomic)
-from .objectives import (LossReport, PseudoLabelSet, Stage1Example,
-                         Stage2Example, assign_pseudo_labels, build_centroids, generation_loss,
-                         stage1_loss, stage2_loss)
+from .objectives import (LossReport, Stage1Example, Stage2Example, assign_pseudo_labels,
+                         build_centroids, generation_loss, label_token_ids, stage1_loss,
+                         stage2_loss)
 from .prompt import Vocab, build_prompt, build_vocab, tokenize
 
 ADAM_BETA1 = 0.9
@@ -65,6 +65,10 @@ class TrainConfig:
     max_new_tokens: int = 8
 
     def validate(self):
+        if not self.learning_rate > 0.0:
+            raise ConfigError(f"learning_rate {self.learning_rate} must be positive")
+        if not self.grad_clip >= 0.0:
+            raise ConfigError(f"grad_clip {self.grad_clip} must be non-negative (0 disables it)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.epochs < 0:
@@ -298,18 +302,6 @@ def _restore_rngs(states):
     return out
 
 
-def _pseudo_to_json(pseudo_list):
-    if pseudo_list is None:
-        return None
-    return [{t.value: lab for t, lab in p.labels.items()} for p in pseudo_list]
-
-
-def _pseudo_from_json(obj):
-    if obj is None:
-        return None
-    return [PseudoLabelSet(labels={TaskType(k): v for k, v in entry.items()}) for entry in obj]
-
-
 def _meta_field(meta, key, kind, source):
     """``meta[key]`` if it is a ``kind`` (a bool is never an int), else a ConfigError."""
     value = meta.get(key)
@@ -402,7 +394,7 @@ class _Run:
 
     def _restore(self, meta, arrays):
         """Step, optimizer, RNG and pseudo-label state of the run being
-        resumed."""
+        resumed; stage two checks the pseudo labels against its table."""
         source = self.resume_from
         if meta.get("stage") != self.stage:
             raise ConfigError(
@@ -410,13 +402,7 @@ class _Run:
         self.step = _meta_field(meta, "step", int, source)
         self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
         self.rngs.update(_parsed_field(meta, "rng", _restore_rngs, source))
-        self.pseudo = _parsed_field(meta, "pseudo", _pseudo_from_json, source)
-        # stage two refreshes its pseudo labels before its first step
-        if self.stage == "pretrain2" and self.step and self.pseudo is None:
-            raise ConfigError(f"{source}: checkpoint field 'pseudo' is null at step {self.step}")
-        if self.pseudo is not None and len(self.pseudo) != len(self.records):
-            raise ConfigError(f"{source}: checkpoint field 'pseudo' holds {len(self.pseudo)} "
-                              f"labels for a corpus of {len(self.records)} records")
+        self.pseudo = arrays.get("pseudo")
         self._resume_meta = meta
 
     def open_log(self, path):
@@ -475,11 +461,12 @@ class _Run:
             "adam_t": self.adam.t,
             "rng": _rng_states(self.rngs),
             "pools": pools_state,
-            "pseudo": _pseudo_to_json(self.pseudo),
             "train_config": self.train_config.to_json(),
         }
         arrays = dict(params_to_arrays(self.params))
         arrays.update(self.adam.state_arrays())
+        if self.pseudo is not None:
+            arrays["pseudo"] = self.pseudo
         save_checkpoint(path, self.model_config, arrays, meta=meta)
         return Path(path)
 
@@ -556,18 +543,6 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
     return run.drive(pools, 2 * pools.pairs_per_pass(), step)
 
 
-def _refresh_centroids(run, keys):
-    """Frozen-snapshot pass: clean encodings of the full corpus with all
-    modalities, grouped by gold key ``keys[i]`` into per-task centroids, then
-    one pseudo-label set per record. Only the pseudo labels are kept."""
-    prompts = [build_prompt(r, run.vocab, run.registry, run.model_config.max_len)
-               for r in run.records]
-    pooled = pooled_vectors(prompts, run.params, run.model_config, run.vocab)
-    tasks = [r.task_type for r in run.records]
-    centroids = build_centroids(zip(tasks, keys, pooled))
-    run.pseudo = assign_pseudo_labels(pooled, centroids, tasks, keys)
-
-
 def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
                         init_checkpoint=None, resume_from=None):
     """Second pre-training stage (reconstruction + cross-task prediction) on
@@ -576,27 +551,37 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from)
     cfg = run.train_config
     pool = IndexPool(range(len(records)), run.pool_rng())
-    keys = [registry.spec(r.dataset_id).answer.render(r.label) for r in records]
-    # each task's gold keys, sorted: the labels its centroids carry
-    by_task = {}
-    for r, key in zip(records, keys):
-        by_task.setdefault(r.task_type, set()).add(key)
-    labels = {task: tuple(sorted(by_task[task])) for task in TASK_ORDER if task in by_task}
-    for i, entry in enumerate(run.pseudo or ()):  # restored: check each before any log opens
-        if set(entry.labels) != set(labels) or any(entry.labels[t] not in labels[t]
-                                                   for t in labels):
-            raise ConfigError(f"{run.resume_from}: checkpoint field 'pseudo' entry {i} does not "
-                              f"fit the corpus's label table")
+    # the label table (per task in TASK_ORDER, its sorted gold keys) and each
+    # record's task column and gold index in it, fixed for the run
+    tasks = [t for t in TASK_ORDER if any(r.task_type is t for r in records)]
+    own = np.array([tasks.index(r.task_type) for r in records])
+    keys = np.array([registry.spec(r.dataset_id).answer.render(r.label) for r in records])
+    labels, gold = {}, np.empty(len(records), dtype=np.int64)
+    for t, task in enumerate(tasks):
+        labels[task], gold[own == t] = np.unique(keys[own == t], return_inverse=True)
+    label_ids = label_token_ids(labels, run.vocab)
+    # restored labels are checked before any log opens; none are due before step 1
+    pseudo = run.pseudo
+    fits = not run.step if pseudo is None else (
+        pseudo.dtype == np.int64 and pseudo.shape == (len(records), len(tasks))
+        and (pseudo >= 0).all() and (pseudo < [len(labels[t]) for t in tasks]).all())
+    if not fits:
+        raise ConfigError(f"{run.resume_from}: checkpoint array 'pseudo' is missing or does not "
+                          f"fit the corpus's {len(records)} records and their label table")
+    prompts = [build_prompt(r, run.vocab, registry, run.model_config.max_len) for r in records]
 
     def step():
         if run.pseudo is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
-            _refresh_centroids(run, keys)
+            # frozen snapshot: clean full-corpus encodings with all modalities give
+            # per-task centroids, then the pseudo labels; only the labels are kept
+            pooled = pooled_vectors(prompts, run.params, run.model_config, run.vocab)
+            run.pseudo = assign_pseudo_labels(pooled, build_centroids(pooled, own, gold), own, gold)
         batch = []
         for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
             ps = _augmented_prompt(run, records[idx])
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
             batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
-        return stage2_loss(batch, run.params, run.model_config, run.vocab, labels,
+        return stage2_loss(batch, run.params, run.model_config, run.vocab, label_ids,
                            weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
                            train=True, rng=run.rngs["dropout"])
 

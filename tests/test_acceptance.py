@@ -22,10 +22,9 @@ from sentigen.masking import (ModalitySetting, mcm_eligible_positions, sample_mc
                               sample_modal_setting)
 from sentigen.model import (ModelConfig, encode, encode_batch, init_params, load_checkpoint,
                             params_from_arrays, save_checkpoint)
-from sentigen.objectives import (PseudoLabelSet, Stage1Example, Stage2Example,
-                                 assign_pseudo_labels, build_centroids, generation_loss,
-                                 loss_ccl, loss_cep, loss_mcm, loss_spp, stage1_loss,
-                                 stage2_loss)
+from sentigen.objectives import (Stage1Example, Stage2Example, assign_pseudo_labels,
+                                 build_centroids, generation_loss, label_token_ids, loss_ccl,
+                                 loss_cep, loss_mcm, loss_spp, stage1_loss, stage2_loss)
 from sentigen.prompt import Vocab, build_prompt, build_vocab, flatten_prompt, resegment_prompt
 from sentigen.training import (TaskPools, TrainConfig, gold_token_ids, run_finetune,
                                run_pretrain_stage1, task_average_sample)
@@ -129,8 +128,8 @@ def test_c02_gradient_fidelity(acc):
             plans = [sample_mcm_plan(p, float(rng.uniform(0.3, 0.7)), rng, vocab)
                      for p in prompts]
             labmap = random_labels(acc, rng)
-            pseudo = PseudoLabelSet(labels={
-                t: labmap[t][int(rng.integers(len(labmap[t])))] for t in TASK_ORDER})
+            label_ids = label_token_ids(labmap, vocab)
+            pseudo = np.array([int(rng.integers(len(labmap[t]))) for t in TASK_ORDER])
             pair = [r for r in chosen[:2]]
             ccl_labels = [polarities[int(rng.integers(3))] for _ in prompts]
 
@@ -144,14 +143,14 @@ def test_c02_gradient_fidelity(acc):
                     [encode(p, params, config, vocab).pooled for p in prompts], ccl_labels),
                 "cep": lambda: loss_cep(
                     encode_batch(prompts[1:2], params, config, vocab, mask_plans=plans[1:2]),
-                    [pseudo], params, config, vocab, labmap),
+                    [pseudo], params, config, vocab, label_ids),
                 "stage1": lambda: stage1_loss(
                     [Stage1Example(prompt=prompts[0], plan=plans[0], polarity=Polarity.POSITIVE),
                      Stage1Example(prompt=prompts[2], plan=plans[2], polarity=Polarity.NEGATIVE)],
                     params, config, vocab)[1],
                 "stage2": lambda: stage2_loss(
                     [Stage2Example(prompt=prompts[0], plan=plans[0], pseudo=pseudo)],
-                    params, config, vocab, labmap)[1],
+                    params, config, vocab, label_ids)[1],
                 "generation": lambda: generation_loss(
                     [(p, gold_token_ids(r, registry, vocab)) for p, r in zip(prompts[:2], pair)],
                     params, config, vocab),
@@ -315,29 +314,40 @@ def test_c07_pseudo_label_oracle():
             for task in tasks:
                 for _ in range(int(rng.integers(1, 11))):
                     items.append((task, labels[int(rng.integers(n_labels))], grid(dim)))
-            index = build_centroids(items)
+            # the run's label table: each task's labels, sorted; a pseudo label
+            # is an index into it, and the matrix has one column per task
+            table = {t: sorted({lab for task, lab, _ in items if task is t}) for t in tasks}
+            own = [tasks.index(task) for task, _, _ in items]
+            gold = [table[task].index(lab) for task, lab, _ in items]
+            centroids = build_centroids(np.array([vec for *_, vec in items]), own, gold)
             query = grid(dim)
-            own = tasks[int(rng.integers(len(tasks)))]
-            pseudo = assign_pseudo_labels([query], index, [own], ["gold"])[0]
-            assert pseudo.label_for(own) == "gold"
-            for task in index.tasks():
-                if task is own:
+            q_own = int(rng.integers(len(tasks)))
+            q_gold = int(rng.integers(len(table[tasks[q_own]])))
+            pseudo = assign_pseudo_labels([query], centroids, [q_own], [q_gold])[0]
+            assert pseudo[q_own] == q_gold
+            for t, task in enumerate(tasks):
+                # brute force: each label's mean, summed in item order
+                means = {}
+                for lab in table[task]:
+                    vecs = [vec for tk, lb, vec in items if tk is task and lb == lab]
+                    means[lab] = sum(vecs[1:], vecs[0]) / len(vecs)
+                assert np.array_equal(centroids[t], np.array([means[lab] for lab in table[task]]))
+                if t == q_own:
                     continue
-                labs = index.labels(task)
-                d2 = [float(np.sum((c - query) ** 2)) for _, c in index.by_task[task]]
-                best = min(range(len(labs)), key=lambda k: (d2[k], labs[k]))
-                ties_seen += sum(d == d2[best] for d in d2) > 1
-                assert pseudo.label_for(task) == labs[best]
+                d2 = {lab: float(np.sum((c - query) ** 2)) for lab, c in means.items()}
+                best = min(d2, key=lambda lab: (d2[lab], lab))
+                ties_seen += sum(d == d2[best] for d in d2.values()) > 1
+                assert table[task][pseudo[t]] == best
 
             source = [(labels[int(rng.integers(n_labels))], grid(dim))
                       for _ in range(int(rng.integers(1, 11)))]
             target = [(labels[int(rng.integers(n_labels))], grid(dim))
                       for _ in range(int(rng.integers(1, 11)))]
-            cents = label_centroids(target)
+            cents = label_centroids([lab for lab, _ in target], [vec for _, vec in target])
             got_pseudo, got_acc = cross_annotate(source, cents)
             hits = 0
             for (gold, vec), assigned in zip(source, got_pseudo):
-                d2 = {lab: float(np.sum((np.asarray(c) - vec) ** 2)) for lab, c in cents}
+                d2 = {lab: float(np.sum((np.asarray(c) - vec) ** 2)) for lab, c in zip(*cents)}
                 best = min(d2, key=lambda lab: (d2[lab], lab))
                 ties_seen += sum(d == d2[best] for d in d2.values()) > 1
                 assert assigned == best

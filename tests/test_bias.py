@@ -64,14 +64,18 @@ def test_matrix_shape_validation():
 
 
 def test_label_centroids_means_and_order():
-    items = [("pos", [2.0, 0.0]), ("neg", [0.0, 4.0]), ("pos", [4.0, 2.0])]
-    cents = label_centroids(items)
-    assert [lab for lab, _ in cents] == ["neg", "pos"]
-    np.testing.assert_array_equal(cents[1][1], [3.0, 1.0])
+    names, cents = label_centroids(["pos", "neg", "pos"], [[2.0, 0.0], [0.0, 4.0], [4.0, 2.0]])
+    assert names.tolist() == ["neg", "pos"]
+    np.testing.assert_array_equal(cents, [[0.0, 4.0], [3.0, 1.0]])
+    # integer labels sort as numbers: stage two's label indices
+    names, _ = label_centroids([10, 2, 10], np.zeros((3, 1)))
+    assert names.tolist() == [2, 10]
     with pytest.raises(ContractError):
-        label_centroids([])
+        label_centroids([], [])
     with pytest.raises(ShapeError):
-        label_centroids([("a", [1.0]), ("b", [1.0, 2.0])])
+        label_centroids(["a", "b"], [[1.0], [1.0, 2.0]])
+    with pytest.raises(ShapeError):
+        label_centroids(["a", "b"], [[1.0]])
 
 
 def test_label_centroids_sum_in_item_order():
@@ -81,13 +85,14 @@ def test_label_centroids_sum_in_item_order():
     for _ in range(8):
         total += 0.1
     assert total / 9 != np.mean(np.full((9, 1), 0.1), axis=0)[0]
-    [(_, centroid)] = label_centroids([("x", [0.1])] * 9)
+    _, [centroid] = label_centroids(["x"] * 9, [[0.1]] * 9)
     assert centroid[0] == total / 9
 
 
 def test_nearest_label_tie_break():
-    cents = label_centroids([("beta", [1.0]), ("alpha", [-1.0])])
-    assert nearest_labels([[0.0], [0.2]], cents) == ["alpha", "beta"]
+    names, cents = label_centroids(["beta", "alpha"], [[1.0], [-1.0]])
+    assert names[nearest_labels([[0.0], [0.2]], cents)].tolist() == ["alpha", "beta"]
+    assert nearest_labels([[0.0]], [[1.0], [-1.0]]).tolist() == [0]
 
 
 def test_nearest_labels_matches_brute_force():
@@ -98,21 +103,20 @@ def test_nearest_labels_matches_brute_force():
             tuple(int(x) for x in rng.integers(1, 6, size=3)) for _ in range(80)]:
         # small integer grids so exact distance ties occur
         labels = [str(x) for x in rng.permutation(names)[:c]]
-        cents = label_centroids([(lab, rng.integers(-1, 2, size=d).astype(float))
-                                 for lab in labels])
+        labs, cents = label_centroids(labels, rng.integers(-1, 2, size=(c, d)).astype(float))
         vectors = rng.integers(-1, 2, size=(n, d)).astype(float)
         got = nearest_labels(vectors, cents)
         assert len(got) == n
-        for x, label in zip(vectors, got):
-            d2 = {lab: float(np.sum((x - cv) ** 2)) for lab, cv in cents}
+        for x, k in zip(vectors, got):
+            d2 = {lab: float(np.sum((x - cv) ** 2)) for lab, cv in zip(labs, cents)}
             best = min(d2, key=lambda lab: (d2[lab], lab))
             ties += sum(v == d2[best] for v in d2.values()) > 1
-            assert label == best
+            assert labs[k] == best
     assert ties > 0
 
 
 def test_nearest_labels_rejects_bad_shapes():
-    cents = label_centroids([("a", [1.0, 2.0]), ("b", [0.0, 0.0])])
+    _, cents = label_centroids(["a", "b"], [[1.0, 2.0], [0.0, 0.0]])
     for bad in ([[1.0]], [1.0, 2.0], [[[1.0, 2.0]]]):
         with pytest.raises(ShapeError):
             nearest_labels(bad, cents)
@@ -128,11 +132,11 @@ def test_cross_annotate_matches_brute_force():
                   for _ in range(int(rng.integers(2, 8)))]
         source = [(labels[int(rng.integers(n_labels))], rng.normal(size=dim))
                   for _ in range(int(rng.integers(1, 8)))]
-        cents = label_centroids(target)
+        cents = label_centroids([lab for lab, _ in target], [vec for _, vec in target])
         pseudo, acc = cross_annotate(source, cents)
         hits = 0
         for (gold, vec), assigned in zip(source, pseudo):
-            d = [(float(np.sum((np.asarray(vec) - c) ** 2)), lab) for lab, c in cents]
+            d = [(float(np.sum((np.asarray(vec) - c) ** 2)), lab) for lab, c in zip(*cents)]
             best = min(d)[1]
             assert assigned == best
             hits += best == gold
@@ -140,7 +144,7 @@ def test_cross_annotate_matches_brute_force():
 
 
 def test_cross_annotate_correspondence():
-    cents = label_centroids([("happy", [1.0]), ("sad", [-1.0])])
+    cents = label_centroids(["happy", "sad"], [[1.0], [-1.0]])
     source = [("pos", [2.0]), ("neg", [-2.0]), ("other", [1.5])]
     pseudo, acc = cross_annotate(source, cents,
                                  correspondence={"pos": "happy", "neg": "sad", "other": None})

@@ -123,6 +123,46 @@ def test_mistyped_config_value_exits_2(cli_corpus, tmp_path, capsys, case):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+NONFINITE_CONFIGS = {
+    "learning_rate-nan": {"train": {"learning_rate": float("nan")}},
+    "learning_rate-inf": {"train": {"learning_rate": float("inf")}},
+    "learning_rate-0": {"train": {"learning_rate": 0.0}},
+    "grad_clip-inf": {"train": {"grad_clip": float("inf")}},
+    "grad_clip-negative": {"train": {"grad_clip": -1.0}},
+    "loss_weights-nan": {"train": {"loss_weights": [1.0, float("nan"), 1.0, 1.0]}},
+    "loss_weights-minus-inf": {"train": {"loss_weights": [1.0, 1.0, float("-inf"), 1.0]}},
+    "dropout_rate-nan": {"model": {"dropout_rate": float("nan")}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_CONFIGS))
+def test_nonfinite_config_value_writes_nothing(cli_corpus, tmp_path, capsys, case):
+    """JSON's NaN and Infinity, in any float field or inside ``loss_weights``,
+    a learning rate that is not positive and a negative clip norm are
+    one-line ConfigErrors raised before the run writes anything."""
+    cfg = json.loads(write_config(tmp_path / "cfg.json").read_text())
+    for key, value in NONFINITE_CONFIGS[case].items():
+        cfg[key] = {**cfg[key], **value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "pretrain1", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                         "--registry", str(cli_corpus / "registry.json"),
+                         "--out", str(tmp_path / "out"), "--config", str(path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("per_task", ["0", "-3"])
+def test_make_corpus_rejects_per_task_below_one(tmp_path, capsys, per_task):
+    code, out, err = run(capsys, "make-corpus", "--out", str(tmp_path / "c"),
+                         "--per-task", per_task)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ConfigError" and "per_task" in err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.fixture(scope="module")
 def finetuned(cli_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_ft")
@@ -213,6 +253,18 @@ def test_eval_prints_table_and_json(cli_corpus, finetuned, tmp_path, capsys):
     assert "wa" in table[0] and "mae" in table[0]
     on_disk = json.loads((tmp_path / "ev" / "eval.json").read_text())
     assert on_disk == payload
+
+
+@pytest.mark.parametrize("max_new", ["0", "-1"])
+def test_eval_max_new_below_one_exits_2_before_reading(tmp_path, capsys, max_new):
+    """``--max-new`` below 1 is a ConfigError naming the flag, raised before
+    the corpus or the checkpoint is read: neither exists here."""
+    code, out, err = run(capsys, "eval", "--corpus", str(tmp_path / "none.jsonl"),
+                         "--registry", str(tmp_path / "none.json"),
+                         "--checkpoint", str(tmp_path / "none.ckpt"), "--max-new", max_new)
+    assert code == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ConfigError" and "--max-new" in msg["message"]
 
 
 def test_eval_checkpoint_without_meta_exits_2(cli_corpus, finetuned, tmp_path, capsys):

@@ -10,9 +10,9 @@ from sentigen.data import Polarity, TASK_ORDER, TaskType
 from sentigen.errors import ContractError, VocabularyError
 from sentigen.masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
 from sentigen.model import decoder_states, encode, encode_batch, init_params, token_logits
-from sentigen.objectives import (POLARITY_ORDER, CentroidIndex, PseudoLabelSet, Stage1Example,
-                                 Stage2Example, assign_pseudo_labels, build_centroids,
-                                 generation_loss, label_token_id, loss_ccl, loss_cep, loss_mcm,
+from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
+                                 assign_pseudo_labels, build_centroids, generation_loss,
+                                 label_token_id, label_token_ids, loss_ccl, loss_cep, loss_mcm,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
 from sentigen.prompt import build_prompt, flatten_prompt
 
@@ -57,10 +57,15 @@ def letters_in_vocab(vocab, n):
 
 
 def four_task_labels(vocab, sizes=(4, 7, 3, 2)):
-    """A label table for ``loss_cep``: per task, ``size`` distinct letters
-    in lexicographic order."""
+    """A label table: per task, ``size`` distinct letters in lexicographic
+    order."""
     it = iter(letters_in_vocab(vocab, sum(sizes)))
     return {task: tuple(next(it) for _ in range(size)) for task, size in zip(TASK_ORDER, sizes)}
+
+
+def first_labels(batch_size):
+    """(B, 4) targets: every task's first label for every sample."""
+    return np.zeros((batch_size, len(TASK_ORDER)), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -186,69 +191,67 @@ def test_ccl_gradient_matches_finite_differences():
 
 
 def test_build_centroids_exact_means():
-    items = [
-        (TaskType.ERC, "joy", np.array([1.0, 3.0])),
-        (TaskType.ERC, "joy", np.array([3.0, 5.0])),
-        (TaskType.ERC, "anger", np.array([-2.0, 0.0])),
-        (TaskType.CA, "positive", np.array([7.0, 7.0])),
-    ]
-    index = build_centroids(items)
-    assert index.tasks() == (TaskType.ERC, TaskType.CA)  # canonical task order
-    assert index.labels(TaskType.ERC) == ("anger", "joy")  # lexicographic
-    np.testing.assert_array_equal(np.stack([c for _, c in index.by_task[TaskType.ERC]]),
-                                  np.array([[-2.0, 0.0], [2.0, 4.0]]))
-    assert TaskType.MSA not in index
+    # task column 0 with labels (anger, joy), column 1 with (positive,)
+    vectors = np.array([[1.0, 3.0], [3.0, 5.0], [-2.0, 0.0], [7.0, 7.0]])
+    centroids = build_centroids(vectors, [0, 0, 0, 1], [1, 1, 0, 0])
+    assert len(centroids) == 2
+    np.testing.assert_array_equal(centroids[0], [[-2.0, 0.0], [2.0, 4.0]])
+    np.testing.assert_array_equal(centroids[1], [[7.0, 7.0]])
     with pytest.raises(ContractError):
-        build_centroids([])
+        build_centroids(np.zeros((0, 2)), [], [])
+    with pytest.raises(ContractError):
+        build_centroids(vectors, [0, 0, 0], [1, 1, 0])
+    with pytest.raises(ContractError):  # label 0 of column 0 holds no row
+        build_centroids(vectors, [0, 0, 0, 1], [1, 1, 1, 0])
+    with pytest.raises(ContractError):  # column 1 holds no row
+        build_centroids(vectors, [0, 0, 0, 2], [1, 1, 0, 0])
 
 
 def test_nearest_centroid_tie_breaks_lexicographically():
-    index = build_centroids([
-        (TaskType.CA, "beta", np.array([1.0, 0.0])),
-        (TaskType.CA, "alpha", np.array([-1.0, 0.0])),
-        (TaskType.ERC, "anger", np.zeros(2)),
-    ])
-    got = assign_pseudo_labels(np.array([[0.0, 0.0], [0.9, 0.0]]), index,
-                               [TaskType.ERC, TaskType.ERC], ["anger", "anger"])
-    assert [pseudo.label_for(TaskType.CA) for pseudo in got] == ["alpha", "beta"]
+    # column 0: (anger,); column 1: (alpha, beta), sorted, so a tie goes to alpha
+    centroids = build_centroids(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]),
+                                [0, 1, 1], [0, 1, 0])
+    got = assign_pseudo_labels(np.array([[0.0, 0.0], [0.9, 0.0]]), centroids, [0, 0], [0, 0])
+    assert got.tolist() == [[0, 0], [0, 1]]
 
 
 def test_assign_pseudo_labels_matches_brute_force():
     rng = np.random.default_rng(11)
-    tasks = TASK_ORDER[:3]
+    tasks = 3
     mixed = 0
     for _ in range(30):
         dim = int(rng.integers(1, 5))
-        items = []
-        for task in tasks:
+        own_rows, gold_rows = [], []
+        for t in range(tasks):
             for k in range(int(rng.integers(2, 4))):
-                items.append((task, f"l{k}", rng.normal(size=dim)))
-        index = build_centroids(items)
+                own_rows.append(t)
+                gold_rows.append(k)
+        snapshot = rng.normal(size=(len(own_rows), dim))
+        centroids = build_centroids(snapshot, own_rows, gold_rows)
         n = int(rng.integers(1, 6))
         vectors = rng.normal(size=(n, dim))
-        own = [tasks[int(rng.integers(len(tasks)))] for _ in range(n)]
-        mixed += len(set(own)) > 1
-        got = assign_pseudo_labels(vectors, index, own, [f"gold{i}" for i in range(n)])
-        assert len(got) == n
-        for i, (v, pseudo) in enumerate(zip(vectors, got)):
-            assert tuple(pseudo.labels) == index.tasks()
-            assert pseudo.label_for(own[i]) == f"gold{i}"
-            for task in index.tasks():
-                if task is own[i]:
+        own = rng.integers(tasks, size=n)
+        gold = [int(rng.integers(len(centroids[t]))) for t in own]
+        mixed += len(set(own.tolist())) > 1
+        got = assign_pseudo_labels(vectors, centroids, own, gold)
+        assert got.shape == (n, tasks) and got.dtype == np.int64
+        for i, v in enumerate(vectors):
+            assert got[i, own[i]] == gold[i]
+            for t in range(tasks):
+                if t == own[i]:
                     continue
-                labs = index.labels(task)
-                d2 = [float(np.sum((c - v) ** 2)) for _, c in index.by_task[task]]
-                best = min(range(len(labs)), key=lambda k: (d2[k], labs[k]))
-                assert pseudo.label_for(task) == labs[best]
+                d2 = [float(np.sum((c - v) ** 2)) for c in centroids[t]]
+                best = min(range(len(d2)), key=lambda k: (d2[k], k))
+                assert got[i, t] == best
     assert mixed > 0
 
 
 def test_assign_pseudo_labels_requires_own_task():
-    index = build_centroids([(TaskType.CA, "x", np.zeros(2))])
+    centroids = build_centroids(np.zeros((1, 2)), [0], [0])
+    with pytest.raises(ContractError):  # no centroids for task column 1
+        assign_pseudo_labels(np.zeros((2, 2)), centroids, [0, 1], [0, 0])
     with pytest.raises(ContractError):
-        assign_pseudo_labels(np.zeros((2, 2)), index, [TaskType.CA, TaskType.ERC], ["x", "anger"])
-    with pytest.raises(ContractError):
-        assign_pseudo_labels(np.zeros((2, 2)), index, [TaskType.CA], ["x"])
+        assign_pseudo_labels(np.zeros((2, 2)), centroids, [0], [0])
 
 
 def test_label_token_id_uses_last_piece(rig):
@@ -267,34 +270,35 @@ def test_label_token_id_uses_last_piece(rig):
 def test_cep_uniform_model_sums_label_set_logs(rig):
     vocab, config = rig["vocab"], rig["config"]
     sizes = (4, 7, 3, 2)
-    labels = four_task_labels(vocab, sizes)
-    pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
-    batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"), pseudo),
-             (rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy", p=0.5), pseudo)]
-    loss = loss_cep(encoded(rig, batch, rig["uniform"]), [e[2] for e in batch], rig["uniform"],
-                    config, vocab, labels)
+    label_ids = label_token_ids(four_task_labels(vocab, sizes), vocab)
+    batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy")),
+             (rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy", p=0.5))]
+    loss = loss_cep(encoded(rig, batch, rig["uniform"]), [[0, 6, 2, 1], [3, 0, 0, 0]],
+                    rig["uniform"], config, vocab, label_ids)
     want = sum(math.log(s) for s in sizes)
     assert abs(loss.item() - want) < 1e-9
 
 
 def test_cep_rejects_label_outside_index(rig):
+    """A target that is no index of its task's table, or targets that do not
+    give one per task per sample, are ContractErrors."""
     vocab, config = rig["vocab"], rig["config"]
-    labels = four_task_labels(vocab)
-    bad = {t: labels[t][0] for t in TASK_ORDER}
-    bad[TaskType.MSA] = "definitely-not-a-label"
+    label_ids = label_token_ids(four_task_labels(vocab), vocab)
     batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"))]
-    with pytest.raises(ContractError):
-        loss_cep(encoded(rig, batch), [PseudoLabelSet(labels=bad)], rig["params"], config, vocab,
-                 labels)
+    for bad in ([[0, 7, 0, 0]], [[0, 0, -1, 0]], [[0, 0, 0]], [0, 0, 0, 0], [[0] * 4] * 2):
+        with pytest.raises(ContractError):
+            loss_cep(encoded(rig, batch), bad, rig["params"], config, vocab, label_ids)
 
 
 def test_cep_rejects_colliding_representative_tokens(rig):
-    vocab, config = rig["vocab"], rig["config"]
-    pseudo = PseudoLabelSet(labels={TaskType.CA: "cat"})
-    batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy"))]
+    """The label table's representative tokens are checked when the table is
+    built, once per run: two labels of one task sharing a final piece are a
+    VocabularyError."""
+    vocab = rig["vocab"]
     with pytest.raises(VocabularyError):
-        loss_cep(encoded(rig, batch), [pseudo], rig["params"], config, vocab,
-                 {TaskType.CA: ("bobcat", "cat")})
+        label_token_ids({TaskType.CA: ("bobcat", "cat")}, vocab)
+    got = label_token_ids({TaskType.ABSA: ("bobcat",), TaskType.CA: ("cat",)}, vocab)
+    assert got[TaskType.CA] == got[TaskType.ABSA] == [label_token_id("cat", vocab)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +332,15 @@ def test_stage1_recomposes_weighted_components(rig):
 
 def test_stage2_recomposes_weighted_components(rig):
     vocab, config, params = rig["vocab"], rig["config"], rig["params"]
-    labels = four_task_labels(vocab)
-    pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
+    label_ids = label_token_ids(four_task_labels(vocab), vocab)
     batch = [Stage2Example(prompt=rig["prompts"]["meld-toy"],
-                           plan=plan_for(rig, "meld-toy", p=0.5), pseudo=pseudo)]
+                           plan=plan_for(rig, "meld-toy", p=0.5), pseudo=np.array([1, 4, 2, 0]))]
     weights = (1.5, 0.25)
-    report, total = stage2_loss(batch, params, config, vocab, labels, weights=weights)
+    report, total = stage2_loss(batch, params, config, vocab, label_ids, weights=weights)
     pairs = [(e.prompt, e.plan) for e in batch]
     mcm = loss_mcm(encoded(rig, pairs), pairs, params, vocab).item()
     cep = loss_cep(encoded(rig, pairs), [e.pseudo for e in batch], params, config, vocab,
-                   labels).item()
+                   label_ids).item()
     assert abs(report.mcm - mcm) < 1e-12
     assert abs(report.cep - cep) < 1e-12
     assert abs(report.total - (1.5 * mcm + 0.25 * cep)) < 1e-9
@@ -357,13 +360,14 @@ def test_loss_graphs_keep_their_fused_nodes(rig):
     rng = np.random.default_rng(0)
     prompts = list(rig["prompts"].values())
     plans = [sample_mcm_plan(ps, 0.5, rng, vocab) for ps in prompts]
-    labels = four_task_labels(vocab)
-    pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
+    label_ids = label_token_ids(four_task_labels(vocab), vocab)
     stage1 = [Stage1Example(prompt=ps, plan=plan, polarity=POLARITY_ORDER[i % 3])
               for i, (ps, plan) in enumerate(zip(prompts, plans))]
-    stage2 = [Stage2Example(prompt=ps, plan=plan, pseudo=pseudo) for ps, plan in zip(prompts, plans)]
+    stage2 = [Stage2Example(prompt=ps, plan=plan, pseudo=target)
+              for ps, plan, target in zip(prompts, plans, first_labels(len(prompts)))]
     losses = {"stage1": stage1_loss(stage1, params, config, vocab, train=True, rng=rng)[1],
-              "stage2": stage2_loss(stage2, params, config, vocab, labels, train=True, rng=rng)[1],
+              "stage2": stage2_loss(stage2, params, config, vocab, label_ids, train=True,
+                                    rng=rng)[1],
               "finetune": generation_loss([(ps, [4, 5]) for ps in prompts], params, config, vocab,
                                           train=True, rng=rng)}
     for name, loss in losses.items():
@@ -378,11 +382,11 @@ def test_loss_graphs_keep_their_fused_nodes(rig):
 
 
 def test_stage2_requires_centroid_index(rig):
-    with pytest.raises(ContractError):
-        stage2_loss([Stage2Example(prompt=rig["prompts"]["sst-toy"],
-                                   plan=plan_for(rig, "sst-toy"),
-                                   pseudo=PseudoLabelSet(labels={}))],
-                    rig["params"], rig["config"], rig["vocab"], None)
+    example = Stage2Example(prompt=rig["prompts"]["sst-toy"], plan=plan_for(rig, "sst-toy"),
+                            pseudo=np.zeros(0, dtype=np.int64))
+    for empty in (None, {}):
+        with pytest.raises(ContractError):
+            stage2_loss([example], rig["params"], rig["config"], rig["vocab"], empty)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +447,10 @@ def test_ccl_through_encoder_gradients(rig):
 
 
 def test_cep_gradients(rig):
-    labels = four_task_labels(rig["vocab"])
-    pseudo = PseudoLabelSet(labels={t: labels[t][0] for t in TASK_ORDER})
+    label_ids = label_token_ids(four_task_labels(rig["vocab"]), rig["vocab"])
     batch = [(rig["prompts"]["mosi-toy"], plan_for(rig, "mosi-toy", p=0.5))]
-    loss_fd(rig, lambda: loss_cep(encoded(rig, batch), [pseudo], rig["params"], rig["config"],
-                                  rig["vocab"], labels),
+    loss_fd(rig, lambda: loss_cep(encoded(rig, batch), first_labels(1), rig["params"],
+                                  rig["config"], rig["vocab"], label_ids),
             ["mask_vec_visual"])
 
 
@@ -505,6 +508,8 @@ def ref_ccl(pooled, labels):
 
 
 def ref_cep(batch, params, config, vocab, table):
+    """Per sample and task, from the label table itself: ``pseudo`` maps
+    each task to its label, a string."""
     tasks = [t for t in TASK_ORDER if t in table]
     total = ad.constant(0.0)
     for ps, plan, pseudo in batch:
@@ -515,8 +520,7 @@ def ref_cep(batch, params, config, vocab, table):
             labels = table[task]
             row = ad.gather_cols(ad.embedding(logits, range(i, i + 1)),
                                  [label_token_id(lab, vocab) for lab in labels])
-            total = ad.add(total, ad.softmax_cross_entropy(
-                row, [labels.index(pseudo.label_for(task))]))
+            total = ad.add(total, ad.softmax_cross_entropy(row, [labels.index(pseudo[task])]))
     return ad.scale(total, 1.0 / len(batch))
 
 
@@ -546,6 +550,7 @@ def test_batched_losses_match_per_sample_reference(rig):
     vocab, config, params = rig["vocab"], rig["config"], rig["params"]
     records = [r for rs in rig["by_ds"].values() for r in rs]
     labmap = four_task_labels(vocab)
+    label_ids = label_token_ids(labmap, vocab)
     rng = np.random.default_rng(2024)
     seen_tasks, seen_lengths = set(), set()
     for trial in range(12):
@@ -558,8 +563,9 @@ def test_batched_losses_match_per_sample_reference(rig):
         rate = (0.0, 0.3, 1.0)[trial % 3]
         plans = [sample_mcm_plan(ps, rate, rng, vocab) for ps in prompts]
         pols = [POLARITY_ORDER[int(rng.integers(3))] for _ in prompts]
-        pseudos = [PseudoLabelSet(labels={t: labmap[t][int(rng.integers(len(labmap[t])))]
-                                          for t in TASK_ORDER}) for _ in prompts]
+        targets = np.array([[int(rng.integers(len(labmap[t]))) for t in TASK_ORDER]
+                            for _ in prompts])
+        pseudos = [{t: labmap[t][k] for t, k in zip(TASK_ORDER, row)} for row in targets]
         golds = [[int(t) for t in rng.integers(4, len(vocab), size=int(rng.integers(1, 5)))]
                  for _ in prompts]
         golds[0][-1] = vocab.eos_id
@@ -567,8 +573,8 @@ def test_batched_losses_match_per_sample_reference(rig):
         seen_lengths.add(tuple(len(g) for g in golds))
         s1 = [Stage1Example(prompt=ps, plan=pl, polarity=po)
               for ps, pl, po in zip(prompts, plans, pols)]
-        s2 = [Stage2Example(prompt=ps, plan=pl, pseudo=pd)
-              for ps, pl, pd in zip(prompts, plans, pseudos)]
+        s2 = [Stage2Example(prompt=ps, plan=pl, pseudo=row)
+              for ps, pl, row in zip(prompts, plans, targets)]
         masked = list(zip(prompts, plans))
 
         def ref_stage1():
@@ -585,11 +591,11 @@ def test_batched_losses_match_per_sample_reference(rig):
                                      params, config, vocab),
                     lambda: ref_spp(list(zip(prompts, pols)), params, config, vocab)),
             "cep": (lambda: loss_cep(encode_batch(prompts, params, config, vocab, mask_plans=plans),
-                                     pseudos, params, config, vocab, labmap),
+                                     targets, params, config, vocab, label_ids),
                     lambda: ref_cep(list(zip(prompts, plans, pseudos)), params, config, vocab,
                                     labmap)),
             "stage1": (lambda: stage1_loss(s1, params, config, vocab)[1], ref_stage1),
-            "stage2": (lambda: stage2_loss(s2, params, config, vocab, labmap)[1],
+            "stage2": (lambda: stage2_loss(s2, params, config, vocab, label_ids)[1],
                        lambda: ad.add(ref_mcm(masked, params, config, vocab),
                                       ref_cep(list(zip(prompts, plans, pseudos)), params, config,
                                               vocab, labmap))),

@@ -10,7 +10,7 @@ import pytest
 from sentigen import autodiff as ad
 from sentigen import training
 from sentigen.data import POOL_DATASET_ID, Polarity, Registry, TASK_ORDER, TaskType, to_polarity
-from sentigen.errors import ConfigError, NumericError
+from sentigen.errors import ConfigError, NumericError, VocabularyError
 from sentigen.model import ModelConfig
 from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool, PolarityPools,
                                TaskPools, TrainConfig, clip_gradients, gold_token_ids,
@@ -563,16 +563,13 @@ BAD_RESUME_STATE = {
         k: {**p, "perm": p["perm"][:-1]} for k, p in v["pools"].items()}}),
     "pools-cursor-past-end": ("pools", lambda v: {**v, "pools": {
         k: {**p, "cursor": 10 ** 6} for k, p in v["pools"].items()}}),
-    "pseudo=5": ("pseudo", lambda v: 5),
-    "pseudo=[1]": ("pseudo", lambda v: [1]),
-    "pseudo-unknown-task": ("pseudo", lambda v: [{"no-such-task": "x"}]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RESUME_STATE))
 def test_bad_resume_state_is_config_error(toy, tmp_path, case):
-    """The sampling state and pseudo labels a resume restores are checked
-    too: a malformed one is a ConfigError naming the field."""
+    """The sampling state a resume restores is checked too: a malformed one
+    is a ConfigError naming the field."""
     from sentigen.model import load_checkpoint, save_checkpoint
     field, corrupt = BAD_RESUME_STATE[case]
     config = small_config(toy["vocab"], toy["registry"])
@@ -586,35 +583,75 @@ def test_bad_resume_state_is_config_error(toy, tmp_path, case):
                      tmp_path / "resume", resume_from=bad)
 
 
+def _with(v, row, col, value):
+    out = v.copy()
+    out[row, col] = value
+    return out
+
+
+# each takes the saved (N, T) pseudo-label matrix and the label table's sizes
 BAD_STAGE2_STATE = {
-    "pseudo=[]": ("pseudo", lambda v: []),
-    "pseudo-short": ("pseudo", lambda v: v[:-1]),
-    "pseudo=None": ("pseudo", lambda v: None),
-    "pseudo-label-outside-table": ("pseudo", lambda v: [{**e, "erc": "no-such-label"} for e in v]),
-    "pseudo-missing-task": ("pseudo", lambda v: [{k: e[k] for k in list(e)[1:]} for e in v]),
+    "pseudo=[]": lambda v, sizes: v[:0],
+    "pseudo-short": lambda v, sizes: v[:-1],
+    "pseudo=None": lambda v, sizes: None,
+    "pseudo-wrong-ndim": lambda v, sizes: v[:, 0],
+    "pseudo-float": lambda v, sizes: v.astype(np.float64),
+    "pseudo-extra-column": lambda v, sizes: np.concatenate([v, v[:, :1]], axis=1),
+    "pseudo-missing-task": lambda v, sizes: v[:, 1:],
+    "pseudo-negative": lambda v, sizes: _with(v, 0, 0, -1),
+    "pseudo-label-outside-table": lambda v, sizes: _with(v, -1, 2, sizes[2]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_STAGE2_STATE))
 def test_bad_stage2_resume_state_is_config_error(toy, tmp_path, case):
-    """Stage two reads the pseudo labels per record: a list that parses but
-    does not cover the corpus, an entry that does not cover exactly the
-    label table's tasks or gives one a label outside the table, or none at
-    all after a step, is a ConfigError on resume, not a failure mid-step.
+    """Stage two's pseudo labels are the checkpoint array ``pseudo``: an
+    int64 (records, tasks) matrix of indices into each task's label table.
+    One of another shape or dtype, an index outside its table, or none at
+    all after a step, is a ConfigError on resume, before any log opens.
     Centroid vectors are not checkpointed."""
     from sentigen.model import load_checkpoint, save_checkpoint
-    field, corrupt = BAD_STAGE2_STATE[case]
     config = small_config(toy["vocab"], toy["registry"])
     ck = run_pretrain_stage2(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
                              tmp_path / "seed")
     ck_config, arrays, meta = load_checkpoint(ck)
-    assert meta["pseudo"] is not None and "centroids" not in meta
+    keys = {}
+    for r in toy["records"]:
+        keys.setdefault(r.task_type, set()).add(toy["registry"].spec(r.dataset_id).answer
+                                                .render(r.label))
+    sizes = [len(keys[t]) for t in TASK_ORDER if t in keys]
+    assert arrays["pseudo"].dtype == np.int64 and arrays["pseudo"].shape == \
+        (len(toy["records"]), len(sizes))
+    assert "pseudo" not in meta and "centroids" not in meta
     bad = tmp_path / "bad.ckpt"
-    save_checkpoint(bad, ck_config, arrays, meta={**meta, field: corrupt(meta[field])})
-    with pytest.raises(ConfigError, match=field):
+    corrupt = BAD_STAGE2_STATE[case](arrays.pop("pseudo"), sizes)
+    save_checkpoint(bad, ck_config, arrays if corrupt is None else {**arrays, "pseudo": corrupt},
+                    meta=meta)
+    with pytest.raises(ConfigError, match="pseudo"):
         run_pretrain_stage2(toy["records"], toy["registry"], config,
                             train_cfg(max_steps=3, centroid_refresh_every=100),
                             tmp_path / "resume", resume_from=bad)
+    assert not (tmp_path / "resume" / "metrics.jsonl").exists()
+
+
+def test_stage2_label_collision_fails_before_logs(toy, tmp_path):
+    """A label table whose representative tokens collide is a
+    VocabularyError when stage two starts, not inside its first step, so
+    no metrics.jsonl is left behind. Outside the checkpoint's vocabulary
+    'bobcat' and 'cat' both end in the piece 't'."""
+    from dataclasses import replace
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=0),
+                      tmp_path / "seed")
+    spec = toy["registry"].to_json()
+    spec["meld-toy"]["answer_set"] = ["bobcat", "cat", "neutral"]
+    rename = {"anger": "bobcat", "joy": "cat"}
+    records = [replace(r, label=rename.get(r.label, r.label)) if r.dataset_id == "meld-toy" else r
+               for r in toy["records"]]
+    with pytest.raises(VocabularyError, match="erc"):
+        run_pretrain_stage2(records, Registry.from_json(spec), config, train_cfg(),
+                            tmp_path / "s2", init_checkpoint=ck)
+    assert not (tmp_path / "s2" / "metrics.jsonl").exists()
 
 
 def test_checkpoint_write_is_atomic(toy, tmp_path, monkeypatch):
