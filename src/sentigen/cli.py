@@ -5,12 +5,13 @@ data), validate, the two pre-training stages, fine-tuning, evaluation,
 representation export, and the bias report. Configuration comes from an
 optional JSON file plus flags (flags win); the only environment variable is
 SENTIGEN_LOG for log verbosity. Runtime failures print a single JSON line on
-stderr and exit 1; configuration/usage problems exit 2.
+stderr and exit 1; configuration/usage problems exit 2. Each command reads
+and checks its inputs and computes its results before its first write, and
+writes every file through ``data``.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -20,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_accuracy_matrix,
                    render_bias_report)
-from .data import POOL_DATASET_ID, Registry, load_corpus, read_json, read_jsonl
+from .data import (POOL_DATASET_ID, Registry, load_corpus, read_json, read_jsonl,
+                   write_feature_sidecar, write_json, write_jsonl, write_manifest)
 from .errors import ConfigError, DataError, SentigenError
 from .evaluation import evaluate_records
-from .model import ModelConfig, config_from_json, pooled_vectors, write_file_atomic
+from .model import ModelConfig, config_from_json, pooled_vectors
 from .prompt import build_prompt
 from .training import (TrainConfig, load_model, run_finetune, run_pretrain_stage1,
                        run_pretrain_stage2)
@@ -66,24 +67,6 @@ def _resolve_train_config(args, config):
     return cfg.validate()
 
 
-def _config_hash(payload):
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def write_manifest(out_dir, command, seed, effective_config):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "config_hash": _config_hash(effective_config),
-        "code_version": __version__,
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    write_file_atomic(out / "manifest.json", [text.encode("utf-8")])
-    return manifest
-
-
 def _load_inputs(args):
     registry = Registry.load(args.registry)
     return load_corpus(args.corpus, registry), registry
@@ -112,11 +95,9 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
     references a binary feature sidecar; everything else is inline. Returns
     (corpus_path, registry_path). ``per_task`` below 1 is a ConfigError,
     raised before anything is written."""
-    from .data import write_feature_sidecar
     if per_task < 1:
         raise ConfigError(f"per_task {per_task} must be at least 1")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -142,7 +123,7 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
                      "text": f"the {aspect} is {cue}", "label": label})
 
     erc_labels = tuple(_ERC_CUES)
-    sidecar_name = None
+    sidecar_name, sidecar = "meld-toy-0.saev", None
     for i in range(per_task):
         label = erc_labels[i % 3]
         n_ctx = 1 + i % 2
@@ -150,9 +131,7 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
                    for k in range(n_ctx)]
         audio = frames(2, audio_dim)
         if i == 0:
-            sidecar_name = "meld-toy-0.saev"
-            write_feature_sidecar(out / sidecar_name, audio)
-            audio = sidecar_name
+            sidecar, audio = audio, sidecar_name
         rows.append({**base, "task_type": "erc", "dataset_id": "meld-toy",
                      "text": _ERC_CUES[label], "audio": audio,
                      "context": context, "speaker_id": f"spk{i % 4}",
@@ -171,11 +150,6 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
                      "text": text, "audio": frames(2, audio_dim),
                      "image": frames(1, visual_dim), "label": label})
 
-    corpus_path = out / "corpus.jsonl"
-    with open(corpus_path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-
     registry = {
         "sst-toy": {"task_type": "ca", "answer_set": ["negative", "positive"],
                     "acoustic_dim": None, "visual_dim": None, "metrics": ["wa", "wf1"]},
@@ -192,7 +166,9 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
                           "acoustic_dim": audio_dim, "visual_dim": visual_dim,
                           "metrics": ["wa"]},
     }
-    registry_path = out / "registry.json"
+    corpus_path, registry_path = out / "corpus.jsonl", out / "registry.json"
+    write_feature_sidecar(out / sidecar_name, sidecar)
+    write_jsonl(corpus_path, rows)
     Registry.from_json(registry).save(registry_path)
     return corpus_path, registry_path
 
@@ -221,36 +197,30 @@ def cmd_validate(args):
     return 0
 
 
-def _run_training(args, runner, command, **extra):
+def _run_training(args, runner, **extra):
     config = _load_config_file(args.config)
     train_cfg = _resolve_train_config(args, config)
     model_cfg = ModelConfig.from_json(config.model)
     records, registry = _load_inputs(args)
     if getattr(args, "val_corpus", None):
         extra["val_records"] = load_corpus(args.val_corpus, registry)
-    # a run from a checkpoint takes its model config from there, not from the file
-    source = extra.get("resume_from") or extra.get("init_checkpoint")
-    used = model_cfg if source is None else load_model(source, registry)[0]
-    write_manifest(args.out, command, train_cfg.seed,
-                   {"train": train_cfg.to_json(), "model": used.to_json(),
-                    "corpus": str(args.corpus), "registry": str(args.registry)})
     path = runner(records, registry, model_cfg, train_cfg, args.out, **extra)
     print(json.dumps({"checkpoint": str(path)}))
     return 0
 
 
 def cmd_pretrain1(args):
-    return _run_training(args, run_pretrain_stage1, "pretrain1", resume_from=args.resume)
+    return _run_training(args, run_pretrain_stage1, resume_from=args.resume)
 
 
 def cmd_pretrain2(args):
-    return _run_training(args, run_pretrain_stage2, "pretrain2",
-                         init_checkpoint=args.init, resume_from=args.resume)
+    return _run_training(args, run_pretrain_stage2, init_checkpoint=args.init,
+                         resume_from=args.resume)
 
 
 def cmd_finetune(args):
-    return _run_training(args, run_finetune, "finetune",
-                         init_checkpoint=args.init, resume_from=args.resume)
+    return _run_training(args, run_finetune, init_checkpoint=args.init,
+                         resume_from=args.resume)
 
 
 def _metric_table(payload):
@@ -278,9 +248,7 @@ def cmd_eval(args):
                for d, r in sorted(results.items())}
     if args.out:
         write_manifest(args.out, "eval", None, {"checkpoint": str(args.checkpoint)})
-        with open(Path(args.out) / "eval.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(args.out) / "eval.json", payload, sort_keys=True)
     print(_metric_table(payload))
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -291,21 +259,16 @@ def cmd_export_embeddings(args):
     config, params, vocab, _, _ = load_model(args.checkpoint, registry)
     if not records:
         raise DataError("corpus holds no records", path=str(args.corpus))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_manifest(args.out, "export-embeddings", None, {"checkpoint": str(args.checkpoint)})
     prompts = [build_prompt(record, vocab, registry, config.max_len) for record in records]
     vectors = pooled_vectors(prompts, params, config, vocab)
-    path = out / "embeddings.jsonl"
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, (record, vec) in enumerate(zip(records, vectors)):
-            spec = registry.spec(record.dataset_id)
-            fh.write(json.dumps({
-                "dataset_id": record.dataset_id,
-                "sample_id": i,
-                "label": spec.answer.render(record.label),
-                "vector": [float(x) for x in vec],
-            }) + "\n")
+    rows = [{"dataset_id": record.dataset_id,
+             "sample_id": i,
+             "label": registry.spec(record.dataset_id).answer.render(record.label),
+             "vector": [float(x) for x in vec]}
+            for i, (record, vec) in enumerate(zip(records, vectors))]
+    write_manifest(args.out, "export-embeddings", None, {"checkpoint": str(args.checkpoint)})
+    path = Path(args.out) / "embeddings.jsonl"
+    write_jsonl(path, rows)
     print(json.dumps({"embeddings": str(path), "records": len(records)}))
     return 0
 
@@ -363,12 +326,9 @@ def cmd_bias_report(args):
     report = bias_report(matrix)
     text = render_bias_report(report)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_manifest(args.out, "bias-report", None, matrix.to_json())
-        with open(out / "bias_report.json", "w", encoding="utf-8") as fh:
-            json.dump({"accuracy": matrix.to_json(), **report.to_json()}, fh, indent=2)
-            fh.write("\n")
+        write_json(Path(args.out) / "bias_report.json",
+                   {"accuracy": matrix.to_json(), **report.to_json()})
     print(text)
     return 0
 

@@ -1,14 +1,21 @@
-"""Corpus handling: records, the dataset registry, polarity pools, sidecars.
+"""Records, the dataset registry, polarity pools, sidecars, and all file I/O.
 
 A corpus is a JSONL file of records covering four task families (aspect terms,
 scalar sentiment, conversation emotion, comment sentiment). Every dataset a
 corpus references must be declared in a registry config which fixes its task
 type, answer set, feature dimensions, and evaluation metrics.
+
+Every file the package reads goes through ``read_bytes`` and every file it
+writes through ``write_file_atomic``, bar a training log's append handle, so
+a path that cannot be read or written is one ``ConfigError`` line and a
+failed or killed write leaves the old file whole.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -16,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, ContractError, DataError
 
 SIDECAR_MAGIC = b"SAEV"
@@ -164,6 +172,61 @@ def read_bytes(path, what, error=ConfigError):
         raise error(f"cannot read {what} {path} ({exc.strerror})") from None
 
 
+def write_file_atomic(path, chunks, sync=False):
+    """Write the byte strings ``chunks`` to ``path``, making its directory,
+    through a sibling temp file swapped in by rename, so a failed or killed
+    write leaves the old file whole. Any OSError is a ConfigError naming
+    ``path``, with no temp file left behind. ``sync`` syncs the temp file
+    before the swap and the directory after it, so run state (checkpoints,
+    kept log lines, manifests) survives the machine stopping too. Data and
+    result files skip it: a rerun rewrites them, and syncing doubled the
+    time of make-corpus."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                if sync:
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        if sync:
+            fd = os.open(path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path} ({exc.strerror})") from None
+
+
+def write_json(path, obj, sort_keys=False, sync=False):
+    """Write ``obj`` as indented JSON text plus a newline, atomically."""
+    text = json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n"
+    write_file_atomic(path, [text.encode("utf-8")], sync)
+
+
+def write_jsonl(path, rows):
+    """Write one JSON object per line, non-ASCII text kept as UTF-8, atomically."""
+    write_file_atomic(path, [(json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8")
+                             for row in rows])
+
+
+def write_manifest(out_dir, command, seed, effective_config):
+    """Write ``out_dir/manifest.json``, synced: the command, its seed, the
+    SHA-256 of ``effective_config`` as sorted-key JSON, and the code version."""
+    config_hash = hashlib.sha256(json.dumps(effective_config, sort_keys=True)
+                                 .encode("utf-8")).hexdigest()
+    write_json(Path(out_dir) / "manifest.json",
+               {"command": command, "seed": seed, "config_hash": config_hash,
+                "code_version": __version__}, sort_keys=True, sync=True)
+
+
 def read_json(path, what, error=ConfigError):
     """Parse the JSON file at ``path``, named ``what`` in errors. A missing
     or unreadable path is a ConfigError (see ``read_bytes``); bytes that are
@@ -289,9 +352,7 @@ class Registry:
         return cls.from_json(read_json(path, "registry file"))
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 @dataclass(frozen=True)
@@ -344,10 +405,8 @@ def write_feature_sidecar(path, features):
     arr = np.ascontiguousarray(np.asarray(features, dtype=np.float32))
     if arr.ndim != 2:
         raise ContractError(f"sidecar features must be 2-D, got shape {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(SIDECAR_MAGIC)
-        fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(arr.astype("<f4").tobytes(order="C"))
+    write_file_atomic(path, [SIDECAR_MAGIC, struct.pack("<II", *arr.shape),
+                             arr.astype("<f4").tobytes(order="C")])
 
 
 def read_feature_sidecar(path):
@@ -505,10 +564,7 @@ def record_to_json(record):
 
 def serialize_corpus(records, path):
     """Write records back to JSONL. Sidecar-loaded features are inlined."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_json(record), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, [record_to_json(record) for record in records])
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,14 @@ Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
 ``decoder_states`` one token per row at a time through a ``DecoderCache`` of
 keys and values instead of re-running the decoder over every prefix.
+
+Checkpoints are written, synced, through ``data.write_file_atomic``, so a
+failed save leaves the old checkpoint whole.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -47,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import read_bytes
+from .data import read_bytes, write_file_atomic
 from .errors import ConfigError, ContractError, ShapeError
 from .prompt import flatten_prompt
 
@@ -526,30 +528,7 @@ def save_checkpoint(path, config, arrays, meta=None):
     # a crash mid-write never leaves a torn checkpoint or truncates the one
     # being resumed from
     write_file_atomic(path, [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
-                             header_bytes, *blobs])
-
-
-def write_file_atomic(path, chunks):
-    """Write the byte strings ``chunks`` to ``path`` through a synced
-    sibling temp file swapped in by rename, then sync the directory, so
-    ``path`` holds either its old bytes or all the new ones, whenever the
-    process or the machine stops."""
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+                             header_bytes, *blobs], sync=True)
 
 
 def load_checkpoint(path):

@@ -23,15 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import POOL_DATASET_ID, Polarity, TASK_ORDER, combine_queries, to_polarity
+from .data import (POOL_DATASET_ID, Polarity, TASK_ORDER, combine_queries, read_bytes,
+                   to_polarity, write_file_atomic, write_manifest)
 from .errors import ConfigError, NumericError, VocabularyError
 from .evaluation import evaluate_records
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
 # ``encode`` is no longer called here; it stays a module global because the
 # benchmark's tracer (benchmarks/tracing.py) patches it by name.
 from .model import (config_from_json, encode, init_params, load_checkpoint,  # noqa: F401
-                    params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint,
-                    write_file_atomic)
+                    params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint)
 from .objectives import (LossReport, Stage1Example, Stage2Example, assign_pseudo_labels,
                          build_centroids, generation_loss, label_token_ids, stage1_loss,
                          stage2_loss)
@@ -367,7 +367,6 @@ class _Run:
         self.registry = registry
         self.train_config = train_config.validate()
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.step = 0
         self.pseudo = None
         self.rngs = _spawn_rngs(train_config.seed)
@@ -408,20 +407,20 @@ class _Run:
     def open_log(self, path):
         """Open a per-step JSONL log for appending. A fresh run starts it
         empty; a resumed run keeps the lines up to its checkpoint step, so
-        the log ends up as an uninterrupted run's would. The kept lines are
-        swapped in whole, so a crash while they are written loses none."""
+        the log ends up as an uninterrupted run's would. A line that is torn,
+        not UTF-8 or not JSON ends the kept lines. They are swapped in whole,
+        so a crash while they are written loses none."""
         kept = []
         if self._resume_meta is not None and path.exists():
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        step = json.loads(line)["step"]
-                    except (ValueError, KeyError, TypeError):
-                        break  # a line torn by the interruption
-                    if not line.endswith("\n") or step > self.step:
-                        break
-                    kept.append(line)
-        write_file_atomic(path, [line.encode("utf-8") for line in kept])
+            for line in read_bytes(path, "training log").splitlines(keepends=True):
+                try:
+                    step = json.loads(line.decode("utf-8"))["step"]
+                except (ValueError, KeyError, TypeError):
+                    break  # a line torn by the interruption, or not one of ours
+                if not line.endswith(b"\n") or step > self.step:
+                    break
+                kept.append(line)
+        write_file_atomic(path, kept, sync=True)
         return open(path, "a", encoding="utf-8")
 
     def log_step(self, fh, report):
@@ -483,10 +482,14 @@ class _Run:
         ``units_per_pass`` the number of samples one pass over the data holds,
         and ``step()`` draws a batch and returns its (LossReport, total
         tensor). ``validate(fh)``, when given, runs after every step with the
-        open ``val_metrics.jsonl``. Logs are closed even when a step fails."""
+        open ``val_metrics.jsonl``. The run's first write is its
+        ``manifest.json``, which hashes the configs it resolved, once every
+        check has passed. Logs are closed even when a step fails."""
         cfg = self.train_config
         if self._resume_meta is not None:
             _parsed_field(self._resume_meta, "pools", pools.load_state, self.resume_from)
+        write_manifest(self.out_dir, self.stage, cfg.seed,
+                       {"train": cfg.to_json(), "model": self.model_config.to_json()})
         total_steps = (cfg.max_steps if cfg.max_steps is not None
                        else cfg.epochs * max(1, units_per_pass // cfg.batch_size))
         logs = []

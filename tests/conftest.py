@@ -1,3 +1,4 @@
+import errno
 import sys
 
 import numpy as np
@@ -26,6 +27,31 @@ def toy(tmp_path_factory):
         "records": records,
         "vocab": vocab,
     }
+
+
+class TornWrite:
+    """A file whose writes stop after ``limit`` bytes: the write that would
+    pass the limit stores the bytes up to it, then fails as a full disk."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.left = fh, limit
+
+    def write(self, data):
+        if len(data) > self.left:
+            self.fh.write(data[:self.left])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+        self.left -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
 
 
 def small_config(vocab, registry, **overrides):

@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import json
 from pathlib import Path
 
@@ -6,6 +7,8 @@ import pytest
 
 from sentigen.bias import fixture_accuracy_matrix
 from sentigen.cli import build_parser, main
+
+from conftest import TornWrite
 
 
 def run(capsys, *argv):
@@ -192,7 +195,7 @@ def test_config_hash_tracks_effective_config(cli_corpus, finetuned, tmp_path, ca
     assert code == 0
     base = json.loads((finetuned / "manifest.json").read_text())["config_hash"]
     same = json.loads((tmp_path / "same" / "manifest.json").read_text())["config_hash"]
-    assert same == base  # corpus/registry paths match: same temp root? no -- recompute
+    assert same == base
     code, _, _ = run(capsys, "finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
                      "--registry", str(cli_corpus / "registry.json"),
                      "--out", str(tmp_path / "seeded"), "--config", str(cfg), "--seed", "8")
@@ -334,6 +337,66 @@ def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
     assert all(len(r["vector"]) == 16 for r in rows)
 
 
+@pytest.mark.parametrize("command", ["pretrain1", "pretrain2", "finetune", "export-embeddings"])
+def test_failed_plan_writes_nothing(cli_corpus, finetuned, tmp_path, capsys, command):
+    """A command whose checks fail after its inputs are read leaves its
+    ``--out`` absent: a training run whose ``model`` section does not fit
+    the registry, and an export whose record cannot fit the checkpoint's
+    ``max_len``."""
+    argv = ["--registry", str(cli_corpus / "registry.json"), "--out", str(tmp_path / "out")]
+    if command == "export-embeddings":
+        row = next(json.loads(line) for line in (cli_corpus / "corpus.jsonl").read_text()
+                   .splitlines() if json.loads(line)["dataset_id"] == "mosi-toy")
+        row["audio"] = [[0.0] * 8] * 120  # more frames than a max_len 96 prompt holds
+        (tmp_path / "long.jsonl").write_text(json.dumps(row) + "\n")
+        argv += ["--corpus", str(tmp_path / "long.jsonl"),
+                 "--checkpoint", str(finetuned / "checkpoint.ckpt")]
+        error = "ContractError"
+    else:
+        cfg = write_config(tmp_path / "cfg.json", model={"acoustic_dim": 64})
+        argv += ["--corpus", str(cli_corpus / "corpus.jsonl"), "--config", str(cfg)]
+        error = "ConfigError"
+    code, out, err = run(capsys, command, *argv)
+    assert code == (2 if error == "ConfigError" else 1) and out == ""
+    assert json.loads(err)["error"] == error
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "bias-report"])
+def test_failed_rewrite_keeps_the_old_output(cli_corpus, finetuned, tmp_path, capsys, monkeypatch,
+                                             command):
+    """A rerun into the same ``--out`` whose write of the output file is
+    torn after 10 bytes is a one-line ConfigError carrying the write's
+    error, and leaves the old file whole with no temporary file beside it."""
+    out = tmp_path / "out"
+    if command == "eval":
+        name = "eval.json"
+        argv = ["eval", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                "--registry", str(cli_corpus / "registry.json"),
+                "--checkpoint", str(finetuned / "checkpoint.ckpt"), "--max-new", "3"]
+    else:
+        name, argv = "bias_report.json", ["bias-report"]
+    argv += ["--out", str(out)]
+    assert run(capsys, *argv)[0] == 0
+    old = (out / name).read_bytes()
+    names = sorted(p.name for p in out.iterdir())
+
+    real_open = builtins.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return TornWrite(fh, 10) if "w" in mode and Path(file).name.startswith(name) else fh
+
+    monkeypatch.setattr(builtins, "open", torn_open)
+    code, stdout, err = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 2 and stdout == ""
+    msg = json.loads(err)
+    assert msg["error"] == "ConfigError" and "injected" in msg["message"]
+    assert (out / name).read_bytes() == old
+    assert sorted(p.name for p in out.iterdir()) == names
+
+
 def test_bias_report_default_fixture(capsys):
     code, out, _ = run(capsys, "bias-report")
     assert code == 0
@@ -417,7 +480,7 @@ INPUT_FILES = {
     ("bias-report", "--correspondence"): "correspondence",
 }
 # String options that name no input file. ``--out`` is an output directory,
-# covered by its own ``out-file`` rows.
+# covered by its own ``out-file`` and ``out-under-file`` rows.
 NOT_INPUT_FILES = {"--out"}
 # Kinds whose malformed content is a DataError; every other kind's is a ConfigError.
 DATA_FILES = {"corpus", "acc-matrix", "embeddings"}
@@ -443,7 +506,8 @@ def input_file_rows():
             if action.type is not None or action.nargs is not None:
                 continue  # not string-valued
             if flag == "--out":
-                rows[f"{command}-out-file"] = (command, flag, "file")
+                for case in ("file", "under-file"):
+                    rows[f"{command}-out-{case}"] = (command, flag, case)
             elif flag not in NOT_INPUT_FILES:
                 for case in CASES:
                     rows[f"{command}-{flag[2:]}-{case}"] = (command, flag, case)
@@ -494,8 +558,9 @@ def bad_file_bytes(valid, case):
 def test_bad_input_file_is_one_line_config_error(cli_corpus, valid_inputs, tmp_path, capsys, case):
     """Every input file of every subcommand, missing, a directory, empty,
     not UTF-8 or byte-mutated, and an existing file where the output
-    directory belongs. A path that cannot be read (and ``--out`` naming a
-    file) exits 2 with one ConfigError JSON line, and nothing is written. Not
+    directory, or one of its parents, belongs. A path that cannot be read or
+    an ``--out`` that cannot be made exits 2 with one ConfigError JSON line,
+    and nothing is written. Not
     UTF-8 is one line of the file kind's error: a DataError for data files, a
     ConfigError for the rest. Any other case exits 0, or 1 or 2 with one
     JSON error line and nothing on stdout; never a traceback."""
@@ -517,11 +582,13 @@ def test_bad_input_file_is_one_line_config_error(cli_corpus, valid_inputs, tmp_p
     bad = tmp_path / "bad-input"
     if kind == "dir":
         bad.mkdir()
-    if kind in ("missing", "dir", "file"):
-        variants = [b"x"] if kind == "file" else [None]
+    if kind in ("missing", "dir"):
+        variants = [None]
+    elif kind in ("file", "under-file"):
+        variants = [b"x"]
     else:
         variants = bad_file_bytes(valid_inputs[INPUT_FILES[command, flag]].read_bytes(), kind)
-    argv[flag] = str(bad)
+    argv[flag] = str(bad / "sub" if kind == "under-file" else bad)
     for content in variants:
         if content is not None:
             bad.write_bytes(content)

@@ -1,12 +1,16 @@
+import ast
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sentigen
 from sentigen.data import (POOL_DATASET_ID, Polarity, Registry, SaevalRecord, TaskType,
                            combine_queries, load_corpus, read_feature_sidecar,
                            record_to_json, render_scalar_label, serialize_corpus, to_polarity,
-                           write_feature_sidecar)
+                           write_feature_sidecar, write_json, write_jsonl, write_manifest)
 from sentigen.errors import ConfigError, ContractError, DataError, SentigenError
 
 
@@ -293,6 +297,71 @@ def test_corpus_byte_mutation_fuzz(tmp_path):
         target.write_bytes(clean)
     assert loaded and rejected
     assert len(load_corpus(path, reg)) == 3
+
+
+# ---------------------------------------------------------------------------
+# the one writer
+
+
+# Calls that make or change a file: ``open`` in a mode that writes, and these
+# methods (``os.replace`` as ``replace`` on the ``os`` module).
+WRITE_METHODS = {"mkdir", "makedirs", "write_text", "write_bytes"}
+
+
+def file_writes(tree):
+    """Dotted names of the functions that hold a file-write call."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            on_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "open" and not on_os:
+                # builtin open(file, mode) or path.open(mode); a mode that is
+                # not a literal counts as a write
+                at = 1 if isinstance(func, ast.Name) else 0
+                mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                            node.args[at] if len(node.args) > at else None)
+                if mode is not None and not (isinstance(mode, ast.Constant)
+                                             and not set(str(mode.value)) & set("wax+")):
+                    found.append(scope)
+            elif name in WRITE_METHODS or (on_os and name == "replace"):
+                found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_data_is_the_only_writer():
+    """Every file the package writes goes through ``data.write_file_atomic``,
+    the one place that makes directories too. The only other write call is
+    the append handle of a training log, whose kept lines that writer swaps
+    in first."""
+    writers = set()
+    for path in sorted(Path(sentigen.__file__).parent.glob("*.py")):
+        writers |= {(path.name, scope) for scope in file_writes(ast.parse(path.read_text()))}
+    assert writers == {("data.py", "write_file_atomic"), ("training.py", "_Run.open_log")}
+
+
+def test_only_run_state_is_synced(tmp_path, monkeypatch):
+    """Checkpoints and manifests sync the file, then its directory; data and
+    result files are swapped in by rename alone."""
+    from sentigen.model import ModelConfig, save_checkpoint
+    real, synced = os.fsync, []
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real(fd))
+    write_json(tmp_path / "a.json", {"a": 1})
+    write_jsonl(tmp_path / "a.jsonl", [{"a": 1}])
+    write_feature_sidecar(tmp_path / "a.saev", np.zeros((1, 2)))
+    mini_registry().save(tmp_path / "registry.json")
+    assert synced == []
+    write_manifest(tmp_path, "test", 0, {})
+    save_checkpoint(tmp_path / "a.ckpt", ModelConfig(), {}, meta={})
+    assert len(synced) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool
                                run_finetune, run_pretrain_stage1, run_pretrain_stage2,
                                task_average_sample)
 
-from conftest import small_config
+from conftest import TornWrite, small_config
 
 
 def make_params(*shapes):
@@ -330,11 +330,15 @@ RUNS = {"pretrain1": (run_pretrain_stage1, "stage1_loss"),
         "finetune": (run_finetune, "generation_loss")}
 
 
-@pytest.mark.parametrize("stage", sorted(RUNS))
-def test_interrupted_run_resumes_to_identical_logs(toy, tmp_path, monkeypatch, stage):
+@pytest.mark.parametrize("stage,tail", [(stage, b"") for stage in sorted(RUNS)]
+                         + [("pretrain1", b"\xff\xfe\n")],
+                         ids=sorted(RUNS) + ["pretrain1-not-utf8-tail"])
+def test_interrupted_run_resumes_to_identical_logs(toy, tmp_path, monkeypatch, stage, tail):
     """Fault injection: a run that dies at step 5 and resumes from its step-2
     checkpoint in the same directory leaves the same logs and final
-    checkpoint bytes as a run that was never interrupted."""
+    checkpoint bytes as a run that was never interrupted. Bytes appended to
+    the logs after the cut, not UTF-8 even, are dropped with the lines past
+    the checkpoint."""
     run, loss_name = RUNS[stage]
     config = small_config(toy["vocab"], toy["registry"])
     # 24 records in batches of 8: validation after steps 3 and 6
@@ -358,38 +362,16 @@ def test_interrupted_run_resumes_to_identical_logs(toy, tmp_path, monkeypatch, s
     monkeypatch.setattr(training, loss_name, real_loss)
     cut_log = (out / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(l)["step"] for l in cut_log] == [1, 2, 3, 4]
+    logs = ["metrics.jsonl"] + (["val_metrics.jsonl"] if stage == "finetune" else [])
+    for name in logs:
+        with open(out / name, "ab") as fh:
+            fh.write(tail)
 
     resumed = run(toy["records"], toy["registry"], config, cfg, out,
                   resume_from=out / "checkpoint_step2.ckpt")
     assert resumed.read_bytes() == full.read_bytes()
-    logs = ["metrics.jsonl"] + (["val_metrics.jsonl"] if stage == "finetune" else [])
     for name in logs:
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
-
-
-class TornWrite:
-    """A file whose first write stores half its bytes, then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def write(self, data):
-        self.fh.write(data[:len(data) // 2])
-        self.fh.flush()
-        raise OSError(28, "injected: no space left on device")
-
-    def writelines(self, lines):
-        for line in lines:
-            self.write(line)
-
-    def __getattr__(self, name):
-        return getattr(self.fh, name)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
 
 
 def test_fault_in_log_prefix_rewrite_keeps_the_old_log(toy, tmp_path, monkeypatch):
@@ -410,11 +392,11 @@ def test_fault_in_log_prefix_rewrite_keeps_the_old_log(toy, tmp_path, monkeypatc
     def torn_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
         if "w" in mode and Path(file).name.startswith("metrics.jsonl"):
-            return TornWrite(fh)
+            return TornWrite(fh, 20)
         return fh
 
     monkeypatch.setattr(builtins, "open", torn_open)
-    with pytest.raises(OSError, match="injected"):
+    with pytest.raises(ConfigError, match="injected"):
         run_finetune(toy["records"], toy["registry"], config, cfg, out,
                      resume_from=out / "checkpoint_step2.ckpt")
     monkeypatch.setattr(builtins, "open", real_open)
@@ -608,8 +590,8 @@ def test_bad_stage2_resume_state_is_config_error(toy, tmp_path, case):
     """Stage two's pseudo labels are the checkpoint array ``pseudo``: an
     int64 (records, tasks) matrix of indices into each task's label table.
     One of another shape or dtype, an index outside its table, or none at
-    all after a step, is a ConfigError on resume, before any log opens.
-    Centroid vectors are not checkpointed."""
+    all after a step, is a ConfigError on resume, before the run writes
+    anything. Centroid vectors are not checkpointed."""
     from sentigen.model import load_checkpoint, save_checkpoint
     config = small_config(toy["vocab"], toy["registry"])
     ck = run_pretrain_stage2(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
@@ -631,14 +613,14 @@ def test_bad_stage2_resume_state_is_config_error(toy, tmp_path, case):
         run_pretrain_stage2(toy["records"], toy["registry"], config,
                             train_cfg(max_steps=3, centroid_refresh_every=100),
                             tmp_path / "resume", resume_from=bad)
-    assert not (tmp_path / "resume" / "metrics.jsonl").exists()
+    assert not (tmp_path / "resume").exists()
 
 
 def test_stage2_label_collision_fails_before_logs(toy, tmp_path):
     """A label table whose representative tokens collide is a
     VocabularyError when stage two starts, not inside its first step, so
-    no metrics.jsonl is left behind. Outside the checkpoint's vocabulary
-    'bobcat' and 'cat' both end in the piece 't'."""
+    nothing is written. Outside the checkpoint's vocabulary 'bobcat' and
+    'cat' both end in the piece 't'."""
     from dataclasses import replace
     config = small_config(toy["vocab"], toy["registry"])
     ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=0),
@@ -651,12 +633,13 @@ def test_stage2_label_collision_fails_before_logs(toy, tmp_path):
     with pytest.raises(VocabularyError, match="erc"):
         run_pretrain_stage2(records, Registry.from_json(spec), config, train_cfg(),
                             tmp_path / "s2", init_checkpoint=ck)
-    assert not (tmp_path / "s2" / "metrics.jsonl").exists()
+    assert not (tmp_path / "s2").exists()
 
 
 def test_checkpoint_write_is_atomic(toy, tmp_path, monkeypatch):
     """A write that fails partway through the payload leaves the previous
     checkpoint's bytes in place and no temporary file behind."""
+    import sentigen.data as data
     import sentigen.model as model
     config = small_config(toy["vocab"], toy["registry"])
     ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
@@ -666,30 +649,10 @@ def test_checkpoint_write_is_atomic(toy, tmp_path, monkeypatch):
     ck_config, arrays, meta = model.load_checkpoint(ck)
     arrays["param/w_text"] = arrays["param/w_text"] + 1.0
 
-    class Torn:
-        """A file whose writes fail once 1,000 bytes have gone out."""
-
-        def __init__(self, fh):
-            self.fh, self.written = fh, 0
-
-        def write(self, blob):
-            if self.written + len(blob) > 1000:
-                raise OSError("disk full")
-            self.written += len(blob)
-            return self.fh.write(blob)
-
-        def __getattr__(self, name):
-            return getattr(self.fh, name)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return self.fh.__exit__(*exc)
-
     real_open = open
-    monkeypatch.setattr(model, "open", lambda *a, **k: Torn(real_open(*a, **k)), raising=False)
-    with pytest.raises(OSError, match="disk full"):
+    monkeypatch.setattr(data, "open", lambda *a, **k: TornWrite(real_open(*a, **k), 1000),
+                        raising=False)
+    with pytest.raises(ConfigError, match="injected"):
         model.save_checkpoint(ck, ck_config, arrays, meta=meta)
     monkeypatch.undo()
     assert ck.read_bytes() == before
