@@ -3,18 +3,16 @@
 Subcommands cover the full workflow: make-corpus (deterministic synthetic
 data), validate, the two pre-training stages, fine-tuning, evaluation,
 representation export, and the bias report. Configuration comes from an
-optional JSON file plus flags (flags win); the only environment variable is
-SENTIGEN_LOG for log verbosity. Runtime failures print a single JSON line on
-stderr and exit 1; configuration/usage problems exit 2. Each command reads
-and checks its inputs and computes its results before its first write, and
-writes every file through ``data``.
+optional JSON file plus flags (flags win). Runtime failures print a single
+JSON line on stderr and exit 1; configuration/usage problems exit 2. Each
+command reads and checks its inputs and computes its results before its
+first write (a training run builds its prompt table before its manifest),
+and writes every file through ``data``.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,15 +29,6 @@ from .model import ModelConfig, config_from_json, pooled_vectors
 from .prompt import build_prompt
 from .training import (TrainConfig, load_model, run_finetune, run_pretrain_stage1,
                        run_pretrain_stage2)
-
-log = logging.getLogger(__name__)
-
-
-def _setup_logging():
-    level = os.environ.get("SENTIGEN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -407,7 +396,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -104,37 +104,9 @@ class Vocab:
     def is_special(self, token_id):
         return token_id < self.n_special
 
-    @property
-    def pad_id(self):
-        return 0
-
-    @property
-    def bos_id(self):
-        return 1
-
-    @property
-    def eos_id(self):
-        return 2
-
-    @property
-    def unk_id(self):
-        return 3
-
-    @property
-    def mask_id(self):
-        return 4
-
-    @property
-    def sep_id(self):
-        return 5
-
-    @property
-    def ans_open_id(self):
-        return 6
-
-    @property
-    def ans_close_id(self):
-        return 7
+    # a core marker's id is its place in ``_CORE_SPECIALS``
+    pad_id, bos_id, eos_id, unk_id, mask_id, sep_id, ans_open_id, ans_close_id = \
+        range(len(_CORE_SPECIALS))
 
     def task_id(self, task):
         return self.id_of(task_token(task))
@@ -310,11 +282,9 @@ def resegment_prompt(ids, vocab):
     z = tuple(ids[:a])
     y = tuple(ids[a:b + 1])
     rest = ids[b + 1:]
-    speaker_lo = len(_CORE_SPECIALS) + len(TASK_ORDER) + vocab.num_datasets
-    speaker_hi = speaker_lo + vocab.num_speakers
 
-    def is_speaker(tid):
-        return speaker_lo <= tid < speaker_hi
+    def is_speaker(tid):  # the speaker tokens close the special block
+        return vocab.n_special - vocab.num_speakers <= tid < vocab.n_special
 
     context = []
     query = tuple(rest)

@@ -1,11 +1,18 @@
 """Training: two pre-training stages and answer fine-tuning on one driver.
 
+A run plans before its first write: ``_Run`` resolves the model config and
+builds the prompt table, one prompt per corpus record, that stage two and
+fine-tuning train from (stage one builds each pair's prompt per step); each
+stage then builds its pool, a ``GroupPools`` whose ``deal`` hands batch
+slots to groups round-robin, or stage two's ``IndexPool``.
+
 ``_Run.drive`` owns the loop every stage shares: restore pool state on
-resume, step, check the loss is finite, back-propagate, clip, update, log,
-save periodically and finally write the last checkpoint. A stage supplies
-only its sampling pool, the number of units one pass over the data holds, a
-step function that draws a batch and returns its loss, and (fine-tuning
-only) a validation hook.
+resume, write the manifest, step, check the loss is finite, back-propagate,
+clip, update, log, save periodically and finally write the last checkpoint.
+A stage supplies only its sampling pool, the number of units one pass over
+the data holds, a step function that draws a batch and returns its loss, and
+(fine-tuning only) a validation hook. Every log line goes through
+``_Run.write_line``.
 
 Runs are bit-deterministic for a fixed (seed, config, corpus): RNG streams are
 spawned from the seed per concern (data order, masking, dropout, init), pools
@@ -16,6 +23,7 @@ run exactly.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -196,7 +204,7 @@ class IndexPool:
         self.perm, self.cursor = perm, cursor
 
 
-class _GroupPools:
+class GroupPools:
     """One ``IndexPool`` per group, built in group order, plus the rotation
     that deals batch slots across the groups. ``state`` / ``load_state``
     are the checkpoint's ``pools`` field."""
@@ -205,6 +213,13 @@ class _GroupPools:
         self.order = list(groups)
         self.pools = {g: IndexPool(indices, rng) for g, indices in groups.items()}
         self.rotation = int(rng.integers(len(self.order)))
+
+    def deal(self, slots):
+        """Each of ``slots`` batch slots' group, round-robin from the
+        rotation, which moves on past the last slot dealt."""
+        dealt = [self.order[(self.rotation + s) % len(self.order)] for s in range(slots)]
+        self.rotation = (self.rotation + slots) % len(self.order)
+        return dealt
 
     def state(self):
         return {"rotation": self.rotation,
@@ -216,65 +231,34 @@ class _GroupPools:
             pool.load_state(state["pools"][g.value])
 
 
-class TaskPools(_GroupPools):
-    """One pool per task family; the rotation deals out the batch remainder
-    fairly across steps."""
-
-    def __init__(self, records, rng):
-        by_task = {t: [] for t in TASK_ORDER}
-        for i, record in enumerate(records):
-            by_task[record.task_type].append(i)
-        empty = [t.value for t in TASK_ORDER if not by_task[t]]
-        if empty:
-            raise ConfigError(f"task-average sampling needs records for every task; missing {empty}")
-        super().__init__(by_task, rng)
+def task_pools(records, rng):
+    """One pool per task family, in ``TASK_ORDER``; every task needs a record."""
+    by_task = {t: [] for t in TASK_ORDER}
+    for i, record in enumerate(records):
+        by_task[record.task_type].append(i)
+    empty = [t.value for t in TASK_ORDER if not by_task[t]]
+    if empty:
+        raise ConfigError(f"task-average sampling needs records for every task; missing {empty}")
+    return GroupPools(by_task, rng)
 
 
-def task_average_sample(task_pools, batch_size, rng):
-    """Draw a batch with per-task counts equal to floor(batch/4), the
-    remainder rotating across tasks so per-step and cumulative counts never
-    differ by more than one."""
-    base = batch_size // len(TASK_ORDER)
-    rem = batch_size - base * len(TASK_ORDER)
-    counts = {t: base for t in TASK_ORDER}
-    for i in range(rem):
-        counts[TASK_ORDER[(task_pools.rotation + i) % len(TASK_ORDER)]] += 1
-    task_pools.rotation = (task_pools.rotation + rem) % len(TASK_ORDER)
-    batch = []
-    for t in TASK_ORDER:
-        if counts[t] == 0:
-            continue
-        for idx in task_pools.pools[t].draw(counts[t], rng):
-            batch.append((t, idx))
-    return batch
+def polarity_pools(records, rng):
+    """Stage-one pair pools: one pool per polarity with at least two members."""
+    index_of = {pol: [] for pol in Polarity}
+    for i, r in enumerate(records):
+        index_of[to_polarity(r.label, r.dataset_id)].append(i)
+    groups = {pol: indices for pol, indices in index_of.items() if len(indices) >= 2}
+    if not groups:
+        raise ConfigError("stage-one training needs a polarity pool with at least two records")
+    return GroupPools(groups, rng)
 
 
-class PolarityPools(_GroupPools):
-    """Stage-one pair pools: one pool per polarity with at least two
-    members; the rotation cycles batch slots over the polarities."""
-
-    def __init__(self, records, rng):
-        index_of = {pol: [] for pol in Polarity}
-        for i, r in enumerate(records):
-            index_of[to_polarity(r.label, r.dataset_id)].append(i)
-        groups = {pol: indices for pol, indices in index_of.items() if len(indices) >= 2}
-        if not groups:
-            raise ConfigError("stage-one training needs a polarity pool with at least two records")
-        super().__init__(groups, rng)
-
-    def draw_pairs(self, n_pairs, rng):
-        """n_pairs (polarity, i, j) triples, cycling pools across slots. A
-        pool exhausted mid-pass pairs its tail with the next pass head."""
-        out = []
-        for s in range(n_pairs):
-            pol = self.order[(self.rotation + s) % len(self.order)]
-            i, j = self.pools[pol].draw(2, rng)
-            out.append((pol, i, j))
-        self.rotation = (self.rotation + n_pairs) % len(self.order)
-        return out
-
-    def pairs_per_pass(self):
-        return sum(self.pools[pol].indices.size // 2 for pol in self.order)
+def task_average_sample(pools, batch_size, rng):
+    """Draw a batch of (task, index) pairs: the dealt slots give each task
+    floor(batch/4) records, the remainder rotating across tasks so per-step
+    and cumulative counts never differ by more than one."""
+    dealt = pools.deal(batch_size)
+    return [(t, idx) for t in TASK_ORDER for idx in pools.pools[t].draw(dealt.count(t), rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +371,9 @@ class _Run:
             config = replace(config, dropout_rate=train_config.dropout_rate)
         self.model_config = config
         self.adam = Adam(self.params, train_config.learning_rate)
+        # the plan's prompt table: every record's prompt, fixed for the run, so a
+        # record that cannot fit fails here, before the run writes anything
+        self.prompts = [build_prompt(r, self.vocab, registry, config.max_len) for r in records]
 
         if resume_from is not None:
             self._restore(meta, arrays)
@@ -423,26 +410,30 @@ class _Run:
         write_file_atomic(path, kept, sync=True)
         return open(path, "a", encoding="utf-8")
 
+    @staticmethod
+    def write_line(fh, obj):
+        """Append ``obj`` to an open log as one JSON line. A failed write (a
+        full disk, say) is the one-line ConfigError ``write_file_atomic``
+        raises. The handle is closed first, so the bytes a failed flush left
+        in its buffer cannot fail again, as a raw OSError, when the run
+        closes its logs."""
+        try:
+            fh.write(json.dumps(obj) + "\n")
+            fh.flush()
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                fh.close()
+            raise ConfigError(f"cannot write {fh.name} ({exc.strerror})") from None
+
     def log_step(self, fh, report):
-        line = json.dumps({
-            "step": self.step,
-            "stage": self.stage,
-            "mcm": report.mcm,
-            "spp": report.spp,
-            "ccl": report.ccl,
-            "cep": report.cep,
-            "total": report.total,
-            "lr": self.train_config.learning_rate,
-        })
-        fh.write(line + "\n")
-        fh.flush()
+        self.write_line(fh, {"step": self.step, "stage": self.stage, **asdict(report),
+                             "lr": self.train_config.learning_rate})
 
     def check_finite(self, report):
-        vals = (report.mcm, report.spp, report.ccl, report.cep, report.total)
-        if not all(np.isfinite(v) for v in vals):
-            raise NumericError(
-                f"non-finite loss at step {self.step}: mcm={report.mcm} spp={report.spp} "
-                f"ccl={report.ccl} cep={report.cep} total={report.total}")
+        terms = asdict(report)
+        if not all(np.isfinite(v) for v in terms.values()):
+            raise NumericError(f"non-finite loss at step {self.step}: "
+                               + " ".join(f"{k}={v}" for k, v in terms.items()))
 
     def optimize(self, total):
         ad.zero_grads(self.params.values())
@@ -514,9 +505,8 @@ class _Run:
         return self.save(self.out_dir / "checkpoint.ckpt", pools.state())
 
 
-def _augmented_prompt(run, record):
-    """The record's prompt; with augmentation on, under a sampled modal setting."""
-    ps = build_prompt(record, run.vocab, run.registry, run.model_config.max_len)
+def _augmented_prompt(run, ps):
+    """``ps``; with augmentation on, under a sampled modal setting."""
     if run.train_config.modal_mask_augment:
         ps = apply_modal_setting(ps, sample_modal_setting(ps, run.rngs["mask"]))
     return ps
@@ -532,18 +522,20 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
     run = _Run("pretrain1", records, registry, model_config, train_config, out_dir,
                resume_from=resume_from)
     cfg = run.train_config
-    pools = PolarityPools(records, run.pool_rng())
+    pools = polarity_pools(records, run.pool_rng())
 
     def step():
         batch = []
-        for pol, i, j in pools.draw_pairs(cfg.batch_size, run.rngs["data"]):
-            ps = _augmented_prompt(run, combine_queries(records[i], records[j]))
+        for pol in pools.deal(cfg.batch_size):
+            i, j = pools.pools[pol].draw(2, run.rngs["data"])
+            ps = _augmented_prompt(run, build_prompt(combine_queries(records[i], records[j]),
+                                                     run.vocab, registry, run.model_config.max_len))
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
             batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
         return stage1_loss(batch, run.params, run.model_config, run.vocab,
                            weights=cfg.loss_weights[:3], train=True, rng=run.rngs["dropout"])
 
-    return run.drive(pools, 2 * pools.pairs_per_pass(), step)
+    return run.drive(pools, 2 * sum(p.indices.size // 2 for p in pools.pools.values()), step)
 
 
 def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
@@ -571,17 +563,16 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
     if not fits:
         raise ConfigError(f"{run.resume_from}: checkpoint array 'pseudo' is missing or does not "
                           f"fit the corpus's {len(records)} records and their label table")
-    prompts = [build_prompt(r, run.vocab, registry, run.model_config.max_len) for r in records]
 
     def step():
         if run.pseudo is None or (run.step - 1) % cfg.centroid_refresh_every == 0:
             # frozen snapshot: clean full-corpus encodings with all modalities give
             # per-task centroids, then the pseudo labels; only the labels are kept
-            pooled = pooled_vectors(prompts, run.params, run.model_config, run.vocab)
+            pooled = pooled_vectors(run.prompts, run.params, run.model_config, run.vocab)
             run.pseudo = assign_pseudo_labels(pooled, build_centroids(pooled, own, gold), own, gold)
         batch = []
         for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
-            ps = _augmented_prompt(run, records[idx])
+            ps = _augmented_prompt(run, run.prompts[idx])
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
             batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
         return stage2_loss(batch, run.params, run.model_config, run.vocab, label_ids,
@@ -604,12 +595,12 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
     run = _Run("finetune", records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from)
     cfg = run.train_config
-    pools = TaskPools(records, run.pool_rng())
+    pools = task_pools(records, run.pool_rng())
+    golds = [gold_token_ids(r, registry, run.vocab) for r in records]
     steps_per_epoch = max(1, len(records) // cfg.batch_size)
 
     def step():
-        batch = [(_augmented_prompt(run, records[idx]),
-                  gold_token_ids(records[idx], registry, run.vocab))
+        batch = [(_augmented_prompt(run, run.prompts[idx]), golds[idx])
                  for _, idx in task_average_sample(pools, cfg.batch_size, run.rngs["data"])]
         total = generation_loss(batch, run.params, run.model_config, run.vocab,
                                 train=True, rng=run.rngs["dropout"])
@@ -622,10 +613,8 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
         results = evaluate_records(val_records if val_records is not None else records,
                                    run.params, run.model_config, run.vocab, registry,
                                    max_new=cfg.max_new_tokens)
-        line = {"step": run.step, "epoch": epoch,
-                "datasets": {d: (results[d].metrics if d in results else None)
-                             for d in registry.dataset_ids}}
-        val_fh.write(json.dumps(line) + "\n")
-        val_fh.flush()
+        run.write_line(val_fh, {"step": run.step, "epoch": epoch,
+                                "datasets": {d: (results[d].metrics if d in results else None)
+                                             for d in registry.dataset_ids}})
 
     return run.drive(pools, len(records), step, validate)

@@ -26,8 +26,8 @@ from sentigen.objectives import (Stage1Example, Stage2Example, assign_pseudo_lab
                                  build_centroids, generation_loss, label_token_ids, loss_ccl,
                                  loss_cep, loss_mcm, loss_spp, stage1_loss, stage2_loss)
 from sentigen.prompt import Vocab, build_prompt, build_vocab, flatten_prompt, resegment_prompt
-from sentigen.training import (TaskPools, TrainConfig, gold_token_ids, run_finetune,
-                               run_pretrain_stage1, task_average_sample)
+from sentigen.training import (TrainConfig, gold_token_ids, run_finetune, run_pretrain_stage1,
+                               task_average_sample, task_pools)
 
 CRITERION_LINES = []
 
@@ -242,7 +242,7 @@ def test_c05_task_average_sampling(acc):
         records = acc["records"]
         task_of = {i: r.task_type for i, r in enumerate(records)}
         rng = np.random.default_rng(7)
-        pools = TaskPools(records, rng)
+        pools = task_pools(records, rng)
         for _ in range(1_000):
             counts = {t: 0 for t in TASK_ORDER}
             for task, idx in task_average_sample(pools, 64, rng):
@@ -250,7 +250,7 @@ def test_c05_task_average_sampling(acc):
                 counts[task] += 1
             assert all(c == 16 for c in counts.values()), counts
 
-        pools = TaskPools(records, rng)
+        pools = task_pools(records, rng)
         cumulative = {t: 0 for t in TASK_ORDER}
         for _ in range(1_000):
             counts = {t: 0 for t in TASK_ORDER}

@@ -337,20 +337,25 @@ def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
     assert all(len(r["vector"]) == 16 for r in rows)
 
 
-@pytest.mark.parametrize("command", ["pretrain1", "pretrain2", "finetune", "export-embeddings"])
-def test_failed_plan_writes_nothing(cli_corpus, finetuned, tmp_path, capsys, command):
+@pytest.mark.parametrize("case", ["pretrain1", "pretrain2", "finetune", "export-embeddings",
+                                  "pretrain1-long", "pretrain2-long", "finetune-long"])
+def test_failed_plan_writes_nothing(cli_corpus, finetuned, tmp_path, capsys, case):
     """A command whose checks fail after its inputs are read leaves its
     ``--out`` absent: a training run whose ``model`` section does not fit
-    the registry, and an export whose record cannot fit the checkpoint's
-    ``max_len``."""
+    the registry, and an export or a training run (``-long``) whose corpus
+    holds one record that cannot fit ``max_len`` 96. A training run's check
+    is its prompt table, built before its first write."""
+    command, long, _ = case.partition("-long")
     argv = ["--registry", str(cli_corpus / "registry.json"), "--out", str(tmp_path / "out")]
-    if command == "export-embeddings":
-        row = next(json.loads(line) for line in (cli_corpus / "corpus.jsonl").read_text()
-                   .splitlines() if json.loads(line)["dataset_id"] == "mosi-toy")
-        row["audio"] = [[0.0] * 8] * 120  # more frames than a max_len 96 prompt holds
-        (tmp_path / "long.jsonl").write_text(json.dumps(row) + "\n")
-        argv += ["--corpus", str(tmp_path / "long.jsonl"),
-                 "--checkpoint", str(finetuned / "checkpoint.ckpt")]
+    if long or command == "export-embeddings":
+        rows = [json.loads(line) for line in (cli_corpus / "corpus.jsonl").read_text().splitlines()]
+        next(row for row in rows if row["dataset_id"] == "mosi-toy")["audio"] = [[0.0] * 8] * 200
+        (tmp_path / "long.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        for sidecar in cli_corpus.glob("*.saev"):
+            (tmp_path / sidecar.name).write_bytes(sidecar.read_bytes())
+        argv += ["--corpus", str(tmp_path / "long.jsonl")]
+        argv += (["--config", str(write_config(tmp_path / "cfg.json"))] if long
+                 else ["--checkpoint", str(finetuned / "checkpoint.ckpt")])
         error = "ContractError"
     else:
         cfg = write_config(tmp_path / "cfg.json", model={"acoustic_dim": 64})
@@ -360,6 +365,28 @@ def test_failed_plan_writes_nothing(cli_corpus, finetuned, tmp_path, capsys, com
     assert code == (2 if error == "ConfigError" else 1) and out == ""
     assert json.loads(err)["error"] == error
     assert not (tmp_path / "out").exists()
+
+
+def test_full_disk_while_logging_is_one_line_error(cli_corpus, tmp_path, capsys, monkeypatch):
+    """A log append that fails as a full disk is a one-line ConfigError
+    naming the log, not a raw OSError."""
+    real_open = builtins.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return TornWrite(fh, 50) if mode == "a" else fh
+
+    monkeypatch.setattr(builtins, "open", torn_open)
+    code, out, err = run(capsys, "finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                         "--registry", str(cli_corpus / "registry.json"),
+                         "--config", str(write_config(tmp_path / "cfg.json")),
+                         "--out", str(tmp_path / "out"))
+    monkeypatch.undo()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ConfigError"
+    assert msg["message"] == (f"cannot write {tmp_path / 'out' / 'metrics.jsonl'} "
+                              "(injected: no space left on device)")
 
 
 @pytest.mark.parametrize("command", ["eval", "bias-report"])

@@ -12,10 +12,10 @@ from sentigen import training
 from sentigen.data import POOL_DATASET_ID, Polarity, Registry, TASK_ORDER, TaskType, to_polarity
 from sentigen.errors import ConfigError, NumericError, VocabularyError
 from sentigen.model import ModelConfig
-from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool, PolarityPools,
-                               TaskPools, TrainConfig, clip_gradients, gold_token_ids,
-                               run_finetune, run_pretrain_stage1, run_pretrain_stage2,
-                               task_average_sample)
+from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool, TrainConfig,
+                               clip_gradients, gold_token_ids, polarity_pools, run_finetune,
+                               run_pretrain_stage1, run_pretrain_stage2, task_average_sample,
+                               task_pools)
 
 from conftest import TornWrite, small_config
 
@@ -123,7 +123,7 @@ def test_index_pool_rejects_empty():
 
 def test_task_average_exact_quarters(toy):
     rng = np.random.default_rng(1)
-    pools = TaskPools(toy["records"], rng)
+    pools = task_pools(toy["records"], rng)
     task_of = {i: r.task_type for i, r in enumerate(toy["records"])}
     for _ in range(20):
         batch = task_average_sample(pools, 64, rng)
@@ -137,7 +137,7 @@ def test_task_average_exact_quarters(toy):
 
 def test_task_average_remainder_rotates(toy):
     rng = np.random.default_rng(2)
-    pools = TaskPools(toy["records"], rng)
+    pools = task_pools(toy["records"], rng)
     cumulative = {t: 0 for t in TASK_ORDER}
     for _ in range(100):
         counts = {t: 0 for t in TASK_ORDER}
@@ -151,19 +151,24 @@ def test_task_average_remainder_rotates(toy):
 def test_task_pools_require_every_task(toy):
     no_erc = [r for r in toy["records"] if r.task_type is not TaskType.ERC]
     with pytest.raises(ConfigError, match="erc"):
-        TaskPools(no_erc, np.random.default_rng(0))
+        task_pools(no_erc, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
 # polarity pair pools
 
 
+def draw_pairs(pools, n_pairs, rng):
+    """Stage one's draw: two records from each dealt slot's pool, in slot order."""
+    return [(pol, *pools.pools[pol].draw(2, rng)) for pol in pools.deal(n_pairs)]
+
+
 def test_polarity_pairs_share_their_polarity(toy):
     records = toy["records"]
     rng = np.random.default_rng(4)
-    pools = PolarityPools(records, rng)
+    pools = polarity_pools(records, rng)
     seen = set()
-    for pol, i, j in pools.draw_pairs(12, rng):
+    for pol, i, j in draw_pairs(pools, 12, rng):
         seen.add(pol)
         assert to_polarity(records[i].label, records[i].dataset_id) is pol
         assert to_polarity(records[j].label, records[j].dataset_id) is pol
@@ -175,7 +180,7 @@ def test_polarity_pools_drop_small_groups(toy):
                if to_polarity(r.label, r.dataset_id) is not Polarity.NEUTRAL]
     neutral_one = next(r for r in toy["records"]
                        if to_polarity(r.label, r.dataset_id) is Polarity.NEUTRAL)
-    pools = PolarityPools(records + [neutral_one], np.random.default_rng(0))
+    pools = polarity_pools(records + [neutral_one], np.random.default_rng(0))
     assert Polarity.NEUTRAL not in pools.order
     # membership: each kept record sits in the pool of its own polarity, once
     members = [int(i) for pol in pools.order for i in pools.pools[pol].indices]
@@ -188,19 +193,19 @@ def test_polarity_pools_drop_small_groups(toy):
 def test_polarity_pools_need_one_pair(toy):
     one = [toy["records"][0]]
     with pytest.raises(ConfigError):
-        PolarityPools(one, np.random.default_rng(0))
+        polarity_pools(one, np.random.default_rng(0))
 
 
 def test_polarity_pools_state_roundtrip(toy):
     records = toy["records"]
     rng_a = np.random.default_rng(9)
-    a = PolarityPools(records, rng_a)
-    a.draw_pairs(5, rng_a)
+    a = polarity_pools(records, rng_a)
+    draw_pairs(a, 5, rng_a)
     rng_b = np.random.default_rng(9)
-    b = PolarityPools(records, rng_b)
-    b.draw_pairs(5, rng_b)
+    b = polarity_pools(records, rng_b)
+    draw_pairs(b, 5, rng_b)
     b.load_state(json.loads(json.dumps(a.state())))
-    assert a.draw_pairs(7, rng_a) == b.draw_pairs(7, rng_b)
+    assert draw_pairs(a, 7, rng_a) == draw_pairs(b, 7, rng_b)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +429,19 @@ def test_encoder_passes_per_step(toy, tmp_path, monkeypatch, stage, passes):
     config = small_config(toy["vocab"], toy["registry"])
     RUNS[stage][0](toy["records"], toy["registry"], config, train_cfg(max_steps=3), tmp_path)
     assert calls == [4] * (3 * passes)
+
+
+@pytest.mark.parametrize("stage", ["pretrain2", "finetune"])
+def test_one_prompt_per_record_per_run(toy, tmp_path, monkeypatch, stage):
+    """Stage two and fine-tuning build each record's prompt once per run,
+    into the run's prompt table, however many steps they take."""
+    real, calls = training.build_prompt, []
+    monkeypatch.setattr(training, "build_prompt",
+                        lambda record, *args: calls.append(record) or real(record, *args))
+    config = small_config(toy["vocab"], toy["registry"])
+    RUNS[stage][0](toy["records"], toy["registry"], config,
+                   train_cfg(max_steps=5, centroid_refresh_every=2), tmp_path)
+    assert calls == toy["records"]
 
 
 @pytest.mark.parametrize("stage", sorted(RUNS))
