@@ -302,7 +302,58 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
     return _make(out, "layer_norm", parents, rule)
 
 
-def attention(q, k, v, heads, q_offsets, k_offsets, causal=False):
+def _split(x, slot, b, rows, heads):
+    """Packed rows (N, d) -> (B, heads, rows, d / heads): scattered into a
+    zeroed (B * rows)-row buffer at ``slot`` first, unless packed rows
+    already are that layout (``slot`` None)."""
+    d = x.shape[1]
+    if slot is not None:
+        x, packed = np.zeros((b * rows, d)), x
+        x[slot] = packed
+    return x.reshape(b, rows, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge(x, slot):
+    """(B, heads, rows, hd) -> packed rows: ``_split`` undone."""
+    b, heads, rows, hd = x.shape
+    x = x.transpose(0, 2, 1, 3).reshape(b * rows, heads * hd)
+    return x if slot is None else x[slot]
+
+
+class HeadLayout:
+    """Keys and values of B samples in ``attention``'s padded per-head layout.
+
+    ``k`` and ``v`` are (B, heads, L, d / heads) arrays, L the most keys any
+    sample has; ``lengths`` holds each sample's key count, and ``shortest``
+    the least. ``past_end`` is the (B, 1, L) mask of the keys past each
+    sample's end, None when every sample has all L. ``slot`` is each packed
+    row's index in the (B * L)-row layout, None when packed rows already are
+    that layout. A layout holds arrays, not tensors, so the keys and values
+    in it get no gradient."""
+
+    __slots__ = ("k", "v", "lengths", "shortest", "past_end", "slot")
+
+    def __init__(self, k, v, lengths, slot=None):
+        self.k, self.v, self.lengths, self.slot = k, v, lengths, slot
+        self.shortest = min(lengths.tolist())
+        longest = k.shape[2]
+        self.past_end = (None if self.shortest == longest
+                         else (np.arange(longest) >= lengths[:, None])[:, None])
+
+
+def head_layout(k, v, heads, offsets):
+    """``attention``'s layout step for keys and values: packed (N, d) arrays
+    ``k`` and ``v``, sample i owning rows offsets[i]:offsets[i + 1], split
+    into a ``HeadLayout``. Its ``k`` and ``v`` are views of ``k`` and ``v``
+    when every sample has the same key count."""
+    off, lengths, shortest, longest = _segments(offsets, k.shape[0], "attention")
+    slot = _padded_slots(off, lengths, shortest, longest)
+    b = len(lengths)
+    return HeadLayout(_split(k, slot, b, longest, heads), _split(v, slot, b, longest, heads),
+                      lengths, slot)
+
+
+def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     """Multi-head scaled dot-product attention over a batch of B samples, as one node.
 
     Rows are packed in the ``cu_seqlens`` layout: ``q_offsets`` and
@@ -317,42 +368,38 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False):
     sample's last query sees all its keys, as cached decoding needs. Column
     block h of width d / heads belongs to head h. Returns the per-head
     outputs side by side, one row per row of ``q``.
+
+    ``layout``, when given, stands in for ``k``, ``v`` and ``k_offsets``
+    (then None): keys and values already in the per-head layout, as
+    ``head_layout`` splits them or a decoder cache writes them. The op skips
+    its own layout step, and the keys and values get no gradient.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or q.shape[1] != k.shape[1]:
+    if layout is None and (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
+                           or q.shape[1] != k.shape[1]):
         raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     d = q.shape[1]
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     hd = d // heads
     qoff, qlen, qmin, lq = _segments(q_offsets, q.shape[0], "attention")
-    koff, klen, kmin, lk = _segments(k_offsets, k.shape[0], "attention")
-    if len(qlen) != len(klen):
-        raise ShapeError(f"attention: {len(qlen)} query samples but {len(klen)} key samples")
-    if causal and lq > kmin and (qlen > klen).any():
+    keys = head_layout(k.data, v.data, heads, k_offsets) if layout is None else layout
+    klen, lk = keys.lengths, keys.k.shape[2]
+    if len(qlen) != len(klen) or keys.k.shape[1::2] != (heads, hd):
+        raise ShapeError(f"attention: {len(qlen)} query samples of width {d} but keys of "
+                         f"{len(klen)} samples in a {keys.k.shape} layout")
+    if causal and lq > keys.shortest and (qlen > klen).any():
         raise ShapeError("attention: a causal sample has more queries than keys")
     b = len(qlen)
-    qslot, kslot = _padded_slots(qoff, qlen, qmin, lq), _padded_slots(koff, klen, kmin, lk)
+    qslot, kslot = _padded_slots(qoff, qlen, qmin, lq), keys.slot
     # the keys each query may not see: none are hidden when every sample has
     # all lk keys and, if causal, each query sees them all
-    hidden = None
-    if kslot is not None:  # (B, 1, Lk): past each sample's end
-        hidden = (np.arange(lk) >= klen[:, None])[:, None]
+    hidden = keys.past_end  # (B, 1, Lk): past each sample's end
     if causal and lq > 1:  # (B, Lq, Lk): ahead of each query
         ahead = np.arange(lk) > np.arange(lq)[:, None] + (klen - qlen)[:, None, None]
         hidden = ahead if hidden is None else ahead | hidden
     norm = 1.0 / float(np.sqrt(hd))
 
-    def split(x, slot, rows):  # packed rows -> (B, heads, rows, hd)
-        if slot is not None:
-            x, packed = np.zeros((b * rows, d)), x
-            x[slot] = packed
-        return x.reshape(b, rows, heads, hd).transpose(0, 2, 1, 3)
-
-    def merge(x, slot, rows):  # (B, heads, rows, hd) -> packed rows
-        x = x.transpose(0, 2, 1, 3).reshape(b * rows, d)
-        return x if slot is None else x[slot]
-
-    qh, kh, vh = split(q.data, qslot, lq), split(k.data, kslot, lk), split(v.data, kslot, lk)
+    qh, kh, vh = _split(q.data, qslot, b, lq, heads), keys.k, keys.v
     z = qh @ kh.swapaxes(2, 3)
     z *= norm
     if hidden is not None:
@@ -360,18 +407,20 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False):
     z -= z.max(axis=3, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=3, keepdims=True)
-    out = merge(p @ vh, qslot, lq)
+    out = _merge(p @ vh, qslot)
 
     def rule(g):
-        gh = split(g, qslot, lq)
-        dv = merge(p.swapaxes(2, 3) @ gh, kslot, lk) if v.requires_grad else None
+        gh = _split(g, qslot, b, lq, heads)
         dp = gh @ vh.swapaxes(2, 3)
         dz = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * norm
-        dq = merge(dz @ kh, qslot, lq) if q.requires_grad else None
-        dk = merge(dz.swapaxes(2, 3) @ qh, kslot, lk) if k.requires_grad else None
+        dq = _merge(dz @ kh, qslot) if q.requires_grad else None
+        if layout is not None:
+            return (dq,)
+        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if v.requires_grad else None
+        dk = _merge(dz.swapaxes(2, 3) @ qh, kslot) if k.requires_grad else None
         return dq, dk, dv
 
-    return _make(out, "attention", (q, k, v), rule)
+    return _make(out, "attention", (q,) if layout is not None else (q, k, v), rule)
 
 
 def softmax_cross_entropy(logits, targets):

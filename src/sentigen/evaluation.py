@@ -126,15 +126,19 @@ def _answer(record, ids, registry, vocab):
     return decoded.value, decoded.fallback
 
 
+def _prompts(records, config, vocab, registry):
+    return [build_prompt(r, vocab, registry, config.max_len) for r in records]
+
+
 def predict_label(record, params, config, vocab, registry, max_new=8):
     """Generate greedily for one record and decode onto its answer set."""
-    return predict_labels([record], params, config, vocab, registry, max_new=max_new)[0]
+    return predict_labels([record], _prompts([record], config, vocab, registry), params, config,
+                          vocab, registry, max_new=max_new)[0]
 
 
-def predict_labels(records, params, config, vocab, registry, max_new=8):
-    """``predict_label`` for every record, in order, decoded in padded
-    batches of consecutive records."""
-    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+def predict_labels(records, prompts, params, config, vocab, registry, max_new=8):
+    """``predict_label`` for every record, in order, from its prompt in
+    ``prompts``, decoded in padded batches of consecutive records."""
     generated = generate_batch(prompts, params, config, vocab, max_new=max_new)
     return [_answer(r, ids, registry, vocab) for r, ids in zip(records, generated)]
 
@@ -142,8 +146,15 @@ def predict_labels(records, params, config, vocab, registry, max_new=8):
 def evaluate_records(records, params, config, vocab, registry, max_new=8):
     """Score records grouped by dataset with each dataset's registered
     metrics. Returns {dataset_id: EvalResult} for datasets present."""
+    return evaluate_prompts(records, _prompts(records, config, vocab, registry), params, config,
+                            vocab, registry, max_new=max_new)
+
+
+def evaluate_prompts(records, prompts, params, config, vocab, registry, max_new=8):
+    """``evaluate_records`` on prompts built ahead, one per record: a
+    training run builds its validation prompts once, in its plan."""
     grouped = {}
-    for record, prediction in zip(records, predict_labels(records, params, config, vocab,
+    for record, prediction in zip(records, predict_labels(records, prompts, params, config, vocab,
                                                           registry, max_new=max_new)):
         grouped.setdefault(record.dataset_id, []).append((record, prediction))
     results = {}
@@ -167,7 +178,8 @@ def decode_accuracy(records, params, config, vocab, registry, max_new=8, scalar_
     if not records:
         raise MetricError("cannot score an empty sample set")
     hits = 0
-    for record, (pred, _) in zip(records, predict_labels(records, params, config, vocab,
+    prompts = _prompts(records, config, vocab, registry)
+    for record, (pred, _) in zip(records, predict_labels(records, prompts, params, config, vocab,
                                                          registry, max_new=max_new)):
         spec = registry.spec(record.dataset_id)
         if spec.answer.scalar:

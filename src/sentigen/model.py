@@ -31,8 +31,15 @@ inference uses ``pooled_vectors`` and ``generate_batch``.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
-``decoder_states`` one token per row at a time through a ``DecoderCache`` of
-keys and values instead of re-running the decoder over every prefix.
+``decoder_states`` one token per row at a time through a ``DecoderCache``
+instead of re-running the decoder over every prefix. The cache holds keys
+and values already in attention's padded per-head layout: each
+cross-attention block's encoder keys are split into (B, heads, L, d / heads)
+once per batch, with their key mask, and each self-attention block writes
+its new positions into preallocated (B, heads, capacity, d / heads) buffers,
+of which attention reads the positions fed so far as a view. A step lays
+out only what it feeds and copies nothing held; training passes no cache,
+so its attention lays out its own keys.
 
 Checkpoints are written, synced, through ``data.write_file_atomic``, so a
 failed save leaves the old checkpoint whole.
@@ -180,37 +187,21 @@ def _linear(params, prefix, x, w, b):
     return ad.linear(x, params[f"{prefix}_{w}"], params[f"{prefix}_{b}"])
 
 
-def _keys_values(params, prefix, x_kv, cache=None, grow=False, batch=1):
-    """Key and value projections of ``x_kv`` for one attention block.
-
-    With a ``cache``, a growing (self-attention) block appends the new
-    positions of each of the ``batch`` samples to the keys and values held
-    so far, keeping the rows sample-major; a fixed (cross-attention) block
-    projects once and then reuses what it holds.
-    """
-    held = cache.kv.get(prefix) if cache is not None else None
-    if held is not None and not grow:
-        return held
-    k = _linear(params, prefix, x_kv, "wk", "bk")
-    v = _linear(params, prefix, x_kv, "wv", "bv")
-    if held is not None:
-        past, new = held[0].shape[0] // batch, k.shape[0] // batch
-        sample = np.arange(batch)[:, None]
-        pos = np.arange(past + new)[None, :]
-        order = np.where(pos < past, sample * past + pos,
-                         batch * past + sample * new + pos - past).reshape(-1)
-        k, v = (ad.embedding(ad.concat_rows([old, fresh]), order)
-                for old, fresh in zip(held, (k, v)))
-    if cache is not None:
-        cache.kv[prefix] = (k, v)
-    return k, v
+def _keys_values(params, prefix, x_kv):
+    """Key and value projections of ``x_kv`` for one attention block."""
+    return _linear(params, prefix, x_kv, "wk", "bk"), _linear(params, prefix, x_kv, "wv", "bv")
 
 
 def _attention(params, prefix, x_q, kv, config, q_offsets, k_offsets, causal=False):
-    """Multi-head scaled dot-product attention of ``x_q`` over projected
-    ``kv``, each side packed by its offsets (see ``ad.attention``)."""
+    """Multi-head scaled dot-product attention of ``x_q`` over ``kv``, each
+    side packed by its offsets (see ``ad.attention``). ``kv`` is the
+    block's projected keys and values; with ``k_offsets`` None, it is a
+    ``DecoderCache``'s ``ad.HeadLayout`` of them."""
     q = _linear(params, prefix, x_q, "wq", "bq")
-    mixed = ad.attention(q, kv[0], kv[1], config.heads, q_offsets, k_offsets, causal)
+    if k_offsets is None:
+        mixed = ad.attention(q, None, None, config.heads, q_offsets, None, causal, layout=kv)
+    else:
+        mixed = ad.attention(q, kv[0], kv[1], config.heads, q_offsets, k_offsets, causal)
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
@@ -351,14 +342,62 @@ def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, r
 
 
 class DecoderCache:
-    """Decoder state for incremental decoding of one prompt or a batch: how
-    many positions each sample has been fed, and each attention block's keys
-    and values (the encoder's for cross-attention, every fed position's for
-    self-attention)."""
+    """Decoder state for incremental decoding of one prompt or a batch of B,
+    held in ``ad.attention``'s padded per-head layout, so a call lays out
+    only the positions it feeds:
 
-    def __init__(self):
+    - ``length``: how many positions each sample has been fed;
+    - ``cross``: each cross-attention block's encoder keys and values, an
+      ``ad.HeadLayout`` split once, at the first call, with its key mask;
+    - ``held``: each self-attention block's keys and values, two
+      (B, heads, capacity, d / heads) buffers. A call writes its new
+      positions into them at ``length`` on, and attention reads the
+      ``[:, :, :length]`` view of the positions fed so far.
+
+    ``capacity`` is the most positions the cache takes (``generate_batch``
+    passes the ``max_new`` it feeds); left None, the first call sets it to
+    ``config.max_len``. The cache holds arrays, so it decodes on frozen
+    parameters only: no gradient flows through it.
+    """
+
+    def __init__(self, capacity=None):
         self.length = 0
-        self.kv = {}
+        self.capacity = capacity
+        self.cross = {}
+        self.held = {}
+
+    def encoder_keys(self, params, prefix, enc_out, heads):
+        """The layout of one cross-attention block's keys and values,
+        projected from the encoder states and split at the first call."""
+        layout = self.cross.get(prefix)
+        if layout is None:
+            k, v = _frozen(_keys_values(params, prefix, enc_out.states))
+            layout = self.cross[prefix] = ad.head_layout(k, v, heads, enc_out.offsets)
+        return layout
+
+    def grown_keys(self, params, prefix, x, heads, n):
+        """One self-attention block's keys and values for every position up
+        to ``n``: those of the new rows ``x`` (B * (n - length), d), written
+        into the block's buffers at ``length:n``, after the ones held."""
+        new = _frozen(_keys_values(params, prefix, x))
+        batch, hd = x.shape[0] // (n - self.length), x.shape[1] // heads
+        buffers = self.held.get(prefix)
+        if buffers is None:
+            shape = (batch, heads, self.capacity, hd)
+            buffers = self.held[prefix] = (np.empty(shape), np.empty(shape))
+        elif buffers[0].shape[0] != batch:
+            raise ShapeError(f"decoder cache holds {buffers[0].shape[0]} samples, not {batch}")
+        for buf, rows in zip(buffers, new):
+            buf[:, :, self.length:n] = rows.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
+        return ad.HeadLayout(buffers[0][:, :, :n], buffers[1][:, :, :n], np.full(batch, n))
+
+
+def _frozen(tensors):
+    """The arrays of a ``DecoderCache``'s projections, which must record no
+    graph: a gradient could not reach the parameters through the cache."""
+    if any(t.requires_grad for t in tensors):
+        raise ContractError("a decoder cache decodes on frozen parameters only")
+    return [t.data for t in tensors]
 
 
 def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cache=None):
@@ -372,9 +411,11 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
 
     Without a ``cache`` the ids are the whole teacher-forced stream. With one,
     they continue the positions already fed through that cache: the first
-    call stores the cross-attention keys and values, and each call appends
-    the new positions' self-attention keys and values, so a token is never
-    run through the decoder twice. Both give the same states up to rounding.
+    call lays out the cross-attention keys and values, and each call writes
+    the new positions' self-attention keys and values after the held ones,
+    so a token is never run through the decoder twice. Both give the same
+    states up to rounding. Feeding a cache past its capacity, or through
+    parameters that record a graph, is a ContractError.
     """
     batch = len(enc_out.offsets) - 1
     ids = np.asarray(dec_ids, dtype=np.int64)
@@ -388,22 +429,33 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     n = past + ids.shape[1]
     if n > config.max_len:
         raise ContractError(f"decoder stream of {n} positions exceeds max length {config.max_len}")
+    if cache is not None:
+        if cache.capacity is None:
+            cache.capacity = config.max_len
+        if n > cache.capacity:
+            raise ContractError(f"decoder stream of {n} positions exceeds its cache's "
+                                f"capacity {cache.capacity}")
     x = ad.matmul(ad.embedding(params["tok_emb"], ids.reshape(-1)), params["w_text"])
     positions = np.arange(past, n)[None].repeat(batch, axis=0).reshape(-1)
     x = ad.add(x, ad.embedding(params["pos_emb"], positions))
     x = _maybe_dropout(x, config, train, rng)
 
     fed = np.arange(batch + 1) * ids.shape[1]  # each sample's new rows
-    held = np.arange(batch + 1) * n  # and its self-attention keys, past ones first
     for i in range(config.layers_dec):
         prefix = f"dec{i}_self"
-        kv = _keys_values(params, prefix, x, cache, grow=True, batch=batch)
+        if cache is None:  # the new rows are the whole stream, and their own keys
+            kv, held = _keys_values(params, prefix, x), fed
+        else:
+            kv, held = cache.grown_keys(params, prefix, x, config.heads, n), None
         a = _attention(params, prefix, x, kv, config, fed, held, causal=True)
         a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"], residual=a)
         prefix = f"dec{i}_cross"
-        kv = _keys_values(params, prefix, enc_out.states, cache)
-        c = _attention(params, prefix, x, kv, config, fed, enc_out.offsets)
+        if cache is None:
+            kv, held = _keys_values(params, prefix, enc_out.states), enc_out.offsets
+        else:
+            kv, held = cache.encoder_keys(params, prefix, enc_out, config.heads), None
+        c = _attention(params, prefix, x, kv, config, fed, held)
         c = _maybe_dropout(c, config, train, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"], residual=c)
         f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, train, rng)
@@ -413,10 +465,18 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     return x
 
 
+# the tied output projection's weights, which ``token_logits`` reads transposed
+_OUTPUT_WEIGHTS = ("w_text", "tok_emb")
+
+
 def token_logits(hidden, params):
     """Project decoder (or encoder) states onto the vocabulary; the output
-    projection is the token embedding table, transposed."""
-    return ad.matmul(ad.matmul(hidden, ad.transpose(params["w_text"])), ad.transpose(params["tok_emb"]))
+    projection is the token embedding table, transposed. ``params`` may
+    hold those transposed copies already, under ``name + ".T"``, as
+    ``generate_batch`` makes them once for all its steps."""
+    w_text, tok_emb = (params.get(f"{name}.T") or ad.transpose(params[name])
+                       for name in _OUTPUT_WEIGHTS)
+    return ad.matmul(ad.matmul(hidden, w_text), tok_emb)
 
 
 # encoder rows per inference batch, counted as if padded to the longest
@@ -453,7 +513,8 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
     it alone (up to rounding in near-ties of the argmax).
 
     Every row of a batch is fed one token per step through a shared
-    ``DecoderCache``. A row stops recording at its first <eos>, and the
+    ``DecoderCache`` sized for the ``max_new`` positions it can be fed (at
+    most ``config.max_len``). A row stops recording at its first <eos>, and the
     batch ends when every row has stopped or after ``max_new`` tokens. A
     row still running when its stream would pass ``config.max_len`` raises
     ``ContractError``.
@@ -461,10 +522,12 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
     if max_new < 1:
         raise ContractError("max_new must be at least 1")
     params = freeze_params(params)
+    # the contiguous copies token_logits would otherwise make at every step
+    params.update({f"{name}.T": ad.transpose(params[name]) for name in _OUTPUT_WEIGHTS})
     out = []
     for chunk in _row_chunks(prompts):
         enc = encode_batch(chunk, params, config, vocab)
-        cache = DecoderCache()
+        cache = DecoderCache(min(max_new, config.max_len))
         ids = [[] for _ in chunk]
         running = np.ones(len(chunk), dtype=bool)
         nxt = np.full(len(chunk), vocab.bos_id)

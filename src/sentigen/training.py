@@ -2,7 +2,8 @@
 
 A run plans before its first write: ``_Run`` resolves the model config and
 builds the prompt table, one prompt per corpus record, that stage two and
-fine-tuning train from (stage one builds each pair's prompt per step); each
+fine-tuning train from (stage one builds each pair's prompt per step), and
+fine-tuning's validation prompts, which every validation pass reuses; each
 stage then builds its pool, a ``GroupPools`` whose ``deal`` hands batch
 slots to groups round-robin, or stage two's ``IndexPool``.
 
@@ -34,7 +35,9 @@ from . import autodiff as ad
 from .data import (POOL_DATASET_ID, Polarity, TASK_ORDER, combine_queries, read_bytes,
                    to_polarity, write_file_atomic, write_manifest)
 from .errors import ConfigError, NumericError, VocabularyError
-from .evaluation import evaluate_records
+# ``evaluate_records`` is not called here either (validation reads the plan's
+# prompts through ``evaluate_prompts``); the tracer patches it by name too.
+from .evaluation import evaluate_prompts, evaluate_records  # noqa: F401
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
 # ``encode`` is no longer called here; it stays a module global because the
 # benchmark's tracer (benchmarks/tracing.py) patches it by name.
@@ -343,7 +346,7 @@ class _Run:
     """Run state shared by the three stages, and the loop that drives them."""
 
     def __init__(self, stage, records, registry, model_config, train_config, out_dir,
-                 init_checkpoint=None, resume_from=None):
+                 init_checkpoint=None, resume_from=None, val_records=None):
         if not records:
             raise ConfigError("training corpus is empty")
         self.stage = stage
@@ -371,9 +374,13 @@ class _Run:
             config = replace(config, dropout_rate=train_config.dropout_rate)
         self.model_config = config
         self.adam = Adam(self.params, train_config.learning_rate)
-        # the plan's prompt table: every record's prompt, fixed for the run, so a
-        # record that cannot fit fails here, before the run writes anything
+        # the plan's prompt tables: every record's prompt, and every validation
+        # record's (fine-tuning validates on the training records without
+        # one), fixed for the run, so a record that cannot fit fails here,
+        # before the run writes anything
         self.prompts = [build_prompt(r, self.vocab, registry, config.max_len) for r in records]
+        self.val_prompts = self.prompts if val_records is None else \
+            [build_prompt(r, self.vocab, registry, config.max_len) for r in val_records]
 
         if resume_from is not None:
             self._restore(meta, arrays)
@@ -593,7 +600,7 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
     modal-combination augmentation. Validation metrics for every registered
     dataset are appended to val_metrics.jsonl once per validation epoch."""
     run = _Run("finetune", records, registry, model_config, train_config, out_dir,
-               init_checkpoint=init_checkpoint, resume_from=resume_from)
+               init_checkpoint=init_checkpoint, resume_from=resume_from, val_records=val_records)
     cfg = run.train_config
     pools = task_pools(records, run.pool_rng())
     golds = [gold_token_ids(r, registry, run.vocab) for r in records]
@@ -610,9 +617,9 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
         epoch, rest = divmod(run.step, steps_per_epoch)
         if rest or cfg.validate_every_epochs <= 0 or epoch % cfg.validate_every_epochs:
             return
-        results = evaluate_records(val_records if val_records is not None else records,
-                                   run.params, run.model_config, run.vocab, registry,
-                                   max_new=cfg.max_new_tokens)
+        results = evaluate_prompts(val_records if val_records is not None else records,
+                                   run.val_prompts, run.params, run.model_config, run.vocab,
+                                   registry, max_new=cfg.max_new_tokens)
         run.write_line(val_fh, {"step": run.step, "epoch": epoch,
                                 "datasets": {d: (results[d].metrics if d in results else None)
                                              for d in registry.dataset_ids}})

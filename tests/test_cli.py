@@ -338,14 +338,17 @@ def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["pretrain1", "pretrain2", "finetune", "export-embeddings",
-                                  "pretrain1-long", "pretrain2-long", "finetune-long"])
+                                  "pretrain1-long", "pretrain2-long", "finetune-long",
+                                  "finetune-val-long"])
 def test_failed_plan_writes_nothing(cli_corpus, finetuned, tmp_path, capsys, case):
     """A command whose checks fail after its inputs are read leaves its
     ``--out`` absent: a training run whose ``model`` section does not fit
-    the registry, and an export or a training run (``-long``) whose corpus
-    holds one record that cannot fit ``max_len`` 96. A training run's check
-    is its prompt table, built before its first write."""
+    the registry, an export or a training run (``-long``) whose corpus
+    holds one record that cannot fit ``max_len`` 96, and a fine-tune that
+    validates every epoch on such a ``--val-corpus`` (``-val-long``). A
+    training run's check is its prompt tables, built before its first write."""
     command, long, _ = case.partition("-long")
+    command, val, _ = command.partition("-val")
     argv = ["--registry", str(cli_corpus / "registry.json"), "--out", str(tmp_path / "out")]
     if long or command == "export-embeddings":
         rows = [json.loads(line) for line in (cli_corpus / "corpus.jsonl").read_text().splitlines()]
@@ -354,7 +357,12 @@ def test_failed_plan_writes_nothing(cli_corpus, finetuned, tmp_path, capsys, cas
         for sidecar in cli_corpus.glob("*.saev"):
             (tmp_path / sidecar.name).write_bytes(sidecar.read_bytes())
         argv += ["--corpus", str(tmp_path / "long.jsonl")]
-        argv += (["--config", str(write_config(tmp_path / "cfg.json"))] if long
+        if val:
+            argv[-2:] = ["--corpus", str(cli_corpus / "corpus.jsonl"),
+                         "--val-corpus", str(tmp_path / "long.jsonl")]
+        # a two-step epoch: the parent's run would validate at its last step
+        train = {"validate_every_epochs": 1, "batch_size": 12} if val else {}
+        argv += (["--config", str(write_config(tmp_path / "cfg.json", train=train))] if long
                  else ["--checkpoint", str(finetuned / "checkpoint.ckpt")])
         error = "ContractError"
     else:

@@ -159,6 +159,25 @@ def test_logits_projection_is_tied(world):
     assert np.allclose(logits, manual, atol=1e-12)
 
 
+def test_decode_logits_equal_per_step_transposes(world, monkeypatch):
+    """The logits of every decode step, read through the transposed output
+    weights ``generate_batch`` copies once, equal bit for bit the logits
+    of a ``token_logits`` call that transposes them itself."""
+    vocab, registry, records, config, params = world
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:5]]
+    real, steps = model.token_logits, []
+
+    def checked(hidden, p):
+        out = real(hidden, p)
+        assert "tok_emb.T" in p and np.array_equal(out.data, real(hidden, params).data)
+        steps.append(out)
+        return out
+
+    monkeypatch.setattr(model, "token_logits", checked)
+    model.generate_batch(prompts, params, config, vocab, max_new=4)
+    assert steps
+
+
 def test_generate_is_deterministic_and_bounded(world):
     vocab, registry, records, config, params = world
     ps = build_prompt(pick(records, "meld-toy"), vocab, registry, config.max_len)
@@ -188,6 +207,90 @@ def test_cached_decoder_matches_teacher_forced(world):
                 assert np.max(np.abs(rows - full[fed:fed + n])) <= 1e-12
                 fed += n
             assert cache.length == len(ids)
+
+
+def two_layer_model(world):
+    """The world's model with two decoder layers, frozen."""
+    vocab, registry, records, config, params = world
+    config = replace(config, layers_dec=2)
+    return config, freeze_params(init_params(config, np.random.default_rng(7)))
+
+
+def test_batched_cached_decoder_matches_teacher_forced(world):
+    """A batch of prompts with uneven encoder lengths, text-only and
+    multimodal, fed through one cache a token at a time or in uneven
+    chunks, gets every sample the states of a teacher-forced pass."""
+    vocab, registry, records, _, _ = world
+    config, frozen = two_layer_model(world)
+    prompts = [build_prompt(pick(records, d), vocab, registry, config.max_len)
+               for d in ("sst-toy", "meld-toy", "mosi-toy", "absa-toy")]
+    assert len({stream_length(ps) for ps in prompts}) == len(prompts)
+    assert len({ps.frame_count > 0 for ps in prompts}) == 2
+    enc = model.encode_batch(prompts, frozen, config, vocab)
+    ids = np.array([[vocab.bos_id, 20 + i, 21, 5, 22 - i, 30, 31 + i] for i in range(len(prompts))])
+    b, n = ids.shape
+    full = decoder_states(ids, enc, frozen, config).data.reshape(b, n, -1)
+    for chunks in ([1] * n, [2, 1, 3, 1]):
+        cache = DecoderCache()
+        fed = 0
+        for m in chunks:
+            rows = decoder_states(ids[:, fed:fed + m], enc, frozen, config, cache=cache).data
+            assert np.max(np.abs(rows.reshape(b, m, -1) - full[:, fed:fed + m])) <= 1e-12
+            fed += m
+        assert cache.length == n
+
+
+def test_cached_decoder_bounds(world):
+    """A cache takes at most its capacity's positions, and only frozen
+    parameters: no gradient could flow through its buffers."""
+    vocab, registry, records, config, params = world
+    ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
+    frozen = freeze_params(params)
+    enc = encode(ps, frozen, config, vocab)
+    cache = DecoderCache(2)
+    decoder_states([vocab.bos_id, 20], enc, frozen, config, cache=cache)
+    with pytest.raises(ContractError):
+        decoder_states([21], enc, frozen, config, cache=cache)
+    assert cache.length == 2
+    with pytest.raises(ContractError):
+        decoder_states([vocab.bos_id], encode(ps, params, config, vocab), params, config,
+                       cache=DecoderCache())
+
+
+def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):
+    """Structural guard: while ``generate_batch`` decodes, no step concatenates
+    rows, and each chunk splits the encoder's keys and values into heads once
+    per decoder layer, not at every step."""
+    vocab, registry, records, _, _ = world
+    config, frozen = two_layer_model(world)
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    monkeypatch.setattr(model, "_ROW_BUDGET", 4 * max(stream_length(ps) for ps in prompts))
+    counts = {"steps": 0, "concat_rows": 0, "head_layout": 0}
+    decoding = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += bool(decoding)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def stepping(*args, **kwargs):
+        counts["steps"] += 1
+        decoding.append(True)
+        try:
+            return real_step(*args, **kwargs)
+        finally:
+            decoding.pop()
+
+    real_step = model.decoder_states
+    monkeypatch.setattr(model, "decoder_states", stepping)
+    for name in ("concat_rows", "head_layout"):
+        monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+    model.generate_batch(prompts, frozen, config, vocab, max_new=6)
+    chunks = len(list(model._row_chunks(prompts)))
+    assert chunks > 1 and counts["steps"] > 2 * chunks
+    assert counts["concat_rows"] == 0
+    assert counts["head_layout"] == config.layers_dec * chunks
 
 
 def perturbed_models(world):

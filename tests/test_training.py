@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,26 @@ def test_one_prompt_per_record_per_run(toy, tmp_path, monkeypatch, stage):
     RUNS[stage][0](toy["records"], toy["registry"], config,
                    train_cfg(max_steps=5, centroid_refresh_every=2), tmp_path)
     assert calls == toy["records"]
+
+
+def test_validation_prompts_are_built_once_per_run(toy, tmp_path, monkeypatch):
+    """Fine-tuning builds each ``val_records`` prompt once per run, in its
+    plan, however many validation passes it makes."""
+    from sentigen import evaluation
+    val = [replace(r) for r in toy["records"][::2]]  # equal records, told apart by identity
+    calls = []
+    for module in (training, evaluation):
+        monkeypatch.setattr(module, "build_prompt",
+                            lambda record, *args, real=module.build_prompt:
+                            calls.append(record) or real(record, *args))
+    config = small_config(toy["vocab"], toy["registry"])
+    steps = 2 * (len(toy["records"]) // 4)  # two epochs of batch 4
+    run_finetune(toy["records"], toy["registry"], config,
+                 train_cfg(max_steps=steps, validate_every_epochs=1, max_new_tokens=3), tmp_path,
+                 val_records=val)
+    assert len((tmp_path / "val_metrics.jsonl").read_text().splitlines()) == 2
+    assert [r for r in calls if any(r is v for v in val)] == val
+    assert len(calls) == len(toy["records"]) + len(val)
 
 
 @pytest.mark.parametrize("stage", sorted(RUNS))
