@@ -287,7 +287,8 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
     if residual is not None and residual.shape != a.shape:
         raise ShapeError(f"layer_norm: residual {residual.shape} does not fit {a.shape}")
     x = a.data if residual is None else a.data + residual.data
-    xc = x - x.mean(axis=1, keepdims=True)
+    # row means as sum / n: ndarray.mean's bits, without its Python-level wrapper
+    xc = x - x.sum(axis=1, keepdims=True) / n
     var = (xc * xc).sum(axis=1, keepdims=True) / n  # what np.var computes, without its own centring pass
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
@@ -296,7 +297,7 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
 
     def rule(g):
         h = g * gain.data
-        dx = inv * (h - h.mean(axis=1, keepdims=True) - xhat * (h * xhat).mean(axis=1, keepdims=True))
+        dx = inv * (h - h.sum(axis=1, keepdims=True) / n - xhat * ((h * xhat).sum(axis=1, keepdims=True) / n))
         return (dx,) * (len(parents) - 2) + ((g * xhat).sum(axis=0), g.sum(axis=0))
 
     return _make(out, "layer_norm", parents, rule)

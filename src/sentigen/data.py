@@ -1,4 +1,4 @@
-"""Records, the dataset registry, polarity pools, sidecars, and all file I/O.
+"""Records, the dataset registry, label polarities, sidecars, and all file I/O.
 
 A corpus is a JSONL file of records covering four task families (aspect terms,
 scalar sentiment, conversation emotion, comment sentiment). Every dataset a
@@ -28,8 +28,9 @@ from .errors import ConfigError, ContractError, DataError
 
 SIDECAR_MAGIC = b"SAEV"
 
-# Reserved dataset id for the combined two-query records used by the first
-# pre-training stage. Registries for that stage must declare it.
+# Reserved dataset id of the first pre-training stage's pair prompts
+# (``prompt.combine_queries``), which carry its markers and answer set.
+# Registries for that stage must declare it, as a "ca" dataset.
 POOL_DATASET_ID = "polarity-pool"
 
 RECORD_KEYS = (
@@ -360,9 +361,7 @@ class SaevalRecord:
     """One sample in the unified corpus format.
 
     ``context``, ``speaker_id`` and ``utterance_index`` are present exactly for
-    conversation records. ``text_parts`` is internal: it keeps the segment
-    boundary of combined two-query records so prompts can place a separator
-    token between the parts; it is never serialized.
+    conversation records.
     """
 
     task_type: TaskType
@@ -374,7 +373,6 @@ class SaevalRecord:
     speaker_id: str | None = None
     utterance_index: int | None = None
     label: object = None
-    text_parts: tuple | None = None
 
 
 def to_polarity(label, dataset_id="?"):
@@ -565,46 +563,3 @@ def record_to_json(record):
 def serialize_corpus(records, path):
     """Write records back to JSONL. Sidecar-loaded features are inlined."""
     write_jsonl(path, [record_to_json(record) for record in records])
-
-
-# ---------------------------------------------------------------------------
-# combined queries
-
-
-def _merge_features(a, b, field):
-    if a is None and b is None:
-        return None
-    if a is None:
-        return np.array(b, copy=True)
-    if b is None:
-        return np.array(a, copy=True)
-    if a.shape[1] != b.shape[1]:
-        raise ContractError(
-            f"cannot combine records: {field} dimensions differ ({a.shape[1]} vs {b.shape[1]})")
-    return np.concatenate([a, b], axis=0)
-
-
-def combine_queries(a, b):
-    """Join two same-polarity records into one two-segment training record.
-
-    The output carries both texts (segment boundary preserved for the prompt
-    builder), merged modal features, and the shared polarity as its label. It
-    belongs to the reserved pool dataset.
-    """
-    pol_a = to_polarity(a.label, a.dataset_id)
-    pol_b = to_polarity(b.label, b.dataset_id)
-    if pol_a is not pol_b:
-        raise ContractError(f"cannot combine records of polarity {pol_a.value} and {pol_b.value}")
-    parts = (a.text_parts or (a.text,)) + (b.text_parts or (b.text,))
-    return SaevalRecord(
-        task_type=TaskType.CA,
-        dataset_id=POOL_DATASET_ID,
-        text=" ".join(parts),
-        audio=_merge_features(a.audio, b.audio, "audio"),
-        image=_merge_features(a.image, b.image, "image"),
-        context=None,
-        speaker_id=None,
-        utterance_index=None,
-        label=pol_a.value,
-        text_parts=parts,
-    )

@@ -355,12 +355,11 @@ class DecoderCache:
       ``[:, :, :length]`` view of the positions fed so far.
 
     ``capacity`` is the most positions the cache takes (``generate_batch``
-    passes the ``max_new`` it feeds); left None, the first call sets it to
-    ``config.max_len``. The cache holds arrays, so it decodes on frozen
-    parameters only: no gradient flows through it.
+    passes the ``max_new`` it feeds). The cache holds arrays, so it decodes
+    on frozen parameters only: no gradient flows through it.
     """
 
-    def __init__(self, capacity=None):
+    def __init__(self, capacity):
         self.length = 0
         self.capacity = capacity
         self.cross = {}
@@ -429,12 +428,9 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     n = past + ids.shape[1]
     if n > config.max_len:
         raise ContractError(f"decoder stream of {n} positions exceeds max length {config.max_len}")
-    if cache is not None:
-        if cache.capacity is None:
-            cache.capacity = config.max_len
-        if n > cache.capacity:
-            raise ContractError(f"decoder stream of {n} positions exceeds its cache's "
-                                f"capacity {cache.capacity}")
+    if cache is not None and n > cache.capacity:
+        raise ContractError(f"decoder stream of {n} positions exceeds its cache's "
+                            f"capacity {cache.capacity}")
     x = ad.matmul(ad.embedding(params["tok_emb"], ids.reshape(-1)), params["w_text"])
     positions = np.arange(past, n)[None].repeat(batch, axis=0).reshape(-1)
     x = ad.add(x, ad.embedding(params["pos_emb"], positions))

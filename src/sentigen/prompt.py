@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnswerSet, Registry, SaevalRecord, TaskType, TASK_ORDER, render_scalar_label
+from .data import POOL_DATASET_ID, TaskType, TASK_ORDER, render_scalar_label
 from .errors import ConfigError, ContractError, DecodeError, VocabularyError
 
 PAD, BOS, EOS, UNK, MASK, SEP = "<pad>", "<bos>", "<eos>", "<unk>", "<mask>", "<sep>"
@@ -349,8 +349,6 @@ def build_prompt(record, vocab, registry, max_len):
     if record.task_type is TaskType.ERC:
         z.append(vocab.speaker_id_token(speaker_index(record.speaker_id)))
 
-    y = answer_set_tokens(spec.answer, vocab)
-
     context = []
     if record.task_type is TaskType.ERC and record.context:
         for spk, text in record.context:
@@ -358,29 +356,54 @@ def build_prompt(record, vocab, registry, max_len):
             utt.extend(tokenize(text, vocab))
             context.append(utt)
 
-    if record.text_parts is not None:
-        x = []
-        for i, part in enumerate(record.text_parts):
-            if i:
-                x.append(vocab.sep_id)
-            x.extend(tokenize(part, vocab))
-    else:
-        x = tokenize(record.text, vocab)
-
     segments = []
     if record.audio is not None:
         segments.append(ModalSegment(kind="acoustic", features=np.asarray(record.audio, dtype=np.float32)))
     if record.image is not None:
         segments.append(ModalSegment(kind="visual", features=np.asarray(record.image, dtype=np.float32)))
+    return _fit(z, answer_set_tokens(spec.answer, vocab), context, tokenize(record.text, vocab),
+                segments, registry.index(record.dataset_id), max_len)
 
+
+def combine_queries(a, b, vocab, registry, max_len):
+    """Join two prompts into one stage-one pair prompt of the reserved pool
+    dataset: its markers and answer set, the query ``a.x_tokens + [<sep>] +
+    b.x_tokens`` with no context, and each modality's frames, ``a``'s first.
+    The pair is budgeted like a record (``_fit``) and is truncated when
+    either prompt was or its own budget cuts it; a prompt whose query was
+    cut brings that cut query. Frames of one modality with different widths
+    are a ContractError."""
+    spec = registry.spec(POOL_DATASET_ID)
+    if spec.task_type is not TaskType.CA:
+        raise ConfigError(f"registry entry {POOL_DATASET_ID!r} must be a "
+                          f"{TaskType.CA.value!r} dataset, not {spec.task_type.value!r}")
+    segments = []
+    for kind in ("acoustic", "visual"):
+        parts = [seg.features for ps in (a, b) for seg in ps.modal_segments if seg.kind == kind]
+        if len({f.shape[1] for f in parts}) > 1:
+            raise ContractError(f"cannot combine prompts: {kind} dimensions differ "
+                                f"({parts[0].shape[1]} vs {parts[1].shape[1]})")
+        if parts:
+            features = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+            segments.append(ModalSegment(kind=kind, features=features))
+    z = [vocab.task_id(TaskType.CA), vocab.dataset_id_token(POOL_DATASET_ID)]
+    return _fit(z, answer_set_tokens(spec.answer, vocab), [],
+                list(a.x_tokens) + [vocab.sep_id] + list(b.x_tokens), segments,
+                registry.index(POOL_DATASET_ID), max_len, a.truncated or b.truncated)
+
+
+def _fit(z, y, context, x, segments, dataset_index, max_len, truncated=False):
+    """The PromptSequence of these spans and frames within ``max_len``: the
+    token budget is ``max_len`` minus the frame count, and an overflow drops
+    the oldest context utterances first, then the query tail, and sets
+    ``truncated``. Markers that leave no room for a token, or a query cut
+    to nothing, are a ContractError."""
     frames = sum(seg.features.shape[0] for seg in segments)
     budget = max_len - frames
     fixed = len(z) + len(y)
     if budget <= fixed:
         raise ContractError(
             f"prompt cannot fit: {fixed} marker tokens plus {frames} modal frames exceed max length {max_len}")
-
-    truncated = False
 
     def total():
         n = fixed + len(x) + sum(len(u) for u in context)
@@ -404,7 +427,7 @@ def build_prompt(record, vocab, registry, max_len):
         x_context=tuple(tuple(u) for u in context),
         x_tokens=tuple(x),
         modal_segments=tuple(segments),
-        dataset_index=registry.index(record.dataset_id),
+        dataset_index=dataset_index,
         truncated=truncated,
     )
 

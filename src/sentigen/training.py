@@ -1,11 +1,12 @@
 """Training: two pre-training stages and answer fine-tuning on one driver.
 
 A run plans before its first write: ``_Run`` resolves the model config and
-builds the prompt table, one prompt per corpus record, that stage two and
-fine-tuning train from (stage one builds each pair's prompt per step), and
-fine-tuning's validation prompts, which every validation pass reuses; each
-stage then builds its pool, a ``GroupPools`` whose ``deal`` hands batch
-slots to groups round-robin, or stage two's ``IndexPool``.
+builds the prompt table, one prompt per corpus record, that every stage
+trains from (stage one joins two table prompts into each pair's prompt, and
+its plan checks the most-framed pair each pool can draw), and fine-tuning's
+validation prompts, which every validation pass reuses; each stage then
+builds its pool, a ``GroupPools`` whose ``deal`` hands batch slots to groups
+round-robin, or stage two's ``IndexPool``.
 
 ``_Run.drive`` owns the loop every stage shares: restore pool state on
 resume, write the manifest, step, check the loss is finite, back-propagate,
@@ -32,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import (POOL_DATASET_ID, Polarity, TASK_ORDER, combine_queries, read_bytes,
-                   to_polarity, write_file_atomic, write_manifest)
+from .data import (POOL_DATASET_ID, Polarity, TASK_ORDER, read_bytes, to_polarity,
+                   write_file_atomic, write_manifest)
 from .errors import ConfigError, NumericError, VocabularyError
 # ``evaluate_records`` is not called here either (validation reads the plan's
 # prompts through ``evaluate_prompts``); the tracer patches it by name too.
@@ -46,7 +47,7 @@ from .model import (config_from_json, encode, init_params, load_checkpoint,  # n
 from .objectives import (LossReport, Stage1Example, Stage2Example, assign_pseudo_labels,
                          build_centroids, generation_loss, label_token_ids, stage1_loss,
                          stage2_loss)
-from .prompt import Vocab, build_prompt, build_vocab, tokenize
+from .prompt import Vocab, build_prompt, build_vocab, combine_queries, tokenize
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -520,7 +521,8 @@ def _augmented_prompt(run, ps):
 
 
 def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, resume_from=None):
-    """First pre-training stage on combined same-polarity query pairs.
+    """First pre-training stage on same-polarity pairs, each one prompt
+    joined from the two records' table prompts by ``combine_queries``.
     Registry must declare the reserved pool dataset. Returns the final
     checkpoint path."""
     if POOL_DATASET_ID not in registry:
@@ -531,12 +533,21 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
     cfg = run.train_config
     pools = polarity_pools(records, run.pool_rng())
 
+    def pair(i, j):
+        return combine_queries(run.prompts[i], run.prompts[j], run.vocab, registry,
+                               run.model_config.max_len)
+
+    # only frames can make a pair overflow, so each pool's most-framed pair
+    # must fit before the run's first write: its two most-framed records, or
+    # its most-framed one twice, as an odd pool's draw can straddle a reshuffle
+    for pool in pools.pools.values():
+        *_, i, j = sorted(pool.indices, key=lambda k: run.prompts[k].frame_count)
+        pair(j if pool.indices.size % 2 else i, j)
+
     def step():
         batch = []
         for pol in pools.deal(cfg.batch_size):
-            i, j = pools.pools[pol].draw(2, run.rngs["data"])
-            ps = _augmented_prompt(run, build_prompt(combine_queries(records[i], records[j]),
-                                                     run.vocab, registry, run.model_config.max_len))
+            ps = _augmented_prompt(run, pair(*pools.pools[pol].draw(2, run.rngs["data"])))
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
             batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
         return stage1_loss(batch, run.params, run.model_config, run.vocab,

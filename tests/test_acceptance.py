@@ -14,8 +14,8 @@ import pytest
 from sentigen import autodiff as ad
 from sentigen.bias import bias_report, cross_annotate, fixture_accuracy_matrix, label_centroids
 from sentigen.cli import make_synthetic_corpus
-from sentigen.data import (Polarity, Registry, SaevalRecord, TASK_ORDER, TaskType,
-                           combine_queries, load_corpus, serialize_corpus)
+from sentigen.data import (Polarity, Registry, SaevalRecord, TASK_ORDER, TaskType, load_corpus,
+                           serialize_corpus)
 from sentigen.evaluation import (bin_scalar, decode_accuracy, metric_mf1_excl_neutral,
                                  metric_wa, metric_wf1, metrics_msa)
 from sentigen.masking import (ModalitySetting, mcm_eligible_positions, sample_mcm_plan,
@@ -25,7 +25,8 @@ from sentigen.model import (ModelConfig, encode, encode_batch, init_params, load
 from sentigen.objectives import (Stage1Example, Stage2Example, assign_pseudo_labels,
                                  build_centroids, generation_loss, label_token_ids, loss_ccl,
                                  loss_cep, loss_mcm, loss_spp, stage1_loss, stage2_loss)
-from sentigen.prompt import Vocab, build_prompt, build_vocab, flatten_prompt, resegment_prompt
+from sentigen.prompt import (Vocab, build_prompt, build_vocab, combine_queries, flatten_prompt,
+                             resegment_prompt)
 from sentigen.training import (TrainConfig, gold_token_ids, run_finetune, run_pretrain_stage1,
                                task_average_sample, task_pools)
 
@@ -450,9 +451,9 @@ def random_record(rng, words, registry):
 
 def records_equal(a, b):
     if (a.task_type, a.dataset_id, a.text, a.context, a.speaker_id,
-            a.utterance_index, a.label, a.text_parts) != \
+            a.utterance_index, a.label) != \
        (b.task_type, b.dataset_id, b.text, b.context, b.speaker_id,
-            b.utterance_index, b.label, b.text_parts):
+            b.utterance_index, b.label):
         return False
     for x, y in ((a.audio, b.audio), (a.image, b.image)):
         if (x is None) != (y is None):
@@ -494,7 +495,7 @@ def test_c09_determinism_and_roundtrips(acc, tmp_path):
         assert resaved.read_bytes() == ck_a.read_bytes()
 
         # prompt flatten/re-segment roundtrip under fuzzing
-        vocab = acc["vocab"]
+        vocab, max_len = acc["vocab"], acc["config"].max_len
         words = sorted({w for r in records for w in r.text.split()}) + ["zorp", "unseenword"]
         rng = np.random.default_rng(23)
         by_polarity = {}
@@ -504,10 +505,10 @@ def test_c09_determinism_and_roundtrips(acc, tmp_path):
         pair = next(group for group in by_polarity.values() if len(group) >= 2)
         for case in range(1_000):
             if case % 10 == 9:
-                record = combine_queries(pair[0], pair[1])
+                ps = combine_queries(*(build_prompt(r, vocab, registry, max_len) for r in pair[:2]),
+                                     vocab, registry, max_len)
             else:
-                record = random_record(rng, words, registry)
-            ps = build_prompt(record, vocab, registry, acc["config"].max_len)
+                ps = build_prompt(random_record(rng, words, registry), vocab, registry, max_len)
             spans = resegment_prompt(flatten_prompt(ps, vocab), vocab)
             assert spans["z"] == ps.z_tokens
             assert spans["y"] == ps.y_tokens

@@ -339,20 +339,25 @@ def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["pretrain1", "pretrain2", "finetune", "export-embeddings",
                                   "pretrain1-long", "pretrain2-long", "finetune-long",
-                                  "finetune-val-long"])
+                                  "finetune-val-long", "pretrain1-pair-long"])
 def test_failed_plan_writes_nothing(cli_corpus, finetuned, tmp_path, capsys, case):
     """A command whose checks fail after its inputs are read leaves its
     ``--out`` absent: a training run whose ``model`` section does not fit
     the registry, an export or a training run (``-long``) whose corpus
-    holds one record that cannot fit ``max_len`` 96, and a fine-tune that
-    validates every epoch on such a ``--val-corpus`` (``-val-long``). A
-    training run's check is its prompt tables, built before its first write."""
+    holds one record that cannot fit ``max_len`` 96, a fine-tune that
+    validates every epoch on such a ``--val-corpus`` (``-val-long``), and a
+    stage one whose mosi records each fit alone but no two of them together
+    (``-pair-long``). A training run's check is its prompt tables and stage
+    one's widest pairs, built before its first write."""
     command, long, _ = case.partition("-long")
     command, val, _ = command.partition("-val")
+    command, pair, _ = command.partition("-pair")
     argv = ["--registry", str(cli_corpus / "registry.json"), "--out", str(tmp_path / "out")]
     if long or command == "export-embeddings":
         rows = [json.loads(line) for line in (cli_corpus / "corpus.jsonl").read_text().splitlines()]
-        next(row for row in rows if row["dataset_id"] == "mosi-toy")["audio"] = [[0.0] * 8] * 200
+        mosi = [row for row in rows if row["dataset_id"] == "mosi-toy"]
+        for row in mosi if pair else mosi[:1]:
+            row["audio"] = [[0.0] * 8] * (60 if pair else 200)
         (tmp_path / "long.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
         for sidecar in cli_corpus.glob("*.saev"):
             (tmp_path / sidecar.name).write_bytes(sidecar.read_bytes())

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import sentigen
-from sentigen.data import (POOL_DATASET_ID, Polarity, Registry, SaevalRecord, TaskType,
-                           combine_queries, load_corpus, read_feature_sidecar,
+from sentigen.data import (Polarity, Registry, TaskType, load_corpus, read_feature_sidecar,
                            record_to_json, render_scalar_label, serialize_corpus, to_polarity,
                            write_feature_sidecar, write_json, write_jsonl, write_manifest)
 from sentigen.errors import ConfigError, ContractError, DataError, SentigenError
@@ -387,41 +386,3 @@ def test_render_scalar_label():
     assert render_scalar_label(2.0) == "2.0"
     assert render_scalar_label(-2.66) == "-2.7"
     assert render_scalar_label(1) == "1.0"
-
-
-# ---------------------------------------------------------------------------
-# combined queries
-
-
-def rec(text, label, task=TaskType.CA, dataset="rev", audio=None, image=None):
-    return SaevalRecord(task_type=task, dataset_id=dataset, text=text,
-                        audio=audio, image=image, label=label)
-
-
-def test_combine_queries_merges_text_and_features():
-    a = rec("good phone", "positive", audio=np.ones((2, 3), dtype=np.float32))
-    b = rec("lovely case", "joy", dataset="conv")
-    out = combine_queries(a, b)
-    assert out.task_type is TaskType.CA
-    assert out.dataset_id == POOL_DATASET_ID
-    assert out.label == "positive"
-    assert out.text_parts == ("good phone", "lovely case")
-    assert np.array_equal(out.audio, a.audio)  # single-sided features retained
-    assert out.image is None
-
-    c = rec("also good", "positive", audio=2.0 * np.ones((1, 3), dtype=np.float32))
-    both = combine_queries(a, c)
-    assert both.audio.shape == (3, 3)
-    assert np.array_equal(both.audio[:2], a.audio)
-    assert np.array_equal(both.audio[2:], c.audio)
-
-
-def test_combine_queries_rejects_mismatches():
-    a = rec("good", "positive")
-    b = rec("bad", "negative")
-    with pytest.raises(ContractError):
-        combine_queries(a, b)
-    c = rec("nice", "positive", audio=np.ones((1, 3), dtype=np.float32))
-    d = rec("fine", "positive", audio=np.ones((1, 4), dtype=np.float32))
-    with pytest.raises(ContractError):
-        combine_queries(c, d)

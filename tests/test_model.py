@@ -200,7 +200,7 @@ def test_cached_decoder_matches_teacher_forced(world):
         enc = encode(ps, frozen, config, vocab)
         full = decoder_states(ids, enc, params, config).data
         for chunks in ([1] * len(ids), [2, 1, 3, 1]):
-            cache = DecoderCache()
+            cache = DecoderCache(len(ids))
             fed = 0
             for n in chunks:
                 rows = decoder_states(ids[fed:fed + n], enc, frozen, config, cache=cache).data
@@ -231,7 +231,7 @@ def test_batched_cached_decoder_matches_teacher_forced(world):
     b, n = ids.shape
     full = decoder_states(ids, enc, frozen, config).data.reshape(b, n, -1)
     for chunks in ([1] * n, [2, 1, 3, 1]):
-        cache = DecoderCache()
+        cache = DecoderCache(n)
         fed = 0
         for m in chunks:
             rows = decoder_states(ids[:, fed:fed + m], enc, frozen, config, cache=cache).data
@@ -254,7 +254,7 @@ def test_cached_decoder_bounds(world):
     assert cache.length == 2
     with pytest.raises(ContractError):
         decoder_states([vocab.bos_id], encode(ps, params, config, vocab), params, config,
-                       cache=DecoderCache())
+                       cache=DecoderCache(1))
 
 
 def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):

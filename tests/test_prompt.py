@@ -3,11 +3,12 @@ import string
 import numpy as np
 import pytest
 
-from sentigen.data import AnswerSet, Registry, SaevalRecord, TaskType
-from sentigen.errors import ContractError, DecodeError, VocabularyError
-from sentigen.prompt import (Vocab, answer_set_tokens, build_prompt, build_vocab, decode_label,
-                             detokenize, edit_distance, flatten_prompt, parse_scalar,
-                             resegment_prompt, speaker_index, tokenize)
+from sentigen.data import (POOL_DATASET_ID, AnswerSet, Registry, SaevalRecord, TaskType,
+                           to_polarity)
+from sentigen.errors import ConfigError, ContractError, DecodeError, VocabularyError
+from sentigen.prompt import (Vocab, answer_set_tokens, build_prompt, build_vocab, combine_queries,
+                             decode_label, detokenize, edit_distance, flatten_prompt,
+                             parse_scalar, resegment_prompt, speaker_index, tokenize)
 
 from test_data import mini_registry
 
@@ -171,6 +172,167 @@ def test_flatten_resegment_roundtrip(world):
         assert spans["y"] == ps.y_tokens
         assert spans["context"] == ps.x_context
         assert spans["x"] == ps.x_tokens
+
+
+# ---------------------------------------------------------------------------
+# stage-one pair prompts
+
+
+def pair_registry():
+    """A registry with the pool dataset and acoustic frames of two widths."""
+    return Registry.from_json({
+        "rev": {"task_type": "ca", "answer_set": ["negative", "positive"],
+                "acoustic_dim": 3, "visual_dim": None, "metrics": ["wa"]},
+        "conv": {"task_type": "erc", "answer_set": ["anger", "joy", "neutral"],
+                 "acoustic_dim": 3, "visual_dim": None, "metrics": ["wf1"]},
+        "wide": {"task_type": "ca", "answer_set": ["negative", "positive"],
+                 "acoustic_dim": 4, "visual_dim": None, "metrics": ["wa"]},
+        POOL_DATASET_ID: {"task_type": "ca", "answer_set": ["negative", "neutral", "positive"],
+                          "acoustic_dim": 3, "visual_dim": None, "metrics": ["wa"]},
+    })
+
+
+def rec(text, label, dataset="rev", audio=None, **conversation):
+    task = TaskType.ERC if dataset == "conv" else TaskType.CA
+    return SaevalRecord(task_type=task, dataset_id=dataset, text=text, audio=audio, label=label,
+                        **conversation)
+
+
+def test_combine_queries_merges_text_and_features():
+    registry = pair_registry()
+    a = rec("good phone", "positive", audio=np.ones((2, 3), dtype=np.float32))
+    b = rec("lovely case", "joy", dataset="conv", speaker_id="spk0",
+            context=(("spk1", "earlier words"),), utterance_index=1)
+    c = rec("also good", "positive", audio=2.0 * np.ones((1, 3), dtype=np.float32))
+    vocab = build_vocab([a, b, c], registry, num_speakers=2)
+    pa, pb, pc = (build_prompt(r, vocab, registry, 64) for r in (a, b, c))
+    out = combine_queries(pa, pb, vocab, registry, 64)
+    assert out.z_tokens == (vocab.task_id(TaskType.CA), vocab.dataset_id_token(POOL_DATASET_ID))
+    assert out.y_tokens == tuple(answer_set_tokens(registry.spec(POOL_DATASET_ID).answer, vocab))
+    assert out.dataset_index == registry.index(POOL_DATASET_ID)
+    assert out.x_context == ()  # a conversation record brings its query only
+    assert detokenize(out.x_tokens, vocab) == "good phone <sep> lovely case"
+    assert not out.truncated
+    # single-sided features retained
+    assert [seg.kind for seg in out.modal_segments] == ["acoustic"]
+    assert np.array_equal(out.modal_segments[0].features, a.audio)
+
+    both = combine_queries(pa, pc, vocab, registry, 64)
+    features = both.modal_segments[0].features
+    assert features.shape == (3, 3)
+    assert np.array_equal(features[:2], a.audio)
+    assert np.array_equal(features[2:], c.audio)
+
+
+def test_combine_queries_rejects_mismatches():
+    registry = pair_registry()
+    c = rec("nice", "positive", audio=np.ones((1, 3), dtype=np.float32))
+    d = rec("fine", "positive", dataset="wide", audio=np.ones((1, 4), dtype=np.float32))
+    vocab = build_vocab([c, d], registry, num_speakers=0)
+    pc, pd = (build_prompt(r, vocab, registry, 64) for r in (c, d))
+    with pytest.raises(ContractError, match="acoustic dimensions differ"):
+        combine_queries(pc, pd, vocab, registry, 64)
+    # markers and both records' frames leave no room for a query token
+    markers = 2 + len(answer_set_tokens(registry.spec(POOL_DATASET_ID).answer, vocab))
+    with pytest.raises(ContractError, match="cannot fit"):
+        combine_queries(pc, pc, vocab, registry, markers + 2)
+    misdeclared = Registry.from_json({**registry.to_json(), POOL_DATASET_ID: {
+        "task_type": "absa", "answer_set": ["negative", "positive"],
+        "acoustic_dim": None, "visual_dim": None, "metrics": ["wa"]}})
+    with pytest.raises(ConfigError, match=POOL_DATASET_ID):
+        combine_queries(pc, pc, vocab, misdeclared, 64)
+
+
+def pair_oracle(a, b, vocab, registry, max_len):
+    """Stage one's pair rule on spans: the pool dataset's markers and answer
+    set, no context, ``a``'s query, a separator and ``b``'s query cut to the
+    room the frames leave, and each modality's frames, ``a``'s first. None
+    when the markers and frames leave no room."""
+    z = (vocab.task_id(TaskType.CA), vocab.dataset_id_token(POOL_DATASET_ID))
+    y = tuple(answer_set_tokens(registry.spec(POOL_DATASET_ID).answer, vocab))
+    frames = {kind: [seg.features for ps in (a, b) for seg in ps.modal_segments
+                     if seg.kind == kind] for kind in ("acoustic", "visual")}
+    room = max_len - sum(f.shape[0] for parts in frames.values() for f in parts) - len(z) - len(y)
+    if room <= 0:
+        return None
+    query = a.x_tokens + (vocab.sep_id,) + b.x_tokens
+    return {"z": z, "y": y, "context": (), "x": query[:room],
+            "truncated": a.truncated or b.truncated or len(query) > room,
+            "frames": {kind: np.concatenate(parts) for kind, parts in frames.items() if parts},
+            "dataset_index": registry.index(POOL_DATASET_ID)}
+
+
+def assert_pair_matches_oracle(a, b, vocab, registry, max_len):
+    want = pair_oracle(a, b, vocab, registry, max_len)
+    if want is None:
+        with pytest.raises(ContractError):
+            combine_queries(a, b, vocab, registry, max_len)
+        return None
+    got = combine_queries(a, b, vocab, registry, max_len)
+    assert resegment_prompt(flatten_prompt(got, vocab), vocab) == \
+        {k: want[k] for k in ("z", "y", "context", "x")}
+    assert (got.x_context, got.x_tokens, got.truncated, got.dataset_index) == \
+        ((), want["x"], want["truncated"], want["dataset_index"])
+    assert [seg.kind for seg in got.modal_segments] == list(want["frames"])
+    for seg in got.modal_segments:
+        assert seg.features.dtype == np.float32
+        assert np.array_equal(seg.features, want["frames"][seg.kind])
+    return got
+
+
+@pytest.mark.parametrize("max_len", [16, 24, 96])
+def test_every_corpus_pair_matches_the_span_oracle(world, max_len):
+    """Every ordered same-polarity pair of the make-corpus corpus, a record
+    with itself included, is the oracle's pair; where neither record's own
+    prompt was truncated, its query is the two texts' tokens around a
+    separator, as a pair built from the two records' texts."""
+    vocab, registry, records = world
+    fitting = []
+    for r in records:
+        try:
+            fitting.append((r, build_prompt(r, vocab, registry, max_len)))
+        except ContractError:
+            continue  # a run's plan rejects such a record before any pair
+    assert len(fitting) >= len(records) // 2
+    pairs = truncated = 0
+    for ra, pa in fitting:
+        for rb, pb in fitting:
+            if to_polarity(ra.label, ra.dataset_id) is not to_polarity(rb.label, rb.dataset_id):
+                continue
+            pairs += 1
+            got = assert_pair_matches_oracle(pa, pb, vocab, registry, max_len)
+            if got is not None and not (pa.truncated or pb.truncated):
+                query = tokenize(ra.text, vocab) + [vocab.sep_id] + tokenize(rb.text, vocab)
+                assert list(got.x_tokens) == query[:len(got.x_tokens)]
+                truncated += got.truncated
+    assert pairs > len(fitting)
+    if max_len == 16:
+        assert truncated  # the pair's own budget cuts queries no record's prompt cut
+
+
+def test_random_pairs_match_the_span_oracle(world):
+    """Random records at small ``max_len``, where the records' own prompts
+    and the pairs' budgets truncate, match the oracle."""
+    from test_acceptance import random_record
+    vocab, registry, records = world
+    words = sorted({w for r in records for w in r.text.split()}) + ["zorp", "unseenword"]
+    rng = np.random.default_rng(19)
+    own = cut = 0
+    for _ in range(400):
+        max_len = int(rng.integers(12, 40))
+        prompts = []
+        while len(prompts) < 2:
+            try:
+                prompts.append(build_prompt(random_record(rng, words, registry), vocab,
+                                            registry, max_len))
+            except ContractError:
+                continue
+        got = assert_pair_matches_oracle(*prompts, vocab, registry, max_len)
+        if got is not None:
+            a, b = prompts
+            own += a.truncated or b.truncated
+            cut += len(got.x_tokens) < len(a.x_tokens) + 1 + len(b.x_tokens)
+    assert own and cut
 
 
 # ---------------------------------------------------------------------------

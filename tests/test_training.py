@@ -11,8 +11,9 @@ import pytest
 from sentigen import autodiff as ad
 from sentigen import training
 from sentigen.data import POOL_DATASET_ID, Polarity, Registry, TASK_ORDER, TaskType, to_polarity
-from sentigen.errors import ConfigError, NumericError, VocabularyError
+from sentigen.errors import ConfigError, ContractError, NumericError, VocabularyError
 from sentigen.model import ModelConfig
+from sentigen.prompt import answer_set_tokens, build_prompt, combine_queries
 from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool, TrainConfig,
                                clip_gradients, gold_token_ids, polarity_pools, run_finetune,
                                run_pretrain_stage1, run_pretrain_stage2, task_average_sample,
@@ -195,6 +196,36 @@ def test_polarity_pools_need_one_pair(toy):
     one = [toy["records"][0]]
     with pytest.raises(ConfigError):
         polarity_pools(one, np.random.default_rng(0))
+
+
+def test_plan_checks_an_odd_pools_self_pair(toy, tmp_path):
+    """An odd pool's draw can straddle a reshuffle and pair its most-framed
+    record with itself, so stage one's plan checks that pair: a run whose
+    one pool holds three records fails before its first write when only the
+    self-pair overflows ``max_len``, and a fourth record (an even pool) lets
+    it run."""
+    registry, vocab = toy["registry"], toy["vocab"]
+    config = small_config(vocab, registry)
+    mosi = next(r for r in toy["records"] if r.dataset_id == "mosi-toy")
+    pool_markers = 2 + len(answer_set_tokens(registry.spec(POOL_DATASET_ID).answer, vocab))
+    room = config.max_len - pool_markers  # a pair overflows at this many frames
+    most = -(-room // 2)
+
+    def positive(frames):
+        return replace(mosi, text="fine", label=1.0, image=None,
+                       audio=np.zeros((frames, config.acoustic_dim), dtype=np.float32))
+
+    records = [positive(most), positive(most - 2), positive(1)]
+    a, b = (build_prompt(r, vocab, registry, config.max_len) for r in records[:2])
+    combine_queries(a, b, vocab, registry, config.max_len)  # the widest distinct pair fits
+    with pytest.raises(ContractError):
+        combine_queries(a, a, vocab, registry, config.max_len)
+    fresh = replace(config, vocab_size=0, num_datasets=0)  # sized by the run's own vocabulary
+    with pytest.raises(ContractError):
+        run_pretrain_stage1(records, registry, fresh, train_cfg(max_steps=1), tmp_path / "odd")
+    assert not (tmp_path / "odd").exists()
+    run_pretrain_stage1(records + [positive(1)], registry, fresh, train_cfg(max_steps=1),
+                        tmp_path / "even")
 
 
 def test_polarity_pools_state_roundtrip(toy):
@@ -432,10 +463,11 @@ def test_encoder_passes_per_step(toy, tmp_path, monkeypatch, stage, passes):
     assert calls == [4] * (3 * passes)
 
 
-@pytest.mark.parametrize("stage", ["pretrain2", "finetune"])
+@pytest.mark.parametrize("stage", sorted(RUNS))
 def test_one_prompt_per_record_per_run(toy, tmp_path, monkeypatch, stage):
-    """Stage two and fine-tuning build each record's prompt once per run,
-    into the run's prompt table, however many steps they take."""
+    """Every stage builds each record's prompt once per run, into the run's
+    prompt table, however many steps it takes: stage one joins its pairs
+    from the table."""
     real, calls = training.build_prompt, []
     monkeypatch.setattr(training, "build_prompt",
                         lambda record, *args: calls.append(record) or real(record, *args))
