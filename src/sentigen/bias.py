@@ -106,16 +106,16 @@ def bias_report(acc):
     return BiasReport(datasets=acc.datasets, ana=ana, sub=sub)
 
 
-def render_bias_report(report, digits=2):
-    """Aligned text tables for terminal output."""
+def render_bias_report(report):
+    """Aligned text tables for terminal output, two decimals a cell."""
     names = list(report.datasets)
     width = max(len(n) for n in names) + 2
-    cell = max(width, digits + 5)
+    cell = max(width, 7)
 
     def table(title, mat):
         lines = [title, " " * width + "".join(f"{n:>{cell}}" for n in names)]
         for i, n in enumerate(names):
-            row = "".join(f"{mat[i, j]:>{cell}.{digits}f}" for j in range(len(names)))
+            row = "".join(f"{mat[i, j]:>{cell}.2f}" for j in range(len(names)))
             lines.append(f"{n:<{width}}" + row)
         return "\n".join(lines)
 

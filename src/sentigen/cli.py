@@ -78,7 +78,7 @@ _MSA_SIGN = {"up": 1.0, "down": -1.0}
 _MSA_MAG = {"one": 1.0, "two": 2.0, "three": 3.0}
 
 
-def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4):
+def make_synthetic_corpus(out_dir, seed=0, per_task=6):
     """Write a small deterministic corpus with planted lexical cues (so tiny
     models can actually fit it) plus its registry. One conversation record
     references a binary feature sidecar; everything else is inline. Returns
@@ -89,6 +89,7 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6, audio_dim=8, visual_dim=4
     out = Path(out_dir)
     rng = np.random.default_rng(seed)
     rows = []
+    audio_dim, visual_dim = 8, 4
 
     def frames(n, dim):
         return [[round(float(x), 4) for x in row] for row in rng.normal(0.0, 0.5, size=(n, dim))]

@@ -54,10 +54,10 @@ def metric_wf1(golds, preds):
                      for c in classes))
 
 
-def metric_mf1_excl_neutral(golds, preds, neutral="neutral"):
-    """Unweighted mean F1 over gold classes other than the neutral one."""
+def metric_mf1_excl_neutral(golds, preds):
+    """Unweighted mean F1 over gold classes other than "neutral"."""
     _check_lengths(golds, preds)
-    classes = sorted(set(golds) - {neutral})
+    classes = sorted(set(golds) - {"neutral"})
     if not classes:
         raise MetricError("every gold label is neutral; no classes left to average")
     return float(np.mean([_f1_for_class(golds, preds, c) for c in classes]))
@@ -172,9 +172,9 @@ def evaluate_prompts(records, prompts, params, config, vocab, registry, max_new=
     return results
 
 
-def decode_accuracy(records, params, config, vocab, registry, max_new=8, scalar_tol=0.05):
+def decode_accuracy(records, params, config, vocab, registry, max_new=8):
     """Fraction of records whose generated answer decodes to the gold label
-    (scalars within ``scalar_tol``). Used to check training actually fits."""
+    (scalars within 0.05). Used to check training actually fits."""
     if not records:
         raise MetricError("cannot score an empty sample set")
     hits = 0
@@ -183,7 +183,7 @@ def decode_accuracy(records, params, config, vocab, registry, max_new=8, scalar_
                                                          registry, max_new=max_new)):
         spec = registry.spec(record.dataset_id)
         if spec.answer.scalar:
-            hits += abs(float(pred) - float(record.label)) <= scalar_tol
+            hits += abs(float(pred) - float(record.label)) <= 0.05
         else:
             hits += str(pred) == str(record.label)
     return hits / len(records)

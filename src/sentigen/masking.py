@@ -2,9 +2,10 @@
 
 Text is always kept. For each training example one modality setting is drawn
 uniformly from the settings its record actually supports (text-only records
-can only draw T), then content tokens and remaining modal frames are masked
-independently at a fixed rate. Task-marker and answer-set spans are never
-maskable.
+can only draw T), then the prompt's maskable tokens and its remaining modal
+frames are masked independently at a fixed rate. Which tokens are maskable
+is the prompt's own ``PromptSequence.maskable``: context and query words,
+never a task, dataset or speaker marker, the answer set or a ``<sep>``.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import ContractError
-from .prompt import PromptSequence, flatten_prompt
 
 
 class ModalitySetting(Enum):
@@ -62,37 +62,16 @@ def apply_modal_setting(ps, setting):
     return replace(ps, modal_segments=segments)
 
 
-def mcm_eligible_positions(ps):
-    """Indices (into the flattened token stream) that masking may touch:
-    context utterance words and query words. Task/dataset/speaker markers,
-    answer-set tokens, and segment separators stay untouched."""
-    eligible = []
-    pos = len(ps.z_tokens) + len(ps.y_tokens)
-    for utt in ps.x_context:
-        eligible.extend(range(pos + 1, pos + len(utt)))  # skip the leading speaker token
-        pos += len(utt)
-    if ps.x_context:
-        pos += 1  # the separator before the query
-    eligible.extend(range(pos, pos + len(ps.x_tokens)))
-    return eligible
-
-
-def sample_mcm_plan(ps, p_mask, rng, vocab):
-    """Draw a mask plan: each eligible token and each remaining modal frame is
-    masked independently with probability ``p_mask``."""
+def sample_mcm_plan(ps, p_mask, rng):
+    """Draw a mask plan: each of the prompt's ``maskable`` tokens, in stream
+    order, and then each remaining modal frame is masked independently with
+    probability ``p_mask``."""
     if not (0.0 <= p_mask <= 1.0):
         raise ContractError(f"mask probability {p_mask} outside [0, 1]")
-    flat = flatten_prompt(ps, vocab)
-    token_hits = []
-    for pos in mcm_eligible_positions(ps):
-        if flat[pos] == vocab.sep_id:
-            continue  # combined-query separators stay visible
-        if rng.random() < p_mask:
-            token_hits.append(pos)
-
+    token_hits = tuple(pos for pos in ps.maskable if rng.random() < p_mask)
     frame_hits = {}
     for seg in ps.modal_segments:
         hits = tuple(i for i in range(seg.features.shape[0]) if rng.random() < p_mask)
         if hits:
             frame_hits[seg.kind] = hits
-    return MaskPlan(masked_token_positions=tuple(token_hits), masked_modal_frames=frame_hits)
+    return MaskPlan(masked_token_positions=token_hits, masked_modal_frames=frame_hits)

@@ -58,7 +58,6 @@ import numpy as np
 from . import autodiff as ad
 from .data import read_bytes, write_file_atomic
 from .errors import ConfigError, ContractError, ShapeError
-from .prompt import flatten_prompt
 
 CHECKPOINT_MAGIC = b"SGCK"
 CHECKPOINT_VERSION = 2
@@ -253,7 +252,7 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
     src, rows = [], []  # the block, and the row in it, that each position reads
     lengths = []  # each sample's stream length
     for ps, plan in zip(prompts, mask_plans):
-        ids = flatten_prompt(ps, vocab)
+        ids = list(ps.ids)
         n_tok = len(ids)
         total = n_tok + ps.frame_count
         if total > config.max_len:
@@ -486,10 +485,10 @@ def _row_chunks(prompts):
     slice's longest stream (at least one prompt, however long)."""
     start, width = 0, 0
     for i, ps in enumerate(prompts):
-        width = max(width, ps.token_length + ps.frame_count)
+        width = max(width, len(ps.ids) + ps.frame_count)
         if i > start and (i + 1 - start) * width > _ROW_BUDGET:
             yield prompts[start:i]
-            start, width = i, ps.token_length + ps.frame_count
+            start, width = i, len(ps.ids) + ps.frame_count
     if start < len(prompts):
         yield prompts[start:]
 

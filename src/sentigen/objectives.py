@@ -44,7 +44,7 @@ from .errors import ContractError, VocabularyError
 # ``encode`` is no longer called here; it stays a module global because the
 # benchmark's tracer (benchmarks/tracing.py) patches it by name.
 from .model import decoder_states, encode, encode_batch, token_logits  # noqa: F401
-from .prompt import flatten_prompt, tokenize
+from .prompt import tokenize
 
 POLARITY_ORDER = (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL)
 
@@ -88,16 +88,15 @@ def _check_batch(enc, samples, name):
 # reconstruction
 
 
-def loss_mcm(enc, batch, params, vocab):
+def loss_mcm(enc, batch, params):
     """Masked-token reconstruction from ``enc``, the corrupted encoding of
     ``batch``, a list of (prompt, plan): one cross-entropy over the masked
     rows of all samples, scaled to a per-sample sum averaged over the batch."""
     _check_batch(enc, batch, "loss_mcm")
     rows, targets = [], []
     for start, (ps, plan) in zip(enc.offsets, batch):
-        original = flatten_prompt(ps, vocab)
         rows.extend(start + p for p in plan.masked_token_positions)
-        targets.extend(original[p] for p in plan.masked_token_positions)
+        targets.extend(ps.ids[p] for p in plan.masked_token_positions)
     if not rows:
         return ad.constant(0.0)
     ce = ad.softmax_cross_entropy(token_logits(ad.embedding(enc.states, rows), params), targets)
@@ -252,7 +251,7 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
     prompts = [e.prompt for e in batch]
     masked = encode_batch(prompts, params, config, vocab, mask_plans=[e.plan for e in batch],
                           train=train, rng=rng)
-    mcm = loss_mcm(masked, [(e.prompt, e.plan) for e in batch], params, vocab)
+    mcm = loss_mcm(masked, [(e.prompt, e.plan) for e in batch], params)
     clean = encode_batch(prompts, params, config, vocab, train=train, rng=rng)
     polarities = [e.polarity for e in batch]
     spp = loss_spp(clean, polarities, params, config, vocab, train=train, rng=rng)
@@ -272,7 +271,7 @@ def stage2_loss(batch, params, config, vocab, label_ids, weights=(1.0, 1.0), tra
         raise ContractError("stage2_loss: no label table")
     enc = encode_batch([e.prompt for e in batch], params, config, vocab,
                        mask_plans=[e.plan for e in batch], train=train, rng=rng)
-    mcm = loss_mcm(enc, [(e.prompt, e.plan) for e in batch], params, vocab)
+    mcm = loss_mcm(enc, [(e.prompt, e.plan) for e in batch], params)
     cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, label_ids,
                    train=train, rng=rng)
     total = ad.add(ad.scale(mcm, weights[0]), ad.scale(cep, weights[1]))

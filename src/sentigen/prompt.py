@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -227,8 +227,12 @@ class PromptSequence:
     """Tokenized prompt with its span structure intact.
 
     ``x_context`` holds one token list per context utterance (leading speaker
-    token included); ``x_tokens`` is the query text. ``flatten_prompt`` is the
-    canonical linearization.
+    token included); ``x_tokens`` is the query text. Two fields derive from
+    the spans when the prompt is made, so the spans stay their only source:
+    ``ids`` is the encoder's token stream, Z, then Y, then the context
+    utterances, a separator, and the query; ``maskable`` is the positions in
+    ``ids`` that masked reconstruction may touch, every context word after
+    its speaker token and every query word but a ``<sep>``.
     """
 
     z_tokens: tuple
@@ -238,34 +242,29 @@ class PromptSequence:
     modal_segments: tuple
     dataset_index: int
     truncated: bool = False
+    ids: tuple = field(init=False, repr=False)
+    maskable: tuple = field(init=False, repr=False)
 
-    @property
-    def token_length(self):
-        n = len(self.z_tokens) + len(self.y_tokens) + len(self.x_tokens)
+    def __post_init__(self):
+        ids = [*self.z_tokens, *self.y_tokens]
+        maskable = []
         for utt in self.x_context:
-            n += len(utt)
+            maskable += range(len(ids) + 1, len(ids) + len(utt))
+            ids += utt
         if self.x_context:
-            n += 1  # separator before the query
-        return n
+            ids.append(Vocab.sep_id)
+        maskable += range(len(ids), len(ids) + len(self.x_tokens))
+        ids += self.x_tokens
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "maskable", tuple(p for p in maskable if ids[p] != Vocab.sep_id))
 
     @property
     def frame_count(self):
         return sum(seg.features.shape[0] for seg in self.modal_segments)
 
 
-def flatten_prompt(ps, vocab):
-    """Z, then Y, then context utterances, a separator, and the query."""
-    ids = list(ps.z_tokens) + list(ps.y_tokens)
-    for utt in ps.x_context:
-        ids.extend(utt)
-    if ps.x_context:
-        ids.append(vocab.sep_id)
-    ids.extend(ps.x_tokens)
-    return ids
-
-
 def resegment_prompt(ids, vocab):
-    """Invert ``flatten_prompt``: split a flat id list back into spans.
+    """Invert ``PromptSequence.ids``: split a flat id list back into spans.
 
     Z runs to the answer-set opener, Y to its closer. If the remainder starts
     with a speaker token it parses as utterances up to the last separator,

@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import (POOL_DATASET_ID, Polarity, TASK_ORDER, read_bytes, to_polarity,
                    write_file_atomic, write_manifest)
-from .errors import ConfigError, NumericError, VocabularyError
+from .errors import ConfigError, NumericError, ShapeError, VocabularyError
 # ``evaluate_records`` is not called here either (validation reads the plan's
 # prompts through ``evaluate_prompts``); the tracer patches it by name too.
 from .evaluation import evaluate_prompts, evaluate_records  # noqa: F401
@@ -328,8 +328,9 @@ def _fit_config(config, vocab, registry, source):
 def load_model(path, registry):
     """Read a training checkpoint for ``registry``. Returns (config, params,
     vocab, arrays, meta). A missing file, vocabulary fields that are missing
-    or mistyped, or a model config that does not fit the vocabulary and the
-    registry (``_fit_config``) is a ConfigError."""
+    or mistyped, a model config that does not fit the vocabulary and the
+    registry (``_fit_config``), or a parameter table that does not match the
+    config's is a ConfigError."""
     config, arrays, meta = load_checkpoint(path)
     tokens = _meta_field(meta, "vocab", list, path)
     if not all(isinstance(t, str) for t in tokens):
@@ -340,7 +341,11 @@ def load_model(path, registry):
     except VocabularyError as exc:
         raise ConfigError(f"{path}: bad checkpoint vocabulary ({exc})") from exc
     _fit_config(config, vocab, registry, f"checkpoint {path}")
-    return config, params_from_arrays(config, arrays), vocab, arrays, meta
+    try:
+        params = params_from_arrays(config, arrays)
+    except ShapeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return config, params, vocab, arrays, meta
 
 
 class _Run:
@@ -387,15 +392,15 @@ class _Run:
             self._restore(meta, arrays)
 
     def _restore(self, meta, arrays):
-        """Step, optimizer, RNG and pseudo-label state of the run being
-        resumed; stage two checks the pseudo labels against its table."""
+        """Step, optimizer and pseudo-label state of the run being resumed;
+        stage two checks the pseudo labels against its table, and ``drive``
+        restores the RNG and pool state."""
         source = self.resume_from
         if meta.get("stage") != self.stage:
             raise ConfigError(
                 f"checkpoint holds {meta.get('stage')!r} state, cannot resume {self.stage!r}")
         self.step = _meta_field(meta, "step", int, source)
         self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
-        self.rngs.update(_parsed_field(meta, "rng", _restore_rngs, source))
         self.pseudo = arrays.get("pseudo")
         self._resume_meta = meta
 
@@ -468,12 +473,6 @@ class _Run:
         save_checkpoint(path, self.model_config, arrays, meta=meta)
         return Path(path)
 
-    def pool_rng(self):
-        """Generator for initial pool construction. When resuming, pool state
-        is about to be overwritten from the checkpoint, so construction must
-        not consume the restored data stream."""
-        return self.rngs["data"] if self._resume_meta is None else np.random.default_rng(0)
-
     def drive(self, pools, units_per_pass, step, validate=None):
         """Run the stage to its last step and return the final checkpoint path.
 
@@ -486,6 +485,9 @@ class _Run:
         check has passed. Logs are closed even when a step fails."""
         cfg = self.train_config
         if self._resume_meta is not None:
+            # the stage built ``pools`` from the fresh data stream; the resumed
+            # streams and pools replace both together
+            self.rngs.update(_parsed_field(self._resume_meta, "rng", _restore_rngs, self.resume_from))
             _parsed_field(self._resume_meta, "pools", pools.load_state, self.resume_from)
         write_manifest(self.out_dir, self.stage, cfg.seed,
                        {"train": cfg.to_json(), "model": self.model_config.to_json()})
@@ -531,7 +533,7 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
     run = _Run("pretrain1", records, registry, model_config, train_config, out_dir,
                resume_from=resume_from)
     cfg = run.train_config
-    pools = polarity_pools(records, run.pool_rng())
+    pools = polarity_pools(records, run.rngs["data"])
 
     def pair(i, j):
         return combine_queries(run.prompts[i], run.prompts[j], run.vocab, registry,
@@ -548,7 +550,7 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
         batch = []
         for pol in pools.deal(cfg.batch_size):
             ps = _augmented_prompt(run, pair(*pools.pools[pol].draw(2, run.rngs["data"])))
-            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
+            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"])
             batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
         return stage1_loss(batch, run.params, run.model_config, run.vocab,
                            weights=cfg.loss_weights[:3], train=True, rng=run.rngs["dropout"])
@@ -563,7 +565,7 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
     run = _Run("pretrain2", records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from)
     cfg = run.train_config
-    pool = IndexPool(range(len(records)), run.pool_rng())
+    pool = IndexPool(range(len(records)), run.rngs["data"])
     # the label table (per task in TASK_ORDER, its sorted gold keys) and each
     # record's task column and gold index in it, fixed for the run
     tasks = [t for t in TASK_ORDER if any(r.task_type is t for r in records)]
@@ -591,7 +593,7 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
         batch = []
         for idx in pool.draw(cfg.batch_size, run.rngs["data"]):
             ps = _augmented_prompt(run, run.prompts[idx])
-            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"], run.vocab)
+            plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"])
             batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
         return stage2_loss(batch, run.params, run.model_config, run.vocab, label_ids,
                            weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
@@ -613,7 +615,7 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
     run = _Run("finetune", records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from, val_records=val_records)
     cfg = run.train_config
-    pools = task_pools(records, run.pool_rng())
+    pools = task_pools(records, run.rngs["data"])
     golds = [gold_token_ids(r, registry, run.vocab) for r in records]
     steps_per_epoch = max(1, len(records) // cfg.batch_size)
 

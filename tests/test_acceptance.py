@@ -18,15 +18,13 @@ from sentigen.data import (Polarity, Registry, SaevalRecord, TASK_ORDER, TaskTyp
                            serialize_corpus)
 from sentigen.evaluation import (bin_scalar, decode_accuracy, metric_mf1_excl_neutral,
                                  metric_wa, metric_wf1, metrics_msa)
-from sentigen.masking import (ModalitySetting, mcm_eligible_positions, sample_mcm_plan,
-                              sample_modal_setting)
+from sentigen.masking import ModalitySetting, sample_mcm_plan, sample_modal_setting
 from sentigen.model import (ModelConfig, encode, encode_batch, init_params, load_checkpoint,
                             params_from_arrays, save_checkpoint)
 from sentigen.objectives import (Stage1Example, Stage2Example, assign_pseudo_labels,
                                  build_centroids, generation_loss, label_token_ids, loss_ccl,
                                  loss_cep, loss_mcm, loss_spp, stage1_loss, stage2_loss)
-from sentigen.prompt import (Vocab, build_prompt, build_vocab, combine_queries, flatten_prompt,
-                             resegment_prompt)
+from sentigen.prompt import Vocab, build_prompt, build_vocab, combine_queries, resegment_prompt
 from sentigen.training import (TrainConfig, gold_token_ids, run_finetune, run_pretrain_stage1,
                                task_average_sample, task_pools)
 
@@ -126,8 +124,7 @@ def test_c02_gradient_fidelity(acc):
             name = rotation[seed % len(rotation)]
             chosen = [records[int(i)] for i in rng.choice(len(records), size=3, replace=False)]
             prompts = [build_prompt(r, vocab, registry, config.max_len) for r in chosen]
-            plans = [sample_mcm_plan(p, float(rng.uniform(0.3, 0.7)), rng, vocab)
-                     for p in prompts]
+            plans = [sample_mcm_plan(p, float(rng.uniform(0.3, 0.7)), rng) for p in prompts]
             labmap = random_labels(acc, rng)
             label_ids = label_token_ids(labmap, vocab)
             pseudo = np.array([int(rng.integers(len(labmap[t]))) for t in TASK_ORDER])
@@ -137,7 +134,7 @@ def test_c02_gradient_fidelity(acc):
             losses = {
                 "mcm": lambda: loss_mcm(
                     encode_batch(prompts[:2], params, config, vocab, mask_plans=plans[:2]),
-                    [(prompts[0], plans[0]), (prompts[1], plans[1])], params, vocab),
+                    [(prompts[0], plans[0]), (prompts[1], plans[1])], params),
                 "spp": lambda: loss_spp(encode_batch(prompts[:1], params, config, vocab),
                                         [polarities[seed % 3]], params, config, vocab),
                 "ccl": lambda: loss_ccl(
@@ -224,8 +221,8 @@ def test_c04_modal_mask_contract(acc):
         while eligible < 10_000:
             for ps in prompts:
                 zy = len(ps.z_tokens) + len(ps.y_tokens)
-                positions = mcm_eligible_positions(ps)
-                plan = sample_mcm_plan(ps, 0.5, rng, vocab)
+                positions = ps.maskable
+                plan = sample_mcm_plan(ps, 0.5, rng)
                 assert all(p >= zy for p in plan.masked_token_positions)
                 assert set(plan.masked_token_positions) <= set(positions)
                 eligible += len(positions)
@@ -509,7 +506,7 @@ def test_c09_determinism_and_roundtrips(acc, tmp_path):
                                      vocab, registry, max_len)
             else:
                 ps = build_prompt(random_record(rng, words, registry), vocab, registry, max_len)
-            spans = resegment_prompt(flatten_prompt(ps, vocab), vocab)
+            spans = resegment_prompt(ps.ids, vocab)
             assert spans["z"] == ps.z_tokens
             assert spans["y"] == ps.y_tokens
             assert spans["context"] == ps.x_context

@@ -282,6 +282,33 @@ def test_eval_checkpoint_without_meta_exits_2(cli_corpus, finetuned, tmp_path, c
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["eval", "export-embeddings", "finetune"])
+@pytest.mark.parametrize("fault", ["missing", "unknown"])
+def test_checkpoint_parameter_table_mismatch_exits_2(cli_corpus, finetuned, tmp_path, capsys,
+                                                     command, fault):
+    """A checkpoint whose CRC holds but whose ``param/*`` arrays miss one of
+    the config's parameters, or carry one it does not have, is a one-line
+    ConfigError naming the file, raised before ``--out`` is written."""
+    from sentigen.model import load_checkpoint, save_checkpoint
+    config, arrays, meta = load_checkpoint(finetuned / "checkpoint.ckpt")
+    if fault == "missing":
+        del arrays["param/dec0_ln1_g"]
+    else:
+        arrays["param/bogus"] = arrays["param/dec0_ln1_g"]
+    ck = tmp_path / "bad.ckpt"
+    save_checkpoint(ck, config, arrays, meta=meta)
+    argv = [command, "--corpus", str(cli_corpus / "corpus.jsonl"),
+            "--registry", str(cli_corpus / "registry.json"), "--out", str(tmp_path / "out")]
+    argv += (["--init", str(ck), "--config", str(write_config(tmp_path / "cfg.json"))]
+             if command == "finetune" else ["--checkpoint", str(ck)])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ConfigError" and str(ck) in msg["message"]
+    assert f"{fault} parameter" in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_checks_registry_feature_widths(cli_corpus, finetuned, tmp_path, capsys):
     """The checkpoint's acoustic_dim (8) must match the registry's, even on a
     corpus with no acoustic features."""

@@ -10,7 +10,7 @@ from sentigen.masking import MaskPlan, apply_modal_setting, sample_mcm_plan, sam
 from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, freeze_params,
                             generate, init_params, load_checkpoint, param_layout,
                             params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
-from sentigen.prompt import build_prompt, flatten_prompt
+from sentigen.prompt import build_prompt
 
 from conftest import small_config
 
@@ -62,7 +62,7 @@ def test_encode_shapes_and_stream_layout(world):
     r = pick(records, "mosi-toy")
     ps = build_prompt(r, vocab, registry, config.max_len)
     enc = encode(ps, params, config, vocab)
-    total = ps.token_length + ps.frame_count
+    total = len(ps.ids) + ps.frame_count
     assert enc.states.data.shape == (total, config.model_dim)
     assert enc.pooled.data.shape == (config.model_dim,)
     assert np.array_equal(enc.offsets, [0, total])
@@ -100,7 +100,7 @@ def test_encode_rejects_overflow_and_bad_masks(world):
     with pytest.raises(ContractError):
         encode(huge, params, config, vocab)
 
-    bad = MaskPlan(masked_token_positions=(ps.token_length + 5,),
+    bad = MaskPlan(masked_token_positions=(len(ps.ids) + 5,),
                    masked_modal_frames={})
     with pytest.raises(IndexError):
         encode(ps, params, config, vocab, mask_plan=bad)
@@ -121,7 +121,7 @@ def test_mask_plan_substitutes_learned_vectors(world):
     vocab, registry, records, config, params = world
     r = pick(records, "meld-toy")
     ps = build_prompt(r, vocab, registry, config.max_len)
-    plan = MaskPlan(masked_token_positions=(ps.token_length - 1,),
+    plan = MaskPlan(masked_token_positions=(len(ps.ids) - 1,),
                     masked_modal_frames={"acoustic": (0,)})
     clean = encode(ps, params, config, vocab)
     corrupted = encode(ps, params, config, vocab, mask_plan=plan)
@@ -333,7 +333,7 @@ def test_generate_overflow_is_contract_error(world):
     vocab, registry, records, config, params = world
     for p in perturbed_models(world):
         ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
-        short = replace(config, max_len=ps.token_length + ps.frame_count)
+        short = replace(config, max_len=len(ps.ids) + ps.frame_count)
         ids = generate(ps, p, config, vocab, max_new=short.max_len + 1)
         if vocab.eos_id in ids[:short.max_len]:
             assert generate(ps, p, short, vocab, max_new=short.max_len + 1) == ids
@@ -343,7 +343,7 @@ def test_generate_overflow_is_contract_error(world):
 
 
 def stream_length(ps):
-    return ps.token_length + ps.frame_count
+    return len(ps.ids) + ps.frame_count
 
 
 def test_encode_batch_matches_per_prompt(world):
@@ -380,7 +380,7 @@ def reference_encode(ps, plan, params, config, vocab):
     masked frames swapped for the mask vector by selection-matrix
     arithmetic. Returns (states, pooled)."""
     d = config.model_dim
-    ids = flatten_prompt(ps, vocab)
+    ids = list(ps.ids)
     for pos in plan.masked_token_positions:
         ids[pos] = vocab.mask_id
     parts = [ad.matmul(ad.embedding(params["tok_emb"], ids), params["w_text"])]
@@ -439,7 +439,7 @@ def test_batch_input_gather_matches_per_sample_reference(world):
         prompts = [apply_modal_setting(ps, sample_modal_setting(ps, rng)) if kinds is None else
                    replace(ps, modal_segments=tuple(s for s in ps.modal_segments if s.kind in kinds))
                    for ps in prompts]
-        plans = [sample_mcm_plan(ps, (0.0, 0.3, 1.0)[trial % 3], rng, vocab) for ps in prompts]
+        plans = [sample_mcm_plan(ps, (0.0, 0.3, 1.0)[trial % 3], rng) for ps in prompts]
         enc = model.encode_batch(prompts, params, config, vocab, mask_plans=plans)
         offsets = enc.offsets
         lengths = [stream_length(ps) for ps in prompts]
@@ -487,7 +487,7 @@ def test_encoder_input_graph_does_not_grow_with_batch(world):
     counts = []
     for size in (1, 4, 16):
         batch = [both[i % len(both)] for i in range(size)]
-        plans = [MaskPlan(masked_token_positions=(ps.token_length - 1,),
+        plans = [MaskPlan(masked_token_positions=(len(ps.ids) - 1,),
                           masked_modal_frames={"acoustic": (0,), "visual": (0,)}) for ps in batch]
         enc = model.encode_batch(batch, params, config, vocab, mask_plans=plans)
         seen, stack = set(), [enc.states]

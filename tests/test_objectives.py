@@ -14,7 +14,7 @@ from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
                                  assign_pseudo_labels, build_centroids, generation_loss,
                                  label_token_id, label_token_ids, loss_ccl, loss_cep, loss_mcm,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
-from sentigen.prompt import build_prompt, flatten_prompt
+from sentigen.prompt import build_prompt
 
 from conftest import small_config
 
@@ -35,8 +35,7 @@ def rig(toy):
 
 
 def plan_for(rig_, dataset, p=1.0, seed=0):
-    return sample_mcm_plan(rig_["prompts"][dataset], p, np.random.default_rng(seed),
-                           rig_["vocab"])
+    return sample_mcm_plan(rig_["prompts"][dataset], p, np.random.default_rng(seed))
 
 
 def encoded(rig_, batch, params=None):
@@ -85,7 +84,7 @@ def test_mcm_uniform_model_gives_log_vocab_per_mask(rig):
              (rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy"))]
     n = sum(len(plan.masked_token_positions) for _, plan in batch)
     assert n > 0
-    loss = loss_mcm(encoded(rig, batch, rig["uniform"]), batch, rig["uniform"], vocab)
+    loss = loss_mcm(encoded(rig, batch, rig["uniform"]), batch, rig["uniform"])
     want = math.log(len(vocab)) * n / len(batch)
     assert abs(loss.item() - want) < 1e-9
 
@@ -94,13 +93,13 @@ def test_mcm_without_masked_positions_is_zero(rig):
     plan = plan_for(rig, "sst-toy", p=0.0)
     assert plan.masked_token_positions == ()
     batch = [(rig["prompts"]["sst-toy"], plan)]
-    loss = loss_mcm(encoded(rig, batch), batch, rig["params"], rig["vocab"])
+    loss = loss_mcm(encoded(rig, batch), batch, rig["params"])
     assert loss.item() == 0.0
 
 
 def test_mcm_empty_batch(rig):
     with pytest.raises(ContractError):
-        loss_mcm(encoded(rig, [rig["prompts"]["sst-toy"]]), [], rig["params"], rig["vocab"])
+        loss_mcm(encoded(rig, [rig["prompts"]["sst-toy"]]), [], rig["params"])
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def test_stage1_recomposes_weighted_components(rig):
     weights = (2.0, 0.5, 3.0)
     report, total = stage1_loss(batch, params, config, vocab, weights=weights)
     pairs = [(e.prompt, e.plan) for e in batch]
-    mcm = loss_mcm(encoded(rig, pairs), pairs, params, vocab).item()
+    mcm = loss_mcm(encoded(rig, pairs), pairs, params).item()
     spp = loss_spp(encoded(rig, [e.prompt for e in batch]), [e.polarity for e in batch],
                    params, config, vocab).item()
     encs = [encode(e.prompt, params, config, vocab) for e in batch]
@@ -338,7 +337,7 @@ def test_stage2_recomposes_weighted_components(rig):
     weights = (1.5, 0.25)
     report, total = stage2_loss(batch, params, config, vocab, label_ids, weights=weights)
     pairs = [(e.prompt, e.plan) for e in batch]
-    mcm = loss_mcm(encoded(rig, pairs), pairs, params, vocab).item()
+    mcm = loss_mcm(encoded(rig, pairs), pairs, params).item()
     cep = loss_cep(encoded(rig, pairs), [e.pseudo for e in batch], params, config, vocab,
                    label_ids).item()
     assert abs(report.mcm - mcm) < 1e-12
@@ -359,7 +358,7 @@ def test_loss_graphs_keep_their_fused_nodes(rig):
     params = init_params(config, np.random.default_rng(11))
     rng = np.random.default_rng(0)
     prompts = list(rig["prompts"].values())
-    plans = [sample_mcm_plan(ps, 0.5, rng, vocab) for ps in prompts]
+    plans = [sample_mcm_plan(ps, 0.5, rng) for ps in prompts]
     label_ids = label_token_ids(four_task_labels(vocab), vocab)
     stage1 = [Stage1Example(prompt=ps, plan=plan, polarity=POLARITY_ORDER[i % 3])
               for i, (ps, plan) in enumerate(zip(prompts, plans))]
@@ -422,7 +421,7 @@ def loss_fd(rig, make_loss, names):
 
 def test_mcm_gradients(rig):
     batch = [(rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy", p=0.5))]
-    loss_fd(rig, lambda: loss_mcm(encoded(rig, batch), batch, rig["params"], rig["vocab"]),
+    loss_fd(rig, lambda: loss_mcm(encoded(rig, batch), batch, rig["params"]),
             ["enc0_ln1_g", "proj_acoustic_b"])
 
 
@@ -470,7 +469,7 @@ def ref_mcm(batch, params, config, vocab):
         pos = list(plan.masked_token_positions)
         if pos:
             enc = encode(ps, params, config, vocab, mask_plan=plan)
-            original = flatten_prompt(ps, vocab)
+            original = list(ps.ids)
             ce = ad.softmax_cross_entropy(token_logits(ad.embedding(enc.states, pos), params),
                                           [original[p] for p in pos])
             total = ad.add(total, ad.scale(ce, len(pos)))
@@ -561,7 +560,7 @@ def test_batched_losses_match_per_sample_reference(rig):
         if trial % 4 == 1:
             prompts[1] = prompts[0]  # a zero-distance pair for the contrastive term
         rate = (0.0, 0.3, 1.0)[trial % 3]
-        plans = [sample_mcm_plan(ps, rate, rng, vocab) for ps in prompts]
+        plans = [sample_mcm_plan(ps, rate, rng) for ps in prompts]
         pols = [POLARITY_ORDER[int(rng.integers(3))] for _ in prompts]
         targets = np.array([[int(rng.integers(len(labmap[t]))) for t in TASK_ORDER]
                             for _ in prompts])
@@ -585,7 +584,7 @@ def test_batched_losses_match_per_sample_reference(rig):
 
         pairs = {
             "mcm": (lambda: loss_mcm(encode_batch(prompts, params, config, vocab, mask_plans=plans),
-                                     masked, params, vocab),
+                                     masked, params),
                     lambda: ref_mcm(masked, params, config, vocab)),
             "spp": (lambda: loss_spp(encode_batch(prompts, params, config, vocab), pols,
                                      params, config, vocab),

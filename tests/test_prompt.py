@@ -7,8 +7,8 @@ from sentigen.data import (POOL_DATASET_ID, AnswerSet, Registry, SaevalRecord, T
                            to_polarity)
 from sentigen.errors import ConfigError, ContractError, DecodeError, VocabularyError
 from sentigen.prompt import (Vocab, answer_set_tokens, build_prompt, build_vocab, combine_queries,
-                             decode_label, detokenize, edit_distance, flatten_prompt,
-                             parse_scalar, resegment_prompt, speaker_index, tokenize)
+                             decode_label, detokenize, edit_distance, parse_scalar,
+                             resegment_prompt, speaker_index, tokenize)
 
 from test_data import mini_registry
 
@@ -101,7 +101,7 @@ def test_erc_prompt_structure(world):
     assert len(ps.x_context) == len(r.context)
     for utt, (spk, _) in zip(ps.x_context, r.context):
         assert utt[0] == vocab.speaker_id_token(speaker_index(spk))
-    flat = flatten_prompt(ps, vocab)
+    flat = ps.ids
     # context precedes the query in the linearization
     qpos = len(flat) - len(ps.x_tokens)
     assert flat[qpos - 1] == vocab.sep_id
@@ -153,7 +153,7 @@ def test_truncation_drops_oldest_context_first(world):
                       audio=r.audio, image=r.image, context=long_context,
                       speaker_id=r.speaker_id, utterance_index=6, label=r.label)
     full = build_prompt(r2, vocab, registry, 512)
-    tight = build_prompt(r2, vocab, registry, full.token_length + full.frame_count - 3)
+    tight = build_prompt(r2, vocab, registry, len(full.ids) + full.frame_count - 3)
     assert tight.truncated
     assert len(tight.x_context) < len(full.x_context)
     assert tight.x_context == full.x_context[len(full.x_context) - len(tight.x_context):]
@@ -167,11 +167,69 @@ def test_flatten_resegment_roundtrip(world):
     vocab, registry, records = world
     for r in records:
         ps = build_prompt(r, vocab, registry, 128)
-        spans = resegment_prompt(flatten_prompt(ps, vocab), vocab)
+        spans = resegment_prompt(ps.ids, vocab)
         assert spans["z"] == ps.z_tokens
         assert spans["y"] == ps.y_tokens
         assert spans["context"] == ps.x_context
         assert spans["x"] == ps.x_tokens
+
+
+def assert_stream_matches_spans(ps, vocab):
+    """``ps.ids`` and ``ps.maskable`` against an oracle spelled out cell by
+    cell from the spans: Z and Y are markers; each context utterance is its
+    speaker marker then maskable words; a separator closes the context; the
+    query's words are maskable, a <sep> among them is not. ``ids`` parses
+    back into the spans."""
+    cells = [(t, False) for t in ps.z_tokens + ps.y_tokens]
+    for speaker, *words in ps.x_context:
+        cells += [(speaker, False)] + [(t, True) for t in words]
+    if ps.x_context:
+        cells.append((vocab.sep_id, False))
+    cells += [(t, t != vocab.sep_id) for t in ps.x_tokens]
+    assert ps.ids == tuple(t for t, _ in cells)
+    assert ps.maskable == tuple(i for i, (_, m) in enumerate(cells) if m)
+    assert resegment_prompt(ps.ids, vocab) == \
+        {"z": ps.z_tokens, "y": ps.y_tokens, "context": ps.x_context, "x": ps.x_tokens}
+
+
+def test_stream_and_maskable_match_the_span_oracle(world):
+    """Every corpus record's prompt, every same-polarity pair of them, random
+    records truncated at small ``max_len``, and prompts whose query was
+    swapped by ``dataclasses.replace``, which derives both fields anew."""
+    from dataclasses import replace
+    from test_acceptance import random_record
+    vocab, registry, records = world
+    prompts = [build_prompt(r, vocab, registry, 128) for r in records]
+    for ps in prompts:
+        assert_stream_matches_spans(ps, vocab)
+    polarity = [to_polarity(r.label, r.dataset_id) for r in records]
+    for i, a in enumerate(prompts):
+        for j, b in enumerate(prompts):
+            if polarity[i] is polarity[j]:
+                pair = combine_queries(a, b, vocab, registry, 128)
+                assert vocab.sep_id in pair.x_tokens
+                assert_stream_matches_spans(pair, vocab)
+
+    words = sorted({w for r in records for w in r.text.split()}) + ["zorp"]
+    rng = np.random.default_rng(23)
+    cut = 0
+    for _ in range(300):
+        try:
+            ps = build_prompt(random_record(rng, words, registry), vocab, registry,
+                              int(rng.integers(12, 40)))
+        except ContractError:
+            continue
+        cut += ps.truncated
+        assert_stream_matches_spans(ps, vocab)
+    assert cut
+
+    meld = prompts[[r.dataset_id for r in records].index("meld-toy")]
+    swapped = replace(meld, x_tokens=tuple(tokenize("a new query", vocab)))
+    assert swapped.ids[-len(swapped.x_tokens):] == swapped.x_tokens != meld.x_tokens
+    assert_stream_matches_spans(swapped, vocab)
+    joined = replace(prompts[0], x_tokens=(*prompts[0].x_tokens, vocab.sep_id, vocab.unk_id))
+    assert_stream_matches_spans(joined, vocab)
+    assert len(joined.maskable) == len(prompts[0].maskable) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +327,7 @@ def assert_pair_matches_oracle(a, b, vocab, registry, max_len):
             combine_queries(a, b, vocab, registry, max_len)
         return None
     got = combine_queries(a, b, vocab, registry, max_len)
-    assert resegment_prompt(flatten_prompt(got, vocab), vocab) == \
+    assert resegment_prompt(got.ids, vocab) == \
         {k: want[k] for k in ("z", "y", "context", "x")}
     assert (got.x_context, got.x_tokens, got.truncated, got.dataset_index) == \
         ((), want["x"], want["truncated"], want["dataset_index"])
