@@ -29,6 +29,14 @@ Training and inference both run these batches: a training step's losses read
 ``encode_batch`` encodings, with one dropout mask per batched tensor;
 inference uses ``pooled_vectors`` and ``generate_batch``.
 
+Inference sizes the two phases apart. The encoder runs on ``_row_chunks``
+slices, bounded by ``_ROW_BUDGET`` encoder rows padded to the slice's
+longest stream, the size its padded attention buffers run fastest at.
+Greedy decoding runs each step on many rows, so per-op overhead is paid
+once for all of them: ``generate_batch`` joins the slices' packed outputs
+(``join_encodings``) and decodes groups of ``_DECODE_ROWS`` consecutive
+prompts, encoding a slice only when the first group that needs it starts.
+
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
 ``decoder_states`` one token per row at a time through a ``DecoderCache``
@@ -478,6 +486,10 @@ def token_logits(hidden, params):
 # stream: attention pads inside its one op, so this bounds its (B, heads, L, L) buffers
 _ROW_BUDGET = 256
 
+# prompts per greedy-decoding batch: wider groups run each step's ops on more
+# rows, but their self-attention buffers and padded cross-attention keys grow
+_DECODE_ROWS = 32
+
 
 def _row_chunks(prompts):
     """Consecutive slices of ``prompts``, in order, each holding as many
@@ -502,17 +514,66 @@ def pooled_vectors(prompts, params, config, vocab):
                            for chunk in _row_chunks(prompts)])
 
 
-def generate_batch(prompts, params, config, vocab, max_new=8):
-    """Greedy decoding of many prompts, one padded batch per ``_row_chunks``
-    slice. Returns one id list per prompt, equal to what ``generate`` gives
-    it alone (up to rounding in near-ties of the argmax).
+def join_encodings(parts):
+    """One packed ``EncoderOutput`` of the samples of ``parts`` (packed
+    outputs), in order: their ``states`` and ``pooled`` rows concatenated,
+    and each part's offsets shifted past the rows before it. Every sample
+    keeps its rows, so decoding the joined output gives it the states its
+    own part gives it. Joining no parts is a ContractError."""
+    if not parts:
+        raise ContractError("cannot join zero encoder outputs")
+    if len(parts) == 1:
+        return parts[0]
+    shifts = np.cumsum([0] + [p.offsets[-1] for p in parts[:-1]])
+    return EncoderOutput(states=ad.concat_rows([p.states for p in parts]),
+                         pooled=ad.concat_rows([p.pooled for p in parts]),
+                         offsets=np.concatenate([[0]] + [p.offsets[1:] + s
+                                                         for p, s in zip(parts, shifts)]))
 
-    Every row of a batch is fed one token per step through a shared
+
+def _samples(enc, lo, hi):
+    """Samples lo:hi of a frozen packed ``EncoderOutput``, as views of its rows."""
+    if lo == 0 and hi == len(enc.offsets) - 1:
+        return enc
+    first, last = enc.offsets[lo], enc.offsets[hi]
+    return EncoderOutput(states=ad.constant(enc.states.data[first:last]),
+                         pooled=ad.constant(enc.pooled.data[lo:hi]),
+                         offsets=enc.offsets[lo:hi + 1] - first)
+
+
+def _decode_groups(prompts, params, config, vocab):
+    """Each run of at most ``_DECODE_ROWS`` consecutive prompts, with its
+    encoding joined from the ``_row_chunks`` slices that hold it. A slice is
+    encoded once, when the first group that needs it starts, so encodings
+    are held for about one group at a time, never for the whole corpus."""
+    slices = _row_chunks(prompts)
+    enc, used = None, 0  # the slice in hand, and how many of its samples earlier groups took
+    for start in range(0, len(prompts), _DECODE_ROWS):
+        group = prompts[start:start + _DECODE_ROWS]
+        parts, need = [], len(group)
+        while need:
+            if enc is None or used == len(enc.offsets) - 1:
+                enc, used = encode_batch(next(slices), params, config, vocab), 0
+            take = min(need, len(enc.offsets) - 1 - used)
+            parts.append(_samples(enc, used, used + take))
+            used, need = used + take, need - take
+        yield group, join_encodings(parts)
+
+
+def generate_batch(prompts, params, config, vocab, max_new=8):
+    """Greedy decoding of many prompts. Returns one id list per prompt,
+    equal to what ``generate`` gives it alone (up to rounding in near-ties
+    of the argmax).
+
+    Prefill is narrow and decode is wide: the encoder runs once per
+    ``_row_chunks`` slice, and the decoder on groups of ``_DECODE_ROWS``
+    consecutive prompts, each group's encoding joined from its slices. Every
+    row of a group is fed one token per step through a shared
     ``DecoderCache`` sized for the ``max_new`` positions it can be fed (at
-    most ``config.max_len``). A row stops recording at its first <eos>, and the
-    batch ends when every row has stopped or after ``max_new`` tokens. A
-    row still running when its stream would pass ``config.max_len`` raises
-    ``ContractError``.
+    most ``config.max_len``). A row stops recording at its first <eos>, and
+    the group ends when every row has stopped or after ``max_new`` tokens.
+    A row still running when its stream would pass ``config.max_len``
+    raises ``ContractError``.
     """
     if max_new < 1:
         raise ContractError("max_new must be at least 1")
@@ -520,12 +581,11 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
     # the contiguous copies token_logits would otherwise make at every step
     params.update({f"{name}.T": ad.transpose(params[name]) for name in _OUTPUT_WEIGHTS})
     out = []
-    for chunk in _row_chunks(prompts):
-        enc = encode_batch(chunk, params, config, vocab)
+    for group, enc in _decode_groups(prompts, params, config, vocab):
         cache = DecoderCache(min(max_new, config.max_len))
-        ids = [[] for _ in chunk]
-        running = np.ones(len(chunk), dtype=bool)
-        nxt = np.full(len(chunk), vocab.bos_id)
+        ids = [[] for _ in group]
+        running = np.ones(len(group), dtype=bool)
+        nxt = np.full(len(group), vocab.bos_id)
         for _ in range(max_new):
             h = decoder_states(nxt[:, None], enc, params, config, cache=cache)
             nxt = np.argmax(token_logits(h, params).data, axis=1)

@@ -75,6 +75,7 @@ class Vocab:
         self.num_datasets = int(num_datasets)
         self.num_speakers = int(num_speakers)
         self._index = {}
+        self._answer_sets = {}  # answer_set_tokens' ids, per AnswerSet
         for i, tok in enumerate(self.tokens):
             if tok in self._index:
                 raise VocabularyError(f"duplicate token {tok!r}")
@@ -317,17 +318,19 @@ def speaker_index(speaker_id):
 
 
 def answer_set_tokens(answer, vocab):
-    """Serialize an answer set as "<ans> label | label | ... </ans>" ids."""
-    if answer.scalar:
-        labels = [render_scalar_label(float(v)) for v in range(-3, 4)]
-    else:
-        labels = list(answer.labels)
-    ids = [vocab.ans_open_id]
-    for i, label in enumerate(labels):
-        if i:
-            ids.extend(tokenize(LABEL_SEPARATOR, vocab))
-        ids.extend(tokenize(label, vocab))
-    ids.append(vocab.ans_close_id)
+    """Serialize an answer set as "<ans> label | label | ... </ans>" ids, a
+    tuple tokenized once per vocabulary: every prompt of a dataset, and
+    every stage-one pair, reads the same ids."""
+    ids = vocab._answer_sets.get(answer)
+    if ids is None:
+        labels = ([render_scalar_label(float(v)) for v in range(-3, 4)] if answer.scalar
+                  else answer.labels)
+        ids = [vocab.ans_open_id]
+        for i, label in enumerate(labels):
+            if i:
+                ids.extend(tokenize(LABEL_SEPARATOR, vocab))
+            ids.extend(tokenize(label, vocab))
+        ids = vocab._answer_sets[answer] = tuple(ids + [vocab.ans_close_id])
     return ids
 
 

@@ -161,9 +161,10 @@ class Adam:
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their global L2 norm is at most ``max_norm``,
+    and return the norm. A NaN or infinite norm leaves them as they are."""
     norm = ad.global_grad_norm(params.values())
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and max_norm < norm < np.inf:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
@@ -449,9 +450,14 @@ class _Run:
                                + " ".join(f"{k}={v}" for k, v in terms.items()))
 
     def optimize(self, total):
+        """Backpropagate ``total``, clip, and take one Adam step. A NaN or
+        infinite gradient norm is a NumericError raised before the step, so
+        neither the parameters nor the moments, nor a checkpoint, take it."""
         ad.zero_grads(self.params.values())
         ad.backward(total)
-        clip_gradients(self.params, self.train_config.grad_clip)
+        norm = clip_gradients(self.params, self.train_config.grad_clip)
+        if not np.isfinite(norm):
+            raise NumericError(f"non-finite gradient norm {norm} at step {self.step}")
         self.adam.step(self.params)
 
     def save(self, path, pools_state):

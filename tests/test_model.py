@@ -257,40 +257,60 @@ def test_cached_decoder_bounds(world):
                        cache=DecoderCache(1))
 
 
+def straddles(prompts):
+    """Whether some decode group spans several ``_row_chunks`` slices, and
+    some slice spans several decode groups, at the current sizes."""
+    sizes = [len(chunk) for chunk in model._row_chunks(prompts)]
+    cuts = set(np.cumsum(sizes).tolist())
+    groups = set(range(model._DECODE_ROWS, len(prompts), model._DECODE_ROWS)) | {len(prompts)}
+    group_over_cut = any(cut % model._DECODE_ROWS and cut < len(prompts) for cut in cuts)
+    slice_over_group = any(g not in cuts for g in groups)
+    return group_over_cut and slice_over_group
+
+
 def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):
-    """Structural guard: while ``generate_batch`` decodes, no step concatenates
-    rows, and each chunk splits the encoder's keys and values into heads once
-    per decoder layer, not at every step."""
+    """Structural guard: ``generate_batch`` encodes each ``_row_chunks``
+    slice once and decodes groups of at most ``_DECODE_ROWS`` prompts. No
+    decoding step concatenates rows, and each group splits the encoder's
+    keys and values into heads once per decoder layer, not at every step
+    nor per slice."""
     vocab, registry, records, _, _ = world
     config, frozen = two_layer_model(world)
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
     monkeypatch.setattr(model, "_ROW_BUDGET", 4 * max(stream_length(ps) for ps in prompts))
-    counts = {"steps": 0, "concat_rows": 0, "head_layout": 0}
-    decoding = []
+    monkeypatch.setattr(model, "_DECODE_ROWS", 3)
+    assert straddles(prompts)
+    counts = {"steps": 0, "concat_rows": 0, "head_layout": 0, "encode_batch": 0}
+    decoding, rows = [], []
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
-            counts[name] += bool(decoding)
+            counts[name] += bool(decoding) or name == "encode_batch"
             return fn(*args, **kwargs)
         return wrapped
 
-    def stepping(*args, **kwargs):
+    def stepping(dec_ids, *args, **kwargs):
         counts["steps"] += 1
+        rows.append(len(dec_ids))
         decoding.append(True)
         try:
-            return real_step(*args, **kwargs)
+            return real_step(dec_ids, *args, **kwargs)
         finally:
             decoding.pop()
 
     real_step = model.decoder_states
     monkeypatch.setattr(model, "decoder_states", stepping)
+    monkeypatch.setattr(model, "encode_batch", counted("encode_batch", model.encode_batch))
     for name in ("concat_rows", "head_layout"):
         monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
     model.generate_batch(prompts, frozen, config, vocab, max_new=6)
     chunks = len(list(model._row_chunks(prompts)))
-    assert chunks > 1 and counts["steps"] > 2 * chunks
+    groups = -(-len(prompts) // model._DECODE_ROWS)
+    assert chunks > 1 and groups > chunks and counts["steps"] > 2 * groups
+    assert counts["encode_batch"] == chunks
+    assert max(rows) == model._DECODE_ROWS
     assert counts["concat_rows"] == 0
-    assert counts["head_layout"] == config.layers_dec * chunks
+    assert counts["head_layout"] == config.layers_dec * groups
 
 
 def perturbed_models(world):
@@ -564,6 +584,69 @@ def test_generate_batch_matches_per_record(world):
                           and len({ps.frame_count > 0 for ps in prompts[chunk]}) == 2)
     assert mixed > 0
     assert model.generate_batch([], params, config, vocab) == []
+
+
+def test_generate_batch_matches_per_record_across_groups(world, monkeypatch):
+    """Fuzz: with decode groups and encoder slices shrunk so that groups
+    straddle several slices and slices straddle groups, batched greedy
+    decoding still gives every record the ids per-record ``generate``
+    gives it, on models whose answers end at an early <eos> and on ones
+    that run to ``max_new``."""
+    vocab, registry, records, config, params = world
+    max_new = 6
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    longest = max(stream_length(ps) for ps in prompts)
+    sizes = [(3, 2 * longest), (3, 5 * longest), (4, 3 * longest), (7, 2 * longest), (2, 1)]
+    straddled = 0
+    for p in perturbed_models(world):
+        alone = [generate(ps, p, config, vocab, max_new=max_new) for ps in prompts]
+        for rows, budget in sizes:
+            monkeypatch.setattr(model, "_DECODE_ROWS", rows)
+            monkeypatch.setattr(model, "_ROW_BUDGET", budget)
+            for start in (0, 1):
+                straddled += straddles(prompts[start:])
+                assert model.generate_batch(prompts[start:], p, config, vocab,
+                                            max_new=max_new) == alone[start:]
+            assert model.generate_batch([], p, config, vocab) == []
+    assert straddled > 0
+
+
+def test_join_encodings_concatenates_and_shifts(world, monkeypatch):
+    """Joined packed outputs hold the parts' states and pooled rows in
+    order, with each part's offsets shifted past the rows before it, and
+    the decoder reads every sample of the join as it reads it in its own
+    part. Each decode group's encoding, joined from pieces of slices, is
+    its prompts' encoding. A join of no parts is a ContractError."""
+    vocab, registry, records, _, _ = world
+    config, frozen = two_layer_model(world)
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:9]]
+    assert len({stream_length(ps) for ps in prompts}) > 1
+    parts = [model.encode_batch(prompts[lo:hi], frozen, config, vocab)
+             for lo, hi in ((0, 1), (1, 5), (5, 9))]
+    joined = model.join_encodings(parts)
+    assert np.array_equal(joined.states.data, np.concatenate([e.states.data for e in parts]))
+    assert np.array_equal(joined.pooled.data, np.concatenate([e.pooled.data for e in parts]))
+    lengths = [stream_length(ps) for ps in prompts]
+    assert joined.offsets.tolist() == np.concatenate(([0], np.cumsum(lengths))).tolist()
+    assert model.join_encodings(parts[1:2]) is parts[1]
+
+    ids = np.array([[vocab.bos_id, 20 + i, 21, 5 + i] for i in range(len(prompts))])
+    whole = decoder_states(ids, joined, frozen, config).data
+    alone = np.concatenate([decoder_states(ids[lo:hi], e, frozen, config).data
+                            for e, (lo, hi) in zip(parts, ((0, 1), (1, 5), (5, 9)))])
+    assert np.max(np.abs(whole - alone)) <= 1e-12
+
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    monkeypatch.setattr(model, "_DECODE_ROWS", 3)
+    monkeypatch.setattr(model, "_ROW_BUDGET", 4 * max(stream_length(ps) for ps in prompts))
+    assert straddles(prompts)
+    for group, enc in model._decode_groups(prompts, frozen, config, vocab):
+        ref = model.encode_batch(group, frozen, config, vocab)
+        assert enc.offsets.tolist() == ref.offsets.tolist()
+        for got, want in ((enc.states, ref.states), (enc.pooled, ref.pooled)):
+            assert got.shape == want.shape and np.max(np.abs(got.data - want.data)) <= 1e-12
+    with pytest.raises(ContractError):
+        model.join_encodings([])
 
 
 def test_generate_batch_overflow_only_running_rows_raise(world):

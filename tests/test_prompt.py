@@ -256,6 +256,28 @@ def rec(text, label, dataset="rev", audio=None, **conversation):
                         **conversation)
 
 
+def test_answer_set_ids_are_tokenized_once_per_vocab(monkeypatch):
+    """A dataset's answer-set ids are tokenized at their first use only:
+    later prompts and stage-one pairs read the same ids and tokenize none
+    of them again, and another vocabulary tokenizes its own."""
+    import sentigen.prompt as prompt_module
+    registry = pair_registry()
+    a, b = rec("good phone", "positive"), rec("bad case", "negative")
+    vocab = build_vocab([a, b], registry, num_speakers=2)
+    pa, pb = (build_prompt(r, vocab, registry, 64) for r in (a, b))
+    pool = registry.spec(POOL_DATASET_ID).answer
+    first = combine_queries(pa, pb, vocab, registry, 64)
+    calls = []
+    real = prompt_module.tokenize
+    monkeypatch.setattr(prompt_module, "tokenize", lambda *args: calls.append(args) or real(*args))
+    for _ in range(3):
+        assert combine_queries(pb, pa, vocab, registry, 64).y_tokens == first.y_tokens
+    assert calls == []
+    assert answer_set_tokens(pool, vocab) is answer_set_tokens(pool, vocab)
+    other = build_vocab([a, b], registry, num_speakers=2)
+    assert answer_set_tokens(pool, other) == first.y_tokens and calls
+
+
 def test_combine_queries_merges_text_and_features():
     registry = pair_registry()
     a = rec("good phone", "positive", audio=np.ones((2, 3), dtype=np.float32))

@@ -581,6 +581,61 @@ def test_non_finite_state_raises(toy, tmp_path):
                      tmp_path / "blowup", init_checkpoint=poisoned)
 
 
+def poison_gradient(monkeypatch, params, value, at_call=1):
+    """Make the ``at_call``-th ``ad.backward`` and every later one leave
+    ``value`` in one gradient of ``params`` (a dict, or a callable giving it)."""
+    real, calls = ad.backward, []
+
+    def poisoned(loss):
+        real(loss)
+        calls.append(True)
+        if len(calls) >= at_call:
+            (params() if callable(params) else params)["w_text"].grad[0, 0] = value
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_gradient_stops_before_the_update(toy, tmp_path, monkeypatch, value):
+    """A NaN or infinite gradient is a NumericError naming the step, raised
+    before Adam moves any parameter or moment."""
+    config = small_config(toy["vocab"], toy["registry"])
+    run = training._Run("finetune", toy["records"], toy["registry"], config,
+                        train_cfg(max_steps=1), tmp_path / "run")
+    run.step = 3
+    poison_gradient(monkeypatch, run.params, value)
+    params = {name: p.data.copy() for name, p in run.params.items()}
+    moments = {name: a.copy() for name, a in run.adam.state_arrays().items()}
+    total = ad.sum_all(ad.matmul(run.params["tok_emb"], run.params["w_text"]))
+    with pytest.raises(NumericError, match="gradient norm .* at step 3"):
+        run.optimize(total)
+    assert run.adam.t == 0
+    assert all(np.array_equal(p.data, params[name]) for name, p in run.params.items())
+    assert all(np.array_equal(a, moments[name]) for name, a in run.adam.state_arrays().items())
+
+
+def test_non_finite_gradient_reaches_no_checkpoint(toy, tmp_path, monkeypatch):
+    """A run whose second step's gradient turns NaN stops at that step, and
+    no periodic checkpoint holds the update it would have made."""
+    config = small_config(toy["vocab"], toy["registry"])
+    runs = []
+    real_init = training._Run.__init__
+
+    def tracked(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        runs.append(self)
+
+    monkeypatch.setattr(training._Run, "__init__", tracked)
+    poison_gradient(monkeypatch, lambda: runs[-1].params, np.nan, at_call=2)
+    out = tmp_path / "ft"
+    with pytest.raises(NumericError, match="at step 2"):
+        run_finetune(toy["records"], toy["registry"], config,
+                     train_cfg(max_steps=4, checkpoint_every=1), out)
+    assert (out / "checkpoint_step1.ckpt").exists()
+    assert not list(out.glob("checkpoint_step[2-9].ckpt")) and not (out / "checkpoint.ckpt").exists()
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
+
+
 BAD_META = {"vocab": [None, "abc", [1, 2], ["<pad>"]], "vocab_datasets": [None, "5"],
             "vocab_speakers": [True], "step": [None, 2.0], "adam_t": ["1"],
             "rng": [None, {"data": 3}]}
