@@ -11,9 +11,14 @@ where a parent needs none). ``backward`` walks the graph once in reverse
 topological order, sums every tensor's incoming gradients in one dict, and
 writes each leaf's ``.grad`` once, into a buffer that leaf owns.
 
-Each node keeps its output until the graph is dropped, so ``linear`` (matmul
-plus bias) and ``layer_norm``'s ``residual`` (add, then normalise) each fuse
-two nodes into one: the same floats in the same order, one array kept.
+Each node keeps its output until the graph is dropped, and its rule keeps
+only what it reads, so a step's graph holds little besides the outputs.
+``linear`` (matmul plus bias) and ``layer_norm``'s ``residual`` (add, then
+normalise) each fuse two nodes into one, and ``embedding`` with extra
+``(table, ids)`` pairs sums several gathers in one: the same floats in the
+same order, one array kept. ``attention`` keeps its softmax weights, not
+the padded copies of q, k and v it splits, and ``dropout`` keeps a bool
+mask, not a float64 one.
 """
 from __future__ import annotations
 
@@ -176,13 +181,8 @@ def concat_rows(parts):
     return _make(np.concatenate([p.data for p in parts], axis=0), "concat_rows", parts, rule)
 
 
-def embedding(table, ids):
-    """Row gather: out[i] = table[ids[i]]. Backward sums the gradient rows
-    of each id into its table row: a stable sort of the ids, then one
-    segmented sum per distinct id, in place of an unbuffered scatter-add.
-
-    Rows never indexed receive an exactly-zero gradient contribution.
-    """
+def _gather_ids(table, ids):
+    """``ids`` as a flat int array of rows of the 2-D ``table``."""
     if table.data.ndim != 2:
         raise ShapeError(f"embedding: table must be 2-D, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
@@ -190,17 +190,44 @@ def embedding(table, ids):
         raise ShapeError("embedding: ids must be a flat sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError(f"embedding: index out of range for table with {table.shape[0]} rows")
+    return idx
+
+
+def _row_sums(g, idx, shape):
+    """A (``shape``) table gradient: each row the sum of the rows of ``g``
+    gathered from it, by a stable sort of ``idx`` and one segmented sum per
+    distinct id, in place of an unbuffered scatter-add. Rows never indexed
+    stay exactly zero."""
+    buf = np.zeros(shape)
+    if idx.size:
+        order = np.argsort(idx, kind="stable")
+        ids = idx[order]
+        starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        buf[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
+    return buf
+
+
+def embedding(table, ids, *summed):
+    """Row gather: out[i] = table[ids[i]]. Each further ``(table, ids)``
+    pair of ``summed`` adds its gathered rows in place, left to right, as
+    one node: the floats of a gather per table and an ``add`` node per
+    pair, with one array kept. Backward gives each table the rows of the
+    gradient summed by id (see ``_row_sums``)."""
+    pairs = ((table, ids),) + summed
+    tables = tuple(t for t, _ in pairs)
+    idxs = [_gather_ids(t, i) for t, i in pairs]
+    out = table.data[idxs[0]]
+    for t, idx in zip(tables[1:], idxs[1:]):
+        if t.shape[1] != table.shape[1] or idx.shape != idxs[0].shape:
+            raise ShapeError(f"embedding: {idx.size} rows of width {t.shape[1]} do not add "
+                             f"onto {idxs[0].size} of width {table.shape[1]}")
+        out += t.data[idx]
 
     def rule(g):
-        buf = np.zeros_like(table.data)
-        if idx.size:
-            order = np.argsort(idx, kind="stable")
-            ids = idx[order]
-            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-            buf[ids[starts]] = np.add.reduceat(g[order], starts, axis=0)
-        return (buf,)
+        return tuple(_row_sums(g, idx, t.shape) if t.requires_grad else None
+                     for t, idx in zip(tables, idxs))
 
-    return _make(table.data[idx], "embedding", (table,), rule)
+    return _make(out, "embedding", tables, rule)
 
 
 def sum_all(a):
@@ -400,25 +427,31 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
         hidden = ahead if hidden is None else ahead | hidden
     norm = 1.0 / float(np.sqrt(hd))
 
-    qh, kh, vh = _split(q.data, qslot, b, lq, heads), keys.k, keys.v
-    z = qh @ kh.swapaxes(2, 3)
+    def split(x, slot, rows):
+        return _split(x, slot, b, rows, heads)
+
+    z = split(q.data, qslot, lq) @ keys.k.swapaxes(2, 3)
     z *= norm
     if hidden is not None:
         z += np.where(hidden, _NEG_INF, 0.0)[:, None]
     z -= z.max(axis=3, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=3, keepdims=True)
-    out = _merge(p @ vh, qslot)
+    out = _merge(p @ keys.v, qslot)
 
     def rule(g):
-        gh = _split(g, qslot, b, lq, heads)
+        # q, k and v are split afresh from the parents' packed rows: holding
+        # their padded copies until backward would keep each side twice
+        gh = split(g, qslot, lq)
+        kh, vh = ((layout.k, layout.v) if layout is not None
+                  else (split(k.data, kslot, lk), split(v.data, kslot, lk)))
         dp = gh @ vh.swapaxes(2, 3)
         dz = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * norm
         dq = _merge(dz @ kh, qslot) if q.requires_grad else None
         if layout is not None:
             return (dq,)
         dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if v.requires_grad else None
-        dk = _merge(dz.swapaxes(2, 3) @ qh, kslot) if k.requires_grad else None
+        dk = _merge(dz.swapaxes(2, 3) @ split(q.data, qslot, lq), kslot) if k.requires_grad else None
         return dq, dk, dv
 
     return _make(out, "attention", (q,) if layout is not None else (q, k, v), rule)
@@ -475,10 +508,12 @@ def dropout(a, rate, rng):
         raise ContractError(f"dropout: rate {rate} outside [0, 1)")
     if rate == 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate)
+    keep = rng.random(a.shape) >= rate
     factor = 1.0 / (1.0 - rate)
-    mask = keep.astype(np.float64) * factor
-    return _make(a.data * mask, "dropout", (a,), lambda g: (g * mask,))
+    # x * 1.0 and x * 0.0 are exact and 1.0 * factor is factor, so the bool
+    # mask gives the bytes of a float64 one, signed zeros, infinities and
+    # NaNs included, and the node keeps one byte an element, not eight
+    return _make(a.data * keep * factor, "dropout", (a,), lambda g: (g * keep * factor,))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ that alone sees the sample bounds, and packed offsets are its only layout:
 it pads the rows inside itself, keeps each sample's queries on its own keys
 and gathers back. A batch's input rows are one gather from one table of
 every sample's token embeddings, the projected acoustic and visual frames
-and the mask vectors, so masking a token or a frame is a choice of row. The
+and the mask vectors, so masking a token or a frame is a choice of row; the
+same node adds each row's type, position and dataset embeddings. The
 decoder's rows are B samples of n ids each, which is the packed layout with
 equal offsets; its self-attention is causal and its cross-attention reads
 the packed encoder rows through their offsets. ``encode``,
@@ -252,9 +253,12 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
     Each sample's stream is its prompt tokens, then its modal frames, and
     every per-row op runs on the N stream rows alone; only attention sees
     the sample bounds. A masked token reads the mask id's embedding, a
-    masked frame its modality's mask vector. A stream holding the pad token
-    is a ContractError: no builder emits one, and every row counts as a
-    real position.
+    masked frame its modality's mask vector. The input rows are one
+    ``ad.embedding`` node: a gather from the table of every block's rows,
+    with each position's type, position and dataset embedding rows added
+    in place, so no gathered block or partial sum outlives the node. A
+    stream holding the pad token is a ContractError: no builder emits one,
+    and every row counts as a real position.
     """
     tokens, frames = [], {"acoustic": [], "visual": []}
     src, rows = [], []  # the block, and the row in it, that each position reads
@@ -307,11 +311,10 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
         if (src == block + 2).any():
             table[block + 2] = ad.reshape(params[f"mask_vec_{kind}"], (1, d))
     first = np.cumsum([0] + [table[b].shape[0] if b in table else 0 for b in range(len(_BLOCK_TYPE))])
-    x = ad.embedding(ad.concat_rows([table[b] for b in sorted(table)]), first[src] + rows)
-    x = ad.add(x, ad.embedding(params["type_emb"], _BLOCK_TYPE[src]))
-    x = ad.add(x, ad.embedding(params["pos_emb"], pos_ids))
-    x = ad.add(x, ad.embedding(params["dataset_emb"],
-                               np.array([ps.dataset_index for ps in prompts]).repeat(lengths)))
+    x = ad.embedding(ad.concat_rows([table[b] for b in sorted(table)]), first[src] + rows,
+                     (params["type_emb"], _BLOCK_TYPE[src]), (params["pos_emb"], pos_ids),
+                     (params["dataset_emb"],
+                      np.array([ps.dataset_index for ps in prompts]).repeat(lengths)))
     x = _maybe_dropout(x, config, train, rng)
 
     for i in range(config.layers_enc):
@@ -614,11 +617,13 @@ def generate(ps, params, config, vocab, max_new=8):
 # checkpoints
 
 
-def save_checkpoint(path, config, arrays, meta=None):
+def save_checkpoint(path, config, arrays, meta=None, copies=()):
     """Write a self-contained checkpoint: fixed magic, version, a JSON header
     (model config, metadata, array manifest, payload CRC-32), then raw
     little-endian array bytes. Byte-stable for identical inputs, and atomic:
-    the file at ``path`` is either the old one or the complete new one."""
+    the file at ``path`` is either the old one or the complete new one. Each
+    path of ``copies`` then gets the same bytes, written the same way, from
+    the one serialization."""
     manifest = []
     blobs = []
     offset = crc = 0
@@ -645,8 +650,10 @@ def save_checkpoint(path, config, arrays, meta=None):
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     # a crash mid-write never leaves a torn checkpoint or truncates the one
     # being resumed from
-    write_file_atomic(path, [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
-                             header_bytes, *blobs], sync=True)
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)),
+              header_bytes, *blobs]
+    for target in (path, *copies):
+        write_file_atomic(target, chunks, sync=True)
 
 
 def load_checkpoint(path):

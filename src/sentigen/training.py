@@ -460,7 +460,7 @@ class _Run:
             raise NumericError(f"non-finite gradient norm {norm} at step {self.step}")
         self.adam.step(self.params)
 
-    def save(self, path, pools_state):
+    def save(self, path, pools_state, copies=()):
         meta = {
             "stage": self.stage,
             "step": self.step,
@@ -476,8 +476,7 @@ class _Run:
         arrays.update(self.adam.state_arrays())
         if self.pseudo is not None:
             arrays["pseudo"] = self.pseudo
-        save_checkpoint(path, self.model_config, arrays, meta=meta)
-        return Path(path)
+        save_checkpoint(path, self.model_config, arrays, meta=meta, copies=copies)
 
     def drive(self, pools, units_per_pass, step, validate=None):
         """Run the stage to its last step and return the final checkpoint path.
@@ -499,7 +498,7 @@ class _Run:
                        {"train": cfg.to_json(), "model": self.model_config.to_json()})
         total_steps = (cfg.max_steps if cfg.max_steps is not None
                        else cfg.epochs * max(1, units_per_pass // cfg.batch_size))
-        logs = []
+        logs, due = [], []
         try:
             logs.append(self.open_log(self.out_dir / "metrics.jsonl"))
             if validate is not None:
@@ -512,13 +511,18 @@ class _Run:
                 del total  # the step's graph: drop it before the next step builds its own
                 self.log_step(logs[0], report)
                 if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
-                    self.save(self.out_dir / f"checkpoint_step{self.step}.ckpt", pools.state())
+                    due = [self.out_dir / f"checkpoint_step{self.step}.ckpt"]
+                    if self.step < total_steps:  # the last step's is written with the final one
+                        self.save(due.pop(), pools.state())
                 if validate is not None:
                     validate(logs[1])
         finally:
             for fh in logs:
                 fh.close()
-        return self.save(self.out_dir / "checkpoint.ckpt", pools.state())
+        # a last step that is also a checkpoint step serializes its state once, for both files
+        paths = due + [self.out_dir / "checkpoint.ckpt"]
+        self.save(paths[0], pools.state(), copies=paths[1:])
+        return paths[-1]
 
 
 def _augmented_prompt(run, ps):

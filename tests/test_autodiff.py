@@ -318,6 +318,117 @@ def test_embedding_backward_matches_scatter_add():
         assert np.all(got[np.setdiff1d(np.arange(30), ids)] == 0.0)
 
 
+def old_chain(pairs):
+    """The encoder's input rows as they were built before ``embedding`` took
+    extra pairs: one gather per table and an ``add`` node per extra pair."""
+    (table, ids), *rest = pairs
+    x = ad.embedding(table, ids)
+    for t, i in rest:
+        x = ad.add(x, ad.embedding(t, i))
+    return x
+
+
+def input_pairs(rng, n=40):
+    """Four tables of width 5 and their ids, repeats included."""
+    return [(rand_leaf(rng, rows, 5), rng.integers(0, rows, size=n)) for rows in (9, 3, 12, 4)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_summed_embedding_equals_the_add_chain_bitwise(seed):
+    """One ``embedding`` node over four (table, ids) pairs gives the floats
+    of a gather per table plus three ``add`` nodes, the output and every
+    table's gradient bit for bit."""
+    rng = np.random.default_rng(700 + seed)
+    pairs = input_pairs(rng)
+    up = ad.constant(rng.normal(size=(40, 5)))
+    tables = [t for t, _ in pairs]
+
+    def grads(out):
+        ad.zero_grads(tables)
+        ad.backward(ad.sum_all(ad.mul(out, up)))
+        return [t.grad.copy() for t in tables]
+
+    fused, chain = ad.embedding(*pairs[0], *pairs[1:]), old_chain(pairs)
+    assert fused.op == "embedding" and fused.parents == tuple(tables)
+    assert np.array_equal(fused.data, chain.data)
+    for got, want in zip(grads(fused), grads(chain)):
+        assert np.array_equal(got, want)
+
+
+def test_summed_embedding_matches_fd_and_checks_its_pairs():
+    rng = np.random.default_rng(31)
+    pairs = input_pairs(rng, n=7)
+    w = ad.constant(rng.normal(size=(7, 5)))
+    fn = lambda _: ad.sum_all(ad.mul(ad.gelu(ad.embedding(*pairs[0], *pairs[1:])), w))
+    for table, _ in pairs:
+        assert ad.finite_diff_check(fn, table) < 1e-6
+    for k in range(4):
+        for bad in (-1, pairs[k][0].shape[0]):
+            ids = pairs[k][1].copy()
+            ids[3] = bad
+            broken = pairs[:k] + [(pairs[k][0], ids)] + pairs[k + 1:]
+            with pytest.raises(IndexError):
+                ad.embedding(*broken[0], *broken[1:])
+    with pytest.raises(ShapeError):  # a pair of another width
+        ad.embedding(*pairs[0], (rand_leaf(rng, 3, 4), [0] * 7))
+    with pytest.raises(ShapeError):  # a pair of another row count
+        ad.embedding(*pairs[0], (pairs[1][0], [0] * 6))
+
+
+def attention_keeping_copies(q, k, v, heads, q_off, k_off, g, causal):
+    """``attention``'s forward and backward as they were when the node kept
+    its padded copies of q, k and v for the rule: returns the output and the
+    q, k and v gradients for upstream gradient ``g``."""
+    qoff, qlen, qmin, lq = ad._segments(q_off, q.shape[0], "attention")
+    koff, klen, kmin, lk = ad._segments(k_off, k.shape[0], "attention")
+    qslot, kslot = ad._padded_slots(qoff, qlen, qmin, lq), ad._padded_slots(koff, klen, kmin, lk)
+    b, hd = len(qlen), q.shape[1] // heads
+    qh, kh, vh = (ad._split(x, slot, b, rows, heads)
+                  for x, slot, rows in ((q, qslot, lq), (k, kslot, lk), (v, kslot, lk)))
+    hidden = None if kmin == lk else (np.arange(lk) >= klen[:, None])[:, None]
+    if causal and lq > 1:
+        ahead = np.arange(lk) > np.arange(lq)[:, None] + (klen - qlen)[:, None, None]
+        hidden = ahead if hidden is None else ahead | hidden
+    norm = 1.0 / float(np.sqrt(hd))
+    z = qh @ kh.swapaxes(2, 3)
+    z *= norm
+    if hidden is not None:
+        z += np.where(hidden, ad._NEG_INF, 0.0)[:, None]
+    z -= z.max(axis=3, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= p.sum(axis=3, keepdims=True)
+    out = ad._merge(p @ vh, qslot)
+    gh = ad._split(g, qslot, b, lq, heads)
+    dp = gh @ vh.swapaxes(2, 3)
+    dz = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * norm
+    return (out, ad._merge(dz @ kh, qslot), ad._merge(dz.swapaxes(2, 3) @ qh, kslot),
+            ad._merge(p.swapaxes(2, 3) @ gh, kslot))
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_attention_rule_equals_the_copy_keeping_rule_bitwise(causal):
+    """Uneven query and key sides, so both are scattered into padded
+    buffers: the output and the q, k and v gradients equal, bit for bit,
+    those of the rule that kept its padded copies, and the node's rule holds
+    no array of the padded layout but ``p``."""
+    rng = np.random.default_rng(800 + causal)
+    for q_len, k_len, heads in (([1, 3, 2], [1, 4, 3], 2), ([2, 1, 1, 2], [2, 1, 5, 4], 1),
+                                ([3, 1], [3, 3], 4), ([2, 2], [4, 1], 2)):
+        if causal and any(a > b for a, b in zip(q_len, k_len)):
+            continue
+        q, q_off = packed_rows(rng, q_len, 8)
+        k, k_off = packed_rows(rng, k_len, 8)
+        v = rand_leaf(rng, sum(k_len), 8)
+        g = rng.normal(size=q.shape)
+        node = ad.attention(q, k, v, heads, q_off, k_off, causal)
+        want = attention_keeping_copies(q.data, k.data, v.data, heads, q_off, k_off, g, causal)
+        for got, ref in zip((node.data,) + node._rule(g), want):
+            assert np.array_equal(got, ref)
+        held = [c.cell_contents for c in node._rule.__closure__]
+        padded = [a for a in held if isinstance(a, np.ndarray) and a.ndim == 4]
+        assert len(padded) == 1 and padded[0].shape == (len(q_len), heads, max(q_len), max(k_len))
+
+
 def test_matmul_gives_a_constant_parent_no_gradient():
     rng = np.random.default_rng(19)
     c, x = ad.constant(rng.normal(size=(3, 4))), rand_leaf(rng, 4, 2)
@@ -501,6 +612,30 @@ def test_dropout_semantics():
     assert set(vals.tolist()) <= {0.0, 2.0}  # inverted scaling by 1/(1-rate)
     ad.backward(ad.sum_all(kept))
     assert np.array_equal(x.grad, np.where(kept.data > 0, 2.0, 0.0))
+
+
+def test_dropout_bytes_equal_the_float_mask_and_keep_a_bool_mask():
+    """Scaling by the bool keep mask and then by 1 / (1 - rate) gives the
+    bytes of one multiply by the float mask, forward and backward, on
+    negatives, signed zeros, infinities, NaNs (a payload and a sign kept)
+    and subnormals; and the rule holds the bool mask, no float64 one."""
+    specials = np.array([-3.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e308,
+                         np.frombuffer(bytes.fromhex("230100000000f8ff"), dtype=np.float64)[0]])
+    rng = np.random.default_rng(41)
+    x = np.concatenate([specials, rng.normal(size=54)]).reshape(8, 8)
+    g = x[::-1].copy()
+    for rate in (0.1, 0.5, 0.3):
+        seed = int(rng.integers(1 << 30))
+        keep = np.random.default_rng(seed).random(x.shape) >= rate
+        mask = keep.astype(np.float64) * (1.0 / (1.0 - rate))
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 overflows, inf * 0 is NaN
+            node = ad.dropout(leaf(x), rate, np.random.default_rng(seed))
+            (dx,) = node._rule(g)
+            assert node.data.tobytes() == (x * mask).tobytes()
+            assert dx.tobytes() == (g * mask).tobytes()
+        held = [c.cell_contents for c in node._rule.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert [a.dtype for a in arrays] == [np.bool_] and np.array_equal(arrays[0], keep)
 
 
 def test_parameter_and_grad_norm():
