@@ -1,26 +1,28 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Deliberately small and CPU-only: row-major numpy storage, a dynamically
-recorded op graph, and a central-difference checker that the test suite uses
-as an independent oracle for every backward rule. All math runs in 64-bit
-floats so gradient checks are limited by truncation error, not rounding.
+recorded op graph, and 64-bit math throughout, so the tests' central
+difference checks are limited by truncation error, not rounding.
 
-Each op records its parents and a backward rule. A rule maps the gradient of
-the op's output to a tuple of gradients aligned with ``parents`` (``None``
-where a parent needs none). ``backward`` walks the graph once in reverse
-topological order, sums every tensor's incoming gradients in one dict, and
-writes each leaf's ``.grad`` once, into a buffer that leaf owns.
+An op records a ``Node``: its name, its parents' vertices (a leaf tensor is
+its own vertex), a backward rule, and a weak reference to its output
+``Tensor``, which alone holds the output array. A rule maps the output's
+gradient to one gradient per parent (``None`` where a parent needs none) and
+captures only the arrays, shapes and flags it reads, so an output no rule
+reads is freed once the caller drops its tensor. ``backward`` walks the graph
+once in reverse topological order, sums each vertex's incoming gradients in
+one dict, writes each leaf's ``.grad`` once, into a buffer that leaf owns,
+and consumes the graph: a vertex drops its rule and edges once it has passed
+its gradients on, so the arrays the rule held are freed during the pass.
 
-Each node keeps its output until the graph is dropped, and its rule keeps
-only what it reads, so a step's graph holds little besides the outputs.
-``linear`` (matmul plus bias) and ``layer_norm``'s ``residual`` (add, then
-normalise) each fuse two nodes into one, and ``embedding`` with extra
-``(table, ids)`` pairs sums several gathers in one: the same floats in the
-same order, one array kept. ``attention`` keeps its softmax weights, not
-the padded copies of q, k and v it splits, and ``dropout`` keeps a bool
-mask, not a float64 one.
+``linear``, ``layer_norm``'s ``residual`` and ``embedding``'s extra
+``(table, ids)`` pairs each fuse several nodes into one, with the same floats
+in the same order; ``attention``'s rule keeps its softmax weights, not padded
+copies of q, k and v, and ``dropout``'s a bool mask.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -36,29 +38,29 @@ def _as_f64(data):
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A dense float64 array, an optional gradient buffer, and the ``Node``
+    of the op that made it (``node``; None for a leaf). An op whose inputs
+    all lack ``requires_grad`` records none, so a pass over constants leaves
+    no graph. Data is immutable once an op has read it; gradients accumulate
+    across backward calls until ``zero_grad``."""
 
-    Tensors produced by ops keep references to their parents and a backward
-    rule; ``backward`` walks that graph in reverse topological order. An op
-    whose inputs all lack ``requires_grad`` records nothing, so a forward pass
-    over constants (frozen parameters, say) leaves no graph behind. Data is
-    treated as immutable once a tensor has been consumed by an op; gradients
-    accumulate across repeated backward calls until ``zero_grad``.
-    """
+    __slots__ = ("data", "grad", "requires_grad", "op", "node", "__weakref__")
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_rule")
-
-    def __init__(self, data, requires_grad=False, op="leaf", parents=()):
+    def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = _as_f64(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = op
-        self.parents = tuple(parents)
-        self._rule = None
+        self.node = None
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def parents(self):
+        """The parents of this tensor's op (see ``Node.parents``)."""
+        return () if self.node is None else self.node.parents
 
     def item(self):
         if self.data.size != 1:
@@ -72,21 +74,35 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class Node:
+    """A graph vertex, holding no output: the op's name, its parents'
+    vertices (``inputs``), its backward rule, and a weak reference to the
+    tensor it computed (``out``). ``backward`` empties ``rule`` and
+    ``inputs`` once the vertex has passed its gradients on."""
+
+    __slots__ = ("op", "inputs", "rule", "out", "__weakref__")
+    requires_grad = True  # a vertex is recorded only on a path to a leaf that needs one
+
+    def __init__(self, op, inputs, rule, out):
+        self.op, self.inputs, self.rule, self.out = op, inputs, rule, weakref.ref(out)
+
+    @property
+    def parents(self):
+        """Each parent's tensor while it is alive, else its vertex, which has
+        ``op`` and ``parents`` too: a walk sees every vertex once."""
+        return tuple(v if type(v) is Tensor else v.out() or v for v in self.inputs)
+
+
 def constant(data):
     return Tensor(data, requires_grad=False, op="const")
 
 
 def _make(data, op, parents, rule):
-    if not any(p.requires_grad for p in parents):
-        return Tensor(data, op=op)
-    out = Tensor(data, requires_grad=True, op=op, parents=parents)
-    out._rule = rule
+    out = Tensor(data, op=op)
+    if any([p.requires_grad for p in parents]):  # a list: faster than a generator on 1-3 parents
+        out.requires_grad = True
+        out.node = Node(op, [p.node or p for p in parents], rule, out)
     return out
-
-
-def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values produced by {op}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +118,8 @@ def add(a, b):
 def mul(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    return _make(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
+    x, y = a.data, b.data
+    return _make(x * y, "mul", (a, b), lambda g: (g * y, g * x))
 
 
 def scale(a, s):
@@ -120,8 +137,8 @@ def div(a, b):
         raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
     if np.any(b.data == 0.0):
         raise NumericError("div: division by zero")
-    return _make(a.data / b.data, "div", (a, b),
-                 lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
+    x, y = a.data, b.data
+    return _make(x / y, "div", (a, b), lambda g: (g / y, -g * x / (y * y)))
 
 
 def matmul(a, b):
@@ -130,11 +147,11 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
 
-    def rule(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
-
-    return _make(a.data @ b.data, "matmul", (a, b), rule)
+    # each operand is read only for the other's gradient
+    x = a.data if b.requires_grad else None
+    y = b.data if a.requires_grad else None
+    return _make(a.data @ b.data, "matmul", (a, b),
+                 lambda g: (None if y is None else g @ y.T, None if x is None else x.T @ g))
 
 
 def linear(x, w, b):
@@ -143,11 +160,11 @@ def linear(x, w, b):
         raise ShapeError(f"linear: incompatible x {x.shape}, w {w.shape}, b {b.shape}")
     out = x.data @ w.data
     out += b.data
+    xd = x.data if w.requires_grad else None
+    wd = w.data if x.requires_grad else None
 
     def rule(g):
-        return (g @ w.data.T if x.requires_grad else None,
-                x.data.T @ g if w.requires_grad else None,
-                g.sum(axis=0))
+        return (None if wd is None else g @ wd.T, None if xd is None else xd.T @ g, g.sum(axis=0))
 
     return _make(out, "linear", (x, w, b), rule)
 
@@ -162,7 +179,8 @@ def reshape(a, shape):
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    return _make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(a.shape),))
+    before = a.shape
+    return _make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(before),))
 
 
 def concat_rows(parts):
@@ -222,17 +240,19 @@ def embedding(table, ids, *summed):
             raise ShapeError(f"embedding: {idx.size} rows of width {t.shape[1]} do not add "
                              f"onto {idxs[0].size} of width {table.shape[1]}")
         out += t.data[idx]
+    shapes = [t.shape if t.requires_grad else None for t in tables]
 
     def rule(g):
-        return tuple(_row_sums(g, idx, t.shape) if t.requires_grad else None
-                     for t, idx in zip(tables, idxs))
+        return tuple(None if shape is None else _row_sums(g, idx, shape)
+                     for shape, idx in zip(shapes, idxs))
 
     return _make(out, "embedding", tables, rule)
 
 
 def sum_all(a):
+    shape = a.shape
     return _make(a.data.sum(), "sum_all", (a,),
-                 lambda g: (np.full_like(a.data, float(np.asarray(g).reshape(()))),))
+                 lambda g: (np.full(shape, float(np.asarray(g).reshape(()))),))
 
 
 def _segments(offsets, rows, op):
@@ -319,13 +339,15 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
     var = (xc * xc).sum(axis=1, keepdims=True) / n  # what np.var computes, without its own centring pass
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    gd = gain.data
+    out = xhat * gd + bias.data
     parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
+    inputs = len(parents) - 2
 
     def rule(g):
-        h = g * gain.data
+        h = g * gd
         dx = inv * (h - h.sum(axis=1, keepdims=True) / n - xhat * ((h * xhat).sum(axis=1, keepdims=True) / n))
-        return (dx,) * (len(parents) - 2) + ((g * xhat).sum(axis=0), g.sum(axis=0))
+        return (dx,) * inputs + ((g * xhat).sum(axis=0), g.sum(axis=0))
 
     return _make(out, "layer_norm", parents, rule)
 
@@ -439,19 +461,23 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     p /= p.sum(axis=3, keepdims=True)
     out = _merge(p @ keys.v, qslot)
 
+    # the rule splits q, k and v afresh from their packed rows: holding the
+    # padded copies until backward would keep each side twice
+    want_q, want_k, want_v = (t is not None and t.requires_grad for t in (q, k, v))
+    qd = q.data if want_k else None
+    kd, vd = (None, None) if layout is not None else (k.data, v.data)
+
     def rule(g):
-        # q, k and v are split afresh from the parents' packed rows: holding
-        # their padded copies until backward would keep each side twice
         gh = split(g, qslot, lq)
         kh, vh = ((layout.k, layout.v) if layout is not None
-                  else (split(k.data, kslot, lk), split(v.data, kslot, lk)))
+                  else (split(kd, kslot, lk), split(vd, kslot, lk)))
         dp = gh @ vh.swapaxes(2, 3)
         dz = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * norm
-        dq = _merge(dz @ kh, qslot) if q.requires_grad else None
+        dq = _merge(dz @ kh, qslot) if want_q else None
         if layout is not None:
             return (dq,)
-        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if v.requires_grad else None
-        dk = _merge(dz.swapaxes(2, 3) @ split(q.data, qslot, lq), kslot) if k.requires_grad else None
+        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v else None
+        dk = _merge(dz.swapaxes(2, 3) @ split(qd, qslot, lq), kslot) if want_k else None
         return dq, dk, dv
 
     return _make(out, "attention", (q,) if layout is not None else (q, k, v), rule)
@@ -475,7 +501,8 @@ def softmax_cross_entropy(logits, targets):
     lse = np.log(np.exp(z).sum(axis=1))
     losses = lse - z[np.arange(b), idx]
     out = losses.mean()
-    _check_finite(out, "softmax_cross_entropy")
+    if not np.isfinite(out):
+        raise NumericError("non-finite values produced by softmax_cross_entropy")
 
     def rule(g):
         p = np.exp(z)
@@ -493,9 +520,10 @@ def gather_cols(a, cols):
     idx = np.asarray(cols, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
         raise IndexError(f"gather_cols: column outside [0, {a.shape[1]})")
+    shape = a.shape
 
     def rule(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(shape)
         np.add.at(buf.T, idx, g.T)
         return (buf,)
 
@@ -520,11 +548,11 @@ def dropout(a, rate, rng):
 # graph walking
 
 
-def _topological_order(out):
-    """Every tensor reachable from ``out``, each after all of its parents."""
-    order = []
-    seen = set()
-    stack = [(out, False)]
+def _topological_order(loss):
+    """Every vertex behind the tensor ``loss``, each after all of its
+    parents: a ``Node``, or a leaf ``Tensor``."""
+    order, seen = [], set()
+    stack = [(loss.node or loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -534,9 +562,8 @@ def _topological_order(out):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+        if type(node) is Node:
+            stack.extend((p, False) for p in node.inputs if id(p) not in seen)
     return order
 
 
@@ -544,19 +571,23 @@ def backward(loss):
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires-grad leaf.
 
     ``loss`` must hold a single value. Gradients add onto whatever is already
-    stored, so callers reset with ``zero_grads`` between steps.
+    stored, so callers reset with ``zero_grads`` between steps. The pass
+    consumes the graph, so backward through a vertex an earlier call
+    consumed is a ContractError, raised before any ``.grad`` changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data.reshape(())):
         raise NumericError("backward: loss is not finite")
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(_topological_order(loss)):
+    order = _topological_order(loss)
+    if any(type(v) is Node and v.rule is None for v in order):
+        raise ContractError("backward: the graph was consumed by an earlier backward")
+    grads = {id(order[-1]): np.ones_like(loss.data)}
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._rule is None:
-            if node.requires_grad:
+        if type(node) is Tensor:
+            if g is not None and node.requires_grad:
                 # a rule may hand several parents one array, or a view of
                 # its input: copy so each leaf owns the buffer it is given
                 if node.grad is None:
@@ -564,10 +595,12 @@ def backward(loss):
                 else:
                     node.grad += g
             continue
-        for p, pg in zip(node.parents, node._rule(g)):
-            if pg is not None and p.requires_grad:
-                prev = grads.get(id(p))
-                grads[id(p)] = pg if prev is None else prev + pg
+        if g is not None:
+            for p, pg in zip(node.inputs, node.rule(g)):
+                if pg is not None and p.requires_grad:
+                    prev = grads.get(id(p))
+                    grads[id(p)] = pg if prev is None else prev + pg
+        node.rule, node.inputs = None, ()
 
 
 def zero_grads(tensors):
@@ -581,36 +614,3 @@ def global_grad_norm(tensors):
         if t.grad is not None:
             total += float((t.grad * t.grad).sum())
     return float(np.sqrt(total))
-
-
-def finite_diff_check(f, x, eps=1e-5):
-    """Compare analytic gradients of ``f`` at ``x`` against central differences.
-
-    ``f`` must be a pure function of ``x.data`` returning a scalar tensor.
-    Returns the maximum over coordinates of
-    |analytic - central| / max(1, |central|).
-    """
-    x.zero_grad()
-    out = f(x)
-    if out.data.size != 1:
-        raise ContractError("finite_diff_check: f must return a scalar")
-    backward(out)
-    if x.grad is None:
-        analytic = np.zeros_like(x.data)
-    else:
-        analytic = x.grad.copy()
-    worst = 0.0
-    flat = x.data.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x).item()
-        flat[i] = orig - eps
-        lo = f(x).item()
-        flat[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericError("finite_diff_check: non-finite evaluation")
-        central = (hi - lo) / (2.0 * eps)
-        err = abs(analytic.reshape(-1)[i] - central) / max(1.0, abs(central))
-        worst = max(worst, err)
-    return worst

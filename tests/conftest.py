@@ -4,8 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from sentigen.autodiff import backward, finite_diff_check, zero_grads
+from sentigen.autodiff import backward, zero_grads
 from sentigen.cli import make_synthetic_corpus
+from sentigen.errors import ContractError, NumericError
 from sentigen.data import Registry, load_corpus
 from sentigen.model import ModelConfig, init_params
 from sentigen.prompt import build_vocab
@@ -76,6 +77,39 @@ def grad_of(loss_fn, params, name):
     backward(loss_fn())
     g = params[name].grad
     return np.zeros_like(params[name].data) if g is None else g.copy()
+
+
+def finite_diff_check(f, x, eps=1e-5):
+    """Compare analytic gradients of ``f`` at ``x`` against central differences.
+
+    ``f`` must be a pure function of ``x.data`` returning a scalar tensor.
+    Returns the maximum over coordinates of
+    |analytic - central| / max(1, |central|).
+    """
+    x.zero_grad()
+    out = f(x)
+    if out.data.size != 1:
+        raise ContractError("finite_diff_check: f must return a scalar")
+    backward(out)
+    if x.grad is None:
+        analytic = np.zeros_like(x.data)
+    else:
+        analytic = x.grad.copy()
+    worst = 0.0
+    flat = x.data.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = f(x).item()
+        flat[i] = orig - eps
+        lo = f(x).item()
+        flat[i] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NumericError("finite_diff_check: non-finite evaluation")
+        central = (hi - lo) / (2.0 * eps)
+        err = abs(analytic.reshape(-1)[i] - central) / max(1.0, abs(central))
+        worst = max(worst, err)
+    return worst
 
 
 def fd_check_param(loss_fn, params, name):

@@ -28,6 +28,8 @@ from sentigen.prompt import Vocab, build_prompt, build_vocab, combine_queries, r
 from sentigen.training import (TrainConfig, gold_token_ids, run_finetune, run_pretrain_stage1,
                                task_average_sample, task_pools)
 
+from conftest import finite_diff_check
+
 CRITERION_LINES = []
 
 
@@ -154,7 +156,7 @@ def test_c02_gradient_fidelity(acc):
                     params, config, vocab),
             }
             for loss_name, f in losses.items():
-                err = ad.finite_diff_check(lambda t: f(), params[name])
+                err = finite_diff_check(lambda t: f(), params[name])
                 assert err <= 1e-4, f"{loss_name} vs {name} at seed {seed}: {err}"
                 worst[loss_name] = max(worst.get(loss_name, 0.0), err)
 

@@ -1,10 +1,13 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import sentigen.autodiff as ad
 from sentigen.errors import ContractError, NumericError, ShapeError
+
+from conftest import finite_diff_check
 
 
 def leaf(arr, rng=None):
@@ -41,8 +44,8 @@ def test_matmul_shape_and_grads():
     out = ad.matmul(a, b)
     assert out.data.shape == (3, 2)
     loss_fn = lambda t: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b)))
-    assert ad.finite_diff_check(loss_fn, a) < 1e-6
-    assert ad.finite_diff_check(loss_fn, b) < 1e-6
+    assert finite_diff_check(loss_fn, a) < 1e-6
+    assert finite_diff_check(loss_fn, b) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,7 @@ def test_elementwise_ops_match_fd(seed):
     }
     for name, fn in cases.items():
         for t in (a, b, row, w):
-            assert ad.finite_diff_check(lambda _: fn(), t) < 1e-6, name
+            assert finite_diff_check(lambda _: fn(), t) < 1e-6, name
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -82,8 +85,8 @@ def test_structural_ops_match_fd(seed):
         tr = ad.transpose(ad.reshape(cols, (2, 5)))
         return ad.sum_all(ad.mul(tr, tr))
 
-    assert ad.finite_diff_check(lambda _: fn(), a) < 1e-6
-    assert ad.finite_diff_check(lambda _: fn(), b) < 1e-6
+    assert finite_diff_check(lambda _: fn(), a) < 1e-6
+    assert finite_diff_check(lambda _: fn(), b) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -105,7 +108,7 @@ def test_reduction_norm_softmax_match_fd(seed):
     }
     for name, fn in cases.items():
         for t in (a, gain, bias):
-            assert ad.finite_diff_check(lambda _: fn(), t) < 1e-6, name
+            assert finite_diff_check(lambda _: fn(), t) < 1e-6, name
 
 
 def test_embedding_rows_and_fd():
@@ -115,7 +118,7 @@ def test_embedding_rows_and_fd():
     out = ad.embedding(table, ids)
     assert out.data.shape == (4, 4)
     loss_fn = lambda _: ad.sum_all(ad.mul(ad.embedding(table, ids), ad.embedding(table, ids)))
-    assert ad.finite_diff_check(loss_fn, table) < 1e-6
+    assert finite_diff_check(loss_fn, table) < 1e-6
     ad.zero_grads([table])
     ad.backward(ad.sum_all(ad.embedding(table, ids)))
     # repeated index accumulates, untouched rows stay exactly zero
@@ -165,7 +168,7 @@ def check_attention(rng, heads, d, q_len, k_len, causal):
     w = ad.constant(rng.normal(size=out.shape))
     fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, heads, q_off, k_off, causal), w))
     for t in (q, k, v):
-        assert ad.finite_diff_check(fn, t) < 1e-6
+        assert finite_diff_check(fn, t) < 1e-6
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -263,7 +266,7 @@ def test_segment_mean_matches_per_segment_and_fd():
         assert np.array_equal(out.data[i], ad.segment_mean(ad.constant(rows), [0, len(rows)]).data[0])
         assert np.max(np.abs(out.data[i] - rows.mean(axis=0))) <= 1e-15
     w = ad.constant(rng.normal(size=(4, 4)))
-    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.segment_mean(a, offsets), w)), a) < 1e-6
+    assert finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.segment_mean(a, offsets), w)), a) < 1e-6
     with pytest.raises(ContractError):
         ad.segment_mean(a, [0, 3, 3, 11])  # an empty segment
     with pytest.raises(ShapeError):
@@ -293,7 +296,7 @@ def test_masked_mean_rows_per_sample():
         one = ad.segment_mean(ad.constant(rows), [0, len(rows)])
         assert np.array_equal(out.data[b], one.data[0])
     w = ad.constant(rng.normal(size=(3, 5)))
-    assert ad.finite_diff_check(lambda _: ad.sum_all(ad.mul(pooled(a), w)), a) < 1e-6
+    assert finite_diff_check(lambda _: ad.sum_all(ad.mul(pooled(a), w)), a) < 1e-6
     ad.backward(ad.sum_all(ad.mul(pooled(a), w)))
     assert np.all(a.grad[~keep.ravel()] == 0.0) and np.all(a.grad[kept] != 0.0)
     with pytest.raises(ContractError):
@@ -313,7 +316,7 @@ def test_embedding_backward_matches_scatter_add():
         g = rng.normal(size=(len(ids), 6))
         want = np.zeros((30, 6))
         np.add.at(want, ids, g)
-        (got,) = ad.embedding(table, ids)._rule(g)
+        (got,) = ad.embedding(table, ids).node.rule(g)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
         assert np.all(got[np.setdiff1d(np.arange(30), ids)] == 0.0)
 
@@ -361,7 +364,7 @@ def test_summed_embedding_matches_fd_and_checks_its_pairs():
     w = ad.constant(rng.normal(size=(7, 5)))
     fn = lambda _: ad.sum_all(ad.mul(ad.gelu(ad.embedding(*pairs[0], *pairs[1:])), w))
     for table, _ in pairs:
-        assert ad.finite_diff_check(fn, table) < 1e-6
+        assert finite_diff_check(fn, table) < 1e-6
     for k in range(4):
         for bad in (-1, pairs[k][0].shape[0]):
             ids = pairs[k][1].copy()
@@ -420,11 +423,11 @@ def test_attention_rule_equals_the_copy_keeping_rule_bitwise(causal):
         k, k_off = packed_rows(rng, k_len, 8)
         v = rand_leaf(rng, sum(k_len), 8)
         g = rng.normal(size=q.shape)
-        node = ad.attention(q, k, v, heads, q_off, k_off, causal)
+        out = ad.attention(q, k, v, heads, q_off, k_off, causal)
         want = attention_keeping_copies(q.data, k.data, v.data, heads, q_off, k_off, g, causal)
-        for got, ref in zip((node.data,) + node._rule(g), want):
+        for got, ref in zip((out.data,) + out.node.rule(g), want):
             assert np.array_equal(got, ref)
-        held = [c.cell_contents for c in node._rule.__closure__]
+        held = [c.cell_contents for c in out.node.rule.__closure__]
         padded = [a for a in held if isinstance(a, np.ndarray) and a.ndim == 4]
         assert len(padded) == 1 and padded[0].shape == (len(q_len), heads, max(q_len), max(k_len))
 
@@ -433,9 +436,9 @@ def test_matmul_gives_a_constant_parent_no_gradient():
     rng = np.random.default_rng(19)
     c, x = ad.constant(rng.normal(size=(3, 4))), rand_leaf(rng, 4, 2)
     g = rng.normal(size=(3, 2))
-    assert ad.matmul(c, x)._rule(g)[0] is None
-    assert np.allclose(ad.matmul(c, x)._rule(g)[1], c.data.T @ g)
-    assert ad.matmul(ad.transpose(x), ad.constant(rng.normal(size=(4, 3))))._rule(g.T)[1] is None
+    assert ad.matmul(c, x).node.rule(g)[0] is None
+    assert np.allclose(ad.matmul(c, x).node.rule(g)[1], c.data.T @ g)
+    assert ad.matmul(ad.transpose(x), ad.constant(rng.normal(size=(4, 3)))).node.rule(g.T)[1] is None
 
 
 def fused_cases(rng):
@@ -457,7 +460,7 @@ def test_fused_ops_match_fd(seed):
     }
     for name, (fn, inputs) in cases.items():
         for t in inputs:
-            assert ad.finite_diff_check(lambda _: fn(), t) < 1e-4, name
+            assert finite_diff_check(lambda _: fn(), t) < 1e-4, name
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -492,7 +495,7 @@ def test_linear_gives_a_constant_input_no_gradient():
     rng = np.random.default_rng(23)
     c, w, b = ad.constant(rng.normal(size=(3, 4))), rand_leaf(rng, 4, 2), rand_leaf(rng, 2)
     g = rng.normal(size=(3, 2))
-    dx, dw, db = ad.linear(c, w, b)._rule(g)
+    dx, dw, db = ad.linear(c, w, b).node.rule(g)
     assert dx is None and np.array_equal(dw, c.data.T @ g) and np.array_equal(db, g.sum(axis=0))
     ad.backward(ad.sum_all(ad.linear(c, w, b)))
     assert c.grad is None and w.grad is not None
@@ -503,7 +506,7 @@ def test_linear_gives_a_constant_input_no_gradient():
 def test_ops_over_constants_record_no_graph():
     a = ad.constant(np.ones((2, 2)))
     out = ad.sum_all(ad.matmul(a, ad.transpose(a)))
-    assert out.parents == () and out._rule is None and not out.requires_grad
+    assert out.parents == () and out.node is None and not out.requires_grad
     x = leaf(np.ones((2, 2)))
     assert ad.matmul(a, x).parents == (a, x)
 
@@ -525,7 +528,7 @@ def test_composite_matches_fd(seed):
         return ad.softmax_cross_entropy(h, [0, 3, 2])
 
     for t in (x, w, gain, bias):
-        assert ad.finite_diff_check(lambda _: fn(), t) < 1e-4
+        assert finite_diff_check(lambda _: fn(), t) < 1e-4
 
 
 def test_shared_subexpression_grad():
@@ -546,6 +549,75 @@ def test_grad_accumulates_across_backward_calls():
     assert x.grad is None
 
 
+# each op on fresh parents, and the indices of the parents its rule reads
+RETENTION_CASES = {
+    "add": (lambda p: ad.add(*p), [(3, 4), (3, 4)], set()),
+    "mul": (lambda p: ad.mul(*p), [(3, 4), (3, 4)], {0, 1}),
+    "scale": (lambda p: ad.scale(p[0], 2.0), [(3, 4)], set()),
+    "sub": (lambda p: ad.sub(*p), [(3, 4), (3, 4)], set()),
+    "div": (lambda p: ad.div(*p), [(3, 4), (3, 4)], {0, 1}),
+    "matmul": (lambda p: ad.matmul(*p), [(3, 4), (4, 2)], {0, 1}),
+    "linear": (lambda p: ad.linear(*p), [(3, 4), (4, 2), (2,)], {0, 1}),
+    "transpose": (lambda p: ad.transpose(p[0]), [(3, 4)], set()),
+    "reshape": (lambda p: ad.reshape(p[0], (4, 3)), [(3, 4)], set()),
+    "concat_rows": (lambda p: ad.concat_rows(p), [(3, 4), (2, 4)], set()),
+    "embedding": (lambda p: ad.embedding(p[0], [0, 2, 2], (p[1], [1, 0, 1])), [(3, 4), (2, 4)], set()),
+    "sum_all": (lambda p: ad.sum_all(p[0]), [(3, 4)], set()),
+    "segment_mean": (lambda p: ad.segment_mean(p[0], [0, 1, 3]), [(3, 4)], set()),
+    "sqrt": (lambda p: ad.sqrt(p[0]), [(3, 4)], {}),  # its rule reads its own output
+    "gelu": (lambda p: ad.gelu(p[0]), [(3, 4)], {0}),
+    "layer_norm": (lambda p: ad.layer_norm(*p), [(3, 4), (4,), (4,)], {1}),
+    "residual layer_norm": (lambda p: ad.layer_norm(p[0], p[2], p[3], residual=p[1]),
+                            [(3, 4), (3, 4), (4,), (4,)], {2}),
+    "attention": (lambda p: ad.attention(*p, 2, [0, 1, 3], [0, 2, 3]), [(3, 4), (3, 4), (3, 4)],
+                  {0, 1, 2}),
+    "softmax_cross_entropy": (lambda p: ad.softmax_cross_entropy(p[0], [1, 0, 3]), [(3, 4)], set()),
+    "gather_cols": (lambda p: ad.gather_cols(p[0], [3, 0]), [(3, 4)], set()),
+    "dropout": (lambda p: ad.dropout(p[0], 0.5, np.random.default_rng(0)), [(3, 4)], set()),
+}
+
+
+def fresh_graph(rng, build, shapes):
+    """``sum_all`` over ``build`` of fresh parents (each the output of an op
+    over a leaf of positive values, so no leaf holds its array), with weak
+    references to the parents' arrays. Only the returned loss keeps the
+    graph alive."""
+    parents = [ad.scale(leaf(rng.uniform(0.5, 1.5, size=shape)), 1.0) for shape in shapes]
+    return ad.sum_all(build(parents)), [weakref.ref(p.data) for p in parents]
+
+
+@pytest.mark.parametrize("name", sorted(RETENTION_CASES))
+def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
+    """Once the caller drops its names, exactly the parents whose arrays the
+    op's rule reads survive: ``linear`` x and w, ``matmul``, ``mul`` and
+    ``div`` both operands, ``attention`` q, k and v, ``gelu`` its input,
+    ``layer_norm`` its gain, and no other op any. Backward frees them all."""
+    build, shapes, reads = RETENTION_CASES[name]
+    loss, refs = fresh_graph(np.random.default_rng(61), build, shapes)
+    alive = {i for i, ref in enumerate(refs) if ref() is not None}
+    assert alive == set(reads), name
+    ad.backward(loss)
+    assert all(ref() is None for ref in refs), name
+
+
+def test_backward_on_a_consumed_graph_is_a_contract_error():
+    """Backward consumes the graph; a second call on the same loss is a
+    ContractError that leaves every leaf's gradient as the first call wrote
+    it. So is a call on a new loss over a consumed subgraph."""
+    rng = np.random.default_rng(67)
+    x, w, b = rand_leaf(rng, 3, 4), rand_leaf(rng, 4, 2), rand_leaf(rng, 2)
+    h = ad.gelu(ad.linear(x, w, b))
+    loss = ad.sum_all(ad.mul(h, h))
+    ad.backward(loss)
+    first = [t.grad.copy() for t in (x, w, b)]
+    for again in (loss, ad.sum_all(h)):
+        with pytest.raises(ContractError, match="consumed"):
+            ad.backward(again)
+        for t, g in zip((x, w, b), first):
+            assert np.array_equal(t.grad, g)
+    assert loss.node.rule is None and loss.node.inputs == () and loss.parents == ()
+
+
 def test_backward_needs_scalar_and_graph_is_acyclic():
     x = leaf(np.ones((2, 2)))
     with pytest.raises(ContractError):
@@ -553,11 +625,11 @@ def test_backward_needs_scalar_and_graph_is_acyclic():
     y = ad.mul(x, x)
     loss = ad.sum_all(ad.add(y, ad.scale(y, 2.0)))
     order = ad._topological_order(loss)
-    assert order[-1] is loss
+    assert order[-1] is loss.node
     assert len({id(t) for t in order}) == len(order) == 5  # x, y, scale, add, sum_all
     seen = set()
     for node in order:
-        for p in node.parents:
+        for p in getattr(node, "inputs", ()):
             assert id(p) in seen
         seen.add(id(node))
 
@@ -629,11 +701,11 @@ def test_dropout_bytes_equal_the_float_mask_and_keep_a_bool_mask():
         keep = np.random.default_rng(seed).random(x.shape) >= rate
         mask = keep.astype(np.float64) * (1.0 / (1.0 - rate))
         with np.errstate(over="ignore", invalid="ignore"):  # 1e308 overflows, inf * 0 is NaN
-            node = ad.dropout(leaf(x), rate, np.random.default_rng(seed))
-            (dx,) = node._rule(g)
-            assert node.data.tobytes() == (x * mask).tobytes()
+            out = ad.dropout(leaf(x), rate, np.random.default_rng(seed))
+            (dx,) = out.node.rule(g)
+            assert out.data.tobytes() == (x * mask).tobytes()
             assert dx.tobytes() == (g * mask).tobytes()
-        held = [c.cell_contents for c in node._rule.__closure__]
+        held = [c.cell_contents for c in out.node.rule.__closure__]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert [a.dtype for a in arrays] == [np.bool_] and np.array_equal(arrays[0], keep)
 

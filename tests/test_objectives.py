@@ -16,7 +16,7 @@ from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
 from sentigen.prompt import build_prompt
 
-from conftest import small_config
+from conftest import finite_diff_check, small_config
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_ccl_gradient_matches_finite_differences():
         rows = [ad.embedding(t, range(j, j + 1)) for j in range(3)]
         return loss_ccl(rows, labels)
 
-    assert ad.finite_diff_check(f, x) < 1e-4
+    assert finite_diff_check(f, x) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +415,7 @@ def test_generation_loss_rejects_empty_gold(rig):
 def loss_fd(rig, make_loss, names):
     params = rig["params"]
     for name in names:
-        err = ad.finite_diff_check(lambda t: make_loss(), params[name])
+        err = finite_diff_check(lambda t: make_loss(), params[name])
         assert err < 1e-4, f"{name}: {err}"
 
 

@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,9 @@ from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool
                                task_pools)
 
 from conftest import TornWrite, small_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import graph_bytes  # noqa: E402
 
 
 def make_params(*shapes):
@@ -499,9 +503,10 @@ def test_validation_prompts_are_built_once_per_run(toy, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("stage", sorted(RUNS))
 def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, stage):
-    """One step graph is alive at a time: an activation of step k is freed
-    before step k + 1 builds its loss. The weak reference is to the node's
-    array, as a Tensor takes none."""
+    """One step graph is alive at a time: a vertex of step k's graph is
+    freed before step k + 1 builds its loss. The weak reference is to a
+    ``layer_norm`` vertex, not to an array: its output tensor is gone by the
+    time the loss is built, and backward drops the arrays its rule holds."""
     run, name = RUNS[stage]
     real, held = getattr(training, name), []
 
@@ -509,14 +514,68 @@ def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, st
         assert all(ref() is None for ref in held), "the previous step's graph is still alive"
         out = real(*args, **kwargs)
         total = out if isinstance(out, ad.Tensor) else out[1]
-        held.append(weakref.ref(next(t.data for t in ad._topological_order(total)
-                                     if t.op == "layer_norm")))
+        held.append(weakref.ref(next(v for v in ad._topological_order(total)
+                                     if v.op == "layer_norm")))
         return out
 
     monkeypatch.setattr(training, name, watched)
     config = small_config(toy["vocab"], toy["registry"])
     run(toy["records"], toy["registry"], config, train_cfg(max_steps=3), tmp_path)
     assert len(held) == 3
+
+
+# by op, the parents whose arrays its backward rule reads (-2: layer_norm's
+# gain, with or without a residual); ``sqrt``'s rule reads its own output
+RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
+              "attention": (0, 1, 2), "gelu": (0,), "layer_norm": (-2,)}
+
+
+def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_path, monkeypatch):
+    """At the first backward of a d=16 stage-one step with dropout on, every
+    op output still alive is the loss or an array some rule holds, and a
+    rule holds an op output, or a view of one, only when it reads it: its
+    own (``sqrt``'s) or a parent's that ``RULE_READS`` names for its op. A
+    rule holding a tensor holds its data."""
+    real_make, real_backward, made, checked = ad._make, ad.backward, [], []
+
+    def make(*args):
+        out = real_make(*args)
+        if out.node is not None:
+            made.append((weakref.ref(out.node), weakref.ref(out.data)))
+        return out
+
+    def probe(loss):
+        if not checked:
+            output = {}  # id of a vertex -> its output array, while both live
+            for node_ref, data_ref in made:
+                node, data = node_ref(), data_ref()
+                if node is not None and data is not None:
+                    output[id(node)] = data
+            outputs = {id(a) for a in output.values()}
+            held = set()
+            for v in ad._topological_order(loss):
+                if type(v) is not ad.Node:
+                    continue
+                reads = {id(output.get(id(v.inputs[i]))) for i in RULE_READS.get(v.op, ())}
+                if v.op == "sqrt":
+                    reads.add(id(output.get(id(v))))
+                for a in graph_bytes.rule_arrays(v.rule):
+                    while isinstance(a, np.ndarray):  # the array and each it views
+                        held.add(id(a))
+                        assert id(a) not in outputs or id(a) in reads, \
+                            f"a {v.op} rule holds an op output it does not read"
+                        a = a.base
+            stray = outputs - held - {id(loss.data)}
+            assert not stray, f"{len(stray)} op outputs no rule reads are alive at backward"
+            checked.append(len(output))
+        real_backward(loss)
+
+    monkeypatch.setattr(ad, "_make", make)
+    monkeypatch.setattr(ad, "backward", probe)
+    config = small_config(toy["vocab"], toy["registry"])
+    run_pretrain_stage1(toy["records"], toy["registry"], config,
+                        train_cfg(max_steps=1, dropout_rate=0.1), tmp_path)
+    assert checked and checked[0] > 0
 
 
 def test_resume_rejects_wrong_stage(toy, tmp_path):
@@ -826,12 +885,12 @@ def test_last_periodic_checkpoint_is_serialized_once(toy, tmp_path, monkeypatch)
 def test_stage1_step_graph_holds_what_backward_reads(toy, tmp_path, monkeypatch):
     """Memory guard: the bytes alive at a toy stage-one step's ``backward``
     (d=16, batch 24, dropout 0.1), traced by ``tracemalloc`` from before the
-    run starts, stay at most 5,150 KB. The graph keeps no padded copies of
-    attention's q, k and v, no float64 dropout masks, and no gathered rows
-    or partial sums of the encoder's input. The step reads about 4,980 KB;
-    with all three it read 6,630 KB, and with any one of them back, 5,580,
-    5,300 and 5,700 KB: so the bound sits halfway between this step and the
-    float64 masks' 5,300."""
+    run starts, stay at most 3,770 KB. The graph keeps no padded copies of
+    attention's q, k and v, no float64 dropout masks, no gathered rows or
+    partial sums of the encoder's input, and no op output that no rule
+    reads. The step reads about 3,610 KB, and 3,930 KB with float64 masks
+    back: the bound sits halfway between. When vertices held their outputs
+    it read 4,980 KB, and 6,630 KB with the first three back as well."""
     import tracemalloc
     config = small_config(toy["vocab"], toy["registry"], dropout_rate=0.1)
     real, live = ad.backward, []
@@ -847,7 +906,7 @@ def test_stage1_step_graph_holds_what_backward_reads(toy, tmp_path, monkeypatch)
                             train_cfg(max_steps=1, batch_size=24, dropout_rate=0.1), tmp_path)
     finally:
         tracemalloc.stop()
-    assert len(live) == 1 and live[0] <= 5150 * 1024, f"{live[0] / 1024:.0f} KB"
+    assert len(live) == 1 and live[0] <= 3770 * 1024, f"{live[0] / 1024:.0f} KB"
 
 
 def test_gold_token_ids_render_labels(toy):
