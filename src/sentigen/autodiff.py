@@ -15,10 +15,11 @@ one dict, writes each leaf's ``.grad`` once, into a buffer that leaf owns,
 and consumes the graph: a vertex drops its rule and edges once it has passed
 its gradients on, so the arrays the rule held are freed during the pass.
 
-``linear``, ``layer_norm``'s ``residual`` and ``embedding``'s extra
-``(table, ids)`` pairs each fuse several nodes into one, with the same floats
-in the same order; ``attention``'s rule keeps its softmax weights, not padded
-copies of q, k and v, and ``dropout``'s a bool mask.
+``linear``, ``layer_norm``'s ``residual``, ``embedding``'s extra
+``(table, ids)`` pairs and ``pair_contrast`` each fuse several nodes into
+one, with the same floats in the same order; ``attention``'s rule keeps its
+softmax weights, not padded copies of q, k and v, and ``dropout``'s a bool
+mask. The module keeps only the ops the rest of the package calls.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
-_NEG_INF = -1e30  # added to the logit of a hidden key: its exp underflows to 0
+_NEG_INF = -1e30  # added to a hidden logit (a key, a class): its exp underflows to 0
 
 
 def _as_f64(data):
@@ -115,30 +116,9 @@ def add(a, b):
     return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
-def mul(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    x, y = a.data, b.data
-    return _make(x * y, "mul", (a, b), lambda g: (g * y, g * x))
-
-
 def scale(a, s):
     s = float(s)
     return _make(a.data * s, "scale", (a,), lambda g: (g * s,))
-
-
-def sub(a, b):
-    return add(a, scale(b, -1.0))
-
-
-def div(a, b):
-    """Elementwise a / b. Division by zero is a numeric error."""
-    if a.shape != b.shape:
-        raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    if np.any(b.data == 0.0):
-        raise NumericError("div: division by zero")
-    x, y = a.data, b.data
-    return _make(x / y, "div", (a, b), lambda g: (g / y, -g * x / (y * y)))
 
 
 def matmul(a, b):
@@ -249,12 +229,6 @@ def embedding(table, ids, *summed):
     return _make(out, "embedding", tables, rule)
 
 
-def sum_all(a):
-    shape = a.shape
-    return _make(a.data.sum(), "sum_all", (a,),
-                 lambda g: (np.full(shape, float(np.asarray(g).reshape(()))),))
-
-
 def _segments(offsets, rows, op):
     """``offsets`` as an int array, checked to be B + 1 ascending row bounds
     from 0 to ``rows`` (sample i owns rows offsets[i]:offsets[i + 1]); the B
@@ -294,12 +268,41 @@ def segment_mean(a, offsets):
     return _make(means, "segment_mean", (a,), lambda g: ((g / counts[:, None]).repeat(counts, axis=0),))
 
 
-def sqrt(a):
-    """Elementwise square root. Differentiable only for strictly positive input."""
-    if np.any(a.data < 0):
-        raise NumericError("sqrt: negative input")
-    root = np.sqrt(a.data)
-    return _make(root, "sqrt", (a,), lambda g: (g * 0.5 / root,))
+def pair_contrast(x, same):
+    """Sum over the rows r of ``x`` (B, d) of r's distance mass to the rows
+    ``same`` (B, B bool) marks as sharing its label, over its distance mass
+    to all rows, as one node. A pair at exactly zero distance takes no part
+    (its distance has no gradient); a row with no same-label partner at
+    nonzero distance adds 0, and with no row left the result is constant 0.
+    Forward and backward do the floats of the graph this node replaced, in
+    its order: live pairs j < k gathered as two row blocks, distances the
+    roots of (diff * diff) @ ones, masses incidence-matrix products."""
+    if x.data.ndim != 2 or np.shape(same) != (x.shape[0],) * 2:
+        raise ShapeError(f"pair_contrast: rows {x.shape} and label matrix {np.shape(same)}")
+    b, d = x.shape
+    j, k = np.triu_indices(b, 1)
+    diff = x.data[j] - x.data[k]
+    sq = diff * diff
+    live = sq.sum(axis=1) > 0.0
+    j, k, diff, sq = j[live], k[live], diff[live], sq[live]
+    involved = np.zeros((b, len(j)))
+    involved[j, np.arange(len(j))] = involved[k, np.arange(len(j))] = 1.0
+    involved_same = involved * np.asarray(same)[j, k]
+    active = involved_same.sum(axis=1) > 0.0
+    if not active.any():
+        return constant(0.0)
+    m_same, m_all, ones = involved_same[active], involved[active], np.ones((d, 1))
+    root = np.sqrt(sq @ ones)
+    numer, denom = m_same @ root, m_all @ root
+
+    def rule(g):
+        gr = np.full(numer.shape, float(np.asarray(g).reshape(())))
+        groot = m_same.T @ (gr / denom) + m_all.T @ (-gr * numer / (denom * denom))
+        gsq = (groot * 0.5 / root) @ ones.T
+        gdiff = gsq * diff + gsq * diff
+        return (_row_sums(gdiff, j, (b, d)) + _row_sums(gdiff * -1.0, k, (b, d)),)
+
+    return _make((numer / denom).sum(), "pair_contrast", (x,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +486,28 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     return _make(out, "attention", (q,) if layout is not None else (q, k, v), rule)
 
 
-def softmax_cross_entropy(logits, targets):
+def softmax_cross_entropy(logits, targets, hidden=None):
     """Mean over rows of -log softmax(logits)[target].
 
-    ``targets`` are class indices, one per logit row. Computed with the usual
-    max-subtraction so large logits do not overflow.
+    ``targets`` are class indices, one per logit row. ``hidden``, when
+    given, is a bool array of the logits' shape: -1e30 is added to the
+    logits it marks, which takes them out of their rows' softmax, as
+    ``attention`` hides keys; no target may be hidden. Computed with the
+    usual max-subtraction so large logits do not overflow.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy: logits must be 2-D, got {logits.shape}")
     b, v = logits.shape
     idx = np.asarray(targets, dtype=np.int64)
-    if idx.shape != (b,):
-        raise ShapeError(f"softmax_cross_entropy: {b} rows but {idx.shape} targets")
+    if idx.shape != (b,) or (hidden is not None and np.shape(hidden) != (b, v)):
+        raise ShapeError(f"softmax_cross_entropy: {b} rows of {v} but {idx.shape} targets and "
+                         f"a hidden mask of {np.shape(hidden)}")
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise IndexError(f"softmax_cross_entropy: target outside [0, {v})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    if hidden is not None and hidden[np.arange(b), idx].any():
+        raise ContractError("softmax_cross_entropy: a target is hidden")
+    x = logits.data if hidden is None else logits.data + np.where(hidden, _NEG_INF, 0.0)
+    z = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     losses = lse - z[np.arange(b), idx]
     out = losses.mean()
@@ -511,23 +521,6 @@ def softmax_cross_entropy(logits, targets):
         return (p * (float(np.asarray(g).reshape(())) / b),)
 
     return _make(out, "softmax_cross_entropy", (logits,), rule)
-
-
-def gather_cols(a, cols):
-    """Column gather: out[:, j] = a[:, cols[j]]. Used for restricted-vocabulary losses."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"gather_cols: needs a 2-D operand, got {a.shape}")
-    idx = np.asarray(cols, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[1]):
-        raise IndexError(f"gather_cols: column outside [0, {a.shape[1]})")
-    shape = a.shape
-
-    def rule(g):
-        buf = np.zeros(shape)
-        np.add.at(buf.T, idx, g.T)
-        return (buf,)
-
-    return _make(a.data[:, idx].copy(), "gather_cols", (a,), rule)
 
 
 def dropout(a, rate, rng):

@@ -13,14 +13,16 @@ loss is that of two separate passes. The four losses:
   positions from the corrupted encoder stream; summed per sample, averaged
   over the batch.
 * polarity prediction (``loss_spp``): cross-entropy of the decoder's first
-  generated position against the sample's coarse polarity, restricted to the
-  three polarity tokens.
+  generated position against the sample's coarse polarity.
 * polarity-contrastive pull (``loss_ccl``): for each sample, the fraction of
-  its total pairwise distance mass spent on same-polarity partners.
-* cross-task label prediction (``loss_cep``): four cross-entropies, one per
-  task family, each over that task's label tokens at a dedicated decoder
-  position, targeting nearest-centroid pseudo labels (gold for the sample's
-  own task).
+  its total pairwise distance mass spent on same-polarity partners, one
+  ``ad.pair_contrast`` node.
+* cross-task label prediction (``loss_cep``): per task family, at a
+  dedicated decoder position, against nearest-centroid pseudo labels (gold
+  for the sample's own task), summed over the tasks.
+
+Both predictions are one label head (``_label_head``) that scores only the
+label tokens: the polarity tokens, or each task's label tokens.
 
 Stage one totals reconstruction + polarity + contrastive; stage two totals
 reconstruction + cross-task prediction. A pseudo label is an index into its
@@ -104,18 +106,34 @@ def loss_mcm(enc, batch, params):
 
 
 # ---------------------------------------------------------------------------
-# polarity prediction
+# the label head, and polarity prediction
+
+
+def _label_head(enc, dec_ids, classes, targets, params, config, train, rng):
+    """Label cross-entropy from ``enc``: the decoder is fed ``dec_ids``
+    (B, n), and position i scores only the tokens ``classes[i]`` against
+    ``targets`` (B, n), indices into them. The logits are ``token_logits``'
+    columns for the n lists' tokens side by side (states times ``w_text``,
+    times those ``tok_emb`` rows), each position's other columns hidden in
+    one cross-entropy: per sample the positions' sum, averaged over the batch."""
+    h = decoder_states(dec_ids, enc, params, config, train=train, rng=rng)
+    cols = np.concatenate(classes)
+    logits = ad.matmul(ad.matmul(h, ad.transpose(params["w_text"])),
+                       ad.transpose(ad.embedding(params["tok_emb"], cols)))
+    start = np.cumsum([0] + [len(c) for c in classes])
+    own = (start[:-1, None] <= np.arange(len(cols))) & (np.arange(len(cols)) < start[1:, None])
+    picked = (np.asarray(targets) + start[:-1]).reshape(-1)
+    ce = ad.softmax_cross_entropy(logits, picked, hidden=np.tile(~own, (len(dec_ids), 1)))
+    return ad.scale(ce, len(classes))
 
 
 def loss_spp(enc, polarities, params, config, vocab, train=False, rng=None):
     """First-position polarity cross-entropy from ``enc``, the clean
     encoding of a batch with one Polarity per sample: the decoder is fed
-    <bos> alone, and its logits are restricted to the three polarity tokens."""
+    <bos> alone, and scores only the three polarity tokens."""
     _check_batch(enc, polarities, "loss_spp")
-    bos = np.full((len(polarities), 1), vocab.bos_id)
-    logits = token_logits(decoder_states(bos, enc, params, config, train=train, rng=rng), params)
-    restricted = ad.gather_cols(logits, list(polarity_token_ids(vocab)))
-    return ad.softmax_cross_entropy(restricted, [POLARITY_ORDER.index(p) for p in polarities])
+    return _label_head(enc, np.full((len(polarities), 1), vocab.bos_id), [polarity_token_ids(vocab)],
+                       [[POLARITY_ORDER.index(p)] for p in polarities], params, config, train, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -124,37 +142,20 @@ def loss_spp(enc, polarities, params, config, vocab, train=False, rng=None):
 
 def loss_ccl(pooled, labels):
     """Sum over samples j of (same-label distance mass) / (total distance
-    mass). Pairs at exactly zero distance contribute nothing and are treated
-    as constants, which matches the limit and keeps sqrt differentiable.
+    mass), one ``ad.pair_contrast`` node. Pairs at exactly zero distance
+    contribute nothing and are treated as constants, which matches the limit
+    and keeps the distance differentiable; a sample with no same-label
+    partner at nonzero distance adds 0.
 
     ``pooled`` is a sequence of row blocks, (rows, d), or (d,) for one row,
-    stacked once, with one label per row. The live pairs j < k are gathered
-    as two row blocks, and each sample's masses are incidence-matrix
-    products with the pair distances."""
+    stacked once, with one label per row."""
     parts = [v if v.data.ndim == 2 else ad.reshape(v, (1, v.shape[0])) for v in pooled]
     b = sum(p.shape[0] for p in parts)
     if b != len(labels) or b == 0:
         raise ContractError(f"loss_ccl: {b} vectors and {len(labels)} labels")
     key = np.array([lab.value if isinstance(lab, Polarity) else str(lab) for lab in labels])
     x = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-
-    j, k = np.triu_indices(b, 1)
-    diff = x.data[j] - x.data[k]
-    live = (diff * diff).sum(axis=1) > 0.0
-    j, k = j[live], k[live]
-    same = key[j] == key[k]
-    involved = np.zeros((b, len(j)))
-    involved[j, np.arange(len(j))] = involved[k, np.arange(len(j))] = 1.0
-    # samples with no same-label partner at nonzero distance add 0
-    active = (involved * same).sum(axis=1) > 0.0
-    if not active.any():
-        return ad.constant(0.0)
-
-    diff = ad.sub(ad.embedding(x, j), ad.embedding(x, k))
-    dist = ad.sqrt(ad.matmul(ad.mul(diff, diff), ad.constant(np.ones((x.shape[1], 1)))))
-    numer = ad.matmul(ad.constant(involved[active] * same), dist)
-    denom = ad.matmul(ad.constant(involved[active]), dist)
-    return ad.sum_all(ad.div(numer, denom))
+    return ad.pair_contrast(x, key[:, None] == key)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +233,8 @@ def loss_cep(enc, targets, params, config, vocab, label_ids, train=False, rng=No
     if (targets < 0).any() or (targets >= [len(ids) for ids in label_ids.values()]).any():
         raise ContractError("loss_cep: a target lies outside its task's label table")
     dec_ids = np.array([[vocab.task_id(t) for t in tasks]] * len(targets))
-    logits = token_logits(decoder_states(dec_ids, enc, params, config, train=train, rng=rng), params)
-    total = None
-    for i, task in enumerate(tasks):
-        rows = ad.embedding(logits, np.arange(len(targets)) * len(tasks) + i)
-        ce = ad.softmax_cross_entropy(ad.gather_cols(rows, label_ids[task]), targets[:, i])
-        total = ce if total is None else ad.add(total, ce)
-    return total
+    return _label_head(enc, dec_ids, list(label_ids.values()), targets, params, config,
+                       train, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,11 @@ class IndexPool:
         self.perm = rng.permutation(self.indices)
         self.cursor = 0
 
-    def draw(self, n, rng):
+    def draw(self, n, rng, one_pass=False):
+        """``n`` indices, reshuffling when a pass runs out; with ``one_pass``
+        the fewer than n left sit the pass out, so a draw repeats no index."""
+        if one_pass and self.perm.size - self.cursor < n:
+            self.cursor = self.perm.size
         out = []
         while len(out) < n:
             if self.cursor == self.perm.size:
@@ -549,17 +553,17 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
         return combine_queries(run.prompts[i], run.prompts[j], run.vocab, registry,
                                run.model_config.max_len)
 
-    # only frames can make a pair overflow, so each pool's most-framed pair
-    # must fit before the run's first write: its two most-framed records, or
-    # its most-framed one twice, as an odd pool's draw can straddle a reshuffle
+    # only frames can make a pair overflow, so each pool's most-framed pair,
+    # its two most-framed records, must fit before the run's first write
     for pool in pools.pools.values():
         *_, i, j = sorted(pool.indices, key=lambda k: run.prompts[k].frame_count)
-        pair(j if pool.indices.size % 2 else i, j)
+        pair(i, j)
 
     def step():
         batch = []
         for pol in pools.deal(cfg.batch_size):
-            ps = _augmented_prompt(run, pair(*pools.pools[pol].draw(2, run.rngs["data"])))
+            drawn = pools.pools[pol].draw(2, run.rngs["data"], one_pass=True)
+            ps = _augmented_prompt(run, pair(*drawn))
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"])
             batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
         return stage1_loss(batch, run.params, run.model_config, run.vocab,

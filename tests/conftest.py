@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import sentigen.autodiff as ad
 from sentigen.autodiff import backward, zero_grads
 from sentigen.cli import make_synthetic_corpus
 from sentigen.errors import ContractError, NumericError
@@ -110,6 +111,38 @@ def finite_diff_check(f, x, eps=1e-5):
         err = abs(analytic.reshape(-1)[i] - central) / max(1.0, abs(central))
         worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# reference ops that ``autodiff`` does not keep, for tests only: composed
+# from the ops it keeps, except ``sqrt`` and ``div``, one node each
+
+
+def sum_of(a, b=None):
+    """sum(a * b) as a scalar tensor, ``b`` a tensor, an array, or None for
+    ones: ``a``'s entries as a row times ``b``'s as a column."""
+    if not isinstance(b, ad.Tensor):
+        b = ad.constant(np.ones(a.shape) if b is None else b)
+    return ad.reshape(ad.matmul(ad.reshape(a, (1, a.data.size)), ad.reshape(b, (b.data.size, 1))), ())
+
+
+def sub(a, b):
+    return ad.add(a, ad.scale(b, -1.0))
+
+
+def gather_cols(a, cols):
+    """Column gather: out[:, j] = a[:, cols[j]]."""
+    return ad.transpose(ad.embedding(ad.transpose(a), cols))
+
+
+def sqrt(a):
+    root = np.sqrt(a.data)
+    return ad._make(root, "sqrt", (a,), lambda g: (g * 0.5 / root,))
+
+
+def div(a, b):
+    x, y = a.data, b.data
+    return ad._make(x / y, "div", (a, b), lambda g: (g / y, -g * x / (y * y)))
 
 
 def fd_check_param(loss_fn, params, name):

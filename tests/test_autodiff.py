@@ -1,13 +1,15 @@
+import ast
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sentigen.autodiff as ad
-from sentigen.errors import ContractError, NumericError, ShapeError
+from sentigen.errors import ContractError, ShapeError
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, sum_of
 
 
 def leaf(arr, rng=None):
@@ -43,7 +45,7 @@ def test_matmul_shape_and_grads():
     b = rand_leaf(rng, 4, 2)
     out = ad.matmul(a, b)
     assert out.data.shape == (3, 2)
-    loss_fn = lambda t: ad.sum_all(ad.mul(ad.matmul(a, b), ad.matmul(a, b)))
+    loss_fn = lambda t: sum_of(ad.matmul(a, b), ad.matmul(a, b))
     assert finite_diff_check(loss_fn, a) < 1e-6
     assert finite_diff_check(loss_fn, b) < 1e-6
 
@@ -60,12 +62,10 @@ def test_elementwise_ops_match_fd(seed):
     row = rand_leaf(rng, 3)
     w = rand_leaf(rng, 3, 3)
     cases = {
-        "add": lambda: ad.sum_all(ad.gelu(ad.add(a, b))),
-        "linear": lambda: ad.sum_all(ad.mul(ad.linear(a, w, row), ad.linear(a, w, row))),
-        "sub": lambda: ad.sum_all(ad.mul(ad.sub(a, b), ad.sub(a, b))),
-        "mul": lambda: ad.sum_all(ad.mul(a, b)),
-        "scale": lambda: ad.sum_all(ad.scale(a, -2.5)),
-        "gelu": lambda: ad.sum_all(ad.gelu(a)),
+        "add": lambda: sum_of(ad.gelu(ad.add(a, b))),
+        "linear": lambda: sum_of(ad.linear(a, w, row), ad.linear(a, w, row)),
+        "scale": lambda: sum_of(ad.scale(a, -2.5)),
+        "gelu": lambda: sum_of(ad.gelu(a)),
     }
     for name, fn in cases.items():
         for t in (a, b, row, w):
@@ -83,7 +83,7 @@ def test_structural_ops_match_fd(seed):
         sl = ad.embedding(cat, range(1, 6))
         cols = ad.transpose(ad.embedding(ad.transpose(sl), range(1, 3)))  # columns 1:3
         tr = ad.transpose(ad.reshape(cols, (2, 5)))
-        return ad.sum_all(ad.mul(tr, tr))
+        return sum_of(tr, tr)
 
     assert finite_diff_check(lambda _: fn(), a) < 1e-6
     assert finite_diff_check(lambda _: fn(), b) < 1e-6
@@ -97,18 +97,39 @@ def test_reduction_norm_softmax_match_fd(seed):
     bias = rand_leaf(rng, 6)
 
     cases = {
-        "layer_norm": lambda: ad.sum_all(ad.mul(ad.layer_norm(a, gain, bias),
-                                                ad.layer_norm(a, gain, bias))),
-        "segment_mean": lambda: ad.sum_all(ad.mul(ad.segment_mean(a, [0, 3, 4]),
-                                                  ad.segment_mean(a, [0, 3, 4]))),
-        "sqrt": lambda: ad.sum_all(ad.sqrt(ad.add(ad.mul(a, a), ad.constant(np.ones((4, 6)))))),
-        "div": lambda: ad.sum_all(ad.div(a, ad.add(ad.mul(a, a), ad.constant(np.full((4, 6), 2.0))))),
+        "layer_norm": lambda: sum_of(ad.layer_norm(a, gain, bias), ad.layer_norm(a, gain, bias)),
+        "segment_mean": lambda: sum_of(ad.segment_mean(a, [0, 3, 4]),
+                                       ad.segment_mean(a, [0, 3, 4])),
         "ce": lambda: ad.softmax_cross_entropy(a, [1, 0, 5, 3]),
-        "gather": lambda: ad.softmax_cross_entropy(ad.gather_cols(a, [0, 2, 5]), [2, 0, 1, 1]),
     }
     for name, fn in cases.items():
         for t in (a, gain, bias):
             assert finite_diff_check(lambda _: fn(), t) < 1e-6, name
+
+
+def test_cross_entropy_hides_marked_logits():
+    """Hidden logits take no part: each row's loss is that of its visible
+    columns alone within 1e-12, hidden columns get exactly zero gradient, the
+    gradient passes finite differences, and a hidden target or a mask of
+    another shape is an error."""
+    rng = np.random.default_rng(43)
+    a = rand_leaf(rng, 4, 6)
+    hidden = np.zeros((4, 6), dtype=bool)
+    hidden[[0, 0, 1, 3], [1, 4, 0, 5]] = True
+    targets = [2, 3, 5, 0]
+    loss = ad.softmax_cross_entropy(a, targets, hidden=hidden)
+    rows = [ad.softmax_cross_entropy(ad.constant(a.data[i:i + 1, ~hidden[i]]),
+                                     [int((~hidden[i])[:t].sum())]).item()
+            for i, t in enumerate(targets)]
+    assert abs(loss.item() - np.mean(rows)) <= 1e-12
+    ad.backward(loss)
+    assert np.all(a.grad[hidden] == 0.0) and np.all(a.grad[~hidden] != 0.0)
+    fn = lambda _: ad.softmax_cross_entropy(a, targets, hidden=hidden)
+    assert finite_diff_check(fn, a) < 1e-6
+    with pytest.raises(ContractError):
+        ad.softmax_cross_entropy(a, [1, 3, 5, 0], hidden=hidden)
+    with pytest.raises(ShapeError):
+        ad.softmax_cross_entropy(a, targets, hidden=hidden[:, :5])
 
 
 def test_embedding_rows_and_fd():
@@ -117,10 +138,10 @@ def test_embedding_rows_and_fd():
     ids = [1, 3, 3, 0]
     out = ad.embedding(table, ids)
     assert out.data.shape == (4, 4)
-    loss_fn = lambda _: ad.sum_all(ad.mul(ad.embedding(table, ids), ad.embedding(table, ids)))
+    loss_fn = lambda _: sum_of(ad.embedding(table, ids), ad.embedding(table, ids))
     assert finite_diff_check(loss_fn, table) < 1e-6
     ad.zero_grads([table])
-    ad.backward(ad.sum_all(ad.embedding(table, ids)))
+    ad.backward(sum_of(ad.embedding(table, ids)))
     # repeated index accumulates, untouched rows stay exactly zero
     assert np.all(table.grad[3] == 2.0)
     assert np.all(table.grad[1] == 1.0)
@@ -166,7 +187,7 @@ def check_attention(rng, heads, d, q_len, k_len, causal):
         want = attention_reference(q.data[qs], k.data[ks], v.data[ks], heads, causal)
         assert np.max(np.abs(out.data[qs] - want)) <= 1e-12
     w = ad.constant(rng.normal(size=out.shape))
-    fn = lambda _: ad.sum_all(ad.mul(ad.attention(q, k, v, heads, q_off, k_off, causal), w))
+    fn = lambda _: sum_of(ad.attention(q, k, v, heads, q_off, k_off, causal), w)
     for t in (q, k, v):
         assert finite_diff_check(fn, t) < 1e-6
 
@@ -215,7 +236,7 @@ def test_attention_samples_are_isolated():
         w = np.zeros((sum(q_len), d))
         w[q_off[1]:q_off[2]] = 1.0  # only sample 1's outputs count
         ad.zero_grads([k, v])
-        ad.backward(ad.sum_all(ad.mul(ad.attention(q, k, v, 2, q_off, k_off, causal), ad.constant(w))))
+        ad.backward(sum_of(ad.attention(q, k, v, 2, q_off, k_off, causal), ad.constant(w)))
         outside = np.r_[0:k_off[1], k_off[2]:k_off[3]]
         assert np.all(k.grad[outside] == 0.0) and np.all(v.grad[outside] == 0.0)
 
@@ -266,7 +287,7 @@ def test_segment_mean_matches_per_segment_and_fd():
         assert np.array_equal(out.data[i], ad.segment_mean(ad.constant(rows), [0, len(rows)]).data[0])
         assert np.max(np.abs(out.data[i] - rows.mean(axis=0))) <= 1e-15
     w = ad.constant(rng.normal(size=(4, 4)))
-    assert finite_diff_check(lambda _: ad.sum_all(ad.mul(ad.segment_mean(a, offsets), w)), a) < 1e-6
+    assert finite_diff_check(lambda _: sum_of(ad.segment_mean(a, offsets), w), a) < 1e-6
     with pytest.raises(ContractError):
         ad.segment_mean(a, [0, 3, 3, 11])  # an empty segment
     with pytest.raises(ShapeError):
@@ -296,8 +317,8 @@ def test_masked_mean_rows_per_sample():
         one = ad.segment_mean(ad.constant(rows), [0, len(rows)])
         assert np.array_equal(out.data[b], one.data[0])
     w = ad.constant(rng.normal(size=(3, 5)))
-    assert finite_diff_check(lambda _: ad.sum_all(ad.mul(pooled(a), w)), a) < 1e-6
-    ad.backward(ad.sum_all(ad.mul(pooled(a), w)))
+    assert finite_diff_check(lambda _: sum_of(pooled(a), w), a) < 1e-6
+    ad.backward(sum_of(pooled(a), w))
     assert np.all(a.grad[~keep.ravel()] == 0.0) and np.all(a.grad[kept] != 0.0)
     with pytest.raises(ContractError):
         ad.segment_mean(ad.embedding(a, range(5)), [0, 4, 4, 5])  # sample 1 keeps no row
@@ -348,7 +369,7 @@ def test_summed_embedding_equals_the_add_chain_bitwise(seed):
 
     def grads(out):
         ad.zero_grads(tables)
-        ad.backward(ad.sum_all(ad.mul(out, up)))
+        ad.backward(sum_of(out, up))
         return [t.grad.copy() for t in tables]
 
     fused, chain = ad.embedding(*pairs[0], *pairs[1:]), old_chain(pairs)
@@ -362,7 +383,7 @@ def test_summed_embedding_matches_fd_and_checks_its_pairs():
     rng = np.random.default_rng(31)
     pairs = input_pairs(rng, n=7)
     w = ad.constant(rng.normal(size=(7, 5)))
-    fn = lambda _: ad.sum_all(ad.mul(ad.gelu(ad.embedding(*pairs[0], *pairs[1:])), w))
+    fn = lambda _: sum_of(ad.gelu(ad.embedding(*pairs[0], *pairs[1:])), w)
     for table, _ in pairs:
         assert finite_diff_check(fn, table) < 1e-6
     for k in range(4):
@@ -453,9 +474,9 @@ def fused_cases(rng):
 def test_fused_ops_match_fd(seed):
     x, w, b, a, r, gain = fused_cases(np.random.default_rng(500 + seed))
     cases = {
-        "linear": (lambda: ad.sum_all(ad.gelu(ad.linear(x, w, b))), (x, w, b)),
-        "residual layer_norm": (lambda: ad.sum_all(ad.mul(ad.layer_norm(a, gain, b, residual=r),
-                                                          ad.layer_norm(a, gain, b, residual=r))),
+        "linear": (lambda: sum_of(ad.gelu(ad.linear(x, w, b))), (x, w, b)),
+        "residual layer_norm": (lambda: sum_of(ad.layer_norm(a, gain, b, residual=r),
+                                               ad.layer_norm(a, gain, b, residual=r)),
                                 (a, r, gain, b)),
     }
     for name, (fn, inputs) in cases.items():
@@ -476,7 +497,7 @@ def test_fused_ops_equal_their_compositions_bitwise(seed):
 
     def grads(out, leaves):
         ad.zero_grads(leaves)
-        ad.backward(ad.sum_all(ad.mul(out, up)))
+        ad.backward(sum_of(out, up))
         return [t.grad for t in leaves]
 
     fused = ad.linear(x, w, b)
@@ -497,7 +518,7 @@ def test_linear_gives_a_constant_input_no_gradient():
     g = rng.normal(size=(3, 2))
     dx, dw, db = ad.linear(c, w, b).node.rule(g)
     assert dx is None and np.array_equal(dw, c.data.T @ g) and np.array_equal(db, g.sum(axis=0))
-    ad.backward(ad.sum_all(ad.linear(c, w, b)))
+    ad.backward(sum_of(ad.linear(c, w, b)))
     assert c.grad is None and w.grad is not None
     with pytest.raises(ShapeError):
         ad.linear(c, w, rand_leaf(rng, 3))
@@ -505,7 +526,7 @@ def test_linear_gives_a_constant_input_no_gradient():
 
 def test_ops_over_constants_record_no_graph():
     a = ad.constant(np.ones((2, 2)))
-    out = ad.sum_all(ad.matmul(a, ad.transpose(a)))
+    out = sum_of(ad.matmul(a, ad.transpose(a)))
     assert out.parents == () and out.node is None and not out.requires_grad
     x = leaf(np.ones((2, 2)))
     assert ad.matmul(a, x).parents == (a, x)
@@ -533,17 +554,17 @@ def test_composite_matches_fd(seed):
 
 def test_shared_subexpression_grad():
     x = leaf([[2.0]])
-    y = ad.mul(x, x)          # x^2
+    y = ad.matmul(x, x)       # x^2
     z = ad.add(y, y)          # 2 x^2 -> dz/dx = 4x = 8
-    ad.backward(ad.sum_all(z))
+    ad.backward(sum_of(z))
     assert x.grad[0, 0] == pytest.approx(8.0, abs=1e-12)
 
 
 def test_grad_accumulates_across_backward_calls():
     x = leaf([[3.0]])
-    ad.backward(ad.sum_all(ad.mul(x, x)))
+    ad.backward(sum_of(x, x))
     first = x.grad.copy()
-    ad.backward(ad.sum_all(ad.mul(x, x)))
+    ad.backward(sum_of(x, x))
     assert np.allclose(x.grad, 2.0 * first)
     x.zero_grad()
     assert x.grad is None
@@ -552,19 +573,16 @@ def test_grad_accumulates_across_backward_calls():
 # each op on fresh parents, and the indices of the parents its rule reads
 RETENTION_CASES = {
     "add": (lambda p: ad.add(*p), [(3, 4), (3, 4)], set()),
-    "mul": (lambda p: ad.mul(*p), [(3, 4), (3, 4)], {0, 1}),
     "scale": (lambda p: ad.scale(p[0], 2.0), [(3, 4)], set()),
-    "sub": (lambda p: ad.sub(*p), [(3, 4), (3, 4)], set()),
-    "div": (lambda p: ad.div(*p), [(3, 4), (3, 4)], {0, 1}),
     "matmul": (lambda p: ad.matmul(*p), [(3, 4), (4, 2)], {0, 1}),
     "linear": (lambda p: ad.linear(*p), [(3, 4), (4, 2), (2,)], {0, 1}),
     "transpose": (lambda p: ad.transpose(p[0]), [(3, 4)], set()),
     "reshape": (lambda p: ad.reshape(p[0], (4, 3)), [(3, 4)], set()),
     "concat_rows": (lambda p: ad.concat_rows(p), [(3, 4), (2, 4)], set()),
     "embedding": (lambda p: ad.embedding(p[0], [0, 2, 2], (p[1], [1, 0, 1])), [(3, 4), (2, 4)], set()),
-    "sum_all": (lambda p: ad.sum_all(p[0]), [(3, 4)], set()),
     "segment_mean": (lambda p: ad.segment_mean(p[0], [0, 1, 3]), [(3, 4)], set()),
-    "sqrt": (lambda p: ad.sqrt(p[0]), [(3, 4)], {}),  # its rule reads its own output
+    "pair_contrast": (lambda p: ad.pair_contrast(p[0], np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]],
+                                                                dtype=bool)), [(3, 4)], set()),
     "gelu": (lambda p: ad.gelu(p[0]), [(3, 4)], {0}),
     "layer_norm": (lambda p: ad.layer_norm(*p), [(3, 4), (4,), (4,)], {1}),
     "residual layer_norm": (lambda p: ad.layer_norm(p[0], p[2], p[3], residual=p[1]),
@@ -572,26 +590,26 @@ RETENTION_CASES = {
     "attention": (lambda p: ad.attention(*p, 2, [0, 1, 3], [0, 2, 3]), [(3, 4), (3, 4), (3, 4)],
                   {0, 1, 2}),
     "softmax_cross_entropy": (lambda p: ad.softmax_cross_entropy(p[0], [1, 0, 3]), [(3, 4)], set()),
-    "gather_cols": (lambda p: ad.gather_cols(p[0], [3, 0]), [(3, 4)], set()),
     "dropout": (lambda p: ad.dropout(p[0], 0.5, np.random.default_rng(0)), [(3, 4)], set()),
 }
 
 
 def fresh_graph(rng, build, shapes):
-    """``sum_all`` over ``build`` of fresh parents (each the output of an op
+    """``sum_of`` over ``build`` of fresh parents (each the output of an op
     over a leaf of positive values, so no leaf holds its array), with weak
     references to the parents' arrays. Only the returned loss keeps the
     graph alive."""
     parents = [ad.scale(leaf(rng.uniform(0.5, 1.5, size=shape)), 1.0) for shape in shapes]
-    return ad.sum_all(build(parents)), [weakref.ref(p.data) for p in parents]
+    return sum_of(build(parents)), [weakref.ref(p.data) for p in parents]
 
 
 @pytest.mark.parametrize("name", sorted(RETENTION_CASES))
 def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
     """Once the caller drops its names, exactly the parents whose arrays the
-    op's rule reads survive: ``linear`` x and w, ``matmul``, ``mul`` and
-    ``div`` both operands, ``attention`` q, k and v, ``gelu`` its input,
-    ``layer_norm`` its gain, and no other op any. Backward frees them all."""
+    op's rule reads survive: ``linear`` x and w, ``matmul`` both operands,
+    ``attention`` q, k and v, ``gelu`` its input, ``layer_norm`` its gain,
+    and no other op any (``pair_contrast`` keeps its pairs' differences,
+    not its input). Backward frees them all."""
     build, shapes, reads = RETENTION_CASES[name]
     loss, refs = fresh_graph(np.random.default_rng(61), build, shapes)
     alive = {i for i, ref in enumerate(refs) if ref() is not None}
@@ -607,10 +625,10 @@ def test_backward_on_a_consumed_graph_is_a_contract_error():
     rng = np.random.default_rng(67)
     x, w, b = rand_leaf(rng, 3, 4), rand_leaf(rng, 4, 2), rand_leaf(rng, 2)
     h = ad.gelu(ad.linear(x, w, b))
-    loss = ad.sum_all(ad.mul(h, h))
+    loss = sum_of(h, h)
     ad.backward(loss)
     first = [t.grad.copy() for t in (x, w, b)]
-    for again in (loss, ad.sum_all(h)):
+    for again in (loss, sum_of(h)):
         with pytest.raises(ContractError, match="consumed"):
             ad.backward(again)
         for t, g in zip((x, w, b), first):
@@ -619,14 +637,14 @@ def test_backward_on_a_consumed_graph_is_a_contract_error():
 
 
 def test_backward_needs_scalar_and_graph_is_acyclic():
-    x = leaf(np.ones((2, 2)))
+    x = leaf(np.ones((1, 2)))
     with pytest.raises(ContractError):
-        ad.backward(ad.mul(x, x))
-    y = ad.mul(x, x)
-    loss = ad.sum_all(ad.add(y, ad.scale(y, 2.0)))
+        ad.backward(ad.matmul(ad.transpose(x), x))
+    y = ad.matmul(x, ad.transpose(x))
+    loss = ad.add(y, ad.scale(y, 2.0))
     order = ad._topological_order(loss)
     assert order[-1] is loss.node
-    assert len({id(t) for t in order}) == len(order) == 5  # x, y, scale, add, sum_all
+    assert len({id(t) for t in order}) == len(order) == 5  # x, transpose, y, scale, add
     seen = set()
     for node in order:
         for p in getattr(node, "inputs", ()):
@@ -637,15 +655,15 @@ def test_backward_needs_scalar_and_graph_is_acyclic():
 def test_backward_gives_each_leaf_its_own_buffer():
     a = leaf(np.ones((2, 3)))
     b = leaf(np.ones((2, 3)))
-    ad.backward(ad.sum_all(ad.add(a, b)))
+    ad.backward(sum_of(ad.add(a, b)))
     assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
     a.grad *= 0.5  # what clip_gradients does
     assert np.all(b.grad == 1.0) and np.all(a.grad == 0.5)
     # views handed out by structural rules are copied into row-major buffers
     c, d = leaf(np.ones((2, 2))), leaf(np.ones((3, 2)))
-    ad.backward(ad.sum_all(ad.concat_rows([c, d])))
+    ad.backward(sum_of(ad.concat_rows([c, d])))
     e = leaf(np.ones((2, 3)))
-    ad.backward(ad.sum_all(ad.mul(ad.transpose(e), leaf(np.ones((3, 2))))))
+    ad.backward(sum_of(ad.transpose(e), leaf(np.ones((3, 2)))))
     for t in (c, d, e):
         assert t.grad.flags.c_contiguous and t.grad.flags.owndata
 
@@ -653,16 +671,9 @@ def test_backward_gives_each_leaf_its_own_buffer():
 def test_constant_parent_gets_no_grad():
     c = ad.constant(np.ones((2, 2)))
     x = leaf(np.full((2, 2), 3.0))
-    ad.backward(ad.sum_all(ad.mul(ad.add(c, x), c)))
+    ad.backward(sum_of(ad.add(c, x), c))
     assert c.grad is None
     assert np.all(x.grad == 1.0)
-
-
-def test_div_by_zero_is_numeric_error():
-    a = leaf(np.ones((2, 2)))
-    b = leaf(np.zeros((2, 2)))
-    with pytest.raises(NumericError):
-        ad.div(a, b)
 
 
 def test_shape_mismatch_is_shape_error():
@@ -682,7 +693,7 @@ def test_dropout_semantics():
     kept = ad.dropout(x, 0.5, rng)
     vals = np.unique(kept.data)
     assert set(vals.tolist()) <= {0.0, 2.0}  # inverted scaling by 1/(1-rate)
-    ad.backward(ad.sum_all(kept))
+    ad.backward(sum_of(kept))
     assert np.array_equal(x.grad, np.where(kept.data > 0, 2.0, 0.0))
 
 
@@ -718,3 +729,18 @@ def test_parameter_and_grad_norm():
     q.grad = np.zeros(2)
     norm = ad.global_grad_norm([p, q])
     assert norm == pytest.approx(6.0, abs=1e-12)  # sqrt(9*4)
+
+
+def test_autodiff_keeps_only_the_ops_the_package_calls():
+    """Every public function of ``autodiff`` has an ``ad.<name>`` reference
+    in another module of the package: an op that only tests call is not
+    kept."""
+    package = Path(ad.__file__).parent
+    defined = {node.name for node in ast.parse(Path(ad.__file__).read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "autodiff.py":
+            used |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ad"}
+    assert defined and defined - used == set()

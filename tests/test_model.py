@@ -12,7 +12,7 @@ from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, f
                             params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
 from sentigen.prompt import build_prompt
 
-from conftest import small_config
+from conftest import small_config, sum_of
 
 
 @pytest.fixture(scope="module")
@@ -397,8 +397,8 @@ def test_encode_batch_matches_per_prompt(world):
 def reference_encode(ps, plan, params, config, vocab):
     """One prompt through the encoder, its input rows built segment by
     segment: the token rows, then each modal segment's projection with its
-    masked frames swapped for the mask vector by selection-matrix
-    arithmetic. Returns (states, pooled)."""
+    masked frames swapped for the mask vector by a row gather. Returns
+    (states, pooled)."""
     d = config.model_dim
     ids = list(ps.ids)
     for pos in plan.masked_token_positions:
@@ -411,11 +411,11 @@ def reference_encode(ps, plan, params, config, vocab):
         rows = feats.shape[0]
         hit = list(plan.masked_modal_frames.get(seg.kind, ()))
         if hit:
-            sel = np.zeros((rows, d))
-            sel[hit] = 1.0
             tiled = ad.matmul(ad.constant(np.ones((rows, 1))),
                               ad.reshape(params[f"mask_vec_{seg.kind}"], (1, d)))
-            proj = ad.add(ad.mul(proj, ad.constant(1.0 - sel)), ad.mul(tiled, ad.constant(sel)))
+            pick = np.arange(rows)
+            pick[hit] += rows  # a masked frame's row comes from the tiled mask vector
+            proj = ad.embedding(ad.concat_rows([proj, tiled]), pick)
         parts.append(proj)
         types += [model._TYPE_INDEX[seg.kind]] * rows
     n = len(types)
@@ -466,16 +466,16 @@ def test_batch_input_gather_matches_per_sample_reference(world):
         assert np.array_equal(offsets, np.cumsum([0] + lengths))
         weights = rng.normal(size=enc.states.shape)
         lift = rng.normal(size=enc.pooled.shape)
-        got = grads_of(ad.add(ad.sum_all(ad.mul(enc.states, ad.constant(weights))),
-                              ad.sum_all(ad.mul(enc.pooled, ad.constant(lift)))), params)
+        got = grads_of(ad.add(sum_of(enc.states, ad.constant(weights)),
+                              sum_of(enc.pooled, ad.constant(lift))), params)
         total = None
         for i, (ps, plan) in enumerate(zip(prompts, plans)):
             states, pooled = reference_encode(ps, plan, params, config, vocab)
             rows = enc.states.data[offsets[i]:offsets[i + 1]]
             assert np.max(np.abs(rows - states.data)) <= 1e-12
             assert np.max(np.abs(enc.pooled.data[i] - pooled.data)) <= 1e-12
-            part = ad.add(ad.sum_all(ad.mul(states, ad.constant(weights[offsets[i]:offsets[i + 1]]))),
-                          ad.sum_all(ad.mul(pooled, ad.constant(lift[i]))))
+            part = ad.add(sum_of(states, ad.constant(weights[offsets[i]:offsets[i + 1]])),
+                          sum_of(pooled, ad.constant(lift[i])))
             total = part if total is None else ad.add(total, part)
         want = grads_of(total, params)
         for name in params:
@@ -732,7 +732,7 @@ def test_dataset_embedding_gradient_isolation(world):
     ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
     ad.zero_grads(params.values())
     enc = encode(ps, params, config, vocab)
-    ad.backward(ad.sum_all(enc.pooled))
+    ad.backward(sum_of(enc.pooled))
     g = params["dataset_emb"].grad
     assert g is not None
     active = ps.dataset_index

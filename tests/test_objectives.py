@@ -16,7 +16,7 @@ from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
 from sentigen.prompt import build_prompt
 
-from conftest import finite_diff_check, small_config
+from conftest import div, finite_diff_check, gather_cols, small_config, sqrt, sub, sum_of
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +185,27 @@ def test_ccl_gradient_matches_finite_differences():
     assert finite_diff_check(f, x) < 1e-4
 
 
+def test_ccl_node_gradient_matches_finite_differences():
+    """The one contrastive node over one row block and over several, with a
+    pair at zero distance and a sample with no same-label partner: the
+    gradient passes central differences at 1e-4, the node is the only
+    vertex above its rows, and its value is the per-pair reference's."""
+    data = np.random.default_rng(37).normal(size=(6, 3))
+    data[1] = data[0]  # rows 0 and 1: a same-label pair at zero distance
+    x = ad.Tensor(data, requires_grad=True, op="param")
+    labels = ["p", "p", "n", "p", "n", "q"]  # "q": no same-label partner
+
+    def blocks(t, bounds):
+        return [ad.embedding(t, range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    for make in (lambda t: [t], lambda t: blocks(t, [0, 2, 3, 6]),
+                 lambda t: blocks(t, range(7))):
+        assert finite_diff_check(lambda t: loss_ccl(make(t), labels), x) < 1e-4
+    loss = loss_ccl([x], labels)
+    assert loss.op == "pair_contrast" and loss.parents == (x,)
+    assert abs(loss.item() - ref_ccl(blocks(x, range(7)), labels).item()) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # centroids and pseudo labels
 
@@ -298,6 +319,24 @@ def test_cep_rejects_colliding_representative_tokens(rig):
         label_token_ids({TaskType.CA: ("bobcat", "cat")}, vocab)
     got = label_token_ids({TaskType.ABSA: ("bobcat",), TaskType.CA: ("cat",)}, vocab)
     assert got[TaskType.CA] == got[TaskType.ABSA] == [label_token_id("cat", vocab)]
+
+
+def test_cep_head_nodes_do_not_grow_with_tasks(rig):
+    """One cross-entropy over the tasks' label tokens side by side: the
+    graph of ``loss_cep`` above its encoding has as many vertices for 1, 2
+    and 4 tasks."""
+    vocab, config, params = rig["vocab"], rig["config"], rig["params"]
+    full = label_token_ids(four_task_labels(vocab), vocab)
+    batch = [(rig["prompts"]["sst-toy"], plan_for(rig, "sst-toy")),
+             (rig["prompts"]["meld-toy"], plan_for(rig, "meld-toy", p=0.5))]
+    counts = []
+    for n in (1, 2, 4):
+        enc = encoded(rig, batch)
+        below = {id(v) for v in ad._topological_order(enc.states)}
+        loss = loss_cep(enc, np.zeros((2, n), dtype=np.int64), params, config, vocab,
+                        dict(list(full.items())[:n]))
+        counts.append(sum(id(v) not in below for v in ad._topological_order(loss)))
+    assert counts[0] == counts[1] == counts[2]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +519,7 @@ def ref_spp(batch, params, config, vocab):
     total = ad.constant(0.0)
     for ps, pol in batch:
         h = decoder_states([vocab.bos_id], encode(ps, params, config, vocab), params, config)
-        logits = ad.gather_cols(token_logits(h, params), list(polarity_token_ids(vocab)))
+        logits = gather_cols(token_logits(h, params), list(polarity_token_ids(vocab)))
         total = ad.add(total, ad.softmax_cross_entropy(logits, [POLARITY_ORDER.index(pol)]))
     return ad.scale(total, 1.0 / len(batch))
 
@@ -490,10 +529,10 @@ def ref_ccl(pooled, labels):
     dist = {}
     for j in range(len(pooled)):
         for k in range(j + 1, len(pooled)):
-            diff = ad.sub(pooled[j], pooled[k])
-            sq = ad.sum_all(ad.mul(diff, diff))
+            diff = sub(pooled[j], pooled[k])
+            sq = sum_of(diff, diff)
             if sq.item() > 0.0:
-                dist[j, k] = dist[k, j] = ad.sqrt(sq)
+                dist[j, k] = dist[k, j] = sqrt(sq)
     total = ad.constant(0.0)
     for j in range(len(pooled)):
         mass = [(dist[j, k], labels[j] == labels[k]) for k in range(len(pooled)) if (j, k) in dist]
@@ -502,7 +541,7 @@ def ref_ccl(pooled, labels):
             for d, same in mass:
                 denom = ad.add(denom, d)
                 numer = ad.add(numer, d) if same else numer
-            total = ad.add(total, ad.div(numer, denom))
+            total = ad.add(total, div(numer, denom))
     return total
 
 
@@ -517,8 +556,8 @@ def ref_cep(batch, params, config, vocab, table):
         logits = token_logits(h, params)
         for i, task in enumerate(tasks):
             labels = table[task]
-            row = ad.gather_cols(ad.embedding(logits, range(i, i + 1)),
-                                 [label_token_id(lab, vocab) for lab in labels])
+            row = gather_cols(ad.embedding(logits, range(i, i + 1)),
+                              [label_token_id(lab, vocab) for lab in labels])
             total = ad.add(total, ad.softmax_cross_entropy(row, [labels.index(pseudo[task])]))
     return ad.scale(total, 1.0 / len(batch))
 

@@ -20,7 +20,7 @@ from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool
                                run_pretrain_stage1, run_pretrain_stage2, task_average_sample,
                                task_pools)
 
-from conftest import TornWrite, small_config
+from conftest import TornWrite, small_config, sum_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import graph_bytes  # noqa: E402
@@ -118,6 +118,26 @@ def test_index_pool_state_roundtrip():
     assert a.draw(5, rng_a) == b.draw(5, rng_b)
 
 
+def test_index_pool_draws_across_passes_as_before():
+    """Stage two's and fine-tuning's draws span passes: a fixed-seed
+    sequence of draws is the one they have always made."""
+    rng = np.random.default_rng(11)
+    pool = IndexPool(range(5), rng)
+    assert [pool.draw(n, rng) for n in (2, 3, 4, 1, 6, 2)] == [
+        [1, 4], [2, 3, 0], [4, 2, 1, 0], [3], [0, 2, 1, 3, 4, 2], [3, 0]]
+
+
+def test_pair_draws_never_pair_a_record_with_itself():
+    """Stage one's pair draw stays within one pass, so in an odd pool one
+    record sits each pass out: 3,000 draws from a 3-record pool hold two
+    records each, and each pass gives out two of its three."""
+    rng = np.random.default_rng(0)
+    pool = IndexPool(range(3), rng)
+    pairs = [pool.draw(2, rng, one_pass=True) for _ in range(3000)]
+    assert all(i != j for i, j in pairs)
+    assert sorted(set(i for pair in pairs for i in pair)) == [0, 1, 2]
+
+
 def test_index_pool_rejects_empty():
     with pytest.raises(ConfigError):
         IndexPool([], np.random.default_rng(0))
@@ -166,7 +186,8 @@ def test_task_pools_require_every_task(toy):
 
 def draw_pairs(pools, n_pairs, rng):
     """Stage one's draw: two records from each dealt slot's pool, in slot order."""
-    return [(pol, *pools.pools[pol].draw(2, rng)) for pol in pools.deal(n_pairs)]
+    return [(pol, *pools.pools[pol].draw(2, rng, one_pass=True))
+            for pol in pools.deal(n_pairs)]
 
 
 def test_polarity_pairs_share_their_polarity(toy):
@@ -202,12 +223,12 @@ def test_polarity_pools_need_one_pair(toy):
         polarity_pools(one, np.random.default_rng(0))
 
 
-def test_plan_checks_an_odd_pools_self_pair(toy, tmp_path):
-    """An odd pool's draw can straddle a reshuffle and pair its most-framed
-    record with itself, so stage one's plan checks that pair: a run whose
-    one pool holds three records fails before its first write when only the
-    self-pair overflows ``max_len``, and a fourth record (an even pool) lets
-    it run."""
+def test_plan_checks_each_pools_most_framed_pair(toy, tmp_path):
+    """Stage one never pairs a record with itself, so its plan checks each
+    pool's two most-framed records: a three-record pool whose most-framed
+    record would overflow ``max_len`` only with itself runs through many
+    passes, and a pool whose two most-framed records overflow together
+    fails before its first write."""
     registry, vocab = toy["registry"], toy["vocab"]
     config = small_config(vocab, registry)
     mosi = next(r for r in toy["records"] if r.dataset_id == "mosi-toy")
@@ -225,11 +246,11 @@ def test_plan_checks_an_odd_pools_self_pair(toy, tmp_path):
     with pytest.raises(ContractError):
         combine_queries(a, a, vocab, registry, config.max_len)
     fresh = replace(config, vocab_size=0, num_datasets=0)  # sized by the run's own vocabulary
+    run_pretrain_stage1(records, registry, fresh, train_cfg(max_steps=3), tmp_path / "odd")
     with pytest.raises(ContractError):
-        run_pretrain_stage1(records, registry, fresh, train_cfg(max_steps=1), tmp_path / "odd")
-    assert not (tmp_path / "odd").exists()
-    run_pretrain_stage1(records + [positive(1)], registry, fresh, train_cfg(max_steps=1),
-                        tmp_path / "even")
+        run_pretrain_stage1([positive(most), positive(most), positive(1)], registry, fresh,
+                            train_cfg(max_steps=1), tmp_path / "wide")
+    assert not (tmp_path / "wide").exists()
 
 
 def test_polarity_pools_state_roundtrip(toy):
@@ -665,7 +686,7 @@ def test_non_finite_gradient_stops_before_the_update(toy, tmp_path, monkeypatch,
     poison_gradient(monkeypatch, run.params, value)
     params = {name: p.data.copy() for name, p in run.params.items()}
     moments = {name: a.copy() for name, a in run.adam.state_arrays().items()}
-    total = ad.sum_all(ad.matmul(run.params["tok_emb"], run.params["w_text"]))
+    total = sum_of(ad.matmul(run.params["tok_emb"], run.params["w_text"]))
     with pytest.raises(NumericError, match="gradient norm .* at step 3"):
         run.optimize(total)
     assert run.adam.t == 0
