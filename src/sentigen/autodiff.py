@@ -20,6 +20,11 @@ its gradients on, so the arrays the rule held are freed during the pass.
 one, with the same floats in the same order; ``attention``'s rule keeps its
 softmax weights, not padded copies of q, k and v, and ``dropout``'s a bool
 mask. The module keeps only the ops the rest of the package calls.
+
+``gelu`` and ``layer_norm`` work in place over cache-sized row blocks
+(``_by_rows``) with the ufuncs of the whole-array expressions, in their order
+and so with their bytes. Column sums and matrix products stay whole: blocked,
+a sum would add in another order and BLAS may pick another kernel.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
+_BLOCK = 1 << 14  # elements in a row block of gelu and layer_norm: 128 KB of float64
 _NEG_INF = -1e30  # added to a hidden logit (a key, a class): its exp underflows to 0
 
 
@@ -291,6 +297,7 @@ def pair_contrast(x, same):
     active = involved_same.sum(axis=1) > 0.0
     if not active.any():
         return constant(0.0)
+    active = slice(None) if active.all() else active  # every row: views, not copies
     m_same, m_all, ones = involved_same[active], involved[active], np.ones((d, 1))
     root = np.sqrt(sq @ ones)
     numer, denom = m_same @ root, m_all @ root
@@ -309,21 +316,54 @@ def pair_contrast(x, same):
 # nonlinearities and normalisation
 
 
+def _by_rows(kernel, ins, shapes):
+    """``kernel(*ins, *outs, s)`` over row blocks of ``ins`` (None stays None)
+    and of new outputs of ``shapes``, with ``s`` scratch of a block's shape;
+    returns the outputs. Inputs that fit one block go whole, with no outputs
+    or scratch: the kernel's first write allocates each, and it returns them."""
+    x = ins[0]
+    if x.size <= _BLOCK:
+        return kernel(*ins)
+    step = max(1, _BLOCK * len(x) // x.size)
+    outs = tuple(np.empty(shape) for shape in shapes)
+    scratch = np.empty((step,) + x.shape[1:])
+    for lo in range(0, len(x), step):
+        blocks = [None if a is None else a[lo:lo + step] for a in ins + outs]
+        kernel(*blocks, scratch[:len(blocks[0])])
+    return outs
+
+
+def _gelu_rows(x, t=None, out=None, s=None):
+    s = np.multiply(x, x, s)
+    s *= x
+    np.add(x, np.multiply(s, _GELU_A, s), s)
+    t = np.tanh(np.multiply(s, _GELU_C, s), t)
+    out = np.multiply(x, 0.5, out)
+    out *= np.add(t, 1.0, s)
+    return t, out
+
+
+def _gelu_rule_rows(x, t, g, dx=None, s=None):
+    dx = np.multiply(x, 0.5, dx)
+    s = np.multiply(t, t, s)
+    dx *= np.subtract(1.0, s, s)
+    np.multiply(x, x, s)
+    s *= 3.0 * _GELU_A
+    s += 1.0
+    dx *= np.multiply(s, _GELU_C, s)
+    np.multiply(np.add(t, 1.0, s), 0.5, s)
+    np.multiply(g, np.add(s, dx, dx), dx)
+    return (dx,)
+
+
 def gelu(a):
     """tanh-form GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
 
     The powers are products: ``x ** 3`` would go through libm ``pow``, which
     is many times slower than two multiplies."""
     x = a.data
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
-
-    def rule(g):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
-
-    return _make(out, "gelu", (a,), rule)
+    t, out = _by_rows(_gelu_rows, (x,), (x.shape,) * 2)
+    return _make(out, "gelu", (a,), lambda g: _by_rows(_gelu_rule_rows, (x, t, g), (x.shape,)))
 
 
 def layer_norm(a, gain, bias, residual=None, eps=1e-5):
@@ -336,21 +376,44 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
         raise ShapeError(f"layer_norm: gain/bias {gain.shape}/{bias.shape} do not fit {a.shape}")
     if residual is not None and residual.shape != a.shape:
         raise ShapeError(f"layer_norm: residual {residual.shape} does not fit {a.shape}")
-    x = a.data if residual is None else a.data + residual.data
-    # row means as sum / n: ndarray.mean's bits, without its Python-level wrapper
-    xc = x - x.sum(axis=1, keepdims=True) / n
-    var = (xc * xc).sum(axis=1, keepdims=True) / n  # what np.var computes, without its own centring pass
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    gd = gain.data
-    out = xhat * gd + bias.data
+    gd, bd = gain.data, bias.data
+    nf = float(n)  # the divisor numpy makes of int n, given ready: the same bits, sooner
+
+    def rows(x, r, xhat=None, inv=None, out=None, s=None):
+        if r is not None:
+            x = xhat = np.add(x, r, xhat)
+        # row means as sum / n: ndarray.mean's bits, without its Python-level wrapper
+        m = x.sum(axis=1, keepdims=True)
+        xhat = np.subtract(x, np.divide(m, nf, m), xhat)
+        s = np.multiply(xhat, xhat, s)
+        var = s.sum(axis=1, keepdims=True)  # what np.var computes, without its own centring pass
+        var /= nf
+        var += eps
+        inv = np.divide(1.0, np.sqrt(var, var), inv)
+        xhat *= inv
+        out = np.multiply(xhat, gd, out)
+        out += bd
+        return xhat, inv, out
+
+    x = a.data
+    xhat, inv, out = _by_rows(rows, (x, None if residual is None else residual.data),
+                              (x.shape, (len(x), 1), x.shape))
     parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
     inputs = len(parents) - 2
 
+    def rule_rows(xhat, g, inv, dx, h=None):
+        h = np.multiply(g, gd, h)
+        hm = h.sum(axis=1, keepdims=True)
+        proj = np.multiply(h, xhat, dx).sum(axis=1, keepdims=True)
+        h -= np.divide(hm, nf, hm)
+        h -= np.multiply(xhat, np.divide(proj, nf, proj), dx)
+        np.multiply(inv, h, dx)
+
     def rule(g):
-        h = g * gd
-        dx = inv * (h - h.sum(axis=1, keepdims=True) / n - xhat * ((h * xhat).sum(axis=1, keepdims=True) / n))
-        return (dx,) * inputs + ((g * xhat).sum(axis=0), g.sum(axis=0))
+        dx = np.multiply(g, xhat)
+        dgain, dbias = dx.sum(axis=0), g.sum(axis=0)
+        _by_rows(rule_rows, (xhat, g, inv, dx), ())
+        return (dx,) * inputs + (dgain, dbias)
 
     return _make(out, "layer_norm", parents, rule)
 
@@ -534,7 +597,9 @@ def dropout(a, rate, rng):
     # x * 1.0 and x * 0.0 are exact and 1.0 * factor is factor, so the bool
     # mask gives the bytes of a float64 one, signed zeros, infinities and
     # NaNs included, and the node keeps one byte an element, not eight
-    return _make(a.data * keep * factor, "dropout", (a,), lambda g: (g * keep * factor,))
+    out = a.data * keep
+    out *= factor
+    return _make(out, "dropout", (a,), lambda g: (g * keep * factor,))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,68 @@ def div(a, b):
     return ad._make(x / y, "div", (a, b), lambda g: (g / y, -g * x / (y * y)))
 
 
+# whole-array reference ops: each does, expression for expression, what the
+# blocked and in-place kernel of the op of the same name in ``autodiff`` must
+# reproduce byte for byte
+
+
+def gelu_ref(a):
+    x = a.data
+    c, k = ad._GELU_C, ad._GELU_A
+    t = np.tanh(c * (x + k * (x * x * x)))
+
+    def rule(g):
+        du = c * (1.0 + 3.0 * k * (x * x))
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
+
+    return ad._make(0.5 * x * (1.0 + t), "gelu", (a,), rule)
+
+
+def layer_norm_ref(a, gain, bias, residual=None, eps=1e-5):
+    n = a.shape[1]
+    x = a.data if residual is None else a.data + residual.data
+    xc = x - x.sum(axis=1, keepdims=True) / n
+    var = (xc * xc).sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    gd = gain.data
+    parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
+
+    def rule(g):
+        h = g * gd
+        dx = inv * (h - h.sum(axis=1, keepdims=True) / n - xhat * ((h * xhat).sum(axis=1, keepdims=True) / n))
+        return (dx,) * (len(parents) - 2) + ((g * xhat).sum(axis=0), g.sum(axis=0))
+
+    return ad._make(xhat * gd + bias.data, "layer_norm", parents, rule)
+
+
+def pair_contrast_ref(x, same):
+    """``ad.pair_contrast`` with its active rows always copied out by a
+    boolean index, even when every row is active."""
+    b, d = x.shape
+    j, k = np.triu_indices(b, 1)
+    diff = x.data[j] - x.data[k]
+    sq = diff * diff
+    live = sq.sum(axis=1) > 0.0
+    j, k, diff, sq = j[live], k[live], diff[live], sq[live]
+    involved = np.zeros((b, len(j)))
+    involved[j, np.arange(len(j))] = involved[k, np.arange(len(j))] = 1.0
+    involved_same = involved * np.asarray(same)[j, k]
+    active = involved_same.sum(axis=1) > 0.0
+    m_same, m_all, ones = involved_same[active], involved[active], np.ones((d, 1))
+    root = np.sqrt(sq @ ones)
+    numer, denom = m_same @ root, m_all @ root
+
+    def rule(g):
+        gr = np.full(numer.shape, float(np.asarray(g).reshape(())))
+        groot = m_same.T @ (gr / denom) + m_all.T @ (-gr * numer / (denom * denom))
+        gsq = (groot * 0.5 / root) @ ones.T
+        gdiff = gsq * diff + gsq * diff
+        return (ad._row_sums(gdiff, j, (b, d)) + ad._row_sums(gdiff * -1.0, k, (b, d)),)
+
+    return ad._make((numer / denom).sum(), "pair_contrast", (x,), rule)
+
+
 def fd_check_param(loss_fn, params, name):
     """finite_diff_check over every coordinate of one parameter tensor."""
     return finite_diff_check(lambda t: loss_fn(), params[name])

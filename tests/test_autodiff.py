@@ -1,5 +1,6 @@
 import ast
 import math
+import sys
 import weakref
 from pathlib import Path
 
@@ -9,7 +10,16 @@ import pytest
 import sentigen.autodiff as ad
 from sentigen.errors import ContractError, ShapeError
 
-from conftest import finite_diff_check, sum_of
+from conftest import finite_diff_check, gelu_ref, layer_norm_ref, pair_contrast_ref, sum_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import graph_bytes  # noqa: E402
+import op_times  # noqa: E402
+
+# negatives, signed zeros, infinities, NaNs (one with a payload and a sign),
+# subnormals and values near the largest float
+SPECIALS = np.array([-3.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e308,
+                     np.frombuffer(bytes.fromhex("230100000000f8ff"), dtype=np.float64)[0]])
 
 
 def leaf(arr, rng=None):
@@ -702,10 +712,8 @@ def test_dropout_bytes_equal_the_float_mask_and_keep_a_bool_mask():
     bytes of one multiply by the float mask, forward and backward, on
     negatives, signed zeros, infinities, NaNs (a payload and a sign kept)
     and subnormals; and the rule holds the bool mask, no float64 one."""
-    specials = np.array([-3.5, -0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e308,
-                         np.frombuffer(bytes.fromhex("230100000000f8ff"), dtype=np.float64)[0]])
     rng = np.random.default_rng(41)
-    x = np.concatenate([specials, rng.normal(size=54)]).reshape(8, 8)
+    x = np.concatenate([SPECIALS, rng.normal(size=54)]).reshape(8, 8)
     g = x[::-1].copy()
     for rate in (0.1, 0.5, 0.3):
         seed = int(rng.integers(1 << 30))
@@ -719,6 +727,131 @@ def test_dropout_bytes_equal_the_float_mask_and_keep_a_bool_mask():
         held = [c.cell_contents for c in out.node.rule.__closure__]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert [a.dtype for a in arrays] == [np.bool_] and np.array_equal(arrays[0], keep)
+
+
+def block_rows(cols):
+    """Row counts around the row block of a ``cols``-wide float64 array:
+    one row, a block less one, a block, a block and one, and several."""
+    step = ad._BLOCK // cols
+    return (1, step - 1, step, step + 1, 3 * step + 5)
+
+
+def test_by_rows_runs_a_small_call_whole_and_a_large_one_in_row_blocks():
+    """An input that fits one block reaches the kernel whole, in one call
+    with no outputs and no scratch (the very arrays, not slices); a larger
+    one reaches it as consecutive blocks of whole rows of at most
+    ``_BLOCK`` elements, each with its outputs' rows and a scratch block."""
+    calls = []
+
+    def kernel(*arrays):
+        calls.append(arrays)
+        return "whole"
+
+    x = np.zeros((ad._BLOCK // 64, 64))
+    assert ad._by_rows(kernel, (x, None), (x.shape,)) == "whole"
+    assert len(calls) == 1 and calls[0][0] is x and calls[0][1:] == (None,)
+    calls.clear()
+    x = np.arange(3 * ad._BLOCK + 5 * 64, dtype=np.float64).reshape(-1, 64)
+    (out,) = ad._by_rows(kernel, (x, None), (x.shape,))
+    assert [len(c[0]) for c in calls] == [ad._BLOCK // 64] * 3 + [5]
+    for lo, (xb, none, ob, scratch) in zip(range(0, len(x), ad._BLOCK // 64), calls):
+        assert np.shares_memory(xb, x) and xb[0, 0] == x[lo, 0] and none is None
+        assert np.shares_memory(ob, out) and ob.shape == scratch.shape == xb.shape
+
+
+@pytest.mark.parametrize("cols", [16, 128])
+def test_gelu_bytes_equal_the_whole_array_expressions(cols):
+    """At one row, around one row block and over several, ``gelu``'s output
+    and rule give the bytes of the whole-array expressions (``gelu_ref``),
+    with special values in the first and the last block of the input and,
+    as in the dropout test, of the gradient (the input reversed). One case
+    is only NaN for NaN: where a NaN gradient meets a NaN bracket in the
+    rule's last product ``g * (...)``, which of the two NaNs survives is
+    numpy's choice, and on arrays of 256 KB or more its temporary elision
+    swaps the reference's operands."""
+    rng = np.random.default_rng(43)
+    for rows in block_rows(cols):
+        x = 3.0 * rng.normal(size=rows * cols)
+        x[:SPECIALS.size], x[-SPECIALS.size:] = SPECIALS, SPECIALS[::-1]
+        x = x.reshape(rows, cols)
+        g = x[::-1, ::-1].copy()
+        with np.errstate(all="ignore"):  # 1e308 overflows, inf * 0 is NaN
+            got, ref = ad.gelu(leaf(x)), gelu_ref(leaf(x))
+            assert got.data.tobytes() == ref.data.tobytes(), rows
+            (dx,), (want,), (bracket,) = got.node.rule(g), ref.node.rule(g), ref.node.rule(np.ones_like(g))
+        meet = np.isnan(g) & np.isnan(bracket)
+        assert meet.any() and np.isnan(dx[meet]).all(), rows
+        assert dx[~meet].tobytes() == want[~meet].tobytes(), rows
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("cols", [16, 64])
+def test_layer_norm_bytes_equal_the_whole_array_expressions(cols, residual):
+    """At one row, around one row block and over several, ``layer_norm``'s
+    output and every gradient its rule gives, with and without a residual,
+    have the bytes of the whole-array expressions (``layer_norm_ref``); one
+    input row is constant, so its variance is zero."""
+    rng = np.random.default_rng(47)
+    for rows in block_rows(cols):
+        a, r, g = (rng.normal(size=(rows, cols)) for _ in range(3))
+        a[rows // 2] = 1.5
+        gain, bias = rng.normal(size=cols), rng.normal(size=cols)
+        results = []
+        for op in (ad.layer_norm, layer_norm_ref):
+            x, res, gn, bs = (leaf(v) for v in (a, r, gain, bias))
+            out = op(x, gn, bs, residual=res if residual else None)
+            results.append([v.tobytes() for v in (out.data,) + out.node.rule(g)])
+        assert results[0] == results[1], rows
+
+
+@pytest.mark.parametrize("labels", [[0, 0, 1, 1, 2, 2], [0, 0, 1, 2, 3, 0]])
+def test_pair_contrast_bytes_equal_the_row_copying_reference(labels):
+    """With every row active (each has a same-label partner) the op uses its
+    incidence matrices as they are; with some rows inactive it copies out
+    the active rows. Either way its value and gradient have the bytes of
+    the reference, which always copies (``pair_contrast_ref``)."""
+    x = np.random.default_rng(59).normal(size=(len(labels), 3))
+    same = np.equal.outer(labels, labels)
+    got, ref = ad.pair_contrast(leaf(x), same), pair_contrast_ref(leaf(x), same)
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert got.node.rule(np.array(0.7))[0].tobytes() == ref.node.rule(np.array(0.7))[0].tobytes()
+
+
+def test_row_kernels_hold_whole_arrays_and_share_no_buffer():
+    """Over several row blocks, ``gelu``'s rule holds exactly its input and
+    a tanh array of its own, and ``layer_norm``'s exactly xhat, inv and the
+    gain: no block scratch. Two calls share no memory, so no buffer outlives
+    the call that made it."""
+    rng = np.random.default_rng(53)
+    rows, cols = 3 * (ad._BLOCK // 16) + 5, 16
+    x, gain, bias = leaf(rng.normal(size=(rows, cols))), rand_leaf(rng, cols), rand_leaf(rng, cols)
+    made = []
+    for _ in range(2):
+        out = ad.gelu(x)
+        held = graph_bytes.rule_arrays(out.node.rule)
+        (t,) = [a for a in held if a is not x.data]
+        assert len(held) == 2 and t.shape == x.shape and t.base is None
+        assert np.array_equal(t, np.tanh(ad._GELU_C * (x.data + ad._GELU_A * (x.data * x.data * x.data))))
+        made += [out.data, t]
+        out = ad.layer_norm(x, gain, bias)
+        held = graph_bytes.rule_arrays(out.node.rule)
+        assert sorted(a.shape for a in held) == [(cols,), (rows, 1), (rows, cols)]
+        assert any(a is gain.data for a in held) and all(a.base is None for a in held)
+        made += [out.data] + [a for a in held if a is not gain.data]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(made) for b in made[i + 1:])
+
+
+def test_op_times_times_every_op_and_puts_the_module_back():
+    """``scripts/op_times.py`` times a smoke unit of ``pretrain-d64`` with
+    every public autodiff function and every recorded rule timed, checks
+    the unit's outputs, and leaves the module as it found it."""
+    before = dict(vars(ad))
+    clock, wall, tally = op_times.time_units("pretrain-d64", 1, 0, smoke=True)
+    assert tally.attempted and not tally.failed and wall > 0
+    assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
+    for op in ("linear", "attention", "gelu", "layer_norm", "dropout", "pair_contrast"):
+        assert clock.calls[op, "forward"] > 0 and clock.seconds[op, "rule"] > 0, op
+    assert clock.calls["backward", "forward"] == 4  # two steps in each of two stages
 
 
 def test_parameter_and_grad_norm():
