@@ -1,6 +1,6 @@
 """Print the bytes a training graph holds at the first stage-one ``backward``.
 
-    python scripts/graph_bytes.py [--smoke] [--seed S]
+    python scripts/graph_bytes.py [--smoke] [--seed S] [--peak]
 
 The script sets up the ``pretrain-d64`` workload of ``benchmarks/workloads.py``
 (its synthetic corpus and its d=64, batch-64 configuration; with ``--smoke``
@@ -11,17 +11,28 @@ the first vertex that holds it and one of three holders:
 
 - ``output``: the output array of a vertex whose tensor is still alive;
 - ``rule``: an array a backward rule holds, a parent's or one the op made
-  (``pair_contrast``'s pair differences and distances, say);
+  (``gelu``'s slope or ``pair_contrast``'s pair distances, say);
 - ``constant``: the array of a constant leaf of the graph.
 
 Parameters are counted apart: the model holds them whether a step runs or
-not. The run writes only inside a temporary directory.
+not.
+
+A step's peak need not sit at its ``backward``: an op's forward can hold
+more while it runs than the graph holds at the end. With ``--peak`` the
+script also runs one whole round of the workload (both stages) under
+``tracemalloc`` and prints the round's peak traced memory and the op
+windows that saw the most: each public ``autodiff`` function and each
+backward rule, while it was the innermost such call running, and the time
+between them. The module's functions are restored when the round ends,
+whether it ends well or not. The runs write only inside temporary
+directories.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 import tempfile
+import tracemalloc
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
+import op_times  # noqa: E402
 import sentigen.autodiff as ad  # noqa: E402
 import sentigen.training as training  # noqa: E402
 import workloads  # noqa: E402
@@ -122,10 +134,80 @@ def first_backward_census(seed, smoke):
     return seen[0], work
 
 
+class PeakWindows(op_times.OpClock):
+    """``op_times.OpClock`` installed for memory: ``peak`` holds the most
+    bytes traced while each (name, "forward" or "rule") call was the
+    innermost open one, and ("between ops", "") while none was. Needs
+    ``tracemalloc`` tracing."""
+
+    BETWEEN = ("between ops", "")
+
+    def __init__(self):
+        super().__init__()
+        self.peak = defaultdict(int)
+        self._open = []
+
+    def mark(self):
+        """Credit the peak since the last mark to the innermost open window."""
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        key = self._open[-1] if self._open else self.BETWEEN
+        self.peak[key] = max(self.peak[key], peak)
+
+    def timed(self, fn, key):
+        def call(*args, **kwargs):
+            self.mark()
+            self._open.append(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.mark()
+                self._open.pop()
+                self.calls[key] += 1
+        return call
+
+
+def round_peaks(seed, smoke):
+    """``PeakWindows`` over one traced round of the ``pretrain-d64``
+    workload, the workload, and its tally of the round's checks."""
+    tally = workloads.Tally()
+    work = workloads.Pretrain(seed, smoke, tally)
+    windows = PeakWindows()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        work.setup(tmp / "setup")
+        tracemalloc.start()
+        try:
+            with windows.installed():
+                unit = work.run_unit(0, tmp)
+            windows.mark()
+        finally:
+            tracemalloc.stop()
+        work.check_unit(unit, 0, tmp)
+    return windows, work, tally
+
+
+def print_peaks(seed, smoke):
+    windows, work, tally = round_peaks(seed, smoke)
+    cfg = work.model_config
+    print(f"\npeak traced memory over one {work.name} round (d={cfg.model_dim}, "
+          f"batch {work.train_config.batch_size}), seed {seed}: "
+          f"{max(windows.peak.values()) / MB:.2f} MB; top windows:")
+    print(f"{'window':<32}{'calls':>10}{'peak MB':>10}")
+    for key, peak in sorted(windows.peak.items(), key=lambda kv: -kv[1])[:10]:
+        calls = windows.calls[key] if key != windows.BETWEEN else ""
+        print(f"{' '.join(key).strip():<32}{calls:>10}{peak / MB:>10.2f}")
+    for note in tally.notes:
+        print(f"graph_bytes: {note}", file=sys.stderr)
+    return 1 if tally.failed else 0
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--smoke", action="store_true", help="the d=16, batch-8 configuration")
     p.add_argument("--seed", type=int, default=7, help="the workload's seed (default 7)")
+    p.add_argument("--peak", action="store_true",
+                   help="also trace one whole round and print its peak by op window")
     args = p.parse_args(argv)
     (table, param_bytes), work = first_backward_census(args.seed, args.smoke)
 
@@ -139,7 +221,7 @@ def main(argv=None):
                for holder in HOLDERS]
         print(f"{op:<24}" + "".join(f"{b / MB:>10.2f}" for b in row + [sum(row)]))
     print(f"{'parameters (apart)':<24}{param_bytes / MB:>40.2f}")
-    return 0
+    return print_peaks(args.seed, args.smoke) if args.peak else 0
 
 
 if __name__ == "__main__":

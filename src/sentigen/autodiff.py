@@ -17,9 +17,11 @@ its gradients on, so the arrays the rule held are freed during the pass.
 
 ``linear``, ``layer_norm``'s ``residual``, ``embedding``'s extra
 ``(table, ids)`` pairs and ``pair_contrast`` each fuse several nodes into
-one, with the same floats in the same order; ``attention``'s rule keeps its
-softmax weights, not padded copies of q, k and v, and ``dropout``'s a bool
-mask. The module keeps only the ops the rest of the package calls.
+one, with the same floats in the same order. Rules keep only what they read:
+``attention``'s its softmax weights, not padded copies of q, k and v;
+``dropout``'s a bool mask; ``gelu``'s the slope its forward pass writes; and
+``pair_contrast``'s its input, from which it rebuilds its pair differences.
+The module keeps only the ops the rest of the package calls.
 
 ``gelu`` and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
@@ -285,27 +287,37 @@ def pair_contrast(x, same):
     roots of (diff * diff) @ ones, masses incidence-matrix products."""
     if x.data.ndim != 2 or np.shape(same) != (x.shape[0],) * 2:
         raise ShapeError(f"pair_contrast: rows {x.shape} and label matrix {np.shape(same)}")
-    b, d = x.shape
+    xd, (b, d) = x.data, x.shape
     j, k = np.triu_indices(b, 1)
-    diff = x.data[j] - x.data[k]
-    sq = diff * diff
+    sq = xd[j] - xd[k]
+    sq *= sq
     live = sq.sum(axis=1) > 0.0
-    j, k, diff, sq = j[live], k[live], diff[live], sq[live]
-    involved = np.zeros((b, len(j)))
-    involved[j, np.arange(len(j))] = involved[k, np.arange(len(j))] = 1.0
-    involved_same = involved * np.asarray(same)[j, k]
-    active = involved_same.sum(axis=1) > 0.0
+    j, k, sq = (j, k, sq) if live.all() else (j[live], k[live], sq[live])
+    paired = np.asarray(same, dtype=bool)[j, k]
+    active = np.zeros(b, dtype=bool)
+    active[j[paired]] = active[k[paired]] = True
     if not active.any():
         return constant(0.0)
     active = slice(None) if active.all() else active  # every row: views, not copies
-    m_same, m_all, ones = involved_same[active], involved[active], np.ones((d, 1))
-    root = np.sqrt(sq @ ones)
-    numer, denom = m_same @ root, m_all @ root
+    root = np.sqrt(sq @ np.ones((d, 1)))
+    del sq
+
+    def products(by_same, by_all, t=False):
+        """(m_same @ by_same, m_all @ by_all), ``t`` transposing both: m_same is m_all masked."""
+        m = np.zeros((b, len(j)))
+        m[j, np.arange(len(j))] = m[k, np.arange(len(j))] = 1.0
+        m = m[active]
+        by_all = (m.T if t else m) @ by_all
+        m *= paired
+        return (m.T if t else m) @ by_same, by_all
+
+    numer, denom = products(root, root)
 
     def rule(g):
         gr = np.full(numer.shape, float(np.asarray(g).reshape(())))
-        groot = m_same.T @ (gr / denom) + m_all.T @ (-gr * numer / (denom * denom))
-        gsq = (groot * 0.5 / root) @ ones.T
+        by_same, by_all = products(gr / denom, -gr * numer / (denom * denom), t=True)
+        gsq = ((by_same + by_all) * 0.5 / root) @ np.ones((1, d))
+        diff = xd[j] - xd[k]
         gdiff = gsq * diff + gsq * diff
         return (_row_sums(gdiff, j, (b, d)) + _row_sums(gdiff * -1.0, k, (b, d)),)
 
@@ -333,27 +345,31 @@ def _by_rows(kernel, ins, shapes):
     return outs
 
 
-def _gelu_rows(x, t=None, out=None, s=None):
+def _gelu_rows(x, slope, out=None, s=None):
     s = np.multiply(x, x, s)
     s *= x
     np.add(x, np.multiply(s, _GELU_A, s), s)
-    t = np.tanh(np.multiply(s, _GELU_C, s), t)
-    out = np.multiply(x, 0.5, out)
-    out *= np.add(t, 1.0, s)
-    return t, out
+    t = np.tanh(np.multiply(s, _GELU_C, s), out)  # in the output's buffer until t + 1 is taken
+    if slope is not None:
+        _gelu_slope_rows(x, t, slope, s)
+    np.add(t, 1.0, s)
+    out = np.multiply(x, 0.5, t)
+    out *= s
+    return (out,)
 
 
-def _gelu_rule_rows(x, t, g, dx=None, s=None):
-    dx = np.multiply(x, 0.5, dx)
+def _gelu_slope_rows(x, t, slope, s):
+    """Into ``slope``, the bracket gelu's rule multiplies its gradient by,
+    d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2)."""
+    np.multiply(x, 0.5, slope)
     s = np.multiply(t, t, s)
-    dx *= np.subtract(1.0, s, s)
+    slope *= np.subtract(1.0, s, s)
     np.multiply(x, x, s)
     s *= 3.0 * _GELU_A
     s += 1.0
-    dx *= np.multiply(s, _GELU_C, s)
+    slope *= np.multiply(s, _GELU_C, s)
     np.multiply(np.add(t, 1.0, s), 0.5, s)
-    np.multiply(g, np.add(s, dx, dx), dx)
-    return (dx,)
+    np.add(s, slope, slope)
 
 
 def gelu(a):
@@ -362,8 +378,9 @@ def gelu(a):
     The powers are products: ``x ** 3`` would go through libm ``pow``, which
     is many times slower than two multiplies."""
     x = a.data
-    t, out = _by_rows(_gelu_rows, (x,), (x.shape,) * 2)
-    return _make(out, "gelu", (a,), lambda g: _by_rows(_gelu_rule_rows, (x, t, g), (x.shape,)))
+    slope = np.empty(x.shape) if a.requires_grad else None
+    (out,) = _by_rows(_gelu_rows, (x, slope), (x.shape,))
+    return _make(out, "gelu", (a,), lambda g: (np.multiply(g, slope),))
 
 
 def layer_norm(a, gain, bias, residual=None, eps=1e-5):
@@ -535,14 +552,16 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
 
     def rule(g):
         gh = split(g, qslot, lq)
-        kh, vh = ((layout.k, layout.v) if layout is not None
-                  else (split(kd, kslot, lk), split(vd, kslot, lk)))
-        dp = gh @ vh.swapaxes(2, 3)
-        dz = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * norm
+        dp = gh @ (layout.v if layout is not None else split(vd, kslot, lk)).swapaxes(2, 3)
+        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v and layout is None else None
+        del gh
+        dp -= (dp * p).sum(axis=3, keepdims=True)
+        dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
+        dz *= norm
+        kh = layout.k if layout is not None else split(kd, kslot, lk)
         dq = _merge(dz @ kh, qslot) if want_q else None
         if layout is not None:
             return (dq,)
-        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v else None
         dk = _merge(dz.swapaxes(2, 3) @ split(qd, qslot, lq), kslot) if want_k else None
         return dq, dk, dv
 

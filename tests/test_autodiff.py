@@ -1,6 +1,7 @@
 import ast
 import math
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -592,8 +593,8 @@ RETENTION_CASES = {
     "embedding": (lambda p: ad.embedding(p[0], [0, 2, 2], (p[1], [1, 0, 1])), [(3, 4), (2, 4)], set()),
     "segment_mean": (lambda p: ad.segment_mean(p[0], [0, 1, 3]), [(3, 4)], set()),
     "pair_contrast": (lambda p: ad.pair_contrast(p[0], np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]],
-                                                                dtype=bool)), [(3, 4)], set()),
-    "gelu": (lambda p: ad.gelu(p[0]), [(3, 4)], {0}),
+                                                                dtype=bool)), [(3, 4)], {0}),
+    "gelu": (lambda p: ad.gelu(p[0]), [(3, 4)], set()),
     "layer_norm": (lambda p: ad.layer_norm(*p), [(3, 4), (4,), (4,)], {1}),
     "residual layer_norm": (lambda p: ad.layer_norm(p[0], p[2], p[3], residual=p[1]),
                             [(3, 4), (3, 4), (4,), (4,)], {2}),
@@ -617,9 +618,9 @@ def fresh_graph(rng, build, shapes):
 def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
     """Once the caller drops its names, exactly the parents whose arrays the
     op's rule reads survive: ``linear`` x and w, ``matmul`` both operands,
-    ``attention`` q, k and v, ``gelu`` its input, ``layer_norm`` its gain,
-    and no other op any (``pair_contrast`` keeps its pairs' differences,
-    not its input). Backward frees them all."""
+    ``attention`` q, k and v, ``pair_contrast`` its input (its rule rebuilds
+    the pair differences from it), ``layer_norm`` its gain, and no other op
+    any (``gelu`` keeps its slope, not its input). Backward frees them all."""
     build, shapes, reads = RETENTION_CASES[name]
     loss, refs = fresh_graph(np.random.default_rng(61), build, shapes)
     alive = {i for i, ref in enumerate(refs) if ref() is not None}
@@ -804,41 +805,79 @@ def test_layer_norm_bytes_equal_the_whole_array_expressions(cols, residual):
         assert results[0] == results[1], rows
 
 
-@pytest.mark.parametrize("labels", [[0, 0, 1, 1, 2, 2], [0, 0, 1, 2, 3, 0]])
-def test_pair_contrast_bytes_equal_the_row_copying_reference(labels):
+@pytest.mark.parametrize("labels, cols, twins", [
+    ([0, 0, 1, 1, 2, 2], 3, ()),
+    ([0, 0, 1, 2, 3, 0], 3, ()),
+    ([0, 0, 1, 1, 2, 0, 1], 3, ((1, 0), (4, 2), (6, 2))),
+    ([0, 1, 2, 3, 4, 5], 3, ()),
+    (list(np.arange(64) % 40), 64, ((63, 0),)),
+], ids=["labels0", "labels1", "twin-rows", "no-shared-label", "stage-one-size"])
+def test_pair_contrast_bytes_equal_the_row_copying_reference(labels, cols, twins):
     """With every row active (each has a same-label partner) the op uses its
     incidence matrices as they are; with some rows inactive it copies out
     the active rows. Either way its value and gradient have the bytes of
-    the reference, which always copies (``pair_contrast_ref``)."""
-    x = np.random.default_rng(59).normal(size=(len(labels), 3))
+    the reference, which always copies (``pair_contrast_ref``): with twin
+    rows too, whose zero-distance pairs take no part, and at stage one's
+    size (64 rows of width 64, 16 of them unpartnered). With no shared
+    label the op is the constant 0, where the reference's gradient is 0."""
+    x = np.random.default_rng(59).normal(size=(len(labels), cols))
+    for row, twin in twins:
+        x[row] = x[twin]
     same = np.equal.outer(labels, labels)
     got, ref = ad.pair_contrast(leaf(x), same), pair_contrast_ref(leaf(x), same)
     assert got.data.tobytes() == ref.data.tobytes()
-    assert got.node.rule(np.array(0.7))[0].tobytes() == ref.node.rule(np.array(0.7))[0].tobytes()
+    shared = len(set(labels)) < len(labels)
+    assert (got.op == "pair_contrast") == shared and (got.node is None) != shared
+    for g in (0.7, -1.3):
+        (want,) = ref.node.rule(np.array(g))
+        if shared:
+            assert got.node.rule(np.array(g))[0].tobytes() == want.tobytes()
+        else:
+            assert not want.any()
 
 
 def test_row_kernels_hold_whole_arrays_and_share_no_buffer():
-    """Over several row blocks, ``gelu``'s rule holds exactly its input and
-    a tanh array of its own, and ``layer_norm``'s exactly xhat, inv and the
-    gain: no block scratch. Two calls share no memory, so no buffer outlives
-    the call that made it."""
+    """Over several row blocks, ``gelu``'s rule holds exactly one array of
+    its own, its slope: the bytes of the reference rule's bracket (its rule
+    at g = 1). ``layer_norm``'s holds exactly xhat, inv and the gain. No
+    rule holds block scratch, and two calls share no memory, so no buffer
+    outlives the call that made it."""
     rng = np.random.default_rng(53)
     rows, cols = 3 * (ad._BLOCK // 16) + 5, 16
     x, gain, bias = leaf(rng.normal(size=(rows, cols))), rand_leaf(rng, cols), rand_leaf(rng, cols)
     made = []
     for _ in range(2):
         out = ad.gelu(x)
-        held = graph_bytes.rule_arrays(out.node.rule)
-        (t,) = [a for a in held if a is not x.data]
-        assert len(held) == 2 and t.shape == x.shape and t.base is None
-        assert np.array_equal(t, np.tanh(ad._GELU_C * (x.data + ad._GELU_A * (x.data * x.data * x.data))))
-        made += [out.data, t]
+        (slope,) = graph_bytes.rule_arrays(out.node.rule)
+        assert slope.shape == x.shape and slope.base is None
+        (bracket,) = gelu_ref(x).node.rule(np.ones_like(x.data))
+        assert slope.tobytes() == bracket.tobytes()
+        made += [out.data, slope]
         out = ad.layer_norm(x, gain, bias)
         held = graph_bytes.rule_arrays(out.node.rule)
         assert sorted(a.shape for a in held) == [(cols,), (rows, 1), (rows, cols)]
         assert any(a is gain.data for a in held) and all(a.base is None for a in held)
         made += [out.data] + [a for a in held if a is not gain.data]
     assert not any(np.shares_memory(a, b) for i, a in enumerate(made) for b in made[i + 1:])
+
+
+def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
+    """``scripts/graph_bytes.py --smoke --peak`` prints the census and then
+    one traced round's peak by op window, with every op and rule of the
+    round credited, and leaves ``ad`` and ``tracemalloc`` as it found them."""
+    before = dict(vars(ad))
+    assert graph_bytes.main(["--smoke", "--peak"]) == 0
+    assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
+    assert not tracemalloc.is_tracing()
+    printed = capsys.readouterr().out
+    assert "bytes held at the first stage-one backward" in printed
+    assert "peak traced memory over one pretrain-d64 round" in printed
+    windows, _, tally = graph_bytes.round_peaks(0, smoke=True)
+    assert tally.attempted and not tally.failed
+    for op in ("linear", "attention", "gelu", "layer_norm", "pair_contrast"):
+        assert windows.calls[op, "forward"] > 0 and windows.peak[op, "forward"] > 0, op
+        assert windows.calls[op, "rule"] > 0 and windows.peak[op, "rule"] > 0, op
+    assert windows.peak[windows.BETWEEN] > 0
 
 
 def test_op_times_times_every_op_and_puts_the_module_back():

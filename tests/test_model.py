@@ -240,6 +240,26 @@ def test_batched_cached_decoder_matches_teacher_forced(world):
         assert cache.length == n
 
 
+def test_inference_computes_no_gelu_slope(world, monkeypatch):
+    """``gelu`` writes its slope only for an input that needs a gradient: a
+    slope kernel that raises is never reached over a constant, one row block
+    or several, nor by ``generate_batch`` on frozen parameters; an encode
+    that records a graph reaches it."""
+    vocab, registry, records, config, params = world
+
+    def refuse(*args):
+        raise AssertionError("gelu computed a slope")
+
+    monkeypatch.setattr(ad, "_gelu_slope_rows", refuse)
+    rng = np.random.default_rng(5)
+    for rows in (3, 3 * (ad._BLOCK // 8) + 1):
+        assert ad.gelu(ad.constant(rng.normal(size=(rows, 8)))).node is None
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:6]]
+    assert len(model.generate_batch(prompts, freeze_params(params), config, vocab, max_new=4)) == 6
+    with pytest.raises(AssertionError, match="slope"):
+        encode(prompts[0], params, config, vocab)
+
+
 def test_cached_decoder_bounds(world):
     """A cache takes at most its capacity's positions, and only frozen
     parameters: no gradient could flow through its buffers."""
