@@ -34,9 +34,10 @@ Inference sizes the two phases apart. The encoder runs on ``_row_chunks``
 slices, bounded by ``_ROW_BUDGET`` encoder rows padded to the slice's
 longest stream, the size its padded attention buffers run fastest at.
 Greedy decoding runs each step on many rows, so per-op overhead is paid
-once for all of them: ``generate_batch`` joins the slices' packed outputs
-(``join_encodings``) and decodes groups of ``_DECODE_ROWS`` consecutive
-prompts, encoding a slice only when the first group that needs it starts.
+once for all of them: ``generate_batch`` cuts the prompts into groups of
+``_DECODE_ROWS`` consecutive prompts, encodes each group in its own slices,
+joins their packed outputs (``join_encodings``) and decodes the group, so
+encodings are held for one group at a time, never for the whole corpus.
 
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
@@ -534,49 +535,20 @@ def join_encodings(parts):
                                                          for p, s in zip(parts, shifts)]))
 
 
-def _samples(enc, lo, hi):
-    """Samples lo:hi of a frozen packed ``EncoderOutput``, as views of its rows."""
-    if lo == 0 and hi == len(enc.offsets) - 1:
-        return enc
-    first, last = enc.offsets[lo], enc.offsets[hi]
-    return EncoderOutput(states=ad.constant(enc.states.data[first:last]),
-                         pooled=ad.constant(enc.pooled.data[lo:hi]),
-                         offsets=enc.offsets[lo:hi + 1] - first)
-
-
-def _decode_groups(prompts, params, config, vocab):
-    """Each run of at most ``_DECODE_ROWS`` consecutive prompts, with its
-    encoding joined from the ``_row_chunks`` slices that hold it. A slice is
-    encoded once, when the first group that needs it starts, so encodings
-    are held for about one group at a time, never for the whole corpus."""
-    slices = _row_chunks(prompts)
-    enc, used = None, 0  # the slice in hand, and how many of its samples earlier groups took
-    for start in range(0, len(prompts), _DECODE_ROWS):
-        group = prompts[start:start + _DECODE_ROWS]
-        parts, need = [], len(group)
-        while need:
-            if enc is None or used == len(enc.offsets) - 1:
-                enc, used = encode_batch(next(slices), params, config, vocab), 0
-            take = min(need, len(enc.offsets) - 1 - used)
-            parts.append(_samples(enc, used, used + take))
-            used, need = used + take, need - take
-        yield group, join_encodings(parts)
-
-
 def generate_batch(prompts, params, config, vocab, max_new=8):
     """Greedy decoding of many prompts. Returns one id list per prompt,
     equal to what ``generate`` gives it alone (up to rounding in near-ties
     of the argmax).
 
-    Prefill is narrow and decode is wide: the encoder runs once per
-    ``_row_chunks`` slice, and the decoder on groups of ``_DECODE_ROWS``
-    consecutive prompts, each group's encoding joined from its slices. Every
-    row of a group is fed one token per step through a shared
-    ``DecoderCache`` sized for the ``max_new`` positions it can be fed (at
-    most ``config.max_len``). A row stops recording at its first <eos>, and
-    the group ends when every row has stopped or after ``max_new`` tokens.
-    A row still running when its stream would pass ``config.max_len``
-    raises ``ContractError``.
+    Prefill is narrow and decode is wide: the prompts are cut into groups
+    of ``_DECODE_ROWS`` consecutive prompts, each group is encoded in its
+    own ``_row_chunks`` slices, joined into one encoding, and the decoder
+    runs on the whole group. Every row of a group is fed one token per step
+    through a shared ``DecoderCache`` sized for the ``max_new`` positions it
+    can be fed (at most ``config.max_len``). A row stops recording at its
+    first <eos>, and the group ends when every row has stopped or after
+    ``max_new`` tokens. A row still running when its stream would pass
+    ``config.max_len`` raises ``ContractError``.
     """
     if max_new < 1:
         raise ContractError("max_new must be at least 1")
@@ -584,7 +556,10 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
     # the contiguous copies token_logits would otherwise make at every step
     params.update({f"{name}.T": ad.transpose(params[name]) for name in _OUTPUT_WEIGHTS})
     out = []
-    for group, enc in _decode_groups(prompts, params, config, vocab):
+    for start in range(0, len(prompts), _DECODE_ROWS):
+        group = prompts[start:start + _DECODE_ROWS]
+        enc = join_encodings([encode_batch(chunk, params, config, vocab)
+                              for chunk in _row_chunks(group)])
         cache = DecoderCache(min(max_new, config.max_len))
         ids = [[] for _ in group]
         running = np.ones(len(group), dtype=bool)

@@ -206,8 +206,10 @@ class IndexPool:
         return {"perm": [int(i) for i in self.perm], "cursor": self.cursor}
 
     def load_state(self, state):
-        perm = np.asarray(state["perm"], dtype=np.int64)
-        cursor = int(state["cursor"])
+        perm, cursor = state["perm"], state["cursor"]
+        if any(type(i) is not int for i in [*perm, cursor]):  # a bool is not an int
+            raise ValueError("pool state holds a value that is not an int")
+        perm = np.asarray(perm, dtype=np.int64)
         if not np.array_equal(np.sort(perm), self.indices) or not 0 <= cursor <= perm.size:
             raise ValueError("pool state does not match the corpus")
         self.perm, self.cursor = perm, cursor
@@ -235,7 +237,12 @@ class GroupPools:
                 "pools": {g.value: pool.state() for g, pool in self.pools.items()}}
 
     def load_state(self, state):
-        self.rotation = int(state["rotation"])
+        rotation = state["rotation"]
+        if type(rotation) is not int or not 0 <= rotation < len(self.order):
+            raise ValueError(f"pool rotation {rotation!r} is not an int in [0, {len(self.order)})")
+        if set(state["pools"]) != {g.value for g in self.order}:
+            raise ValueError(f"pool keys {sorted(state['pools'])} are not the run's groups")
+        self.rotation = rotation
         for g, pool in self.pools.items():
             pool.load_state(state["pools"][g.value])
 

@@ -278,8 +278,10 @@ def test_cached_decoder_bounds(world):
 
 
 def straddles(prompts):
-    """Whether some decode group spans several ``_row_chunks`` slices, and
-    some slice spans several decode groups, at the current sizes."""
+    """Whether, were the whole of ``prompts`` cut into ``_row_chunks``
+    slices at the current sizes, some decode group would span several
+    slices and some slice several groups. ``generate_batch`` slices each
+    group on its own instead, so no slice holds two groups' prompts."""
     sizes = [len(chunk) for chunk in model._row_chunks(prompts)]
     cuts = set(np.cumsum(sizes).tolist())
     groups = set(range(model._DECODE_ROWS, len(prompts), model._DECODE_ROWS)) | {len(prompts)}
@@ -289,9 +291,10 @@ def straddles(prompts):
 
 
 def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):
-    """Structural guard: ``generate_batch`` encodes each ``_row_chunks``
-    slice once and decodes groups of at most ``_DECODE_ROWS`` prompts. No
-    decoding step concatenates rows, and each group splits the encoder's
+    """Structural guard: ``generate_batch`` decodes groups of at most
+    ``_DECODE_ROWS`` prompts and encodes each group's ``_row_chunks``
+    slices once, no slice holding prompts of two groups. No decoding step
+    concatenates rows, and each group splits the encoder's
     keys and values into heads once per decoder layer, not at every step
     nor per slice."""
     vocab, registry, records, _, _ = world
@@ -301,11 +304,13 @@ def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):
     monkeypatch.setattr(model, "_DECODE_ROWS", 3)
     assert straddles(prompts)
     counts = {"steps": 0, "concat_rows": 0, "head_layout": 0, "encode_batch": 0}
-    decoding, rows = [], []
+    decoding, rows, encoded = [], [], []
 
     def counted(name, fn):
         def wrapped(*args, **kwargs):
             counts[name] += bool(decoding) or name == "encode_batch"
+            if name == "encode_batch":
+                encoded.append(args[0])
             return fn(*args, **kwargs)
         return wrapped
 
@@ -327,7 +332,11 @@ def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):
     chunks = len(list(model._row_chunks(prompts)))
     groups = -(-len(prompts) // model._DECODE_ROWS)
     assert chunks > 1 and groups > chunks and counts["steps"] > 2 * groups
-    assert counts["encode_batch"] == chunks
+    group_of = {id(ps): i // model._DECODE_ROWS for i, ps in enumerate(prompts)}
+    assert counts["encode_batch"] == sum(
+        len(list(model._row_chunks(prompts[start:start + model._DECODE_ROWS])))
+        for start in range(0, len(prompts), model._DECODE_ROWS))
+    assert all(len({group_of[id(ps)] for ps in chunk}) == 1 for chunk in encoded)
     assert max(rows) == model._DECODE_ROWS
     assert counts["concat_rows"] == 0
     assert counts["head_layout"] == config.layers_dec * groups
@@ -618,8 +627,9 @@ def test_generate_batch_matches_per_record(world):
 
 
 def test_generate_batch_matches_per_record_across_groups(world, monkeypatch):
-    """Fuzz: with decode groups and encoder slices shrunk so that groups
-    straddle several slices and slices straddle groups, batched greedy
+    """Fuzz: with decode groups and encoder slices shrunk to sizes at which
+    slices of the whole list would straddle groups (``straddles``), and at
+    which a group is encoded in one slice or in several, batched greedy
     decoding still gives every record the ids per-record ``generate``
     gives it, on models whose answers end at an early <eos> and on ones
     that run to ``max_new``."""
@@ -646,8 +656,8 @@ def test_join_encodings_concatenates_and_shifts(world, monkeypatch):
     """Joined packed outputs hold the parts' states and pooled rows in
     order, with each part's offsets shifted past the rows before it, and
     the decoder reads every sample of the join as it reads it in its own
-    part. Each decode group's encoding, joined from pieces of slices, is
-    its prompts' encoding. A join of no parts is a ContractError."""
+    part. Each decode group's encoding, joined from its own ``_row_chunks``
+    slices, is its prompts' encoding. A join of no parts is a ContractError."""
     vocab, registry, records, _, _ = world
     config, frozen = two_layer_model(world)
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:9]]
@@ -668,14 +678,24 @@ def test_join_encodings_concatenates_and_shifts(world, monkeypatch):
     assert np.max(np.abs(whole - alone)) <= 1e-12
 
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
+    longest = max(stream_length(ps) for ps in prompts)
     monkeypatch.setattr(model, "_DECODE_ROWS", 3)
-    monkeypatch.setattr(model, "_ROW_BUDGET", 4 * max(stream_length(ps) for ps in prompts))
+    monkeypatch.setattr(model, "_ROW_BUDGET", 4 * longest)
     assert straddles(prompts)
-    for group, enc in model._decode_groups(prompts, frozen, config, vocab):
-        ref = model.encode_batch(group, frozen, config, vocab)
-        assert enc.offsets.tolist() == ref.offsets.tolist()
-        for got, want in ((enc.states, ref.states), (enc.pooled, ref.pooled)):
-            assert got.shape == want.shape and np.max(np.abs(got.data - want.data)) <= 1e-12
+    sliced = 0
+    for budget in (4 * longest, 2 * longest):  # each group in one slice, then in several
+        monkeypatch.setattr(model, "_ROW_BUDGET", budget)
+        for start in range(0, len(prompts), model._DECODE_ROWS):
+            group = prompts[start:start + model._DECODE_ROWS]
+            chunks = list(model._row_chunks(group))
+            sliced += len(chunks) > 1
+            enc = model.join_encodings([model.encode_batch(chunk, frozen, config, vocab)
+                                        for chunk in chunks])
+            ref = model.encode_batch(group, frozen, config, vocab)
+            assert enc.offsets.tolist() == ref.offsets.tolist()
+            for got, want in ((enc.states, ref.states), (enc.pooled, ref.pooled)):
+                assert got.shape == want.shape and np.max(np.abs(got.data - want.data)) <= 1e-12
+    assert sliced > 0
     with pytest.raises(ContractError):
         model.join_encodings([])
 

@@ -751,6 +751,15 @@ BAD_RESUME_STATE = {
         k: {**p, "perm": p["perm"][:-1]} for k, p in v["pools"].items()}}),
     "pools-cursor-past-end": ("pools", lambda v: {**v, "pools": {
         k: {**p, "cursor": 10 ** 6} for k, p in v["pools"].items()}}),
+    **{f"pools-rotation={r!r}": ("pools", lambda v, r=r: {**v, "rotation": r})
+       for r in (7, -2, 1.9, True, "2")},
+    "pools-extra-key": ("pools", lambda v: {**v, "pools": {
+        **v["pools"], "other": next(iter(v["pools"].values()))}}),
+    "pools-float-perm": ("pools", lambda v: {**v, "pools": {
+        k: {**p, "perm": [i + 0.2 for i in p["perm"]]} for k, p in v["pools"].items()}}),
+    **{f"pools-cursor={c!r}": ("pools", lambda v, c=c: {**v, "pools": {
+        k: {**p, "cursor": c} for k, p in v["pools"].items()}})
+       for c in (1.9, True)},
 }
 
 
