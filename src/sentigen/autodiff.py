@@ -329,33 +329,30 @@ def pair_contrast(x, same):
 
 
 def _by_rows(kernel, ins, shapes):
-    """``kernel(*ins, *outs, s)`` over row blocks of ``ins`` (None stays None)
-    and of new outputs of ``shapes``, with ``s`` scratch of a block's shape;
-    returns the outputs. Inputs that fit one block go whole, with no outputs
-    or scratch: the kernel's first write allocates each, and it returns them."""
+    """``kernel(*ins, *outs, s)`` once per block of whole rows, at most
+    ``_BLOCK`` elements, of ``ins`` (None stays None) and of new outputs of
+    ``shapes``, with ``s`` scratch of the block's shape; returns the outputs.
+    An input within ``_BLOCK`` is one block, and an empty one none."""
     x = ins[0]
-    if x.size <= _BLOCK:
-        return kernel(*ins)
-    step = max(1, _BLOCK * len(x) // x.size)
+    step = max(1, _BLOCK * len(x) // max(1, x.size))
     outs = tuple(np.empty(shape) for shape in shapes)
-    scratch = np.empty((step,) + x.shape[1:])
+    scratch = np.empty((min(step, len(x)),) + x.shape[1:])
     for lo in range(0, len(x), step):
         blocks = [None if a is None else a[lo:lo + step] for a in ins + outs]
         kernel(*blocks, scratch[:len(blocks[0])])
     return outs
 
 
-def _gelu_rows(x, slope, out=None, s=None):
-    s = np.multiply(x, x, s)
+def _gelu_rows(x, slope, out, s):
+    np.multiply(x, x, s)
     s *= x
     np.add(x, np.multiply(s, _GELU_A, s), s)
     t = np.tanh(np.multiply(s, _GELU_C, s), out)  # in the output's buffer until t + 1 is taken
     if slope is not None:
         _gelu_slope_rows(x, t, slope, s)
     np.add(t, 1.0, s)
-    out = np.multiply(x, 0.5, t)
+    np.multiply(x, 0.5, out)
     out *= s
-    return (out,)
 
 
 def _gelu_slope_rows(x, t, slope, s):
@@ -396,21 +393,20 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
     gd, bd = gain.data, bias.data
     nf = float(n)  # the divisor numpy makes of int n, given ready: the same bits, sooner
 
-    def rows(x, r, xhat=None, inv=None, out=None, s=None):
+    def rows(x, r, xhat, inv, out, s):
         if r is not None:
-            x = xhat = np.add(x, r, xhat)
+            x = np.add(x, r, xhat)
         # row means as sum / n: ndarray.mean's bits, without its Python-level wrapper
         m = x.sum(axis=1, keepdims=True)
-        xhat = np.subtract(x, np.divide(m, nf, m), xhat)
-        s = np.multiply(xhat, xhat, s)
+        np.subtract(x, np.divide(m, nf, m), xhat)
+        np.multiply(xhat, xhat, s)
         var = s.sum(axis=1, keepdims=True)  # what np.var computes, without its own centring pass
         var /= nf
         var += eps
-        inv = np.divide(1.0, np.sqrt(var, var), inv)
+        np.divide(1.0, np.sqrt(var, var), inv)
         xhat *= inv
-        out = np.multiply(xhat, gd, out)
+        np.multiply(xhat, gd, out)
         out += bd
-        return xhat, inv, out
 
     x = a.data
     xhat, inv, out = _by_rows(rows, (x, None if residual is None else residual.data),
@@ -418,8 +414,8 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
     parents = (a, gain, bias) if residual is None else (a, residual, gain, bias)
     inputs = len(parents) - 2
 
-    def rule_rows(xhat, g, inv, dx, h=None):
-        h = np.multiply(g, gd, h)
+    def rule_rows(xhat, g, inv, dx, h):
+        np.multiply(g, gd, h)
         hm = h.sum(axis=1, keepdims=True)
         proj = np.multiply(h, xhat, dx).sum(axis=1, keepdims=True)
         h -= np.divide(hm, nf, hm)
@@ -505,11 +501,14 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     ``layout``, when given, stands in for ``k``, ``v`` and ``k_offsets``
     (then None): keys and values already in the per-head layout, as
     ``head_layout`` splits them or a decoder cache writes them. The op skips
-    its own layout step, and the keys and values get no gradient.
+    its own layout step and records no node, as the layout holds arrays: a
+    ``q`` that needs a gradient is a ContractError.
     """
     if layout is None and (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
                            or q.shape[1] != k.shape[1]):
         raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
+    if layout is not None and q.requires_grad:
+        raise ContractError("attention: keys and values in a layout take no gradient, so q may not")
     d = q.shape[1]
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
@@ -543,29 +542,27 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     p = np.exp(z, out=z)
     p /= p.sum(axis=3, keepdims=True)
     out = _merge(p @ keys.v, qslot)
+    if layout is not None:
+        return Tensor(out, op="attention")
 
     # the rule splits q, k and v afresh from their packed rows: holding the
     # padded copies until backward would keep each side twice
-    want_q, want_k, want_v = (t is not None and t.requires_grad for t in (q, k, v))
-    qd = q.data if want_k else None
-    kd, vd = (None, None) if layout is not None else (k.data, v.data)
+    want_q, want_k, want_v = q.requires_grad, k.requires_grad, v.requires_grad
+    qd, kd, vd = q.data if want_k else None, k.data, v.data
 
     def rule(g):
         gh = split(g, qslot, lq)
-        dp = gh @ (layout.v if layout is not None else split(vd, kslot, lk)).swapaxes(2, 3)
-        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v and layout is None else None
+        dp = gh @ split(vd, kslot, lk).swapaxes(2, 3)
+        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v else None
         del gh
         dp -= (dp * p).sum(axis=3, keepdims=True)
         dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
         dz *= norm
-        kh = layout.k if layout is not None else split(kd, kslot, lk)
-        dq = _merge(dz @ kh, qslot) if want_q else None
-        if layout is not None:
-            return (dq,)
+        dq = _merge(dz @ split(kd, kslot, lk), qslot) if want_q else None
         dk = _merge(dz.swapaxes(2, 3) @ split(qd, qslot, lq), kslot) if want_k else None
         return dq, dk, dv
 
-    return _make(out, "attention", (q,) if layout is not None else (q, k, v), rule)
+    return _make(out, "attention", (q, k, v), rule)
 
 
 def softmax_cross_entropy(logits, targets, hidden=None):

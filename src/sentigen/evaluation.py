@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Registry, SaevalRecord
 from .errors import ContractError, DecodeError, MetricError
-from .model import generate, generate_batch  # noqa: F401  generate: traced by benchmarks/tracing.py
+from .model import generate_batch
+from .model import generate  # noqa: F401  traced by name by benchmarks/tracing.py
 from .prompt import build_prompt, decode_label
 
 
@@ -71,19 +71,25 @@ def bin_scalar(value):
     return int(min(3.0, max(-3.0, b)))
 
 
-def metrics_msa(golds, preds):
-    """Scalar sentiment triple: mae, seven-way bin accuracy, and two-way
-    sign accuracy with gold-zero samples excluded."""
+def _msa_metric(name, golds, preds):
+    """``metrics_msa``'s ``name`` entry alone: only ``acc2`` needs a nonzero gold."""
     _check_lengths(golds, preds)
     g = np.asarray([float(x) for x in golds], dtype=np.float64)
     p = np.asarray([float(x) for x in preds], dtype=np.float64)
-    out = {"mae": float(np.mean(np.abs(g - p))),
-           "acc7": float(np.mean([bin_scalar(a) == bin_scalar(b) for a, b in zip(g, p)]))}
+    if name == "mae":
+        return float(np.mean(np.abs(g - p)))
+    if name == "acc7":
+        return float(np.mean([bin_scalar(a) == bin_scalar(b) for a, b in zip(g, p)]))
     nonzero = g != 0.0
     if not nonzero.any():
         raise MetricError("every gold label is zero; two-way accuracy is undefined")
-    out["acc2"] = float(np.mean((g[nonzero] > 0.0) == (p[nonzero] > 0.0)))
-    return out
+    return float(np.mean((g[nonzero] > 0.0) == (p[nonzero] > 0.0)))
+
+
+def metrics_msa(golds, preds):
+    """Scalar sentiment triple: mae, seven-way bin accuracy, and two-way
+    sign accuracy with gold-zero samples excluded."""
+    return {name: _msa_metric(name, golds, preds) for name in ("mae", "acc7", "acc2")}
 
 
 def compute_metric(name, golds, preds):
@@ -94,7 +100,7 @@ def compute_metric(name, golds, preds):
     if name == "mf1_excl_neutral":
         return metric_mf1_excl_neutral(golds, preds)
     if name in ("mae", "acc7", "acc2"):
-        return metrics_msa(golds, preds)[name]
+        return _msa_metric(name, golds, preds)
     raise MetricError(f"unknown metric {name!r}")
 
 

@@ -61,7 +61,6 @@ import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -366,8 +365,8 @@ class DecoderCache:
       ``[:, :, :length]`` view of the positions fed so far.
 
     ``capacity`` is the most positions the cache takes (``generate_batch``
-    passes the ``max_new`` it feeds). The cache holds arrays, so it decodes
-    on frozen parameters only: no gradient flows through it.
+    passes the ``max_new`` it feeds). It holds arrays, so it decodes on frozen
+    parameters only: ``ad.attention`` refuses queries that need a gradient.
     """
 
     def __init__(self, capacity):
@@ -381,15 +380,15 @@ class DecoderCache:
         projected from the encoder states and split at the first call."""
         layout = self.cross.get(prefix)
         if layout is None:
-            k, v = _frozen(_keys_values(params, prefix, enc_out.states))
-            layout = self.cross[prefix] = ad.head_layout(k, v, heads, enc_out.offsets)
+            k, v = _keys_values(params, prefix, enc_out.states)
+            layout = self.cross[prefix] = ad.head_layout(k.data, v.data, heads, enc_out.offsets)
         return layout
 
     def grown_keys(self, params, prefix, x, heads, n):
         """One self-attention block's keys and values for every position up
         to ``n``: those of the new rows ``x`` (B * (n - length), d), written
         into the block's buffers at ``length:n``, after the ones held."""
-        new = _frozen(_keys_values(params, prefix, x))
+        new = _keys_values(params, prefix, x)
         batch, hd = x.shape[0] // (n - self.length), x.shape[1] // heads
         buffers = self.held.get(prefix)
         if buffers is None:
@@ -398,16 +397,8 @@ class DecoderCache:
         elif buffers[0].shape[0] != batch:
             raise ShapeError(f"decoder cache holds {buffers[0].shape[0]} samples, not {batch}")
         for buf, rows in zip(buffers, new):
-            buf[:, :, self.length:n] = rows.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
+            buf[:, :, self.length:n] = rows.data.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
         return ad.HeadLayout(buffers[0][:, :, :n], buffers[1][:, :, :n], np.full(batch, n))
-
-
-def _frozen(tensors):
-    """The arrays of a ``DecoderCache``'s projections, which must record no
-    graph: a gradient could not reach the parameters through the cache."""
-    if any(t.requires_grad for t in tensors):
-        raise ContractError("a decoder cache decodes on frozen parameters only")
-    return [t.data for t in tensors]
 
 
 def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cache=None):
@@ -472,18 +463,14 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     return x
 
 
-# the tied output projection's weights, which ``token_logits`` reads transposed
-_OUTPUT_WEIGHTS = ("w_text", "tok_emb")
-
-
-def token_logits(hidden, params):
-    """Project decoder (or encoder) states onto the vocabulary; the output
-    projection is the token embedding table, transposed. ``params`` may
-    hold those transposed copies already, under ``name + ".T"``, as
-    ``generate_batch`` makes them once for all its steps."""
-    w_text, tok_emb = (params.get(f"{name}.T") or ad.transpose(params[name])
-                       for name in _OUTPUT_WEIGHTS)
-    return ad.matmul(ad.matmul(hidden, w_text), tok_emb)
+def token_logits(hidden, params, cols=None):
+    """Project decoder (or encoder) states onto the vocabulary through the
+    tied output projection, ``w_text`` and the token embedding table, both
+    transposed; with ``cols``, onto those token ids' columns alone. Every
+    loss and every decoding step scores tokens through it. Each transpose
+    is a contiguous copy, made per call, which fixes the products' bits."""
+    tok_emb = params["tok_emb"] if cols is None else ad.embedding(params["tok_emb"], cols)
+    return ad.matmul(ad.matmul(hidden, ad.transpose(params["w_text"])), ad.transpose(tok_emb))
 
 
 # encoder rows per inference batch, counted as if padded to the longest
@@ -553,8 +540,6 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
     if max_new < 1:
         raise ContractError("max_new must be at least 1")
     params = freeze_params(params)
-    # the contiguous copies token_logits would otherwise make at every step
-    params.update({f"{name}.T": ad.transpose(params[name]) for name in _OUTPUT_WEIGHTS})
     out = []
     for start in range(0, len(prompts), _DECODE_ROWS):
         group = prompts[start:start + _DECODE_ROWS]

@@ -43,9 +43,8 @@ from . import autodiff as ad
 from .bias import label_centroids, nearest_labels
 from .data import Polarity
 from .errors import ContractError, VocabularyError
-# ``encode`` is no longer called here; it stays a module global because the
-# benchmark's tracer (benchmarks/tracing.py) patches it by name.
-from .model import decoder_states, encode, encode_batch, token_logits  # noqa: F401
+from .model import decoder_states, encode_batch, token_logits
+from .model import encode  # noqa: F401  traced by name by benchmarks/tracing.py
 from .prompt import tokenize
 
 POLARITY_ORDER = (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL)
@@ -112,14 +111,13 @@ def loss_mcm(enc, batch, params):
 def _label_head(enc, dec_ids, classes, targets, params, config, train, rng):
     """Label cross-entropy from ``enc``: the decoder is fed ``dec_ids``
     (B, n), and position i scores only the tokens ``classes[i]`` against
-    ``targets`` (B, n), indices into them. The logits are ``token_logits``'
-    columns for the n lists' tokens side by side (states times ``w_text``,
-    times those ``tok_emb`` rows), each position's other columns hidden in
-    one cross-entropy: per sample the positions' sum, averaged over the batch."""
+    ``targets`` (B, n), indices into them. The logits are ``token_logits``
+    over the n lists' tokens side by side, each position's other columns
+    hidden in one cross-entropy: per sample the positions' sum, averaged
+    over the batch."""
     h = decoder_states(dec_ids, enc, params, config, train=train, rng=rng)
     cols = np.concatenate(classes)
-    logits = ad.matmul(ad.matmul(h, ad.transpose(params["w_text"])),
-                       ad.transpose(ad.embedding(params["tok_emb"], cols)))
+    logits = token_logits(h, params, cols)
     start = np.cumsum([0] + [len(c) for c in classes])
     own = (start[:-1, None] <= np.arange(len(cols))) & (np.arange(len(cols)) < start[1:, None])
     picked = (np.asarray(targets) + start[:-1]).reshape(-1)

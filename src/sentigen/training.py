@@ -36,14 +36,12 @@ from . import autodiff as ad
 from .data import (POOL_DATASET_ID, Polarity, TASK_ORDER, read_bytes, to_polarity,
                    write_file_atomic, write_manifest)
 from .errors import ConfigError, NumericError, ShapeError, VocabularyError
-# ``evaluate_records`` is not called here either (validation reads the plan's
-# prompts through ``evaluate_prompts``); the tracer patches it by name too.
-from .evaluation import evaluate_prompts, evaluate_records  # noqa: F401
+from .evaluation import evaluate_prompts
+from .evaluation import evaluate_records  # noqa: F401  traced by name by benchmarks/tracing.py
 from .masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
-# ``encode`` is no longer called here; it stays a module global because the
-# benchmark's tracer (benchmarks/tracing.py) patches it by name.
-from .model import (config_from_json, encode, init_params, load_checkpoint,  # noqa: F401
-                    params_from_arrays, params_to_arrays, pooled_vectors, save_checkpoint)
+from .model import (config_from_json, init_params, load_checkpoint, params_from_arrays,
+                    params_to_arrays, pooled_vectors, save_checkpoint)
+from .model import encode  # noqa: F401  traced by name by benchmarks/tracing.py
 from .objectives import (LossReport, Stage1Example, Stage2Example, assign_pseudo_labels,
                          build_centroids, generation_loss, label_token_ids, stage1_loss,
                          stage2_loss)
@@ -294,6 +292,9 @@ def _rng_states(rngs):
 
 
 def _restore_rngs(states):
+    """The saved ``data``, ``mask`` and ``dropout`` streams, and no others."""
+    if set(states) != {"data", "mask", "dropout"}:
+        raise ValueError(f"streams {sorted(states)} are not data, mask and dropout")
     out = {}
     for name, state in states.items():
         g = np.random.Generator(np.random.PCG64())
@@ -412,7 +413,12 @@ class _Run:
             raise ConfigError(
                 f"checkpoint holds {meta.get('stage')!r} state, cannot resume {self.stage!r}")
         self.step = _meta_field(meta, "step", int, source)
-        self.adam.load_state(self.params, arrays, _meta_field(meta, "adam_t", int, source))
+        if self.step < 0:
+            raise ConfigError(f"{source}: checkpoint field 'step' {self.step} is negative")
+        adam_t = _meta_field(meta, "adam_t", int, source)
+        if adam_t != self.step:  # one Adam update per step
+            raise ConfigError(f"{source}: checkpoint field 'adam_t' {adam_t} is not its step {self.step}")
+        self.adam.load_state(self.params, arrays, adam_t)
         self.pseudo = arrays.get("pseudo")
         self._resume_meta = meta
 

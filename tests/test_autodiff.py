@@ -285,6 +285,25 @@ def test_attention_rejects_bad_offsets():
             pytest.fail(name)
 
 
+def test_attention_over_a_layout_records_no_node_and_takes_no_gradient():
+    """Keys and values in a ``head_layout`` are arrays, so attention over
+    one gives the packed call's output, records no node, and refuses a
+    ``q`` that needs a gradient rather than give it one through the layout
+    alone."""
+    rng = np.random.default_rng(31)
+    q, q_off = packed_rows(rng, [2, 3], 4)
+    k, k_off = packed_rows(rng, [3, 1], 4)
+    v = rand_leaf(rng, 4, 4)
+    layout = ad.head_layout(k.data, v.data, 2, k_off)
+    frozen = ad.constant(q.data)
+    out = ad.attention(frozen, None, None, 2, q_off, None, layout=layout)
+    want = ad.attention(frozen, ad.constant(k.data), ad.constant(v.data), 2, q_off, k_off)
+    assert out.node is None and not out.requires_grad
+    assert np.array_equal(out.data, want.data)
+    with pytest.raises(ContractError, match="layout"):
+        ad.attention(q, None, None, 2, q_off, None, layout=layout)
+
+
 def test_segment_mean_matches_per_segment_and_fd():
     """Packed segments of uneven length, a length-1 one among them: each
     mean is its segment's alone, bit for bit, and the gradient passes finite
@@ -738,20 +757,25 @@ def block_rows(cols):
 
 
 def test_by_rows_runs_a_small_call_whole_and_a_large_one_in_row_blocks():
-    """An input that fits one block reaches the kernel whole, in one call
-    with no outputs and no scratch (the very arrays, not slices); a larger
-    one reaches it as consecutive blocks of whole rows of at most
-    ``_BLOCK`` elements, each with its outputs' rows and a scratch block."""
+    """An input that fits one block reaches the kernel whole, as one block
+    in one call, with outputs and scratch of its shape; an empty one never
+    reaches it and gets empty outputs. A larger one reaches it as
+    consecutive blocks of whole rows of at most ``_BLOCK`` elements, each
+    with its outputs' rows and a scratch block."""
     calls = []
 
     def kernel(*arrays):
         calls.append(arrays)
-        return "whole"
 
-    x = np.zeros((ad._BLOCK // 64, 64))
-    assert ad._by_rows(kernel, (x, None), (x.shape,)) == "whole"
-    assert len(calls) == 1 and calls[0][0] is x and calls[0][1:] == (None,)
-    calls.clear()
+    for rows in (3, ad._BLOCK // 64):
+        x = np.zeros((rows, 64))
+        (out,) = ad._by_rows(kernel, (x, None), (x.shape,))
+        assert len(calls) == 1, rows
+        xb, none, ob, scratch = calls.pop()
+        assert np.shares_memory(xb, x) and np.shares_memory(ob, out) and none is None
+        assert xb.shape == ob.shape == scratch.shape == out.shape == x.shape
+    (out,) = ad._by_rows(kernel, (np.zeros((0, 64)), None), ((0, 64),))
+    assert not calls and out.shape == (0, 64)
     x = np.arange(3 * ad._BLOCK + 5 * 64, dtype=np.float64).reshape(-1, 64)
     (out,) = ad._by_rows(kernel, (x, None), (x.shape,))
     assert [len(c[0]) for c in calls] == [ad._BLOCK // 64] * 3 + [5]
@@ -916,3 +940,31 @@ def test_autodiff_keeps_only_the_ops_the_package_calls():
             used |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ad"}
     assert defined and defined - used == set()
+
+
+def test_the_package_imports_no_name_it_does_not_use():
+    """Every name a module of the package imports is read in that module
+    (or listed in its ``__all__``), unless its import line carries
+    ``# noqa: F401``, and such a line imports only names the module does not
+    read: the imports the benchmark's tracer patches by name. With no linter
+    in the toolchain, this is what catches an import left behind."""
+    package = Path(ad.__file__).parent
+    unused, stale = [], []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        lines, tree = source.splitlines(), ast.parse(source)
+        nodes = list(ast.walk(tree))
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                read |= set(ast.literal_eval(node.value))
+        imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                exempt = "# noqa: F401" in lines[alias.lineno - 1]
+                if exempt == (name in read):
+                    (stale if exempt else unused).append(f"{path.name}:{alias.lineno} {name}")
+    assert not unused, f"imported but never used: {unused}"
+    assert not stale, f"marked noqa but used: {stale}"

@@ -66,6 +66,17 @@ def test_msa_metric_triple():
         metrics_msa([0.0, 0.0], [1.0, -1.0])
 
 
+def test_mae_and_acc7_are_defined_when_every_gold_is_zero():
+    """Only two-way accuracy leaves gold-zero samples out, so only it is
+    undefined when every gold is zero; mae and acc7 score those samples."""
+    golds, preds = [0.0, 0.0, 0.0], [0.0, 0.6, -1.5]
+    assert compute_metric("mae", golds, preds) == pytest.approx(0.7)
+    # bins: (0, 0) hit, (0, 1) miss, (0, -2) miss
+    assert compute_metric("acc7", golds, preds) == pytest.approx(1 / 3)
+    with pytest.raises(MetricError, match="zero"):
+        compute_metric("acc2", golds, preds)
+
+
 def test_metrics_match_brute_force_on_random_instances():
     rng = np.random.default_rng(12)
     labels = ["a", "b", "c", "neutral"]

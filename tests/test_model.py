@@ -160,16 +160,19 @@ def test_logits_projection_is_tied(world):
 
 
 def test_decode_logits_equal_per_step_transposes(world, monkeypatch):
-    """The logits of every decode step, read through the transposed output
-    weights ``generate_batch`` copies once, equal bit for bit the logits
-    of a ``token_logits`` call that transposes them itself."""
+    """The logits of every decode step, whose ``token_logits`` call
+    transposes the output weights itself, equal bit for bit the logits of
+    the same call on the trainable parameters, and the products through
+    transposed copies made once for all steps."""
     vocab, registry, records, config, params = world
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:5]]
     real, steps = model.token_logits, []
+    w_text, tok_emb = (ad.transpose(ad.constant(params[name].data)) for name in ("w_text", "tok_emb"))
 
     def checked(hidden, p):
         out = real(hidden, p)
-        assert "tok_emb.T" in p and np.array_equal(out.data, real(hidden, params).data)
+        assert np.array_equal(out.data, real(hidden, params).data)
+        assert np.array_equal(out.data, ad.matmul(ad.matmul(hidden, w_text), tok_emb).data)
         steps.append(out)
         return out
 

@@ -716,15 +716,20 @@ def test_non_finite_gradient_reaches_no_checkpoint(toy, tmp_path, monkeypatch):
     assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
 
 
+# a value, or a function of the saved value
 BAD_META = {"vocab": [None, "abc", [1, 2], ["<pad>"]], "vocab_datasets": [None, "5"],
-            "vocab_speakers": [True], "step": [None, 2.0], "adam_t": ["1"],
-            "rng": [None, {"data": 3}]}
+            "vocab_speakers": [True], "step": [None, 2.0, -3], "adam_t": ["1", -1, 0, 2],
+            "rng": [None, {"data": 3},
+                    lambda v: {k: s for k, s in v.items() if k != "dropout"},
+                    lambda v: {**v, "init": v["data"]}]}
 
 
 @pytest.mark.parametrize("field", sorted(BAD_META))
 def test_bad_checkpoint_meta_is_config_error(toy, tmp_path, field):
     """Every checkpoint field the loader or a resume reads is checked, so a
-    missing or mistyped one is a ConfigError, never a raw KeyError."""
+    missing, mistyped or inconsistent one is a ConfigError, never a raw
+    KeyError or a run that resumes from it: a negative step, an Adam count
+    other than the step, or RNG streams other than data, mask and dropout."""
     from sentigen.model import load_checkpoint, save_checkpoint
     config = small_config(toy["vocab"], toy["registry"])
     ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
@@ -734,7 +739,8 @@ def test_bad_checkpoint_meta_is_config_error(toy, tmp_path, field):
     # a fresh run started from a checkpoint reads only the vocabulary fields
     uses = ["resume_from"] + (["init_checkpoint"] if field.startswith("vocab") else [])
     missing = {k: v for k, v in meta.items() if k != field}
-    for broken in [missing] + [{**meta, field: v} for v in BAD_META[field]]:
+    for broken in [missing] + [{**meta, field: v(meta[field]) if callable(v) else v}
+                               for v in BAD_META[field]]:
         save_checkpoint(bad, ck_config, arrays, meta=broken)
         for use in uses:
             with pytest.raises(ConfigError, match=field):
