@@ -11,9 +11,9 @@ gradient to one gradient per parent (``None`` where a parent needs none) and
 captures only the arrays, shapes and flags it reads, so an output no rule
 reads is freed once the caller drops its tensor. ``backward`` walks the graph
 once in reverse topological order, sums each vertex's incoming gradients in
-one dict, writes each leaf's ``.grad`` once, into a buffer that leaf owns,
-and consumes the graph: a vertex drops its rule and edges once it has passed
-its gradients on, so the arrays the rule held are freed during the pass.
+one dict, returns each leaf's gradient as a value (no tensor holds one), and
+consumes the graph: a vertex drops its rule and edges once it has passed its
+gradients on, so the arrays the rule held are freed during the pass.
 
 ``linear``, ``layer_norm``'s ``residual``, ``embedding``'s extra
 ``(table, ids)`` pairs and ``pair_contrast`` each fuse several nodes into
@@ -47,17 +47,16 @@ def _as_f64(data):
 
 
 class Tensor:
-    """A dense float64 array, an optional gradient buffer, and the ``Node``
-    of the op that made it (``node``; None for a leaf). An op whose inputs
-    all lack ``requires_grad`` records none, so a pass over constants leaves
-    no graph. Data is immutable once an op has read it; gradients accumulate
-    across backward calls until ``zero_grad``."""
+    """A dense float64 array and the ``Node`` of the op that made it
+    (``node``; None for a leaf). An op whose inputs all lack
+    ``requires_grad`` records none, so a pass over constants leaves no graph.
+    Data is immutable once an op has read it. A tensor holds no gradient:
+    ``backward`` returns them."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "op", "node", "__weakref__")
 
     def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = _as_f64(data)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self.op = op
         self.node = None
@@ -75,9 +74,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
@@ -642,12 +638,15 @@ def _topological_order(loss):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into ``.grad`` of every requires-grad leaf.
+    """``{leaf: d(loss)/d(leaf)}`` for every leaf that requires a gradient
+    and that ``loss`` reaches; a leaf with no path to it is left out.
 
-    ``loss`` must hold a single value. Gradients add onto whatever is already
-    stored, so callers reset with ``zero_grads`` between steps. The pass
-    consumes the graph, so backward through a vertex an earlier call
-    consumed is a ContractError, raised before any ``.grad`` changes.
+    ``loss`` must hold a single value. Each gradient is C-contiguous, so a
+    sum over it never depends on the view a rule returned (``transpose``'s
+    is one), and may be the very array another leaf is given (``add`` hands
+    both parents one): a caller never writes into it. The pass consumes the
+    graph, so backward through a vertex an earlier call consumed is a
+    ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -656,18 +655,13 @@ def backward(loss):
     order = _topological_order(loss)
     if any(type(v) is Node and v.rule is None for v in order):
         raise ContractError("backward: the graph was consumed by an earlier backward")
-    grads = {id(order[-1]): np.ones_like(loss.data)}
+    grads, leaves = {id(order[-1]): np.ones_like(loss.data)}, {}
     while order:
         node = order.pop()
         g = grads.pop(id(node), None)
         if type(node) is Tensor:
             if g is not None and node.requires_grad:
-                # a rule may hand several parents one array, or a view of
-                # its input: copy so each leaf owns the buffer it is given
-                if node.grad is None:
-                    node.grad = np.array(g, order="C")
-                else:
-                    node.grad += g
+                leaves[node] = np.ascontiguousarray(g)
             continue
         if g is not None:
             for p, pg in zip(node.inputs, node.rule(g)):
@@ -675,16 +669,4 @@ def backward(loss):
                     prev = grads.get(id(p))
                     grads[id(p)] = pg if prev is None else prev + pg
         node.rule, node.inputs = None, ()
-
-
-def zero_grads(tensors):
-    for t in tensors:
-        t.zero_grad()
-
-
-def global_grad_norm(tensors):
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
-    return float(np.sqrt(total))
+    return leaves

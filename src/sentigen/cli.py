@@ -283,6 +283,10 @@ def _matrix_from_embeddings(path, correspondence):
         items[d].append((label, vec))
     if not items:
         raise DataError("embeddings file holds no rows", path=p)
+    unknown = sorted({d for pair in correspondence or () for d in pair} - items.keys())
+    if unknown:  # a mistyped id would score its pair with the identity map, silently
+        raise ConfigError(f"correspondence names datasets {unknown} that {p} does not hold; "
+                          f"it holds {order}")
     return build_accuracy_matrix(items, order=order, correspondence=correspondence)
 
 

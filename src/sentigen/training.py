@@ -124,14 +124,15 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
-    def step(self, params):
+    def step(self, params, grads):
+        """One update of exactly the parameters ``grads`` names, each by its
+        gradient there; a parameter ``grads`` leaves out keeps its value and
+        moments."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in params.items():
-            g = p.grad
-            if g is None:
-                continue
+        for name, g in grads.items():
+            p = params[name]
             m = self.m[name]
             v = self.v[name]
             m *= ADAM_BETA1
@@ -158,15 +159,19 @@ class Adam:
                 store[name] = np.asarray(arrays[key], dtype=np.float64).copy()
 
 
-def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most ``max_norm``,
-    and return the norm. A NaN or infinite norm leaves them as they are."""
-    norm = ad.global_grad_norm(params.values())
+def clip_gradients(grads, max_norm):
+    """Scale the gradients of ``grads`` ({name: array}) so their global L2
+    norm is at most ``max_norm``, and return the norm. Clipping rebinds each
+    entry to a scaled copy and writes into no array: two names may share one
+    (see ``ad.backward``). A NaN or infinite norm leaves them as they are."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    norm = float(np.sqrt(total))
     if max_norm > 0 and max_norm < norm < np.inf:
         factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
+        for name, g in grads.items():
+            grads[name] = g * factor
     return norm
 
 
@@ -467,15 +472,18 @@ class _Run:
                                + " ".join(f"{k}={v}" for k, v in terms.items()))
 
     def optimize(self, total):
-        """Backpropagate ``total``, clip, and take one Adam step. A NaN or
+        """Backpropagate ``total``, clip, and take one Adam step, passing the
+        gradients by value, in ``param_layout`` order: a parameter the loss
+        does not reach gets none and keeps its value and moments. A NaN or
         infinite gradient norm is a NumericError raised before the step, so
         neither the parameters nor the moments, nor a checkpoint, take it."""
-        ad.zero_grads(self.params.values())
-        ad.backward(total)
-        norm = clip_gradients(self.params, self.train_config.grad_clip)
+        leaves = ad.backward(total)
+        grads = {name: leaves[p] for name, p in self.params.items() if p in leaves}
+        del leaves  # so an entry clipping rebinds frees its unscaled array
+        norm = clip_gradients(grads, self.train_config.grad_clip)
         if not np.isfinite(norm):
             raise NumericError(f"non-finite gradient norm {norm} at step {self.step}")
-        self.adam.step(self.params)
+        self.adam.step(self.params, grads)
 
     def save(self, path, pools_state, copies=()):
         meta = {

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sentigen.autodiff as ad
-from sentigen.autodiff import backward, zero_grads
+from sentigen.autodiff import backward
 from sentigen.cli import make_synthetic_corpus
 from sentigen.errors import ContractError, NumericError
 from sentigen.data import Registry, load_corpus
@@ -74,10 +74,8 @@ def toy_model(toy):
 
 def grad_of(loss_fn, params, name):
     """Analytic gradient of loss_fn() with respect to params[name]."""
-    zero_grads(params.values())
-    backward(loss_fn())
-    g = params[name].grad
-    return np.zeros_like(params[name].data) if g is None else g.copy()
+    g = backward(loss_fn()).get(params[name])
+    return np.zeros_like(params[name].data) if g is None else g
 
 
 def finite_diff_check(f, x, eps=1e-5):
@@ -87,15 +85,12 @@ def finite_diff_check(f, x, eps=1e-5):
     Returns the maximum over coordinates of
     |analytic - central| / max(1, |central|).
     """
-    x.zero_grad()
     out = f(x)
     if out.data.size != 1:
         raise ContractError("finite_diff_check: f must return a scalar")
-    backward(out)
-    if x.grad is None:
+    analytic = backward(out).get(x)
+    if analytic is None:
         analytic = np.zeros_like(x.data)
-    else:
-        analytic = x.grad.copy()
     worst = 0.0
     flat = x.data.reshape(-1)
     for i in range(flat.size):

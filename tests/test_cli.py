@@ -3,9 +3,10 @@ import builtins
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sentigen.bias import fixture_accuracy_matrix
+from sentigen.bias import cross_annotate, fixture_accuracy_matrix, label_centroids
 from sentigen.cli import build_parser, main
 
 from conftest import TornWrite
@@ -232,13 +233,13 @@ def test_pretrain_stages_run(cli_corpus, tmp_path, capsys):
                        "--out", str(tmp_path / "s1"), "--config", str(cfg))
     assert code == 0
     ck1 = json.loads(out.strip().splitlines()[-1])["checkpoint"]
-    lines = [json.loads(l) for l in open(tmp_path / "s1" / "metrics.jsonl")]
+    lines = [json.loads(l) for l in (tmp_path / "s1" / "metrics.jsonl").read_text().splitlines()]
     assert lines and all(l["stage"] == "pretrain1" and l["mcm"] > 0 for l in lines)
     code, out, _ = run(capsys, "pretrain2", "--corpus", str(cli_corpus / "corpus.jsonl"),
                        "--registry", str(cli_corpus / "registry.json"),
                        "--out", str(tmp_path / "s2"), "--config", str(cfg), "--init", ck1)
     assert code == 0
-    lines = [json.loads(l) for l in open(tmp_path / "s2" / "metrics.jsonl")]
+    lines = [json.loads(l) for l in (tmp_path / "s2" / "metrics.jsonl").read_text().splitlines()]
     assert lines and all(l["cep"] > 0 for l in lines)
 
 
@@ -358,7 +359,7 @@ def test_export_embeddings_schema(cli_corpus, finetuned, tmp_path, capsys):
                        "--checkpoint", str(finetuned / "checkpoint.ckpt"),
                        "--out", str(tmp_path / "emb"))
     assert code == 0
-    rows = [json.loads(l) for l in open(tmp_path / "emb" / "embeddings.jsonl")]
+    rows = [json.loads(l) for l in (tmp_path / "emb" / "embeddings.jsonl").read_text().splitlines()]
     assert len(rows) == 24
     assert all(set(r) == {"dataset_id", "sample_id", "label", "vector"} for r in rows)
     assert all(len(r["vector"]) == 16 for r in rows)
@@ -526,6 +527,62 @@ def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error)
     assert code == (2 if error == "ConfigError" else 1)
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == error
+
+
+def embedding_items(path):
+    """{dataset_id: [(label, vector)]} of an embeddings file."""
+    items = {}
+    for line in Path(path).read_text().splitlines():
+        row = json.loads(line)
+        items.setdefault(row["dataset_id"], []).append((row["label"], np.asarray(row["vector"])))
+    return items
+
+
+def test_bias_report_scores_a_mapped_pair_with_its_correspondence(valid_inputs, tmp_path, capsys):
+    """A valid correspondence file exits 0, and the pair it maps scores what
+    ``cross_annotate`` gives with that map: the valid input's map, and one
+    sending each source label onto a target label it is annotated with,
+    which scores above the identity map."""
+    items = embedding_items(valid_inputs["embeddings"])
+    src, tgt = "sst-toy", "absa-toy"
+    target = label_centroids([label for label, _ in items[tgt]], [vec for _, vec in items[tgt]])
+    pseudo, identity = cross_annotate(items[src], target)
+    annotated = {gold: got for (gold, _), got in zip(items[src], pseudo)}
+    (tmp_path / "annotated.json").write_text(json.dumps({src: {tgt: annotated}}))
+    for path in (valid_inputs["correspondence"], tmp_path / "annotated.json"):
+        out = tmp_path / path.stem
+        code, _, _ = run(capsys, "bias-report", "--embeddings", str(valid_inputs["embeddings"]),
+                         "--correspondence", str(path), "--out", str(out))
+        assert code == 0
+        acc = json.loads((out / "bias_report.json").read_text())["accuracy"]
+        row = acc["accuracy_percent"][acc["datasets"].index(src)]
+        cmap = json.loads(path.read_text())[src][tgt]
+        assert row[acc["datasets"].index(tgt)] == cross_annotate(items[src], target, cmap)[1]
+    assert row[acc["datasets"].index(tgt)] > identity
+
+
+@pytest.mark.parametrize("correspondence, names", [
+    ({"sst-toy": {"absa-toy": ["negative"]}}, None),
+    ({"sst-toy": {"absa-toy": {"negative": 1}}}, None),
+    ({"nope": {"sst-toy": {"negative": "negative"}}}, ["nope"]),
+    ({"sst-toy": {"absa-toy": {}, "nope": {}, "also-nope": {}}}, ["also-nope", "nope"]),
+], ids=["list-for-a-label-map", "number-for-a-label", "unknown-source", "unknown-targets"])
+def test_bias_report_bad_correspondence_is_one_config_error(valid_inputs, tmp_path, capsys,
+                                                            correspondence, names):
+    """Well-formed JSON of the wrong shape, or naming a dataset the
+    embeddings lack, exits 2 with one ConfigError line; the unknown ids and
+    the datasets the file holds are named."""
+    path = tmp_path / "correspondence.json"
+    path.write_text(json.dumps(correspondence))
+    code, out, err = run(capsys, "bias-report", "--embeddings", str(valid_inputs["embeddings"]),
+                         "--correspondence", str(path))
+    lines = err.strip().splitlines()
+    assert code == 2 and out == "" and len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    if names is not None:
+        held = list(embedding_items(valid_inputs["embeddings"]))
+        assert str(names) in error["message"] and str(held) in error["message"]
 
 
 # The file each input flag names when it is valid: a key of ``valid_inputs``.

@@ -123,9 +123,11 @@ def test_load_corpus_happy_path(tmp_path):
                  audio=[[0.1, 0.2, 0.3]]),
         full_row(task_type="msa", dataset_id="score", text="meh", label=-1.5,
                  audio=[[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], image=[[1.0, 2.0]]),
+        full_row(task_type="msa", dataset_id="score", text="flat", label=0.5, image=[1.0, 2.0]),
     ])
     records = load_corpus(path, reg)
-    assert len(records) == 3
+    assert len(records) == 4
+    assert np.array_equal(records[3].image, [[1.0, 2.0]])  # a flat list is one frame
     assert records[1].context == (("s0", "hello there"),)
     assert records[2].audio.shape == (2, 3)
     assert records[2].image.shape == (1, 2)
@@ -142,6 +144,11 @@ def test_load_corpus_happy_path(tmp_path):
     (lambda r: r.update(label="meh"), "not in the answer set"),
     (lambda r: r.update(context=[["s", "hi"]]), "only valid for conversation"),
     (lambda r: r.update(audio=[[1.0]]), "declares no audio"),
+    # a flat list is one frame, of its length: here 2 against a width of 3
+    (lambda r: r.update(task_type="msa", dataset_id="score", label=1.0, audio=[1.0, 2.0]),
+     "audio has dimension 2, registry declares 3"),
+    (lambda r: r.update(task_type="msa", dataset_id="score", label=1.0,
+                        audio=[[1.0, 2.0, 3.0], [4.0, 5.0]]), "rectangular array"),
 ])
 def test_load_corpus_line_errors(tmp_path, mutate, fragment):
     reg = mini_registry()

@@ -466,9 +466,8 @@ def reference_encode(ps, plan, params, config, vocab):
 
 
 def grads_of(loss, params):
-    ad.zero_grads(params.values())
-    ad.backward(loss)
-    return {n: None if t.grad is None else t.grad.copy() for n, t in params.items()}
+    grads = ad.backward(loss)
+    return {n: grads.get(t) for n, t in params.items()}
 
 
 def test_batch_input_gather_matches_per_sample_reference(world):
@@ -745,11 +744,10 @@ def test_frozen_inference_builds_no_graph(world, monkeypatch):
     monkeypatch.setattr(model, "encode_batch", recording(model.encode_batch, "states", "pooled"))
     monkeypatch.setattr(model, "decoder_states", recording(model.decoder_states))
     monkeypatch.setattr(model, "token_logits", recording(model.token_logits))
-    ad.zero_grads(params.values())
+    monkeypatch.setattr(ad, "backward", lambda loss: pytest.fail("generate ran a backward pass"))
     ids = generate(ps, params, config, vocab, max_new=4)
     assert len(seen) == 2 + 2 * len(ids)
     assert all(t.parents == () and not t.requires_grad for t in seen)
-    assert all(t.grad is None for t in params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +771,8 @@ def test_full_model_gradient_matches_fd(world):
 def test_dataset_embedding_gradient_isolation(world):
     vocab, registry, records, config, params = world
     ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
-    ad.zero_grads(params.values())
     enc = encode(ps, params, config, vocab)
-    ad.backward(sum_of(enc.pooled))
-    g = params["dataset_emb"].grad
+    g = ad.backward(sum_of(enc.pooled)).get(params["dataset_emb"])
     assert g is not None
     active = ps.dataset_index
     assert np.any(g[active] != 0.0)

@@ -572,11 +572,9 @@ def ref_generation(batch, params, config, vocab):
 
 
 def value_and_grads(make_loss, params):
-    ad.zero_grads(params.values())
     loss = make_loss()
-    if loss.requires_grad:
-        ad.backward(loss)
-    return loss.item(), {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+    grads = ad.backward(loss) if loss.requires_grad else {}
+    return loss.item(), {n: grads[t] if t in grads else np.zeros_like(t.data)
                          for n, t in params.items()}
 
 

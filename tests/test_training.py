@@ -57,8 +57,7 @@ def test_adam_matches_reference_updates():
     rng = np.random.default_rng(0)
     for t in range(1, 4):
         g = rng.normal(size=2)
-        p.grad = g.copy()
-        opt.step(params)
+        opt.step(params, {"p0": g.copy()})
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         mhat = m / (1 - ADAM_BETA1 ** t)
@@ -70,27 +69,38 @@ def test_adam_matches_reference_updates():
 
 def test_adam_skips_missing_gradients():
     params = make_params((2,), (3,))
-    params["p0"].grad = np.ones(2)
-    params["p1"].grad = None
     before = params["p1"].data.copy()
-    Adam(params, lr=0.5).step(params)
+    Adam(params, lr=0.5).step(params, {"p0": np.ones(2)})
     np.testing.assert_array_equal(params["p1"].data, before)
     assert not np.array_equal(params["p0"].data, np.full(2, 1.0))
 
 
 def test_clip_gradients_global_norm():
-    params = make_params((1,), (1,))
-    params["p0"].grad = np.array([3.0])
-    params["p1"].grad = np.array([4.0])
-    norm = clip_gradients(params, 1.0)
+    grads = {"p0": np.array([3.0]), "p1": np.array([4.0])}
+    norm = clip_gradients(grads, 1.0)
     assert abs(norm - 5.0) < 1e-12
-    np.testing.assert_allclose(params["p0"].grad, [0.6])
-    np.testing.assert_allclose(params["p1"].grad, [0.8])
+    np.testing.assert_allclose(grads["p0"], [0.6])
+    np.testing.assert_allclose(grads["p1"], [0.8])
     # under the ceiling: untouched
-    params["p0"].grad = np.array([0.3])
-    params["p1"].grad = np.array([0.4])
-    clip_gradients(params, 1.0)
-    np.testing.assert_allclose(params["p0"].grad, [0.3])
+    grads = {"p0": np.array([0.3]), "p1": np.array([0.4])}
+    clip_gradients(grads, 1.0)
+    np.testing.assert_allclose(grads["p0"], [0.3])
+    # a matrix and a zero vector: sqrt(9 * 4)
+    norm = clip_gradients({"p": np.full((3, 3), 2.0), "q": np.zeros(2)}, 0.0)
+    assert norm == pytest.approx(6.0, abs=1e-12)
+
+
+def test_clip_gradients_writes_into_no_array():
+    """Two names may share one array, as ``add``'s rule hands both parents
+    one: clipping scales each entry once and leaves the shared array as it
+    was."""
+    shared = np.array([3.0, 4.0])
+    grads = {"a": shared, "b": shared}
+    norm = clip_gradients(grads, 1.0)
+    assert norm == pytest.approx(np.sqrt(50.0), abs=1e-12)
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], shared * (1.0 / np.sqrt(50.0)))
+    np.testing.assert_array_equal(shared, [3.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +340,12 @@ def test_finetune_logs_and_checkpoints(toy, tmp_path):
                         train_cfg(max_steps=6, validate_every_epochs=1, max_new_tokens=3),
                         out)
     assert path.exists()
-    lines = [json.loads(l) for l in open(out / "metrics.jsonl")]
+    lines = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
     assert [l["step"] for l in lines] == [1, 2, 3, 4, 5, 6]
     assert list(lines[0]) == ["step", "stage", "mcm", "spp", "ccl", "cep", "total", "lr"]
     assert lines[0]["stage"] == "finetune"
     assert all(l["total"] > 0 and l["mcm"] == 0.0 for l in lines)
-    vals = [json.loads(l) for l in open(out / "val_metrics.jsonl")]
+    vals = [json.loads(l) for l in (out / "val_metrics.jsonl").read_text().splitlines()]
     assert vals and set(vals[0]) == {"step", "epoch", "datasets"}
     assert set(vals[0]["datasets"]) == set(toy["registry"].dataset_ids)
 
@@ -345,7 +355,7 @@ def test_stage1_step_and_resume_bit_exact(toy, tmp_path):
     cfg_full = train_cfg(max_steps=4, dropout_rate=0.1)
     full = run_pretrain_stage1(toy["records"], toy["registry"], config, cfg_full,
                                tmp_path / "full")
-    lines = [json.loads(l) for l in open(tmp_path / "full" / "metrics.jsonl")]
+    lines = [json.loads(l) for l in (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()]
     assert all(l["mcm"] > 0 and l["spp"] > 0 for l in lines)
     assert all(abs(l["total"] - (l["mcm"] + l["spp"] + l["ccl"])) < 1e-9 for l in lines)
 
@@ -361,7 +371,7 @@ def test_stage2_resume_bit_exact(toy, tmp_path):
     cfg_full = train_cfg(max_steps=4, dropout_rate=0.1)
     full = run_pretrain_stage2(toy["records"], toy["registry"], config, cfg_full,
                                tmp_path / "full")
-    lines = [json.loads(l) for l in open(tmp_path / "full" / "metrics.jsonl")]
+    lines = [json.loads(l) for l in (tmp_path / "full" / "metrics.jsonl").read_text().splitlines()]
     assert all(l["mcm"] > 0 and l["cep"] > 0 and l["spp"] == 0.0 for l in lines)
 
     half = run_pretrain_stage2(toy["records"], toy["registry"], config,
@@ -377,8 +387,8 @@ def test_finetune_resume_bit_exact_and_deterministic(toy, tmp_path):
     a = run_finetune(toy["records"], toy["registry"], config, cfg_full, tmp_path / "a")
     b = run_finetune(toy["records"], toy["registry"], config, cfg_full, tmp_path / "b")
     assert sha(a) == sha(b)
-    assert (open(tmp_path / "a" / "metrics.jsonl").read()
-            == open(tmp_path / "b" / "metrics.jsonl").read())
+    assert ((tmp_path / "a" / "metrics.jsonl").read_text()
+            == (tmp_path / "b" / "metrics.jsonl").read_text())
 
     half = run_finetune(toy["records"], toy["registry"], config,
                         train_cfg(max_steps=2, dropout_rate=0.1), tmp_path / "half")
@@ -589,7 +599,7 @@ def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_pa
             stray = outputs - held - {id(loss.data)}
             assert not stray, f"{len(stray)} op outputs no rule reads are alive at backward"
             checked.append(len(output))
-        real_backward(loss)
+        return real_backward(loss)
 
     monkeypatch.setattr(ad, "_make", make)
     monkeypatch.setattr(ad, "backward", probe)
@@ -614,7 +624,7 @@ def test_init_checkpoint_carries_weights_not_step(toy, tmp_path):
                              tmp_path / "s1")
     out = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=2),
                        tmp_path / "ft", init_checkpoint=ck)
-    lines = [json.loads(l) for l in open(tmp_path / "ft" / "metrics.jsonl")]
+    lines = [json.loads(l) for l in (tmp_path / "ft" / "metrics.jsonl").read_text().splitlines()]
     assert [l["step"] for l in lines] == [1, 2]
     assert out.exists()
 
@@ -662,15 +672,16 @@ def test_non_finite_state_raises(toy, tmp_path):
 
 
 def poison_gradient(monkeypatch, params, value, at_call=1):
-    """Make the ``at_call``-th ``ad.backward`` and every later one leave
+    """Make the ``at_call``-th ``ad.backward`` and every later one return
     ``value`` in one gradient of ``params`` (a dict, or a callable giving it)."""
     real, calls = ad.backward, []
 
     def poisoned(loss):
-        real(loss)
+        grads = real(loss)
         calls.append(True)
         if len(calls) >= at_call:
-            (params() if callable(params) else params)["w_text"].grad[0, 0] = value
+            grads[(params() if callable(params) else params)["w_text"]][0, 0] = value
+        return grads
 
     monkeypatch.setattr(ad, "backward", poisoned)
 
@@ -692,6 +703,32 @@ def test_non_finite_gradient_stops_before_the_update(toy, tmp_path, monkeypatch,
     assert run.adam.t == 0
     assert all(np.array_equal(p.data, params[name]) for name, p in run.params.items())
     assert all(np.array_equal(a, moments[name]) for name, a in run.adam.state_arrays().items())
+
+
+def test_no_gradient_outlives_the_step(toy, tmp_path, monkeypatch):
+    """Gradients are values: once ``_Run.optimize`` returns, no array that
+    ``ad.backward`` returned is alive, clipped or not."""
+    real_backward, real_optimize, refs, checked = ad.backward, training._Run.optimize, [], []
+
+    def backward(loss):
+        grads = real_backward(loss)
+        refs.extend(weakref.ref(g) for g in grads.values())
+        return grads
+
+    def optimize(run, total):
+        real_optimize(run, total)
+        assert refs and all(ref() is None for ref in refs), "a gradient outlived its step"
+        checked.append(len(refs))
+        refs.clear()
+
+    monkeypatch.setattr(ad, "backward", backward)
+    monkeypatch.setattr(training._Run, "optimize", optimize)
+    config = small_config(toy["vocab"], toy["registry"])
+    for clip in (1e-6, 0.0):  # every step clipped, then none
+        checked.clear()
+        run_finetune(toy["records"], toy["registry"], config,
+                     train_cfg(max_steps=2, grad_clip=clip), tmp_path / f"clip{clip}")
+        assert len(checked) == 2
 
 
 def test_non_finite_gradient_reaches_no_checkpoint(toy, tmp_path, monkeypatch):
