@@ -86,9 +86,9 @@ def rule_arrays(rule):
 def census(loss):
     """({(op, holder): bytes}, parameter bytes) over the graph behind ``loss``."""
     order = ad._topological_order(loss)
-    params = {id(_buffer(v.data)): v.data.nbytes for v in order
-              if type(v) is ad.Tensor and v.requires_grad}
-    counted, table = set(params), defaultdict(int)
+    # a parameter is a view into the optimizer's arena: its own bytes, not its buffer's
+    params = [v.data for v in order if type(v) is ad.Tensor and v.requires_grad]
+    counted, table = {id(_buffer(a)) for a in params}, defaultdict(int)
 
     def count(a, op, holder):
         buf = _buffer(a)
@@ -105,7 +105,7 @@ def census(loss):
             count(out.data, v.op, "output")
         for a in rule_arrays(v.rule):
             count(a, v.op, "rule")
-    return table, sum(params.values())
+    return table, sum(a.nbytes for a in params)
 
 
 def first_backward_census(seed, smoke):

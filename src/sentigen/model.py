@@ -149,8 +149,9 @@ _INIT = {"normal": lambda rng, shape: rng.normal(0.0, 0.1, size=shape),
 
 def param_layout(config):
     """The model's parameters as an ordered ``(name, shape, init)`` table,
-    ``init`` being one of ``_INIT``'s rules. Table order is the optimizer's
-    update order and the checkpoint layout."""
+    ``init`` being one of ``_INIT``'s rules. Table order is the order of the
+    optimizer's arena (``training.Adam``), one vector for the parameters and
+    one for each moment, and the checkpoint layout."""
     config.validate()
     d, f = config.model_dim, config.ffn_dim
     attn = [(m, (d, d), "xavier") for m in ("wq", "wk", "wv", "wo")] + \
@@ -595,10 +596,11 @@ def save_checkpoint(path, config, arrays, meta=None, copies=()):
             dtype = "<i8"
         else:
             raise ContractError(f"checkpoint array {name!r} has unsupported dtype {arr.dtype}")
-        blob = arr.astype(dtype).tobytes(order="C")
+        # the array's own bytes through a view: no copy on a little-endian host
+        blob = arr.astype(dtype, copy=False).reshape(-1).view(np.uint8)
         manifest.append({"name": name, "dtype": dtype, "shape": list(arr.shape), "offset": offset})
         blobs.append(blob)
-        offset += len(blob)
+        offset += blob.size
         crc = zlib.crc32(blob, crc)
     header = {
         "version": CHECKPOINT_VERSION,
@@ -619,8 +621,9 @@ def save_checkpoint(path, config, arrays, meta=None, copies=()):
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelConfig, arrays dict, meta dict).
 
-    A missing or unreadable path, any malformed header, or a payload that
-    does not match the header's CRC-32, is a ``ConfigError``."""
+    A missing or unreadable path, any malformed header (one naming an array
+    twice, say), or a payload that does not match the header's CRC-32, is a
+    ``ConfigError``. Each array is copied once out of the file's bytes."""
     blob = read_bytes(path, "checkpoint")
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file")
@@ -631,7 +634,7 @@ def load_checkpoint(path):
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
         if not isinstance(header, dict):
             raise ConfigError(f"{path}: checkpoint header is not a JSON object")
-        payload = blob[16 + header_len:]
+        payload = memoryview(blob)[16 + header_len:]  # entries are sliced from it, uncopied
         if header["payload_crc32"] != zlib.crc32(payload):
             raise ConfigError(f"{path}: checkpoint payload does not match its CRC-32")
         arrays = {}
@@ -646,6 +649,8 @@ def load_checkpoint(path):
             stop = start + math.prod(shape) * dtype.itemsize
             if stop > len(payload):
                 raise ConfigError(f"{path}: truncated checkpoint payload at array {entry['name']!r}")
+            if entry["name"] in arrays:
+                raise ConfigError(f"{path}: checkpoint names array {entry['name']!r} twice")
             arrays[entry["name"]] = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape).copy()
         try:
             config = ModelConfig.from_json(header["config"]).validate()

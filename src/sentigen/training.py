@@ -115,63 +115,117 @@ class TrainConfig:
         return cfg
 
 
+_UPDATE_BLOCK = 1 << 14  # elements per Adam update block: 128 KB of each float64 vector
+
+
+@dataclass
+class Gradients:
+    """A step's gradients in the optimizer's layout (``Adam.gather``):
+    ``vector`` is as long as the arena, ``views`` maps each parameter that
+    got a gradient, in layout order, to its shaped slice of ``vector``, and
+    ``runs`` are the ``[start, stop)`` spans those slices cover, neighbours
+    merged. Outside the runs ``vector`` is unset."""
+
+    vector: np.ndarray
+    views: dict
+    runs: list
+
+
 class Adam:
-    """Plain Adam with bias correction; no schedule, fixed betas and eps."""
+    """Plain Adam with bias correction; no schedule, fixed betas and eps.
+
+    Adam owns the arena: at construction it copies the parameters, in the
+    order ``params`` holds them (``param_layout``'s), into one float64
+    vector, ``flat``, and rebinds each tensor's ``.data`` to its view there.
+    The moments ``m`` and ``v`` are vectors in the same layout."""
 
     def __init__(self, params, lr):
         self.lr = float(lr)
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.spans, size = {}, 0  # name -> (start, stop, shape)
+        for name, p in params.items():
+            self.spans[name] = (size, size + p.data.size, p.shape)
+            size += p.data.size
+        self.flat = np.empty(size)
+        for name, p in params.items():
+            view = self._view(self.flat, name)
+            view[...] = p.data
+            p.data = view
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params, grads):
-        """One update of exactly the parameters ``grads`` names, each by its
-        gradient there; a parameter ``grads`` leaves out keeps its value and
+    def _view(self, vector, name):
+        start, stop, shape = self.spans[name]
+        return vector[start:stop].reshape(shape)
+
+    def gather(self, params, leaves):
+        """The gradients ``leaves`` ({tensor: array}, from ``ad.backward``)
+        holds for ``params``, copied into one ``Gradients`` vector. Each
+        array is popped from ``leaves`` as it is copied, so it is freed then
+        unless another name shares it."""
+        vector = np.empty(self.flat.size)
+        views, runs = {}, []
+        for name, p in params.items():
+            g = leaves.pop(p, None)
+            if g is None:
+                continue
+            views[name] = self._view(vector, name)
+            views[name][...] = g
+            start, stop, _ = self.spans[name]
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+        return Gradients(vector, views, runs)
+
+    def step(self, grads):
+        """One update of exactly the parameters ``grads`` covers, run by run
+        in blocks of ``_UPDATE_BLOCK`` elements, so a block's temporaries
+        stay in cache; a parameter it leaves out keeps its value and
         moments."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, g in grads.items():
-            p = params[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        for start, stop in grads.runs:
+            for lo in range(start, stop, _UPDATE_BLOCK):
+                block = slice(lo, min(lo + _UPDATE_BLOCK, stop))
+                g, m, v, p = grads.vector[block], self.m[block], self.v[block], self.flat[block]
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
     def state_arrays(self):
-        out = {}
-        for name, arr in self.m.items():
-            out[f"adam_m/{name}"] = arr
-        for name, arr in self.v.items():
-            out[f"adam_v/{name}"] = arr
-        return out
+        return {f"{prefix}/{name}": self._view(store, name)
+                for prefix, store in (("adam_m", self.m), ("adam_v", self.v))
+                for name in self.spans}
 
-    def load_state(self, params, arrays, t):
+    def load_state(self, arrays, t):
+        """The step count ``t``, and each moment copied once from ``arrays``
+        into the arena; one missing or misshapen is a ConfigError."""
         self.t = int(t)
-        for name, p in params.items():
+        for name, (_, _, shape) in self.spans.items():
             for prefix, store in (("adam_m", self.m), ("adam_v", self.v)):
                 key = f"{prefix}/{name}"
-                if key not in arrays or arrays[key].shape != p.data.shape:
-                    raise ConfigError(f"checkpoint optimizer state missing or misshapen for {name!r}")
-                store[name] = np.asarray(arrays[key], dtype=np.float64).copy()
+                if key not in arrays or arrays[key].shape != shape:
+                    raise ConfigError(f"checkpoint optimizer state {key!r} is missing or misshapen")
+                self._view(store, name)[...] = arrays[key]
 
 
 def clip_gradients(grads, max_norm):
-    """Scale the gradients of ``grads`` ({name: array}) so their global L2
-    norm is at most ``max_norm``, and return the norm. Clipping rebinds each
-    entry to a scaled copy and writes into no array: two names may share one
-    (see ``ad.backward``). A NaN or infinite norm leaves them as they are."""
+    """Scale ``grads`` (``Gradients``) in place so their global L2 norm is
+    at most ``max_norm``, and return the norm: the sum, in layout order, of
+    each parameter's sum of squares. A NaN or infinite norm leaves them as
+    they are."""
     total = 0.0
-    for g in grads.values():
+    for g in grads.views.values():
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
     if max_norm > 0 and max_norm < norm < np.inf:
         factor = max_norm / norm
-        for name, g in grads.items():
-            grads[name] = g * factor
+        for start, stop in grads.runs:
+            grads.vector[start:stop] *= factor
     return norm
 
 
@@ -423,7 +477,7 @@ class _Run:
         adam_t = _meta_field(meta, "adam_t", int, source)
         if adam_t != self.step:  # one Adam update per step
             raise ConfigError(f"{source}: checkpoint field 'adam_t' {adam_t} is not its step {self.step}")
-        self.adam.load_state(self.params, arrays, adam_t)
+        self.adam.load_state(arrays, adam_t)
         self.pseudo = arrays.get("pseudo")
         self._resume_meta = meta
 
@@ -462,28 +516,27 @@ class _Run:
             raise ConfigError(f"cannot write {fh.name} ({exc.strerror})") from None
 
     def log_step(self, fh, report):
-        self.write_line(fh, {"step": self.step, "stage": self.stage, **asdict(report),
+        self.write_line(fh, {"step": self.step, "stage": self.stage, **vars(report),
                              "lr": self.train_config.learning_rate})
 
     def check_finite(self, report):
-        terms = asdict(report)
+        terms = vars(report)  # the five loss floats, uncopied
         if not all(np.isfinite(v) for v in terms.values()):
             raise NumericError(f"non-finite loss at step {self.step}: "
                                + " ".join(f"{k}={v}" for k, v in terms.items()))
 
     def optimize(self, total):
-        """Backpropagate ``total``, clip, and take one Adam step, passing the
-        gradients by value, in ``param_layout`` order: a parameter the loss
-        does not reach gets none and keeps its value and moments. A NaN or
-        infinite gradient norm is a NumericError raised before the step, so
-        neither the parameters nor the moments, nor a checkpoint, take it."""
-        leaves = ad.backward(total)
-        grads = {name: leaves[p] for name, p in self.params.items() if p in leaves}
-        del leaves  # so an entry clipping rebinds frees its unscaled array
+        """Backpropagate ``total``, copy the gradients into one vector
+        (``Adam.gather``), clip it and take one Adam step: a parameter the
+        loss does not reach gets no gradient and keeps its value and
+        moments. A NaN or infinite gradient norm is a NumericError raised
+        before the step, so neither the parameters nor the moments, nor a
+        checkpoint, take it."""
+        grads = self.adam.gather(self.params, ad.backward(total))
         norm = clip_gradients(grads, self.train_config.grad_clip)
         if not np.isfinite(norm):
             raise NumericError(f"non-finite gradient norm {norm} at step {self.step}")
-        self.adam.step(self.params, grads)
+        self.adam.step(grads)
 
     def save(self, path, pools_state, copies=()):
         meta = {

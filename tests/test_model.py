@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -862,6 +863,28 @@ def test_corrupt_checkpoint_header_is_config_error(world, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(data)
         with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    def rewritten(edit):
+        """The file with its header replaced by ``edit(header)``'s JSON."""
+        new = json.dumps(edit(json.loads(header)), sort_keys=True).encode("utf-8")
+        return blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + header_len:]
+
+    def first_array(h, **fields):
+        return {**h, "arrays": [{**h["arrays"][0], **fields}, *h["arrays"][1:]]}
+
+    named = {  # each check's own message
+        "header is not a JSON object": rewritten(lambda h: [h]),
+        "bad shape or offset for array 'param/w_text'":
+            rewritten(lambda h: first_array(h, shape=[2, -3])),
+        "metadata is not a JSON object": rewritten(lambda h: {**h, "meta": ["stage", "test"]}),
+        # the second array takes the first's name: it would silently replace it
+        "names array 'param/w_text' twice": rewritten(lambda h: {**h, "arrays": [
+            {**a, "name": h["arrays"][0]["name"]} for a in h["arrays"]]}),
+    }
+    for message, data in named.items():
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
     # version-1 files predate the payload CRC-32 and are not read
     assert int.from_bytes(blob[4:8], "little") == 2

@@ -47,6 +47,15 @@ def train_cfg(**kw):
 # optimizer
 
 
+def gathered(**grads):
+    """``grads`` ({name: array}) gathered into ``Gradients`` by an Adam over
+    parameters of their shapes, in keyword order."""
+    params = {name: ad.Tensor(np.zeros(np.shape(g)), requires_grad=True, op="param")
+              for name, g in grads.items()}
+    return Adam(params, lr=1.0).gather(params, {params[name]: np.asarray(g, dtype=np.float64)
+                                                for name, g in grads.items()})
+
+
 def test_adam_matches_reference_updates():
     params = make_params((2,))
     p = params["p0"]
@@ -57,7 +66,7 @@ def test_adam_matches_reference_updates():
     rng = np.random.default_rng(0)
     for t in range(1, 4):
         g = rng.normal(size=2)
-        opt.step(params, {"p0": g.copy()})
+        opt.step(opt.gather(params, {p: g.copy()}))
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         mhat = m / (1 - ADAM_BETA1 ** t)
@@ -70,37 +79,100 @@ def test_adam_matches_reference_updates():
 def test_adam_skips_missing_gradients():
     params = make_params((2,), (3,))
     before = params["p1"].data.copy()
-    Adam(params, lr=0.5).step(params, {"p0": np.ones(2)})
+    opt = Adam(params, lr=0.5)
+    opt.step(opt.gather(params, {params["p0"]: np.ones(2)}))
     np.testing.assert_array_equal(params["p1"].data, before)
     assert not np.array_equal(params["p0"].data, np.full(2, 1.0))
+    assert not opt.m[2:].any() and not opt.v[2:].any()
 
 
 def test_clip_gradients_global_norm():
-    grads = {"p0": np.array([3.0]), "p1": np.array([4.0])}
+    grads = gathered(p0=[3.0], p1=[4.0])
     norm = clip_gradients(grads, 1.0)
     assert abs(norm - 5.0) < 1e-12
-    np.testing.assert_allclose(grads["p0"], [0.6])
-    np.testing.assert_allclose(grads["p1"], [0.8])
+    np.testing.assert_allclose(grads.views["p0"], [0.6])
+    np.testing.assert_allclose(grads.views["p1"], [0.8])
     # under the ceiling: untouched
-    grads = {"p0": np.array([0.3]), "p1": np.array([0.4])}
+    grads = gathered(p0=[0.3], p1=[0.4])
     clip_gradients(grads, 1.0)
-    np.testing.assert_allclose(grads["p0"], [0.3])
+    np.testing.assert_allclose(grads.views["p0"], [0.3])
     # a matrix and a zero vector: sqrt(9 * 4)
-    norm = clip_gradients({"p": np.full((3, 3), 2.0), "q": np.zeros(2)}, 0.0)
+    norm = clip_gradients(gathered(p=np.full((3, 3), 2.0), q=np.zeros(2)), 0.0)
     assert norm == pytest.approx(6.0, abs=1e-12)
 
 
 def test_clip_gradients_writes_into_no_array():
     """Two names may share one array, as ``add``'s rule hands both parents
-    one: clipping scales each entry once and leaves the shared array as it
-    was."""
+    one: gathering copies it once per name, clipping scales each copy once,
+    and the shared array ``backward`` returned stays as it was."""
     shared = np.array([3.0, 4.0])
-    grads = {"a": shared, "b": shared}
+    params = make_params((2,), (2,))
+    grads = Adam(params, lr=1.0).gather(params, {params["p0"]: shared, params["p1"]: shared})
     norm = clip_gradients(grads, 1.0)
     assert norm == pytest.approx(np.sqrt(50.0), abs=1e-12)
-    for name in grads:
-        np.testing.assert_array_equal(grads[name], shared * (1.0 / np.sqrt(50.0)))
+    for name in params:
+        np.testing.assert_array_equal(grads.views[name], shared * (1.0 / np.sqrt(50.0)))
     np.testing.assert_array_equal(shared, [3.0, 4.0])
+
+
+def per_array_clip_and_step(params, moments, grads, t, lr, max_norm):
+    """The per-array ``clip_gradients`` and ``Adam.step`` that the arena
+    replaced, kept as the oracle: ``params`` and ``moments`` ({name: (m,
+    v)}) are separate arrays updated in place, ``grads`` ({name: array}) is
+    clipped by rebinding scaled copies. Returns the norm."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and max_norm < norm < np.inf:
+        factor = max_norm / norm
+        grads = {name: g * factor for name, g in grads.items()}
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    for name, g in grads.items():
+        p, (m, v) = params[name], moments[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    return norm
+
+
+def test_flat_update_matches_the_per_array_update_bit_for_bit():
+    """Four clipped steps on a layout of 26,545 elements, over one update
+    block: a 20,000-element run crosses a block edge, ``skip`` gets no
+    gradient between two that do, and ``c`` and ``d`` share one array as
+    ``add``'s rule hands them. The arena's parameters, moments and norms
+    equal the per-array oracle's bit for bit, and ``skip`` keeps its value
+    and zero moments."""
+    shapes = {"a": (200, 100), "skip": (64,), "b": (64, 100), "c": (17,), "d": (17,),
+              "tail": (47,)}
+    assert 200 * 100 > training._UPDATE_BLOCK
+    rng = np.random.default_rng(11)
+    init = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    params = {name: ad.Tensor(a.copy(), requires_grad=True, op="param") for name, a in init.items()}
+    opt = Adam(params, lr=3e-3)
+    oracle = {name: a.copy() for name, a in init.items()}
+    moments = {name: (np.zeros(shape), np.zeros(shape)) for name, shape in shapes.items()}
+    for t in range(1, 5):
+        grads = {name: rng.normal(size=shapes[name]) for name in ("a", "b", "c", "tail")}
+        grads["d"] = grads["c"]
+        want = per_array_clip_and_step(oracle, moments, dict(grads), t, 3e-3, 0.5)
+        flat = opt.gather(params, {params[name]: g for name, g in grads.items()})
+        assert flat.runs == [[0, 20000], [20064, 26545]]
+        norm = clip_gradients(flat, 0.5)
+        assert norm == want > 0.5
+        opt.step(flat)
+        for name in shapes:
+            assert params[name].data.tobytes() == oracle[name].tobytes(), name
+        state = opt.state_arrays()
+        for name, (m, v) in moments.items():
+            assert state[f"adam_m/{name}"].tobytes() == m.tobytes(), name
+            assert state[f"adam_v/{name}"].tobytes() == v.tobytes(), name
+    np.testing.assert_array_equal(params["skip"].data, init["skip"])
+    assert not state["adam_m/skip"].any() and not state["adam_v/skip"].any()
+    assert all(np.shares_memory(p.data, opt.flat) for p in params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -707,21 +779,30 @@ def test_non_finite_gradient_stops_before_the_update(toy, tmp_path, monkeypatch,
 
 def test_no_gradient_outlives_the_step(toy, tmp_path, monkeypatch):
     """Gradients are values: once ``_Run.optimize`` returns, no array that
-    ``ad.backward`` returned is alive, clipped or not."""
+    ``ad.backward`` returned is alive, clipped or not, and neither is the
+    flat vector they were gathered into."""
     real_backward, real_optimize, refs, checked = ad.backward, training._Run.optimize, [], []
+    real_clip, vectors = training.clip_gradients, []
 
     def backward(loss):
         grads = real_backward(loss)
         refs.extend(weakref.ref(g) for g in grads.values())
         return grads
 
+    def clip(grads, max_norm):
+        vectors.append(weakref.ref(grads.vector))
+        return real_clip(grads, max_norm)
+
     def optimize(run, total):
         real_optimize(run, total)
         assert refs and all(ref() is None for ref in refs), "a gradient outlived its step"
+        assert len(vectors) == 1 and vectors[0]() is None, "the gradient vector outlived its step"
         checked.append(len(refs))
         refs.clear()
+        vectors.clear()
 
     monkeypatch.setattr(ad, "backward", backward)
+    monkeypatch.setattr(training, "clip_gradients", clip)
     monkeypatch.setattr(training._Run, "optimize", optimize)
     config = small_config(toy["vocab"], toy["registry"])
     for clip in (1e-6, 0.0):  # every step clipped, then none
@@ -821,6 +902,32 @@ def test_bad_resume_state_is_config_error(toy, tmp_path, case):
     with pytest.raises(ConfigError, match=field):
         run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=2),
                      tmp_path / "resume", resume_from=bad)
+
+
+# each takes the saved arrays and returns them with one Adam moment broken
+BAD_OPTIMIZER_STATE = {
+    "adam_m-missing": lambda arrays: {k: a for k, a in arrays.items() if k != "adam_m/w_text"},
+    "adam_v-misshapen": lambda arrays: {**arrays, "adam_v/w_text": arrays["adam_v/w_text"][:, 1:]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIMIZER_STATE))
+def test_bad_optimizer_state_is_config_error(toy, tmp_path, case):
+    """A resume copies the checkpoint's Adam moments into the arena: a
+    moment that is missing, or of another shape than its parameter, is a
+    ConfigError naming it, raised before the run writes anything."""
+    from sentigen.model import load_checkpoint, save_checkpoint
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                      tmp_path / "seed")
+    ck_config, arrays, meta = load_checkpoint(ck)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, ck_config, BAD_OPTIMIZER_STATE[case](arrays), meta=meta)
+    key = case.split("-")[0] + "/w_text"
+    with pytest.raises(ConfigError, match=f"optimizer state '{key}' is missing or misshapen"):
+        run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=2),
+                     tmp_path / "resume", resume_from=bad)
+    assert not (tmp_path / "resume").exists()
 
 
 def _with(v, row, col, value):
