@@ -10,8 +10,8 @@ every distinct buffer once, a view as the array it views, under the op of
 the first vertex that holds it and one of three holders:
 
 - ``output``: the output array of a vertex whose tensor is still alive;
-- ``rule``: an array a backward rule holds, a parent's or one the op made
-  (``gelu``'s slope or ``pair_contrast``'s pair distances, say);
+- ``rule``: an array a backward rule holds, a parent's (``gelu_linear``'s
+  input, say) or one the op made (``pair_contrast``'s pair distances);
 - ``constant``: the array of a constant leaf of the graph.
 
 Parameters are counted apart: the model holds them whether a step runs or

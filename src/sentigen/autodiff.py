@@ -15,15 +15,17 @@ one dict, returns each leaf's gradient as a value (no tensor holds one), and
 consumes the graph: a vertex drops its rule and edges once it has passed its
 gradients on, so the arrays the rule held are freed during the pass.
 
-``linear``, ``layer_norm``'s ``residual``, ``embedding``'s extra
-``(table, ids)`` pairs and ``pair_contrast`` each fuse several nodes into
-one, with the same floats in the same order. Rules keep only what they read:
-``attention``'s its softmax weights, not padded copies of q, k and v;
-``dropout``'s a bool mask; ``gelu``'s the slope its forward pass writes; and
-``pair_contrast``'s its input, from which it rebuilds its pair differences.
-The module keeps only the ops the rest of the package calls.
+``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``layer_norm``'s
+``residual``, ``embedding``'s extra ``(table, ids)`` pairs and
+``pair_contrast`` each fuse several nodes into one, with the same floats in
+the same order. Rules keep only what they read: ``attention``'s its softmax
+weights, not padded copies of q, k and v; ``dropout``'s a bool mask;
+``gelu_linear``'s its input (and its weight), from which it recomputes the
+GELU output and slope; and ``pair_contrast``'s its input, from which it
+rebuilds its pair differences. The module keeps only the ops the rest of the
+package calls.
 
-``gelu`` and ``layer_norm`` work in place over cache-sized row blocks
+GELU and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
 and so with their bytes. Column sums and matrix products stay whole: blocked,
 a sum would add in another order and BLAS may pick another kernel.
@@ -38,7 +40,7 @@ from .errors import ContractError, NumericError, ShapeError
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
-_BLOCK = 1 << 14  # elements in a row block of gelu and layer_norm: 128 KB of float64
+_BLOCK = 1 << 14  # elements in a row block of GELU and layer_norm: 128 KB of float64
 _NEG_INF = -1e30  # added to a hidden logit (a key, a class): its exp underflows to 0
 
 
@@ -340,6 +342,10 @@ def _by_rows(kernel, ins, shapes):
 
 
 def _gelu_rows(x, slope, out, s):
+    """tanh-form GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))), of ``x``
+    into ``out``, and its slope into ``slope`` unless that is None. The
+    powers are products: ``x ** 3`` would go through libm ``pow``, which is
+    many times slower than two multiplies."""
     np.multiply(x, x, s)
     s *= x
     np.add(x, np.multiply(s, _GELU_A, s), s)
@@ -352,7 +358,7 @@ def _gelu_rows(x, slope, out, s):
 
 
 def _gelu_slope_rows(x, t, slope, s):
-    """Into ``slope``, the bracket gelu's rule multiplies its gradient by,
+    """Into ``slope``, the bracket the GELU gradient is multiplied by,
     d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3a x^2)."""
     np.multiply(x, 0.5, slope)
     s = np.multiply(t, t, s)
@@ -365,15 +371,33 @@ def _gelu_slope_rows(x, t, slope, s):
     np.add(s, slope, slope)
 
 
-def gelu(a):
-    """tanh-form GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
-
-    The powers are products: ``x ** 3`` would go through libm ``pow``, which
-    is many times slower than two multiplies."""
+def gelu_linear(a, w, b):
+    """``linear(gelu(a), w, b)`` as one node that keeps only ``a``, and ``w``
+    when ``a`` needs a gradient. Its forward computes no slope; its rule runs
+    the GELU kernel again, with the slope, and frees the output once it has
+    formed w's gradient. Each array has the bytes a GELU node and a
+    ``linear`` node would give: the same kernels on the same layouts."""
+    if a.data.ndim != 2 or w.data.ndim != 2 or a.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"gelu_linear: incompatible a {a.shape}, w {w.shape}, b {b.shape}")
     x = a.data
-    slope = np.empty(x.shape) if a.requires_grad else None
-    (out,) = _by_rows(_gelu_rows, (x, slope), (x.shape,))
-    return _make(out, "gelu", (a,), lambda g: (np.multiply(g, slope),))
+    (h,) = _by_rows(_gelu_rows, (x, None), (x.shape,))
+    out = h @ w.data
+    out += b.data
+    wd = w.data if a.requires_grad else None
+    want_w = w.requires_grad
+
+    def rule(g):
+        slope = None if wd is None else np.empty(x.shape)
+        (h,) = _by_rows(_gelu_rows, (x, slope), (x.shape,))
+        dw = h.T @ g if want_w else None
+        del h
+        da = None
+        if wd is not None:
+            da = g @ wd.T
+            da *= slope
+        return da, dw, g.sum(axis=0)
+
+    return _make(out, "gelu_linear", (a, w, b), rule)
 
 
 def layer_norm(a, gain, bias, residual=None, eps=1e-5):

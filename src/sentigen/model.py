@@ -215,8 +215,8 @@ def _attention(params, prefix, x_q, kv, config, q_offsets, k_offsets, causal=Fal
 
 
 def _ffn(params, prefix, x):
-    h = ad.gelu(_linear(params, prefix, x, "w1", "b1"))
-    return _linear(params, prefix, h, "w2", "b2")
+    h = _linear(params, prefix, x, "w1", "b1")
+    return ad.gelu_linear(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
 def _maybe_dropout(x, config, train, rng):

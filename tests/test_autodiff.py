@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sentigen.autodiff as ad
-from sentigen.errors import ContractError, ShapeError
+from sentigen.errors import ContractError, NumericError, ShapeError
 
 from conftest import finite_diff_check, gelu_ref, layer_norm_ref, pair_contrast_ref, sum_of
 
@@ -73,10 +73,10 @@ def test_elementwise_ops_match_fd(seed):
     row = rand_leaf(rng, 3)
     w = rand_leaf(rng, 3, 3)
     cases = {
-        "add": lambda: sum_of(ad.gelu(ad.add(a, b))),
+        "add": lambda: sum_of(gelu_ref(ad.add(a, b))),
         "linear": lambda: sum_of(ad.linear(a, w, row), ad.linear(a, w, row)),
         "scale": lambda: sum_of(ad.scale(a, -2.5)),
-        "gelu": lambda: sum_of(ad.gelu(a)),
+        "gelu_linear": lambda: sum_of(ad.gelu_linear(a, w, row), ad.gelu_linear(a, w, row)),
     }
     for name, fn in cases.items():
         for t in (a, b, row, w):
@@ -410,7 +410,7 @@ def test_summed_embedding_matches_fd_and_checks_its_pairs():
     rng = np.random.default_rng(31)
     pairs = input_pairs(rng, n=7)
     w = ad.constant(rng.normal(size=(7, 5)))
-    fn = lambda _: sum_of(ad.gelu(ad.embedding(*pairs[0], *pairs[1:])), w)
+    fn = lambda _: sum_of(gelu_ref(ad.embedding(*pairs[0], *pairs[1:])), w)
     for table, _ in pairs:
         assert finite_diff_check(fn, table) < 1e-6
     for k in range(4):
@@ -501,7 +501,7 @@ def fused_cases(rng):
 def test_fused_ops_match_fd(seed):
     x, w, b, a, r, gain = fused_cases(np.random.default_rng(500 + seed))
     cases = {
-        "linear": (lambda: sum_of(ad.gelu(ad.linear(x, w, b))), (x, w, b)),
+        "linear": (lambda: sum_of(gelu_ref(ad.linear(x, w, b))), (x, w, b)),
         "residual layer_norm": (lambda: sum_of(ad.layer_norm(a, gain, b, residual=r),
                                                ad.layer_norm(a, gain, b, residual=r)),
                                 (a, r, gain, b)),
@@ -598,7 +598,7 @@ RETENTION_CASES = {
     "segment_mean": (lambda p: ad.segment_mean(p[0], [0, 1, 3]), [(3, 4)], set()),
     "pair_contrast": (lambda p: ad.pair_contrast(p[0], np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]],
                                                                 dtype=bool)), [(3, 4)], {0}),
-    "gelu": (lambda p: ad.gelu(p[0]), [(3, 4)], set()),
+    "gelu_linear": (lambda p: ad.gelu_linear(*p), [(3, 4), (4, 2), (2,)], {0, 1}),
     "layer_norm": (lambda p: ad.layer_norm(*p), [(3, 4), (4,), (4,)], {1}),
     "residual layer_norm": (lambda p: ad.layer_norm(p[0], p[2], p[3], residual=p[1]),
                             [(3, 4), (3, 4), (4,), (4,)], {2}),
@@ -622,9 +622,10 @@ def fresh_graph(rng, build, shapes):
 def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
     """Once the caller drops its names, exactly the parents whose arrays the
     op's rule reads survive: ``linear`` x and w, ``matmul`` both operands,
-    ``attention`` q, k and v, ``pair_contrast`` its input (its rule rebuilds
-    the pair differences from it), ``layer_norm`` its gain, and no other op
-    any (``gelu`` keeps its slope, not its input). Backward frees them all."""
+    ``gelu_linear`` a and w (its rule recomputes the GELU output and slope
+    from a), ``attention`` q, k and v, ``pair_contrast`` its input (its rule
+    rebuilds the pair differences from it), ``layer_norm`` its gain, and no
+    other op any. Backward frees them all."""
     build, shapes, reads = RETENTION_CASES[name]
     loss, refs = fresh_graph(np.random.default_rng(61), build, shapes)
     alive = {i for i, ref in enumerate(refs) if ref() is not None}
@@ -639,7 +640,7 @@ def test_backward_on_a_consumed_graph_is_a_contract_error():
     was. So is a call on a new loss over a consumed subgraph."""
     rng = np.random.default_rng(67)
     x, w, b = rand_leaf(rng, 3, 4), rand_leaf(rng, 4, 2), rand_leaf(rng, 2)
-    h = ad.gelu(ad.linear(x, w, b))
+    h = ad.gelu_linear(x, w, b)
     loss = sum_of(h, h)
     grads = ad.backward(loss)
     first = [grads[t].copy() for t in (x, w, b)]
@@ -700,6 +701,56 @@ def test_shape_mismatch_is_shape_error():
         ad.add(a, b)
     with pytest.raises(ShapeError):
         ad.matmul(a, a)
+
+
+def ones(*shape):
+    return leaf(np.ones(shape))
+
+
+# for each input check of ``autodiff``: a call it refuses, the error's type,
+# and a pattern of its message that no other check of the call matches
+REFUSED = {
+    "item of many": (lambda: ones(2).item(), ContractError, "item"),
+    "matmul 1-D": (lambda: ad.matmul(ones(3), ones(3, 2)), ShapeError, "2-D"),
+    "transpose 1-D": (lambda: ad.transpose(ones(3)), ShapeError, "2-D"),
+    "reshape size": (lambda: ad.reshape(ones(2, 3), (4, 2)), ShapeError, "cannot view"),
+    "concat_rows empty": (lambda: ad.concat_rows([]), ContractError, "empty"),
+    "concat_rows widths": (lambda: ad.concat_rows([ones(2, 3), ones(2, 4)]), ShapeError,
+                           "inconsistent"),
+    "embedding 1-D table": (lambda: ad.embedding(ones(3), [0]), ShapeError, "table must be 2-D"),
+    "embedding 2-D ids": (lambda: ad.embedding(ones(3, 2), [[0, 1]]), ShapeError, "flat"),
+    "pair_contrast labels": (lambda: ad.pair_contrast(ones(3, 2), np.ones((2, 2), dtype=bool)),
+                             ShapeError, "label matrix"),
+    "layer_norm 1-D": (lambda: ad.layer_norm(ones(4), ones(4), ones(4)), ShapeError, "2-D"),
+    "layer_norm gain": (lambda: ad.layer_norm(ones(2, 4), ones(3), ones(4)), ShapeError, "gain"),
+    "layer_norm residual": (lambda: ad.layer_norm(ones(2, 4), ones(4), ones(4), residual=ones(3, 4)),
+                            ShapeError, "residual"),
+    "attention widths": (lambda: ad.attention(ones(2, 4), ones(2, 6), ones(2, 6), 2, [0, 2], [0, 2]),
+                         ShapeError, "incompatible"),
+    "softmax_cross_entropy 1-D": (lambda: ad.softmax_cross_entropy(ones(3), [0]), ShapeError,
+                                  "2-D"),
+    "softmax_cross_entropy target": (lambda: ad.softmax_cross_entropy(ones(2, 3), [0, 3]),
+                                     IndexError, "outside"),
+    "dropout rate": (lambda: ad.dropout(ones(3), 1.0, np.random.default_rng(0)), ContractError,
+                     "rate"),
+    "backward non-finite": (lambda: ad.backward(leaf(np.array(np.nan))), NumericError,
+                            "not finite"),
+    "gelu_linear shapes": (lambda: ad.gelu_linear(ones(2, 3), ones(4, 2), ones(2)), ShapeError,
+                           "gelu_linear"),
+    "gelu_linear bias": (lambda: ad.gelu_linear(ones(2, 3), ones(3, 2), ones(3)), ShapeError,
+                         "gelu_linear"),
+    "gelu_linear 1-D": (lambda: ad.gelu_linear(ones(3), ones(3, 2), ones(2)), ShapeError,
+                        "gelu_linear"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_each_input_check_refuses_with_its_error(name):
+    """Each check of ``autodiff``'s inputs fires on the input it guards
+    against, with its own error type and message."""
+    call, error, pattern = REFUSED[name]
+    with pytest.raises(error, match=pattern):
+        call()
 
 
 def test_dropout_semantics():
@@ -770,29 +821,68 @@ def test_by_rows_runs_a_small_call_whole_and_a_large_one_in_row_blocks():
         assert np.shares_memory(ob, out) and ob.shape == scratch.shape == xb.shape
 
 
+def special_rows(rng, rows, cols, flip=False):
+    """A (rows, cols) normal array scaled by 3 with ``SPECIALS`` in its first
+    and (reversed) its last elements; ``flip`` swaps the two."""
+    x = 3.0 * rng.normal(size=rows * cols)
+    first, last = (SPECIALS[::-1], SPECIALS) if flip else (SPECIALS, SPECIALS[::-1])
+    x[:SPECIALS.size], x[-SPECIALS.size:] = first, last
+    return x.reshape(rows, cols)
+
+
 @pytest.mark.parametrize("cols", [16, 128])
 def test_gelu_bytes_equal_the_whole_array_expressions(cols):
-    """At one row, around one row block and over several, ``gelu``'s output
-    and rule give the bytes of the whole-array expressions (``gelu_ref``),
-    with special values in the first and the last block of the input and,
-    as in the dropout test, of the gradient (the input reversed). One case
-    is only NaN for NaN: where a NaN gradient meets a NaN bracket in the
-    rule's last product ``g * (...)``, which of the two NaNs survives is
-    numpy's choice, and on arrays of 256 KB or more its temporary elision
-    swaps the reference's operands."""
+    """At one row, around one row block and over several, the GELU kernel
+    (``_gelu_rows`` over ``_by_rows``) gives the bytes of the whole-array
+    expressions (``gelu_ref``), with special values in the first and the
+    last block of the input: its output, with the slope and without it, and
+    its slope, the reference rule's bracket (its rule at g = 1). The
+    gradient ``g * slope`` is the reference rule's, g the input reversed as
+    in the dropout test, but one case is only NaN for NaN: where a NaN
+    gradient meets a NaN bracket in the last product ``g * (...)``, which of
+    the two NaNs survives is numpy's choice, and on arrays of 256 KB or more
+    its temporary elision swaps the reference's operands."""
     rng = np.random.default_rng(43)
     for rows in block_rows(cols):
-        x = 3.0 * rng.normal(size=rows * cols)
-        x[:SPECIALS.size], x[-SPECIALS.size:] = SPECIALS, SPECIALS[::-1]
-        x = x.reshape(rows, cols)
+        x = special_rows(rng, rows, cols)
         g = x[::-1, ::-1].copy()
+        slope = np.empty(x.shape)
         with np.errstate(all="ignore"):  # 1e308 overflows, inf * 0 is NaN
-            got, ref = ad.gelu(leaf(x)), gelu_ref(leaf(x))
-            assert got.data.tobytes() == ref.data.tobytes(), rows
-            (dx,), (want,), (bracket,) = got.node.rule(g), ref.node.rule(g), ref.node.rule(np.ones_like(g))
+            (out,) = ad._by_rows(ad._gelu_rows, (x, slope), (x.shape,))
+            (bare,) = ad._by_rows(ad._gelu_rows, (x, None), (x.shape,))
+            ref = gelu_ref(leaf(x))
+            (want,), (bracket,) = ref.node.rule(g), ref.node.rule(np.ones_like(g))
+            dx = np.multiply(g, slope)
+        assert out.tobytes() == bare.tobytes() == ref.data.tobytes(), rows
+        assert slope.tobytes() == bracket.tobytes(), rows
         meet = np.isnan(g) & np.isnan(bracket)
         assert meet.any() and np.isnan(dx[meet]).all(), rows
         assert dx[~meet].tobytes() == want[~meet].tobytes(), rows
+
+
+@pytest.mark.parametrize("cols", [16, 128])
+def test_gelu_linear_bytes_equal_linear_over_the_whole_array_gelu(cols):
+    """At one row, around one row block and over several, ``gelu_linear``'s
+    output and its three gradients have the bytes of ``linear`` over
+    ``gelu_ref``, with special values in the first and the last block of
+    the input and of the upstream gradient. As in the test above, one case
+    is only NaN for NaN: where a NaN in g @ w.T meets a NaN bracket."""
+    rng = np.random.default_rng(71)
+    for rows in block_rows(cols):
+        a, g = special_rows(rng, rows, cols), special_rows(rng, rows, 16, flip=True)
+        w, b = rng.normal(size=(cols, 16)), rng.normal(size=16)
+        with np.errstate(all="ignore"):  # 1e308 overflows, inf * 0 is NaN
+            fused = ad.gelu_linear(leaf(a), leaf(w), leaf(b))
+            mid = gelu_ref(leaf(a))
+            ref = ad.linear(mid, leaf(w), leaf(b))
+            da, dw, db = fused.node.rule(g)
+            dh, want_dw, want_db = ref.node.rule(g)
+            (want_da,), (bracket,) = mid.node.rule(dh), mid.node.rule(np.ones_like(dh))
+        assert fused.data.tobytes() == ref.data.tobytes(), rows
+        assert dw.tobytes() == want_dw.tobytes() and db.tobytes() == want_db.tobytes(), rows
+        meet = np.isnan(dh) & np.isnan(bracket)
+        assert meet.any() and np.isnan(da[meet]).all(), rows
+        assert da[~meet].tobytes() == want_da[~meet].tobytes(), rows
 
 
 @pytest.mark.parametrize("residual", [False, True])
@@ -847,22 +937,27 @@ def test_pair_contrast_bytes_equal_the_row_copying_reference(labels, cols, twins
 
 
 def test_row_kernels_hold_whole_arrays_and_share_no_buffer():
-    """Over several row blocks, ``gelu``'s rule holds exactly one array of
-    its own, its slope: the bytes of the reference rule's bracket (its rule
-    at g = 1). ``layer_norm``'s holds exactly xhat, inv and the gain. No
+    """Over several row blocks, ``gelu_linear``'s rule holds exactly two
+    arrays, its input's and its weight's, and no (N, ffn) array of its own;
+    over a constant input it holds only the input's and gives it no
+    gradient. ``layer_norm``'s holds exactly xhat, inv and the gain. No
     rule holds block scratch, and two calls share no memory, so no buffer
     outlives the call that made it."""
     rng = np.random.default_rng(53)
     rows, cols = 3 * (ad._BLOCK // 16) + 5, 16
     x, gain, bias = leaf(rng.normal(size=(rows, cols))), rand_leaf(rng, cols), rand_leaf(rng, cols)
+    w, b = rand_leaf(rng, cols, 4), rand_leaf(rng, 4)
     made = []
     for _ in range(2):
-        out = ad.gelu(x)
-        (slope,) = graph_bytes.rule_arrays(out.node.rule)
-        assert slope.shape == x.shape and slope.base is None
-        (bracket,) = gelu_ref(x).node.rule(np.ones_like(x.data))
-        assert slope.tobytes() == bracket.tobytes()
-        made += [out.data, slope]
+        out = ad.gelu_linear(x, w, b)
+        held = graph_bytes.rule_arrays(out.node.rule)
+        assert len(held) == 2 and {id(a) for a in held} == {id(x.data), id(w.data)}
+        made.append(out.data)
+        c = ad.constant(x.data)
+        out = ad.gelu_linear(c, w, b)
+        assert [id(a) for a in graph_bytes.rule_arrays(out.node.rule)] == [id(c.data)]
+        assert out.node.rule(np.ones(out.shape))[0] is None
+        made.append(out.data)
         out = ad.layer_norm(x, gain, bias)
         held = graph_bytes.rule_arrays(out.node.rule)
         assert sorted(a.shape for a in held) == [(cols,), (rows, 1), (rows, cols)]
@@ -884,7 +979,7 @@ def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
     assert "peak traced memory over one pretrain-d64 round" in printed
     windows, _, tally = graph_bytes.round_peaks(0, smoke=True)
     assert tally.attempted and not tally.failed
-    for op in ("linear", "attention", "gelu", "layer_norm", "pair_contrast"):
+    for op in ("linear", "attention", "gelu_linear", "layer_norm", "pair_contrast"):
         assert windows.calls[op, "forward"] > 0 and windows.peak[op, "forward"] > 0, op
         assert windows.calls[op, "rule"] > 0 and windows.peak[op, "rule"] > 0, op
     assert windows.peak[windows.BETWEEN] > 0
@@ -898,7 +993,7 @@ def test_op_times_times_every_op_and_puts_the_module_back():
     clock, wall, tally = op_times.time_units("pretrain-d64", 1, 0, smoke=True)
     assert tally.attempted and not tally.failed and wall > 0
     assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
-    for op in ("linear", "attention", "gelu", "layer_norm", "dropout", "pair_contrast"):
+    for op in ("linear", "attention", "gelu_linear", "layer_norm", "dropout", "pair_contrast"):
         assert clock.calls[op, "forward"] > 0 and clock.seconds[op, "rule"] > 0, op
     assert clock.calls["backward", "forward"] == 4  # two steps in each of two stages
 

@@ -245,10 +245,12 @@ def test_batched_cached_decoder_matches_teacher_forced(world):
 
 
 def test_inference_computes_no_gelu_slope(world, monkeypatch):
-    """``gelu`` writes its slope only for an input that needs a gradient: a
-    slope kernel that raises is never reached over a constant, one row block
-    or several, nor by ``generate_batch`` on frozen parameters; an encode
-    that records a graph reaches it."""
+    """No forward computes a GELU slope, in training or in inference: a
+    slope kernel that raises is never reached by ``gelu_linear`` over a
+    constant or over an input that needs a gradient, at one row block or
+    several, nor by ``generate_batch`` on frozen parameters, nor by an
+    encode and a training-mode decoder pass that record a graph. Only the
+    backward through that graph reaches it."""
     vocab, registry, records, config, params = world
 
     def refuse(*args):
@@ -256,12 +258,18 @@ def test_inference_computes_no_gelu_slope(world, monkeypatch):
 
     monkeypatch.setattr(ad, "_gelu_slope_rows", refuse)
     rng = np.random.default_rng(5)
+    w, b = ad.constant(rng.normal(size=(8, 4))), ad.constant(rng.normal(size=4))
     for rows in (3, 3 * (ad._BLOCK // 8) + 1):
-        assert ad.gelu(ad.constant(rng.normal(size=(rows, 8)))).node is None
+        x = rng.normal(size=(rows, 8))
+        assert ad.gelu_linear(ad.constant(x), w, b).node is None
+        assert ad.gelu_linear(ad.Tensor(x, requires_grad=True), w, b).node is not None
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:6]]
     assert len(model.generate_batch(prompts, freeze_params(params), config, vocab, max_new=4)) == 6
+    enc = encode(prompts[0], params, config, vocab)
+    states = decoder_states([1, 2, 3], enc, params, config, train=True, rng=np.random.default_rng(0))
+    assert states.node is not None
     with pytest.raises(AssertionError, match="slope"):
-        encode(prompts[0], params, config, vocab)
+        ad.backward(sum_of(states))
 
 
 def test_cached_decoder_bounds(world):
@@ -554,9 +562,9 @@ def test_encoder_input_graph_does_not_grow_with_batch(world):
 
 def test_encoder_rows_are_packed(world, monkeypatch):
     """On a batch of uneven streams, every per-row op of the encoder graph
-    (each ``gelu`` and ``layer_norm``) runs on N = the summed stream lengths
-    rows, not batch size times the longest. A vertex holds no output, so
-    each one's output shape is noted when its op records it."""
+    (each ``gelu_linear`` and ``layer_norm``) runs on N = the summed stream
+    lengths rows, not batch size times the longest. A vertex holds no
+    output, so each one's output shape is noted when its op records it."""
     vocab, registry, records, config, params = world
     config = replace(config, layers_enc=2)
     prompts = [build_prompt(pick(records, d), vocab, registry, config.max_len)
@@ -582,8 +590,8 @@ def test_encoder_rows_are_packed(world, monkeypatch):
             stack.extend(node.parents)
             shape = node.shape if isinstance(node, ad.Tensor) else shapes[id(node)]
             rows.setdefault(node.op, []).append(shape[0])
-    assert len(rows["gelu"]) == 2 and len(rows["layer_norm"]) == 4
-    assert set(rows["gelu"]) | set(rows["layer_norm"]) == {sum(lengths)}
+    assert len(rows["gelu_linear"]) == 2 and len(rows["layer_norm"]) == 4
+    assert set(rows["gelu_linear"]) | set(rows["layer_norm"]) == {sum(lengths)}
 
 
 def test_row_chunks_stay_within_budget(world, monkeypatch):

@@ -630,7 +630,8 @@ def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, st
 # by op, the parents whose arrays its backward rule reads (-2: layer_norm's
 # gain, with or without a residual); ``sqrt``'s rule reads its own output
 RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
-              "attention": (0, 1, 2), "gelu": (), "pair_contrast": (0,), "layer_norm": (-2,)}
+              "attention": (0, 1, 2), "gelu_linear": (0, 1), "pair_contrast": (0,),
+              "layer_norm": (-2,)}
 
 
 def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_path, monkeypatch):
