@@ -15,15 +15,18 @@ one dict, returns each leaf's gradient as a value (no tensor holds one), and
 consumes the graph: a vertex drops its rule and edges once it has passed its
 gradients on, so the arrays the rule held are freed during the pass.
 
-``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``layer_norm``'s
+``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``self_attention``
+(three ``linear`` projections, then ``attention``), ``layer_norm``'s
 ``residual``, ``embedding``'s extra ``(table, ids)`` pairs and
 ``pair_contrast`` each fuse several nodes into one, with the same floats in
 the same order. Rules keep only what they read: ``attention``'s its softmax
-weights, not padded copies of q, k and v; ``dropout``'s a bool mask;
-``gelu_linear``'s its input (and its weight), from which it recomputes the
-GELU output and slope; and ``pair_contrast``'s its input, from which it
-rebuilds its pair differences. The module keeps only the ops the rest of the
-package calls.
+weights and packed q, k and v, not padded copies of them;
+``self_attention``'s its input and softmax weights, from which it projects
+q, k and v again; ``dropout``'s a bool mask; ``gelu_linear``'s its input
+(and its weight), from which it recomputes the GELU output and slope; and
+``pair_contrast``'s its input, from which it rebuilds its pair differences.
+Recomputing is chosen where it is cheap in arithmetic and the array is
+large. The module keeps only the ops the rest of the package calls.
 
 GELU and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
@@ -502,6 +505,70 @@ def head_layout(k, v, heads, offsets):
                       lengths, slot)
 
 
+def _attend(qd, kv, heads, q_offsets, k_offsets, causal):
+    """Attention's forward, which ``attention`` and ``self_attention`` share:
+    packed query rows ``qd`` over keys and values ``kv``, a packed (k, v)
+    pair bounded by ``k_offsets``, or with ``k_offsets`` None a
+    ``HeadLayout``. Returns the packed output, the softmax weights ``p``
+    (B, heads, Lq, Lk), and the layout ``_attend_grads`` needs."""
+    d = qd.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    hd = d // heads
+    qoff, qlen, qmin, lq = _segments(q_offsets, qd.shape[0], "attention")
+    keys = kv if k_offsets is None else head_layout(*kv, heads, k_offsets)
+    klen, lk = keys.lengths, keys.k.shape[2]
+    if len(qlen) != len(klen) or keys.k.shape[1::2] != (heads, hd):
+        raise ShapeError(f"attention: {len(qlen)} query samples of width {d} but keys of "
+                         f"{len(klen)} samples in a {keys.k.shape} layout")
+    if causal and lq > keys.shortest and (qlen > klen).any():
+        raise ShapeError("attention: a causal sample has more queries than keys")
+    b = len(qlen)
+    qslot = _padded_slots(qoff, qlen, qmin, lq)
+    # the keys each query may not see: none are hidden when every sample has
+    # all lk keys and, if causal, each query sees them all
+    hidden = keys.past_end  # (B, 1, Lk): past each sample's end
+    if causal and lq > 1:  # (B, Lq, Lk): ahead of each query
+        ahead = np.arange(lk) > np.arange(lq)[:, None] + (klen - qlen)[:, None, None]
+        hidden = ahead if hidden is None else ahead | hidden
+    norm = 1.0 / float(np.sqrt(hd))
+
+    z = _split(qd, qslot, b, lq, heads) @ keys.k.swapaxes(2, 3)
+    z *= norm
+    if hidden is not None:
+        z += np.where(hidden, _NEG_INF, 0.0)[:, None]
+    z -= z.max(axis=3, keepdims=True)
+    p = np.exp(z, out=z)
+    p /= p.sum(axis=3, keepdims=True)
+    return _merge(p @ keys.v, qslot), p, (b, heads, qslot, lq, keys.slot, lk, norm)
+
+
+def _attend_grads(g, p, at, rows, want_q, want_k, want_v):
+    """Attention's rule, which ``attention`` and ``self_attention`` share:
+    the packed gradients of q, k and v (None where not wanted) for the
+    output gradient ``g``, from ``_attend``'s ``p`` and layout ``at``.
+    ``rows(i)`` gives packed q (i = 0), k (1) or v (2); the rule asks for v,
+    then for k when it wants q's gradient, then for q when it wants k's,
+    and drops each once read, so a caller that recomputes them holds one at
+    a time. Each is split afresh from its packed rows: holding the padded
+    copies until backward would keep each side twice."""
+    b, heads, qslot, lq, kslot, lk, norm = at
+
+    def split(x, slot, n):
+        return _split(x, slot, b, n, heads)
+
+    gh = split(g, qslot, lq)
+    dp = gh @ split(rows(2), kslot, lk).swapaxes(2, 3)
+    dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v else None
+    del gh
+    dp -= (dp * p).sum(axis=3, keepdims=True)
+    dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
+    dz *= norm
+    dq = _merge(dz @ split(rows(1), kslot, lk), qslot) if want_q else None
+    dk = _merge(dz.swapaxes(2, 3) @ split(rows(0), qslot, lq), kslot) if want_k else None
+    return dq, dk, dv
+
+
 def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     """Multi-head scaled dot-product attention over a batch of B samples, as one node.
 
@@ -529,60 +596,57 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
         raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
     if layout is not None and q.requires_grad:
         raise ContractError("attention: keys and values in a layout take no gradient, so q may not")
-    d = q.shape[1]
-    if heads < 1 or d % heads != 0:
-        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
-    hd = d // heads
-    qoff, qlen, qmin, lq = _segments(q_offsets, q.shape[0], "attention")
-    keys = head_layout(k.data, v.data, heads, k_offsets) if layout is None else layout
-    klen, lk = keys.lengths, keys.k.shape[2]
-    if len(qlen) != len(klen) or keys.k.shape[1::2] != (heads, hd):
-        raise ShapeError(f"attention: {len(qlen)} query samples of width {d} but keys of "
-                         f"{len(klen)} samples in a {keys.k.shape} layout")
-    if causal and lq > keys.shortest and (qlen > klen).any():
-        raise ShapeError("attention: a causal sample has more queries than keys")
-    b = len(qlen)
-    qslot, kslot = _padded_slots(qoff, qlen, qmin, lq), keys.slot
-    # the keys each query may not see: none are hidden when every sample has
-    # all lk keys and, if causal, each query sees them all
-    hidden = keys.past_end  # (B, 1, Lk): past each sample's end
-    if causal and lq > 1:  # (B, Lq, Lk): ahead of each query
-        ahead = np.arange(lk) > np.arange(lq)[:, None] + (klen - qlen)[:, None, None]
-        hidden = ahead if hidden is None else ahead | hidden
-    norm = 1.0 / float(np.sqrt(hd))
-
-    def split(x, slot, rows):
-        return _split(x, slot, b, rows, heads)
-
-    z = split(q.data, qslot, lq) @ keys.k.swapaxes(2, 3)
-    z *= norm
-    if hidden is not None:
-        z += np.where(hidden, _NEG_INF, 0.0)[:, None]
-    z -= z.max(axis=3, keepdims=True)
-    p = np.exp(z, out=z)
-    p /= p.sum(axis=3, keepdims=True)
-    out = _merge(p @ keys.v, qslot)
+    kv = (k.data, v.data) if layout is None else layout
+    out, p, at = _attend(q.data, kv, heads, q_offsets, k_offsets, causal)
     if layout is not None:
         return Tensor(out, op="attention")
-
-    # the rule splits q, k and v afresh from their packed rows: holding the
-    # padded copies until backward would keep each side twice
     want_q, want_k, want_v = q.requires_grad, k.requires_grad, v.requires_grad
-    qd, kd, vd = q.data if want_k else None, k.data, v.data
+    held = (q.data if want_k else None, k.data, v.data)
 
     def rule(g):
-        gh = split(g, qslot, lq)
-        dp = gh @ split(vd, kslot, lk).swapaxes(2, 3)
-        dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v else None
-        del gh
-        dp -= (dp * p).sum(axis=3, keepdims=True)
-        dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
-        dz *= norm
-        dq = _merge(dz @ split(kd, kslot, lk), qslot) if want_q else None
-        dk = _merge(dz.swapaxes(2, 3) @ split(qd, qslot, lq), kslot) if want_k else None
-        return dq, dk, dv
+        return _attend_grads(g, p, at, held.__getitem__, want_q, want_k, want_v)
 
     return _make(out, "attention", (q, k, v), rule)
+
+
+def self_attention(x, q, k, v, heads, offsets, causal=False):
+    """``attention`` of the rows of ``x`` over themselves, each side bounded
+    by ``offsets``, with its queries, keys and values projected from ``x``
+    by the ``(w, b)`` pairs ``q``, ``k`` and ``v`` as ``linear`` would: one
+    node in place of three ``linear`` nodes and an ``attention`` node, with
+    their floats. It keeps only ``x``, the weights and the softmax weights
+    ``p``; its rule projects v, k and q again, each when attention's rule
+    reads it, and gives each projection's gradients as ``linear``'s rule
+    does. Its parents are ``x`` and each pair, x three times, so x's three
+    gradients add onto it in q, k, v order, as the three ``linear`` nodes'
+    did."""
+    pairs = (q, k, v)
+    width = q[1].shape if x.data.ndim == 2 and q[1].data.ndim == 1 else None
+    if width is None or any((w.shape, b.shape) != ((x.shape[1],) + width, width) for w, b in pairs):
+        raise ShapeError(f"self_attention: incompatible x {x.shape} and projections "
+                         f"{[(w.shape, b.shape) for w, b in pairs]}")
+    xd = x.data
+    weights = tuple((w.data, b.data) for w, b in pairs)
+
+    def project(i):
+        w, b = weights[i]
+        out = xd @ w
+        out += b
+        return out
+
+    out, p, at = _attend(project(0), (project(1), project(2)), heads, offsets, offsets, causal)
+    want_x = x.requires_grad
+    want_w = [w.requires_grad for w, _ in pairs]
+    want_qkv = [want_x or w.requires_grad or b.requires_grad for w, b in pairs]
+
+    def rule(g):
+        grads = ()
+        for (w, _), want, dy in zip(weights, want_w, _attend_grads(g, p, at, project, *want_qkv)):
+            grads += (None,) * 3 if dy is None else (
+                dy @ w.T if want_x else None, xd.T @ dy if want else None, dy.sum(axis=0))
+        return grads
+
+    return _make(out, "self_attention", (x, *q, x, *k, x, *v), rule)
 
 
 def softmax_cross_entropy(logits, targets, hidden=None):

@@ -231,10 +231,19 @@ def write_manifest(out_dir, command, seed, effective_config):
 def read_json(path, what, error=ConfigError):
     """Parse the JSON file at ``path``, named ``what`` in errors. A missing
     or unreadable path is a ConfigError (see ``read_bytes``); bytes that are
-    not UTF-8 or not JSON are an ``error``."""
+    not UTF-8 or not JSON, and an object that names a key twice (which
+    ``json`` would read as its last value), are an ``error``."""
     raw = read_bytes(path, what)
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [k for k, _ in pairs]
+            raise error(f"{what} {path} names {next(k for k in keys if keys.count(k) > 1)!r} twice")
+        return obj
+
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 ({exc.reason})") from None
     except json.JSONDecodeError as exc:
@@ -538,28 +547,3 @@ def load_corpus(path, registry):
     path = Path(path)
     return [_parse_record(obj, registry, str(path), line_no, path.parent)
             for line_no, obj in read_jsonl(path, "corpus")]
-
-
-def _features_to_json(arr):
-    if arr is None:
-        return None
-    return [[float(x) for x in row] for row in np.asarray(arr, dtype=np.float32)]
-
-
-def record_to_json(record):
-    return {
-        "task_type": record.task_type.value,
-        "dataset_id": record.dataset_id,
-        "text": record.text,
-        "audio": _features_to_json(record.audio),
-        "image": _features_to_json(record.image),
-        "context": [[s, t] for s, t in record.context] if record.context is not None else None,
-        "speaker_id": record.speaker_id,
-        "utterance_index": record.utterance_index,
-        "label": record.label,
-    }
-
-
-def serialize_corpus(records, path):
-    """Write records back to JSONL. Sidecar-loaded features are inlined."""
-    write_jsonl(path, [record_to_json(record) for record in records])

@@ -18,13 +18,18 @@ residual add inside its node, the FFN) runs on those N rows only, so no
 arithmetic goes to padding. Multi-head attention is one fused autodiff op
 that alone sees the sample bounds, and packed offsets are its only layout:
 it pads the rows inside itself, keeps each sample's queries on its own keys
-and gathers back. A batch's input rows are one gather from one table of
-every sample's token embeddings, the projected acoustic and visual frames
-and the mask vectors, so masking a token or a frame is a choice of row; the
-same node adds each row's type, position and dataset embeddings. The
-decoder's rows are B samples of n ids each, which is the packed layout with
-equal offsets; its self-attention is causal and its cross-attention reads
-the packed encoder rows through their offsets. ``encode``,
+and gathers back. Self-attention, in each encoder layer and in the uncached
+decoder, is one ``ad.self_attention`` node with its q, k and v projections
+inside: the graph keeps its input and softmax weights, not the projected
+rows, which its backward projects again. Cross-attention and cached
+decoding project keys and values apart (``_keys_values``). A batch's input
+rows are one gather from one table of every sample's token embeddings, the
+projected acoustic and visual frames and the mask vectors, so masking a
+token or a frame is a choice of row; the same node adds each row's type,
+position and dataset embeddings. The decoder's rows are B samples of n ids
+each, which is the packed layout with equal offsets; its self-attention is
+causal and its cross-attention reads the packed encoder rows through their
+offsets. ``encode``,
 ``decoder_states`` and ``generate`` on one prompt are the batch of one.
 Training and inference both run these batches: a training step's losses read
 ``encode_batch`` encodings, with one dropout mask per batched tensor;
@@ -197,15 +202,29 @@ def _linear(params, prefix, x, w, b):
 
 
 def _keys_values(params, prefix, x_kv):
-    """Key and value projections of ``x_kv`` for one attention block."""
+    """Key and value projections of ``x_kv`` for one attention block, for
+    what projects them apart from its queries: cross-attention and a
+    ``DecoderCache``."""
     return _linear(params, prefix, x_kv, "wk", "bk"), _linear(params, prefix, x_kv, "wv", "bv")
 
 
+def _self_attention(params, prefix, x, config, offsets, causal=False):
+    """Multi-head self-attention of the packed rows ``x`` bounded by
+    ``offsets``, then the block's output projection. One
+    ``ad.self_attention`` node projects the queries, keys and values from
+    ``x`` and keeps none of them."""
+    pairs = [(params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"]) for c in "qkv"]
+    mixed = ad.self_attention(x, *pairs, config.heads, offsets, causal)
+    return _linear(params, prefix, mixed, "wo", "bo")
+
+
 def _attention(params, prefix, x_q, kv, config, q_offsets, k_offsets, causal=False):
-    """Multi-head scaled dot-product attention of ``x_q`` over ``kv``, each
-    side packed by its offsets (see ``ad.attention``). ``kv`` is the
-    block's projected keys and values; with ``k_offsets`` None, it is a
-    ``DecoderCache``'s ``ad.HeadLayout`` of them."""
+    """Multi-head scaled dot-product attention of ``x_q`` over keys and
+    values projected apart from it (cross-attention, or a cache's), each
+    side packed by its offsets (see ``ad.attention``), then the block's
+    output projection. ``kv`` is the block's projected keys and values; with
+    ``k_offsets`` None, it is a ``DecoderCache``'s ``ad.HeadLayout`` of
+    them."""
     q = _linear(params, prefix, x_q, "wq", "bq")
     if k_offsets is None:
         mixed = ad.attention(q, None, None, config.heads, q_offsets, None, causal, layout=kv)
@@ -319,8 +338,7 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
     x = _maybe_dropout(x, config, train, rng)
 
     for i in range(config.layers_enc):
-        prefix = f"enc{i}_attn"
-        a = _attention(params, prefix, x, _keys_values(params, prefix, x), config, offsets, offsets)
+        a = _self_attention(params, f"enc{i}_attn", x, config, offsets)
         a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(x, params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"], residual=a)
         f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
@@ -443,10 +461,10 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     for i in range(config.layers_dec):
         prefix = f"dec{i}_self"
         if cache is None:  # the new rows are the whole stream, and their own keys
-            kv, held = _keys_values(params, prefix, x), fed
+            a = _self_attention(params, prefix, x, config, fed, causal=True)
         else:
-            kv, held = cache.grown_keys(params, prefix, x, config.heads, n), None
-        a = _attention(params, prefix, x, kv, config, fed, held, causal=True)
+            kv = cache.grown_keys(params, prefix, x, config.heads, n)
+            a = _attention(params, prefix, x, kv, config, fed, None, causal=True)
         a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"], residual=a)
         prefix = f"dec{i}_cross"

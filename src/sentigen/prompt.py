@@ -264,50 +264,6 @@ class PromptSequence:
         return sum(seg.features.shape[0] for seg in self.modal_segments)
 
 
-def resegment_prompt(ids, vocab):
-    """Invert ``PromptSequence.ids``: split a flat id list back into spans.
-
-    Z runs to the answer-set opener, Y to its closer. If the remainder starts
-    with a speaker token it parses as utterances up to the last separator,
-    which precedes the query.
-    """
-    ids = list(ids)
-    try:
-        a = ids.index(vocab.ans_open_id)
-        b = ids.index(vocab.ans_close_id)
-    except ValueError:
-        raise ContractError("prompt has no answer-set span") from None
-    if not a < b:
-        raise ContractError("answer-set markers out of order")
-    z = tuple(ids[:a])
-    y = tuple(ids[a:b + 1])
-    rest = ids[b + 1:]
-
-    def is_speaker(tid):  # the speaker tokens close the special block
-        return vocab.n_special - vocab.num_speakers <= tid < vocab.n_special
-
-    context = []
-    query = tuple(rest)
-    if rest and is_speaker(rest[0]):
-        # conversation layout: utterances, then <sep>, then the query
-        try:
-            cut = len(rest) - 1 - rest[::-1].index(vocab.sep_id)
-        except ValueError:
-            raise ContractError("conversation prompt lost its query separator") from None
-        head, query = rest[:cut], tuple(rest[cut + 1:])
-        current = None
-        for tid in head:
-            if is_speaker(tid):
-                if current is not None:
-                    context.append(tuple(current))
-                current = [tid]
-            else:
-                current.append(tid)
-        if current is not None:
-            context.append(tuple(current))
-    return {"z": z, "y": y, "context": tuple(context), "x": query}
-
-
 def speaker_index(speaker_id):
     """Speaker strings carry their index as trailing digits ("spk3" -> 3)."""
     m = _SPEAKER_NUM_RE.search(speaker_id or "")
@@ -398,8 +354,9 @@ def _fit(z, y, context, x, segments, dataset_index, max_len, truncated=False):
     """The PromptSequence of these spans and frames within ``max_len``: the
     token budget is ``max_len`` minus the frame count, and an overflow drops
     the oldest context utterances first, then the query tail, and sets
-    ``truncated``. Markers that leave no room for a token, or a query cut
-    to nothing, are a ContractError."""
+    ``truncated``. Markers that leave no room for a token, or a query of no
+    token, are a ContractError; a cut never empties a query, since the
+    markers leave it at least one token."""
     frames = sum(seg.features.shape[0] for seg in segments)
     budget = max_len - frames
     fixed = len(z) + len(y)
@@ -421,7 +378,7 @@ def _fit(z, y, context, x, segments, dataset_index, max_len, truncated=False):
         x = x[:room]
         truncated = True
     if not x:
-        raise ContractError("prompt query is empty after truncation")
+        raise ContractError("prompt has no query token")
 
     return PromptSequence(
         z_tokens=tuple(z),

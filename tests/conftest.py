@@ -8,7 +8,7 @@ import sentigen.autodiff as ad
 from sentigen.autodiff import backward
 from sentigen.cli import make_synthetic_corpus
 from sentigen.errors import ContractError, NumericError
-from sentigen.data import Registry, load_corpus
+from sentigen.data import Registry, load_corpus, write_jsonl
 from sentigen.model import ModelConfig, init_params
 from sentigen.prompt import build_vocab
 
@@ -233,3 +233,68 @@ def fd_check_coords(loss_fn, params, name, coords, eps=1e-5):
         central = (hi - lo) / (2.0 * eps)
         worst = max(worst, abs(analytic[i] - central) / max(1.0, abs(central)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# inverses of what the package writes, which it never reads back itself
+
+
+def serialize_corpus(records, path):
+    """Write records back to the JSONL corpus format ``load_corpus`` reads.
+    Features loaded from sidecars are inlined, as float32 values."""
+
+    def features(arr):
+        return None if arr is None else [[float(x) for x in row]
+                                         for row in np.asarray(arr, dtype=np.float32)]
+
+    write_jsonl(path, [{"task_type": r.task_type.value, "dataset_id": r.dataset_id, "text": r.text,
+                        "audio": features(r.audio), "image": features(r.image),
+                        "context": None if r.context is None else [[s, t] for s, t in r.context],
+                        "speaker_id": r.speaker_id, "utterance_index": r.utterance_index,
+                        "label": r.label}
+                       for r in records])
+
+
+def resegment_prompt(ids, vocab):
+    """Invert ``PromptSequence.ids``, the tests' span oracle: split a flat id
+    list back into spans.
+
+    Z runs to the answer-set opener, Y to its closer. If the remainder starts
+    with a speaker token it parses as utterances up to the last separator,
+    which precedes the query.
+    """
+    ids = list(ids)
+    try:
+        a = ids.index(vocab.ans_open_id)
+        b = ids.index(vocab.ans_close_id)
+    except ValueError:
+        raise ContractError("prompt has no answer-set span") from None
+    if not a < b:
+        raise ContractError("answer-set markers out of order")
+    z = tuple(ids[:a])
+    y = tuple(ids[a:b + 1])
+    rest = ids[b + 1:]
+
+    def is_speaker(tid):  # the speaker tokens close the special block
+        return vocab.n_special - vocab.num_speakers <= tid < vocab.n_special
+
+    context = []
+    query = tuple(rest)
+    if rest and is_speaker(rest[0]):
+        # conversation layout: utterances, then <sep>, then the query
+        try:
+            cut = len(rest) - 1 - rest[::-1].index(vocab.sep_id)
+        except ValueError:
+            raise ContractError("conversation prompt lost its query separator") from None
+        head, query = rest[:cut], tuple(rest[cut + 1:])
+        current = None
+        for tid in head:
+            if is_speaker(tid):
+                if current is not None:
+                    context.append(tuple(current))
+                current = [tid]
+            else:
+                current.append(tid)
+        if current is not None:
+            context.append(tuple(current))
+    return {"z": z, "y": y, "context": tuple(context), "x": query}

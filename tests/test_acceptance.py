@@ -14,8 +14,7 @@ import pytest
 from sentigen import autodiff as ad
 from sentigen.bias import bias_report, cross_annotate, fixture_accuracy_matrix, label_centroids
 from sentigen.cli import make_synthetic_corpus
-from sentigen.data import (Polarity, Registry, SaevalRecord, TASK_ORDER, TaskType, load_corpus,
-                           serialize_corpus)
+from sentigen.data import Polarity, Registry, SaevalRecord, TASK_ORDER, TaskType, load_corpus
 from sentigen.evaluation import (bin_scalar, decode_accuracy, metric_mf1_excl_neutral,
                                  metric_wa, metric_wf1, metrics_msa)
 from sentigen.masking import ModalitySetting, sample_mcm_plan, sample_modal_setting
@@ -24,11 +23,11 @@ from sentigen.model import (ModelConfig, encode, encode_batch, init_params, load
 from sentigen.objectives import (Stage1Example, Stage2Example, assign_pseudo_labels,
                                  build_centroids, generation_loss, label_token_ids, loss_ccl,
                                  loss_cep, loss_mcm, loss_spp, stage1_loss, stage2_loss)
-from sentigen.prompt import Vocab, build_prompt, build_vocab, combine_queries, resegment_prompt
+from sentigen.prompt import Vocab, build_prompt, build_vocab, combine_queries
 from sentigen.training import (TrainConfig, gold_token_ids, run_finetune, run_pretrain_stage1,
                                task_average_sample, task_pools)
 
-from conftest import finite_diff_check
+from conftest import finite_diff_check, resegment_prompt, serialize_corpus
 
 CRITERION_LINES = []
 

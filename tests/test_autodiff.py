@@ -16,6 +16,7 @@ from conftest import finite_diff_check, gelu_ref, layer_norm_ref, pair_contrast_
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import graph_bytes  # noqa: E402
 import op_times  # noqa: E402
+import raise_reach  # noqa: E402
 
 # negatives, signed zeros, infinities, NaNs (one with a payload and a sign),
 # subnormals and values near the largest float
@@ -300,6 +301,87 @@ def test_attention_over_a_layout_records_no_node_and_takes_no_gradient():
     assert np.array_equal(out.data, want.data)
     with pytest.raises(ContractError, match="layout"):
         ad.attention(q, None, None, 2, q_off, None, layout=layout)
+
+
+def self_attention_leaves(rng, rows, d_in, width):
+    """x (rows, d_in) and three (w, b) projections of it to ``width``."""
+    x = rand_leaf(rng, rows, d_in)
+    return x, [(rand_leaf(rng, d_in, width), rand_leaf(rng, width)) for _ in range(3)]
+
+
+# (sample lengths, heads, causal): equal lengths, ragged lengths with a
+# one-row sample, and both causal
+SELF_ATTENTION_CASES = (([3, 3], 2, False), ([1, 4, 2], 2, False), ([3, 3], 2, True),
+                        ([2, 5, 1], 4, True))
+
+
+@pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES)
+def test_self_attention_bytes_equal_three_linears_and_attention(lengths, heads, causal):
+    """``self_attention``'s output and the gradient of every leaf are
+    bit-equal to those of three ``linear`` nodes and an ``attention`` node,
+    with ``x`` also the input of a residual ``layer_norm``, as in an
+    encoder layer: x's gradient sums the norm's, then q's, k's and v's, in
+    that order, and only that order gives these bytes."""
+    rng = np.random.default_rng(900 + len(lengths) + 10 * heads + causal)
+    off = np.cumsum([0] + lengths)
+    x, pairs = self_attention_leaves(rng, int(off[-1]), 8, 8)
+    gain, bias = rand_leaf(rng, 8), rand_leaf(rng, 8)
+    up = ad.constant(rng.normal(size=(int(off[-1]), 8)))
+    fused = ad.self_attention(x, *pairs, heads, off, causal)
+    q, k, v = (ad.linear(x, w, b) for w, b in pairs)
+    unfused = ad.attention(q, k, v, heads, off, off, causal)
+    assert fused.op == "self_attention" and np.array_equal(fused.data, unfused.data)
+    leaves = [x, gain, bias] + [t for pair in pairs for t in pair]
+    got, want = (ad.backward(sum_of(ad.layer_norm(x, gain, bias, residual=a), up))
+                 for a in (fused, unfused))
+    for t in leaves:
+        assert np.array_equal(got[t], want[t])
+
+
+@pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES[1:])
+def test_self_attention_matches_fd(lengths, heads, causal):
+    """Finite differences at 1e-4 for x and all six projection arrays."""
+    rng = np.random.default_rng(950 + heads + causal)
+    off = np.cumsum([0] + lengths)
+    x, pairs = self_attention_leaves(rng, int(off[-1]), 6, 8)
+    w = ad.constant(rng.normal(size=(int(off[-1]), 8)))
+    fn = lambda _: sum_of(ad.self_attention(x, *pairs, heads, off, causal), w)
+    for t in [x] + [t for pair in pairs for t in pair]:
+        assert finite_diff_check(fn, t) < 1e-4
+
+
+def test_self_attention_over_constants_records_no_node():
+    rng = np.random.default_rng(37)
+    x, pairs = self_attention_leaves(rng, 5, 4, 4)
+    frozen = [(ad.constant(w.data), ad.constant(b.data)) for w, b in pairs]
+    out = ad.self_attention(ad.constant(x.data), *frozen, 2, [0, 2, 5], True)
+    assert out.node is None and not out.requires_grad and out.parents == ()
+    want = ad.self_attention(x, *pairs, 2, [0, 2, 5], True)
+    assert np.array_equal(out.data, want.data)
+
+
+def test_self_attention_rule_holds_x_and_p_and_no_projection():
+    """The rule holds ``x``'s array, the six projection arrays, one padded
+    (B, heads, L, L) array (``p``) and the layout's row slots: no (N, width)
+    q, k or v, and no other (N, d) array. A constant ``x`` gets no gradient,
+    and a constant projection none either."""
+    rng = np.random.default_rng(41)
+    lengths, rows = [2, 4, 1], 7
+    x, pairs = self_attention_leaves(rng, rows, 6, 8)
+    out = ad.self_attention(x, *pairs, 2, np.cumsum([0] + lengths))
+    held = graph_bytes.rule_arrays(out.node.rule)
+    params = {id(t.data) for pair in pairs for t in pair}
+    floats = [a for a in held if a.dtype == np.float64 and id(a) not in params]
+    assert {id(a) for a in held} >= params | {id(x.data)}
+    assert sorted(a.shape for a in floats) == [(3, 2, 4, 4), (rows, 6)]
+    assert all(a.shape != (rows, 8) for a in held)
+    assert all(a.dtype == np.int64 and a.ndim == 1 for a in held if a.dtype != np.float64)
+
+    c = ad.constant(x.data)
+    (wq, bq), kv = pairs[0], pairs[1:]
+    frozen_q = (ad.constant(wq.data), ad.constant(bq.data))
+    grads = ad.self_attention(c, frozen_q, *kv, 2, [0, 3, 7]).node.rule(np.ones((rows, 8)))
+    assert grads[:4] == (None,) * 4 and grads[6] is None and grads[7] is not None
 
 
 def test_segment_mean_matches_per_segment_and_fd():
@@ -604,6 +686,9 @@ RETENTION_CASES = {
                             [(3, 4), (3, 4), (4,), (4,)], {2}),
     "attention": (lambda p: ad.attention(*p, 2, [0, 1, 3], [0, 2, 3]), [(3, 4), (3, 4), (3, 4)],
                   {0, 1, 2}),
+    "self_attention": (lambda p: ad.self_attention(p[0], (p[1], p[2]), (p[3], p[4]), (p[5], p[6]), 2,
+                                                   [0, 1, 3], True),
+                       [(3, 4)] + [(4, 4), (4,)] * 3, set(range(7))),
     "softmax_cross_entropy": (lambda p: ad.softmax_cross_entropy(p[0], [1, 0, 3]), [(3, 4)], set()),
     "dropout": (lambda p: ad.dropout(p[0], 0.5, np.random.default_rng(0)), [(3, 4)], set()),
 }
@@ -623,7 +708,9 @@ def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
     """Once the caller drops its names, exactly the parents whose arrays the
     op's rule reads survive: ``linear`` x and w, ``matmul`` both operands,
     ``gelu_linear`` a and w (its rule recomputes the GELU output and slope
-    from a), ``attention`` q, k and v, ``pair_contrast`` its input (its rule
+    from a), ``attention`` q, k and v, ``self_attention`` x and its
+    projections (its rule projects q, k and v again from them, so it holds
+    none of them), ``pair_contrast`` its input (its rule
     rebuilds the pair differences from it), ``layer_norm`` its gain, and no
     other op any. Backward frees them all."""
     build, shapes, reads = RETENTION_CASES[name]
@@ -741,6 +828,19 @@ REFUSED = {
                          "gelu_linear"),
     "gelu_linear 1-D": (lambda: ad.gelu_linear(ones(3), ones(3, 2), ones(2)), ShapeError,
                         "gelu_linear"),
+    "self_attention 1-D": (lambda: ad.self_attention(ones(4), *[(ones(4, 4), ones(4))] * 3, 2, [0, 4]),
+                           ShapeError, "self_attention"),
+    "self_attention 2-D bias": (lambda: ad.self_attention(ones(2, 4), *[(ones(4, 4), ones(1, 4))] * 3,
+                                                          2, [0, 2]), ShapeError, "self_attention"),
+    "self_attention rows": (lambda: ad.self_attention(ones(2, 3), *[(ones(4, 4), ones(4))] * 3, 2,
+                                                      [0, 2]), ShapeError, "self_attention"),
+    "self_attention widths": (lambda: ad.self_attention(ones(2, 4), (ones(4, 4), ones(4)),
+                                                        (ones(4, 6), ones(6)), (ones(4, 4), ones(4)),
+                                                        2, [0, 2]), ShapeError, "self_attention"),
+    "self_attention heads": (lambda: ad.self_attention(ones(2, 4), *[(ones(4, 4), ones(4))] * 3, 3,
+                                                       [0, 2]), ShapeError, "heads"),
+    "self_attention offsets": (lambda: ad.self_attention(ones(2, 4), *[(ones(4, 4), ones(4))] * 3, 2,
+                                                         [0, 3]), ShapeError, "do not bound"),
 }
 
 
@@ -979,7 +1079,7 @@ def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
     assert "peak traced memory over one pretrain-d64 round" in printed
     windows, _, tally = graph_bytes.round_peaks(0, smoke=True)
     assert tally.attempted and not tally.failed
-    for op in ("linear", "attention", "gelu_linear", "layer_norm", "pair_contrast"):
+    for op in ("linear", "attention", "self_attention", "gelu_linear", "layer_norm", "pair_contrast"):
         assert windows.calls[op, "forward"] > 0 and windows.peak[op, "forward"] > 0, op
         assert windows.calls[op, "rule"] > 0 and windows.peak[op, "rule"] > 0, op
     assert windows.peak[windows.BETWEEN] > 0
@@ -993,7 +1093,8 @@ def test_op_times_times_every_op_and_puts_the_module_back():
     clock, wall, tally = op_times.time_units("pretrain-d64", 1, 0, smoke=True)
     assert tally.attempted and not tally.failed and wall > 0
     assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
-    for op in ("linear", "attention", "gelu_linear", "layer_norm", "dropout", "pair_contrast"):
+    for op in ("linear", "attention", "self_attention", "gelu_linear", "layer_norm", "dropout",
+               "pair_contrast"):
         assert clock.calls[op, "forward"] > 0 and clock.seconds[op, "rule"] > 0, op
     assert clock.calls["backward", "forward"] == 4  # two steps in each of two stages
 
@@ -1039,3 +1140,24 @@ def test_the_package_imports_no_name_it_does_not_use():
                     (stale if exempt else unused).append(f"{path.name}:{alias.lineno} {name}")
     assert not unused, f"imported but never used: {unused}"
     assert not stale, f"marked noqa but used: {stale}"
+
+
+def test_raise_reach_names_each_raise_by_function_and_source(tmp_path):
+    """``scripts/raise_reach.py`` finds every ``raise`` statement, at module
+    level, in functions, methods and nested functions, and names each by
+    file, enclosing scope and first source line, numbering repeats; and
+    every name on the committed allowlist is a raise in ``src/`` today."""
+    (tmp_path / "m.py").write_text(
+        "if False:\n    raise ValueError('top')\n"
+        "def f(x):\n    if x:\n        raise ValueError('x')\n    raise ValueError('x')\n"
+        "class C:\n    def g(self):\n        def h():\n            raise KeyError(\n"
+        "                'h')\n        return h\n")
+    sites = raise_reach.raise_sites(tmp_path)
+    path = str((tmp_path / "m.py").resolve())
+    assert sites == {(path, 2): "m.py::<module>::raise ValueError('top')",
+                     (path, 5): "m.py::f::raise ValueError('x')",
+                     (path, 6): "m.py::f::raise ValueError('x') #2",
+                     (path, 10): "m.py::C.g.h::raise KeyError("}
+    allowlist = raise_reach.read_allowlist(Path(raise_reach.ROOT) / "scripts" / "raise_allowlist.txt")
+    assert allowlist <= set(raise_reach.raise_sites().values())
+

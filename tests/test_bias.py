@@ -153,6 +153,8 @@ def test_cross_annotate_correspondence():
     # unmapped gold labels never count as hits
     _, acc_none = cross_annotate(source, cents, correspondence={})
     assert acc_none == 0.0
+    with pytest.raises(ContractError, match="zero items"):
+        cross_annotate([], cents)
 
 
 def test_build_accuracy_matrix_self_annotation():

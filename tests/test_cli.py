@@ -94,12 +94,27 @@ def test_unknown_config_key_exits_2(cli_corpus, tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
 
 
+def test_config_naming_a_key_twice_exits_2(cli_corpus, tmp_path, capsys):
+    """JSON would keep a repeated key's last value; the config file is
+    refused instead."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1, "train": {}, "seed": 2}')
+    code, out, err = run(capsys, "finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                         "--registry", str(cli_corpus / "registry.json"),
+                         "--out", str(tmp_path / "out"), "--config", str(cfg))
+    assert code == 2 and out == "" and not (tmp_path / "out").exists()
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigError"
+    assert "'seed' twice" in err
+
+
 BAD_CONFIGS = {
     "batch_size-str": {"train": {"batch_size": "8"}},
     "train-list": {"train": [1, 2]},
     "loss_weights-number": {"train": {"loss_weights": 5}},
     "learning_rate-str": {"train": {"learning_rate": "x"}},
     "seed-str": {"seed": "x"},
+    "seed-negative": {"seed": -1},
+    "max_steps-negative": {"train": {"max_steps": -1}},
     "heads-str": {"model": {"heads": "4"}},
     "model_dim-0": {"model": {"model_dim": 0}},
     "ffn_dim-negative": {"model": {"ffn_dim": -1}},
@@ -537,11 +552,28 @@ EMBEDDINGS = jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
      "DataError"),
     ({"embeddings": EMBEDDINGS, "correspondence": "{not json"}, "ConfigError"),
     ({"acc-matrix": "[1,2]"}, "DataError"),
+    ({"acc-matrix": '{"datasets": ["a"], "accuracy_percent": [["high"]]}'}, "DataError"),
+    ({"acc-matrix": '{"datasets": ["a", "b"], "accuracy_percent": [[1, 2], [3]]}'}, "DataError"),
     ({"embeddings": jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
                           {"dataset_id": "b", "label": "x", "vector": [1.0, 2.0]})}, "ShapeError"),
     ({"embeddings": EMBEDDINGS.encode() + b'{"caf\xe9": 1}\n'}, "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": 3, "label": "x", "vector": [1.0]})},
+     "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "label": None, "vector": [1.0]})},
+     "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "label": "x", "vector": [[1.0]]})},
+     "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "label": "x", "vector": []})},
+     "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "label": "x", "vector": 1.0})},
+     "DataError"),
+    ({"embeddings": EMBEDDINGS + jsonl({"dataset_id": "a", "label": "x", "vector": [float("nan")]})},
+     "DataError"),
 ], ids=["embeddings-not-json", "embeddings-empty", "embeddings-no-label", "embeddings-text-vector",
-        "correspondence-not-json", "acc-matrix-list", "widths-1-and-2", "embeddings-not-utf8"])
+        "correspondence-not-json", "acc-matrix-list", "acc-matrix-text-cell", "acc-matrix-ragged",
+        "widths-1-and-2", "embeddings-not-utf8",
+        "embeddings-number-id", "embeddings-null-label", "embeddings-nested-vector",
+        "embeddings-empty-vector", "embeddings-scalar-vector", "embeddings-nan-vector"])
 def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error):
     """Each file holds text or raw bytes. Paths that cannot be read are rows
     of ``test_bad_input_file_is_one_line_config_error``."""

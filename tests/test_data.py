@@ -8,9 +8,11 @@ import pytest
 
 import sentigen
 from sentigen.data import (Polarity, Registry, TaskType, load_corpus, read_feature_sidecar,
-                           record_to_json, render_scalar_label, serialize_corpus, to_polarity,
-                           write_feature_sidecar, write_json, write_jsonl, write_manifest)
+                           render_scalar_label, to_polarity, write_feature_sidecar, write_json,
+                           write_jsonl, write_manifest)
 from sentigen.errors import ConfigError, ContractError, DataError, SentigenError
+
+from conftest import serialize_corpus
 
 
 def mini_registry():
@@ -87,7 +89,10 @@ def test_registry_roundtrip_and_validation(tmp_path):
             ("score", {"kind": "scalar", "min": 1.0, "max": 1.0}),
             ("conv", [1, None]),
             ("conv", ["anger", 2]),
-            ("conv", [])]:
+            ("conv", []),
+            ("conv", "anger"),
+            ("score", {"kind": "bins"}),
+            ("score", None)]:
         bad = reg.to_json()
         bad[dataset_id]["answer_set"] = answer_set
         with pytest.raises(ConfigError, match=dataset_id) as err:
@@ -149,6 +154,25 @@ def test_load_corpus_happy_path(tmp_path):
      "audio has dimension 2, registry declares 3"),
     (lambda r: r.update(task_type="msa", dataset_id="score", label=1.0,
                         audio=[[1.0, 2.0, 3.0], [4.0, 5.0]]), "rectangular array"),
+    (lambda r: r.update(task_type="msa", dataset_id="score", label=1.0, audio=[[[1.0, 2.0, 3.0]]]),
+     "audio must be a frames x dim array"),
+    (lambda r: r.update(task_type="msa", dataset_id="score", label=1.0, image=2.0),
+     "image must be null, a nested array, or a sidecar path"),
+    (lambda r: r.update(task_type="msa", dataset_id="score", label=1.0, audio={"frames": []}),
+     "audio must be null, a nested array, or a sidecar path"),
+    (lambda r: r.update(task_type="msa", dataset_id="score", label="high"), "label must be a number"),
+    (lambda r: r.update(task_type="msa", dataset_id="score", label=True), "label must be a number"),
+    (lambda r: r.update(task_type="msa", dataset_id="score", label=[1.0]), "label must be a number"),
+    (lambda r: r.update(task_type="erc", dataset_id="conv", label="joy", speaker_id="s1",
+                        utterance_index=0, context="s0: hi"), "context must be a list"),
+    (lambda r: r.update(task_type="erc", dataset_id="conv", label="joy", speaker_id="s1",
+                        utterance_index=0, context=[["s0"]]), "context entries must be"),
+    (lambda r: r.update(task_type="erc", dataset_id="conv", label="joy", speaker_id="s1",
+                        utterance_index=0, context=[["s0", "hi"], ["s1", 2]]), "context entries must be"),
+    (lambda r: r.update(task_type="erc", dataset_id="conv", label="joy", speaker_id="s1",
+                        utterance_index=0, context=[("s0", " ")]), "context entries must be"),
+    (lambda r: r.update(task_type="erc", dataset_id="conv", label="joy", speaker_id="s1",
+                        utterance_index=0, context=["s0 hi"]), "context entries must be"),
 ])
 def test_load_corpus_line_errors(tmp_path, mutate, fragment):
     reg = mini_registry()
@@ -169,6 +193,9 @@ def test_load_corpus_more_errors(tmp_path):
     with pytest.raises(DataError) as err:
         load_corpus(path, reg)
     assert ":1: " in str(err.value)
+    write_lines(path, [full_row(), '["fine film", "positive"]'])
+    with pytest.raises(DataError, match=":2: not a JSON object"):
+        load_corpus(path, reg)
 
     # ERC records need speaker/index/context
     write_lines(path, [full_row(task_type="erc", dataset_id="conv", label="joy",
@@ -192,6 +219,44 @@ def test_load_corpus_more_errors(tmp_path):
                                 audio=[[1.0, 2.0]])])
     with pytest.raises(DataError):
         load_corpus(path, reg)
+
+
+def test_sidecar_of_zero_frames_is_a_data_error(tmp_path):
+    """A sidecar that reads cleanly but holds no frames is refused by the
+    loader, naming the field and the record's line."""
+    write_feature_sidecar(tmp_path / "none.saev", np.zeros((0, 3), dtype=np.float32))
+    path = tmp_path / "c.jsonl"
+    write_lines(path, [full_row(task_type="erc", dataset_id="conv", label="joy", context=[],
+                                speaker_id="s0", utterance_index=0, audio="none.saev")])
+    with pytest.raises(DataError, match=r":1: audio has zero frames"):
+        load_corpus(path, mini_registry())
+
+
+@pytest.mark.parametrize("text, fragment", [
+    ("{}", "non-empty object"),
+    ("[]", "non-empty object"),
+    ('"rev"', "non-empty object"),
+    ('{"rev": ["negative", "positive"]}', "'rev' must be an object"),
+    ('{"rev": null}', "'rev' must be an object"),
+])
+def test_registry_file_that_is_not_an_object_of_objects_is_a_config_error(tmp_path, text, fragment):
+    path = tmp_path / "registry.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=fragment):
+        Registry.load(path)
+
+
+def test_registry_naming_a_dataset_twice_is_a_config_error(tmp_path):
+    """A registry file that declares one dataset id twice is refused, not
+    read as its last declaration; so are specs that repeat an id."""
+    entry = json.dumps(mini_registry().to_json()["rev"])
+    path = tmp_path / "registry.json"
+    path.write_text(f'{{"rev": {entry}, "conv": {entry}, "rev": {entry}}}')
+    with pytest.raises(ConfigError, match="'rev' twice"):
+        Registry.load(path)
+    spec = mini_registry().spec("rev")
+    with pytest.raises(ConfigError, match="duplicate dataset id 'rev'"):
+        Registry([spec, mini_registry().spec("conv"), spec])
 
 
 def test_corpus_roundtrip_identity(toy, tmp_path):
@@ -386,6 +451,9 @@ def test_polarity_mapping():
         to_polarity("sardonic")
     with pytest.raises(ConfigError):
         to_polarity(True)
+    for label in (None, ["joy"]):
+        with pytest.raises(ConfigError, match="no polarity mapping"):
+            to_polarity(label, "conv")
 
 
 def test_render_scalar_label():

@@ -147,3 +147,5 @@ def test_decode_accuracy_counts_tolerant_scalar_hits(toy, eval_rig):
     acc = decode_accuracy(toy["records"], params, config, toy["vocab"], toy["registry"],
                           max_new=4)
     assert 0.0 <= acc <= 1.0
+    with pytest.raises(MetricError, match="empty"):
+        decode_accuracy([], params, config, toy["vocab"], toy["registry"])

@@ -289,6 +289,28 @@ def test_cached_decoder_bounds(world):
                        cache=DecoderCache(1))
 
 
+def test_cache_fed_another_batch_and_dropout_without_rng_are_refused(world, tmp_path):
+    """A cache keeps the batch it was first fed: a later call with another
+    sample count is a ShapeError. A training pass with dropout on needs its
+    RNG stream. A checkpoint array of a dtype the format lacks is refused
+    before anything is written."""
+    vocab, registry, records, config, params = world
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:3]]
+    frozen = freeze_params(params)
+    cache = DecoderCache(4)
+    decoder_states([[vocab.bos_id]] * 2, model.encode_batch(prompts[:2], frozen, config, vocab),
+                   frozen, config, cache=cache)
+    with pytest.raises(ShapeError, match="holds 2 samples, not 3"):
+        decoder_states([[vocab.bos_id]] * 3, model.encode_batch(prompts, frozen, config, vocab),
+                       frozen, config, cache=cache)
+    with pytest.raises(ContractError, match="RNG"):
+        model.encode_batch(prompts, params, replace(config, dropout_rate=0.1), vocab, train=True)
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(ContractError, match="unsupported dtype"):
+        model.save_checkpoint(path, config, {"x": np.zeros(2, dtype=np.int32)})
+    assert not path.exists()
+
+
 def straddles(prompts):
     """Whether, were the whole of ``prompts`` cut into ``_row_chunks``
     slices at the current sizes, some decode group would span several

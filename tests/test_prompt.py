@@ -1,4 +1,5 @@
 import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from sentigen.data import (POOL_DATASET_ID, AnswerSet, Registry, SaevalRecord, T
 from sentigen.errors import ConfigError, ContractError, DecodeError, VocabularyError
 from sentigen.prompt import (Vocab, answer_set_tokens, build_prompt, build_vocab, combine_queries,
                              decode_label, detokenize, edit_distance, parse_scalar,
-                             resegment_prompt, speaker_index, tokenize)
+                             speaker_index, tokenize)
 
+from conftest import resegment_prompt
 from test_data import mini_registry
 
 
@@ -40,6 +42,36 @@ def test_vocab_rejects_bad_prefix():
         Vocab(["<pad>", "<bos>"], 0, 0)
     with pytest.raises(VocabularyError):
         Vocab(["x"] * 12, 0, 0)
+
+
+def test_vocab_lookups_refuse_unknown_tokens_and_ids(world):
+    vocab, _, _ = world
+    assert vocab.surface(vocab.id_of("<sep>")) == "<sep>"
+    with pytest.raises(VocabularyError, match="not in the vocabulary"):
+        vocab.id_of("<no such token>")
+    for bad in (-1, len(vocab)):
+        with pytest.raises(VocabularyError, match="out of range"):
+            vocab.surface(bad)
+
+
+def test_build_prompt_refuses_a_record_of_another_task(world):
+    """A record built in code, past the loader's check, whose task is not
+    its dataset's is a ConfigError."""
+    vocab, registry, records = world
+    record = next(r for r in records if r.task_type is TaskType.CA)
+    with pytest.raises(ConfigError, match="conflicts with registry entry"):
+        build_prompt(SaevalRecord(task_type=TaskType.ABSA, dataset_id=record.dataset_id,
+                                  text=record.text, label=record.label), vocab, registry, 64)
+
+
+def test_build_prompt_refuses_a_record_whose_text_has_no_token(world):
+    """A record built in code, past the loader's non-empty text check, whose
+    query is empty is a ContractError that says so: no budget cut empties a
+    query, since the markers always leave it one token."""
+    vocab, registry, records = world
+    record = next(r for r in records if r.task_type is TaskType.CA)
+    with pytest.raises(ContractError, match="prompt has no query token"):
+        build_prompt(replace(record, text=""), vocab, registry, 64)
 
 
 def test_speaker_reserved_range(world):

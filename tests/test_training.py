@@ -604,6 +604,25 @@ def test_validation_prompts_are_built_once_per_run(toy, tmp_path, monkeypatch):
     assert len(calls) == len(toy["records"]) + len(val)
 
 
+def test_a_non_finite_step_loss_stops_the_run_before_it_updates_or_logs(toy, tmp_path,
+                                                                        monkeypatch):
+    """A step whose loss is not finite is a NumericError naming the step,
+    raised before the optimizer takes the step or the log records it."""
+    real, seen = training.generation_loss, []
+
+    def loss(*args, **kwargs):
+        total = real(*args, **kwargs)
+        seen.append(total)
+        return total if len(seen) < 2 else ad.add(total, ad.constant(np.nan))
+
+    monkeypatch.setattr(training, "generation_loss", loss)
+    config = small_config(toy["vocab"], toy["registry"])
+    with pytest.raises(NumericError, match="non-finite loss at step 2"):
+        run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=3), tmp_path)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == [1]
+
+
 @pytest.mark.parametrize("stage", sorted(RUNS))
 def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, stage):
     """One step graph is alive at a time: a vertex of step k's graph is
@@ -630,8 +649,8 @@ def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, st
 # by op, the parents whose arrays its backward rule reads (-2: layer_norm's
 # gain, with or without a residual); ``sqrt``'s rule reads its own output
 RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
-              "attention": (0, 1, 2), "gelu_linear": (0, 1), "pair_contrast": (0,),
-              "layer_norm": (-2,)}
+              "attention": (0, 1, 2), "self_attention": (0,), "gelu_linear": (0, 1),
+              "pair_contrast": (0,), "layer_norm": (-2,)}
 
 
 def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_path, monkeypatch):
