@@ -1,23 +1,13 @@
-"""List the ``raise`` statements in ``src/`` that the tier-1 tests never run.
+"""Fail when a ``raise`` statement in ``src/`` is one the tier-1 tests never run.
 
-    python scripts/raise_reach.py [--check FILE | --write FILE]
+    python scripts/raise_reach.py
 
 The script finds every ``raise`` statement in ``src/sentigen/*.py`` with
 ``ast``. It then runs the tier-1 suite (``pytest -q
 --continue-on-collection-errors tests``, from the repository root) in this
 process under a ``sys.settrace`` line tracer that watches those lines alone.
-It prints each raise that no test ran, and how many of them ran.
-
-An allowlist names a raise by its file, its enclosing function and its
-first source line (``data.py::_load_features::raise DataError(...)``), not by
-its line number, so an edit above it does not rename it. Two raises with the
-same name in one function take ``#2``, ``#3`` and so on.
-
-- ``--write FILE`` writes the unreached raises to FILE as an allowlist.
-- ``--check FILE`` exits 1 when the unreached raises differ from FILE's:
-  - a raise missing from FILE is a new error path that no test runs;
-  - a raise in FILE that is now reached, or gone, must be deleted from it,
-    so the list only shrinks.
+It prints how many of them ran and the ``file:line`` of each that did not,
+and exits 1 when any did not: a new error path needs a test that takes it.
 
 A failing test also exits 1, since its raises would read as unreached.
 Tracing makes the suite two to three times slower. Tests that run the
@@ -25,44 +15,24 @@ package in a subprocess are not traced.
 """
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import sys
 import threading
-from collections import Counter, defaultdict
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sentigen"
-ALLOWLIST_HEADER = ("# raise statements in src/sentigen that no tier-1 test runs, as\n"
-                    "# scripts/raise_reach.py names them. Reach one with a test, or delete it,\n"
-                    "# then delete its line here; never add a line.\n")
 
 
 def raise_sites(src=SRC):
-    """``{(file, line): name}`` for every ``raise`` statement in the modules
-    of ``src``: the file's resolved path, the line of the ``raise``, and the
-    name an allowlist knows it by."""
-    sites = {}
-    for path in sorted(src.glob("*.py")):
-        text = path.read_text()
-        lines, seen = text.splitlines(), Counter()
-
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    visit(child, scope + [child.name])
-                    continue
-                if isinstance(child, ast.Raise):
-                    name = f"{path.name}::{'.'.join(scope) or '<module>'}::{lines[child.lineno - 1].strip()}"
-                    seen[name] += 1
-                    sites[str(path.resolve()), child.lineno] = name + (
-                        f" #{seen[name]}" if seen[name] > 1 else "")
-                visit(child, scope)
-
-        visit(ast.parse(text), [])
-    return sites
+    """The ``(file, line)`` of every ``raise`` statement in the modules of
+    ``src``: the file's resolved path and the line of the ``raise``."""
+    return {(str(path.resolve()), node.lineno)
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Raise)}
 
 
 def traced_run(watch, pytest_args):
@@ -99,52 +69,22 @@ def traced_run(watch, pytest_args):
     return int(code), hit
 
 
-def read_allowlist(path):
-    """The names in an allowlist file: one a line, ``#`` lines and blank
-    lines skipped."""
-    return {line.strip() for line in Path(path).read_text().splitlines()
-            if line.strip() and not line.lstrip().startswith("#")}
-
-
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--check", type=Path, metavar="FILE",
-                      help="exit 1 unless the unreached raises are exactly FILE's")
-    mode.add_argument("--write", type=Path, metavar="FILE", help="write the unreached raises to FILE")
-    args = p.parse_args(argv)
-    allowlist = None if args.check is None else read_allowlist(args.check)
-
+def main():
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [e for e in [os.environ.get("PYTHONPATH")] if e])
     sites = raise_sites()
-    code, hit = traced_run(set(sites), ["-q", "--continue-on-collection-errors", "tests"])
-    unreached = sorted((site for site in sites if site not in hit), key=lambda s: (s[0], s[1]))
+    code, hit = traced_run(sites, ["-q", "--continue-on-collection-errors", "tests"])
+    unreached = sorted(sites - hit)
 
     print(f"\nraise_reach: tier-1 ran {len(sites) - len(unreached)} of {len(sites)} raise "
           f"statements in {SRC.relative_to(ROOT)}" + ("; not reached:" if unreached else ""))
     for f, line in unreached:
-        print(f"  {Path(f).relative_to(ROOT)}:{line}  {sites[f, line]}")
-    names = {sites[site] for site in unreached}
-    if args.write is not None:
-        args.write.write_text(ALLOWLIST_HEADER + "".join(f"{name}\n" for name in sorted(names)))
-        print(f"raise_reach: wrote {len(names)} names to {args.write}")
-    failed = code != 0
-    if failed:
-        print(f"raise_reach: the tests exited {code}, so the list above is not trustworthy")
-    if allowlist is not None:
-        for label, extra in (("unreached and not in the allowlist (reach it with a test, or delete it)",
-                              names - allowlist),
-                             ("in the allowlist but now reached or gone (delete it from the list)",
-                              allowlist - names)):
-            for name in sorted(extra):
-                print(f"raise_reach: {label}: {name}")
-            failed |= bool(extra)
-        if not failed:
-            print(f"raise_reach: the unreached raises are exactly the {len(allowlist)} of {args.check}")
-    return 1 if failed else 0
+        print(f"  {Path(f).relative_to(ROOT)}:{line}")
+    if code != 0:
+        print(f"raise_reach: the tests exited {code}, so the count above is not trustworthy")
+    return 1 if code != 0 or unreached else 0
 
 
 if __name__ == "__main__":

@@ -507,16 +507,15 @@ def head_layout(k, v, heads, offsets):
 
 def _attend(qd, kv, heads, q_offsets, k_offsets, causal):
     """Attention's forward, which ``attention`` and ``self_attention`` share:
-    packed query rows ``qd`` over keys and values ``kv``, a packed (k, v)
-    pair bounded by ``k_offsets``, or with ``k_offsets`` None a
-    ``HeadLayout``. Returns the packed output, the softmax weights ``p``
+    packed query rows ``qd`` over keys and values ``kv``: a ``HeadLayout``,
+    or a packed (k, v) pair bounded by ``k_offsets``. Returns the packed output, the softmax weights ``p``
     (B, heads, Lq, Lk), and the layout ``_attend_grads`` needs."""
     d = qd.shape[1]
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     hd = d // heads
     qoff, qlen, qmin, lq = _segments(q_offsets, qd.shape[0], "attention")
-    keys = kv if k_offsets is None else head_layout(*kv, heads, k_offsets)
+    keys = kv if isinstance(kv, HeadLayout) else head_layout(*kv, heads, k_offsets)
     klen, lk = keys.lengths, keys.k.shape[2]
     if len(qlen) != len(klen) or keys.k.shape[1::2] != (heads, hd):
         raise ShapeError(f"attention: {len(qlen)} query samples of width {d} but keys of "
@@ -585,8 +584,8 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     block h of width d / heads belongs to head h. Returns the per-head
     outputs side by side, one row per row of ``q``.
 
-    ``layout``, when given, stands in for ``k``, ``v`` and ``k_offsets``
-    (then None): keys and values already in the per-head layout, as
+    ``layout``, when given, stands in for ``k``, ``v`` and ``k_offsets``,
+    which the op then does not read: keys and values already in the per-head layout, as
     ``head_layout`` splits them or a decoder cache writes them. The op skips
     its own layout step and records no node, as the layout holds arrays: a
     ``q`` that needs a gradient is a ContractError.

@@ -228,32 +228,42 @@ def write_manifest(out_dir, command, seed, effective_config):
                 "code_version": __version__}, sort_keys=True, sync=True)
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names the key ``args[0]`` twice."""
+
+
+def _unique_keys(pairs):
+    """``json``'s ``object_pairs_hook`` for the readers below: the object's
+    dict, or ``_RepeatedKey`` for an object that names a key twice, which
+    ``json`` alone would read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise _RepeatedKey(next(k for k in keys if keys.count(k) > 1))
+    return obj
+
+
 def read_json(path, what, error=ConfigError):
     """Parse the JSON file at ``path``, named ``what`` in errors. A missing
     or unreadable path is a ConfigError (see ``read_bytes``); bytes that are
-    not UTF-8 or not JSON, and an object that names a key twice (which
-    ``json`` would read as its last value), are an ``error``."""
+    not UTF-8 or not JSON, and an object that names a key twice, are an
+    ``error``."""
     raw = read_bytes(path, what)
-
-    def unique(pairs):
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            keys = [k for k, _ in pairs]
-            raise error(f"{what} {path} names {next(k for k in keys if keys.count(k) > 1)!r} twice")
-        return obj
-
     try:
-        return json.loads(raw.decode("utf-8"), object_pairs_hook=unique)
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8 ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
+    except _RepeatedKey as exc:
+        raise error(f"{what} {path} names {exc.args[0]!r} twice") from None
 
 
 def read_jsonl(path, what):
     """Yield ``(line_no, obj)`` for each non-blank line of the JSONL file at
     ``path``. The path is read by ``read_bytes``; a line that is not UTF-8,
-    not JSON or not a JSON object is a DataError naming the line."""
+    not JSON or not a JSON object, or holds an object that names a key
+    twice, is a DataError naming the line."""
     p = str(path)
     # split before decoding, so an undecodable line can be named; bytes split
     # on the same line ends as text mode's universal newlines
@@ -265,9 +275,11 @@ def read_jsonl(path, what):
         if not text.strip():
             continue
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid JSON ({exc.msg})", line=line_no, path=p) from None
+        except _RepeatedKey as exc:
+            raise DataError(f"names {exc.args[0]!r} twice", line=line_no, path=p) from None
         if not isinstance(obj, dict):
             raise DataError("not a JSON object", line=line_no, path=p)
         yield line_no, obj

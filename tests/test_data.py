@@ -196,6 +196,10 @@ def test_load_corpus_more_errors(tmp_path):
     write_lines(path, [full_row(), '["fine film", "positive"]'])
     with pytest.raises(DataError, match=":2: not a JSON object"):
         load_corpus(path, reg)
+    # a line naming a key twice is refused, not read as its last value
+    write_lines(path, [full_row(), json.dumps(full_row())[:-1] + ', "label": "negative"}'])
+    with pytest.raises(DataError, match=":2: names 'label' twice"):
+        load_corpus(path, reg)
 
     # ERC records need speaker/index/context
     write_lines(path, [full_row(task_type="erc", dataset_id="conv", label="joy",
