@@ -45,6 +45,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 _BLOCK = 1 << 14  # elements in a row block of GELU and layer_norm: 128 KB of float64
 _NEG_INF = -1e30  # added to a hidden logit (a key, a class): its exp underflows to 0
+_LN_EPS = 1e-5  # added to each row variance in layer_norm
 
 
 def _as_f64(data):
@@ -403,9 +404,10 @@ def gelu_linear(a, w, b):
     return _make(out, "gelu_linear", (a, w, b), rule)
 
 
-def layer_norm(a, gain, bias, residual=None, eps=1e-5):
+def layer_norm(a, gain, bias, residual=None):
     """Normalise each row of ``a`` (of ``a + residual``, summed inside the
-    node, when given) to zero mean and unit variance; then scale and shift."""
+    node, when given) to zero mean and unit variance, ``_LN_EPS`` added to
+    the variance; then scale and shift."""
     if a.data.ndim != 2:
         raise ShapeError(f"layer_norm: needs a 2-D operand, got {a.shape}")
     n = a.shape[1]
@@ -425,7 +427,7 @@ def layer_norm(a, gain, bias, residual=None, eps=1e-5):
         np.multiply(xhat, xhat, s)
         var = s.sum(axis=1, keepdims=True)  # what np.var computes, without its own centring pass
         var /= nf
-        var += eps
+        var += _LN_EPS
         np.divide(1.0, np.sqrt(var, var), inv)
         xhat *= inv
         np.multiply(xhat, gd, out)

@@ -177,17 +177,15 @@ def cross_annotate(source_items, target_centroids, correspondence=None):
     return pseudo, 100.0 * hits / len(source_items)
 
 
-def build_accuracy_matrix(items_by_dataset, order=None, correspondence=None):
+def build_accuracy_matrix(items_by_dataset, correspondence=None):
     """Cross-annotation accuracy matrix over datasets.
 
-    ``items_by_dataset`` maps dataset_id to (gold_label, vector) pairs;
-    ``correspondence`` optionally maps (source_id, target_id) to a label map.
-    Entry [i][j] annotates dataset i's items with dataset j's centroids.
+    ``items_by_dataset`` maps dataset_id to (gold_label, vector) pairs, and
+    its key order is the matrix's dataset order; ``correspondence``
+    optionally maps (source_id, target_id) to a label map. Entry [i][j]
+    annotates dataset i's items with dataset j's centroids.
     """
-    names = tuple(order) if order is not None else tuple(items_by_dataset)
-    for name in names:
-        if name not in items_by_dataset:
-            raise ContractError(f"no items for dataset {name!r}")
+    names = tuple(items_by_dataset)
     centroids = {name: label_centroids([str(gold) for gold, _ in items_by_dataset[name]],
                                        [vec for _, vec in items_by_dataset[name]])
                  for name in names}

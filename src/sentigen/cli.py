@@ -61,6 +61,17 @@ def _load_inputs(args):
     return load_corpus(args.corpus, registry), registry
 
 
+def _load_with_model(args):
+    """``eval``'s and ``export-embeddings``' inputs: (records, registry,
+    config, params, vocab) from the corpus, registry and checkpoint; an empty
+    corpus is a DataError."""
+    records, registry = _load_inputs(args)
+    config, params, vocab, _, _ = load_model(args.checkpoint, registry)
+    if not records:
+        raise DataError("corpus holds no records", path=str(args.corpus))
+    return records, registry, config, params, vocab
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
@@ -229,10 +240,7 @@ def _metric_table(payload):
 def cmd_eval(args):
     if args.max_new < 1:
         raise ConfigError(f"--max-new {args.max_new} must be at least 1")
-    records, registry = _load_inputs(args)
-    config, params, vocab, _, _ = load_model(args.checkpoint, registry)
-    if not records:
-        raise DataError("corpus holds no records", path=str(args.corpus))
+    records, registry, config, params, vocab = _load_with_model(args)
     results = evaluate_records(records, params, config, vocab, registry, max_new=args.max_new)
     payload = {d: {**r.metrics, "fallback_rate": r.fallback_rate, "samples": len(r.golds)}
                for d, r in sorted(results.items())}
@@ -245,10 +253,7 @@ def cmd_eval(args):
 
 
 def cmd_export_embeddings(args):
-    records, registry = _load_inputs(args)
-    config, params, vocab, _, _ = load_model(args.checkpoint, registry)
-    if not records:
-        raise DataError("corpus holds no records", path=str(args.corpus))
+    records, registry, config, params, vocab = _load_with_model(args)
     prompts = [build_prompt(record, vocab, registry, config.max_len) for record in records]
     vectors = pooled_vectors(prompts, params, config, vocab)
     rows = [{"dataset_id": record.dataset_id,
@@ -266,7 +271,6 @@ def cmd_export_embeddings(args):
 def _matrix_from_embeddings(path, correspondence):
     p = str(path)
     items = {}
-    order = []
     for line, obj in read_jsonl(path, "embeddings file"):
         try:
             d, label = obj["dataset_id"], obj["label"]
@@ -277,17 +281,14 @@ def _matrix_from_embeddings(path, correspondence):
             raise DataError("dataset_id and label must be strings", line=line, path=p)
         if vec.ndim != 1 or vec.size == 0 or not np.all(np.isfinite(vec)):
             raise DataError("vector must be a non-empty flat array of finite numbers", line=line, path=p)
-        if d not in items:
-            items[d] = []
-            order.append(d)
-        items[d].append((label, vec))
+        items.setdefault(d, []).append((label, vec))
     if not items:
         raise DataError("embeddings file holds no rows", path=p)
     unknown = sorted({d for pair in correspondence or () for d in pair} - items.keys())
     if unknown:  # a mistyped id would score its pair with the identity map, silently
         raise ConfigError(f"correspondence names datasets {unknown} that {p} does not hold; "
-                          f"it holds {order}")
-    return build_accuracy_matrix(items, order=order, correspondence=correspondence)
+                          f"it holds {list(items)}")
+    return build_accuracy_matrix(items, correspondence=correspondence)
 
 
 def _load_correspondence(path):

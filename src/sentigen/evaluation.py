@@ -72,7 +72,9 @@ def bin_scalar(value):
 
 
 def _msa_metric(name, golds, preds):
-    """``metrics_msa``'s ``name`` entry alone: only ``acc2`` needs a nonzero gold."""
+    """One scalar sentiment metric: ``mae``, seven-way bin accuracy
+    (``acc7``), or two-way sign accuracy with gold-zero samples excluded
+    (``acc2``), the one that needs a nonzero gold."""
     _check_lengths(golds, preds)
     g = np.asarray([float(x) for x in golds], dtype=np.float64)
     p = np.asarray([float(x) for x in preds], dtype=np.float64)
@@ -84,12 +86,6 @@ def _msa_metric(name, golds, preds):
     if not nonzero.any():
         raise MetricError("every gold label is zero; two-way accuracy is undefined")
     return float(np.mean((g[nonzero] > 0.0) == (p[nonzero] > 0.0)))
-
-
-def metrics_msa(golds, preds):
-    """Scalar sentiment triple: mae, seven-way bin accuracy, and two-way
-    sign accuracy with gold-zero samples excluded."""
-    return {name: _msa_metric(name, golds, preds) for name in ("mae", "acc7", "acc2")}
 
 
 def compute_metric(name, golds, preds):
@@ -108,7 +104,6 @@ def compute_metric(name, golds, preds):
 class EvalResult:
     """Scores for one dataset plus the per-sample decode trail."""
 
-    dataset_id: str
     metrics: dict
     golds: list = field(default_factory=list)
     preds: list = field(default_factory=list)
@@ -173,8 +168,8 @@ def evaluate_prompts(records, prompts, params, config, vocab, registry, max_new=
             preds.append(pred)
             fallbacks.append(fb)
         metrics = {name: compute_metric(name, golds, preds) for name in spec.metrics}
-        results[dataset_id] = EvalResult(dataset_id=dataset_id, metrics=metrics,
-                                         golds=golds, preds=preds, fallbacks=fallbacks)
+        results[dataset_id] = EvalResult(metrics=metrics, golds=golds, preds=preds,
+                                         fallbacks=fallbacks)
     return results
 
 

@@ -29,8 +29,8 @@ token or a frame is a choice of row; the same node adds each row's type,
 position and dataset embeddings. The decoder's rows are B samples of n ids
 each, which is the packed layout with equal offsets; its self-attention is
 causal and its cross-attention reads the packed encoder rows through their
-offsets. ``encode``,
-``decoder_states`` and ``generate`` on one prompt are the batch of one.
+offsets. ``encode`` and ``generate`` on one prompt run the batch of one,
+and return what the batch does for it: ``encode``'s ``pooled`` is (1, d).
 Training and inference both run these batches: a training step's losses read
 ``encode_batch`` encodings, with one dropout mask per batched tensor;
 inference uses ``pooled_vectors`` and ``generate_batch``.
@@ -251,11 +251,10 @@ class EncoderOutput:
     """Encoder states of a batch of B prompts, packed: sample i's stream is
     rows offsets[i]:offsets[i + 1] of ``states``, every row a real stream
     position, with no pad rows inside or between samples. ``pooled`` is
-    each sample's mean row. For one prompt, B = 1 and ``pooled`` drops the
-    batch axis."""
+    each sample's mean row, one per sample, so one prompt's is (1, d)."""
 
     states: ad.Tensor      # (N, model_dim), N = offsets[-1], the summed stream lengths
-    pooled: ad.Tensor      # (B, model_dim), or (model_dim,) for one prompt
+    pooled: ad.Tensor      # (B, model_dim)
     offsets: np.ndarray    # int (B + 1,): where each sample's rows start, then N
 
 
@@ -347,15 +346,14 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
 
 
 def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
-    """Run the encoder over one prompt: the batch of one.
+    """Run the encoder over one prompt: ``encode_batch``'s batch of one, so
+    ``pooled`` is (1, d).
 
     ``mask_plan`` (optional) corrupts the stream for reconstruction training:
     listed token positions are replaced by the mask token, listed modal frames
     by the learned per-modality mask vector. Masking never changes lengths.
     """
-    enc = encode_batch([ps], params, config, vocab, [mask_plan], train, rng)
-    enc.pooled = ad.reshape(enc.pooled, (config.model_dim,))
-    return enc
+    return encode_batch([ps], params, config, vocab, [mask_plan], train, rng)
 
 
 def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
@@ -423,9 +421,8 @@ class DecoderCache:
 def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cache=None):
     """Decoder pass over ``dec_ids``; returns their hidden states, sample-major.
 
-    For one prompt ``dec_ids`` is a list of ids and the result is
-    (len(dec_ids), d). For a batch encoded by ``encode_batch`` it is a
-    (B, n) array, one row of n ids per sample, and the result (B * n, d):
+    ``dec_ids`` is a (B, n) array for the B samples of ``enc_out``, one row
+    of n ids per sample (one prompt's is (1, n)), and the result (B * n, d):
     every sample has n rows, so its offsets are equal steps of n, and the
     cross-attention reads the packed encoder rows through ``enc_out.offsets``.
 
@@ -439,8 +436,6 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     """
     batch = len(enc_out.offsets) - 1
     ids = np.asarray(dec_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids.reshape(1, -1)
     if ids.ndim != 2 or ids.shape[0] != batch:
         raise ShapeError(f"decoder ids of shape {ids.shape} do not fit a batch of {batch}")
     if ids.shape[1] == 0:

@@ -145,9 +145,9 @@ def loss_ccl(pooled, labels):
     and keeps the distance differentiable; a sample with no same-label
     partner at nonzero distance adds 0.
 
-    ``pooled`` is a sequence of row blocks, (rows, d), or (d,) for one row,
-    stacked once, with one label per row."""
-    parts = [v if v.data.ndim == 2 else ad.reshape(v, (1, v.shape[0])) for v in pooled]
+    ``pooled`` is a sequence of (rows, d) blocks, stacked once, with one
+    label per row."""
+    parts = list(pooled)
     b = sum(p.shape[0] for p in parts)
     if b != len(labels) or b == 0:
         raise ContractError(f"loss_ccl: {b} vectors and {len(labels)} labels")

@@ -141,12 +141,6 @@ def build_vocab(records, registry, num_speakers=16):
     tokens += [dataset_token(d) for d in registry.dataset_ids]
     tokens += [speaker_token(k) for k in range(num_speakers)]
 
-    base = []
-    for ch in _PRINTABLE:
-        base.append(ch)
-    for ch in _PRINTABLE:
-        base.append("##" + ch)
-
     forced = []
     for name in ("positive", "negative", "neutral"):
         forced.extend(text_pieces(name))
@@ -171,15 +165,8 @@ def build_vocab(records, registry, num_speakers=16):
                 counts[piece] = counts.get(piece, 0) + 1
 
     seen = set(tokens)
-    for piece in base:
-        if piece not in seen:
-            tokens.append(piece)
-            seen.add(piece)
-    for piece in forced:
-        if piece not in seen:
-            tokens.append(piece)
-            seen.add(piece)
-    for piece in sorted(counts, key=lambda p: (-counts[p], p)):
+    for piece in (*_PRINTABLE, *("##" + ch for ch in _PRINTABLE), *forced,
+                  *sorted(counts, key=lambda p: (-counts[p], p))):
         if piece not in seen:
             tokens.append(piece)
             seen.add(piece)

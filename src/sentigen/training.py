@@ -401,9 +401,13 @@ def load_model(path, registry):
     """Read a training checkpoint for ``registry``. Returns (config, params,
     vocab, arrays, meta). A missing file, vocabulary fields that are missing
     or mistyped, a model config that does not fit the vocabulary and the
-    registry (``_fit_config``), or a parameter table that does not match the
-    config's is a ConfigError."""
+    registry (``_fit_config``), a parameter table that does not match the
+    config's, or a parameter or Adam moment that is not float64 is a
+    ConfigError."""
     config, arrays, meta = load_checkpoint(path)
+    for name, arr in arrays.items():
+        if name.split("/")[0] in ("param", "adam_m", "adam_v") and arr.dtype != np.float64:
+            raise ConfigError(f"{path}: checkpoint array {name!r} is {arr.dtype}, not float64")
     tokens = _meta_field(meta, "vocab", list, path)
     if not all(isinstance(t, str) for t in tokens):
         raise ConfigError(f"{path}: checkpoint vocabulary holds a non-string token")

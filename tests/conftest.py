@@ -202,6 +202,13 @@ def pair_contrast_ref(x, same):
     return ad._make((numer / denom).sum(), "pair_contrast", (x,), rule)
 
 
+def msa_metrics(golds, preds):
+    """The scalar sentiment triple a registry's msa dataset scores, each
+    entry from ``compute_metric``."""
+    from sentigen.evaluation import compute_metric
+    return {name: compute_metric(name, golds, preds) for name in ("mae", "acc7", "acc2")}
+
+
 def fd_check_param(loss_fn, params, name):
     """finite_diff_check over every coordinate of one parameter tensor."""
     return finite_diff_check(lambda t: loss_fn(), params[name])

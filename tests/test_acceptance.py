@@ -16,7 +16,7 @@ from sentigen.bias import bias_report, cross_annotate, fixture_accuracy_matrix, 
 from sentigen.cli import make_synthetic_corpus
 from sentigen.data import Polarity, Registry, SaevalRecord, TASK_ORDER, TaskType, load_corpus
 from sentigen.evaluation import (bin_scalar, decode_accuracy, metric_mf1_excl_neutral,
-                                 metric_wa, metric_wf1, metrics_msa)
+                                 metric_wa, metric_wf1)
 from sentigen.masking import ModalitySetting, sample_mcm_plan, sample_modal_setting
 from sentigen.model import (ModelConfig, encode, encode_batch, init_params, load_checkpoint,
                             params_from_arrays, save_checkpoint)
@@ -27,7 +27,7 @@ from sentigen.prompt import Vocab, build_prompt, build_vocab, combine_queries
 from sentigen.training import (TrainConfig, gold_token_ids, run_finetune, run_pretrain_stage1,
                                task_average_sample, task_pools)
 
-from conftest import finite_diff_check, resegment_prompt, serialize_corpus
+from conftest import finite_diff_check, msa_metrics, resegment_prompt, serialize_corpus
 
 CRITERION_LINES = []
 
@@ -271,12 +271,12 @@ def test_c06_ccl_properties():
         for _ in range(1_000):
             b = int(rng.integers(2, 7))
             dim = int(rng.integers(1, 5))
-            pts = [rng.normal(size=dim) for _ in range(b)]
+            pts = [rng.normal(size=(1, dim)) for _ in range(b)]
             labels = [f"l{int(rng.integers(3))}" for _ in range(b)]
             value = loss_ccl([ad.constant(p) for p in pts], labels).item()
             assert 0.0 <= value <= b, (value, b)
 
-        pts = [rng.normal(size=3) for _ in range(4)]
+        pts = [rng.normal(size=(1, 3)) for _ in range(4)]
         all_same = loss_ccl([ad.constant(p) for p in pts], ["x"] * 4).item()
         assert abs(all_same - 4.0) < 1e-12
         all_diff = loss_ccl([ad.constant(p) for p in pts], ["a", "b", "c", "d"]).item()
@@ -288,7 +288,7 @@ def test_c06_ccl_properties():
             scaled = loss_ccl([ad.constant(p * factor) for p in pts], labels).item()
             assert abs(scaled - base) < 1e-9, factor
 
-        hand = loss_ccl([ad.constant(np.array([v])) for v in (0.0, 1.0, 3.0)],
+        hand = loss_ccl([ad.constant(np.array([[v]])) for v in (0.0, 1.0, 3.0)],
                         [Polarity.POSITIVE, Polarity.POSITIVE, Polarity.NEGATIVE]).item()
         assert abs(hand - (0.25 + 1.0 / 3.0)) <= 1e-6
 
@@ -380,7 +380,7 @@ def test_c08_metric_oracles():
         mf1 = metric_mf1_excl_neutral(["anger", "joy", "neutral"],
                                       ["anger", "neutral", "neutral"])
         assert mf1 == pytest.approx(0.5, abs=1e-12)
-        msa = metrics_msa([1.0, -2.5, 0.0, 2.0], [1.5, -2.5, -1.0, 0.5])
+        msa = msa_metrics([1.0, -2.5, 0.0, 2.0], [1.5, -2.5, -1.0, 0.5])
         assert msa["mae"] == pytest.approx(0.75, abs=1e-12)
         assert msa["acc7"] == pytest.approx(0.25, abs=1e-12)
         assert msa["acc2"] == pytest.approx(1.0, abs=1e-12)
@@ -403,7 +403,7 @@ def test_c08_metric_oracles():
             n = int(rng.integers(1, 15))
             golds = list(np.round(rng.uniform(-3, 3, size=n), 1))
             preds = list(np.round(rng.uniform(-3.5, 3.5, size=n), 1))
-            got = metrics_msa(golds, preds) if any(g != 0 for g in golds) else None
+            got = msa_metrics(golds, preds) if any(g != 0 for g in golds) else None
             if got is None:
                 continue
             assert got["mae"] == pytest.approx(

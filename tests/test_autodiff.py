@@ -1087,10 +1087,11 @@ def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
     assert windows.peak[windows.BETWEEN] > 0
 
 
-def test_op_times_times_every_op_and_puts_the_module_back():
+def test_op_times_times_every_op_and_puts_the_module_back(capsys):
     """``scripts/op_times.py`` times a smoke unit of ``pretrain-d64`` with
     every public autodiff function and every recorded rule timed, checks
-    the unit's outputs, and leaves the module as it found it."""
+    the unit's outputs, and leaves the module as it found it; its command
+    line (``--smoke --units 1``) prints the table."""
     before = dict(vars(ad))
     clock, wall, tally = op_times.time_units("pretrain-d64", 1, 0, smoke=True)
     assert tally.attempted and not tally.failed and wall > 0
@@ -1099,6 +1100,12 @@ def test_op_times_times_every_op_and_puts_the_module_back():
                "pair_contrast"):
         assert clock.calls[op, "forward"] > 0 and clock.seconds[op, "rule"] > 0, op
     assert clock.calls["backward", "forward"] == 4  # two steps in each of two stages
+    assert op_times.main(["--smoke", "--units", "1"]) == 0
+    assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("autodiff self seconds per unit, pretrain-d64 (smoke), seed 0")
+    assert printed[1].split() == ["op", "calls", "forward", "rule", "total"]
+    assert {line.split()[0] for line in printed[2:]} >= {"self_attention", "backward", "total"}
 
 
 def test_autodiff_keeps_only_the_ops_the_package_calls():

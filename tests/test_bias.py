@@ -164,9 +164,10 @@ def test_build_accuracy_matrix_self_annotation():
               ("x", rng.normal(size=3) + 5)],
         "b": [("x", rng.normal(size=3) + 5), ("y", rng.normal(size=3) - 5)],
     }
-    mat = build_accuracy_matrix(items, order=("a", "b"))
+    mat = build_accuracy_matrix(items)
     assert mat.datasets == ("a", "b")
     # well-separated clusters self-annotate perfectly
     assert mat.acc[0, 0] == 100.0 and mat.acc[1, 1] == 100.0
-    with pytest.raises(ContractError):
-        build_accuracy_matrix(items, order=("a", "missing"))
+    # the mapping's key order is the matrix's dataset order
+    flipped = build_accuracy_matrix({"b": items["b"], "a": items["a"]})
+    assert flipped.datasets == ("b", "a") and np.array_equal(flipped.acc, mat.acc[::-1, ::-1])

@@ -327,13 +327,19 @@ def test_checkpoint_parameter_table_mismatch_exits_2(cli_corpus, finetuned, tmp_
 
 @pytest.mark.parametrize("flag, fault", [("--init", "vocab_size"), ("--init", "num_datasets"),
                                          ("--resume", "vocab_size"), ("--resume", "num_datasets"),
-                                         ("--resume", "adam_m"), ("--resume", "adam_v")])
+                                         ("--resume", "adam_m"), ("--resume", "adam_v"),
+                                         ("eval", "param/type_emb"), ("--init", "param/type_emb"),
+                                         ("--resume", "param/type_emb"),
+                                         ("--resume", "adam_m/type_emb"),
+                                         ("--resume", "adam_v/type_emb")])
 def test_checkpoint_state_mismatch_exits_2(cli_corpus, finetuned, tmp_path, capsys, flag, fault):
     """A checkpoint whose CRC holds but whose model config disagrees with
     its vocabulary or the registry's size, read through ``--init`` or
     ``--resume``, or whose Adam moment for a parameter is missing or
-    misshapen, read through ``--resume``, is a one-line ConfigError naming
-    the fault, raised before ``--out`` is written."""
+    misshapen, read through ``--resume``, or whose parameter or moment is
+    stored as int64 (the entry named as the fault), read through ``eval``,
+    ``--init`` or ``--resume``, is a one-line ConfigError naming the fault,
+    raised before ``--out`` is written."""
     from dataclasses import replace
     from sentigen.model import load_checkpoint, save_checkpoint
     config, arrays, meta = load_checkpoint(finetuned / "checkpoint.ckpt")
@@ -341,14 +347,20 @@ def test_checkpoint_state_mismatch_exits_2(cli_corpus, finetuned, tmp_path, caps
         del arrays["adam_m/dec0_ln1_g"]
     elif fault == "adam_v":
         arrays["adam_v/dec0_ln1_g"] = arrays["adam_v/dec0_ln1_g"][1:]
+    elif "/" in fault:
+        arrays[fault] = arrays[fault].astype(np.int64)
     else:
         config = replace(config, **{fault: getattr(config, fault) + 1})
     ck = tmp_path / "bad.ckpt"
     save_checkpoint(ck, config, arrays, meta=meta)
-    code, out, err = run(capsys, "finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
-                         "--registry", str(cli_corpus / "registry.json"),
-                         "--config", str(write_config(tmp_path / "cfg.json")),
-                         "--out", str(tmp_path / "out"), flag, str(ck))
+    inputs = ["--corpus", str(cli_corpus / "corpus.jsonl"),
+              "--registry", str(cli_corpus / "registry.json"), "--out", str(tmp_path / "out")]
+    if flag == "eval":
+        argv = ["eval", *inputs, "--checkpoint", str(ck)]
+    else:
+        argv = ["finetune", *inputs, "--config", str(write_config(tmp_path / "cfg.json")),
+                flag, str(ck)]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     msg = json.loads(err)
     assert msg["error"] == "ConfigError" and fault in msg["message"]

@@ -3,11 +3,10 @@ import pytest
 
 from sentigen.errors import ContractError, MetricError
 from sentigen.evaluation import (bin_scalar, compute_metric, decode_accuracy, evaluate_records,
-                                 metric_mf1_excl_neutral, metric_wa, metric_wf1, metrics_msa,
-                                 predict_label)
+                                 metric_mf1_excl_neutral, metric_wa, metric_wf1, predict_label)
 from sentigen.model import init_params
 
-from conftest import small_config
+from conftest import msa_metrics, small_config
 
 
 def f1(golds, preds, cls):
@@ -56,14 +55,14 @@ def test_bin_scalar_rounds_halves_away_from_zero():
 def test_msa_metric_triple():
     golds = [1.0, -2.0, 0.0, 2.6]
     preds = [1.4, -2.0, 1.0, -0.2]
-    out = metrics_msa(golds, preds)
+    out = msa_metrics(golds, preds)
     assert out["mae"] == pytest.approx((0.4 + 0.0 + 1.0 + 2.8) / 4)
     # bins: (1,1) hit, (-2,-2) hit, (0,1) miss, (3,0) miss
     assert out["acc7"] == pytest.approx(0.5)
     # zero gold excluded; signs: +/+ hit, -/- hit, +/- miss
     assert out["acc2"] == pytest.approx(2 / 3)
     with pytest.raises(MetricError):
-        metrics_msa([0.0, 0.0], [1.0, -1.0])
+        msa_metrics([0.0, 0.0], [1.0, -1.0])
 
 
 def test_mae_and_acc7_are_defined_when_every_gold_is_zero():

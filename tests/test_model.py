@@ -65,7 +65,7 @@ def test_encode_shapes_and_stream_layout(world):
     enc = encode(ps, params, config, vocab)
     total = len(ps.ids) + ps.frame_count
     assert enc.states.data.shape == (total, config.model_dim)
-    assert enc.pooled.data.shape == (config.model_dim,)
+    assert enc.pooled.data.shape == (1, config.model_dim)
     assert np.array_equal(enc.offsets, [0, total])
 
 
@@ -139,21 +139,21 @@ def test_decoder_is_causal(world):
     vocab, registry, records, config, params = world
     ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
     enc = encode(ps, params, config, vocab)
-    ids_a = [vocab.bos_id, 20, 21, 22]
-    ids_b = [vocab.bos_id, 20, 30, 31]  # diverges from position 2 on
+    ids_a = [[vocab.bos_id, 20, 21, 22]]
+    ids_b = [[vocab.bos_id, 20, 30, 31]]  # diverges from position 2 on
     ha = decoder_states(ids_a, enc, params, config).data
     hb = decoder_states(ids_b, enc, params, config).data
     assert np.array_equal(ha[:2], hb[:2])
     assert not np.array_equal(ha[2:], hb[2:])
     with pytest.raises(ContractError):
-        decoder_states([], enc, params, config)
+        decoder_states(np.zeros((1, 0)), enc, params, config)
 
 
 def test_logits_projection_is_tied(world):
     vocab, registry, records, config, params = world
     ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
     enc = encode(ps, params, config, vocab)
-    h = decoder_states([vocab.bos_id], enc, params, config)
+    h = decoder_states([[vocab.bos_id]], enc, params, config)
     logits = token_logits(h, params).data
     manual = h.data @ params["w_text"].data.T @ params["tok_emb"].data.T
     assert logits.shape == (1, config.vocab_size)
@@ -198,19 +198,20 @@ def test_generate_is_deterministic_and_bounded(world):
 def test_cached_decoder_matches_teacher_forced(world):
     vocab, registry, records, config, params = world
     frozen = freeze_params(params)
-    ids = [vocab.bos_id, 20, 21, 5, 22, 30, 31]
+    ids = np.array([[vocab.bos_id, 20, 21, 5, 22, 30, 31]])
+    n_ids = ids.shape[1]
     for dataset in ("sst-toy", "meld-toy", "mosi-toy"):
         ps = build_prompt(pick(records, dataset), vocab, registry, config.max_len)
         enc = encode(ps, frozen, config, vocab)
         full = decoder_states(ids, enc, params, config).data
-        for chunks in ([1] * len(ids), [2, 1, 3, 1]):
-            cache = DecoderCache(len(ids))
+        for chunks in ([1] * n_ids, [2, 1, 3, 1]):
+            cache = DecoderCache(n_ids)
             fed = 0
             for n in chunks:
-                rows = decoder_states(ids[fed:fed + n], enc, frozen, config, cache=cache).data
+                rows = decoder_states(ids[:, fed:fed + n], enc, frozen, config, cache=cache).data
                 assert np.max(np.abs(rows - full[fed:fed + n])) <= 1e-12
                 fed += n
-            assert cache.length == len(ids)
+            assert cache.length == n_ids
 
 
 def two_layer_model(world):
@@ -266,7 +267,8 @@ def test_inference_computes_no_gelu_slope(world, monkeypatch):
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:6]]
     assert len(model.generate_batch(prompts, freeze_params(params), config, vocab, max_new=4)) == 6
     enc = encode(prompts[0], params, config, vocab)
-    states = decoder_states([1, 2, 3], enc, params, config, train=True, rng=np.random.default_rng(0))
+    states = decoder_states([[1, 2, 3]], enc, params, config, train=True,
+                            rng=np.random.default_rng(0))
     assert states.node is not None
     with pytest.raises(AssertionError, match="slope"):
         ad.backward(sum_of(states))
@@ -280,12 +282,12 @@ def test_cached_decoder_bounds(world):
     frozen = freeze_params(params)
     enc = encode(ps, frozen, config, vocab)
     cache = DecoderCache(2)
-    decoder_states([vocab.bos_id, 20], enc, frozen, config, cache=cache)
+    decoder_states([[vocab.bos_id, 20]], enc, frozen, config, cache=cache)
     with pytest.raises(ContractError):
-        decoder_states([21], enc, frozen, config, cache=cache)
+        decoder_states([[21]], enc, frozen, config, cache=cache)
     assert cache.length == 2
     with pytest.raises(ContractError):
-        decoder_states([vocab.bos_id], encode(ps, params, config, vocab), params, config,
+        decoder_states([[vocab.bos_id]], encode(ps, params, config, vocab), params, config,
                        cache=DecoderCache(1))
 
 
@@ -404,7 +406,7 @@ def test_generate_is_greedy_over_its_own_output(world):
             ps = build_prompt(r, vocab, registry, config.max_len)
             ids = generate(ps, p, config, vocab, max_new=max_new)
             enc = encode(ps, p, config, vocab)
-            h = decoder_states([vocab.bos_id] + ids[:-1], enc, p, config)
+            h = decoder_states([[vocab.bos_id] + ids[:-1]], enc, p, config)
             assert list(np.argmax(token_logits(h, p).data, axis=1)) == ids
             assert vocab.eos_id not in ids[:-1]
             assert len(ids) == max_new or ids[-1] == vocab.eos_id
@@ -446,7 +448,7 @@ def test_encode_batch_matches_per_prompt(world):
         one = encode(ps, params, config, vocab)
         rows = batch.states.data[offsets[i]:offsets[i + 1]]
         assert np.max(np.abs(rows - one.states.data)) <= 1e-12
-        assert np.max(np.abs(batch.pooled.data[i] - one.pooled.data)) <= 1e-12
+        assert np.max(np.abs(batch.pooled.data[i] - one.pooled.data[0])) <= 1e-12
         assert np.array_equal(one.offsets, [0, lengths[i]])
     chunked = model.pooled_vectors(prompts, params, config, vocab)
     assert np.max(np.abs(chunked - batch.pooled.data)) <= 1e-12
@@ -792,7 +794,7 @@ def test_full_model_gradient_matches_fd(world):
 
     def loss():
         enc = encode(ps, params, config, vocab)
-        h = decoder_states([vocab.bos_id, 15], enc, params, config)
+        h = decoder_states([[vocab.bos_id, 15]], enc, params, config)
         return ad.softmax_cross_entropy(token_logits(h, params), [15, vocab.eos_id])
 
     for name in ("enc0_attn_bq", "enc0_ln1_g", "dec0_cross_bv", "type_emb", "mask_vec_acoustic"):

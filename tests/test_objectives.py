@@ -125,7 +125,8 @@ def test_spp_trained_params_finite(rig):
 
 
 def vec(*vals):
-    return ad.constant(np.array(vals, dtype=np.float64))
+    """One (1, d) row block."""
+    return ad.constant(np.array([vals], dtype=np.float64))
 
 
 def test_ccl_hand_case(rig):
@@ -137,7 +138,7 @@ def test_ccl_hand_case(rig):
 
 def test_ccl_extremes_and_scale_invariance():
     rng = np.random.default_rng(3)
-    pts = [rng.normal(size=4) for _ in range(5)]
+    pts = [rng.normal(size=(1, 4)) for _ in range(5)]
     same = loss_ccl([ad.constant(p) for p in pts], ["x"] * 5)
     assert abs(same.item() - 5.0) < 1e-12
     distinct = loss_ccl([ad.constant(p) for p in pts], list("abcde"))
@@ -150,15 +151,15 @@ def test_ccl_extremes_and_scale_invariance():
 
 
 def test_ccl_zero_distance_pairs_drop_out():
-    a = ad.constant(np.array([1.0, 2.0]))
-    b = ad.constant(np.array([1.0, 2.0]))
-    c = ad.constant(np.array([5.0, 5.0]))
+    a = vec(1.0, 2.0)
+    b = vec(1.0, 2.0)
+    c = vec(5.0, 5.0)
     loss = loss_ccl([a, b, c], ["p", "p", "n"])
     assert loss.item() == 0.0  # the only same-label pair has zero distance
 
 
 def test_ccl_polarity_and_string_labels_agree():
-    pts = [np.array([0.0]), np.array([1.0]), np.array([3.0])]
+    pts = [np.array([[0.0]]), np.array([[1.0]]), np.array([[3.0]])]
     with_enum = loss_ccl([ad.constant(p) for p in pts],
                          [Polarity.POSITIVE, Polarity.POSITIVE, Polarity.NEGATIVE]).item()
     with_str = loss_ccl([ad.constant(p) for p in pts],
@@ -168,7 +169,7 @@ def test_ccl_polarity_and_string_labels_agree():
 
 def test_ccl_contract_errors():
     with pytest.raises(ContractError):
-        loss_ccl([ad.constant(np.zeros(2))], [])
+        loss_ccl([ad.constant(np.zeros((1, 2)))], [])
     with pytest.raises(ContractError):
         loss_ccl([], [])
 
@@ -518,7 +519,7 @@ def ref_mcm(batch, params, config, vocab):
 def ref_spp(batch, params, config, vocab):
     total = ad.constant(0.0)
     for ps, pol in batch:
-        h = decoder_states([vocab.bos_id], encode(ps, params, config, vocab), params, config)
+        h = decoder_states([[vocab.bos_id]], encode(ps, params, config, vocab), params, config)
         logits = gather_cols(token_logits(h, params), list(polarity_token_ids(vocab)))
         total = ad.add(total, ad.softmax_cross_entropy(logits, [POLARITY_ORDER.index(pol)]))
     return ad.scale(total, 1.0 / len(batch))
@@ -552,7 +553,7 @@ def ref_cep(batch, params, config, vocab, table):
     total = ad.constant(0.0)
     for ps, plan, pseudo in batch:
         enc = encode(ps, params, config, vocab, mask_plan=plan)
-        h = decoder_states([vocab.task_id(t) for t in tasks], enc, params, config)
+        h = decoder_states([[vocab.task_id(t) for t in tasks]], enc, params, config)
         logits = token_logits(h, params)
         for i, task in enumerate(tasks):
             labels = table[task]
@@ -565,7 +566,8 @@ def ref_cep(batch, params, config, vocab, table):
 def ref_generation(batch, params, config, vocab):
     total = ad.constant(0.0)
     for ps, gold in batch:
-        h = decoder_states([vocab.bos_id] + gold, encode(ps, params, config, vocab), params, config)
+        h = decoder_states([[vocab.bos_id] + gold], encode(ps, params, config, vocab), params,
+                           config)
         ce = ad.softmax_cross_entropy(token_logits(h, params), gold + [vocab.eos_id])
         total = ad.add(total, ad.scale(ce, len(gold) + 1))
     return ad.scale(total, 1.0 / len(batch))
@@ -663,8 +665,7 @@ def test_ccl_graph_is_a_few_matrix_ops():
     assert len(seen) - len(rows) < 200
     assert abs(loss.item() - ref_ccl(rows, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32).item()) \
         <= 1e-10
-    # row blocks of any size, or single (d,) rows, stack to the same batch
-    for blocks in ([x], [ad.embedding(x, range(40)), ad.reshape(rows[40], (16,)),
-                   ad.embedding(x, range(41, 64))]):
+    # row blocks of any size stack to the same batch
+    for blocks in ([x], [ad.embedding(x, range(40)), rows[40], ad.embedding(x, range(41, 64))]):
         again = loss_ccl(blocks, [Polarity.POSITIVE, Polarity.NEGATIVE] * 32)
         assert abs(again.item() - loss.item()) <= 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import string
 from dataclasses import replace
 
@@ -35,6 +36,27 @@ def test_special_block_order(world):
         assert vocab.tokens[12 + len(registry) + k] == f"<speaker_{k}>"
     assert vocab.is_special(vocab.n_special - 1)
     assert not vocab.is_special(vocab.n_special)
+
+
+def test_synthetic_corpus_vocabulary_order_is_pinned(world):
+    """After the specials come the printable characters, then their
+    continuation forms, then the forced label pieces (polarities, each
+    dataset's labels, the scalar literals), then the corpus pieces by
+    descending count, ties by text, each piece where it first appears. Every
+    token id of the synthetic corpus's vocabulary is pinned by its digest."""
+    vocab = world[0]
+    tokens, n = vocab.tokens, vocab.n_special
+    chars = [ch for ch in string.printable if not ch.isspace()]
+    assert (len(tokens), n) == (337, 25)
+    assert tokens[n:n + 2 * len(chars)] == chars + ["##" + ch for ch in chars]
+    forced = n + 2 * len(chars)
+    assert tokens[forced:forced + 8] == ["positive", "negative", "neutral", "anger", "joy",
+                                         "##3.0", "##2.9", "##2.8"]
+    assert tokens[forced + 65:forced + 72] == ["3.0", "is", "the", "market", "today", "points",
+                                               "went"]
+    assert tokens[-3:] == ["unchanged", "wonderful", "zero"]
+    assert hashlib.sha256("\n".join(tokens).encode()).hexdigest() == \
+        "7b003a644026750f239fafa7feaad8984780f81f5ceb470cd3c1d898128186f0"
 
 
 def test_vocab_rejects_bad_prefix():

@@ -950,6 +950,29 @@ def test_bad_optimizer_state_is_config_error(toy, tmp_path, case):
     assert not (tmp_path / "resume").exists()
 
 
+@pytest.mark.parametrize("entry", ["param/type_emb", "adam_m/w_text", "adam_v/dec0_ln1_g"])
+def test_an_integer_parameter_or_moment_is_config_error(toy, tmp_path, entry):
+    """Only ``pseudo`` is saved as int64. A parameter or Adam moment stored
+    as int64 would be cast to float64 and trained on, so it is a ConfigError
+    naming the entry, through ``load_model``, an init and a resume, before
+    the run writes anything."""
+    from sentigen.model import load_checkpoint, save_checkpoint
+    config = small_config(toy["vocab"], toy["registry"])
+    ck = run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=1),
+                      tmp_path / "seed")
+    ck_config, arrays, meta = load_checkpoint(ck)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, ck_config, {**arrays, entry: arrays[entry].astype(np.int64)}, meta=meta)
+    assert load_checkpoint(bad)[1][entry].dtype == np.int64
+    with pytest.raises(ConfigError, match=f"'{entry}' is int64, not float64"):
+        training.load_model(bad, toy["registry"])
+    for use in ("init_checkpoint", "resume_from"):
+        with pytest.raises(ConfigError, match=f"'{entry}' is int64, not float64"):
+            run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=2),
+                         tmp_path / use, **{use: bad})
+        assert not (tmp_path / use).exists()
+
+
 def _with(v, row, col, value):
     out = v.copy()
     out[row, col] = value
