@@ -1,13 +1,14 @@
-"""Print the bytes a training graph holds at the first stage-one ``backward``.
+"""Print the bytes a training graph holds at each ``backward`` of the first stage-one step.
 
     python scripts/graph_bytes.py [--smoke] [--seed S] [--peak]
 
 The script sets up the ``pretrain-d64`` workload of ``benchmarks/workloads.py``
 (its synthetic corpus and its d=64, batch-64 configuration; with ``--smoke``
-the d=16, batch-8 one), runs stage one, and stops it at its first
-``autodiff.backward``. There it walks the graph behind the loss and counts
-every distinct buffer once, a view as the array it views, under the op of
-the first vertex that holds it and one of three holders:
+the d=16, batch-8 one) and runs one step of stage one. A stage-one step
+calls ``autodiff.backward`` twice: on its corrupted pass's term, then on
+its clean pass's. At each call the script walks the graph behind the loss
+and counts every distinct buffer once, a view as the array it views, under
+the op of the first vertex that holds it and one of three holders:
 
 - ``output``: the output array of a vertex whose tensor is still alive;
 - ``rule``: an array a backward rule holds, a parent's (``gelu_linear``'s
@@ -49,10 +50,6 @@ import workloads  # noqa: E402
 
 HOLDERS = ("output", "rule", "constant")
 MB = float(1 << 20)
-
-
-class _Stop(BaseException):
-    """Ends the stage-one run once the probe has counted."""
 
 
 def _buffer(a):
@@ -108,15 +105,15 @@ def census(loss):
     return table, sum(a.nbytes for a in params)
 
 
-def first_backward_census(seed, smoke):
-    """``census`` of the loss at the first stage-one ``backward`` of the
-    ``pretrain-d64`` workload, and that workload."""
+def first_step_censuses(seed, smoke):
+    """``census`` of the loss at each ``backward`` of the first stage-one
+    step of the ``pretrain-d64`` workload, in call order, and that workload."""
     work = workloads.Pretrain(seed, smoke, workloads.Tally())
     seen = []
 
-    def probe(loss):
+    def probe(loss, grads=None):
         seen.append(census(loss))
-        raise _Stop
+        return real(loss, grads)
 
     real = ad.backward
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,13 +122,11 @@ def first_backward_census(seed, smoke):
         try:
             training.run_pretrain_stage1(work.records, work.registry, work.model_config,
                                          replace(work.train_config, max_steps=1), Path(tmp) / "s1")
-        except _Stop:
-            pass
         finally:
             ad.backward = real
     if not seen:
         sys.exit("graph_bytes: stage one reached no backward")
-    return seen[0], work
+    return seen, work
 
 
 class PeakWindows(op_times.OpClock):
@@ -209,18 +204,22 @@ def main(argv=None):
     p.add_argument("--peak", action="store_true",
                    help="also trace one whole round and print its peak by op window")
     args = p.parse_args(argv)
-    (table, param_bytes), work = first_backward_census(args.seed, args.smoke)
+    censuses, work = first_step_censuses(args.seed, args.smoke)
 
     cfg = work.model_config
-    print(f"bytes held at the first stage-one backward, {work.name} "
-          f"(d={cfg.model_dim}, batch {work.train_config.batch_size}), seed {args.seed}, MB:")
-    ops = sorted({op for op, _ in table}, key=lambda op: -sum(table[op, h] for h in HOLDERS))
-    print(f"{'op':<24}" + "".join(f"{h:>10}" for h in HOLDERS) + f"{'total':>10}")
-    for op in ops + ["total"]:
-        row = [sum(b for (o, h), b in table.items() if h == holder and op in (o, "total"))
-               for holder in HOLDERS]
-        print(f"{op:<24}" + "".join(f"{b / MB:>10.2f}" for b in row + [sum(row)]))
-    print(f"{'parameters (apart)':<24}{param_bytes / MB:>40.2f}")
+    for i, (table, param_bytes) in enumerate(censuses, 1):
+        if i > 1:
+            print()
+        print(f"bytes held at stage-one backward {i} of {len(censuses)} of the first step, "
+              f"{work.name} (d={cfg.model_dim}, batch {work.train_config.batch_size}), "
+              f"seed {args.seed}, MB:")
+        ops = sorted({op for op, _ in table}, key=lambda op: -sum(table[op, h] for h in HOLDERS))
+        print(f"{'op':<24}" + "".join(f"{h:>10}" for h in HOLDERS) + f"{'total':>10}")
+        for op in ops + ["total"]:
+            row = [sum(b for (o, h), b in table.items() if h == holder and op in (o, "total"))
+                   for holder in HOLDERS]
+            print(f"{op:<24}" + "".join(f"{b / MB:>10.2f}" for b in row + [sum(row)]))
+        print(f"{'parameters (apart)':<24}{param_bytes / MB:>40.2f}")
     return print_peaks(args.seed, args.smoke) if args.peak else 0
 
 

@@ -14,6 +14,13 @@ once in reverse topological order, sums each vertex's incoming gradients in
 one dict, returns each leaf's gradient as a value (no tensor holds one), and
 consumes the graph: a vertex drops its rule and edges once it has passed its
 gradients on, so the arrays the rule held are freed during the pass.
+``backward(loss, grads)`` continues the sums of an earlier call's
+``grads``, so a loss that is a sum of terms can be backpropagated one term
+at a time, each term's graph freed before the next is built. The result
+has the bytes of one pass over the sum when the terms' graphs share only
+leaves and are taken left to right: one pass reaches a leaf from the left
+term's vertices before the right's, and each vertex in the order a pass
+over its own term alone would.
 
 ``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``self_attention``
 (three ``linear`` projections, then ``attention``), ``layer_norm``'s
@@ -318,10 +325,15 @@ def pair_contrast(x, same):
     def rule(g):
         gr = np.full(numer.shape, float(np.asarray(g).reshape(())))
         by_same, by_all = products(gr / denom, -gr * numer / (denom * denom), t=True)
-        gsq = ((by_same + by_all) * 0.5 / root) @ np.ones((1, d))
-        diff = xd[j] - xd[k]
-        gdiff = gsq * diff + gsq * diff
-        return (_row_sums(gdiff, j, (b, d)) + _row_sums(gdiff * -1.0, k, (b, d)),)
+        diff = xd[j]
+        diff -= xd[k]
+        gdiff = ((by_same + by_all) * 0.5 / root) @ np.ones((1, d))  # gsq
+        gdiff *= diff  # gsq * diff once, then doubled: gsq * diff + gsq * diff, in place
+        del diff
+        gdiff += gdiff
+        by_j = _row_sums(gdiff, j, (b, d))
+        gdiff *= -1.0
+        return (by_j + _row_sums(gdiff, k, (b, d)),)
 
     return _make((numer / denom).sum(), "pair_contrast", (x,), rule)
 
@@ -726,9 +738,14 @@ def _topological_order(loss):
     return order
 
 
-def backward(loss):
+def backward(loss, grads=None):
     """``{leaf: d(loss)/d(leaf)}`` for every leaf that requires a gradient
     and that ``loss`` reaches; a leaf with no path to it is left out.
+
+    ``grads``, when given, is an earlier call's result: each leaf's sum
+    starts from its entry there, and a leaf this graph does not reach keeps
+    it, so the result is the gradient of the earlier loss plus ``loss``
+    (the module docstring says when it has the bytes of one pass).
 
     ``loss`` must hold a single value. Each gradient is C-contiguous, so a
     sum over it never depends on the view a rule returned (``transpose``'s
@@ -744,7 +761,10 @@ def backward(loss):
     order = _topological_order(loss)
     if any(type(v) is Node and v.rule is None for v in order):
         raise ContractError("backward: the graph was consumed by an earlier backward")
-    grads, leaves = {id(order[-1]): np.ones_like(loss.data)}, {}
+    leaves = dict(grads or {})
+    grads = {id(leaf): g for leaf, g in leaves.items()}
+    prev = grads.get(id(order[-1]))  # set only when ``loss`` is itself a leaf with an entry
+    grads[id(order[-1])] = np.ones_like(loss.data) if prev is None else prev + 1.0
     while order:
         node = order.pop()
         g = grads.pop(id(node), None)

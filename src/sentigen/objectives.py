@@ -24,8 +24,10 @@ loss is that of two separate passes. The four losses:
 Both predictions are one label head (``_label_head``) that scores only the
 label tokens: the polarity tokens, or each task's label tokens.
 
-Stage one totals reconstruction + polarity + contrastive; stage two totals
-reconstruction + cross-task prediction. A pseudo label is an index into its
+Stage one totals reconstruction + polarity + contrastive, and backpropagates
+its corrupted pass before it encodes the clean one, so a step holds one
+pass's graph at a time; stage two totals reconstruction + cross-task
+prediction. A pseudo label is an index into its
 task's sorted label table, so stage two's labels are one (N, T) int64 matrix
 over N records and the table's T tasks. ``build_centroids`` and
 ``assign_pseudo_labels`` compute it with ``bias.label_centroids`` and
@@ -241,19 +243,30 @@ def loss_cep(enc, targets, params, config, vocab, label_ids, train=False, rng=No
 
 def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=False, rng=None):
     """Reconstruction on a corrupted pass, polarity + contrastive on a clean
-    one, over combined two-query records. Returns (LossReport, total tensor)."""
+    one, over combined two-query records, in two halves: the corrupted
+    pass's weighted term is backpropagated, freeing its graph, before the
+    clean pass is encoded. Returns (LossReport, total, grads): ``total`` is
+    the clean half's weighted sum, and ``ad.backward(total, grads)`` gives
+    the gradients of the whole loss, ``report.total``, with the bytes one
+    pass over it would give. A corrupted half that is not finite is not
+    backpropagated: ``grads`` is then None, and ``report.total`` is not
+    finite either."""
     prompts = [e.prompt for e in batch]
     masked = encode_batch(prompts, params, config, vocab, mask_plans=[e.plan for e in batch],
                           train=train, rng=rng)
     mcm = loss_mcm(masked, [(e.prompt, e.plan) for e in batch], params)
+    part, mcm = ad.scale(mcm, weights[0]), mcm.item()
+    del masked  # from here the weighted term alone holds the corrupted pass's graph
+    head = part.item()
+    grads = ad.backward(part) if np.isfinite(head) else None
     clean = encode_batch(prompts, params, config, vocab, train=train, rng=rng)
     polarities = [e.polarity for e in batch]
     spp = loss_spp(clean, polarities, params, config, vocab, train=train, rng=rng)
     ccl = loss_ccl([clean.pooled], polarities)
-    total = ad.add(ad.add(ad.scale(mcm, weights[0]), ad.scale(spp, weights[1])),
-                   ad.scale(ccl, weights[2]))
-    report = LossReport(mcm=mcm.item(), spp=spp.item(), ccl=ccl.item(), cep=0.0, total=total.item())
-    return report, total
+    spp_part, ccl_part = ad.scale(spp, weights[1]), ad.scale(ccl, weights[2])
+    report = LossReport(mcm=mcm, spp=spp.item(), ccl=ccl.item(), cep=0.0,
+                        total=(head + spp_part.item()) + ccl_part.item())
+    return report, ad.add(spp_part, ccl_part), grads
 
 
 def stage2_loss(batch, params, config, vocab, label_ids, weights=(1.0, 1.0), train=False,

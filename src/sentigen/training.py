@@ -529,14 +529,16 @@ class _Run:
             raise NumericError(f"non-finite loss at step {self.step}: "
                                + " ".join(f"{k}={v}" for k, v in terms.items()))
 
-    def optimize(self, total):
-        """Backpropagate ``total``, copy the gradients into one vector
+    def optimize(self, total, grads):
+        """Backpropagate ``total``, continuing the sums of ``grads`` (the
+        gradients of the step's loss terms already backpropagated, as
+        ``stage1_loss`` returns them, or None), copy the gradients into one vector
         (``Adam.gather``), clip it and take one Adam step: a parameter the
         loss does not reach gets no gradient and keeps its value and
         moments. A NaN or infinite gradient norm is a NumericError raised
         before the step, so neither the parameters nor the moments, nor a
         checkpoint, take it."""
-        grads = self.adam.gather(self.params, ad.backward(total))
+        grads = self.adam.gather(self.params, ad.backward(total, grads))
         norm = clip_gradients(grads, self.train_config.grad_clip)
         if not np.isfinite(norm):
             raise NumericError(f"non-finite gradient norm {norm} at step {self.step}")
@@ -566,8 +568,9 @@ class _Run:
         ``pools`` is the sampling state saved with each checkpoint,
         ``units_per_pass`` the number of samples one pass over the data holds,
         and ``step()`` draws a batch and returns its (LossReport, total
-        tensor). ``validate(fh)``, when given, runs after every step with the
-        open ``val_metrics.jsonl``. The run's first write is its
+        tensor, gradients of the terms it already backpropagated or None).
+        ``validate(fh)``, when given, runs after every step with the open
+        ``val_metrics.jsonl``. The run's first write is its
         ``manifest.json``, which hashes the configs it resolved, once every
         check has passed. Logs are closed even when a step fails."""
         cfg = self.train_config
@@ -587,10 +590,10 @@ class _Run:
                 logs.append(self.open_log(self.out_dir / "val_metrics.jsonl"))
             while self.step < total_steps:
                 self.step += 1
-                report, total = step()
+                report, total, grads = step()
                 self.check_finite(report)
-                self.optimize(total)
-                del total  # the step's graph: drop it before the next step builds its own
+                self.optimize(total, grads)
+                del total, grads  # the step's graph: drop it before the next step builds its own
                 self.log_step(logs[0], report)
                 if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
                     due = [self.out_dir / f"checkpoint_step{self.step}.ckpt"]
@@ -687,9 +690,10 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
             ps = _augmented_prompt(run, run.prompts[idx])
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"])
             batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
-        return stage2_loss(batch, run.params, run.model_config, run.vocab, label_ids,
-                           weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
-                           train=True, rng=run.rngs["dropout"])
+        report, total = stage2_loss(batch, run.params, run.model_config, run.vocab, label_ids,
+                                    weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
+                                    train=True, rng=run.rngs["dropout"])
+        return report, total, None
 
     return run.drive(pool, len(records), step)
 
@@ -716,7 +720,7 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
                  for _, idx in task_average_sample(pools, cfg.batch_size, run.rngs["data"])]
         total = generation_loss(batch, run.params, run.model_config, run.vocab,
                                 train=True, rng=run.rngs["dropout"])
-        return LossReport(total=total.item()), total
+        return LossReport(total=total.item()), total, None
 
     def validate(val_fh):
         epoch, rest = divmod(run.step, steps_per_epoch)

@@ -78,17 +78,27 @@ def grad_of(loss_fn, params, name):
     return np.zeros_like(params[name].data) if g is None else g
 
 
+def loss_value(out):
+    """A loss's value: a scalar tensor's, or ``report.total`` of
+    ``stage1_loss``'s (report, total, grads)."""
+    return out[0].total if isinstance(out, tuple) else out.item()
+
+
+def loss_value_and_grads(out):
+    """``loss_value(out)`` and the loss's ``{leaf: gradient}``; for
+    ``stage1_loss``'s triple, ``backward(total, grads)``."""
+    return loss_value(out), backward(*out[1:]) if isinstance(out, tuple) else backward(out)
+
+
 def finite_diff_check(f, x, eps=1e-5):
     """Compare analytic gradients of ``f`` at ``x`` against central differences.
 
-    ``f`` must be a pure function of ``x.data`` returning a scalar tensor.
-    Returns the maximum over coordinates of
-    |analytic - central| / max(1, |central|).
+    ``f`` must be a pure function of ``x.data`` returning a scalar tensor,
+    or ``stage1_loss``'s triple (see ``loss_value``). Returns the maximum
+    over coordinates of |analytic - central| / max(1, |central|).
     """
-    out = f(x)
-    if out.data.size != 1:
-        raise ContractError("finite_diff_check: f must return a scalar")
-    analytic = backward(out).get(x)
+    _, grads = loss_value_and_grads(f(x))
+    analytic = grads.get(x)
     if analytic is None:
         analytic = np.zeros_like(x.data)
     worst = 0.0
@@ -96,9 +106,9 @@ def finite_diff_check(f, x, eps=1e-5):
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        hi = f(x).item()
+        hi = loss_value(f(x))
         flat[i] = orig - eps
-        lo = f(x).item()
+        lo = loss_value(f(x))
         flat[i] = orig
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise NumericError("finite_diff_check: non-finite evaluation")
@@ -177,7 +187,8 @@ def layer_norm_ref(a, gain, bias, residual=None, eps=1e-5):
 
 def pair_contrast_ref(x, same):
     """``ad.pair_contrast`` with its active rows always copied out by a
-    boolean index, even when every row is active."""
+    boolean index, even when every row is active, and its rule's
+    temporaries formed as whole-array expressions, not in place."""
     b, d = x.shape
     j, k = np.triu_indices(b, 1)
     diff = x.data[j] - x.data[k]

@@ -146,7 +146,7 @@ def test_c02_gradient_fidelity(acc):
                 "stage1": lambda: stage1_loss(
                     [Stage1Example(prompt=prompts[0], plan=plans[0], polarity=Polarity.POSITIVE),
                      Stage1Example(prompt=prompts[2], plan=plans[2], polarity=Polarity.NEGATIVE)],
-                    params, config, vocab)[1],
+                    params, config, vocab),
                 "stage2": lambda: stage2_loss(
                     [Stage2Example(prompt=prompts[0], plan=plans[0], pseudo=pseudo)],
                     params, config, vocab, label_ids)[1],

@@ -775,6 +775,44 @@ def test_backward_returns_row_major_gradients():
         assert grads[t].flags.c_contiguous, t
 
 
+def test_backward_continues_an_earlier_calls_sums_in_one_pass_order():
+    """``backward(b, backward(a))``, ``b``'s graph built after ``a``'s was
+    consumed, gives every leaf the bytes ``backward(add(a, b))`` gives when
+    the two graphs share only leaves: ``x`` gets three contributions, two
+    through ``a`` and one through ``b``. A leaf only ``a`` reaches keeps
+    its gradient, and the first call's arrays are not written. Started the
+    other way round, ``backward(a, backward(b))`` adds some sum in another
+    order, and its bytes differ. A loss that is itself a leaf adds 1 to its
+    entry."""
+    rng = np.random.default_rng(71)
+    x, w, u, v = (rand_leaf(rng, 6, 4), rand_leaf(rng, 4, 3), rand_leaf(rng, 4, 3),
+                  rand_leaf(rng, 4, 3))
+    w.data *= 3.0  # unsaturated softmaxes, and terms of three sizes: every order rounds apart
+    v.data *= 1e-3
+    targets = [0, 1, 2, 0, 1, 2]
+
+    def a():
+        return ad.softmax_cross_entropy(ad.add(ad.matmul(x, w), ad.matmul(x, u)), targets)
+
+    def b():
+        return ad.softmax_cross_entropy(ad.matmul(x, v), targets[::-1])
+
+    joint = ad.backward(ad.add(a(), b()))
+    first = ad.backward(a())
+    kept = {t: g.copy() for t, g in first.items()}
+    assert set(first) == {x, w, u}
+    got = ad.backward(b(), first)
+    assert all(first[t].tobytes() == g.tobytes() for t, g in kept.items())
+    assert set(got) == set(joint) == {x, w, u, v}
+    assert all(got[t].tobytes() == joint[t].tobytes() for t in joint)
+    assert got[u].tobytes() == kept[u].tobytes()  # b does not reach u
+    reverse = ad.backward(a(), ad.backward(b()))
+    assert reverse[x].tobytes() != joint[x].tobytes()
+    assert all(reverse[t].tobytes() == joint[t].tobytes() for t in (w, u, v))
+    s = leaf(np.array(2.0))
+    assert ad.backward(s, {s: np.array(0.5)})[s] == 1.5
+
+
 def test_constant_parent_gets_no_grad():
     c = ad.constant(np.ones((2, 2)))
     x = leaf(np.full((2, 2), 3.0))
@@ -1020,8 +1058,11 @@ def test_pair_contrast_bytes_equal_the_row_copying_reference(labels, cols, twins
     the active rows. Either way its value and gradient have the bytes of
     the reference, which always copies (``pair_contrast_ref``): with twin
     rows too, whose zero-distance pairs take no part, and at stage one's
-    size (64 rows of width 64, 16 of them unpartnered). With no shared
-    label the op is the constant 0, where the reference's gradient is 0."""
+    size (64 rows of width 64, 16 of them unpartnered). The reference's
+    rule keeps the whole-array expressions that the op's rule forms in place
+    (``gsq * diff + gsq * diff``, then ``gdiff * -1.0``), and a zero
+    output gradient checks their signed zeros. With no shared label the op
+    is the constant 0, where the reference's gradient is 0."""
     x = np.random.default_rng(59).normal(size=(len(labels), cols))
     for row, twin in twins:
         x[row] = x[twin]
@@ -1030,7 +1071,7 @@ def test_pair_contrast_bytes_equal_the_row_copying_reference(labels, cols, twins
     assert got.data.tobytes() == ref.data.tobytes()
     shared = len(set(labels)) < len(labels)
     assert (got.op == "pair_contrast") == shared and (got.node is None) != shared
-    for g in (0.7, -1.3):
+    for g in (0.7, -1.3, 0.0):
         (want,) = ref.node.rule(np.array(g))
         if shared:
             assert got.node.rule(np.array(g))[0].tobytes() == want.tobytes()
@@ -1069,16 +1110,20 @@ def test_row_kernels_hold_whole_arrays_and_share_no_buffer():
 
 
 def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
-    """``scripts/graph_bytes.py --smoke --peak`` prints the census and then
-    one traced round's peak by op window, with every op and rule of the
-    round credited, and leaves ``ad`` and ``tracemalloc`` as it found them."""
+    """``scripts/graph_bytes.py --smoke --peak`` prints a census at each of
+    the first stage-one step's two backwards, the corrupted pass's (no
+    ``pair_contrast``) and then the clean pass's, and then one traced
+    round's peak by op window, with every op and rule of the round
+    credited, and leaves ``ad`` and ``tracemalloc`` as it found them."""
     before = dict(vars(ad))
     assert graph_bytes.main(["--smoke", "--peak"]) == 0
     assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
     assert not tracemalloc.is_tracing()
     printed = capsys.readouterr().out
-    assert "bytes held at the first stage-one backward" in printed
-    assert "peak traced memory over one pretrain-d64 round" in printed
+    corrupted, clean = printed.split("bytes held at stage-one backward ")[1:]
+    assert corrupted.startswith("1 of 2 of the first step") and "pair_contrast" not in corrupted
+    assert clean.startswith("2 of 2 of the first step") and "pair_contrast" in clean
+    assert "peak traced memory over one pretrain-d64 round" in clean
     windows, _, tally = graph_bytes.round_peaks(0, smoke=True)
     assert tally.attempted and not tally.failed
     for op in ("linear", "attention", "self_attention", "gelu_linear", "layer_norm", "pair_contrast"):
@@ -1099,7 +1144,8 @@ def test_op_times_times_every_op_and_puts_the_module_back(capsys):
     for op in ("linear", "attention", "self_attention", "gelu_linear", "layer_norm", "dropout",
                "pair_contrast"):
         assert clock.calls[op, "forward"] > 0 and clock.seconds[op, "rule"] > 0, op
-    assert clock.calls["backward", "forward"] == 4  # two steps in each of two stages
+    # two steps in each of two stages; a stage-one step backpropagates each pass apart
+    assert clock.calls["backward", "forward"] == 6
     assert op_times.main(["--smoke", "--units", "1"]) == 0
     assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
     printed = capsys.readouterr().out.splitlines()

@@ -16,7 +16,8 @@ from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
 from sentigen.prompt import build_prompt
 
-from conftest import div, finite_diff_check, gather_cols, small_config, sqrt, sub, sum_of
+from conftest import (div, finite_diff_check, gather_cols, loss_value_and_grads, small_config,
+                      sqrt, sub, sum_of)
 
 
 @pytest.fixture(scope="module")
@@ -353,7 +354,7 @@ def test_stage1_recomposes_weighted_components(rig):
                       polarity=Polarity.POSITIVE),
     ]
     weights = (2.0, 0.5, 3.0)
-    report, total = stage1_loss(batch, params, config, vocab, weights=weights)
+    report, total, grads = stage1_loss(batch, params, config, vocab, weights=weights)
     pairs = [(e.prompt, e.plan) for e in batch]
     mcm = loss_mcm(encoded(rig, pairs), pairs, params).item()
     spp = loss_spp(encoded(rig, [e.prompt for e in batch]), [e.polarity for e in batch],
@@ -365,8 +366,17 @@ def test_stage1_recomposes_weighted_components(rig):
     assert abs(report.ccl - ccl) < 1e-12
     want = weights[0] * mcm + weights[1] * spp + weights[2] * ccl
     assert abs(report.total - want) < 1e-9
-    assert abs(total.item() - report.total) < 1e-12
+    assert abs(weights[0] * report.mcm + total.item() - report.total) < 1e-12
     assert report.cep == 0.0
+    # the two halves give the value and the gradient bytes of one graph over both passes
+    clean, polarities = encoded(rig, [e.prompt for e in batch]), [e.polarity for e in batch]
+    joint = ad.add(ad.add(ad.scale(loss_mcm(encoded(rig, pairs), pairs, params), weights[0]),
+                          ad.scale(loss_spp(clean, polarities, params, config, vocab), weights[1])),
+                   ad.scale(loss_ccl([clean.pooled], polarities), weights[2]))
+    assert joint.item() == report.total
+    got, want_grads = ad.backward(total, grads), ad.backward(joint)
+    assert got.keys() == want_grads.keys()
+    assert all(got[t].tobytes() == want_grads[t].tobytes() for t in got)
 
 
 def test_stage2_recomposes_weighted_components(rig):
@@ -387,12 +397,13 @@ def test_stage2_recomposes_weighted_components(rig):
     assert report.spp == 0.0 and report.ccl == 0.0
 
 
-def test_loss_graphs_keep_their_fused_nodes(rig):
-    """Structural guard over a training stage-one, stage-two and fine-tune
-    loss graph, dropout on: no add node sums a matmul and a bias, and no add
-    node feeds a ``layer_norm``, whose residual sum happens inside it. The
-    one add over a matmul is the decoder input: token rows plus position
-    rows, which no bias can stand for."""
+def test_loss_graphs_keep_their_fused_nodes(rig, monkeypatch):
+    """Structural guard over the training loss graphs of stage one (its
+    corrupted and its clean half), stage two and fine-tuning, dropout on: no
+    add node sums a matmul and a bias, and no add node feeds a
+    ``layer_norm``, whose residual sum happens inside it. The one add over a
+    matmul is the decoder input: token rows plus position rows, which no
+    bias can stand for."""
     vocab = rig["vocab"]
     config = replace(rig["config"], layers_enc=2, layers_dec=2, dropout_rate=0.1)
     params = init_params(config, np.random.default_rng(11))
@@ -404,12 +415,8 @@ def test_loss_graphs_keep_their_fused_nodes(rig):
               for i, (ps, plan) in enumerate(zip(prompts, plans))]
     stage2 = [Stage2Example(prompt=ps, plan=plan, pseudo=target)
               for ps, plan, target in zip(prompts, plans, first_labels(len(prompts)))]
-    losses = {"stage1": stage1_loss(stage1, params, config, vocab, train=True, rng=rng)[1],
-              "stage2": stage2_loss(stage2, params, config, vocab, label_ids, train=True,
-                                    rng=rng)[1],
-              "finetune": generation_loss([(ps, [4, 5]) for ps in prompts], params, config, vocab,
-                                          train=True, rng=rng)}
-    for name, loss in losses.items():
+
+    def check(name, loss):
         nodes = ad._topological_order(loss)
         assert {"linear", "layer_norm", "dropout"} <= {n.op for n in nodes}, name
         for node in nodes:
@@ -418,6 +425,24 @@ def test_loss_graphs_keep_their_fused_nodes(rig):
                 assert parents == ["embedding", "matmul"], name
             if node.op == "layer_norm":
                 assert "add" not in parents and len(parents) == 4, name
+
+    real_backward, corrupted = ad.backward, []
+
+    def backward(loss, grads=None):  # stage one backpropagates its corrupted half in the call
+        check("stage1 corrupted", loss)
+        corrupted.append(loss)
+        return real_backward(loss, grads)
+
+    monkeypatch.setattr(ad, "backward", backward)
+    losses = {"stage1 clean": stage1_loss(stage1, params, config, vocab, train=True, rng=rng)[1]}
+    monkeypatch.undo()
+    assert len(corrupted) == 1
+    losses.update(stage2=stage2_loss(stage2, params, config, vocab, label_ids, train=True,
+                                     rng=rng)[1],
+                  finetune=generation_loss([(ps, [4, 5]) for ps in prompts], params, config,
+                                           vocab, train=True, rng=rng))
+    for name, loss in losses.items():
+        check(name, loss)
 
 
 def test_stage2_requires_centroid_index(rig):
@@ -574,10 +599,9 @@ def ref_generation(batch, params, config, vocab):
 
 
 def value_and_grads(make_loss, params):
-    loss = make_loss()
-    grads = ad.backward(loss) if loss.requires_grad else {}
-    return loss.item(), {n: grads[t] if t in grads else np.zeros_like(t.data)
-                         for n, t in params.items()}
+    value, grads = loss_value_and_grads(make_loss())
+    return value, {n: grads[t] if t in grads else np.zeros_like(t.data)
+                   for n, t in params.items()}
 
 
 def test_batched_losses_match_per_sample_reference(rig):
@@ -632,7 +656,7 @@ def test_batched_losses_match_per_sample_reference(rig):
                                      targets, params, config, vocab, label_ids),
                     lambda: ref_cep(list(zip(prompts, plans, pseudos)), params, config, vocab,
                                     labmap)),
-            "stage1": (lambda: stage1_loss(s1, params, config, vocab)[1], ref_stage1),
+            "stage1": (lambda: stage1_loss(s1, params, config, vocab), ref_stage1),
             "stage2": (lambda: stage2_loss(s2, params, config, vocab, label_ids)[1],
                        lambda: ad.add(ref_mcm(masked, params, config, vocab),
                                       ref_cep(list(zip(prompts, plans, pseudos)), params, config,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sentigen import autodiff as ad
-from sentigen import training
+from sentigen import objectives, training
 from sentigen.data import POOL_DATASET_ID, Polarity, Registry, TASK_ORDER, TaskType, to_polarity
 from sentigen.errors import ConfigError, ContractError, NumericError, VocabularyError
 from sentigen.model import ModelConfig
@@ -623,6 +623,36 @@ def test_a_non_finite_step_loss_stops_the_run_before_it_updates_or_logs(toy, tmp
     assert [json.loads(line)["step"] for line in lines] == [1]
 
 
+def test_a_non_finite_stage1_reconstruction_stops_the_run_before_it_updates_or_logs(
+        toy, tmp_path, monkeypatch):
+    """Stage one's twin of the test above, through its split step: a NaN
+    reconstruction term, which stage one backpropagates before the rest of
+    its loss exists, is still the NumericError naming the step, raised
+    before the optimizer takes the step or the log records it, and never
+    reaches ``ad.backward``."""
+    real, real_backward, calls, backprop, steps = objectives.loss_mcm, ad.backward, [], [], []
+
+    def loss(*args, **kwargs):
+        calls.append(True)
+        out = real(*args, **kwargs)
+        return out if len(calls) < 2 else ad.add(out, ad.constant(np.nan))
+
+    def backward(loss, grads=None):
+        backprop.append(loss.item())
+        return real_backward(loss, grads)
+
+    monkeypatch.setattr(objectives, "loss_mcm", loss)
+    monkeypatch.setattr(ad, "backward", backward)
+    monkeypatch.setattr(training.Adam, "step", lambda adam, grads: steps.append(adam.t))
+    config = small_config(toy["vocab"], toy["registry"])
+    with pytest.raises(NumericError, match="non-finite loss at step 2: mcm=nan"):
+        run_pretrain_stage1(toy["records"], toy["registry"], config, train_cfg(max_steps=3),
+                            tmp_path)
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == [1]
+    assert len(steps) == 1 and len(backprop) == 2 and np.isfinite(backprop).all()
+
+
 @pytest.mark.parametrize("stage", sorted(RUNS))
 def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, stage):
     """One step graph is alive at a time: a vertex of step k's graph is
@@ -646,6 +676,30 @@ def test_step_graph_is_freed_before_the_next_step(toy, tmp_path, monkeypatch, st
     assert len(held) == 3
 
 
+def test_stage1_step_holds_one_pass_graph_at_a_time(toy, tmp_path, monkeypatch):
+    """Within a stage-one step, the corrupted pass's graph is freed before
+    the clean pass is encoded: a weak reference to a ``layer_norm`` vertex
+    of the corrupted pass is dead when the clean pass's ``encode_batch`` is
+    called, at every step."""
+    real, held, checked = objectives.encode_batch, [], []
+
+    def watched(*args, mask_plans=None, **kwargs):
+        if mask_plans is None:
+            assert held and held[-1]() is None, "the corrupted pass's graph is still alive"
+            checked.append(True)
+        out = real(*args, mask_plans=mask_plans, **kwargs)
+        if mask_plans is not None:
+            held.append(weakref.ref(next(v for v in ad._topological_order(out.states)
+                                         if v.op == "layer_norm")))
+        return out
+
+    monkeypatch.setattr(objectives, "encode_batch", watched)
+    config = small_config(toy["vocab"], toy["registry"])
+    run_pretrain_stage1(toy["records"], toy["registry"], config,
+                        train_cfg(max_steps=3, dropout_rate=0.1), tmp_path)
+    assert len(held) == len(checked) == 3
+
+
 # by op, the parents whose arrays its backward rule reads (-2: layer_norm's
 # gain, with or without a residual); ``sqrt``'s rule reads its own output
 RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
@@ -654,11 +708,12 @@ RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
 
 
 def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_path, monkeypatch):
-    """At the first backward of a d=16 stage-one step with dropout on, every
-    op output still alive is the loss or an array some rule holds, and a
-    rule holds an op output, or a view of one, only when it reads it: its
-    own (``sqrt``'s) or a parent's that ``RULE_READS`` names for its op. A
-    rule holding a tensor holds its data."""
+    """At each of the two backwards of a first d=16 stage-one step with
+    dropout on (the corrupted pass's, then the clean pass's), every op
+    output still alive is the loss or an array some rule holds, and a rule
+    holds an op output, or a view of one, only when it reads it: its own
+    (``sqrt``'s) or a parent's that ``RULE_READS`` names for its op. A rule
+    holding a tensor holds its data."""
     real_make, real_backward, made, checked = ad._make, ad.backward, [], []
 
     def make(*args):
@@ -667,38 +722,37 @@ def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_pa
             made.append((weakref.ref(out.node), weakref.ref(out.data)))
         return out
 
-    def probe(loss):
-        if not checked:
-            output = {}  # id of a vertex -> its output array, while both live
-            for node_ref, data_ref in made:
-                node, data = node_ref(), data_ref()
-                if node is not None and data is not None:
-                    output[id(node)] = data
-            outputs = {id(a) for a in output.values()}
-            held = set()
-            for v in ad._topological_order(loss):
-                if type(v) is not ad.Node:
-                    continue
-                reads = {id(output.get(id(v.inputs[i]))) for i in RULE_READS.get(v.op, ())}
-                if v.op == "sqrt":
-                    reads.add(id(output.get(id(v))))
-                for a in graph_bytes.rule_arrays(v.rule):
-                    while isinstance(a, np.ndarray):  # the array and each it views
-                        held.add(id(a))
-                        assert id(a) not in outputs or id(a) in reads, \
-                            f"a {v.op} rule holds an op output it does not read"
-                        a = a.base
-            stray = outputs - held - {id(loss.data)}
-            assert not stray, f"{len(stray)} op outputs no rule reads are alive at backward"
-            checked.append(len(output))
-        return real_backward(loss)
+    def probe(loss, grads=None):
+        output = {}  # id of a vertex -> its output array, while both live
+        for node_ref, data_ref in made:
+            node, data = node_ref(), data_ref()
+            if node is not None and data is not None:
+                output[id(node)] = data
+        outputs = {id(a) for a in output.values()}
+        held = set()
+        for v in ad._topological_order(loss):
+            if type(v) is not ad.Node:
+                continue
+            reads = {id(output.get(id(v.inputs[i]))) for i in RULE_READS.get(v.op, ())}
+            if v.op == "sqrt":
+                reads.add(id(output.get(id(v))))
+            for a in graph_bytes.rule_arrays(v.rule):
+                while isinstance(a, np.ndarray):  # the array and each it views
+                    held.add(id(a))
+                    assert id(a) not in outputs or id(a) in reads, \
+                        f"a {v.op} rule holds an op output it does not read"
+                    a = a.base
+        stray = outputs - held - {id(loss.data)}
+        assert not stray, f"{len(stray)} op outputs no rule reads are alive at backward"
+        checked.append(len(output))
+        return real_backward(loss, grads)
 
     monkeypatch.setattr(ad, "_make", make)
     monkeypatch.setattr(ad, "backward", probe)
     config = small_config(toy["vocab"], toy["registry"])
     run_pretrain_stage1(toy["records"], toy["registry"], config,
                         train_cfg(max_steps=1, dropout_rate=0.1), tmp_path)
-    assert checked and checked[0] > 0
+    assert len(checked) == 2 and min(checked) > 0
 
 
 def test_resume_rejects_wrong_stage(toy, tmp_path):
@@ -768,8 +822,8 @@ def poison_gradient(monkeypatch, params, value, at_call=1):
     ``value`` in one gradient of ``params`` (a dict, or a callable giving it)."""
     real, calls = ad.backward, []
 
-    def poisoned(loss):
-        grads = real(loss)
+    def poisoned(loss, grads=None):
+        grads = real(loss, grads)
         calls.append(True)
         if len(calls) >= at_call:
             grads[(params() if callable(params) else params)["w_text"]][0, 0] = value
@@ -791,7 +845,7 @@ def test_non_finite_gradient_stops_before_the_update(toy, tmp_path, monkeypatch,
     moments = {name: a.copy() for name, a in run.adam.state_arrays().items()}
     total = sum_of(ad.matmul(run.params["tok_emb"], run.params["w_text"]))
     with pytest.raises(NumericError, match="gradient norm .* at step 3"):
-        run.optimize(total)
+        run.optimize(total, None)
     assert run.adam.t == 0
     assert all(np.array_equal(p.data, params[name]) for name, p in run.params.items())
     assert all(np.array_equal(a, moments[name]) for name, a in run.adam.state_arrays().items())
@@ -804,8 +858,8 @@ def test_no_gradient_outlives_the_step(toy, tmp_path, monkeypatch):
     real_backward, real_optimize, refs, checked = ad.backward, training._Run.optimize, [], []
     real_clip, vectors = training.clip_gradients, []
 
-    def backward(loss):
-        grads = real_backward(loss)
+    def backward(loss, grads=None):
+        grads = real_backward(loss, grads)
         refs.extend(weakref.ref(g) for g in grads.values())
         return grads
 
@@ -813,8 +867,8 @@ def test_no_gradient_outlives_the_step(toy, tmp_path, monkeypatch):
         vectors.append(weakref.ref(grads.vector))
         return real_clip(grads, max_norm)
 
-    def optimize(run, total):
-        real_optimize(run, total)
+    def optimize(run, total, grads):
+        real_optimize(run, total, grads)
         assert refs and all(ref() is None for ref in refs), "a gradient outlived its step"
         assert len(vectors) == 1 and vectors[0]() is None, "the gradient vector outlived its step"
         checked.append(len(refs))
@@ -1106,21 +1160,22 @@ def test_last_periodic_checkpoint_is_serialized_once(toy, tmp_path, monkeypatch)
 
 
 def test_stage1_step_graph_holds_what_backward_reads(toy, tmp_path, monkeypatch):
-    """Memory guard: the bytes alive at a toy stage-one step's ``backward``
-    (d=16, batch 24, dropout 0.1), traced by ``tracemalloc`` from before the
-    run starts, stay at most 3,770 KB. The graph keeps no padded copies of
-    attention's q, k and v, no float64 dropout masks, no gathered rows or
-    partial sums of the encoder's input, and no op output that no rule
-    reads. The step reads about 3,610 KB, and 3,930 KB with float64 masks
-    back: the bound sits halfway between. When vertices held their outputs
-    it read 4,980 KB, and 6,630 KB with the first three back as well."""
+    """Memory guard: the bytes alive at each of a toy stage-one step's two
+    ``backward`` calls (d=16, batch 24, dropout 0.1), traced by
+    ``tracemalloc`` from before the run starts, stay at most 2,120 KB. The
+    graph keeps no padded copies of attention's q, k and v, no float64
+    dropout masks, no gathered rows or partial sums of the encoder's input,
+    no op output that no rule reads, and one encoder pass at a time. The
+    corrupted half reads about 1,550 KB and the clean half 1,630 KB; one
+    backward over both passes' graphs reads 2,620 KB: the bound sits
+    halfway between."""
     import tracemalloc
     config = small_config(toy["vocab"], toy["registry"], dropout_rate=0.1)
     real, live = ad.backward, []
 
-    def measured(loss):
+    def measured(loss, grads=None):
         live.append(tracemalloc.get_traced_memory()[0])
-        return real(loss)
+        return real(loss, grads)
 
     monkeypatch.setattr(ad, "backward", measured)
     tracemalloc.start()
@@ -1129,7 +1184,7 @@ def test_stage1_step_graph_holds_what_backward_reads(toy, tmp_path, monkeypatch)
                             train_cfg(max_steps=1, batch_size=24, dropout_rate=0.1), tmp_path)
     finally:
         tracemalloc.stop()
-    assert len(live) == 1 and live[0] <= 3770 * 1024, f"{live[0] / 1024:.0f} KB"
+    assert len(live) == 2 and max(live) <= 2120 * 1024, [f"{b / 1024:.0f} KB" for b in live]
 
 
 def test_gold_token_ids_render_labels(toy):
