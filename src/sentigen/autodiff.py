@@ -22,18 +22,19 @@ leaves and are taken left to right: one pass reaches a leaf from the left
 term's vertices before the right's, and each vertex in the order a pass
 over its own term alone would.
 
-``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``self_attention``
-(three ``linear`` projections, then ``attention``), ``layer_norm``'s
+``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``attention``
+(three ``linear`` projections, then multi-head attention), ``layer_norm``'s
 ``residual``, ``embedding``'s extra ``(table, ids)`` pairs and
 ``pair_contrast`` each fuse several nodes into one, with the same floats in
-the same order. Rules keep only what they read: ``attention``'s its softmax
-weights and packed q, k and v, not padded copies of them;
-``self_attention``'s its input and softmax weights, from which it projects
-q, k and v again; ``dropout``'s a bool mask; ``gelu_linear``'s its input
-(and its weight), from which it recomputes the GELU output and slope; and
+the same order. Rules keep only what they read: ``attention``'s its inputs
+and softmax weights, from which it projects q, k and v again, not padded
+copies of them; ``dropout``'s a bool mask; ``gelu_linear``'s its input (and
+its weight), from which it recomputes the GELU output and slope; and
 ``pair_contrast``'s its input, from which it rebuilds its pair differences.
 Recomputing is chosen where it is cheap in arithmetic and the array is
-large. The module keeps only the ops the rest of the package calls.
+large. ``attend`` is attention's forward alone, over keys and values
+already laid out per head; it records no node. The module keeps only the
+ops the rest of the package calls.
 
 GELU and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
@@ -512,6 +513,9 @@ def head_layout(k, v, heads, offsets):
     ``k`` and ``v``, sample i owning rows offsets[i]:offsets[i + 1], split
     into a ``HeadLayout``. Its ``k`` and ``v`` are views of ``k`` and ``v``
     when every sample has the same key count."""
+    d = k.shape[1]
+    if heads < 1 or d % heads != 0:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     off, lengths, shortest, longest = _segments(offsets, k.shape[0], "attention")
     slot = _padded_slots(off, lengths, shortest, longest)
     b = len(lengths)
@@ -519,21 +523,17 @@ def head_layout(k, v, heads, offsets):
                       lengths, slot)
 
 
-def _attend(qd, kv, heads, q_offsets, k_offsets, causal):
-    """Attention's forward, which ``attention`` and ``self_attention`` share:
-    packed query rows ``qd`` over keys and values ``kv``: a ``HeadLayout``,
-    or a packed (k, v) pair bounded by ``k_offsets``. Returns the packed output, the softmax weights ``p``
+def _attend(qd, keys, heads, q_offsets, causal):
+    """Attention's forward, which ``attention`` and ``attend`` share: packed
+    query rows ``qd`` over the keys and values of the ``HeadLayout``
+    ``keys``. Returns the packed output, the softmax weights ``p``
     (B, heads, Lq, Lk), and the layout ``_attend_grads`` needs."""
     d = qd.shape[1]
-    if heads < 1 or d % heads != 0:
-        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
-    hd = d // heads
     qoff, qlen, qmin, lq = _segments(q_offsets, qd.shape[0], "attention")
-    keys = kv if isinstance(kv, HeadLayout) else head_layout(*kv, heads, k_offsets)
-    klen, lk = keys.lengths, keys.k.shape[2]
-    if len(qlen) != len(klen) or keys.k.shape[1::2] != (heads, hd):
-        raise ShapeError(f"attention: {len(qlen)} query samples of width {d} but keys of "
-                         f"{len(klen)} samples in a {keys.k.shape} layout")
+    klen, lk, hd = keys.lengths, keys.k.shape[2], keys.k.shape[3]
+    if len(qlen) != len(klen) or keys.k.shape[1] != heads or heads * hd != d:
+        raise ShapeError(f"attention: {len(qlen)} query samples of width {d} in {heads} heads "
+                         f"but keys of {len(klen)} samples in a {keys.k.shape} layout")
     if causal and lq > keys.shortest and (qlen > klen).any():
         raise ShapeError("attention: a causal sample has more queries than keys")
     b = len(qlen)
@@ -557,14 +557,13 @@ def _attend(qd, kv, heads, q_offsets, k_offsets, causal):
 
 
 def _attend_grads(g, p, at, rows, want_q, want_k, want_v):
-    """Attention's rule, which ``attention`` and ``self_attention`` share:
-    the packed gradients of q, k and v (None where not wanted) for the
-    output gradient ``g``, from ``_attend``'s ``p`` and layout ``at``.
-    ``rows(i)`` gives packed q (i = 0), k (1) or v (2); the rule asks for v,
-    then for k when it wants q's gradient, then for q when it wants k's,
-    and drops each once read, so a caller that recomputes them holds one at
-    a time. Each is split afresh from its packed rows: holding the padded
-    copies until backward would keep each side twice."""
+    """Attention's rule: the packed gradients of q, k and v (None where not
+    wanted) for the output gradient ``g``, from ``_attend``'s ``p`` and
+    layout ``at``. ``rows(i)`` gives packed q (i = 0), k (1) or v (2); the
+    rule asks for v, then for k when it wants q's gradient, then for q when
+    it wants k's, and drops each once read, so a caller that recomputes
+    them holds one at a time. Each is split afresh from its packed rows:
+    holding the padded copies until backward would keep each side twice."""
     b, heads, qslot, lq, kslot, lk, norm = at
 
     def split(x, slot, n):
@@ -582,8 +581,12 @@ def _attend_grads(g, p, at, rows, want_q, want_k, want_v):
     return dq, dk, dv
 
 
-def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
-    """Multi-head scaled dot-product attention over a batch of B samples, as one node.
+def attention(x_q, x_kv, q, k, v, heads, q_offsets, k_offsets, causal=False):
+    """Multi-head scaled dot-product attention over a batch of B samples,
+    with its projections, as one node: the queries are the rows of ``x_q``
+    projected by the ``(w, b)`` pair ``q``, the keys and values the rows of
+    ``x_kv`` projected by ``k`` and ``v``, each as ``linear`` would.
+    Self-attention passes its rows as both ``x_q`` and ``x_kv``.
 
     Rows are packed in the ``cu_seqlens`` layout: ``q_offsets`` and
     ``k_offsets`` each hold B + 1 row bounds, sample i owning query rows
@@ -596,70 +599,56 @@ def attention(q, k, v, heads, q_offsets, k_offsets, causal=False, layout=None):
     sees key j only when j - i <= lk - lq: bottom-right aligned, so a
     sample's last query sees all its keys, as cached decoding needs. Column
     block h of width d / heads belongs to head h. Returns the per-head
-    outputs side by side, one row per row of ``q``.
+    outputs side by side, one row per row of ``x_q``.
 
-    ``layout``, when given, stands in for ``k``, ``v`` and ``k_offsets``,
-    which the op then does not read: keys and values already in the per-head layout, as
-    ``head_layout`` splits them or a decoder cache writes them. The op skips
-    its own layout step and records no node, as the layout holds arrays: a
-    ``q`` that needs a gradient is a ContractError.
+    The node keeps only ``x_q``, ``x_kv``, the weights and the softmax
+    weights ``p``; its rule projects v, k and q again, each when it reads
+    it, and gives each projection's gradients as ``linear``'s rule does.
+    Its parents are ``(x_q, *q, x_kv, *k, x_kv, *v)``, so when ``x_q`` is
+    ``x_kv`` its three gradients add onto it in q, k, v order, as three
+    ``linear`` nodes' would.
     """
-    if layout is None and (q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape
-                           or q.shape[1] != k.shape[1]):
-        raise ShapeError(f"attention: incompatible q {q.shape}, k {k.shape}, v {v.shape}")
-    if layout is not None and q.requires_grad:
-        raise ContractError("attention: keys and values in a layout take no gradient, so q may not")
-    kv = (k.data, v.data) if layout is None else layout
-    out, p, at = _attend(q.data, kv, heads, q_offsets, k_offsets, causal)
-    if layout is not None:
-        return Tensor(out, op="attention")
-    want_q, want_k, want_v = q.requires_grad, k.requires_grad, v.requires_grad
-    held = (q.data if want_k else None, k.data, v.data)
-
-    def rule(g):
-        return _attend_grads(g, p, at, held.__getitem__, want_q, want_k, want_v)
-
-    return _make(out, "attention", (q, k, v), rule)
-
-
-def self_attention(x, q, k, v, heads, offsets, causal=False):
-    """``attention`` of the rows of ``x`` over themselves, each side bounded
-    by ``offsets``, with its queries, keys and values projected from ``x``
-    by the ``(w, b)`` pairs ``q``, ``k`` and ``v`` as ``linear`` would: one
-    node in place of three ``linear`` nodes and an ``attention`` node, with
-    their floats. It keeps only ``x``, the weights and the softmax weights
-    ``p``; its rule projects v, k and q again, each when attention's rule
-    reads it, and gives each projection's gradients as ``linear``'s rule
-    does. Its parents are ``x`` and each pair, x three times, so x's three
-    gradients add onto it in q, k, v order, as the three ``linear`` nodes'
-    did."""
-    pairs = (q, k, v)
-    width = q[1].shape if x.data.ndim == 2 and q[1].data.ndim == 1 else None
-    if width is None or any((w.shape, b.shape) != ((x.shape[1],) + width, width) for w, b in pairs):
-        raise ShapeError(f"self_attention: incompatible x {x.shape} and projections "
-                         f"{[(w.shape, b.shape) for w, b in pairs]}")
-    xd = x.data
-    weights = tuple((w.data, b.data) for w, b in pairs)
+    pairs, rows = (q, k, v), (x_q, x_kv, x_kv)
+    width = q[1].shape if q[1].data.ndim == 1 else None
+    if width is None or any(x.data.ndim != 2 or (w.shape, b.shape) != ((x.shape[1],) + width, width)
+                            for x, (w, b) in zip(rows, pairs)):
+        raise ShapeError(f"attention: incompatible x_q {x_q.shape}, x_kv {x_kv.shape} and "
+                         f"projections {[(w.shape, b.shape) for w, b in pairs]}")
+    weights = tuple((x.data, w.data, b.data) for x, (w, b) in zip(rows, pairs))
 
     def project(i):
-        w, b = weights[i]
-        out = xd @ w
+        x, w, b = weights[i]
+        out = x @ w
         out += b
         return out
 
-    out, p, at = _attend(project(0), (project(1), project(2)), heads, offsets, offsets, causal)
-    want_x = x.requires_grad
+    # q, then k and v, then the keys' layout: that order measured fastest
+    out, p, at = _attend(project(0), head_layout(project(1), project(2), heads, k_offsets),
+                         heads, q_offsets, causal)
+    want_x = [x.requires_grad for x in rows]
     want_w = [w.requires_grad for w, _ in pairs]
-    want_qkv = [want_x or w.requires_grad or b.requires_grad for w, b in pairs]
+    want_qkv = [wx or w.requires_grad or b.requires_grad for wx, (w, b) in zip(want_x, pairs)]
 
     def rule(g):
         grads = ()
-        for (w, _), want, dy in zip(weights, want_w, _attend_grads(g, p, at, project, *want_qkv)):
+        for (x, w, _), wx, ww, dy in zip(weights, want_x, want_w,
+                                         _attend_grads(g, p, at, project, *want_qkv)):
             grads += (None,) * 3 if dy is None else (
-                dy @ w.T if want_x else None, xd.T @ dy if want else None, dy.sum(axis=0))
+                dy @ w.T if wx else None, x.T @ dy if ww else None, dy.sum(axis=0))
         return grads
 
-    return _make(out, "self_attention", (x, *q, x, *k, x, *v), rule)
+    return _make(out, "attention", (x_q, *q, x_kv, *k, x_kv, *v), rule)
+
+
+def attend(q, layout, heads, q_offsets, causal=False):
+    """``attention``'s forward for query rows ``q``, already projected,
+    over keys and values already in its per-head layout: a ``HeadLayout``,
+    as ``head_layout`` splits them or a decoder cache writes them. It
+    records no node, as the layout holds arrays: a ``q`` that needs a
+    gradient is a ContractError."""
+    if q.requires_grad:
+        raise ContractError("attend: keys and values in a layout take no gradient, so q may not")
+    return Tensor(_attend(q.data, layout, heads, q_offsets, causal)[0], op="attend")
 
 
 def softmax_cross_entropy(logits, targets, hidden=None):

@@ -41,12 +41,6 @@ class AccuracyMatrix:
             raise ShapeError(f"accuracy matrix shape {arr.shape} does not match {n} datasets")
         object.__setattr__(self, "acc", arr)
 
-    def index(self, dataset_id):
-        try:
-            return self.datasets.index(dataset_id)
-        except ValueError:
-            raise ContractError(f"dataset {dataset_id!r} not in accuracy matrix") from None
-
     def to_json(self):
         return {"datasets": list(self.datasets),
                 "accuracy_percent": [[float(x) for x in row] for row in self.acc]}

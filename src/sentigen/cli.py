@@ -93,10 +93,12 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6):
     """Write a small deterministic corpus with planted lexical cues (so tiny
     models can actually fit it) plus its registry. One conversation record
     references a binary feature sidecar; everything else is inline. Returns
-    (corpus_path, registry_path). ``per_task`` below 1 is a ConfigError,
-    raised before anything is written."""
+    (corpus_path, registry_path). ``per_task`` below 1, or a negative
+    ``seed``, is a ConfigError, raised before anything is written."""
     if per_task < 1:
         raise ConfigError(f"per_task {per_task} must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be non-negative")
     out = Path(out_dir)
     rng = np.random.default_rng(seed)
     rows = []
@@ -179,10 +181,9 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6):
 
 
 def cmd_make_corpus(args):
-    corpus, registry = make_synthetic_corpus(args.out, seed=args.seed or 0,
-                                             per_task=args.per_task)
-    write_manifest(args.out, "make-corpus", args.seed or 0,
-                   {"per_task": args.per_task, "seed": args.seed or 0})
+    corpus, registry = make_synthetic_corpus(args.out, seed=args.seed, per_task=args.per_task)
+    write_manifest(args.out, "make-corpus", args.seed,
+                   {"per_task": args.per_task, "seed": args.seed})
     print(json.dumps({"corpus": str(corpus), "registry": str(registry)}))
     return 0
 
@@ -339,11 +340,9 @@ def build_parser():
                     "fine-tuning, evaluation, and bias reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, corpus=True, registry=True, out=True):
-        if corpus:
-            p.add_argument("--corpus", required=True, help="JSONL corpus path")
-        if registry:
-            p.add_argument("--registry", required=True, help="registry JSON path")
+    def add_io(p, out=True):
+        p.add_argument("--corpus", required=True, help="JSONL corpus path")
+        p.add_argument("--registry", required=True, help="registry JSON path")
         if out:
             p.add_argument("--out", required=True, help="output directory")
 

@@ -16,14 +16,15 @@ marking where each sample starts. Every per-row op (input gather,
 projections, each one ``ad.linear`` node, dropout, ``layer_norm`` with the
 residual add inside its node, the FFN) runs on those N rows only, so no
 arithmetic goes to padding. Multi-head attention is one fused autodiff op
-that alone sees the sample bounds, and packed offsets are its only layout:
-it pads the rows inside itself, keeps each sample's queries on its own keys
-and gathers back. Self-attention, in each encoder layer and in the uncached
-decoder, is one ``ad.self_attention`` node with its q, k and v projections
-inside: the graph keeps its input and softmax weights, not the projected
-rows, which its backward projects again. Cross-attention and cached
-decoding project keys and values apart (``_keys_values``). A batch's input
-rows are one gather from one table of every sample's token embeddings, the
+that alone sees the sample bounds: it pads the rows inside itself, keeps
+each sample's queries on its own keys and gathers back. Every attention
+block that records a graph, self- or cross-attention, in the encoder and
+the uncached decoder, is one ``ad.attention`` node with its q, k and v
+projections inside: the graph keeps its inputs (for cross-attention, the
+decoder rows and the encoder states) and softmax weights, not the
+projected rows, which its backward projects again. Cached decoding
+projects keys and values apart (``_keys_values``) and attends over them
+with ``ad.attend``. A batch's input rows are one gather from one table of every sample's token embeddings, the
 projected acoustic and visual frames and the mask vectors, so masking a
 token or a frame is a choice of row; the same node adds each row's type,
 position and dataset embeddings. The decoder's rows are B samples of n ids
@@ -202,34 +203,27 @@ def _linear(params, prefix, x, w, b):
 
 
 def _keys_values(params, prefix, x_kv):
-    """Key and value projections of ``x_kv`` for one attention block, for
-    what projects them apart from its queries: cross-attention and a
-    ``DecoderCache``."""
+    """Key and value projections of ``x_kv`` for one attention block, as a
+    ``DecoderCache`` holds them."""
     return _linear(params, prefix, x_kv, "wk", "bk"), _linear(params, prefix, x_kv, "wv", "bv")
 
 
-def _self_attention(params, prefix, x, config, offsets, causal=False):
-    """Multi-head self-attention of the packed rows ``x`` bounded by
-    ``offsets``, then the block's output projection. One
-    ``ad.self_attention`` node projects the queries, keys and values from
-    ``x`` and keeps none of them."""
+def _attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
+    """Multi-head attention of the packed rows ``x_q`` over ``x_kv``, each
+    side bounded by its offsets, then the block's output projection. One
+    ``ad.attention`` node projects the queries from ``x_q`` and the keys and
+    values from ``x_kv``, and keeps none of them. Self-attention passes its
+    rows as both sides."""
     pairs = [(params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"]) for c in "qkv"]
-    mixed = ad.self_attention(x, *pairs, config.heads, offsets, causal)
+    mixed = ad.attention(x_q, x_kv, *pairs, config.heads, q_offsets, k_offsets, causal)
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
-def _attention(params, prefix, x_q, kv, config, q_offsets, k_offsets, causal=False):
-    """Multi-head scaled dot-product attention of ``x_q`` over keys and
-    values projected apart from it (cross-attention, or a cache's), each
-    side packed by its offsets (see ``ad.attention``), then the block's
-    output projection. ``kv`` is the block's projected keys and values; with
-    ``k_offsets`` None, it is a ``DecoderCache``'s ``ad.HeadLayout`` of
-    them."""
+def _cached_attention(params, prefix, x_q, layout, config, q_offsets, causal=False):
+    """``_attention`` of ``x_q`` over keys and values a ``DecoderCache``
+    holds in ``layout``, through ``ad.attend``: no graph."""
     q = _linear(params, prefix, x_q, "wq", "bq")
-    if k_offsets is None:
-        mixed = ad.attention(q, None, None, config.heads, q_offsets, None, causal, layout=kv)
-    else:
-        mixed = ad.attention(q, kv[0], kv[1], config.heads, q_offsets, k_offsets, causal)
+    mixed = ad.attend(q, layout, config.heads, q_offsets, causal)
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
@@ -337,7 +331,7 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
     x = _maybe_dropout(x, config, train, rng)
 
     for i in range(config.layers_enc):
-        a = _self_attention(params, f"enc{i}_attn", x, config, offsets)
+        a = _attention(params, f"enc{i}_attn", x, x, config, offsets, offsets)
         a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(x, params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"], residual=a)
         f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
@@ -370,7 +364,7 @@ def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, r
 
 class DecoderCache:
     """Decoder state for incremental decoding of one prompt or a batch of B,
-    held in ``ad.attention``'s padded per-head layout, so a call lays out
+    held in attention's padded per-head layout, so a call lays out
     only the positions it feeds:
 
     - ``length``: how many positions each sample has been fed;
@@ -383,7 +377,7 @@ class DecoderCache:
 
     ``capacity`` is the most positions the cache takes (``generate_batch``
     passes the ``max_new`` it feeds). It holds arrays, so it decodes on frozen
-    parameters only: ``ad.attention`` refuses queries that need a gradient.
+    parameters only: ``ad.attend`` refuses queries that need a gradient.
     """
 
     def __init__(self, capacity):
@@ -456,18 +450,18 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     for i in range(config.layers_dec):
         prefix = f"dec{i}_self"
         if cache is None:  # the new rows are the whole stream, and their own keys
-            a = _self_attention(params, prefix, x, config, fed, causal=True)
+            a = _attention(params, prefix, x, x, config, fed, fed, causal=True)
         else:
             kv = cache.grown_keys(params, prefix, x, config.heads, n)
-            a = _attention(params, prefix, x, kv, config, fed, None, causal=True)
+            a = _cached_attention(params, prefix, x, kv, config, fed, causal=True)
         a = _maybe_dropout(a, config, train, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"], residual=a)
         prefix = f"dec{i}_cross"
         if cache is None:
-            kv, held = _keys_values(params, prefix, enc_out.states), enc_out.offsets
+            c = _attention(params, prefix, x, enc_out.states, config, fed, enc_out.offsets)
         else:
-            kv, held = cache.encoder_keys(params, prefix, enc_out, config.heads), None
-        c = _attention(params, prefix, x, kv, config, fed, held)
+            kv = cache.encoder_keys(params, prefix, enc_out, config.heads)
+            c = _cached_attention(params, prefix, x, kv, config, fed)
         c = _maybe_dropout(c, config, train, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"], residual=c)
         f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, train, rng)

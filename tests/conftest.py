@@ -213,6 +213,22 @@ def pair_contrast_ref(x, same):
     return ad._make((numer / denom).sum(), "pair_contrast", (x,), rule)
 
 
+def attention_ref(q, k, v, heads, q_offsets, k_offsets, causal=False):
+    """Attention of packed query rows ``q`` over packed keys ``k`` and values
+    ``v`` as one node that keeps q, k and v: the node that three ``linear``
+    nodes fed before ``ad.attention`` took the projections inside, on the
+    same forward and rule kernels."""
+    out, p, at = ad._attend(q.data, ad.head_layout(k.data, v.data, heads, k_offsets), heads,
+                            q_offsets, causal)
+    wants = (q.requires_grad, k.requires_grad, v.requires_grad)
+    held = (q.data, k.data, v.data)
+
+    def rule(g):
+        return ad._attend_grads(g, p, at, held.__getitem__, *wants)
+
+    return ad._make(out, "attention", (q, k, v), rule)
+
+
 def msa_metrics(golds, preds):
     """The scalar sentiment triple a registry's msa dataset scores, each
     entry from ``compute_metric``."""

@@ -76,7 +76,8 @@ def test_c01_bias_arithmetic_exact():
         t0 = time.monotonic()
         matrix = fixture_accuracy_matrix()
         report = bias_report(matrix)
-        idx = {name: matrix.index(name) for name in ("iemocap", "meld", "emorynlp", "mosi")}
+        idx = {name: matrix.datasets.index(name)
+               for name in ("iemocap", "meld", "emorynlp", "mosi")}
         published = [
             ("iemocap", "meld", 20.01),
             ("iemocap", "emorynlp", 43.58),

@@ -11,7 +11,8 @@ import pytest
 import sentigen.autodiff as ad
 from sentigen.errors import ContractError, NumericError, ShapeError
 
-from conftest import finite_diff_check, gelu_ref, layer_norm_ref, pair_contrast_ref, sum_of
+from conftest import (attention_ref, finite_diff_check, gelu_ref, layer_norm_ref,
+                      pair_contrast_ref, sum_of)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import graph_bytes  # noqa: E402
@@ -179,6 +180,20 @@ def packed_rows(rng, lengths, d):
     return rand_leaf(rng, sum(lengths), d), np.cumsum([0] + list(lengths))
 
 
+def identity_pairs(d):
+    """Constant (w, b) projections that take x_q (N, d) to itself as the
+    queries, and x_kv (M, 2d) to its first d columns as the keys and its
+    last d as the values, exactly: ``attention`` over given q, k and v."""
+    eye, zero, bias = np.eye(d), np.zeros((d, d)), ad.constant(np.zeros(d))
+    return [(ad.constant(w), bias) for w in (eye, np.vstack([eye, zero]), np.vstack([zero, eye]))]
+
+
+def attention_over(q, kv, heads, q_off, k_off, causal=False):
+    """``attention`` of queries ``q`` over keys and values side by side in
+    ``kv``, through ``identity_pairs``."""
+    return ad.attention(q, kv, *identity_pairs(q.shape[1]), heads, q_off, k_off, causal)
+
+
 # (query lengths, key lengths) per sample: uneven, equal, length-1 samples,
 # fewer queries than keys, and one query per sample
 ATTENTION_CASES = (([1, 3, 2], [1, 4, 3]), ([2, 1], [3, 3]), ([3, 3, 3], [5, 5, 5]),
@@ -189,17 +204,16 @@ def check_attention(rng, heads, d, q_len, k_len, causal):
     """Every sample's outputs equal the reference on that sample alone
     within 1e-12, and gradients pass finite differences."""
     q, q_off = packed_rows(rng, q_len, d)
-    k, k_off = packed_rows(rng, k_len, d)
-    v = rand_leaf(rng, sum(k_len), d)
-    out = ad.attention(q, k, v, heads, q_off, k_off, causal)
+    kv, k_off = packed_rows(rng, k_len, 2 * d)
+    out = attention_over(q, kv, heads, q_off, k_off, causal)
     assert out.shape == (sum(q_len), d)
     for i in range(len(q_len)):
         qs, ks = slice(q_off[i], q_off[i + 1]), slice(k_off[i], k_off[i + 1])
-        want = attention_reference(q.data[qs], k.data[ks], v.data[ks], heads, causal)
+        want = attention_reference(q.data[qs], kv.data[ks, :d], kv.data[ks, d:], heads, causal)
         assert np.max(np.abs(out.data[qs] - want)) <= 1e-12
     w = ad.constant(rng.normal(size=out.shape))
-    fn = lambda _: sum_of(ad.attention(q, k, v, heads, q_off, k_off, causal), w)
-    for t in (q, k, v):
+    fn = lambda _: sum_of(attention_over(q, kv, heads, q_off, k_off, causal), w)
+    for t in (q, kv):
         assert finite_diff_check(fn, t) < 1e-6
 
 
@@ -233,156 +247,215 @@ def test_attention_samples_are_isolated():
     rng = np.random.default_rng(9)
     q_len, k_len, d = [2, 1, 3], [4, 2, 3], 8
     q = ad.constant(rng.normal(size=(sum(q_len), d)))
-    k, k_off = packed_rows(rng, k_len, d)
-    v = rand_leaf(rng, sum(k_len), d)
+    kv, k_off = packed_rows(rng, k_len, 2 * d)
     q_off = np.cumsum([0] + q_len)
     for causal in (False, True):
-        base = ad.attention(q, ad.constant(k.data), ad.constant(v.data), 2, q_off, k_off, causal).data
-        k2, v2 = k.data.copy(), v.data.copy()
-        k2[k_off[2]:] += rng.normal(size=(k_len[2], d))
-        v2[k_off[2]:] *= 7.0
-        moved = ad.attention(q, ad.constant(k2), ad.constant(v2), 2, q_off, k_off, causal).data
+        base = attention_over(q, ad.constant(kv.data), 2, q_off, k_off, causal).data
+        kv2 = kv.data.copy()
+        kv2[k_off[2]:, :d] += rng.normal(size=(k_len[2], d))
+        kv2[k_off[2]:, d:] *= 7.0
+        moved = attention_over(q, ad.constant(kv2), 2, q_off, k_off, causal).data
         assert np.array_equal(moved[:q_off[2]], base[:q_off[2]])
         assert not np.allclose(moved[q_off[2]:], base[q_off[2]:])
         w = np.zeros((sum(q_len), d))
         w[q_off[1]:q_off[2]] = 1.0  # only sample 1's outputs count
-        grads = ad.backward(sum_of(ad.attention(q, k, v, 2, q_off, k_off, causal), ad.constant(w)))
+        grads = ad.backward(sum_of(attention_over(q, kv, 2, q_off, k_off, causal), ad.constant(w)))
         outside = np.r_[0:k_off[1], k_off[2]:k_off[3]]
-        assert np.all(grads[k][outside] == 0.0) and np.all(grads[v][outside] == 0.0)
+        assert np.all(grads[kv][outside, :d] == 0.0) and np.all(grads[kv][outside, d:] == 0.0)
 
 
 def test_causal_attention_is_bottom_right_aligned():
-    """Feeding each sample's queries one at a time, each against the keys up
-    to its own position (one query per sample, no mask), gives the rows of
-    one causal call over the whole stream within 1e-12: what cached
-    decoding relies on."""
+    """Feeding each sample's queries one at a time to ``attend``, each
+    against the keys up to its own position (one query per sample, no
+    mask), gives the rows of one causal ``attention`` call over the whole
+    stream within 1e-12: what cached decoding relies on."""
     rng = np.random.default_rng(23)
     b, n, d = 3, 4, 8
     q, k, v = (rng.normal(size=(b * n, d)) for _ in range(3))
     steps = np.arange(b + 1) * n
-    full = ad.attention(ad.constant(q), ad.constant(k), ad.constant(v), 2, steps, steps, True).data
+    kv = ad.constant(np.hstack([k, v]))
+    full = attention_over(ad.constant(q), kv, 2, steps, steps, True).data
     for t in range(n):
         rows = np.arange(b) * n + t
         prefix = (np.arange(b)[:, None] * n + np.arange(t + 1)).reshape(-1)
-        one = ad.attention(ad.constant(q[rows]), ad.constant(k[prefix]), ad.constant(v[prefix]), 2,
-                           np.arange(b + 1), np.arange(b + 1) * (t + 1), True).data
+        layout = ad.head_layout(k[prefix], v[prefix], 2, np.arange(b + 1) * (t + 1))
+        one = ad.attend(ad.constant(q[rows]), layout, 2, np.arange(b + 1), True).data
         assert np.max(np.abs(one - full[rows])) <= 1e-12
 
 
 def test_attention_rejects_bad_offsets():
     rng = np.random.default_rng(29)
     q, q_off = packed_rows(rng, [2, 3], 4)
-    k, k_off = packed_rows(rng, [3, 3], 4)
-    v = rand_leaf(rng, 6, 4)
-    bad = {"heads": (q, k, v, 3, q_off, k_off), "short": (q, k, v, 2, q_off, k_off[:-1]),
-           "reversed": (q, k, v, 2, q_off[::-1], k_off), "descending": (q, k, v, 2, [0, 4, 2, 5], k_off),
-           "count": (q, k, v, 2, q_off, [0, 2, 4, 6]), "rows": (q, k, v, 2, [0, 2, 4], k_off),
-           "causal": (q, k, v, 2, [0, 4, 5], k_off, True)}
+    kv, k_off = packed_rows(rng, [3, 3], 8)
+    bad = {"heads": (3, q_off, k_off), "short": (2, q_off, k_off[:-1]),
+           "reversed": (2, q_off[::-1], k_off), "descending": (2, [0, 4, 2, 5], k_off),
+           "count": (2, q_off, [0, 2, 4, 6]), "rows": (2, [0, 2, 4], k_off),
+           "causal": (2, [0, 4, 5], k_off, True)}
     for name, args in bad.items():
         with pytest.raises(ShapeError):
-            ad.attention(*args)
+            attention_over(q, kv, *args)
             pytest.fail(name)
 
 
 def test_attention_over_a_layout_records_no_node_and_takes_no_gradient():
-    """Keys and values in a ``head_layout`` are arrays, so attention over
-    one gives the packed call's output, records no node, and refuses a
-    ``q`` that needs a gradient rather than give it one through the layout
-    alone. Given a layout, the op reads no ``k_offsets``."""
+    """Keys and values in a ``head_layout`` are arrays, so ``attend`` over
+    one gives the node's output, records no node, and refuses a ``q`` that
+    needs a gradient rather than give it one through the layout alone. A
+    layout split into other heads than it is given is a ShapeError."""
     rng = np.random.default_rng(31)
     q, q_off = packed_rows(rng, [2, 3], 4)
-    k, k_off = packed_rows(rng, [3, 1], 4)
-    v = rand_leaf(rng, 4, 4)
-    layout = ad.head_layout(k.data, v.data, 2, k_off)
+    kv, k_off = packed_rows(rng, [3, 1], 8)
+    layout = ad.head_layout(kv.data[:, :4], kv.data[:, 4:], 2, k_off)
     frozen = ad.constant(q.data)
-    out = ad.attention(frozen, None, None, 2, q_off, None, layout=layout)
-    want = ad.attention(frozen, ad.constant(k.data), ad.constant(v.data), 2, q_off, k_off)
+    out = ad.attend(frozen, layout, 2, q_off)
+    want = attention_over(frozen, ad.constant(kv.data), 2, q_off, k_off)
     assert out.node is None and not out.requires_grad
     assert np.array_equal(out.data, want.data)
-    also = ad.attention(frozen, None, None, 2, q_off, [0, 9, 9], layout=layout)
-    assert np.array_equal(also.data, want.data)
     with pytest.raises(ContractError, match="layout"):
-        ad.attention(q, None, None, 2, q_off, None, layout=layout)
+        ad.attend(q, layout, 2, q_off)
+    for heads in (1, 4, 0):
+        with pytest.raises(ShapeError, match="layout"):
+            ad.attend(frozen, layout, heads, q_off)
 
 
-def self_attention_leaves(rng, rows, d_in, width):
+def projection_leaves(rng, rows, d_in, width):
     """x (rows, d_in) and three (w, b) projections of it to ``width``."""
     x = rand_leaf(rng, rows, d_in)
     return x, [(rand_leaf(rng, d_in, width), rand_leaf(rng, width)) for _ in range(3)]
 
 
-# (sample lengths, heads, causal): equal lengths, ragged lengths with a
+# (query sample lengths, heads, causal): equal lengths, ragged lengths with a
 # one-row sample, and both causal
 SELF_ATTENTION_CASES = (([3, 3], 2, False), ([1, 4, 2], 2, False), ([3, 3], 2, True),
                         ([2, 5, 1], 4, True))
 
 
-@pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES)
-def test_self_attention_bytes_equal_three_linears_and_attention(lengths, heads, causal):
-    """``self_attention``'s output and the gradient of every leaf are
-    bit-equal to those of three ``linear`` nodes and an ``attention`` node,
-    with ``x`` also the input of a residual ``layer_norm``, as in an
-    encoder layer: x's gradient sums the norm's, then q's, k's and v's, in
-    that order, and only that order gives these bytes."""
-    rng = np.random.default_rng(900 + len(lengths) + 10 * heads + causal)
-    off = np.cumsum([0] + lengths)
-    x, pairs = self_attention_leaves(rng, int(off[-1]), 8, 8)
+def key_lengths(lengths):
+    """Cross-attention key counts for query counts ``lengths``: more keys
+    than queries, raggedly so, as a causal call needs."""
+    return [n + 1 + i % 2 for i, n in enumerate(lengths)]
+
+
+def check_node_bytes(rng, q_len, k_len, heads, causal):
+    """The ``attention`` node's output and every leaf's gradient equal, bit
+    for bit, those of three ``linear`` nodes and ``attention_ref``, with
+    ``x_q`` also the input of a residual ``layer_norm``, as in a layer. With
+    ``k_len`` None the node is self-attention, ``x_q`` its ``x_kv``: x's
+    gradient sums the norm's, then q's, k's and v's, in that order, and
+    only that order gives these bytes. Else ``x_kv`` is a leaf of its own,
+    whose gradient sums k's, then v's."""
+    q_off = np.cumsum([0] + q_len)
+    x, pairs = projection_leaves(rng, int(q_off[-1]), 8, 8)
+    x_kv, k_off = (x, q_off) if k_len is None else packed_rows(rng, k_len, 8)
     gain, bias = rand_leaf(rng, 8), rand_leaf(rng, 8)
-    up = ad.constant(rng.normal(size=(int(off[-1]), 8)))
-    fused = ad.self_attention(x, *pairs, heads, off, causal)
-    q, k, v = (ad.linear(x, w, b) for w, b in pairs)
-    unfused = ad.attention(q, k, v, heads, off, off, causal)
-    assert fused.op == "self_attention" and np.array_equal(fused.data, unfused.data)
-    leaves = [x, gain, bias] + [t for pair in pairs for t in pair]
+    up = ad.constant(rng.normal(size=(int(q_off[-1]), 8)))
+    fused = ad.attention(x, x_kv, *pairs, heads, q_off, k_off, causal)
+    q, k, v = (ad.linear(rows, w, b) for rows, (w, b) in zip((x, x_kv, x_kv), pairs))
+    unfused = attention_ref(q, k, v, heads, q_off, k_off, causal)
+    assert fused.op == "attention" and np.array_equal(fused.data, unfused.data)
+    leaves = [x, x_kv, gain, bias] + [t for pair in pairs for t in pair]
     got, want = (ad.backward(sum_of(ad.layer_norm(x, gain, bias, residual=a), up))
                  for a in (fused, unfused))
+    assert set(got) == set(want) == set(leaves)
     for t in leaves:
         assert np.array_equal(got[t], want[t])
 
 
+@pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES)
+def test_self_attention_bytes_equal_three_linears_and_attention(lengths, heads, causal):
+    """``attention`` of rows over themselves: see ``check_node_bytes``."""
+    rng = np.random.default_rng(900 + len(lengths) + 10 * heads + causal)
+    check_node_bytes(rng, lengths, None, heads, causal)
+
+
+@pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES)
+def test_cross_attention_bytes_equal_three_linears_and_attention(lengths, heads, causal):
+    """``attention`` of rows over other, ragged rows: see
+    ``check_node_bytes``."""
+    rng = np.random.default_rng(1900 + len(lengths) + 10 * heads + causal)
+    check_node_bytes(rng, lengths, key_lengths(lengths), heads, causal)
+
+
+def check_node_fd(rng, q_len, k_len, heads, causal):
+    """Finite differences at 1e-4 for x_q, x_kv (x_q's own rows when
+    ``k_len`` is None) and all six projection arrays."""
+    q_off = np.cumsum([0] + q_len)
+    x, pairs = projection_leaves(rng, int(q_off[-1]), 6, 8)
+    x_kv, k_off = (x, q_off) if k_len is None else packed_rows(rng, k_len, 6)
+    w = ad.constant(rng.normal(size=(int(q_off[-1]), 8)))
+    fn = lambda _: sum_of(ad.attention(x, x_kv, *pairs, heads, q_off, k_off, causal), w)
+    for t in [x, x_kv] + [t for pair in pairs for t in pair]:
+        assert finite_diff_check(fn, t) < 1e-4
+
+
 @pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES[1:])
 def test_self_attention_matches_fd(lengths, heads, causal):
-    """Finite differences at 1e-4 for x and all six projection arrays."""
-    rng = np.random.default_rng(950 + heads + causal)
-    off = np.cumsum([0] + lengths)
-    x, pairs = self_attention_leaves(rng, int(off[-1]), 6, 8)
-    w = ad.constant(rng.normal(size=(int(off[-1]), 8)))
-    fn = lambda _: sum_of(ad.self_attention(x, *pairs, heads, off, causal), w)
-    for t in [x] + [t for pair in pairs for t in pair]:
-        assert finite_diff_check(fn, t) < 1e-4
+    check_node_fd(np.random.default_rng(950 + heads + causal), lengths, None, heads, causal)
+
+
+@pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES[1:])
+def test_cross_attention_matches_fd(lengths, heads, causal):
+    check_node_fd(np.random.default_rng(1950 + heads + causal), lengths, key_lengths(lengths),
+                  heads, causal)
+
+
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES)
+def test_a_key_bias_moves_attention_by_rounding_alone(lengths, heads, causal, cross):
+    """A key bias adds q . bk to every score in a query's row, and softmax
+    does not change when a constant is added to a whole row. So adding a
+    unit-scale vector to ``bk`` moves the output by rounding alone, and
+    ``bk``'s gradient is rounding, while ``bq``'s and ``bv``'s are O(1)."""
+    rng = np.random.default_rng(2900 + len(lengths) + 10 * heads + causal + 100 * cross)
+    q_off = np.cumsum([0] + lengths)
+    x, pairs = projection_leaves(rng, int(q_off[-1]), 8, 8)
+    x_kv, k_off = packed_rows(rng, key_lengths(lengths), 8) if cross else (x, q_off)
+    (wq, bq), (wk, bk), (wv, bv) = pairs
+    out = ad.attention(x, x_kv, *pairs, heads, q_off, k_off, causal)
+    shifted = (wk, ad.constant(bk.data + rng.normal(size=8)))
+    moved = ad.attention(x, x_kv, pairs[0], shifted, pairs[2], heads, q_off, k_off, causal)
+    assert np.max(np.abs(moved.data - out.data)) <= 1e-12
+    grads = ad.backward(sum_of(out, rng.normal(size=out.shape)))
+    assert np.max(np.abs(grads[bk])) <= 1e-12
+    assert min(np.max(np.abs(grads[bq])), np.max(np.abs(grads[bv]))) >= 0.05
 
 
 def test_self_attention_over_constants_records_no_node():
     rng = np.random.default_rng(37)
-    x, pairs = self_attention_leaves(rng, 5, 4, 4)
+    x, pairs = projection_leaves(rng, 5, 4, 4)
     frozen = [(ad.constant(w.data), ad.constant(b.data)) for w, b in pairs]
-    out = ad.self_attention(ad.constant(x.data), *frozen, 2, [0, 2, 5], True)
+    c = ad.constant(x.data)
+    out = ad.attention(c, c, *frozen, 2, [0, 2, 5], [0, 2, 5], True)
     assert out.node is None and not out.requires_grad and out.parents == ()
-    want = ad.self_attention(x, *pairs, 2, [0, 2, 5], True)
+    want = ad.attention(x, x, *pairs, 2, [0, 2, 5], [0, 2, 5], True)
     assert np.array_equal(out.data, want.data)
 
 
 def test_self_attention_rule_holds_x_and_p_and_no_projection():
     """The rule holds ``x``'s array, the six projection arrays, one padded
     (B, heads, L, L) array (``p``) and the layout's row slots: no (N, width)
-    q, k or v, and no other (N, d) array. A constant ``x`` gets no gradient,
-    and a constant projection none either."""
+    q, k or v, and no other (N, d) array. Over other rows, it holds those
+    too, and no projection of them. A constant ``x`` gets no gradient, and
+    a constant projection none either."""
     rng = np.random.default_rng(41)
     lengths, rows = [2, 4, 1], 7
-    x, pairs = self_attention_leaves(rng, rows, 6, 8)
-    out = ad.self_attention(x, *pairs, 2, np.cumsum([0] + lengths))
-    held = graph_bytes.rule_arrays(out.node.rule)
+    off = np.cumsum([0] + lengths)
+    x, pairs = projection_leaves(rng, rows, 6, 8)
+    other = rand_leaf(rng, 9, 6)
     params = {id(t.data) for pair in pairs for t in pair}
-    floats = [a for a in held if a.dtype == np.float64 and id(a) not in params]
-    assert {id(a) for a in held} >= params | {id(x.data)}
-    assert sorted(a.shape for a in floats) == [(3, 2, 4, 4), (rows, 6)]
-    assert all(a.shape != (rows, 8) for a in held)
-    assert all(a.dtype == np.int64 and a.ndim == 1 for a in held if a.dtype != np.float64)
+    for x_kv, k_off, padded in ((x, off, (3, 2, 4, 4)), (other, [0, 5, 6, 9], (3, 2, 4, 5))):
+        out = ad.attention(x, x_kv, *pairs, 2, off, k_off)
+        held = graph_bytes.rule_arrays(out.node.rule)
+        floats = [a for a in held if a.dtype == np.float64 and id(a) not in params]
+        assert {id(a) for a in held} >= params | {id(x.data), id(x_kv.data)}
+        assert sorted(a.shape for a in floats) == sorted({padded, (rows, 6), x_kv.shape})
+        assert all(a.shape not in ((rows, 8), (len(x_kv.data), 8)) for a in held)
+        assert all(a.dtype == np.int64 and a.ndim == 1 for a in held if a.dtype != np.float64)
 
     c = ad.constant(x.data)
     (wq, bq), kv = pairs[0], pairs[1:]
     frozen_q = (ad.constant(wq.data), ad.constant(bq.data))
-    grads = ad.self_attention(c, frozen_q, *kv, 2, [0, 3, 7]).node.rule(np.ones((rows, 8)))
+    grads = ad.attention(c, c, frozen_q, *kv, 2, [0, 3, 7], [0, 3, 7]).node.rule(np.ones((rows, 8)))
     assert grads[:4] == (None,) * 4 and grads[6] is None and grads[7] is not None
 
 
@@ -552,15 +625,16 @@ def test_attention_rule_equals_the_copy_keeping_rule_bitwise(causal):
         if causal and any(a > b for a, b in zip(q_len, k_len)):
             continue
         q, q_off = packed_rows(rng, q_len, 8)
-        k, k_off = packed_rows(rng, k_len, 8)
-        v = rand_leaf(rng, sum(k_len), 8)
+        kv, k_off = packed_rows(rng, k_len, 16)
         g = rng.normal(size=q.shape)
-        out = ad.attention(q, k, v, heads, q_off, k_off, causal)
-        want = attention_keeping_copies(q.data, k.data, v.data, heads, q_off, k_off, g, causal)
-        for got, ref in zip((out.data,) + out.node.rule(g), want):
+        out = attention_over(q, kv, heads, q_off, k_off, causal)
+        want = attention_keeping_copies(q.data, kv.data[:, :8], kv.data[:, 8:], heads, q_off, k_off,
+                                        g, causal)
+        grads = out.node.rule(g)
+        for got, ref in zip((out.data, grads[0], grads[3][:, :8], grads[6][:, 8:]), want):
             assert np.array_equal(got, ref)
-        held = [c.cell_contents for c in out.node.rule.__closure__]
-        padded = [a for a in held if isinstance(a, np.ndarray) and a.ndim == 4]
+        held = graph_bytes.rule_arrays(out.node.rule)
+        padded = [a for a in held if a.ndim == 4]
         assert len(padded) == 1 and padded[0].shape == (len(q_len), heads, max(q_len), max(k_len))
 
 
@@ -686,10 +760,11 @@ RETENTION_CASES = {
     "layer_norm": (lambda p: ad.layer_norm(*p), [(3, 4), (4,), (4,)], {1}),
     "residual layer_norm": (lambda p: ad.layer_norm(p[0], p[2], p[3], residual=p[1]),
                             [(3, 4), (3, 4), (4,), (4,)], {2}),
-    "attention": (lambda p: ad.attention(*p, 2, [0, 1, 3], [0, 2, 3]), [(3, 4), (3, 4), (3, 4)],
-                  {0, 1, 2}),
-    "self_attention": (lambda p: ad.self_attention(p[0], (p[1], p[2]), (p[3], p[4]), (p[5], p[6]), 2,
-                                                   [0, 1, 3], True),
+    "attention": (lambda p: ad.attention(p[0], p[1], (p[2], p[3]), (p[4], p[5]), (p[6], p[7]), 2,
+                                         [0, 1, 3], [0, 2, 5]),
+                  [(3, 4), (5, 4)] + [(4, 4), (4,)] * 3, set(range(8))),
+    "self_attention": (lambda p: ad.attention(p[0], p[0], (p[1], p[2]), (p[3], p[4]), (p[5], p[6]),
+                                              2, [0, 1, 3], [0, 1, 3], True),
                        [(3, 4)] + [(4, 4), (4,)] * 3, set(range(7))),
     "softmax_cross_entropy": (lambda p: ad.softmax_cross_entropy(p[0], [1, 0, 3]), [(3, 4)], set()),
     "dropout": (lambda p: ad.dropout(p[0], 0.5, np.random.default_rng(0)), [(3, 4)], set()),
@@ -710,8 +785,8 @@ def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
     """Once the caller drops its names, exactly the parents whose arrays the
     op's rule reads survive: ``linear`` x and w, ``matmul`` both operands,
     ``gelu_linear`` a and w (its rule recomputes the GELU output and slope
-    from a), ``attention`` q, k and v, ``self_attention`` x and its
-    projections (its rule projects q, k and v again from them, so it holds
+    from a), ``attention`` its inputs and projections, in its cross and
+    self forms (its rule projects q, k and v again from them, so it holds
     none of them), ``pair_contrast`` its input (its rule
     rebuilds the pair differences from it), ``layer_norm`` its gain, and no
     other op any. Backward frees them all."""
@@ -834,6 +909,16 @@ def ones(*shape):
     return leaf(np.ones(shape))
 
 
+def projections():
+    """Three (w, b) pairs of width 4 to 4."""
+    return [(ones(4, 4), ones(4)) for _ in range(3)]
+
+
+def two_heads():
+    """Two samples of one key each, laid out in two heads of width 2."""
+    return ad.head_layout(np.ones((2, 4)), np.ones((2, 4)), 2, [0, 1, 2])
+
+
 # for each input check of ``autodiff``: a call it refuses, the error's type,
 # and a pattern of its message that no other check of the call matches
 REFUSED = {
@@ -852,8 +937,8 @@ REFUSED = {
     "layer_norm gain": (lambda: ad.layer_norm(ones(2, 4), ones(3), ones(4)), ShapeError, "gain"),
     "layer_norm residual": (lambda: ad.layer_norm(ones(2, 4), ones(4), ones(4), residual=ones(3, 4)),
                             ShapeError, "residual"),
-    "attention widths": (lambda: ad.attention(ones(2, 4), ones(2, 6), ones(2, 6), 2, [0, 2], [0, 2]),
-                         ShapeError, "incompatible"),
+    "attention widths": (lambda: ad.attention(ones(2, 4), ones(2, 6), *projections(), 2, [0, 2],
+                                              [0, 2]), ShapeError, "incompatible"),
     "softmax_cross_entropy 1-D": (lambda: ad.softmax_cross_entropy(ones(3), [0]), ShapeError,
                                   "2-D"),
     "softmax_cross_entropy target": (lambda: ad.softmax_cross_entropy(ones(2, 3), [0, 3]),
@@ -868,19 +953,30 @@ REFUSED = {
                          "gelu_linear"),
     "gelu_linear 1-D": (lambda: ad.gelu_linear(ones(3), ones(3, 2), ones(2)), ShapeError,
                         "gelu_linear"),
-    "self_attention 1-D": (lambda: ad.self_attention(ones(4), *[(ones(4, 4), ones(4))] * 3, 2, [0, 4]),
-                           ShapeError, "self_attention"),
-    "self_attention 2-D bias": (lambda: ad.self_attention(ones(2, 4), *[(ones(4, 4), ones(1, 4))] * 3,
-                                                          2, [0, 2]), ShapeError, "self_attention"),
-    "self_attention rows": (lambda: ad.self_attention(ones(2, 3), *[(ones(4, 4), ones(4))] * 3, 2,
-                                                      [0, 2]), ShapeError, "self_attention"),
-    "self_attention widths": (lambda: ad.self_attention(ones(2, 4), (ones(4, 4), ones(4)),
-                                                        (ones(4, 6), ones(6)), (ones(4, 4), ones(4)),
-                                                        2, [0, 2]), ShapeError, "self_attention"),
-    "self_attention heads": (lambda: ad.self_attention(ones(2, 4), *[(ones(4, 4), ones(4))] * 3, 3,
-                                                       [0, 2]), ShapeError, "heads"),
-    "self_attention offsets": (lambda: ad.self_attention(ones(2, 4), *[(ones(4, 4), ones(4))] * 3, 2,
-                                                         [0, 3]), ShapeError, "do not bound"),
+    "self_attention 1-D": (lambda: ad.attention(ones(4), ones(4), *projections(), 2, [0, 4], [0, 4]),
+                           ShapeError, "incompatible"),
+    "self_attention 2-D bias": (lambda: ad.attention(ones(2, 4), ones(2, 4),
+                                                     *[(ones(4, 4), ones(1, 4))] * 3, 2, [0, 2],
+                                                     [0, 2]), ShapeError, "incompatible"),
+    "self_attention rows": (lambda: ad.attention(ones(2, 3), ones(2, 3), *projections(), 2, [0, 2],
+                                                 [0, 2]), ShapeError, "incompatible"),
+    "self_attention widths": (lambda: ad.attention(ones(2, 4), ones(2, 4), (ones(4, 4), ones(4)),
+                                                   (ones(4, 6), ones(6)), (ones(4, 4), ones(4)),
+                                                   2, [0, 2], [0, 2]), ShapeError, "incompatible"),
+    "self_attention heads": (lambda: ad.attention(ones(2, 4), ones(2, 4), *projections(), 3, [0, 2],
+                                                  [0, 2]), ShapeError, "heads"),
+    "self_attention offsets": (lambda: ad.attention(ones(2, 4), ones(2, 4), *projections(), 2,
+                                                    [0, 3], [0, 2]), ShapeError, "do not bound"),
+    "cross_attention 1-D": (lambda: ad.attention(ones(2, 4), ones(4), *projections(), 2, [0, 2],
+                                                 [0, 4]), ShapeError, "incompatible"),
+    "cross_attention widths": (lambda: ad.attention(ones(2, 4), ones(3, 6), *projections(), 2,
+                                                    [0, 2], [0, 3]), ShapeError, "incompatible"),
+    "cross_attention offsets": (lambda: ad.attention(ones(2, 4), ones(3, 4), *projections(), 2,
+                                                     [0, 2], [0, 2]), ShapeError, "do not bound"),
+    "attend heads": (lambda: ad.attend(ad.constant(np.ones((2, 4))), two_heads(), 4, [0, 1, 2]),
+                     ShapeError, "layout"),
+    "attend gradient": (lambda: ad.attend(ones(2, 4), two_heads(), 2, [0, 1, 2]), ContractError,
+                        "no gradient"),
 }
 
 
@@ -1126,7 +1222,7 @@ def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
     assert "peak traced memory over one pretrain-d64 round" in clean
     windows, _, tally = graph_bytes.round_peaks(0, smoke=True)
     assert tally.attempted and not tally.failed
-    for op in ("linear", "attention", "self_attention", "gelu_linear", "layer_norm", "pair_contrast"):
+    for op in ("linear", "attention", "gelu_linear", "layer_norm", "pair_contrast"):
         assert windows.calls[op, "forward"] > 0 and windows.peak[op, "forward"] > 0, op
         assert windows.calls[op, "rule"] > 0 and windows.peak[op, "rule"] > 0, op
     assert windows.peak[windows.BETWEEN] > 0
@@ -1141,8 +1237,7 @@ def test_op_times_times_every_op_and_puts_the_module_back(capsys):
     clock, wall, tally = op_times.time_units("pretrain-d64", 1, 0, smoke=True)
     assert tally.attempted and not tally.failed and wall > 0
     assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
-    for op in ("linear", "attention", "self_attention", "gelu_linear", "layer_norm", "dropout",
-               "pair_contrast"):
+    for op in ("linear", "attention", "gelu_linear", "layer_norm", "dropout", "pair_contrast"):
         assert clock.calls[op, "forward"] > 0 and clock.seconds[op, "rule"] > 0, op
     # two steps in each of two stages; a stage-one step backpropagates each pass apart
     assert clock.calls["backward", "forward"] == 6
@@ -1151,7 +1246,7 @@ def test_op_times_times_every_op_and_puts_the_module_back(capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("autodiff self seconds per unit, pretrain-d64 (smoke), seed 0")
     assert printed[1].split() == ["op", "calls", "forward", "rule", "total"]
-    assert {line.split()[0] for line in printed[2:]} >= {"self_attention", "backward", "total"}
+    assert {line.split()[0] for line in printed[2:]} >= {"attention", "backward", "total"}
 
 
 def test_autodiff_keeps_only_the_ops_the_package_calls():

@@ -12,9 +12,6 @@ def test_fixture_matrix_loads():
     assert acc.datasets == ("iemocap", "meld", "emorynlp", "mosi")
     assert acc.acc.shape == (4, 4)
     assert acc.acc[0, 0] == pytest.approx(64.30)
-    assert acc.index("mosi") == 3
-    with pytest.raises(ContractError):
-        acc.index("imdb")
 
 
 def test_one_directional_gap_worked_cases():

@@ -182,6 +182,15 @@ def test_make_corpus_rejects_per_task_below_one(tmp_path, capsys, per_task):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_make_corpus_rejects_a_negative_seed(tmp_path, capsys, seed):
+    code, out, err = run(capsys, "make-corpus", "--out", str(tmp_path / "c"), "--seed", seed)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert json.loads(err)["error"] == "ConfigError" and "seed" in err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.fixture(scope="module")
 def finetuned(cli_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_ft")

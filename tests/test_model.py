@@ -13,7 +13,7 @@ from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, f
                             params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
 from sentigen.prompt import build_prompt
 
-from conftest import small_config, sum_of
+from conftest import attention_ref, small_config, sum_of
 
 
 @pytest.fixture(scope="module")
@@ -490,8 +490,9 @@ def reference_encode(ps, plan, params, config, vocab):
     x = ad.add(x, ad.embedding(params["dataset_emb"], [ps.dataset_index] * n))
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
-        a = model._attention(params, prefix, x, model._keys_values(params, prefix, x), config,
-                             [0, n], [0, n])
+        q, k, v = (model._linear(params, prefix, x, f"w{c}", f"b{c}") for c in "qkv")
+        a = model._linear(params, prefix, attention_ref(q, k, v, config.heads, [0, n], [0, n]),
+                          "wo", "bo")
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = model._ffn(params, f"enc{i}_ffn", x)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])

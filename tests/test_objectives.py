@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sentigen import autodiff as ad
+from sentigen import model
 from sentigen.data import Polarity, TASK_ORDER, TaskType
 from sentigen.errors import ContractError, VocabularyError
 from sentigen.masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
@@ -16,8 +17,8 @@ from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
 from sentigen.prompt import build_prompt
 
-from conftest import (div, finite_diff_check, gather_cols, loss_value_and_grads, small_config,
-                      sqrt, sub, sum_of)
+from conftest import (attention_ref, div, finite_diff_check, gather_cols, loss_value_and_grads,
+                      small_config, sqrt, sub, sum_of)
 
 
 @pytest.fixture(scope="module")
@@ -377,6 +378,53 @@ def test_stage1_recomposes_weighted_components(rig):
     got, want_grads = ad.backward(total, grads), ad.backward(joint)
     assert got.keys() == want_grads.keys()
     assert all(got[t].tobytes() == want_grads[t].tobytes() for t in got)
+
+
+def reference_attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
+    """``model._attention`` as three ``linear`` nodes, ``attention_ref`` and
+    the output projection."""
+    q, k, v = (ad.linear(x, params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"])
+               for x, c in zip((x_q, x_kv, x_kv), "qkv"))
+    mixed = attention_ref(q, k, v, config.heads, q_offsets, k_offsets, causal)
+    return ad.linear(mixed, params[f"{prefix}_wo"], params[f"{prefix}_bo"])
+
+
+@pytest.mark.parametrize("layers_dec", [1, 2])
+def test_stage1_step_gradients_equal_the_reference_graph(rig, monkeypatch, layers_dec):
+    """One stage-one step, dropout on, gives with its ``attention`` nodes
+    the gradients of the graph with three ``linear`` nodes and
+    ``attention_ref`` in each attention block. With one decoder layer every
+    parameter's are equal byte for byte. With two, every decoder
+    parameter's and each mask vector's are (only the corrupted pass reaches
+    the mask vectors). The encoder states' gradient sums the second layer's
+    cross-attention terms before the first's there, as backward reaches the
+    second layer's node first, so the encoder's and the embeddings' may
+    differ, in rounding alone."""
+    vocab = rig["vocab"]
+    config = replace(rig["config"], layers_enc=2, layers_dec=layers_dec, dropout_rate=0.1)
+    params = init_params(config, np.random.default_rng(13))
+    prompts = list(rig["prompts"].values())
+
+    def step():
+        rng = np.random.default_rng(5)
+        batch = [Stage1Example(prompt=ps, plan=sample_mcm_plan(ps, 0.5, rng),
+                               polarity=POLARITY_ORDER[i % 3]) for i, ps in enumerate(prompts)]
+        _, total, grads = stage1_loss(batch, params, config, vocab, train=True, rng=rng)
+        return ad.backward(total, grads)
+
+    got = step()
+    monkeypatch.setattr(model, "_attention", reference_attention)
+    want = step()
+    assert got.keys() == want.keys()
+    assert all(params[name] in got for name in params if name.startswith(("enc", "dec")))
+    differ = [name for name, t in params.items()
+              if t in got and got[t].tobytes() != want[t].tobytes()]
+    if layers_dec == 1:
+        assert differ == []
+    for name in differ:
+        assert not name.startswith(("dec", "mask_vec")), name
+        scale = max(1.0, np.max(np.abs(want[params[name]])))
+        assert np.max(np.abs(got[params[name]] - want[params[name]])) <= 1e-12 * scale, name
 
 
 def test_stage2_recomposes_weighted_components(rig):

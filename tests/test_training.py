@@ -703,7 +703,7 @@ def test_stage1_step_holds_one_pass_graph_at_a_time(toy, tmp_path, monkeypatch):
 # by op, the parents whose arrays its backward rule reads (-2: layer_norm's
 # gain, with or without a residual); ``sqrt``'s rule reads its own output
 RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
-              "attention": (0, 1, 2), "self_attention": (0,), "gelu_linear": (0, 1),
+              "attention": (0, 3), "gelu_linear": (0, 1),
               "pair_contrast": (0,), "layer_norm": (-2,)}
 
 
