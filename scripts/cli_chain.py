@@ -54,13 +54,19 @@ CHAIN = [
 ]
 
 
+def chain_config(model, seed=3):
+    """The text of the chain's ``config.json``: ``TRAIN``, the ``model``
+    section, and ``seed``, which seeds initialization, batch order and
+    dropout."""
+    return json.dumps({"seed": seed, "train": TRAIN, "model": model}, indent=2) + "\n"
+
+
 def run_chain(out_dir, model):
     """Run ``CHAIN`` inside ``out_dir`` with the ``model`` config section;
     return {relative path: sha256}."""
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
-    config = {"seed": 3, "train": TRAIN, "model": model}
-    Path("config.json").write_text(json.dumps(config, indent=2) + "\n")
+    Path("config.json").write_text(chain_config(model))
     for argv in CHAIN:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)

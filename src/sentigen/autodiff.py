@@ -22,8 +22,8 @@ leaves and are taken left to right: one pass reaches a leaf from the left
 term's vertices before the right's, and each vertex in the order a pass
 over its own term alone would.
 
-``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``attention``
-(three ``linear`` projections, then multi-head attention), ``layer_norm``'s
+``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``attention`` (q
+and v ``linear``, k ``matmul``, then multi-head attention), ``layer_norm``'s
 ``residual``, ``embedding``'s extra ``(table, ids)`` pairs and
 ``pair_contrast`` each fuse several nodes into one, with the same floats in
 the same order. Rules keep only what they read: ``attention``'s its inputs
@@ -581,12 +581,14 @@ def _attend_grads(g, p, at, rows, want_q, want_k, want_v):
     return dq, dk, dv
 
 
-def attention(x_q, x_kv, q, k, v, heads, q_offsets, k_offsets, causal=False):
+def attention(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False):
     """Multi-head scaled dot-product attention over a batch of B samples,
     with its projections, as one node: the queries are the rows of ``x_q``
-    projected by the ``(w, b)`` pair ``q``, the keys and values the rows of
-    ``x_kv`` projected by ``k`` and ``v``, each as ``linear`` would.
-    Self-attention passes its rows as both ``x_q`` and ``x_kv``.
+    projected by the ``(w, b)`` pair ``q`` and the values the rows of
+    ``x_kv`` projected by ``v``, as ``linear`` would, and the keys the rows
+    of ``x_kv`` times ``wk``, unbiased: a key bias adds one constant to a
+    query's row of scores, which softmax does not see. Self-attention
+    passes its rows as both ``x_q`` and ``x_kv``.
 
     Rows are packed in the ``cu_seqlens`` layout: ``q_offsets`` and
     ``k_offsets`` each hold B + 1 row bounds, sample i owning query rows
@@ -603,41 +605,38 @@ def attention(x_q, x_kv, q, k, v, heads, q_offsets, k_offsets, causal=False):
 
     The node keeps only ``x_q``, ``x_kv``, the weights and the softmax
     weights ``p``; its rule projects v, k and q again, each when it reads
-    it, and gives each projection's gradients as ``linear``'s rule does.
-    Its parents are ``(x_q, *q, x_kv, *k, x_kv, *v)``, so when ``x_q`` is
-    ``x_kv`` its three gradients add onto it in q, k, v order, as three
-    ``linear`` nodes' would.
+    it, and gives each projection's gradients as ``linear``'s (for k,
+    ``matmul``'s) rule does. Its parents are ``(x_q, *q, x_kv, wk, x_kv,
+    *v)``, so when ``x_q`` is ``x_kv`` its three gradients add onto it in
+    q, k, v order, as three projection nodes' would.
     """
-    pairs, rows = (q, k, v), (x_q, x_kv, x_kv)
+    projections = ((x_q, *q), (x_kv, wk), (x_kv, *v))  # (x, w) or (x, w, b): parents in order
     width = q[1].shape if q[1].data.ndim == 1 else None
-    if width is None or any(x.data.ndim != 2 or (w.shape, b.shape) != ((x.shape[1],) + width, width)
-                            for x, (w, b) in zip(rows, pairs)):
+    if width is None or v[1].shape != width or any(
+            x.data.ndim != 2 or w.shape != (x.shape[1],) + width for x, w, *_ in projections):
         raise ShapeError(f"attention: incompatible x_q {x_q.shape}, x_kv {x_kv.shape} and "
-                         f"projections {[(w.shape, b.shape) for w, b in pairs]}")
-    weights = tuple((x.data, w.data, b.data) for x, (w, b) in zip(rows, pairs))
+                         f"projections {[t.shape for t in (*q, wk, *v)]}")
+    weights = tuple(tuple(t.data for t in projection) for projection in projections)
 
     def project(i):
-        x, w, b = weights[i]
+        x, w, *b = weights[i]
         out = x @ w
-        out += b
-        return out
+        return np.add(out, *b, out=out) if b else out
 
     # q, then k and v, then the keys' layout: that order measured fastest
     out, p, at = _attend(project(0), head_layout(project(1), project(2), heads, k_offsets),
                          heads, q_offsets, causal)
-    want_x = [x.requires_grad for x in rows]
-    want_w = [w.requires_grad for w, _ in pairs]
-    want_qkv = [wx or w.requires_grad or b.requires_grad for wx, (w, b) in zip(want_x, pairs)]
+    wants = tuple(tuple(t.requires_grad for t in projection) for projection in projections)
 
     def rule(g):
         grads = ()
-        for (x, w, _), wx, ww, dy in zip(weights, want_x, want_w,
-                                         _attend_grads(g, p, at, project, *want_qkv)):
-            grads += (None,) * 3 if dy is None else (
-                dy @ w.T if wx else None, x.T @ dy if ww else None, dy.sum(axis=0))
+        for (x, w, *b), (wx, ww, *_), dy in zip(weights, wants,
+                                                _attend_grads(g, p, at, project, *map(any, wants))):
+            grads += (None,) * (2 + len(b)) if dy is None else (
+                dy @ w.T if wx else None, x.T @ dy if ww else None, *(dy.sum(axis=0) for _ in b))
         return grads
 
-    return _make(out, "attention", (x_q, *q, x_kv, *k, x_kv, *v), rule)
+    return _make(out, "attention", sum(projections, ()), rule)
 
 
 def attend(q, layout, heads, q_offsets, causal=False):

@@ -242,6 +242,8 @@ def cmd_eval(args):
     if args.max_new < 1:
         raise ConfigError(f"--max-new {args.max_new} must be at least 1")
     records, registry, config, params, vocab = _load_with_model(args)
+    if args.max_new > config.max_len:
+        raise ConfigError(f"--max-new {args.max_new} exceeds the model's max_len {config.max_len}")
     results = evaluate_records(records, params, config, vocab, registry, max_new=args.max_new)
     payload = {d: {**r.metrics, "fallback_rate": r.fallback_rate, "samples": len(r.golds)}
                for d, r in sorted(results.items())}

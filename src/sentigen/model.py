@@ -75,7 +75,7 @@ from .data import read_bytes, write_file_atomic
 from .errors import ConfigError, ContractError, ShapeError
 
 CHECKPOINT_MAGIC = b"SGCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _TYPE_INDEX = {"text": 0, "acoustic": 1, "visual": 2}
 
@@ -161,7 +161,7 @@ def param_layout(config):
     config.validate()
     d, f = config.model_dim, config.ffn_dim
     attn = [(m, (d, d), "xavier") for m in ("wq", "wk", "wv", "wo")] + \
-           [(b, (d,), "zeros") for b in ("bq", "bk", "bv", "bo")]
+           [(b, (d,), "zeros") for b in ("bq", "bv", "bo")]
     ln = [("g", (d,), "ones"), ("b", (d,), "zeros")]
     ffn = [("w1", (d, f), "xavier"), ("b1", (f,), "zeros"),
            ("w2", (f, d), "xavier"), ("b2", (d,), "zeros")]
@@ -204,8 +204,8 @@ def _linear(params, prefix, x, w, b):
 
 def _keys_values(params, prefix, x_kv):
     """Key and value projections of ``x_kv`` for one attention block, as a
-    ``DecoderCache`` holds them."""
-    return _linear(params, prefix, x_kv, "wk", "bk"), _linear(params, prefix, x_kv, "wv", "bv")
+    ``DecoderCache`` holds them: keys by ``wk`` alone, as in ``ad.attention``."""
+    return ad.matmul(x_kv, params[f"{prefix}_wk"]), _linear(params, prefix, x_kv, "wv", "bv")
 
 
 def _attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
@@ -214,8 +214,9 @@ def _attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=F
     ``ad.attention`` node projects the queries from ``x_q`` and the keys and
     values from ``x_kv``, and keeps none of them. Self-attention passes its
     rows as both sides."""
-    pairs = [(params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"]) for c in "qkv"]
-    mixed = ad.attention(x_q, x_kv, *pairs, config.heads, q_offsets, k_offsets, causal)
+    q, v = ((params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"]) for c in "qv")
+    mixed = ad.attention(x_q, x_kv, q, params[f"{prefix}_wk"], v, config.heads, q_offsets,
+                         k_offsets, causal)
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
@@ -363,9 +364,9 @@ def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, r
 
 
 class DecoderCache:
-    """Decoder state for incremental decoding of one prompt or a batch of B,
-    held in attention's padded per-head layout, so a call lays out
-    only the positions it feeds:
+    """Decoder state for incremental decoding of one prompt or a batch of B:
+    ``_keys_values``' keys (unbiased) and values, held in attention's
+    padded per-head layout, so a call lays out only the positions it feeds:
 
     - ``length``: how many positions each sample has been fed;
     - ``cross``: each cross-attention block's encoder keys and values, an

@@ -58,10 +58,7 @@ def word_pieces(word):
 
 
 def text_pieces(text):
-    out = []
-    for word in text.split():
-        out.extend(word_pieces(word))
-    return out
+    return [piece for word in text.split() for piece in word_pieces(word)]
 
 
 class Vocab:
@@ -101,9 +98,6 @@ class Vocab:
         if not (0 <= token_id < len(self.tokens)):
             raise VocabularyError(f"token id {token_id} out of range")
         return self.tokens[token_id]
-
-    def is_special(self, token_id):
-        return token_id < self.n_special
 
     # a core marker's id is its place in ``_CORE_SPECIALS``
     pad_id, bos_id, eos_id, unk_id, mask_id, sep_id, ans_open_id, ans_close_id = \

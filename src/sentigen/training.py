@@ -711,6 +711,9 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
     run = _Run("finetune", records, registry, model_config, train_config, out_dir,
                init_checkpoint=init_checkpoint, resume_from=resume_from, val_records=val_records)
     cfg = run.train_config
+    if cfg.max_new_tokens > run.model_config.max_len:
+        raise ConfigError(f"max_new_tokens {cfg.max_new_tokens} exceeds the model's max_len "
+                          f"{run.model_config.max_len}")
     pools = task_pools(records, run.rngs["data"])
     golds = [gold_token_ids(r, registry, run.vocab) for r in records]
     steps_per_epoch = max(1, len(records) // cfg.batch_size)

@@ -213,20 +213,31 @@ def pair_contrast_ref(x, same):
     return ad._make((numer / denom).sum(), "pair_contrast", (x,), rule)
 
 
-def attention_ref(q, k, v, heads, q_offsets, k_offsets, causal=False):
-    """Attention of packed query rows ``q`` over packed keys ``k`` and values
-    ``v`` as one node that keeps q, k and v: the node that three ``linear``
-    nodes fed before ``ad.attention`` took the projections inside, on the
-    same forward and rule kernels."""
-    out, p, at = ad._attend(q.data, ad.head_layout(k.data, v.data, heads, k_offsets), heads,
+def attention_ref(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False, bk=None):
+    """``ad.attention`` as the nodes it fuses: ``linear`` projections of
+    ``x_q`` by the (w, b) pair ``q`` and of ``x_kv`` by ``v``, the keys a
+    ``matmul`` of ``x_kv`` by ``wk`` (a ``linear`` with ``bk``, when a key
+    bias is given), in q, k, v order, and one node over them that keeps q,
+    k and v, on the node's forward and rule kernels."""
+    qt = ad.linear(x_q, *q)
+    kt = ad.matmul(x_kv, wk) if bk is None else ad.linear(x_kv, wk, bk)
+    vt = ad.linear(x_kv, *v)
+    out, p, at = ad._attend(qt.data, ad.head_layout(kt.data, vt.data, heads, k_offsets), heads,
                             q_offsets, causal)
-    wants = (q.requires_grad, k.requires_grad, v.requires_grad)
-    held = (q.data, k.data, v.data)
+    wants = (qt.requires_grad, kt.requires_grad, vt.requires_grad)
+    held = (qt.data, kt.data, vt.data)
 
     def rule(g):
         return ad._attend_grads(g, p, at, held.__getitem__, *wants)
 
-    return ad._make(out, "attention", (q, k, v), rule)
+    return ad._make(out, "attention", (qt, kt, vt), rule)
+
+
+def block_projections(params, prefix):
+    """One attention block's projections as ``ad.attention`` takes them: the
+    (w, b) pair of the queries, the keys' weight, the values' pair."""
+    return ((params[f"{prefix}_wq"], params[f"{prefix}_bq"]), params[f"{prefix}_wk"],
+            (params[f"{prefix}_wv"], params[f"{prefix}_bv"]))
 
 
 def msa_metrics(golds, preds):

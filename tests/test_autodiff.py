@@ -180,18 +180,19 @@ def packed_rows(rng, lengths, d):
     return rand_leaf(rng, sum(lengths), d), np.cumsum([0] + list(lengths))
 
 
-def identity_pairs(d):
-    """Constant (w, b) projections that take x_q (N, d) to itself as the
-    queries, and x_kv (M, 2d) to its first d columns as the keys and its
-    last d as the values, exactly: ``attention`` over given q, k and v."""
+def identity_projections(d):
+    """Constant projections that take x_q (N, d) to itself as the queries,
+    and x_kv (M, 2d) to its first d columns as the keys and its last d as
+    the values, exactly: ``attention`` over given q, k and v."""
     eye, zero, bias = np.eye(d), np.zeros((d, d)), ad.constant(np.zeros(d))
-    return [(ad.constant(w), bias) for w in (eye, np.vstack([eye, zero]), np.vstack([zero, eye]))]
+    return ((ad.constant(eye), bias), ad.constant(np.vstack([eye, zero])),
+            (ad.constant(np.vstack([zero, eye])), bias))
 
 
 def attention_over(q, kv, heads, q_off, k_off, causal=False):
     """``attention`` of queries ``q`` over keys and values side by side in
-    ``kv``, through ``identity_pairs``."""
-    return ad.attention(q, kv, *identity_pairs(q.shape[1]), heads, q_off, k_off, causal)
+    ``kv``, through ``identity_projections``."""
+    return ad.attention(q, kv, *identity_projections(q.shape[1]), heads, q_off, k_off, causal)
 
 
 # (query lengths, key lengths) per sample: uneven, equal, length-1 samples,
@@ -319,9 +320,18 @@ def test_attention_over_a_layout_records_no_node_and_takes_no_gradient():
 
 
 def projection_leaves(rng, rows, d_in, width):
-    """x (rows, d_in) and three (w, b) projections of it to ``width``."""
+    """x (rows, d_in) and its projections to ``width`` as ``attention``
+    takes them: the (w, b) pair of the queries, the keys' weight and the
+    values' pair."""
     x = rand_leaf(rng, rows, d_in)
-    return x, [(rand_leaf(rng, d_in, width), rand_leaf(rng, width)) for _ in range(3)]
+    q, wk = (rand_leaf(rng, d_in, width), rand_leaf(rng, width)), rand_leaf(rng, d_in, width)
+    return x, (q, wk, (rand_leaf(rng, d_in, width), rand_leaf(rng, width)))
+
+
+def flat(projections):
+    """The five projection arrays, in ``attention``'s parent order."""
+    (wq, bq), wk, (wv, bv) = projections
+    return [wq, bq, wk, wv, bv]
 
 
 # (query sample lengths, heads, causal): equal lengths, ragged lengths with a
@@ -338,22 +348,21 @@ def key_lengths(lengths):
 
 def check_node_bytes(rng, q_len, k_len, heads, causal):
     """The ``attention`` node's output and every leaf's gradient equal, bit
-    for bit, those of three ``linear`` nodes and ``attention_ref``, with
-    ``x_q`` also the input of a residual ``layer_norm``, as in a layer. With
-    ``k_len`` None the node is self-attention, ``x_q`` its ``x_kv``: x's
-    gradient sums the norm's, then q's, k's and v's, in that order, and
-    only that order gives these bytes. Else ``x_kv`` is a leaf of its own,
-    whose gradient sums k's, then v's."""
+    for bit, those of ``attention_ref``'s projection nodes and attention
+    node, with ``x_q`` also the input of a residual ``layer_norm``, as in a
+    layer. With ``k_len`` None the node is self-attention, ``x_q`` its
+    ``x_kv``: x's gradient sums the norm's, then q's, k's and v's, in that
+    order, and only that order gives these bytes. Else ``x_kv`` is a leaf
+    of its own, whose gradient sums k's, then v's."""
     q_off = np.cumsum([0] + q_len)
-    x, pairs = projection_leaves(rng, int(q_off[-1]), 8, 8)
+    x, projections = projection_leaves(rng, int(q_off[-1]), 8, 8)
     x_kv, k_off = (x, q_off) if k_len is None else packed_rows(rng, k_len, 8)
     gain, bias = rand_leaf(rng, 8), rand_leaf(rng, 8)
     up = ad.constant(rng.normal(size=(int(q_off[-1]), 8)))
-    fused = ad.attention(x, x_kv, *pairs, heads, q_off, k_off, causal)
-    q, k, v = (ad.linear(rows, w, b) for rows, (w, b) in zip((x, x_kv, x_kv), pairs))
-    unfused = attention_ref(q, k, v, heads, q_off, k_off, causal)
+    fused = ad.attention(x, x_kv, *projections, heads, q_off, k_off, causal)
+    unfused = attention_ref(x, x_kv, *projections, heads, q_off, k_off, causal)
     assert fused.op == "attention" and np.array_equal(fused.data, unfused.data)
-    leaves = [x, x_kv, gain, bias] + [t for pair in pairs for t in pair]
+    leaves = [x, x_kv, gain, bias] + flat(projections)
     got, want = (ad.backward(sum_of(ad.layer_norm(x, gain, bias, residual=a), up))
                  for a in (fused, unfused))
     assert set(got) == set(want) == set(leaves)
@@ -378,13 +387,13 @@ def test_cross_attention_bytes_equal_three_linears_and_attention(lengths, heads,
 
 def check_node_fd(rng, q_len, k_len, heads, causal):
     """Finite differences at 1e-4 for x_q, x_kv (x_q's own rows when
-    ``k_len`` is None) and all six projection arrays."""
+    ``k_len`` is None) and all five projection arrays."""
     q_off = np.cumsum([0] + q_len)
-    x, pairs = projection_leaves(rng, int(q_off[-1]), 6, 8)
+    x, projections = projection_leaves(rng, int(q_off[-1]), 6, 8)
     x_kv, k_off = (x, q_off) if k_len is None else packed_rows(rng, k_len, 6)
     w = ad.constant(rng.normal(size=(int(q_off[-1]), 8)))
-    fn = lambda _: sum_of(ad.attention(x, x_kv, *pairs, heads, q_off, k_off, causal), w)
-    for t in [x, x_kv] + [t for pair in pairs for t in pair]:
+    fn = lambda _: sum_of(ad.attention(x, x_kv, *projections, heads, q_off, k_off, causal), w)
+    for t in [x, x_kv] + flat(projections):
         assert finite_diff_check(fn, t) < 1e-4
 
 
@@ -403,36 +412,38 @@ def test_cross_attention_matches_fd(lengths, heads, causal):
 @pytest.mark.parametrize("lengths, heads, causal", SELF_ATTENTION_CASES)
 def test_a_key_bias_moves_attention_by_rounding_alone(lengths, heads, causal, cross):
     """A key bias adds q . bk to every score in a query's row, and softmax
-    does not change when a constant is added to a whole row. So adding a
-    unit-scale vector to ``bk`` moves the output by rounding alone, and
-    ``bk``'s gradient is rounding, while ``bq``'s and ``bv``'s are O(1)."""
+    does not change when a constant is added to a whole row. So
+    ``attention_ref`` with a unit-scale key bias gives the ``attention``
+    node's output, which has none, up to rounding, and ``bk``'s gradient is
+    rounding, while ``bq``'s and ``bv``'s are O(1): why keys are projected
+    by their weight alone."""
     rng = np.random.default_rng(2900 + len(lengths) + 10 * heads + causal + 100 * cross)
     q_off = np.cumsum([0] + lengths)
-    x, pairs = projection_leaves(rng, int(q_off[-1]), 8, 8)
+    x, projections = projection_leaves(rng, int(q_off[-1]), 8, 8)
     x_kv, k_off = packed_rows(rng, key_lengths(lengths), 8) if cross else (x, q_off)
-    (wq, bq), (wk, bk), (wv, bv) = pairs
-    out = ad.attention(x, x_kv, *pairs, heads, q_off, k_off, causal)
-    shifted = (wk, ad.constant(bk.data + rng.normal(size=8)))
-    moved = ad.attention(x, x_kv, pairs[0], shifted, pairs[2], heads, q_off, k_off, causal)
-    assert np.max(np.abs(moved.data - out.data)) <= 1e-12
-    grads = ad.backward(sum_of(out, rng.normal(size=out.shape)))
+    (_, bq), _, (_, bv) = projections
+    bk = rand_leaf(rng, 8)
+    out = ad.attention(x, x_kv, *projections, heads, q_off, k_off, causal)
+    biased = attention_ref(x, x_kv, *projections, heads, q_off, k_off, causal, bk=bk)
+    assert np.max(np.abs(biased.data - out.data)) <= 1e-12
+    grads = ad.backward(sum_of(biased, rng.normal(size=out.shape)))
     assert np.max(np.abs(grads[bk])) <= 1e-12
     assert min(np.max(np.abs(grads[bq])), np.max(np.abs(grads[bv]))) >= 0.05
 
 
 def test_self_attention_over_constants_records_no_node():
     rng = np.random.default_rng(37)
-    x, pairs = projection_leaves(rng, 5, 4, 4)
-    frozen = [(ad.constant(w.data), ad.constant(b.data)) for w, b in pairs]
+    x, projections = projection_leaves(rng, 5, 4, 4)
+    wq, bq, wk, wv, bv = (ad.constant(t.data) for t in flat(projections))
     c = ad.constant(x.data)
-    out = ad.attention(c, c, *frozen, 2, [0, 2, 5], [0, 2, 5], True)
+    out = ad.attention(c, c, (wq, bq), wk, (wv, bv), 2, [0, 2, 5], [0, 2, 5], True)
     assert out.node is None and not out.requires_grad and out.parents == ()
-    want = ad.attention(x, x, *pairs, 2, [0, 2, 5], [0, 2, 5], True)
+    want = ad.attention(x, x, *projections, 2, [0, 2, 5], [0, 2, 5], True)
     assert np.array_equal(out.data, want.data)
 
 
 def test_self_attention_rule_holds_x_and_p_and_no_projection():
-    """The rule holds ``x``'s array, the six projection arrays, one padded
+    """The rule holds ``x``'s array, the five projection arrays, one padded
     (B, heads, L, L) array (``p``) and the layout's row slots: no (N, width)
     q, k or v, and no other (N, d) array. Over other rows, it holds those
     too, and no projection of them. A constant ``x`` gets no gradient, and
@@ -440,11 +451,11 @@ def test_self_attention_rule_holds_x_and_p_and_no_projection():
     rng = np.random.default_rng(41)
     lengths, rows = [2, 4, 1], 7
     off = np.cumsum([0] + lengths)
-    x, pairs = projection_leaves(rng, rows, 6, 8)
+    x, projections = projection_leaves(rng, rows, 6, 8)
     other = rand_leaf(rng, 9, 6)
-    params = {id(t.data) for pair in pairs for t in pair}
+    params = {id(t.data) for t in flat(projections)}
     for x_kv, k_off, padded in ((x, off, (3, 2, 4, 4)), (other, [0, 5, 6, 9], (3, 2, 4, 5))):
-        out = ad.attention(x, x_kv, *pairs, 2, off, k_off)
+        out = ad.attention(x, x_kv, *projections, 2, off, k_off)
         held = graph_bytes.rule_arrays(out.node.rule)
         floats = [a for a in held if a.dtype == np.float64 and id(a) not in params]
         assert {id(a) for a in held} >= params | {id(x.data), id(x_kv.data)}
@@ -453,10 +464,10 @@ def test_self_attention_rule_holds_x_and_p_and_no_projection():
         assert all(a.dtype == np.int64 and a.ndim == 1 for a in held if a.dtype != np.float64)
 
     c = ad.constant(x.data)
-    (wq, bq), kv = pairs[0], pairs[1:]
+    (wq, bq), wk, v = projections
     frozen_q = (ad.constant(wq.data), ad.constant(bq.data))
-    grads = ad.attention(c, c, frozen_q, *kv, 2, [0, 3, 7], [0, 3, 7]).node.rule(np.ones((rows, 8)))
-    assert grads[:4] == (None,) * 4 and grads[6] is None and grads[7] is not None
+    grads = ad.attention(c, c, frozen_q, wk, v, 2, [0, 3, 7], [0, 3, 7]).node.rule(np.ones((rows, 8)))
+    assert grads[:4] == (None,) * 4 and grads[5] is None and grads[6] is not None
 
 
 def test_segment_mean_matches_per_segment_and_fd():
@@ -631,7 +642,7 @@ def test_attention_rule_equals_the_copy_keeping_rule_bitwise(causal):
         want = attention_keeping_copies(q.data, kv.data[:, :8], kv.data[:, 8:], heads, q_off, k_off,
                                         g, causal)
         grads = out.node.rule(g)
-        for got, ref in zip((out.data, grads[0], grads[3][:, :8], grads[6][:, 8:]), want):
+        for got, ref in zip((out.data, grads[0], grads[3][:, :8], grads[5][:, 8:]), want):
             assert np.array_equal(got, ref)
         held = graph_bytes.rule_arrays(out.node.rule)
         padded = [a for a in held if a.ndim == 4]
@@ -760,12 +771,12 @@ RETENTION_CASES = {
     "layer_norm": (lambda p: ad.layer_norm(*p), [(3, 4), (4,), (4,)], {1}),
     "residual layer_norm": (lambda p: ad.layer_norm(p[0], p[2], p[3], residual=p[1]),
                             [(3, 4), (3, 4), (4,), (4,)], {2}),
-    "attention": (lambda p: ad.attention(p[0], p[1], (p[2], p[3]), (p[4], p[5]), (p[6], p[7]), 2,
+    "attention": (lambda p: ad.attention(p[0], p[1], (p[2], p[3]), p[4], (p[5], p[6]), 2,
                                          [0, 1, 3], [0, 2, 5]),
-                  [(3, 4), (5, 4)] + [(4, 4), (4,)] * 3, set(range(8))),
-    "self_attention": (lambda p: ad.attention(p[0], p[0], (p[1], p[2]), (p[3], p[4]), (p[5], p[6]),
+                  [(3, 4), (5, 4), (4, 4), (4,), (4, 4), (4, 4), (4,)], set(range(7))),
+    "self_attention": (lambda p: ad.attention(p[0], p[0], (p[1], p[2]), p[3], (p[4], p[5]),
                                               2, [0, 1, 3], [0, 1, 3], True),
-                       [(3, 4)] + [(4, 4), (4,)] * 3, set(range(7))),
+                       [(3, 4), (4, 4), (4,), (4, 4), (4, 4), (4,)], set(range(6))),
     "softmax_cross_entropy": (lambda p: ad.softmax_cross_entropy(p[0], [1, 0, 3]), [(3, 4)], set()),
     "dropout": (lambda p: ad.dropout(p[0], 0.5, np.random.default_rng(0)), [(3, 4)], set()),
 }
@@ -910,8 +921,9 @@ def ones(*shape):
 
 
 def projections():
-    """Three (w, b) pairs of width 4 to 4."""
-    return [(ones(4, 4), ones(4)) for _ in range(3)]
+    """``attention``'s projections of width 4 to 4: the queries' (w, b)
+    pair, the keys' weight, the values' pair."""
+    return (ones(4, 4), ones(4)), ones(4, 4), (ones(4, 4), ones(4))
 
 
 def two_heads():
@@ -956,12 +968,16 @@ REFUSED = {
     "self_attention 1-D": (lambda: ad.attention(ones(4), ones(4), *projections(), 2, [0, 4], [0, 4]),
                            ShapeError, "incompatible"),
     "self_attention 2-D bias": (lambda: ad.attention(ones(2, 4), ones(2, 4),
-                                                     *[(ones(4, 4), ones(1, 4))] * 3, 2, [0, 2],
-                                                     [0, 2]), ShapeError, "incompatible"),
+                                                     (ones(4, 4), ones(1, 4)), ones(4, 4),
+                                                     (ones(4, 4), ones(1, 4)), 2, [0, 2], [0, 2]),
+                                ShapeError, "incompatible"),
+    "self_attention value bias": (lambda: ad.attention(ones(2, 4), ones(2, 4), (ones(4, 4), ones(4)),
+                                                       ones(4, 4), (ones(4, 4), ones(3)), 2,
+                                                       [0, 2], [0, 2]), ShapeError, "incompatible"),
     "self_attention rows": (lambda: ad.attention(ones(2, 3), ones(2, 3), *projections(), 2, [0, 2],
                                                  [0, 2]), ShapeError, "incompatible"),
     "self_attention widths": (lambda: ad.attention(ones(2, 4), ones(2, 4), (ones(4, 4), ones(4)),
-                                                   (ones(4, 6), ones(6)), (ones(4, 4), ones(4)),
+                                                   ones(4, 6), (ones(4, 4), ones(4)),
                                                    2, [0, 2], [0, 2]), ShapeError, "incompatible"),
     "self_attention heads": (lambda: ad.attention(ones(2, 4), ones(2, 4), *projections(), 3, [0, 2],
                                                   [0, 2]), ShapeError, "heads"),

@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,10 @@ from sentigen.bias import cross_annotate, fixture_accuracy_matrix, label_centroi
 from sentigen.cli import build_parser, main
 
 from conftest import TornWrite
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+import quality  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -293,6 +298,37 @@ def test_eval_max_new_below_one_exits_2_before_reading(tmp_path, capsys, max_new
     assert code == 2 and out == ""
     msg = json.loads(err)
     assert msg["error"] == "ConfigError" and "--max-new" in msg["message"]
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_decode_budget_past_max_len_exits_2_before_writing(cli_corpus, finetuned, tmp_path, capsys,
+                                                           command):
+    """A decode budget past the model's ``max_len`` of 96, ``eval
+    --max-new`` or a validating fine-tune's ``max_new_tokens``, is a
+    one-line ConfigError raised once the model is known and before the
+    command's first write, so ``--out`` stays absent. A budget of 96
+    still decodes."""
+    corpus = cli_corpus / "corpus.jsonl"
+    data = ["--corpus", str(corpus), "--registry", str(cli_corpus / "registry.json")]
+    for budget in (97, 96):
+        out_dir = tmp_path / f"out{budget}"
+        if command == "eval":
+            argv = [*data, "--checkpoint", str(finetuned / "checkpoint.ckpt"),
+                    "--max-new", str(budget)]
+        else:  # one step, one batch of every record, so it validates at step 1
+            train = {"max_new_tokens": budget, "validate_every_epochs": 1, "max_steps": 1,
+                     "batch_size": len(corpus.read_text().splitlines())}
+            argv = [*data, "--config", str(write_config(tmp_path / "cfg.json", train=train)),
+                    "--val-corpus", str(corpus)]
+        code, out, err = run(capsys, command, *argv, "--out", str(out_dir))
+        if budget == 97:
+            assert code == 2 and out == "" and len(err.splitlines()) == 1
+            msg = json.loads(err)
+            assert msg["error"] == "ConfigError" and "exceeds the model's max_len 96" in msg["message"]
+            assert not out_dir.exists()
+        else:
+            assert code == 0  # and it decoded: eval's results, or the validation at step 1
+            assert (out_dir / ("eval.json" if command == "eval" else "val_metrics.jsonl")).read_text()
 
 
 def test_eval_checkpoint_without_meta_exits_2(cli_corpus, finetuned, tmp_path, capsys):
@@ -816,3 +852,44 @@ def test_bad_input_file_is_one_line_config_error(cli_corpus, valid_inputs, tmp_p
         data = kind == "not-utf8" and INPUT_FILES[command, flag] in DATA_FILES
         assert error == ("DataError" if data else "ConfigError")
         assert sorted(tmp_path.iterdir()) == before
+
+
+def test_quality_check_of_a_tree_against_itself_prints_zero_differences(capsys):
+    """``scripts/quality.py . . --seeds 2`` runs the d=16 recipe twice per
+    seed, each in a subprocess, and every figure it prints, the stages'
+    losses and eval's metrics, differs by exactly zero and passes."""
+    assert quality.main([str(ROOT), str(ROOT), "--seeds", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:-1]]
+    assert {row[0].split("/")[0] for row in rows} == {"s1", "s2", "ft", "eval"}
+    assert all(row[2] == "+0" and row[-1] == "yes" for row in rows)
+    assert lines[-1] == f"quality: 0 of {len(rows)} figures differ, 0 outside the parent's spread"
+
+
+def test_quality_check_fails_a_figure_outside_the_parents_spread(monkeypatch, capsys):
+    """A figure passes when its mean paired difference lies within the
+    half-width of the parent's bootstrap interval, which is half the
+    parent's range for two seeds and zero for equal ones; a figure outside
+    it, or one missing from a run, fails the check. A figure that is zero
+    in every run is left out."""
+    assert quality.half_width([3.0, 3.0, 3.0]) == 0.0
+    assert quality.half_width([1.0, 2.0]) == pytest.approx(0.5)
+    parent = [{"s1/total": 1.0, "eval/x/wa": 0.5, "s1/cep": 0.0},
+              {"s1/total": 2.0, "eval/x/wa": 0.5, "s1/cep": 0.0}]
+
+    def moved(name, by):
+        return [{**run, name: run[name] + by} for run in parent]
+
+    cases = {"inside": (moved("s1/total", 0.4), 0), "outside": (moved("s1/total", 0.6), 1),
+             "no spread": (moved("eval/x/wa", 1e-9), 1),
+             "missing": ([{"eval/x/wa": 0.5, "s1/cep": 0.0}] * 2, 1)}
+    monkeypatch.setattr(quality, "parse_args", lambda argv: argparse.Namespace(
+        parent="parent", change="change", seeds=2))
+    for name, (change, code) in cases.items():
+        monkeypatch.setattr(quality, "run_recipe",
+                            lambda tree, seed, out: (parent if tree == "parent" else change)[seed])
+        assert quality.main([]) == code, name
+        out = capsys.readouterr().out
+        assert "s1/cep" not in out
+        assert out.splitlines()[-1] == (f"quality: 1 of 2 figures differ, {code} outside the "
+                                        f"parent's spread"), name

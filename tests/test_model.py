@@ -6,6 +6,7 @@ import pytest
 
 import sentigen.autodiff as ad
 import sentigen.model as model
+from sentigen.cli import main
 from sentigen.errors import ConfigError, ContractError, SentigenError, ShapeError
 from sentigen.masking import MaskPlan, apply_modal_setting, sample_mcm_plan, sample_modal_setting
 from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, freeze_params,
@@ -13,7 +14,7 @@ from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, f
                             params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
 from sentigen.prompt import build_prompt
 
-from conftest import attention_ref, small_config, sum_of
+from conftest import attention_ref, block_projections, small_config, sum_of
 
 
 @pytest.fixture(scope="module")
@@ -490,9 +491,8 @@ def reference_encode(ps, plan, params, config, vocab):
     x = ad.add(x, ad.embedding(params["dataset_emb"], [ps.dataset_index] * n))
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
-        q, k, v = (model._linear(params, prefix, x, f"w{c}", f"b{c}") for c in "qkv")
-        a = model._linear(params, prefix, attention_ref(q, k, v, config.heads, [0, n], [0, n]),
-                          "wo", "bo")
+        a = attention_ref(x, x, *block_projections(params, prefix), config.heads, [0, n], [0, n])
+        a = model._linear(params, prefix, a, "wo", "bo")
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = model._ffn(params, f"enc{i}_ffn", x)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
@@ -869,7 +869,7 @@ def tiny_checkpoint(world, path):
     return path.read_bytes()
 
 
-def test_corrupt_checkpoint_header_is_config_error(world, tmp_path):
+def test_corrupt_checkpoint_header_is_config_error(world, toy, tmp_path, capsys):
     blob = tiny_checkpoint(world, tmp_path / "good.ckpt")
     header_len = int.from_bytes(blob[8:16], "little")
     header = blob[16:16 + header_len]
@@ -919,11 +919,20 @@ def test_corrupt_checkpoint_header_is_config_error(world, tmp_path):
         path.write_bytes(data)
         with pytest.raises(ConfigError, match=message):
             load_checkpoint(path)
-    # version-1 files predate the payload CRC-32 and are not read
-    assert int.from_bytes(blob[4:8], "little") == 2
-    path.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:])
-    with pytest.raises(ConfigError, match="unsupported checkpoint version 1"):
-        load_checkpoint(path)
+    # version-1 files predate the payload CRC-32 and version-2 files hold key
+    # biases: neither is read, and ``eval`` on one exits 2 with one JSON line
+    assert int.from_bytes(blob[4:8], "little") == 3
+    for old in (1, 2):
+        path.write_bytes(blob[:4] + old.to_bytes(4, "little") + blob[8:])
+        with pytest.raises(ConfigError, match=f"unsupported checkpoint version {old}"):
+            load_checkpoint(path)
+    capsys.readouterr()
+    code = main(["eval", "--corpus", str(toy["corpus_path"]), "--registry",
+                 str(toy["registry_path"]), "--checkpoint", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"{path}: unsupported checkpoint version 2"}
 
 
 def test_checkpoint_byte_mutation_fuzz(world, tmp_path):

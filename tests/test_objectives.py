@@ -17,8 +17,8 @@ from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
 from sentigen.prompt import build_prompt
 
-from conftest import (attention_ref, div, finite_diff_check, gather_cols, loss_value_and_grads,
-                      small_config, sqrt, sub, sum_of)
+from conftest import (attention_ref, block_projections, div, finite_diff_check, gather_cols,
+                      loss_value_and_grads, small_config, sqrt, sub, sum_of)
 
 
 @pytest.fixture(scope="module")
@@ -381,19 +381,18 @@ def test_stage1_recomposes_weighted_components(rig):
 
 
 def reference_attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
-    """``model._attention`` as three ``linear`` nodes, ``attention_ref`` and
-    the output projection."""
-    q, k, v = (ad.linear(x, params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"])
-               for x, c in zip((x_q, x_kv, x_kv), "qkv"))
-    mixed = attention_ref(q, k, v, config.heads, q_offsets, k_offsets, causal)
+    """``model._attention`` as ``attention_ref``'s projection nodes and
+    attention node, then the output projection."""
+    mixed = attention_ref(x_q, x_kv, *block_projections(params, prefix), config.heads, q_offsets,
+                          k_offsets, causal)
     return ad.linear(mixed, params[f"{prefix}_wo"], params[f"{prefix}_bo"])
 
 
 @pytest.mark.parametrize("layers_dec", [1, 2])
 def test_stage1_step_gradients_equal_the_reference_graph(rig, monkeypatch, layers_dec):
     """One stage-one step, dropout on, gives with its ``attention`` nodes
-    the gradients of the graph with three ``linear`` nodes and
-    ``attention_ref`` in each attention block. With one decoder layer every
+    the gradients of the graph with ``attention_ref``'s projection nodes
+    and attention node in each attention block. With one decoder layer every
     parameter's are equal byte for byte. With two, every decoder
     parameter's and each mask vector's are (only the corrupted pass reaches
     the mask vectors). The encoder states' gradient sums the second layer's

@@ -34,8 +34,9 @@ def test_special_block_order(world):
         assert vocab.tokens[12 + i] == f"<data:{d}>"
     for k in range(vocab.num_speakers):
         assert vocab.tokens[12 + len(registry) + k] == f"<speaker_{k}>"
-    assert vocab.is_special(vocab.n_special - 1)
-    assert not vocab.is_special(vocab.n_special)
+    # the special block ends with the last speaker token, and the next id is a word
+    assert vocab.tokens[vocab.n_special - 1] == f"<speaker_{vocab.num_speakers - 1}>"
+    assert not vocab.tokens[vocab.n_special].startswith("<")
 
 
 def test_synthetic_corpus_vocabulary_order_is_pinned(world):
@@ -123,7 +124,7 @@ def test_tokenize_basics(world):
 def test_tokenize_never_emits_specials(world):
     vocab, _, _ = world
     ids = tokenize("<task:ca> <data:sst-toy> <speaker_0> <mask>", vocab)
-    assert all(not vocab.is_special(i) or i == vocab.unk_id for i in ids)
+    assert all(i >= vocab.n_special or i == vocab.unk_id for i in ids)
 
 
 @pytest.mark.parametrize("seed", range(20))
