@@ -523,15 +523,16 @@ def head_layout(k, v, heads, offsets):
                       lengths, slot)
 
 
-def _attend(qd, keys, heads, q_offsets, causal):
+def _attend(qd, keys, q_offsets, causal):
     """Attention's forward, which ``attention`` and ``attend`` share: packed
     query rows ``qd`` over the keys and values of the ``HeadLayout``
-    ``keys``. Returns the packed output, the softmax weights ``p``
-    (B, heads, Lq, Lk), and the layout ``_attend_grads`` needs."""
+    ``keys``, in the layout's heads. Returns the packed output, the softmax
+    weights ``p`` (B, heads, Lq, Lk), and the layout ``_attend_grads``
+    needs."""
     d = qd.shape[1]
     qoff, qlen, qmin, lq = _segments(q_offsets, qd.shape[0], "attention")
-    klen, lk, hd = keys.lengths, keys.k.shape[2], keys.k.shape[3]
-    if len(qlen) != len(klen) or keys.k.shape[1] != heads or heads * hd != d:
+    klen, (_, heads, lk, hd) = keys.lengths, keys.k.shape
+    if len(qlen) != len(klen) or heads * hd != d:
         raise ShapeError(f"attention: {len(qlen)} query samples of width {d} in {heads} heads "
                          f"but keys of {len(klen)} samples in a {keys.k.shape} layout")
     if causal and lq > keys.shortest and (qlen > klen).any():
@@ -625,7 +626,7 @@ def attention(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False):
 
     # q, then k and v, then the keys' layout: that order measured fastest
     out, p, at = _attend(project(0), head_layout(project(1), project(2), heads, k_offsets),
-                         heads, q_offsets, causal)
+                         q_offsets, causal)
     wants = tuple(tuple(t.requires_grad for t in projection) for projection in projections)
 
     def rule(g):
@@ -639,15 +640,15 @@ def attention(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False):
     return _make(out, "attention", sum(projections, ()), rule)
 
 
-def attend(q, layout, heads, q_offsets, causal=False):
+def attend(q, layout, q_offsets, causal=False):
     """``attention``'s forward for query rows ``q``, already projected,
     over keys and values already in its per-head layout: a ``HeadLayout``,
-    as ``head_layout`` splits them or a decoder cache writes them. It
-    records no node, as the layout holds arrays: a ``q`` that needs a
-    gradient is a ContractError."""
+    as ``head_layout`` splits them or a decoder cache writes them, whose
+    head count it takes. It records no node, as the layout holds arrays: a
+    ``q`` that needs a gradient is a ContractError."""
     if q.requires_grad:
         raise ContractError("attend: keys and values in a layout take no gradient, so q may not")
-    return Tensor(_attend(q.data, layout, heads, q_offsets, causal)[0], op="attend")
+    return Tensor(_attend(q.data, layout, q_offsets, causal)[0], op="attend")
 
 
 def softmax_cross_entropy(logits, targets, hidden=None):

@@ -34,7 +34,8 @@ offsets. ``encode`` and ``generate`` on one prompt run the batch of one,
 and return what the batch does for it: ``encode``'s ``pooled`` is (1, d).
 Training and inference both run these batches: a training step's losses read
 ``encode_batch`` encodings, with one dropout mask per batched tensor;
-inference uses ``pooled_vectors`` and ``generate_batch``.
+inference uses ``pooled_vectors`` and ``generate_batch``. A pass drops
+units exactly when it is handed a dropout stream.
 
 Inference sizes the two phases apart. The encoder runs on ``_row_chunks``
 slices, bounded by ``_ROW_BUDGET`` encoder rows padded to the slice's
@@ -220,11 +221,11 @@ def _attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=F
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
-def _cached_attention(params, prefix, x_q, layout, config, q_offsets, causal=False):
+def _cached_attention(params, prefix, x_q, layout, q_offsets, causal=False):
     """``_attention`` of ``x_q`` over keys and values a ``DecoderCache``
     holds in ``layout``, through ``ad.attend``: no graph."""
     q = _linear(params, prefix, x_q, "wq", "bq")
-    mixed = ad.attend(q, layout, config.heads, q_offsets, causal)
+    mixed = ad.attend(q, layout, q_offsets, causal)
     return _linear(params, prefix, mixed, "wo", "bo")
 
 
@@ -233,12 +234,10 @@ def _ffn(params, prefix, x):
     return ad.gelu_linear(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
-def _maybe_dropout(x, config, train, rng):
-    if train and config.dropout_rate > 0.0:
-        if rng is None:
-            raise ContractError("training forward pass needs an RNG stream for dropout")
-        return ad.dropout(x, config.dropout_rate, rng)
-    return x
+def _maybe_dropout(x, config, rng):
+    """``x`` with units dropped when a pass is handed a dropout stream
+    ``rng``; at rate 0, ``ad.dropout`` returns ``x`` and draws nothing."""
+    return x if rng is None else ad.dropout(x, config.dropout_rate, rng)
 
 
 @dataclass
@@ -260,7 +259,7 @@ class EncoderOutput:
 _BLOCK_TYPE = np.array([0, 1, 2, 1, 2])
 
 
-def _encode(prompts, mask_plans, params, config, vocab, train, rng):
+def _encode(prompts, mask_plans, params, config, vocab, rng):
     """The encoder over a packed batch: states (N, d) and offsets (B + 1,),
     N being the summed stream lengths.
 
@@ -329,13 +328,13 @@ def _encode(prompts, mask_plans, params, config, vocab, train, rng):
                      (params["type_emb"], _BLOCK_TYPE[src]), (params["pos_emb"], pos_ids),
                      (params["dataset_emb"],
                       np.array([ps.dataset_index for ps in prompts]).repeat(lengths)))
-    x = _maybe_dropout(x, config, train, rng)
+    x = _maybe_dropout(x, config, rng)
 
     for i in range(config.layers_enc):
         a = _attention(params, f"enc{i}_attn", x, x, config, offsets, offsets)
-        a = _maybe_dropout(a, config, train, rng)
+        a = _maybe_dropout(a, config, rng)
         x = ad.layer_norm(x, params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"], residual=a)
-        f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, train, rng)
+        f = _maybe_dropout(_ffn(params, f"enc{i}_ffn", x), config, rng)
         x = ad.layer_norm(x, params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"], residual=f)
     return x, offsets
 
@@ -347,19 +346,23 @@ def encode(ps, params, config, vocab, mask_plan=None, train=False, rng=None):
     ``mask_plan`` (optional) corrupts the stream for reconstruction training:
     listed token positions are replaced by the mask token, listed modal frames
     by the learned per-modality mask vector. Masking never changes lengths.
+    ``train`` drops units with the stream ``rng``, which it needs.
     """
-    return encode_batch([ps], params, config, vocab, [mask_plan], train, rng)
+    if train and rng is None:
+        raise ContractError("training forward pass needs an RNG stream for dropout")
+    return encode_batch([ps], params, config, vocab, [mask_plan], rng if train else None)
 
 
-def encode_batch(prompts, params, config, vocab, mask_plans=None, train=False, rng=None):
+def encode_batch(prompts, params, config, vocab, mask_plans=None, rng=None):
     """Run the encoder over ``prompts`` as one packed batch, each corrupted
-    by its entry of ``mask_plans`` (optional; see ``encode``). Every
-    sample's states, and its row of ``pooled``, equal what ``encode`` gives
-    it alone, up to rounding, with dropout off."""
+    by its entry of ``mask_plans`` (optional; see ``encode``), dropping
+    units when handed the dropout stream ``rng``. Every sample's states,
+    and its row of ``pooled``, equal what ``encode`` gives it alone, up to
+    rounding, with dropout off."""
     if not prompts:
         raise ContractError("cannot encode an empty batch")
     plans = [None] * len(prompts) if mask_plans is None else mask_plans
-    x, offsets = _encode(prompts, plans, params, config, vocab, train, rng)
+    x, offsets = _encode(prompts, plans, params, config, vocab, rng)
     return EncoderOutput(states=x, pooled=ad.segment_mean(x, offsets), offsets=offsets)
 
 
@@ -413,7 +416,7 @@ class DecoderCache:
         return ad.HeadLayout(buffers[0][:, :, :n], buffers[1][:, :, :n], np.full(batch, n))
 
 
-def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cache=None):
+def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
     """Decoder pass over ``dec_ids``; returns their hidden states, sample-major.
 
     ``dec_ids`` is a (B, n) array for the B samples of ``enc_out``, one row
@@ -445,7 +448,7 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
     x = ad.matmul(ad.embedding(params["tok_emb"], ids.reshape(-1)), params["w_text"])
     positions = np.arange(past, n)[None].repeat(batch, axis=0).reshape(-1)
     x = ad.add(x, ad.embedding(params["pos_emb"], positions))
-    x = _maybe_dropout(x, config, train, rng)
+    x = _maybe_dropout(x, config, rng)
 
     fed = np.arange(batch + 1) * ids.shape[1]  # each sample's new rows
     for i in range(config.layers_dec):
@@ -454,18 +457,18 @@ def decoder_states(dec_ids, enc_out, params, config, train=False, rng=None, cach
             a = _attention(params, prefix, x, x, config, fed, fed, causal=True)
         else:
             kv = cache.grown_keys(params, prefix, x, config.heads, n)
-            a = _cached_attention(params, prefix, x, kv, config, fed, causal=True)
-        a = _maybe_dropout(a, config, train, rng)
+            a = _cached_attention(params, prefix, x, kv, fed, causal=True)
+        a = _maybe_dropout(a, config, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"], residual=a)
         prefix = f"dec{i}_cross"
         if cache is None:
             c = _attention(params, prefix, x, enc_out.states, config, fed, enc_out.offsets)
         else:
             kv = cache.encoder_keys(params, prefix, enc_out, config.heads)
-            c = _cached_attention(params, prefix, x, kv, config, fed)
-        c = _maybe_dropout(c, config, train, rng)
+            c = _cached_attention(params, prefix, x, kv, fed)
+        c = _maybe_dropout(c, config, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"], residual=c)
-        f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, train, rng)
+        f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln3_g"], params[f"dec{i}_ln3_b"], residual=f)
     if cache is not None:
         cache.length = n
@@ -541,20 +544,20 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
     own ``_row_chunks`` slices, joined into one encoding, and the decoder
     runs on the whole group. Every row of a group is fed one token per step
     through a shared ``DecoderCache`` sized for the ``max_new`` positions it
-    can be fed (at most ``config.max_len``). A row stops recording at its
-    first <eos>, and the group ends when every row has stopped or after
-    ``max_new`` tokens. A row still running when its stream would pass
-    ``config.max_len`` raises ``ContractError``.
+    can be fed. A row stops recording at its first <eos>, and the group ends
+    when every row has stopped or after ``max_new`` tokens. A ``max_new``
+    outside [1, ``config.max_len``] is a ``ContractError``, raised before
+    any prompt is encoded.
     """
-    if max_new < 1:
-        raise ContractError("max_new must be at least 1")
+    if not 1 <= max_new <= config.max_len:
+        raise ContractError(f"max_new {max_new} outside [1, max length {config.max_len}]")
     params = freeze_params(params)
     out = []
     for start in range(0, len(prompts), _DECODE_ROWS):
         group = prompts[start:start + _DECODE_ROWS]
         enc = join_encodings([encode_batch(chunk, params, config, vocab)
                               for chunk in _row_chunks(group)])
-        cache = DecoderCache(min(max_new, config.max_len))
+        cache = DecoderCache(max_new)
         ids = [[] for _ in group]
         running = np.ones(len(group), dtype=bool)
         nxt = np.full(len(group), vocab.bos_id)
@@ -576,8 +579,8 @@ def generate(ps, params, config, vocab, max_new=8):
     included when produced). Deterministic.
 
     Runs on frozen parameters, so it records no graph, and feeds the decoder
-    one token per step through a ``DecoderCache``. A stream longer than
-    ``config.max_len`` raises ``ContractError`` at the step that overflows.
+    one token per step through a ``DecoderCache``. A ``max_new`` above
+    ``config.max_len`` is a ``ContractError`` before anything is decoded.
     """
     return generate_batch([ps], params, config, vocab, max_new=max_new)[0]
 

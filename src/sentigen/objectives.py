@@ -110,14 +110,14 @@ def loss_mcm(enc, batch, params):
 # the label head, and polarity prediction
 
 
-def _label_head(enc, dec_ids, classes, targets, params, config, train, rng):
+def _label_head(enc, dec_ids, classes, targets, params, config, rng):
     """Label cross-entropy from ``enc``: the decoder is fed ``dec_ids``
     (B, n), and position i scores only the tokens ``classes[i]`` against
     ``targets`` (B, n), indices into them. The logits are ``token_logits``
     over the n lists' tokens side by side, each position's other columns
     hidden in one cross-entropy: per sample the positions' sum, averaged
     over the batch."""
-    h = decoder_states(dec_ids, enc, params, config, train=train, rng=rng)
+    h = decoder_states(dec_ids, enc, params, config, rng=rng)
     cols = np.concatenate(classes)
     logits = token_logits(h, params, cols)
     start = np.cumsum([0] + [len(c) for c in classes])
@@ -127,13 +127,13 @@ def _label_head(enc, dec_ids, classes, targets, params, config, train, rng):
     return ad.scale(ce, len(classes))
 
 
-def loss_spp(enc, polarities, params, config, vocab, train=False, rng=None):
+def loss_spp(enc, polarities, params, config, vocab, rng=None):
     """First-position polarity cross-entropy from ``enc``, the clean
     encoding of a batch with one Polarity per sample: the decoder is fed
     <bos> alone, and scores only the three polarity tokens."""
     _check_batch(enc, polarities, "loss_spp")
     return _label_head(enc, np.full((len(polarities), 1), vocab.bos_id), [polarity_token_ids(vocab)],
-                       [[POLARITY_ORDER.index(p)] for p in polarities], params, config, train, rng)
+                       [[POLARITY_ORDER.index(p)] for p in polarities], params, config, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def label_token_ids(labels, vocab):
     return out
 
 
-def loss_cep(enc, targets, params, config, vocab, label_ids, train=False, rng=None):
+def loss_cep(enc, targets, params, config, vocab, label_ids, rng=None):
     """Cross-task prediction from ``enc``, the corrupted encoding of a batch,
     against ``targets`` (B, T): entry (b, i) is sample b's label index for
     the i-th task of ``label_ids`` (task -> ``label_token_ids``' classes, in
@@ -233,15 +233,14 @@ def loss_cep(enc, targets, params, config, vocab, label_ids, train=False, rng=No
     if (targets < 0).any() or (targets >= [len(ids) for ids in label_ids.values()]).any():
         raise ContractError("loss_cep: a target lies outside its task's label table")
     dec_ids = np.array([[vocab.task_id(t) for t in tasks]] * len(targets))
-    return _label_head(enc, dec_ids, list(label_ids.values()), targets, params, config,
-                       train, rng)
+    return _label_head(enc, dec_ids, list(label_ids.values()), targets, params, config, rng)
 
 
 # ---------------------------------------------------------------------------
 # stage compositions
 
 
-def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=False, rng=None):
+def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), rng=None):
     """Reconstruction on a corrupted pass, polarity + contrastive on a clean
     one, over combined two-query records, in two halves: the corrupted
     pass's weighted term is backpropagated, freeing its graph, before the
@@ -253,15 +252,15 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
     finite either."""
     prompts = [e.prompt for e in batch]
     masked = encode_batch(prompts, params, config, vocab, mask_plans=[e.plan for e in batch],
-                          train=train, rng=rng)
+                          rng=rng)
     mcm = loss_mcm(masked, [(e.prompt, e.plan) for e in batch], params)
     part, mcm = ad.scale(mcm, weights[0]), mcm.item()
     del masked  # from here the weighted term alone holds the corrupted pass's graph
     head = part.item()
     grads = ad.backward(part) if np.isfinite(head) else None
-    clean = encode_batch(prompts, params, config, vocab, train=train, rng=rng)
+    clean = encode_batch(prompts, params, config, vocab, rng=rng)
     polarities = [e.polarity for e in batch]
-    spp = loss_spp(clean, polarities, params, config, vocab, train=train, rng=rng)
+    spp = loss_spp(clean, polarities, params, config, vocab, rng=rng)
     ccl = loss_ccl([clean.pooled], polarities)
     spp_part, ccl_part = ad.scale(spp, weights[1]), ad.scale(ccl, weights[2])
     report = LossReport(mcm=mcm, spp=spp.item(), ccl=ccl.item(), cep=0.0,
@@ -269,24 +268,22 @@ def stage1_loss(batch, params, config, vocab, weights=(1.0, 1.0, 1.0), train=Fal
     return report, ad.add(spp_part, ccl_part), grads
 
 
-def stage2_loss(batch, params, config, vocab, label_ids, weights=(1.0, 1.0), train=False,
-                rng=None):
+def stage2_loss(batch, params, config, vocab, label_ids, weights=(1.0, 1.0), rng=None):
     """Reconstruction + cross-task prediction on original records, sharing
     one corrupted pass. Returns (LossReport, total tensor). ``label_ids``
     is ``loss_cep``'s per-task classes."""
     if not label_ids:
         raise ContractError("stage2_loss: no label table")
     enc = encode_batch([e.prompt for e in batch], params, config, vocab,
-                       mask_plans=[e.plan for e in batch], train=train, rng=rng)
+                       mask_plans=[e.plan for e in batch], rng=rng)
     mcm = loss_mcm(enc, [(e.prompt, e.plan) for e in batch], params)
-    cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, label_ids,
-                   train=train, rng=rng)
+    cep = loss_cep(enc, [e.pseudo for e in batch], params, config, vocab, label_ids, rng=rng)
     total = ad.add(ad.scale(mcm, weights[0]), ad.scale(cep, weights[1]))
     report = LossReport(mcm=mcm.item(), spp=0.0, ccl=0.0, cep=cep.item(), total=total.item())
     return report, total
 
 
-def generation_loss(batch, params, config, vocab, train=False, rng=None):
+def generation_loss(batch, params, config, vocab, rng=None):
     """Teacher-forced answer generation: per sample the summed cross-entropy
     of the gold label tokens plus the end token, averaged over the batch.
     ``batch`` is a list of (prompt, gold token ids). The decoder runs once
@@ -294,7 +291,7 @@ def generation_loss(batch, params, config, vocab, train=False, rng=None):
     every real position blind to the pads after it."""
     if any(not gold for _, gold in batch):
         raise ContractError("generation_loss: empty gold sequence")
-    enc = encode_batch([ps for ps, _ in batch], params, config, vocab, train=train, rng=rng)
+    enc = encode_batch([ps for ps, _ in batch], params, config, vocab, rng=rng)
     n = 1 + max(len(gold) for _, gold in batch)
     dec_in = np.full((len(batch), n), vocab.pad_id)
     rows, targets = [], []
@@ -302,6 +299,6 @@ def generation_loss(batch, params, config, vocab, train=False, rng=None):
         dec_in[i, :len(gold) + 1] = [vocab.bos_id, *gold]
         rows.extend(range(i * n, i * n + len(gold) + 1))
         targets.extend([*gold, vocab.eos_id])
-    h = decoder_states(dec_in, enc, params, config, train=train, rng=rng)
+    h = decoder_states(dec_in, enc, params, config, rng=rng)
     ce = ad.softmax_cross_entropy(token_logits(ad.embedding(h, rows), params), targets)
     return ad.scale(ce, len(rows) / len(batch))

@@ -648,7 +648,7 @@ def run_pretrain_stage1(records, registry, model_config, train_config, out_dir, 
             plan = sample_mcm_plan(ps, cfg.mask_prob, run.rngs["mask"])
             batch.append(Stage1Example(prompt=ps, plan=plan, polarity=pol))
         return stage1_loss(batch, run.params, run.model_config, run.vocab,
-                           weights=cfg.loss_weights[:3], train=True, rng=run.rngs["dropout"])
+                           weights=cfg.loss_weights[:3], rng=run.rngs["dropout"])
 
     return run.drive(pools, 2 * sum(p.indices.size // 2 for p in pools.pools.values()), step)
 
@@ -692,7 +692,7 @@ def run_pretrain_stage2(records, registry, model_config, train_config, out_dir,
             batch.append(Stage2Example(prompt=ps, plan=plan, pseudo=run.pseudo[idx]))
         report, total = stage2_loss(batch, run.params, run.model_config, run.vocab, label_ids,
                                     weights=(cfg.loss_weights[0], cfg.loss_weights[3]),
-                                    train=True, rng=run.rngs["dropout"])
+                                    rng=run.rngs["dropout"])
         return report, total, None
 
     return run.drive(pool, len(records), step)
@@ -722,7 +722,7 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
         batch = [(_augmented_prompt(run, run.prompts[idx]), golds[idx])
                  for _, idx in task_average_sample(pools, cfg.batch_size, run.rngs["data"])]
         total = generation_loss(batch, run.params, run.model_config, run.vocab,
-                                train=True, rng=run.rngs["dropout"])
+                                rng=run.rngs["dropout"])
         return LossReport(total=total.item()), total, None
 
     def validate(val_fh):

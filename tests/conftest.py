@@ -222,7 +222,7 @@ def attention_ref(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False
     qt = ad.linear(x_q, *q)
     kt = ad.matmul(x_kv, wk) if bk is None else ad.linear(x_kv, wk, bk)
     vt = ad.linear(x_kv, *v)
-    out, p, at = ad._attend(qt.data, ad.head_layout(kt.data, vt.data, heads, k_offsets), heads,
+    out, p, at = ad._attend(qt.data, ad.head_layout(kt.data, vt.data, heads, k_offsets),
                             q_offsets, causal)
     wants = (qt.requires_grad, kt.requires_grad, vt.requires_grad)
     held = (qt.data, kt.data, vt.data)

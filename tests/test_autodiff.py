@@ -280,7 +280,7 @@ def test_causal_attention_is_bottom_right_aligned():
         rows = np.arange(b) * n + t
         prefix = (np.arange(b)[:, None] * n + np.arange(t + 1)).reshape(-1)
         layout = ad.head_layout(k[prefix], v[prefix], 2, np.arange(b + 1) * (t + 1))
-        one = ad.attend(ad.constant(q[rows]), layout, 2, np.arange(b + 1), True).data
+        one = ad.attend(ad.constant(q[rows]), layout, np.arange(b + 1), True).data
         assert np.max(np.abs(one - full[rows])) <= 1e-12
 
 
@@ -301,22 +301,23 @@ def test_attention_rejects_bad_offsets():
 def test_attention_over_a_layout_records_no_node_and_takes_no_gradient():
     """Keys and values in a ``head_layout`` are arrays, so ``attend`` over
     one gives the node's output, records no node, and refuses a ``q`` that
-    needs a gradient rather than give it one through the layout alone. A
-    layout split into other heads than it is given is a ShapeError."""
+    needs a gradient rather than give it one through the layout alone. It
+    takes the head count from the layout, so a query wider or narrower
+    than the layout's heads is a ShapeError."""
     rng = np.random.default_rng(31)
     q, q_off = packed_rows(rng, [2, 3], 4)
     kv, k_off = packed_rows(rng, [3, 1], 8)
     layout = ad.head_layout(kv.data[:, :4], kv.data[:, 4:], 2, k_off)
     frozen = ad.constant(q.data)
-    out = ad.attend(frozen, layout, 2, q_off)
+    out = ad.attend(frozen, layout, q_off)
     want = attention_over(frozen, ad.constant(kv.data), 2, q_off, k_off)
     assert out.node is None and not out.requires_grad
     assert np.array_equal(out.data, want.data)
     with pytest.raises(ContractError, match="layout"):
-        ad.attend(q, layout, 2, q_off)
-    for heads in (1, 4, 0):
+        ad.attend(q, layout, q_off)
+    for width in (2, 6, 8):
         with pytest.raises(ShapeError, match="layout"):
-            ad.attend(frozen, layout, heads, q_off)
+            ad.attend(ad.constant(np.ones((5, width))), layout, q_off)
 
 
 def projection_leaves(rng, rows, d_in, width):
@@ -989,9 +990,7 @@ REFUSED = {
                                                     [0, 2], [0, 3]), ShapeError, "incompatible"),
     "cross_attention offsets": (lambda: ad.attention(ones(2, 4), ones(3, 4), *projections(), 2,
                                                      [0, 2], [0, 2]), ShapeError, "do not bound"),
-    "attend heads": (lambda: ad.attend(ad.constant(np.ones((2, 4))), two_heads(), 4, [0, 1, 2]),
-                     ShapeError, "layout"),
-    "attend gradient": (lambda: ad.attend(ones(2, 4), two_heads(), 2, [0, 1, 2]), ContractError,
+    "attend gradient": (lambda: ad.attend(ones(2, 4), two_heads(), [0, 1, 2]), ContractError,
                         "no gradient"),
 }
 

@@ -15,6 +15,7 @@ from conftest import TornWrite
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 import quality  # noqa: E402
+import same_bytes  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -893,3 +894,24 @@ def test_quality_check_fails_a_figure_outside_the_parents_spread(monkeypatch, ca
         assert "s1/cep" not in out
         assert out.splitlines()[-1] == (f"quality: 1 of 2 figures differ, {code} outside the "
                                         f"parent's spread"), name
+
+
+def test_same_bytes_fails_a_change_that_changes_notes_declare_nowhere():
+    """``scripts/same_bytes.py`` lists each path whose digest changed, was
+    added or was removed, and passes a tree whose files all match. A change
+    passes only when the change tree's CHANGES.md has a line starting
+    ``Bytes change:`` or ``- Bytes change:`` that the base's lacks: a line
+    the base already has, or one that names the words elsewhere, does not
+    declare it."""
+    base = {"a": "1", "b": "2", "c": "3"}
+    change = {"a": "1", "b": "9", "d": "4"}
+    assert same_bytes.changed_files(base, change) == ["changed b", "removed c", "added d"]
+    assert same_bytes.changed_files(base, dict(base)) == []
+    old = "- did a thing\n- Bytes change: s1 differs\n"
+    for notes, code in {old: 1, old + "- next thing\n": 1,
+                        old + "FOUND: a Bytes change: here\n": 1,
+                        old + "  - Bytes change: indented\n": 1,
+                        old + "- Bytes change: s1 and s2 differ\n": 0,
+                        "Bytes change: only this\n": 0}.items():
+        assert same_bytes.verdict(["changed b"], old, notes) == code, notes
+        assert same_bytes.verdict([], old, notes) == 0

@@ -268,8 +268,7 @@ def test_inference_computes_no_gelu_slope(world, monkeypatch):
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:6]]
     assert len(model.generate_batch(prompts, freeze_params(params), config, vocab, max_new=4)) == 6
     enc = encode(prompts[0], params, config, vocab)
-    states = decoder_states([[1, 2, 3]], enc, params, config, train=True,
-                            rng=np.random.default_rng(0))
+    states = decoder_states([[1, 2, 3]], enc, params, config, rng=np.random.default_rng(0))
     assert states.node is not None
     with pytest.raises(AssertionError, match="slope"):
         ad.backward(sum_of(states))
@@ -277,7 +276,8 @@ def test_inference_computes_no_gelu_slope(world, monkeypatch):
 
 def test_cached_decoder_bounds(world):
     """A cache takes at most its capacity's positions, and only frozen
-    parameters: no gradient could flow through its buffers."""
+    parameters: no gradient could flow through its buffers. A stream past
+    ``max_len`` is refused, fed whole or through a cache with room."""
     vocab, registry, records, config, params = world
     ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
     frozen = freeze_params(params)
@@ -287,6 +287,10 @@ def test_cached_decoder_bounds(world):
     with pytest.raises(ContractError):
         decoder_states([[21]], enc, frozen, config, cache=cache)
     assert cache.length == 2
+    past = [[vocab.bos_id] * (config.max_len + 1)]
+    for cache in (None, DecoderCache(config.max_len + 1)):
+        with pytest.raises(ContractError, match="exceeds max length"):
+            decoder_states(past, enc, frozen, config, cache=cache)
     with pytest.raises(ContractError):
         decoder_states([[vocab.bos_id]], encode(ps, params, config, vocab), params, config,
                        cache=DecoderCache(1))
@@ -294,7 +298,7 @@ def test_cached_decoder_bounds(world):
 
 def test_cache_fed_another_batch_and_dropout_without_rng_are_refused(world, tmp_path):
     """A cache keeps the batch it was first fed: a later call with another
-    sample count is a ShapeError. A training pass with dropout on needs its
+    sample count is a ShapeError. ``encode``'s training pass needs its
     RNG stream. A checkpoint array of a dtype the format lacks is refused
     before anything is written."""
     vocab, registry, records, config, params = world
@@ -307,11 +311,28 @@ def test_cache_fed_another_batch_and_dropout_without_rng_are_refused(world, tmp_
         decoder_states([[vocab.bos_id]] * 3, model.encode_batch(prompts, frozen, config, vocab),
                        frozen, config, cache=cache)
     with pytest.raises(ContractError, match="RNG"):
-        model.encode_batch(prompts, params, replace(config, dropout_rate=0.1), vocab, train=True)
+        model.encode(prompts[0], params, replace(config, dropout_rate=0.1), vocab, train=True)
     path = tmp_path / "x.ckpt"
     with pytest.raises(ContractError, match="unsupported dtype"):
         model.save_checkpoint(path, config, {"x": np.zeros(2, dtype=np.int32)})
     assert not path.exists()
+
+
+def test_a_training_pass_draws_from_its_stream_only_when_dropout_is_on(world):
+    """A pass handed a dropout stream drops units at the config's rate: at
+    rate 0 it leaves the stream's state untouched and gives the states of a
+    pass with no stream; at 0.1 it advances the state."""
+    vocab, registry, records, config, params = world
+    ps = build_prompt(records[0], vocab, registry, config.max_len)
+    clean = model.encode_batch([ps], params, config, vocab)
+    for rate, draws in ((0.0, False), (0.1, True)):
+        cfg, rng = replace(config, dropout_rate=rate), np.random.default_rng(7)
+        before = rng.bit_generator.state
+        enc = model.encode_batch([ps], params, cfg, vocab, rng=rng)
+        h = decoder_states([[vocab.bos_id, 20]], enc, params, cfg, rng=rng)
+        assert (rng.bit_generator.state != before) == draws, rate
+        same = np.array_equal(enc.states.data, clean.states.data)
+        assert same != draws and h.shape == (2, config.model_dim)
 
 
 def straddles(prompts):
@@ -415,17 +436,21 @@ def test_generate_is_greedy_over_its_own_output(world):
     assert early > 0
 
 
-def test_generate_overflow_is_contract_error(world):
+def test_generate_overflow_is_contract_error(world, monkeypatch):
+    """A decode budget one past ``max_len`` is refused before any decoder
+    step runs; a budget of exactly ``max_len`` decodes, one decoder call a
+    token, the ids a longer ``max_len`` gives."""
     vocab, registry, records, config, params = world
-    for p in perturbed_models(world):
-        ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
-        short = replace(config, max_len=len(ps.ids) + ps.frame_count)
-        ids = generate(ps, p, config, vocab, max_new=short.max_len + 1)
-        if vocab.eos_id in ids[:short.max_len]:
-            assert generate(ps, p, short, vocab, max_new=short.max_len + 1) == ids
-        else:
-            with pytest.raises(ContractError):
-                generate(ps, p, short, vocab, max_new=short.max_len + 1)
+    ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
+    short = replace(config, max_len=stream_length(ps))
+    calls, real = [], model.decoder_states
+    monkeypatch.setattr(model, "decoder_states", lambda *a, **k: calls.append(1) or real(*a, **k))
+    with pytest.raises(ContractError, match="max_new"):
+        generate(ps, params, short, vocab, max_new=short.max_len + 1)
+    assert not calls
+    ids = generate(ps, params, short, vocab, max_new=short.max_len)
+    assert len(calls) == len(ids) and 0 < len(ids) <= short.max_len
+    assert ids == generate(ps, params, config, vocab, max_new=short.max_len)
 
 
 def stream_length(ps):
@@ -736,26 +761,24 @@ def test_join_encodings_concatenates_and_shifts(world, monkeypatch):
         model.join_encodings([])
 
 
-def test_generate_batch_overflow_only_running_rows_raise(world):
-    """A batch whose every row stops at <eos> within ``max_len`` decodes
-    fine even when ``max_new`` is larger; one row still running at the
-    overflow raises, whatever the others did."""
+def test_generate_batch_refuses_a_budget_past_max_len_for_every_row(world):
+    """At ``max_new`` = ``max_len`` a batch decodes as each of its prompts
+    alone does. One token more is refused for the whole batch, even for one
+    whose every row stops at <eos> in time: the budget is checked, not the
+    rows."""
     vocab, registry, records, config, params = world
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
     short = replace(config, max_len=max(stream_length(ps) for ps in prompts))
-    max_new = short.max_len + 1
+    max_new = short.max_len
     checked = 0
     for p in perturbed_models(world):
-        alone = [generate(ps, p, config, vocab, max_new=max_new) for ps in prompts]
-        stops = [ps for ps, ids in zip(prompts, alone) if vocab.eos_id in ids[:short.max_len]]
-        runs = [ps for ps, ids in zip(prompts, alone) if vocab.eos_id not in ids]
-        if len(stops) < 2 or not runs:
-            continue
-        expected = [ids for ids in alone if vocab.eos_id in ids[:short.max_len]]
-        assert model.generate_batch(stops, p, short, vocab, max_new=max_new) == expected
-        with pytest.raises(ContractError):
-            model.generate_batch(stops[:1] + runs[:1], p, short, vocab, max_new=max_new)
-        checked += 1
+        alone = [generate(ps, p, short, vocab, max_new=max_new) for ps in prompts]
+        assert model.generate_batch(prompts, p, short, vocab, max_new=max_new) == alone
+        stops = [ps for ps, ids in zip(prompts, alone) if vocab.eos_id in ids]
+        if stops:
+            with pytest.raises(ContractError, match="max_new"):
+                model.generate_batch(stops, p, short, vocab, max_new=max_new + 1)
+            checked += 1
     assert checked > 0
 
 

@@ -408,7 +408,7 @@ def test_stage1_step_gradients_equal_the_reference_graph(rig, monkeypatch, layer
         rng = np.random.default_rng(5)
         batch = [Stage1Example(prompt=ps, plan=sample_mcm_plan(ps, 0.5, rng),
                                polarity=POLARITY_ORDER[i % 3]) for i, ps in enumerate(prompts)]
-        _, total, grads = stage1_loss(batch, params, config, vocab, train=True, rng=rng)
+        _, total, grads = stage1_loss(batch, params, config, vocab, rng=rng)
         return ad.backward(total, grads)
 
     got = step()
@@ -481,13 +481,12 @@ def test_loss_graphs_keep_their_fused_nodes(rig, monkeypatch):
         return real_backward(loss, grads)
 
     monkeypatch.setattr(ad, "backward", backward)
-    losses = {"stage1 clean": stage1_loss(stage1, params, config, vocab, train=True, rng=rng)[1]}
+    losses = {"stage1 clean": stage1_loss(stage1, params, config, vocab, rng=rng)[1]}
     monkeypatch.undo()
     assert len(corrupted) == 1
-    losses.update(stage2=stage2_loss(stage2, params, config, vocab, label_ids, train=True,
-                                     rng=rng)[1],
+    losses.update(stage2=stage2_loss(stage2, params, config, vocab, label_ids, rng=rng)[1],
                   finetune=generation_loss([(ps, [4, 5]) for ps in prompts], params, config,
-                                           vocab, train=True, rng=rng))
+                                           vocab, rng=rng))
     for name, loss in losses.items():
         check(name, loss)
 
