@@ -24,17 +24,18 @@ over its own term alone would.
 
 ``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``attention`` (q
 and v ``linear``, k ``matmul``, then multi-head attention), ``layer_norm``'s
-``residual``, ``embedding``'s extra ``(table, ids)`` pairs and
-``pair_contrast`` each fuse several nodes into one, with the same floats in
-the same order. Rules keep only what they read: ``attention``'s its inputs
-and softmax weights, from which it projects q, k and v again, not padded
-copies of them; ``dropout``'s a bool mask; ``gelu_linear``'s its input (and
-its weight), from which it recomputes the GELU output and slope; and
-``pair_contrast``'s its input, from which it rebuilds its pair differences.
-Recomputing is chosen where it is cheap in arithmetic and the array is
-large. ``attend`` is attention's forward alone, over keys and values
-already laid out per head; it records no node. The module keeps only the
-ops the rest of the package calls.
+``residual`` and ``embedding``'s extra ``(table, ids)`` pairs each fuse
+several nodes into one, with the same floats in the same order;
+``pair_contrast`` is a whole loss in one node. Rules keep only what they
+read: ``attention``'s its inputs and softmax weights, from which it
+projects q, k and v again, not padded copies of them; ``dropout``'s a bool
+mask; ``gelu_linear``'s its input (and its weight), from which it
+recomputes the GELU output and slope; and ``pair_contrast``'s its input,
+from which it rebuilds its pair differences. Recomputing is chosen where
+it is cheap in arithmetic and the array is large. ``attend`` is
+attention's forward alone, over keys and values already laid out per
+head, whose head count it reads from them; it records no node. The module
+keeps only the ops the rest of the package calls.
 
 GELU and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
@@ -292,49 +293,36 @@ def pair_contrast(x, same):
     to all rows, as one node. A pair at exactly zero distance takes no part
     (its distance has no gradient); a row with no same-label partner at
     nonzero distance adds 0, and with no row left the result is constant 0.
-    Forward and backward do the floats of the graph this node replaced, in
-    its order: live pairs j < k gathered as two row blocks, distances the
-    roots of (diff * diff) @ ones, masses incidence-matrix products."""
+    Each row's masses are sums over the live pairs j < k that it ends, one
+    ``np.bincount`` per end; the rule gathers each pair's distance gradient
+    from its ends' per-row coefficients and scatters the pair differences
+    back with ``_row_sums``."""
     if x.data.ndim != 2 or np.shape(same) != (x.shape[0],) * 2:
         raise ShapeError(f"pair_contrast: rows {x.shape} and label matrix {np.shape(same)}")
     xd, (b, d) = x.data, x.shape
     j, k = np.triu_indices(b, 1)
-    sq = xd[j] - xd[k]
-    sq *= sq
-    live = sq.sum(axis=1) > 0.0
-    j, k, sq = (j, k, sq) if live.all() else (j[live], k[live], sq[live])
+    root = np.sqrt(np.square(xd[j] - xd[k]).sum(axis=1))
+    live = root > 0.0
+    j, k, root = (j, k, root) if live.all() else (j[live], k[live], root[live])
     paired = np.asarray(same, dtype=bool)[j, k]
-    active = np.zeros(b, dtype=bool)
-    active[j[paired]] = active[k[paired]] = True
-    if not active.any():
+    if not paired.any():
         return constant(0.0)
-    active = slice(None) if active.all() else active  # every row: views, not copies
-    root = np.sqrt(sq @ np.ones((d, 1)))
-    del sq
 
-    def products(by_same, by_all, t=False):
-        """(m_same @ by_same, m_all @ by_all), ``t`` transposing both: m_same is m_all masked."""
-        m = np.zeros((b, len(j)))
-        m[j, np.arange(len(j))] = m[k, np.arange(len(j))] = 1.0
-        m = m[active]
-        by_all = (m.T if t else m) @ by_all
-        m *= paired
-        return (m.T if t else m) @ by_same, by_all
+    def per_row(weights):
+        """Each row's sum of ``weights``, one per live pair, over the pairs it ends."""
+        return np.bincount(j, weights, b) + np.bincount(k, weights, b)
 
-    numer, denom = products(root, root)
+    numer, denom = per_row(root * paired), per_row(root)
+    denom[numer == 0.0] = 1.0  # a row with no same-label pair adds 0/1, and takes no gradient
 
     def rule(g):
-        gr = np.full(numer.shape, float(np.asarray(g).reshape(())))
-        by_same, by_all = products(gr / denom, -gr * numer / (denom * denom), t=True)
+        g = float(np.asarray(g).reshape(()))
+        by_same, by_all = g / denom, -g * numer / (denom * denom)
+        groot = (by_same[j] + by_same[k]) * paired + (by_all[j] + by_all[k])
         diff = xd[j]
         diff -= xd[k]
-        gdiff = ((by_same + by_all) * 0.5 / root) @ np.ones((1, d))  # gsq
-        gdiff *= diff  # gsq * diff once, then doubled: gsq * diff + gsq * diff, in place
-        del diff
-        gdiff += gdiff
-        by_j = _row_sums(gdiff, j, (b, d))
-        gdiff *= -1.0
-        return (by_j + _row_sums(gdiff, k, (b, d)),)
+        diff *= (groot / root)[:, None]  # d root / d x_j = diff / root = -d root / d x_k
+        return (_row_sums(diff, j, (b, d)) - _row_sums(diff, k, (b, d)),)
 
     return _make((numer / denom).sum(), "pair_contrast", (x,), rule)
 

@@ -186,9 +186,12 @@ def layer_norm_ref(a, gain, bias, residual=None, eps=1e-5):
 
 
 def pair_contrast_ref(x, same):
-    """``ad.pair_contrast`` with its active rows always copied out by a
-    boolean index, even when every row is active, and its rule's
-    temporaries formed as whole-array expressions, not in place."""
+    """``ad.pair_contrast`` as an independent oracle: the masses are products
+    of dense (active rows x live pairs) incidence matrices with the pair
+    distances, each distance the root of a product with a ones column, and
+    the rule sends the rows' coefficients back to the pairs through the
+    transposed matrices. The op sums the same masses per row instead, so
+    the two agree to rounding, not to the byte."""
     b, d = x.shape
     j, k = np.triu_indices(b, 1)
     diff = x.data[j] - x.data[k]
