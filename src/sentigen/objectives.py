@@ -5,9 +5,9 @@ Every loss is a head on one packed-batch encoding from
 stage one makes a corrupted pass for reconstruction and a clean one for
 polarity and contrast; stage two makes one corrupted pass that
 reconstruction and cross-task prediction share; answer generation makes one
-clean pass. With dropout on, each batched tensor draws one mask, so stage
-two's terms share their encoder's dropped units; by linearity the expected
-loss is that of two separate passes. The four losses:
+clean pass. Handed the dropout stream ``rng``, each batched tensor draws
+one mask, so stage two's terms share their encoder's dropped units; by
+linearity the expected loss is that of two separate passes. The four losses:
 
 * masked reconstruction (``loss_mcm``): predict the original tokens at masked
   positions from the corrupted encoder stream; summed per sample, averaged
