@@ -4,8 +4,8 @@ Records from a source dataset are re-annotated with the label of the nearest
 target-dataset centroid in representation space; the resulting cross-dataset
 accuracy matrix (percent) feeds two scores:
 
-  bias_ana(i, j) = |acc[i][i] - acc[i][j]|            one-directional gap
-  bias_sub(i, j) = |bias_ana(i, j) - bias_ana(j, i)|  symmetric difference
+  ana[i, j] = |acc[i, i] - acc[i, j]|      one-directional gap
+  sub[i, j] = |ana[i, j] - ana[j, i]|      symmetric difference
 
 A small published accuracy matrix over four conversation/sentiment corpora
 ships as a fixture so the score pipeline can be exercised without training.
@@ -63,18 +63,6 @@ def fixture_accuracy_matrix():
     return AccuracyMatrix.from_json(json.loads(payload))
 
 
-def bias_ana(acc, i, j):
-    """Gap between a dataset's own-annotation accuracy and its accuracy under
-    dataset j's annotation scheme."""
-    a = acc.acc
-    return float(abs(a[i, i] - a[i, j]))
-
-
-def bias_sub(acc, i, j):
-    """Symmetric subjective-bias score between datasets i and j."""
-    return float(abs(bias_ana(acc, i, j) - bias_ana(acc, j, i)))
-
-
 @dataclass(frozen=True)
 class BiasReport:
     datasets: tuple
@@ -88,16 +76,12 @@ class BiasReport:
 
 
 def bias_report(acc):
-    """All pairwise scores for an accuracy matrix. The diagonal is zero by
-    construction; sub is symmetric."""
-    n = len(acc.datasets)
-    ana = np.zeros((n, n))
-    sub = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            ana[i, j] = bias_ana(acc, i, j)
-            sub[i, j] = bias_sub(acc, i, j)
-    return BiasReport(datasets=acc.datasets, ana=ana, sub=sub)
+    """All pairwise scores for an accuracy matrix: ``ana[i, j]`` is dataset
+    i's own-annotation accuracy less its accuracy under dataset j's scheme,
+    in absolute value, and ``sub`` is ``|ana - ana.T|``. The diagonal is zero
+    by construction; sub is symmetric."""
+    ana = np.abs(np.diag(acc.acc)[:, None] - acc.acc)
+    return BiasReport(datasets=acc.datasets, ana=ana, sub=np.abs(ana - ana.T))
 
 
 def render_bias_report(report):

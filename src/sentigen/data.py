@@ -13,6 +13,7 @@ failed or killed write leaves the old file whole.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -173,21 +174,27 @@ def read_bytes(path, what, error=ConfigError):
         raise error(f"cannot read {what} {path} ({exc.strerror})") from None
 
 
+# numbers each write's temp file within this process
+_WRITES = itertools.count()
+
+
 def write_file_atomic(path, chunks, sync=False):
     """Write the byte strings ``chunks`` to ``path``, making its directory,
     through a sibling temp file swapped in by rename, so a failed or killed
-    write leaves the old file whole. Any OSError is a ConfigError naming
+    write leaves the old file whole. Each write has a temp file of its own,
+    named for ``path``, the process and the write, so writers racing on one
+    path each publish a whole file. Any OSError is a ConfigError naming
     ``path``, with no temp file left behind. ``sync`` syncs the temp file
     before the swap and the directory after it, so run state (checkpoints,
     kept log lines, manifests) survives the machine stopping too. Data and
     result files skip it: a rerun rewrites them, and syncing doubled the
     time of make-corpus."""
     path = Path(path)
-    tmp = path.with_name(f"{path.name}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_WRITES)}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            with open(tmp, "wb") as fh:
+            with open(tmp, "xb") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
                 if sync:

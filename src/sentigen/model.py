@@ -49,14 +49,14 @@ encodings are held for one group at a time, never for the whole corpus.
 Training and inference share one forward code path. Inference runs it on
 ``freeze_params`` constants, which record no graph, and greedy decoding feeds
 ``decoder_states`` one token per row at a time through a ``DecoderCache``
-instead of re-running the decoder over every prefix. The cache holds keys
-and values already in attention's padded per-head layout: each
-cross-attention block's encoder keys are split into (B, heads, L, d / heads)
-once per batch, with their key mask, and each self-attention block writes
-its new positions into preallocated (B, heads, capacity, d / heads) buffers,
-of which attention reads the positions fed so far as a view. A step lays
-out only what it feeds and copies nothing held; training passes no cache,
-so its attention lays out its own keys.
+instead of re-running the decoder over every prefix. A cache is made for
+one encoding and lays out all its state then, in attention's padded
+per-head layout: each decoder layer's cross-attention keys, split into
+(B, heads, L, d / heads) with their key mask, and its (B, heads, capacity,
+d / heads) self-attention buffers, into which a step writes its new
+positions and of which attention reads those fed so far as a view. A step
+lays out only what it feeds and copies nothing held; training passes no
+cache, so its attention lays out its own keys.
 
 Checkpoints are written, synced, through ``data.write_file_atomic``, so a
 failed save leaves the old checkpoint whole.
@@ -204,9 +204,10 @@ def _linear(params, prefix, x, w, b):
 
 
 def _keys_values(params, prefix, x_kv):
-    """Key and value projections of ``x_kv`` for one attention block, as a
-    ``DecoderCache`` holds them: keys by ``wk`` alone, as in ``ad.attention``."""
-    return ad.matmul(x_kv, params[f"{prefix}_wk"]), _linear(params, prefix, x_kv, "wv", "bv")
+    """Key and value projections of ``x_kv`` for one attention block, as the
+    arrays a ``DecoderCache`` holds: keys by ``wk`` alone, as in ``ad.attention``."""
+    return (ad.matmul(x_kv, params[f"{prefix}_wk"]).data,
+            _linear(params, prefix, x_kv, "wv", "bv").data)
 
 
 def _attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
@@ -367,53 +368,43 @@ def encode_batch(prompts, params, config, vocab, mask_plans=None, rng=None):
 
 
 class DecoderCache:
-    """Decoder state for incremental decoding of one prompt or a batch of B:
-    ``_keys_values``' keys (unbiased) and values, held in attention's
-    padded per-head layout, so a call lays out only the positions it feeds:
+    """Decoder state for incremental decoding of ``enc_out``, the encoding
+    of one prompt or a batch of B, laid out whole when the cache is made:
+    ``_keys_values``' keys (unbiased) and values in attention's padded
+    per-head layout, one entry per decoder layer, so a call lays out only
+    the positions it feeds:
 
     - ``length``: how many positions each sample has been fed;
-    - ``cross``: each cross-attention block's encoder keys and values, an
-      ``ad.HeadLayout`` split once, at the first call, with its key mask;
-    - ``held``: each self-attention block's keys and values, two
+    - ``cross``: each layer's cross-attention keys and values, an
+      ``ad.HeadLayout`` of the encoder states, with its key mask;
+    - ``held``: each layer's self-attention keys and values, two
       (B, heads, capacity, d / heads) buffers. A call writes its new
       positions into them at ``length`` on, and attention reads the
       ``[:, :, :length]`` view of the positions fed so far.
 
     ``capacity`` is the most positions the cache takes (``generate_batch``
-    passes the ``max_new`` it feeds). It holds arrays, so it decodes on frozen
-    parameters only: ``ad.attend`` refuses queries that need a gradient.
+    passes the ``max_new`` it feeds). A cache serves ``enc_out`` alone,
+    through the frozen ``params`` it was made from: its arrays take no
+    gradient, and ``ad.attend`` refuses queries that do.
     """
 
-    def __init__(self, capacity):
-        self.length = 0
-        self.capacity = capacity
-        self.cross = {}
-        self.held = {}
+    def __init__(self, params, enc_out, config, capacity):
+        self.enc_out, self.capacity, self.length = enc_out, capacity, 0
+        # a comprehension, so one layer's packed keys are gone before the next's are projected
+        self.cross = [ad.head_layout(*_keys_values(params, f"dec{i}_cross", enc_out.states),
+                                     config.heads, enc_out.offsets) for i in range(config.layers_dec)]
+        shape = (len(enc_out.offsets) - 1, config.heads, capacity, config.model_dim // config.heads)
+        self.held = [(np.empty(shape), np.empty(shape)) for _ in range(config.layers_dec)]
 
-    def encoder_keys(self, params, prefix, enc_out, heads):
-        """The layout of one cross-attention block's keys and values,
-        projected from the encoder states and split at the first call."""
-        layout = self.cross.get(prefix)
-        if layout is None:
-            k, v = _keys_values(params, prefix, enc_out.states)
-            layout = self.cross[prefix] = ad.head_layout(k.data, v.data, heads, enc_out.offsets)
-        return layout
-
-    def grown_keys(self, params, prefix, x, heads, n):
-        """One self-attention block's keys and values for every position up
+    def grown_keys(self, params, i, x, n):
+        """Layer ``i``'s self-attention keys and values for every position up
         to ``n``: those of the new rows ``x`` (B * (n - length), d), written
-        into the block's buffers at ``length:n``, after the ones held."""
-        new = _keys_values(params, prefix, x)
-        batch, hd = x.shape[0] // (n - self.length), x.shape[1] // heads
-        buffers = self.held.get(prefix)
-        if buffers is None:
-            shape = (batch, heads, self.capacity, hd)
-            buffers = self.held[prefix] = (np.empty(shape), np.empty(shape))
-        elif buffers[0].shape[0] != batch:
-            raise ShapeError(f"decoder cache holds {buffers[0].shape[0]} samples, not {batch}")
-        for buf, rows in zip(buffers, new):
-            buf[:, :, self.length:n] = rows.data.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
-        return ad.HeadLayout(buffers[0][:, :, :n], buffers[1][:, :, :n], np.full(batch, n))
+        into its buffers at ``length:n``, after the ones held."""
+        k, v = self.held[i]
+        batch, heads, _, hd = k.shape
+        for buf, rows in zip((k, v), _keys_values(params, f"dec{i}_self", x)):
+            buf[:, :, self.length:n] = rows.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
+        return ad.HeadLayout(k[:, :, :n], v[:, :, :n], np.full(batch, n))
 
 
 def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
@@ -425,12 +416,13 @@ def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
     cross-attention reads the packed encoder rows through ``enc_out.offsets``.
 
     Without a ``cache`` the ids are the whole teacher-forced stream. With one,
-    they continue the positions already fed through that cache: the first
-    call lays out the cross-attention keys and values, and each call writes
-    the new positions' self-attention keys and values after the held ones,
-    so a token is never run through the decoder twice. Both give the same
-    states up to rounding. Feeding a cache past its capacity, or through
-    parameters that record a graph, is a ContractError.
+    they continue the positions already fed through that cache: each call
+    writes the new positions' self-attention keys and values after the held
+    ones and reads the cross-attention layouts the cache made, so a token
+    is never run through the decoder twice. Both give the same states up to
+    rounding. A cache made for another ``enc_out``, even one of the same
+    batch size, is a ContractError before anything is fed; so is feeding a
+    cache past its capacity, or through parameters that record a graph.
     """
     batch = len(enc_out.offsets) - 1
     ids = np.asarray(dec_ids, dtype=np.int64)
@@ -438,6 +430,8 @@ def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
         raise ShapeError(f"decoder ids of shape {ids.shape} do not fit a batch of {batch}")
     if ids.shape[1] == 0:
         raise ContractError("decoder needs at least one input token")
+    if cache is not None and cache.enc_out is not enc_out:
+        raise ContractError("decoder cache was made for another encoding")
     past = cache.length if cache is not None else 0
     n = past + ids.shape[1]
     if n > config.max_len:
@@ -456,16 +450,14 @@ def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
         if cache is None:  # the new rows are the whole stream, and their own keys
             a = _attention(params, prefix, x, x, config, fed, fed, causal=True)
         else:
-            kv = cache.grown_keys(params, prefix, x, config.heads, n)
-            a = _cached_attention(params, prefix, x, kv, fed, causal=True)
+            a = _cached_attention(params, prefix, x, cache.grown_keys(params, i, x, n), fed, True)
         a = _maybe_dropout(a, config, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"], residual=a)
         prefix = f"dec{i}_cross"
         if cache is None:
             c = _attention(params, prefix, x, enc_out.states, config, fed, enc_out.offsets)
         else:
-            kv = cache.encoder_keys(params, prefix, enc_out, config.heads)
-            c = _cached_attention(params, prefix, x, kv, fed)
+            c = _cached_attention(params, prefix, x, cache.cross[i], fed)
         c = _maybe_dropout(c, config, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln2_g"], params[f"dec{i}_ln2_b"], residual=c)
         f = _maybe_dropout(_ffn(params, f"dec{i}_ffn", x), config, rng)
@@ -541,13 +533,12 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
 
     Prefill is narrow and decode is wide: the prompts are cut into groups
     of ``_DECODE_ROWS`` consecutive prompts, each group is encoded in its
-    own ``_row_chunks`` slices, joined into one encoding, and the decoder
-    runs on the whole group. Every row of a group is fed one token per step
-    through a shared ``DecoderCache`` sized for the ``max_new`` positions it
-    can be fed. A row stops recording at its first <eos>, and the group ends
-    when every row has stopped or after ``max_new`` tokens. A ``max_new``
-    outside [1, ``config.max_len``] is a ``ContractError``, raised before
-    any prompt is encoded.
+    own ``_row_chunks`` slices and joined into one encoding, from which one
+    ``DecoderCache`` of ``max_new`` positions is made, and every row of the
+    group is fed one token per step through it. A row stops recording at
+    its first <eos>, and the group ends when every row has stopped or after
+    ``max_new`` tokens. A ``max_new`` outside [1, ``config.max_len``] is a
+    ``ContractError``, raised before any prompt is encoded.
     """
     if not 1 <= max_new <= config.max_len:
         raise ContractError(f"max_new {max_new} outside [1, max length {config.max_len}]")
@@ -557,7 +548,7 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
         group = prompts[start:start + _DECODE_ROWS]
         enc = join_encodings([encode_batch(chunk, params, config, vocab)
                               for chunk in _row_chunks(group)])
-        cache = DecoderCache(max_new)
+        cache = DecoderCache(params, enc, config, max_new)
         ids = [[] for _ in group]
         running = np.ones(len(group), dtype=bool)
         nxt = np.full(len(group), vocab.bos_id)
@@ -570,6 +561,7 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
             if not running.any():
                 break
         out.extend(ids)
+        del enc, cache  # before the next group's are made
     return out
 
 

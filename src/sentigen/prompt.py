@@ -63,9 +63,10 @@ def text_pieces(text):
 
 class Vocab:
     """Token <-> id table. Special tokens come first in a fixed order: core
-    markers, task tokens, dataset tokens (registry order), speaker tokens.
-    The id of a token is its index in ``tokens``; checkpoints carry the
-    token list in their metadata."""
+    markers, task tokens, ``num_datasets`` dataset tokens (registry order),
+    then ``num_speakers`` speaker tokens and no further marker; any other
+    layout is a VocabularyError. The id of a token is its index in
+    ``tokens``; checkpoints carry the token list in their metadata."""
 
     def __init__(self, tokens, num_datasets, num_speakers):
         self.tokens = list(tokens)
@@ -81,6 +82,17 @@ class Vocab:
         expected = list(_CORE_SPECIALS) + [task_token(t) for t in TASK_ORDER]
         if self.tokens[:len(expected)] != expected:
             raise VocabularyError("vocabulary does not start with the fixed special-token block")
+        # the dataset tokens, in the order of the registry the vocabulary was built from
+        self.dataset_tokens = self.tokens[len(expected):len(expected) + self.num_datasets]
+        speakers = self.tokens[len(expected) + self.num_datasets:self.n_special]
+        after = self.tokens[self.n_special:self.n_special + 1]
+        if (len(self.dataset_tokens) != self.num_datasets
+                or not all(t.startswith("<data:") for t in self.dataset_tokens)
+                or speakers != [speaker_token(k) for k in range(self.num_speakers)]
+                or any(len(t) > 1 and t.startswith("<") and t.endswith(">") for t in after)):
+            raise VocabularyError(f"vocabulary does not follow its fixed block with "
+                                  f"{self.num_datasets} dataset tokens, then {self.num_speakers} "
+                                  "speaker tokens and no further marker")
 
     def __len__(self):
         return len(self.tokens)

@@ -45,7 +45,7 @@ from .model import encode  # noqa: F401  traced by name by benchmarks/tracing.py
 from .objectives import (LossReport, Stage1Example, Stage2Example, assign_pseudo_labels,
                          build_centroids, generation_loss, label_token_ids, stage1_loss,
                          stage2_loss)
-from .prompt import Vocab, build_prompt, build_vocab, combine_queries, tokenize
+from .prompt import Vocab, build_prompt, build_vocab, combine_queries, dataset_token, tokenize
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -381,12 +381,16 @@ def _parsed_field(meta, key, parse, source):
 
 def _fit_config(config, vocab, registry, source):
     """``config`` if it fits ``vocab`` and ``registry``: the vocabulary size,
-    the dataset count and every feature width a dataset declares. ``source``
-    names the config in the ConfigError raised otherwise."""
+    the dataset count, the vocabulary's dataset tokens naming the registry's
+    datasets in its order, and every feature width a dataset declares.
+    ``source`` names the config in the ConfigError raised otherwise."""
     if config.vocab_size != len(vocab):
         raise ConfigError(f"{source} vocab_size {config.vocab_size} != vocabulary size {len(vocab)}")
     if config.num_datasets != len(registry):
         raise ConfigError(f"{source} num_datasets {config.num_datasets} != registry size {len(registry)}")
+    if vocab.dataset_tokens != [dataset_token(d) for d in registry.dataset_ids]:
+        raise ConfigError(f"{source} vocabulary's dataset tokens {vocab.dataset_tokens} are not "
+                          f"the registry's datasets {list(registry.dataset_ids)} in order")
     for dataset_id in registry.dataset_ids:
         spec = registry.spec(dataset_id)
         for field in ("acoustic_dim", "visual_dim"):

@@ -432,6 +432,45 @@ def test_eval_checks_registry_feature_widths(cli_corpus, finetuned, tmp_path, ca
     assert msg["error"] == "ConfigError" and "acoustic_dim" in msg["message"]
 
 
+@pytest.mark.parametrize("fault", ["rotated", "renamed", "vocab_datasets=-1", "vocab_datasets=0",
+                                   "vocab_datasets=1", "vocab_datasets=3",
+                                   "vocab_datasets=1000000", "vocab_speakers=7",
+                                   "vocab_speakers=1000000"])
+def test_checkpoint_for_another_registry_or_vocabulary_block_exits_2(cli_corpus, finetuned,
+                                                                     tmp_path, capsys, fault):
+    """A checkpoint loads only against the registry it was trained with, in
+    its order, and only with the dataset and speaker counts its vocabulary
+    holds: ``eval`` against the same datasets rotated or one renamed (in
+    the registry and the corpus), or from a checkpoint whose
+    ``vocab_datasets`` or ``vocab_speakers`` (5 and 8 here) is any other
+    count, is a one-line ConfigError, raised before ``--out`` is written."""
+    import shutil
+    from sentigen.model import load_checkpoint, save_checkpoint
+    inputs, ck = tmp_path / "inputs", finetuned / "checkpoint.ckpt"
+    shutil.copytree(cli_corpus, inputs)
+    if fault.startswith("vocab_"):
+        field, count = fault.split("=")
+        config, arrays, meta = load_checkpoint(ck)
+        ck = tmp_path / "bad.ckpt"
+        save_checkpoint(ck, config, arrays, meta={**meta, field: int(count)})
+    elif fault == "rotated":
+        registry = json.loads((inputs / "registry.json").read_text())
+        ids = list(registry)
+        (inputs / "registry.json").write_text(json.dumps({d: registry[d] for d in ids[1:] + ids[:1]}))
+    else:
+        for name in ("registry.json", "corpus.jsonl"):
+            text = (inputs / name).read_text()
+            (inputs / name).write_text(text.replace('"sst-toy"', '"sst-renamed"'))
+    code, out, err = run(capsys, "eval", "--corpus", str(inputs / "corpus.jsonl"),
+                         "--registry", str(inputs / "registry.json"), "--checkpoint", str(ck),
+                         "--max-new", "2", "--out", str(tmp_path / "out"))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    msg = json.loads(err)
+    assert msg["error"] == "ConfigError"
+    assert ("vocabulary" in msg["message"]) and str(ck) in msg["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_empty_corpus_is_data_error(cli_corpus, finetuned, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -556,7 +595,8 @@ def test_failed_rewrite_keeps_the_old_output(cli_corpus, finetuned, tmp_path, ca
 
     def torn_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
-        return TornWrite(fh, 10) if "w" in mode and Path(file).name.startswith(name) else fh
+        writes = "w" in mode or "x" in mode
+        return TornWrite(fh, 10) if writes and Path(file).name.startswith(name) else fh
 
     monkeypatch.setattr(builtins, "open", torn_open)
     code, stdout, err = run(capsys, *argv)

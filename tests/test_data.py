@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import sentigen
 from sentigen.data import (Polarity, Registry, TaskType, load_corpus, read_feature_sidecar,
                            render_scalar_label, to_polarity, write_feature_sidecar, write_json,
-                           write_jsonl, write_manifest)
+                           write_file_atomic, write_jsonl, write_manifest)
 from sentigen.errors import ConfigError, ContractError, DataError, SentigenError
 
 from conftest import serialize_corpus
@@ -437,6 +439,49 @@ def test_only_run_state_is_synced(tmp_path, monkeypatch):
     write_manifest(tmp_path, "test", 0, {})
     save_checkpoint(tmp_path / "a.ckpt", ModelConfig(), {}, meta={})
     assert len(synced) == 4
+
+
+def test_writers_racing_on_one_path_each_publish_a_whole_file(tmp_path):
+    """Two threads rewriting one path, each its own 1 MB pattern in 64 KB
+    chunks, while a third reads it: every write succeeds, the reader only
+    ever sees the first file or one writer's whole pattern, and no temp
+    file is left behind."""
+    path, chunk = tmp_path / "shared.bin", 64 * 1024
+    contents = [bytes([k]) * (16 * chunk) for k in range(3)]
+    write_file_atomic(path, [contents[0]])
+    errors, seen, done = [], set(), threading.Event()
+
+    def write(k):
+        for _ in range(20):
+            try:
+                write_file_atomic(path, [contents[k][i:i + chunk]
+                                         for i in range(0, len(contents[k]), chunk)])
+            except ConfigError as exc:
+                errors.append(str(exc))
+
+    def read():
+        while not done.is_set():
+            seen.add(path.read_bytes())
+
+    reader = threading.Thread(target=read)
+    writers = [threading.Thread(target=write, args=(k,)) for k in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        reader.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        done.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in (reader, *writers))
+    assert errors == []
+    assert seen <= set(contents)
+    assert path.read_bytes() in contents[1:]
+    assert [p.name for p in tmp_path.iterdir()] == ["shared.bin"]
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def test_cached_decoder_matches_teacher_forced(world):
         enc = encode(ps, frozen, config, vocab)
         full = decoder_states(ids, enc, params, config).data
         for chunks in ([1] * n_ids, [2, 1, 3, 1]):
-            cache = DecoderCache(n_ids)
+            cache = DecoderCache(frozen, enc, config, n_ids)
             fed = 0
             for n in chunks:
                 rows = decoder_states(ids[:, fed:fed + n], enc, frozen, config, cache=cache).data
@@ -237,7 +237,7 @@ def test_batched_cached_decoder_matches_teacher_forced(world):
     b, n = ids.shape
     full = decoder_states(ids, enc, frozen, config).data.reshape(b, n, -1)
     for chunks in ([1] * n, [2, 1, 3, 1]):
-        cache = DecoderCache(n)
+        cache = DecoderCache(frozen, enc, config, n)
         fed = 0
         for m in chunks:
             rows = decoder_states(ids[:, fed:fed + m], enc, frozen, config, cache=cache).data
@@ -282,32 +282,55 @@ def test_cached_decoder_bounds(world):
     ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
     frozen = freeze_params(params)
     enc = encode(ps, frozen, config, vocab)
-    cache = DecoderCache(2)
+    cache = DecoderCache(frozen, enc, config, 2)
     decoder_states([[vocab.bos_id, 20]], enc, frozen, config, cache=cache)
     with pytest.raises(ContractError):
         decoder_states([[21]], enc, frozen, config, cache=cache)
     assert cache.length == 2
     past = [[vocab.bos_id] * (config.max_len + 1)]
-    for cache in (None, DecoderCache(config.max_len + 1)):
+    for cache in (None, DecoderCache(frozen, enc, config, config.max_len + 1)):
         with pytest.raises(ContractError, match="exceeds max length"):
             decoder_states(past, enc, frozen, config, cache=cache)
+    enc = encode(ps, params, config, vocab)
     with pytest.raises(ContractError):
-        decoder_states([[vocab.bos_id]], encode(ps, params, config, vocab), params, config,
-                       cache=DecoderCache(1))
+        decoder_states([[vocab.bos_id]], enc, params, config,
+                       cache=DecoderCache(params, enc, config, 1))
+
+
+def test_a_cache_refuses_another_encoding_of_its_batch_size(world):
+    """A cache serves the encoding it was made for alone: fed another
+    encoding of the same batch size, even an equal one, it is a
+    ContractError before anything is fed, and the cache then still gives
+    its own encoding the teacher-forced states."""
+    vocab, registry, records, _, _ = world
+    config, frozen = two_layer_model(world)
+    prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:4]]
+    enc = model.encode_batch(prompts[:2], frozen, config, vocab)
+    ids = np.array([[vocab.bos_id, 20, 21], [vocab.bos_id, 22, 5]])
+    full = decoder_states(ids, enc, frozen, config).data.reshape(2, 3, -1)
+    cache = DecoderCache(frozen, enc, config, 3)
+    decoder_states(ids[:, :1], enc, frozen, config, cache=cache)
+    for other in (model.encode_batch(prompts[2:], frozen, config, vocab),
+                  model.encode_batch(prompts[:2], frozen, config, vocab)):
+        with pytest.raises(ContractError, match="another encoding"):
+            decoder_states(ids[:, 1:], other, frozen, config, cache=cache)
+        assert cache.length == 1
+    rows = decoder_states(ids[:, 1:], enc, frozen, config, cache=cache).data.reshape(2, 2, -1)
+    assert np.max(np.abs(rows - full[:, 1:])) <= 1e-12
 
 
 def test_cache_fed_another_batch_and_dropout_without_rng_are_refused(world, tmp_path):
-    """A cache keeps the batch it was first fed: a later call with another
-    sample count is a ShapeError. ``encode``'s training pass needs its
+    """A cache serves the encoding it was made for: a call with another
+    batch's is a ContractError. ``encode``'s training pass needs its
     RNG stream. A checkpoint array of a dtype the format lacks is refused
     before anything is written."""
     vocab, registry, records, config, params = world
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:3]]
     frozen = freeze_params(params)
-    cache = DecoderCache(4)
-    decoder_states([[vocab.bos_id]] * 2, model.encode_batch(prompts[:2], frozen, config, vocab),
-                   frozen, config, cache=cache)
-    with pytest.raises(ShapeError, match="holds 2 samples, not 3"):
+    enc = model.encode_batch(prompts[:2], frozen, config, vocab)
+    cache = DecoderCache(frozen, enc, config, 4)
+    decoder_states([[vocab.bos_id]] * 2, enc, frozen, config, cache=cache)
+    with pytest.raises(ContractError, match="another encoding"):
         decoder_states([[vocab.bos_id]] * 3, model.encode_batch(prompts, frozen, config, vocab),
                        frozen, config, cache=cache)
     with pytest.raises(ContractError, match="RNG"):
@@ -352,9 +375,9 @@ def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):
     """Structural guard: ``generate_batch`` decodes groups of at most
     ``_DECODE_ROWS`` prompts and encodes each group's ``_row_chunks``
     slices once, no slice holding prompts of two groups. No decoding step
-    concatenates rows, and each group splits the encoder's
-    keys and values into heads once per decoder layer, not at every step
-    nor per slice."""
+    concatenates rows, and each group splits the encoder's keys and values
+    into heads once per decoder layer, when its cache is made, not at
+    every step nor per slice."""
     vocab, registry, records, _, _ = world
     config, frozen = two_layer_model(world)
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records]
@@ -381,8 +404,16 @@ def test_greedy_decoding_lays_out_once_per_chunk(world, monkeypatch):
         finally:
             decoding.pop()
 
-    real_step = model.decoder_states
+    def making(*args, **kwargs):
+        decoding.append(True)
+        try:
+            return real_cache(*args, **kwargs)
+        finally:
+            decoding.pop()
+
+    real_step, real_cache = model.decoder_states, model.DecoderCache
     monkeypatch.setattr(model, "decoder_states", stepping)
+    monkeypatch.setattr(model, "DecoderCache", making)
     monkeypatch.setattr(model, "encode_batch", counted("encode_batch", model.encode_batch))
     for name in ("concat_rows", "head_layout"):
         monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))

@@ -535,7 +535,7 @@ def test_fault_in_log_prefix_rewrite_keeps_the_old_log(toy, tmp_path, monkeypatc
 
     def torn_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
-        if "w" in mode and Path(file).name.startswith("metrics.jsonl"):
+        if ("w" in mode or "x" in mode) and Path(file).name.startswith("metrics.jsonl"):
             return TornWrite(fh, 20)
         return fh
 
@@ -545,7 +545,7 @@ def test_fault_in_log_prefix_rewrite_keeps_the_old_log(toy, tmp_path, monkeypatc
                      resume_from=out / "checkpoint_step2.ckpt")
     monkeypatch.setattr(builtins, "open", real_open)
     assert (out / "metrics.jsonl").read_bytes() == old
-    assert not (out / "metrics.jsonl.tmp").exists()
+    assert not list(out.glob("*.tmp"))
 
     resumed = run_finetune(toy["records"], toy["registry"], config, cfg, out,
                            resume_from=out / "checkpoint_step2.ckpt")
