@@ -5,13 +5,15 @@ scalar sentiment, conversation emotion, comment sentiment). Every dataset a
 corpus references must be declared in a registry config which fixes its task
 type, answer set, feature dimensions, and evaluation metrics.
 
-Every file the package reads goes through ``read_bytes`` and every file it
-writes through ``write_file_atomic``, bar a training log's append handle, so
+Every file the package reads is read inside ``reading`` (``read_bytes``,
+or a checkpoint's streaming load) and every file it writes goes through
+``write_file_atomic``, bar a training log's append handle, so
 a path that cannot be read or written is one ``ConfigError`` line and a
 failed or killed write leaves the old file whole.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -160,18 +162,26 @@ class DatasetSpec:
     metrics: tuple
 
 
-def read_bytes(path, what, error=ConfigError):
-    """The bytes of the file at ``path``, named ``what`` in errors. A
-    missing or unreadable path (a directory, say) is an ``error``: a
-    ConfigError for a path the user names, a DataError for one named inside
-    the data, such as a feature sidecar."""
+@contextlib.contextmanager
+def reading(path, what, error=ConfigError):
+    """A block that reads the file at ``path``, named ``what`` in errors,
+    given ``path`` as a Path. A missing or unreadable path (a directory,
+    say), or a read that fails, is an ``error``: a ConfigError for a path the
+    user names, a DataError for one named inside the data, such as a feature
+    sidecar."""
     path = Path(path)
     try:
-        return path.read_bytes()
+        yield path
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
     except OSError as exc:
         raise error(f"cannot read {what} {path} ({exc.strerror})") from None
+
+
+def read_bytes(path, what, error=ConfigError):
+    """The bytes of the file at ``path``, refused as ``reading`` says."""
+    with reading(path, what, error) as path:
+        return path.read_bytes()
 
 
 # numbers each write's temp file within this process
@@ -443,8 +453,8 @@ def read_feature_sidecar(path):
     expect = 12 + rows * cols * 4
     if len(blob) != expect:
         raise DataError(f"sidecar payload is {len(blob)} bytes, expected {expect}", path=str(path))
-    data = np.frombuffer(blob[12:], dtype="<f4").reshape(rows, cols)
-    return np.ascontiguousarray(data)
+    # a view past the header, read-only as the bytes are: no copy of the payload
+    return np.frombuffer(blob, dtype="<f4", offset=12).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------

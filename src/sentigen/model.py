@@ -59,12 +59,15 @@ lays out only what it feeds and copies nothing held; training passes no
 cache, so its attention lays out its own keys.
 
 Checkpoints are written, synced, through ``data.write_file_atomic``, so a
-failed save leaves the old checkpoint whole.
+failed save leaves the old checkpoint whole. A load checks the header and
+its whole manifest against the file's size first, then reads each array
+once into its own array, CRC as it reads: it holds one copy of the payload.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -72,11 +75,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import read_bytes, write_file_atomic
+from .data import reading, write_file_atomic
 from .errors import ConfigError, ContractError, ShapeError
 
 CHECKPOINT_MAGIC = b"SGCK"
 CHECKPOINT_VERSION = 3
+_CHECKPOINT_DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}  # by manifest name
 
 _TYPE_INDEX = {"text": 0, "acoustic": 1, "visual": 2}
 
@@ -626,46 +630,75 @@ def load_checkpoint(path):
 
     A missing or unreadable path, any malformed header (one naming an array
     twice, say), or a payload that does not match the header's CRC-32, is a
-    ``ConfigError``. Each array is copied once out of the file's bytes."""
-    blob = read_bytes(path, "checkpoint")
-    if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: not a checkpoint file")
-    version, header_len = struct.unpack("<IQ", blob[4:16])
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ConfigError(f"{path}: checkpoint header is not a JSON object")
-        payload = memoryview(blob)[16 + header_len:]  # entries are sliced from it, uncopied
-        if header["payload_crc32"] != zlib.crc32(payload):
-            raise ConfigError(f"{path}: checkpoint payload does not match its CRC-32")
-        arrays = {}
-        for entry in header["arrays"]:
-            if entry["dtype"] not in ("<f8", "<i8"):
-                raise ConfigError(f"{path}: unsupported dtype {entry['dtype']!r} in checkpoint")
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            start = entry["offset"]
-            if not all(type(n) is int and n >= 0 for n in shape + (start,)):
-                raise ConfigError(f"{path}: bad shape or offset for array {entry['name']!r}")
-            stop = start + math.prod(shape) * dtype.itemsize
-            if stop > len(payload):
-                raise ConfigError(f"{path}: truncated checkpoint payload at array {entry['name']!r}")
-            if entry["name"] in arrays:
-                raise ConfigError(f"{path}: checkpoint names array {entry['name']!r} twice")
-            arrays[entry["name"]] = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape).copy()
+    ``ConfigError``. The header and its whole manifest are checked against
+    the file's size before any array is allocated, so a header that claims
+    more bytes than the file holds is refused, not allocated. Each array is
+    then read once into its own array, the CRC-32 run as it reads: a load
+    holds one copy of the payload, never the file's bytes beside it."""
+    with reading(path, "checkpoint") as file, open(file, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != CHECKPOINT_MAGIC:
+            raise ConfigError(f"{path}: not a checkpoint file")
+        version, header_len = struct.unpack("<IQ", head[4:])
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+        if header_len > size - 16:
+            raise ConfigError(f"{path}: checkpoint header of {header_len} bytes runs past the end of the file")
         try:
-            config = ModelConfig.from_json(header["config"]).validate()
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: checkpoint {exc}") from exc
-        meta = header.get("meta", {})
-        if not isinstance(meta, dict):
-            raise ConfigError(f"{path}: checkpoint metadata is not a JSON object")
-    except (KeyError, TypeError, ValueError) as exc:
-        # ValueError covers undecodable bytes and malformed JSON
-        raise ConfigError(f"{path}: corrupt checkpoint header ({type(exc).__name__}: {exc})") from exc
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+            if not isinstance(header, dict):
+                raise ConfigError(f"{path}: checkpoint header is not a JSON object")
+            expected_crc = header["payload_crc32"]
+            layout = _payload_layout(header["arrays"], size - 16 - header_len, path)
+            try:
+                config = ModelConfig.from_json(header["config"]).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: checkpoint {exc}") from exc
+            meta = header.get("meta", {})
+            if not isinstance(meta, dict):
+                raise ConfigError(f"{path}: checkpoint metadata is not a JSON object")
+            arrays, crc = {}, 0
+            for name, dtype, shape in layout:
+                # read and summed through the array's own C-contiguous buffer
+                arr = arrays[name] = np.empty(shape, dtype)
+                if fh.readinto(arr) != arr.nbytes:  # the file shrank since it was sized
+                    raise ConfigError(f"{path}: checkpoint file ends inside array {name!r}")
+                crc = zlib.crc32(arr, crc)
+        except (KeyError, TypeError, ValueError) as exc:
+            # ValueError covers undecodable bytes and malformed JSON
+            raise ConfigError(f"{path}: corrupt checkpoint header ({type(exc).__name__}: {exc})") from exc
+    if crc != expected_crc:
+        raise ConfigError(f"{path}: checkpoint payload does not match its CRC-32")
     return config, arrays, meta
+
+
+def _payload_layout(entries, size, path):
+    """The (name, dtype, shape) of each array of the manifest ``entries``,
+    checked against a payload of ``size`` bytes before anything is read: a
+    known dtype, a shape of whole numbers, no name twice, and entries that
+    tile the payload exactly, in order, from offset 0."""
+    layout, names, offset = [], set(), 0
+    for entry in entries:
+        name, start, shape = entry["name"], entry["offset"], tuple(entry["shape"])
+        dtype = _CHECKPOINT_DTYPES.get(entry["dtype"])
+        if dtype is None:
+            raise ConfigError(f"{path}: unsupported dtype {entry['dtype']!r} in checkpoint")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ConfigError(f"{path}: bad shape for array {name!r}")
+        if name in names:
+            raise ConfigError(f"{path}: checkpoint names array {name!r} twice")
+        if type(start) is not int or start != offset:
+            raise ConfigError(f"{path}: checkpoint array {name!r} starts at payload byte "
+                              f"{start!r}, not {offset}")
+        offset += math.prod(shape) * dtype.itemsize
+        if offset > size:
+            raise ConfigError(f"{path}: truncated checkpoint payload at array {name!r}")
+        names.add(name)
+        layout.append((name, dtype, shape))
+    if offset != size:
+        raise ConfigError(f"{path}: checkpoint payload holds {size - offset} bytes past its last array")
+    return layout
 
 
 def params_to_arrays(params):

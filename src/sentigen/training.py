@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -489,24 +490,48 @@ class _Run:
         self.pseudo = arrays.get("pseudo")
         self._resume_meta = meta
 
-    def open_log(self, path):
-        """Open a per-step JSONL log for appending. A fresh run starts it
-        empty; a resumed run keeps the lines up to its checkpoint step, so
-        the log ends up as an uninterrupted run's would. A line that is torn,
-        not UTF-8 or not JSON ends the kept lines. They are swapped in whole,
-        so a crash while they are written loses none."""
-        kept = []
-        if self._resume_meta is not None and path.exists():
-            for line in read_bytes(path, "training log").splitlines(keepends=True):
-                try:
-                    step = json.loads(line.decode("utf-8"))["step"]
-                except (ValueError, KeyError, TypeError):
-                    break  # a line torn by the interruption, or not one of ours
+    def kept_lines(self, path, complete=False):
+        """The lines of the per-step JSONL log at ``path`` that the run keeps:
+        none for a fresh run or a log that does not exist, and for a resumed
+        run the lines up to its checkpoint step, so the log ends up as an
+        uninterrupted run's would. A line that is torn, not UTF-8 or not JSON
+        ends them. With ``complete``, an existing log whose kept lines do not
+        end at the checkpoint's step is a ConfigError: appending to it would
+        leave a gap."""
+        kept, last = [], 0
+        if self._resume_meta is None or not path.exists():
+            return kept
+        for line in read_bytes(path, "training log").splitlines(keepends=True):
+            try:
+                step = json.loads(line.decode("utf-8"))["step"]
                 if not line.endswith(b"\n") or step > self.step:
                     break
-                kept.append(line)
+            except (ValueError, KeyError, TypeError):
+                break  # a line torn by the interruption, or not one of ours
+            kept.append(line)
+            last = step
+        if complete and last != self.step:
+            raise ConfigError(f"{path}: log ends at step {last}, not at its checkpoint's step {self.step}")
+        return kept
+
+    @staticmethod
+    def open_log(path, kept):
+        """Open a per-step JSONL log for appending, holding the ``kept``
+        lines. They are swapped in whole, so a crash while they are written
+        loses none."""
         write_file_atomic(path, kept, sync=True)
         return open(path, "a", encoding="utf-8")
+
+    @staticmethod
+    def sync_logs(logs):
+        """Make every line appended to the open ``logs`` durable, so no
+        checkpoint reaches the disk ahead of a log line it covers. A failed
+        sync is a one-line ConfigError."""
+        for fh in logs:
+            try:
+                os.fsync(fh.fileno())
+            except OSError as exc:
+                raise ConfigError(f"cannot sync {fh.name} ({exc.strerror})") from None
 
     @staticmethod
     def write_line(fh, obj):
@@ -576,22 +601,27 @@ class _Run:
         ``validate(fh)``, when given, runs after every step with the open
         ``val_metrics.jsonl``. The run's first write is its
         ``manifest.json``, which hashes the configs it resolved, once every
-        check has passed. Logs are closed even when a step fails."""
+        check has passed, a resumed ``metrics.jsonl`` that stops short of
+        the checkpoint's step among them. Every open log is synced before
+        each checkpoint is written, and closed even when a step fails."""
         cfg = self.train_config
         if self._resume_meta is not None:
             # the stage built ``pools`` from the fresh data stream; the resumed
             # streams and pools replace both together
             self.rngs.update(_parsed_field(self._resume_meta, "rng", _restore_rngs, self.resume_from))
             _parsed_field(self._resume_meta, "pools", pools.load_state, self.resume_from)
+        metrics = self.out_dir / "metrics.jsonl"
+        kept = self.kept_lines(metrics, complete=True)
         write_manifest(self.out_dir, self.stage, cfg.seed,
                        {"train": cfg.to_json(), "model": self.model_config.to_json()})
         total_steps = (cfg.max_steps if cfg.max_steps is not None
                        else cfg.epochs * max(1, units_per_pass // cfg.batch_size))
         logs, due = [], []
         try:
-            logs.append(self.open_log(self.out_dir / "metrics.jsonl"))
+            logs.append(self.open_log(metrics, kept))
             if validate is not None:
-                logs.append(self.open_log(self.out_dir / "val_metrics.jsonl"))
+                val_metrics = self.out_dir / "val_metrics.jsonl"
+                logs.append(self.open_log(val_metrics, self.kept_lines(val_metrics)))
             while self.step < total_steps:
                 self.step += 1
                 report, total, grads = step()
@@ -602,9 +632,11 @@ class _Run:
                 if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
                     due = [self.out_dir / f"checkpoint_step{self.step}.ckpt"]
                     if self.step < total_steps:  # the last step's is written with the final one
+                        self.sync_logs(logs)
                         self.save(due.pop(), pools.state())
                 if validate is not None:
                     validate(logs[1])
+            self.sync_logs(logs)  # before the final checkpoint, which covers every line
         finally:
             for fh in logs:
                 fh.close()

@@ -208,6 +208,32 @@ def finetuned(cli_corpus, tmp_path_factory):
     return out / "run"
 
 
+@pytest.mark.parametrize("cut", ["short", "mistyped"])
+def test_resume_refuses_a_log_cut_short_of_its_checkpoint(cli_corpus, tmp_path, capsys, cut):
+    """A resume into a directory whose ``metrics.jsonl`` ends before the
+    checkpoint's step, cut back to step 1 or with its step-2 line's step a
+    string, exits 2 with one ConfigError line and changes no file: appending
+    from step 3 would leave a log with a gap."""
+    out = tmp_path / "run"
+    argv = ["finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
+            "--registry", str(cli_corpus / "registry.json"), "--out", str(out),
+            "--config", str(write_config(tmp_path / "cfg.json",
+                                         train={"max_steps": 4, "checkpoint_every": 2}))]
+    assert run(capsys, *argv)[0] == 0
+    log = out / "metrics.jsonl"
+    lines = log.read_text().splitlines(keepends=True)
+    if cut == "short":
+        log.write_text(lines[0])
+    else:
+        log.write_text(lines[0] + lines[1].replace('"step": 2', '"step": "2"'))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    code, stdout, err = run(capsys, *argv, "--resume", str(out / "checkpoint_step2.ckpt"))
+    assert code == 2 and stdout == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"{log}: log ends at step 1, not at its checkpoint's step 2"}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_finetune_writes_manifest_and_checkpoint(finetuned, capsys):
     assert (finetuned / "checkpoint.ckpt").exists()
     assert (finetuned / "metrics.jsonl").exists()

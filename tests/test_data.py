@@ -294,6 +294,9 @@ def test_sidecar_roundtrip_and_errors(tmp_path):
     back = read_feature_sidecar(path)
     assert back.dtype == np.float32
     assert np.array_equal(back, feats)
+    assert back.flags.c_contiguous and not back.flags.writeable
+    write_feature_sidecar(path, np.zeros((3, 0), dtype=np.float32))
+    assert read_feature_sidecar(path).shape == (3, 0)
 
     path.write_bytes(b"XXXX" + b"\0" * 20)
     with pytest.raises(DataError):
@@ -307,6 +310,24 @@ def test_sidecar_roundtrip_and_errors(tmp_path):
         read_feature_sidecar(tmp_path / "nope.saev")
     with pytest.raises(ContractError):
         write_feature_sidecar(path, np.zeros(3, dtype=np.float32))
+
+
+def test_sidecar_read_holds_one_copy(tmp_path):
+    """Reading a sidecar holds its file's bytes once: the array is a view
+    past the 12-byte header, not a copy of the payload."""
+    import tracemalloc
+    path = tmp_path / "big.saev"
+    write_feature_sidecar(path, np.ones((1024, 256), dtype=np.float32))
+    size = path.stat().st_size
+    read_feature_sidecar(path)
+    tracemalloc.start()
+    try:
+        back = read_feature_sidecar(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.shape == (1024, 256) and np.all(back == 1.0)
+    assert peak <= 1.1 * size, (peak, size)
 
 
 def test_sidecar_reference_in_corpus(tmp_path):

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -923,6 +924,14 @@ def tiny_checkpoint(world, path):
     return path.read_bytes()
 
 
+def rewritten(blob, edit):
+    """The checkpoint bytes ``blob`` with their header replaced by
+    ``edit(header)``'s JSON."""
+    header_len = int.from_bytes(blob[8:16], "little")
+    new = json.dumps(edit(json.loads(blob[16:16 + header_len])), sort_keys=True).encode("utf-8")
+    return blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + header_len:]
+
+
 def test_corrupt_checkpoint_header_is_config_error(world, toy, tmp_path, capsys):
     blob = tiny_checkpoint(world, tmp_path / "good.ckpt")
     header_len = int.from_bytes(blob[8:16], "little")
@@ -952,21 +961,16 @@ def test_corrupt_checkpoint_header_is_config_error(world, toy, tmp_path, capsys)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
-    def rewritten(edit):
-        """The file with its header replaced by ``edit(header)``'s JSON."""
-        new = json.dumps(edit(json.loads(header)), sort_keys=True).encode("utf-8")
-        return blob[:8] + len(new).to_bytes(8, "little") + new + blob[16 + header_len:]
-
     def first_array(h, **fields):
         return {**h, "arrays": [{**h["arrays"][0], **fields}, *h["arrays"][1:]]}
 
     named = {  # each check's own message
-        "header is not a JSON object": rewritten(lambda h: [h]),
-        "bad shape or offset for array 'param/w_text'":
-            rewritten(lambda h: first_array(h, shape=[2, -3])),
-        "metadata is not a JSON object": rewritten(lambda h: {**h, "meta": ["stage", "test"]}),
+        "header is not a JSON object": rewritten(blob, lambda h: [h]),
+        "bad shape for array 'param/w_text'":
+            rewritten(blob, lambda h: first_array(h, shape=[2, -3])),
+        "metadata is not a JSON object": rewritten(blob, lambda h: {**h, "meta": ["stage", "test"]}),
         # the second array takes the first's name: it would silently replace it
-        "names array 'param/w_text' twice": rewritten(lambda h: {**h, "arrays": [
+        "names array 'param/w_text' twice": rewritten(blob, lambda h: {**h, "arrays": [
             {**a, "name": h["arrays"][0]["name"]} for a in h["arrays"]]}),
     }
     for message, data in named.items():
@@ -987,6 +991,94 @@ def test_corrupt_checkpoint_header_is_config_error(world, toy, tmp_path, capsys)
     assert code == 2 and out == "" and len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "ConfigError",
                                "message": f"{path}: unsupported checkpoint version 2"}
+
+
+def test_checkpoint_manifest_must_tile_the_payload(world, tmp_path, monkeypatch):
+    """The manifest is checked against the file's size before any array is
+    allocated: its entries must cover the payload exactly, in order, from
+    offset 0, and a header length past the end of the file is refused, not
+    allocated. An array cut short, by a file cut or one that shrinks while it
+    is read, and a payload whose CRC-32 differs, are refused too. Each is a
+    ConfigError with its own message."""
+    blob = tiny_checkpoint(world, tmp_path / "good.ckpt")  # 48 bytes of w_text, then 32 of steps
+    header_len = int.from_bytes(blob[8:16], "little")
+    size_past_end = len(blob) - 16 + 1
+
+    def arrays(edit):
+        return rewritten(blob, lambda h: {**h, "arrays": edit(h["arrays"])})
+
+    def moved(offset):
+        return arrays(lambda a: [a[0], {**a[1], "offset": offset}])
+
+    cases = {
+        "header of 1099511627776 bytes runs past the end":
+            blob[:8] + (2 ** 40).to_bytes(8, "little") + blob[16:],
+        f"header of {size_past_end} bytes runs past the end":
+            blob[:8] + size_past_end.to_bytes(8, "little") + blob[16:],
+        "array 'steps' starts at payload byte 48, not 0": arrays(lambda a: [a[1], a[0]]),
+        "array 'steps' starts at payload byte 40, not 48": moved(40),  # overlaps w_text
+        "array 'steps' starts at payload byte 56, not 48": moved(56),  # leaves a gap
+        "array 'steps' starts at payload byte 48.0, not 48": moved(48.0),
+        "payload holds 32 bytes past its last array": arrays(lambda a: a[:1]),
+        "payload holds 8 bytes past its last array": blob + bytes(8),
+        "truncated checkpoint payload at array 'steps'": blob[:-8],
+        "truncated checkpoint payload at array 'param/w_text'":
+            blob[:16 + header_len + 40],
+        "payload does not match its CRC-32": blob[:-1] + bytes([blob[-1] ^ 1]),
+    }
+    path = tmp_path / "bad.ckpt"
+    for message, data in cases.items():
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=message):
+            load_checkpoint(path)
+
+    # a file that loses its last 8 bytes after it was sized
+    path.write_bytes(blob[:-8])
+    real_fstat = model.os.fstat
+    monkeypatch.setattr(model.os, "fstat",
+                        lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+    with pytest.raises(ConfigError, match="file ends inside array 'steps'"):
+        load_checkpoint(path)
+    monkeypatch.undo()
+
+    with pytest.raises(ConfigError, match="checkpoint not found"):
+        load_checkpoint(tmp_path / "missing.ckpt")
+    with pytest.raises(ConfigError, match="cannot read checkpoint .*Is a directory"):
+        load_checkpoint(tmp_path)
+
+
+def test_checkpoint_load_holds_one_copy(world, tmp_path):
+    """A load reads each array from the file into its own owning,
+    C-contiguous, writable buffer, so its traced peak stays within 1.2x the
+    file's size on a checkpoint of over 1 MB; reading the whole file and
+    copying each array out of it peaks near 2x. A zero-size array, such as
+    an empty ``pseudo`` table, round-trips, and the loaded arrays save back
+    to the same bytes."""
+    import tracemalloc
+    vocab, registry, records, config, params = world
+    rng = np.random.default_rng(0)
+    arrays = {"param/big": rng.normal(size=(256, 512)), "steps": np.arange(1000),
+              "pseudo": np.zeros((0, 4), dtype=np.int64), "empty": np.zeros(0)}
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, config, arrays, meta={"stage": "test"})
+    size = path.stat().st_size
+    assert size > 2 ** 20
+    load_checkpoint(path)  # imports and caches warm, untraced
+    tracemalloc.start()
+    try:
+        _, back, meta = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * size, (peak, size)
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        got = back[name]
+        assert got.dtype == arr.dtype and got.shape == arr.shape and np.array_equal(got, arr)
+        assert got.flags.owndata and got.flags.c_contiguous and got.flags.writeable
+    resaved = tmp_path / "resaved.ckpt"
+    save_checkpoint(resaved, config, back, meta=meta)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_byte_mutation_fuzz(world, tmp_path):

@@ -1,6 +1,8 @@
 import builtins
+import errno
 import hashlib
 import json
+import os
 import sys
 import weakref
 from dataclasses import replace
@@ -551,6 +553,63 @@ def test_fault_in_log_prefix_rewrite_keeps_the_old_log(toy, tmp_path, monkeypatc
                            resume_from=out / "checkpoint_step2.ckpt")
     assert resumed.read_bytes() == full.read_bytes()
     assert (out / "metrics.jsonl").read_bytes() == (tmp_path / "full" / "metrics.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("stage", sorted(RUNS))
+def test_each_checkpoint_is_renamed_after_its_log_lines_are_synced(toy, tmp_path, monkeypatch,
+                                                                   stage):
+    """Write order: when a checkpoint, periodic or final, is renamed into
+    place, every log line written before it has been synced, so no machine
+    stop leaves a checkpoint on disk ahead of a line it covers."""
+    run = RUNS[stage][0]
+    config = small_config(toy["vocab"], toy["registry"])
+    cfg = train_cfg(max_steps=6, batch_size=8, checkpoint_every=2, validate_every_epochs=1,
+                    max_new_tokens=2)
+    out = tmp_path / "run"
+    synced, renamed, unsynced = {}, [], []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        real_fsync(fd)
+        st = os.fstat(fd)
+        synced[st.st_ino] = max(synced.get(st.st_ino, 0), st.st_size)
+
+    def replace_file(src, dst):
+        if Path(dst).suffix == ".ckpt":
+            renamed.append(Path(dst).name)
+            for log in (out / "metrics.jsonl", out / "val_metrics.jsonl"):
+                if log.exists() and synced.get(log.stat().st_ino, -1) < log.stat().st_size:
+                    unsynced.append((Path(dst).name, log.name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace_file)
+    run(toy["records"], toy["registry"], config, cfg, out)
+    monkeypatch.undo()
+    assert renamed == ["checkpoint_step2.ckpt", "checkpoint_step4.ckpt", "checkpoint_step6.ckpt",
+                       "checkpoint.ckpt"]
+    assert unsynced == []
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 6
+
+
+def test_a_failed_log_sync_is_config_error(toy, tmp_path, monkeypatch):
+    """A log that cannot be synced stops the run with a one-line
+    ConfigError naming it, before the checkpoint it would precede."""
+    config = small_config(toy["vocab"], toy["registry"])
+    out = tmp_path / "run"
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        log = out / "metrics.jsonl"
+        if log.exists() and os.fstat(fd).st_ino == log.stat().st_ino:
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(ConfigError, match=r"cannot sync .*metrics\.jsonl \(Input/output error\)"):
+        run_finetune(toy["records"], toy["registry"], config,
+                     train_cfg(max_steps=4, checkpoint_every=2), out)
+    assert not list(out.glob("*.ckpt*"))
 
 
 @pytest.mark.parametrize("stage,passes", [("pretrain1", 2), ("pretrain2", 1), ("finetune", 1)])
