@@ -490,28 +490,22 @@ class _Run:
         self.pseudo = arrays.get("pseudo")
         self._resume_meta = meta
 
-    def kept_lines(self, path, complete=False):
+    def kept_lines(self, path):
         """The lines of the per-step JSONL log at ``path`` that the run keeps:
         none for a fresh run or a log that does not exist, and for a resumed
         run the lines up to its checkpoint step, so the log ends up as an
         uninterrupted run's would. A line that is torn, not UTF-8 or not JSON
-        ends them. With ``complete``, an existing log whose kept lines do not
-        end at the checkpoint's step is a ConfigError: appending to it would
-        leave a gap."""
-        kept, last = [], 0
+        ends them."""
+        kept = []
         if self._resume_meta is None or not path.exists():
             return kept
         for line in read_bytes(path, "training log").splitlines(keepends=True):
             try:
-                step = json.loads(line.decode("utf-8"))["step"]
-                if not line.endswith(b"\n") or step > self.step:
+                if not line.endswith(b"\n") or json.loads(line.decode("utf-8"))["step"] > self.step:
                     break
             except (ValueError, KeyError, TypeError):
                 break  # a line torn by the interruption, or not one of ours
             kept.append(line)
-            last = step
-        if complete and last != self.step:
-            raise ConfigError(f"{path}: log ends at step {last}, not at its checkpoint's step {self.step}")
         return kept
 
     @staticmethod
@@ -611,7 +605,12 @@ class _Run:
             self.rngs.update(_parsed_field(self._resume_meta, "rng", _restore_rngs, self.resume_from))
             _parsed_field(self._resume_meta, "pools", pools.load_state, self.resume_from)
         metrics = self.out_dir / "metrics.jsonl"
-        kept = self.kept_lines(metrics, complete=True)
+        kept = self.kept_lines(metrics)
+        last = json.loads(kept[-1])["step"] if kept else self.step
+        if last != self.step:
+            # appending from the checkpoint's step would leave a gap; a log
+            # with no kept line starts empty, as a missing one does
+            raise ConfigError(f"{metrics}: log ends at step {last}, not at its checkpoint's step {self.step}")
         write_manifest(self.out_dir, self.stage, cfg.seed,
                        {"train": cfg.to_json(), "model": self.model_config.to_json()})
         total_steps = (cfg.max_steps if cfg.max_steps is not None

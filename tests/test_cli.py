@@ -234,6 +234,25 @@ def test_resume_refuses_a_log_cut_short_of_its_checkpoint(cli_corpus, tmp_path, 
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_a_resume_into_another_out_runs_again_the_same(cli_corpus, tmp_path, capsys):
+    """A resume into an ``--out`` with no log starts an empty one and logs
+    the steps after its checkpoint. Run again into that directory, as after
+    a crash before its first checkpoint, it keeps none of those lines, so it
+    starts empty again and writes the same log and checkpoint."""
+    argv = ["finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
+            "--registry", str(cli_corpus / "registry.json"),
+            "--config", str(write_config(tmp_path / "cfg.json",
+                                         train={"max_steps": 4, "checkpoint_every": 2}))]
+    assert run(capsys, *argv, "--out", str(tmp_path / "run"))[0] == 0
+    resumed = tmp_path / "resumed"
+    again = [*argv, "--out", str(resumed), "--resume", str(tmp_path / "run" / "checkpoint_step2.ckpt")]
+    assert run(capsys, *again)[0] == 0
+    first = {name: (resumed / name).read_bytes() for name in ("metrics.jsonl", "checkpoint.ckpt")}
+    assert [json.loads(l)["step"] for l in first["metrics.jsonl"].splitlines()] == [3, 4]
+    assert run(capsys, *again)[0] == 0
+    assert {name: (resumed / name).read_bytes() for name in first} == first
+
+
 def test_finetune_writes_manifest_and_checkpoint(finetuned, capsys):
     assert (finetuned / "checkpoint.ckpt").exists()
     assert (finetuned / "metrics.jsonl").exists()
