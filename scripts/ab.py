@@ -3,16 +3,20 @@
     python scripts/ab.py PARENT_TREE CHANGE_TREE --workload W --pairs N [--seed S --seconds T --smoke]
 
 Each tree is a copy of the repository's files (a checkout, or ``git archive``
-output). A pair runs ``benchmarks/run.py --trace 0`` once in each tree, as a
-subprocess with the tree as its working directory; the side that goes first
-alternates from pair to pair, so a drift in the host's speed falls on both.
+output). Before the first pair the script compiles each tree's ``src`` and
+``benchmarks`` (``python -m compileall -q``), so no run compiles a module
+while its peak RSS is measured. A pair runs ``benchmarks/run.py --trace 0``
+once in each tree, as a subprocess with the tree as its working directory;
+the side that goes first alternates from pair to pair, so a drift in the
+host's speed falls on both.
 For every end-to-end metric of the change tree's BENCHMARK.json the script
 prints each side's median and quartiles, how many pairs the change won (a
 tie counts for neither side), the parent's interquartile range, and whether
 the claim rule holds: the change wins at least nine pairs in ten, and its
 median beats the parent's by more than the parent's IQR. A last line says
-whether every pair's unit digests were equal. It exits 1 as soon as a run
-fails its checks or prints no result, and 0 otherwise, whatever the figures.
+whether every pair's unit digests were equal. It exits 1 as soon as a tree
+fails to compile or a run fails its checks or prints no result, and 0
+otherwise, whatever the figures.
 """
 from __future__ import annotations
 
@@ -43,6 +47,17 @@ def parse_args(argv):
         if not (tree / "benchmarks" / "run.py").is_file() or not (tree / "BENCHMARK.json").is_file():
             p.error(f"{tree} holds no benchmarks/run.py and BENCHMARK.json")
     return args
+
+
+def compile_tree(tree):
+    """Byte-compile ``tree``'s ``src`` and ``benchmarks``; False, with the
+    reason printed, when that fails."""
+    proc = subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "benchmarks"],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"ab: compiling {tree} failed (exit {proc.returncode})", file=sys.stderr)
+        print((proc.stdout + proc.stderr)[-2000:], file=sys.stderr, end="")
+    return proc.returncode == 0
 
 
 def run_once(tree, args):
@@ -92,6 +107,8 @@ def main(argv=None):
     spec = json.loads((args.change / "BENCHMARK.json").read_text("utf-8"))
     if args.seconds is None:
         args.seconds = float(spec["run_seconds"])
+    if not all(compile_tree(tree) for tree in (args.parent, args.change)):
+        return 1
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

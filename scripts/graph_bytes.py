@@ -61,8 +61,9 @@ def _buffer(a):
 
 def rule_arrays(rule):
     """The arrays a backward rule holds, through its closure, the closures
-    of the functions it calls, the tuples and lists it holds, and the data
-    of any tensor it holds."""
+    of the functions it calls, the tuples and lists it holds, the slots of
+    any ``Segments`` it holds (attention's row layouts), and the data of any
+    tensor it holds."""
     found, stack, seen = [], [rule], set()
     while stack:
         obj = stack.pop()
@@ -75,6 +76,8 @@ def rule_arrays(rule):
             stack.append(obj.data)
         elif isinstance(obj, (tuple, list)):
             stack.extend(obj)
+        elif isinstance(obj, ad.Segments):
+            stack.extend(getattr(obj, name) for name in obj.__slots__)
         elif callable(obj) and getattr(obj, "__closure__", None):
             stack.extend(c.cell_contents for c in obj.__closure__)
     return found

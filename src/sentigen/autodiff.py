@@ -32,10 +32,10 @@ projects q, k and v again, not padded copies of them; ``dropout``'s a bool
 mask; ``gelu_linear``'s its input (and its weight), from which it
 recomputes the GELU output and slope; and ``pair_contrast``'s its input,
 from which it rebuilds its pair differences. Recomputing is chosen where
-it is cheap in arithmetic and the array is large. ``attend`` is
-attention's forward alone, over keys and values already laid out per
-head, whose head count it reads from them; it records no node. The module
-keeps only the ops the rest of the package calls.
+it is cheap in arithmetic and the array is large. ``Segments`` owns packed
+rows' bounds and their padded per-head layout, for ``attention``, ``attend``
+(attention's forward over a ``HeadLayout``; it records no node) and
+``segment_mean``. The module keeps only the ops the rest of the package calls.
 
 GELU and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
@@ -248,42 +248,58 @@ def embedding(table, ids, *summed):
     return _make(out, "embedding", tables, rule)
 
 
-def _segments(offsets, rows, op):
-    """``offsets`` as an int array, checked to be B + 1 ascending row bounds
-    from 0 to ``rows`` (sample i owns rows offsets[i]:offsets[i + 1]); the B
-    segment lengths; and the shortest and longest of them, as ints. Those
-    two come from a list: on the few samples of a decode step, two numpy
-    reductions cost more than the rest of the check."""
-    off = np.asarray(offsets, dtype=np.int64)
-    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows:
-        raise ShapeError(f"{op}: offsets of shape {off.shape} do not bound {rows} rows")
-    lengths = off[1:] - off[:-1]
-    listed = lengths.tolist()
-    shortest, longest = min(listed), max(listed)
-    if shortest < 0:
-        raise ShapeError(f"{op}: offsets are not ascending")
-    return off, lengths, shortest, longest
+class Segments:
+    """B samples' rows packed end to end (the ``cu_seqlens`` layout),
+    checked: ``off`` is ``offsets`` as B + 1 ascending int row bounds from 0
+    to ``rows`` (sample i owns rows off[i]:off[i + 1]; ``op`` names the
+    caller in an error), ``lengths`` the B segment lengths, and ``shortest``
+    and ``longest`` their least and most as ints, from a list: on a decode
+    step's few samples, two numpy reductions cost more than the rest of the
+    check. ``slot`` is each row's index in the (B * longest)-row padded
+    layout; None when no segment is padded, and packed rows already are it."""
 
+    __slots__ = ("off", "lengths", "shortest", "longest", "slot")
 
-def _padded_slots(off, lengths, shortest, longest):
-    """Each row's index in the (B * longest)-row padded layout of checked
-    ``off``; None when every segment is the longest, and packed rows are
-    already that layout."""
-    if shortest == longest:
-        return None
-    return np.arange(off[-1]) + np.repeat(np.arange(len(lengths)) * longest - off[:-1], lengths)
+    def __init__(self, offsets, rows, op):
+        off = np.asarray(offsets, dtype=np.int64)
+        if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows:
+            raise ShapeError(f"{op}: offsets of shape {off.shape} do not bound {rows} rows")
+        lengths = off[1:] - off[:-1]
+        listed = lengths.tolist()
+        shortest, longest = min(listed), max(listed)
+        if shortest < 0:
+            raise ShapeError(f"{op}: offsets are not ascending")
+        self.off, self.lengths, self.shortest, self.longest = off, lengths, shortest, longest
+        self.slot = (None if shortest == longest else
+                     np.arange(rows) + np.repeat(np.arange(len(lengths)) * longest - off[:-1], lengths))
+
+    def split(self, x, heads):
+        """Packed rows (N, d) -> (B, heads, longest, d / heads), scattered
+        into a zeroed padded buffer at ``slot`` first unless it is None."""
+        b, d = len(self.lengths), x.shape[1]
+        if self.slot is not None:
+            x, packed = np.zeros((b * self.longest, d)), x
+            x[self.slot] = packed
+        return x.reshape(b, self.longest, heads, d // heads).transpose(0, 2, 1, 3)
+
+    def merge(self, x):
+        """(B, heads, longest, hd) -> packed rows: ``split`` undone."""
+        b, heads, rows, hd = x.shape
+        x = x.transpose(0, 2, 1, 3).reshape(b * rows, heads * hd)
+        return x if self.slot is None else x[self.slot]
 
 
 def segment_mean(a, offsets):
     """Mean of each segment of rows of ``a`` bounded by ``offsets`` (see
-    ``_segments``): (B, d), all summed in one segmented reduction, each
+    ``Segments``): (B, d), all summed in one segmented reduction, each
     exactly as its segment's alone would be."""
     if a.data.ndim != 2:
         raise ShapeError(f"segment_mean: needs a 2-D operand, got {a.shape}")
-    off, counts, shortest, _ = _segments(offsets, a.shape[0], "segment_mean")
-    if shortest == 0:
+    rows = Segments(offsets, a.shape[0], "segment_mean")
+    if rows.shortest == 0:
         raise ContractError("segment_mean: empty segment")
-    means = np.add.reduceat(a.data, off[:-1], axis=0) / counts[:, None]
+    counts = rows.lengths
+    means = np.add.reduceat(a.data, rows.off[:-1], axis=0) / counts[:, None]
     return _make(means, "segment_mean", (a,), lambda g: ((g / counts[:, None]).repeat(counts, axis=0),))
 
 
@@ -457,43 +473,20 @@ def layer_norm(a, gain, bias, residual=None):
     return _make(out, "layer_norm", parents, rule)
 
 
-def _split(x, slot, b, rows, heads):
-    """Packed rows (N, d) -> (B, heads, rows, d / heads): scattered into a
-    zeroed (B * rows)-row buffer at ``slot`` first, unless packed rows
-    already are that layout (``slot`` None)."""
-    d = x.shape[1]
-    if slot is not None:
-        x, packed = np.zeros((b * rows, d)), x
-        x[slot] = packed
-    return x.reshape(b, rows, heads, d // heads).transpose(0, 2, 1, 3)
-
-
-def _merge(x, slot):
-    """(B, heads, rows, hd) -> packed rows: ``_split`` undone."""
-    b, heads, rows, hd = x.shape
-    x = x.transpose(0, 2, 1, 3).reshape(b * rows, heads * hd)
-    return x if slot is None else x[slot]
-
-
 class HeadLayout:
-    """Keys and values of B samples in ``attention``'s padded per-head layout.
-
+    """Keys and values of B samples in ``attention``'s padded per-head layout:
     ``k`` and ``v`` are (B, heads, L, d / heads) arrays, L the most keys any
-    sample has; ``lengths`` holds each sample's key count, and ``shortest``
-    the least. ``past_end`` is the (B, 1, L) mask of the keys past each
-    sample's end, None when every sample has all L. ``slot`` is each packed
-    row's index in the (B * L)-row layout, None when packed rows already are
-    that layout. A layout holds arrays, not tensors, so the keys and values
-    in it get no gradient."""
+    sample has, ``keys`` the ``Segments`` of their packed rows, and
+    ``past_end`` the (B, 1, L) mask of the keys past each sample's end, None
+    when every sample has all L. A layout holds arrays, not tensors, so the
+    keys and values in it get no gradient."""
 
-    __slots__ = ("k", "v", "lengths", "shortest", "past_end", "slot")
+    __slots__ = ("k", "v", "keys", "past_end")
 
-    def __init__(self, k, v, lengths, slot=None):
-        self.k, self.v, self.lengths, self.slot = k, v, lengths, slot
-        self.shortest = min(lengths.tolist())
-        longest = k.shape[2]
-        self.past_end = (None if self.shortest == longest
-                         else (np.arange(longest) >= lengths[:, None])[:, None])
+    def __init__(self, k, v, keys):
+        self.k, self.v, self.keys = k, v, keys
+        self.past_end = (None if keys.slot is None
+                         else (np.arange(keys.longest) >= keys.lengths[:, None])[:, None])
 
 
 def head_layout(k, v, heads, offsets):
@@ -504,45 +497,41 @@ def head_layout(k, v, heads, offsets):
     d = k.shape[1]
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
-    off, lengths, shortest, longest = _segments(offsets, k.shape[0], "attention")
-    slot = _padded_slots(off, lengths, shortest, longest)
-    b = len(lengths)
-    return HeadLayout(_split(k, slot, b, longest, heads), _split(v, slot, b, longest, heads),
-                      lengths, slot)
+    keys = Segments(offsets, k.shape[0], "attention")
+    return HeadLayout(keys.split(k, heads), keys.split(v, heads), keys)
 
 
-def _attend(qd, keys, q_offsets, causal):
+def _attend(qd, layout, q_offsets, causal):
     """Attention's forward, which ``attention`` and ``attend`` share: packed
-    query rows ``qd`` over the keys and values of the ``HeadLayout``
-    ``keys``, in the layout's heads. Returns the packed output, the softmax
-    weights ``p`` (B, heads, Lq, Lk), and the layout ``_attend_grads``
-    needs."""
+    query rows ``qd`` over the ``HeadLayout`` ``layout``, in its heads.
+    Returns the packed output, the softmax weights ``p`` (B, heads, Lq, Lk),
+    and the layout ``(queries, keys, heads, norm)`` that ``_attend_grads``
+    reads: two ``Segments``, the head count and the score scale."""
     d = qd.shape[1]
-    qoff, qlen, qmin, lq = _segments(q_offsets, qd.shape[0], "attention")
-    klen, (_, heads, lk, hd) = keys.lengths, keys.k.shape
+    queries, keys = Segments(q_offsets, qd.shape[0], "attention"), layout.keys
+    qlen, klen, lq, lk = queries.lengths, keys.lengths, queries.longest, keys.longest
+    _, heads, _, hd = layout.k.shape
     if len(qlen) != len(klen) or heads * hd != d:
         raise ShapeError(f"attention: {len(qlen)} query samples of width {d} in {heads} heads "
-                         f"but keys of {len(klen)} samples in a {keys.k.shape} layout")
+                         f"but keys of {len(klen)} samples in a {layout.k.shape} layout")
     if causal and lq > keys.shortest and (qlen > klen).any():
         raise ShapeError("attention: a causal sample has more queries than keys")
-    b = len(qlen)
-    qslot = _padded_slots(qoff, qlen, qmin, lq)
     # the keys each query may not see: none are hidden when every sample has
     # all lk keys and, if causal, each query sees them all
-    hidden = keys.past_end  # (B, 1, Lk): past each sample's end
+    hidden = layout.past_end  # (B, 1, Lk): past each sample's end
     if causal and lq > 1:  # (B, Lq, Lk): ahead of each query
         ahead = np.arange(lk) > np.arange(lq)[:, None] + (klen - qlen)[:, None, None]
         hidden = ahead if hidden is None else ahead | hidden
     norm = 1.0 / float(np.sqrt(hd))
 
-    z = _split(qd, qslot, b, lq, heads) @ keys.k.swapaxes(2, 3)
+    z = queries.split(qd, heads) @ layout.k.swapaxes(2, 3)
     z *= norm
     if hidden is not None:
         z += np.where(hidden, _NEG_INF, 0.0)[:, None]
     z -= z.max(axis=3, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=3, keepdims=True)
-    return _merge(p @ keys.v, qslot), p, (b, heads, qslot, lq, keys.slot, lk, norm)
+    return queries.merge(p @ layout.v), p, (queries, keys, heads, norm)
 
 
 def _attend_grads(g, p, at, rows, want_q, want_k, want_v):
@@ -553,20 +542,16 @@ def _attend_grads(g, p, at, rows, want_q, want_k, want_v):
     it wants k's, and drops each once read, so a caller that recomputes
     them holds one at a time. Each is split afresh from its packed rows:
     holding the padded copies until backward would keep each side twice."""
-    b, heads, qslot, lq, kslot, lk, norm = at
-
-    def split(x, slot, n):
-        return _split(x, slot, b, n, heads)
-
-    gh = split(g, qslot, lq)
-    dp = gh @ split(rows(2), kslot, lk).swapaxes(2, 3)
-    dv = _merge(p.swapaxes(2, 3) @ gh, kslot) if want_v else None
+    queries, keys, heads, norm = at
+    gh = queries.split(g, heads)
+    dp = gh @ keys.split(rows(2), heads).swapaxes(2, 3)
+    dv = keys.merge(p.swapaxes(2, 3) @ gh) if want_v else None
     del gh
     dp -= (dp * p).sum(axis=3, keepdims=True)
     dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
     dz *= norm
-    dq = _merge(dz @ split(rows(1), kslot, lk), qslot) if want_q else None
-    dk = _merge(dz.swapaxes(2, 3) @ split(rows(0), qslot, lq), kslot) if want_k else None
+    dq = queries.merge(dz @ keys.split(rows(1), heads)) if want_q else None
+    dk = keys.merge(dz.swapaxes(2, 3) @ queries.split(rows(0), heads)) if want_k else None
     return dq, dk, dv
 
 

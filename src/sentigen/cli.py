@@ -314,6 +314,8 @@ def _load_correspondence(path):
 def cmd_bias_report(args):
     if args.acc_matrix and args.embeddings:
         raise ConfigError("pass either --acc-matrix or --embeddings, not both")
+    if args.correspondence and not args.embeddings:
+        raise ConfigError("--correspondence needs --embeddings")
     if args.acc_matrix:
         matrix = AccuracyMatrix.from_json(read_json(args.acc_matrix, "accuracy matrix file",
                                                      DataError))
@@ -395,7 +397,7 @@ def build_parser():
     p.add_argument("--acc-matrix", dest="acc_matrix",
                    help="accuracy matrix JSON (default: bundled published table)")
     p.add_argument("--embeddings", help="embeddings.jsonl from export-embeddings")
-    p.add_argument("--correspondence", help="label correspondence JSON")
+    p.add_argument("--correspondence", help="label correspondence JSON (with --embeddings)")
     p.add_argument("--out", help="optional directory for bias_report.json")
     p.set_defaults(func=cmd_bias_report)
 

@@ -16,8 +16,8 @@ marking where each sample starts. Every per-row op (input gather,
 projections, each one ``ad.linear`` node, dropout, ``layer_norm`` with the
 residual add inside its node, the FFN) runs on those N rows only, so no
 arithmetic goes to padding. Multi-head attention is one fused autodiff op
-that alone sees the sample bounds: it pads the rows inside itself, keeps
-each sample's queries on its own keys and gathers back. Every attention
+that pads the rows inside itself, through their bounds' ``ad.Segments``,
+keeps each sample's queries on its own keys and gathers back. Every attention
 block that records a graph, self- or cross-attention, in the encoder and
 the uncached decoder, is one ``ad.attention`` node with its q, k and v
 projections inside: the graph keeps its inputs (for cross-attention, the
@@ -380,7 +380,7 @@ class DecoderCache:
 
     - ``length``: how many positions each sample has been fed;
     - ``cross``: each layer's cross-attention keys and values, an
-      ``ad.HeadLayout`` of the encoder states, with its key mask;
+      ``ad.HeadLayout`` of the encoder states, their ``Segments`` and key mask;
     - ``held``: each layer's self-attention keys and values, two
       (B, heads, capacity, d / heads) buffers. A call writes its new
       positions into them at ``length`` on, and attention reads the
@@ -402,13 +402,14 @@ class DecoderCache:
 
     def grown_keys(self, params, i, x, n):
         """Layer ``i``'s self-attention keys and values for every position up
-        to ``n``: those of the new rows ``x`` (B * (n - length), d), written
-        into its buffers at ``length:n``, after the ones held."""
+        to ``n``, n per sample: the new rows ``x`` (B * (n - length), d) are
+        written into its buffers at ``length:n``, after the ones held."""
         k, v = self.held[i]
         batch, heads, _, hd = k.shape
         for buf, rows in zip((k, v), _keys_values(params, f"dec{i}_self", x)):
             buf[:, :, self.length:n] = rows.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
-        return ad.HeadLayout(k[:, :, :n], v[:, :, :n], np.full(batch, n))
+        return ad.HeadLayout(k[:, :, :n], v[:, :, :n],
+                             ad.Segments(np.arange(batch + 1) * n, batch * n, "attention"))
 
 
 def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):

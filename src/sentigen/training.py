@@ -592,12 +592,12 @@ class _Run:
         ``units_per_pass`` the number of samples one pass over the data holds,
         and ``step()`` draws a batch and returns its (LossReport, total
         tensor, gradients of the terms it already backpropagated or None).
-        ``validate(fh)``, when given, runs after every step with the open
-        ``val_metrics.jsonl``. The run's first write is its
-        ``manifest.json``, which hashes the configs it resolved, once every
-        check has passed, a resumed ``metrics.jsonl`` that stops short of
-        the checkpoint's step among them. Every open log is synced before
-        each checkpoint is written, and closed even when a step fails."""
+        ``validate(fh)``, when given, runs after every step, before its
+        checkpoint, with the open ``val_metrics.jsonl``. The run's first
+        write is its ``manifest.json``, which hashes the configs it resolved,
+        once every check has passed, a resumed ``metrics.jsonl`` that stops
+        short of the checkpoint's step among them. Every open log is synced
+        before each checkpoint is written, and closed even when a step fails."""
         cfg = self.train_config
         if self._resume_meta is not None:
             # the stage built ``pools`` from the fresh data stream; the resumed
@@ -628,13 +628,13 @@ class _Run:
                 self.optimize(total, grads)
                 del total, grads  # the step's graph: drop it before the next step builds its own
                 self.log_step(logs[0], report)
+                if validate is not None:  # before the checkpoint, whose sync covers its line
+                    validate(logs[1])
                 if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
                     due = [self.out_dir / f"checkpoint_step{self.step}.ckpt"]
                     if self.step < total_steps:  # the last step's is written with the final one
                         self.sync_logs(logs)
                         self.save(due.pop(), pools.state())
-                if validate is not None:
-                    validate(logs[1])
             self.sync_logs(logs)  # before the final checkpoint, which covers every line
         finally:
             for fh in logs:

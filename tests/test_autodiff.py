@@ -599,13 +599,12 @@ def attention_keeping_copies(q, k, v, heads, q_off, k_off, g, causal):
     """``attention``'s forward and backward as they were when the node kept
     its padded copies of q, k and v for the rule: returns the output and the
     q, k and v gradients for upstream gradient ``g``."""
-    qoff, qlen, qmin, lq = ad._segments(q_off, q.shape[0], "attention")
-    koff, klen, kmin, lk = ad._segments(k_off, k.shape[0], "attention")
-    qslot, kslot = ad._padded_slots(qoff, qlen, qmin, lq), ad._padded_slots(koff, klen, kmin, lk)
-    b, hd = len(qlen), q.shape[1] // heads
-    qh, kh, vh = (ad._split(x, slot, b, rows, heads)
-                  for x, slot, rows in ((q, qslot, lq), (k, kslot, lk), (v, kslot, lk)))
-    hidden = None if kmin == lk else (np.arange(lk) >= klen[:, None])[:, None]
+    queries = ad.Segments(q_off, q.shape[0], "attention")
+    keys = ad.Segments(k_off, k.shape[0], "attention")
+    qlen, lq, klen, lk = queries.lengths, queries.longest, keys.lengths, keys.longest
+    hd = q.shape[1] // heads
+    qh, kh, vh = queries.split(q, heads), keys.split(k, heads), keys.split(v, heads)
+    hidden = None if keys.shortest == lk else (np.arange(lk) >= klen[:, None])[:, None]
     if causal and lq > 1:
         ahead = np.arange(lk) > np.arange(lq)[:, None] + (klen - qlen)[:, None, None]
         hidden = ahead if hidden is None else ahead | hidden
@@ -617,12 +616,12 @@ def attention_keeping_copies(q, k, v, heads, q_off, k_off, g, causal):
     z -= z.max(axis=3, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=3, keepdims=True)
-    out = ad._merge(p @ vh, qslot)
-    gh = ad._split(g, qslot, b, lq, heads)
+    out = queries.merge(p @ vh)
+    gh = queries.split(g, heads)
     dp = gh @ vh.swapaxes(2, 3)
     dz = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * norm
-    return (out, ad._merge(dz @ kh, qslot), ad._merge(dz.swapaxes(2, 3) @ qh, kslot),
-            ad._merge(p.swapaxes(2, 3) @ gh, kslot))
+    return (out, queries.merge(dz @ kh), keys.merge(dz.swapaxes(2, 3) @ qh),
+            keys.merge(p.swapaxes(2, 3) @ gh))
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -648,6 +647,31 @@ def test_attention_rule_equals_the_copy_keeping_rule_bitwise(causal):
         held = graph_bytes.rule_arrays(out.node.rule)
         padded = [a for a in held if a.ndim == 4]
         assert len(padded) == 1 and padded[0].shape == (len(q_len), heads, max(q_len), max(k_len))
+
+
+def test_segments_split_and_merge_round_trip_bitwise():
+    """``Segments`` pads nothing for equal lengths, and then its split is a
+    view of the packed rows; on ragged rows ``merge(split(x, heads))`` gives
+    ``x`` back bit for bit, with zeros in the padded slots. Each offset
+    refusal keeps its message."""
+    rng = np.random.default_rng(61)
+    even = ad.Segments([0, 3, 6], 6, "attention")
+    assert even.slot is None and (even.shortest, even.longest) == (3, 3)
+    x = rng.normal(size=(6, 4))
+    assert np.shares_memory(even.split(x, 2), x) and np.array_equal(even.merge(even.split(x, 2)), x)
+    for lengths, heads in (([2, 0, 5, 1], 2), ([1, 4], 4), ([3, 1, 3], 1)):
+        rows = ad.Segments(np.cumsum([0] + lengths), sum(lengths), "attention")
+        assert rows.lengths.tolist() == lengths and rows.longest == max(lengths)
+        assert (rows.shortest, rows.slot.shape) == (min(lengths), (sum(lengths),))
+        x = rng.normal(size=(sum(lengths), 8))
+        split = rows.split(x, heads)
+        assert split.shape == (len(lengths), heads, max(lengths), 8 // heads)
+        assert np.array_equal(rows.merge(split), x)
+        assert np.count_nonzero(split) == x.size
+    with pytest.raises(ShapeError, match=r"^attention: offsets of shape \(3,\) do not bound 5 rows$"):
+        ad.Segments([0, 2, 4], 5, "attention")
+    with pytest.raises(ShapeError, match=r"^segment_mean: offsets are not ascending$"):
+        ad.Segments([0, 3, 2, 5], 5, "segment_mean")
 
 
 def test_matmul_gives_a_constant_parent_no_gradient():

@@ -714,12 +714,15 @@ EMBEDDINGS = jsonl({"dataset_id": "a", "label": "x", "vector": [1.0]},
      "DataError"),
     ({"embeddings": EMBEDDINGS + '{"dataset_id": "a", "label": "x", "label": "y", "vector": [1.0]}\n'},
      "DataError"),
+    ({"correspondence": "{}"}, "ConfigError"),
+    ({"acc-matrix": "[1,2]", "correspondence": "{}"}, "ConfigError"),
 ], ids=["embeddings-not-json", "embeddings-empty", "embeddings-no-label", "embeddings-text-vector",
         "correspondence-not-json", "acc-matrix-list", "acc-matrix-text-cell", "acc-matrix-ragged",
         "widths-1-and-2", "embeddings-not-utf8",
         "embeddings-number-id", "embeddings-null-label", "embeddings-nested-vector",
         "embeddings-empty-vector", "embeddings-scalar-vector", "embeddings-nan-vector",
-        "embeddings-repeated-key"])
+        "embeddings-repeated-key", "correspondence-without-embeddings",
+        "correspondence-with-acc-matrix"])
 def test_bias_report_bad_input_is_one_line_error(tmp_path, capsys, files, error):
     """Each file holds text or raw bytes. Paths that cannot be read are rows
     of ``test_bad_input_file_is_one_line_config_error``."""

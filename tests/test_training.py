@@ -592,6 +592,38 @@ def test_each_checkpoint_is_renamed_after_its_log_lines_are_synced(toy, tmp_path
     assert len((out / "metrics.jsonl").read_text().splitlines()) == 6
 
 
+def test_a_validation_line_is_synced_before_its_checkpoint(toy, tmp_path, monkeypatch):
+    """Validation after step 3 (24 records in batches of 8) runs before that
+    step's checkpoint: when ``checkpoint_step3.ckpt`` is renamed into place,
+    the synced bytes of ``val_metrics.jsonl`` hold the step-3 line, so no
+    machine stop after the rename can lose it."""
+    config = small_config(toy["vocab"], toy["registry"])
+    cfg = train_cfg(max_steps=6, batch_size=8, checkpoint_every=3, validate_every_epochs=1,
+                    max_new_tokens=2)
+    out = tmp_path / "run"
+    val_log = out / "val_metrics.jsonl"
+    synced, seen = {}, {}
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        real_fsync(fd)
+        st = os.fstat(fd)
+        synced[st.st_ino] = max(synced.get(st.st_ino, 0), st.st_size)
+
+    def replace_file(src, dst):
+        if Path(dst).suffix == ".ckpt":
+            durable = val_log.read_bytes()[:synced.get(val_log.stat().st_ino, 0)]
+            seen[Path(dst).name] = [json.loads(line)["step"] for line in durable.splitlines()]
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace_file)
+    run_finetune(toy["records"], toy["registry"], config, cfg, out)
+    monkeypatch.undo()
+    assert seen == {"checkpoint_step3.ckpt": [3], "checkpoint_step6.ckpt": [3, 6],
+                    "checkpoint.ckpt": [3, 6]}
+
+
 def test_a_failed_log_sync_is_config_error(toy, tmp_path, monkeypatch):
     """A log that cannot be synced stops the run with a one-line
     ConfigError naming it, before the checkpoint it would precede."""
