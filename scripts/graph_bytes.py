@@ -1,6 +1,6 @@
 """Print the bytes a training graph holds at each ``backward`` of the first stage-one step.
 
-    python scripts/graph_bytes.py [--smoke] [--seed S] [--peak]
+    python scripts/graph_bytes.py [--smoke] [--seed S] [--peak] [--max-peak-mb X]
 
 The script sets up the ``pretrain-d64`` workload of ``benchmarks/workloads.py``
 (its synthetic corpus and its d=64, batch-64 configuration; with ``--smoke``
@@ -11,8 +11,8 @@ and counts every distinct buffer once, a view as the array it views, under
 the op of the first vertex that holds it and one of three holders:
 
 - ``output``: the output array of a vertex whose tensor is still alive;
-- ``rule``: an array a backward rule holds, a parent's (``gelu_linear``'s
-  input, say) or one the op made (``pair_contrast``'s pair distances);
+- ``rule``: an array a backward rule holds, a parent's (``ffn``'s input,
+  say) or one the op made (``pair_contrast``'s pair distances);
 - ``constant``: the array of a constant leaf of the graph.
 
 Parameters are counted apart: the model holds them whether a step runs or
@@ -25,7 +25,10 @@ script also runs one whole round of the workload (both stages) under
 windows that saw the most: each public ``autodiff`` function and each
 backward rule, while it was the innermost such call running, and the time
 between them. The module's functions are restored when the round ends,
-whether it ends well or not. The runs write only inside temporary
+whether it ends well or not. ``--max-peak-mb X`` traces that round too,
+and exits 1 when its peak exceeds X MB (2^20 bytes): the peak is the same
+run to run on one numpy, so a change that grows the graph has to raise
+the bound it is run with. The runs write only inside temporary
 directories.
 """
 from __future__ import annotations
@@ -185,19 +188,22 @@ def round_peaks(seed, smoke):
     return windows, work, tally
 
 
-def print_peaks(seed, smoke):
+def print_peaks(seed, smoke, max_peak_mb=None):
     windows, work, tally = round_peaks(seed, smoke)
-    cfg = work.model_config
+    cfg, peak_mb = work.model_config, max(windows.peak.values()) / MB
     print(f"\npeak traced memory over one {work.name} round (d={cfg.model_dim}, "
-          f"batch {work.train_config.batch_size}), seed {seed}: "
-          f"{max(windows.peak.values()) / MB:.2f} MB; top windows:")
+          f"batch {work.train_config.batch_size}), seed {seed}: {peak_mb:.2f} MB; top windows:")
     print(f"{'window':<32}{'calls':>10}{'peak MB':>10}")
     for key, peak in sorted(windows.peak.items(), key=lambda kv: -kv[1])[:10]:
         calls = windows.calls[key] if key != windows.BETWEEN else ""
         print(f"{' '.join(key).strip():<32}{calls:>10}{peak / MB:>10.2f}")
     for note in tally.notes:
         print(f"graph_bytes: {note}", file=sys.stderr)
-    return 1 if tally.failed else 0
+    over = max_peak_mb is not None and peak_mb > max_peak_mb
+    if over:
+        print(f"graph_bytes: the round's peak, {peak_mb:.2f} MB, exceeds --max-peak-mb "
+              f"{max_peak_mb}", file=sys.stderr)
+    return 1 if tally.failed or over else 0
 
 
 def main(argv=None):
@@ -206,6 +212,8 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=7, help="the workload's seed (default 7)")
     p.add_argument("--peak", action="store_true",
                    help="also trace one whole round and print its peak by op window")
+    p.add_argument("--max-peak-mb", type=float, metavar="X",
+                   help="trace the round as --peak does, and exit 1 when its peak exceeds X MB")
     args = p.parse_args(argv)
     censuses, work = first_step_censuses(args.seed, args.smoke)
 
@@ -223,7 +231,9 @@ def main(argv=None):
                    for holder in HOLDERS]
             print(f"{op:<24}" + "".join(f"{b / MB:>10.2f}" for b in row + [sum(row)]))
         print(f"{'parameters (apart)':<24}{param_bytes / MB:>40.2f}")
-    return print_peaks(args.seed, args.smoke) if args.peak else 0
+    if args.peak or args.max_peak_mb is not None:
+        return print_peaks(args.seed, args.smoke, args.max_peak_mb)
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,11 @@ and around every backward rule that ``ad._make`` records, and restores the
 module's functions when the units end, whether they end well or not. Each
 figure is self time: a call's wall time less that of the timed calls it
 makes, so ``attention`` (every attention block that records a graph, its
-q, k and v projections inside) does not count its ``head_layout``, and
-``backward`` does not count its rules. ``attend`` is cached decoding's
-graph-free attention, and ``linear`` every other projection. Every unit's
+q, k, v and output projections inside) does not count its ``head_layout``,
+and ``backward`` does not count its rules. ``ffn`` is every feed-forward
+block that records a graph, both its projections inside; ``attend`` is
+cached decoding's graph-free attention, and ``linear`` every other
+projection: the input frames', and cached decoding's. Every unit's
 outputs are checked as the benchmark checks them, and a failed check exits
 1. The script writes only inside a temporary directory. BLAS threads follow the environment; set
 ``OPENBLAS_NUM_THREADS=1`` to time what ``benchmarks/run.py`` times.

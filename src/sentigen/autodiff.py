@@ -22,20 +22,22 @@ leaves and are taken left to right: one pass reaches a leaf from the left
 term's vertices before the right's, and each vertex in the order a pass
 over its own term alone would.
 
-``linear``, ``gelu_linear`` (GELU, then a ``linear``), ``attention`` (q
-and v ``linear``, k ``matmul``, then multi-head attention), ``layer_norm``'s
-``residual`` and ``embedding``'s extra ``(table, ids)`` pairs each fuse
-several nodes into one, with the same floats in the same order;
-``pair_contrast`` is a whole loss in one node. Rules keep only what they
-read: ``attention``'s its inputs and softmax weights, from which it
-projects q, k and v again, not padded copies of them; ``dropout``'s a bool
-mask; ``gelu_linear``'s its input (and its weight), from which it
-recomputes the GELU output and slope; and ``pair_contrast``'s its input,
-from which it rebuilds its pair differences. Recomputing is chosen where
-it is cheap in arithmetic and the array is large. ``Segments`` owns packed
-rows' bounds and their padded per-head layout, for ``attention``, ``attend``
-(attention's forward over a ``HeadLayout``; it records no node) and
-``segment_mean``. The module keeps only the ops the rest of the package calls.
+``linear``, ``ffn`` (``linear``, GELU, ``linear``), ``attention`` (q and
+v ``linear``, k ``matmul``, multi-head attention, then the output
+``linear``), ``layer_norm``'s ``residual`` and ``embedding``'s extra
+``(table, ids)`` pairs each fuse several nodes into one, with the same
+floats in the same order; ``pair_contrast`` is a whole loss in one node.
+Rules keep only what they read, and a block's node only its inputs:
+``attention``'s its inputs and softmax weights, from which it projects q,
+k and v again and rebuilds the heads' outputs, not padded copies of them;
+``ffn``'s its input and weights, from which it rebuilds the hidden rows
+and their GELU output and slope; ``dropout``'s a bool mask; and
+``pair_contrast``'s its input, from which it rebuilds its pair
+differences. Recomputing is chosen where it is cheap in arithmetic and
+the array is large. ``Segments`` owns packed rows' bounds and their padded
+per-head layout, for ``attention``, ``attend`` (attention's forward over a
+``HeadLayout``; it records no node) and ``segment_mean``. The module keeps
+only the ops the rest of the package calls.
 
 GELU and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
@@ -392,33 +394,42 @@ def _gelu_slope_rows(x, t, slope, s):
     np.add(s, slope, slope)
 
 
-def gelu_linear(a, w, b):
-    """``linear(gelu(a), w, b)`` as one node that keeps only ``a``, and ``w``
-    when ``a`` needs a gradient. Its forward computes no slope; its rule runs
-    the GELU kernel again, with the slope, and frees the output once it has
-    formed w's gradient. Each array has the bytes a GELU node and a
-    ``linear`` node would give: the same kernels on the same layouts."""
-    if a.data.ndim != 2 or w.data.ndim != 2 or a.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError(f"gelu_linear: incompatible a {a.shape}, w {w.shape}, b {b.shape}")
-    x = a.data
-    (h,) = _by_rows(_gelu_rows, (x, None), (x.shape,))
-    out = h @ w.data
-    out += b.data
-    wd = w.data if a.requires_grad else None
-    want_w = w.requires_grad
+def ffn(x, w1, b1, w2, b2):
+    """A feed-forward block, ``linear(gelu(linear(x, w1, b1)), w2, b2)``,
+    as one node that keeps only its input and the weights its rule reads,
+    all but ``b2``. Its forward computes no slope and drops the (N, ffn)
+    hidden rows once it has the output; its rule rebuilds them (``x @ w1``,
+    then ``+= b1``), runs the GELU kernel again, with the slope, and frees
+    the GELU output once it has formed w2's gradient. Each array has the
+    bytes two ``linear`` nodes and a GELU node would give: the same kernels
+    on the same layouts."""
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2 or x.shape[1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"ffn: incompatible x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                         f"w2 {w2.shape}, b2 {b2.shape}")
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+
+    def gelu_hidden(slope=None):
+        h = xd @ w1d
+        h += b1d
+        return _by_rows(_gelu_rows, (h, slope), (h.shape,))[0]
+
+    out = gelu_hidden() @ w2d
+    out += b2.data
+    want_x, want_w1, want_w2 = x.requires_grad, w1.requires_grad, w2.requires_grad
 
     def rule(g):
-        slope = None if wd is None else np.empty(x.shape)
-        (h,) = _by_rows(_gelu_rows, (x, slope), (x.shape,))
-        dw = h.T @ g if want_w else None
+        slope = np.empty((len(xd), len(b1d)))
+        h = gelu_hidden(slope)
+        dw2 = h.T @ g if want_w2 else None
         del h
-        da = None
-        if wd is not None:
-            da = g @ wd.T
-            da *= slope
-        return da, dw, g.sum(axis=0)
+        dh = g @ w2d.T
+        dh *= slope
+        del slope
+        return (dh @ w1d.T if want_x else None, xd.T @ dh if want_w1 else None, dh.sum(axis=0),
+                dw2, g.sum(axis=0))
 
-    return _make(out, "gelu_linear", (a, w, b), rule)
+    return _make(out, "ffn", (x, w1, b1, w2, b2), rule)
 
 
 def layer_norm(a, gain, bias, residual=None):
@@ -505,8 +516,8 @@ def _attend(qd, layout, q_offsets, causal):
     """Attention's forward, which ``attention`` and ``attend`` share: packed
     query rows ``qd`` over the ``HeadLayout`` ``layout``, in its heads.
     Returns the packed output, the softmax weights ``p`` (B, heads, Lq, Lk),
-    and the layout ``(queries, keys, heads, norm)`` that ``_attend_grads``
-    reads: two ``Segments``, the head count and the score scale."""
+    and the layout ``(queries, keys, norm)`` that ``attention``'s rule
+    reads: two ``Segments`` and the score scale."""
     d = qd.shape[1]
     queries, keys = Segments(q_offsets, qd.shape[0], "attention"), layout.keys
     qlen, klen, lq, lk = queries.lengths, keys.lengths, queries.longest, keys.longest
@@ -531,38 +542,18 @@ def _attend(qd, layout, q_offsets, causal):
     z -= z.max(axis=3, keepdims=True)
     p = np.exp(z, out=z)
     p /= p.sum(axis=3, keepdims=True)
-    return queries.merge(p @ layout.v), p, (queries, keys, heads, norm)
+    return queries.merge(p @ layout.v), p, (queries, keys, norm)
 
 
-def _attend_grads(g, p, at, rows, want_q, want_k, want_v):
-    """Attention's rule: the packed gradients of q, k and v (None where not
-    wanted) for the output gradient ``g``, from ``_attend``'s ``p`` and
-    layout ``at``. ``rows(i)`` gives packed q (i = 0), k (1) or v (2); the
-    rule asks for v, then for k when it wants q's gradient, then for q when
-    it wants k's, and drops each once read, so a caller that recomputes
-    them holds one at a time. Each is split afresh from its packed rows:
-    holding the padded copies until backward would keep each side twice."""
-    queries, keys, heads, norm = at
-    gh = queries.split(g, heads)
-    dp = gh @ keys.split(rows(2), heads).swapaxes(2, 3)
-    dv = keys.merge(p.swapaxes(2, 3) @ gh) if want_v else None
-    del gh
-    dp -= (dp * p).sum(axis=3, keepdims=True)
-    dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
-    dz *= norm
-    dq = queries.merge(dz @ keys.split(rows(1), heads)) if want_q else None
-    dk = keys.merge(dz.swapaxes(2, 3) @ queries.split(rows(0), heads)) if want_k else None
-    return dq, dk, dv
-
-
-def attention(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False):
+def attention(x_q, x_kv, q, wk, v, o, heads, q_offsets, k_offsets, causal=False):
     """Multi-head scaled dot-product attention over a batch of B samples,
     with its projections, as one node: the queries are the rows of ``x_q``
     projected by the ``(w, b)`` pair ``q`` and the values the rows of
     ``x_kv`` projected by ``v``, as ``linear`` would, and the keys the rows
     of ``x_kv`` times ``wk``, unbiased: a key bias adds one constant to a
-    query's row of scores, which softmax does not see. Self-attention
-    passes its rows as both ``x_q`` and ``x_kv``.
+    query's row of scores, which softmax does not see. The heads' outputs,
+    side by side, are then projected by the pair ``o``, as ``linear``
+    would. Self-attention passes its rows as both ``x_q`` and ``x_kv``.
 
     Rows are packed in the ``cu_seqlens`` layout: ``q_offsets`` and
     ``k_offsets`` each hold B + 1 row bounds, sample i owning query rows
@@ -574,22 +565,26 @@ def attention(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False):
     With ``causal``, query i of a sample with lq queries and lk >= lq keys
     sees key j only when j - i <= lk - lq: bottom-right aligned, so a
     sample's last query sees all its keys, as cached decoding needs. Column
-    block h of width d / heads belongs to head h. Returns the per-head
-    outputs side by side, one row per row of ``x_q``.
+    block h of width d / heads belongs to head h. Returns one projected
+    row per row of ``x_q``.
 
     The node keeps only ``x_q``, ``x_kv``, the weights and the softmax
-    weights ``p``; its rule projects v, k and q again, each when it reads
-    it, and gives each projection's gradients as ``linear``'s (for k,
-    ``matmul``'s) rule does. Its parents are ``(x_q, *q, x_kv, wk, x_kv,
-    *v)``, so when ``x_q`` is ``x_kv`` its three gradients add onto it in
+    weights ``p``: not the heads' (N, d) outputs, which the forward drops
+    once projected. Its rule projects and splits v once, rebuilds those
+    outputs from ``p`` and v for ``o``'s weight gradient, reads v again
+    for the scores' gradient and drops it, then projects k and q, each
+    when it reads it; every gradient is ``linear``'s (for k, ``matmul``'s)
+    on the same floats. Its parents are ``(x_q, *q, x_kv, wk, x_kv, *v,
+    *o)``, so when ``x_q`` is ``x_kv`` its three gradients add onto it in
     q, k, v order, as three projection nodes' would.
     """
     projections = ((x_q, *q), (x_kv, wk), (x_kv, *v))  # (x, w) or (x, w, b): parents in order
-    width = q[1].shape if q[1].data.ndim == 1 else None
+    (wo, bo), width = o, q[1].shape if q[1].data.ndim == 1 else None
     if width is None or v[1].shape != width or any(
-            x.data.ndim != 2 or w.shape != (x.shape[1],) + width for x, w, *_ in projections):
+            x.data.ndim != 2 or w.shape != (x.shape[1],) + width for x, w, *_ in projections) or (
+            wo.data.ndim != 2 or wo.shape[:1] != width or bo.shape != wo.shape[1:]):
         raise ShapeError(f"attention: incompatible x_q {x_q.shape}, x_kv {x_kv.shape} and "
-                         f"projections {[t.shape for t in (*q, wk, *v)]}")
+                         f"projections {[t.shape for t in (*q, wk, *v, *o)]}")
     weights = tuple(tuple(t.data for t in projection) for projection in projections)
 
     def project(i):
@@ -598,19 +593,37 @@ def attention(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False):
         return np.add(out, *b, out=out) if b else out
 
     # q, then k and v, then the keys' layout: that order measured fastest
-    out, p, at = _attend(project(0), head_layout(project(1), project(2), heads, k_offsets),
-                         q_offsets, causal)
+    mixed, p, (queries, keys, norm) = _attend(
+        project(0), head_layout(project(1), project(2), heads, k_offsets), q_offsets, causal)
+    out = mixed @ wo.data
+    out += bo.data
+    del mixed
     wants = tuple(tuple(t.requires_grad for t in projection) for projection in projections)
+    (want_q, want_k, want_v), wod, want_wo = map(any, wants), wo.data, wo.requires_grad
 
     def rule(g):
+        v = keys.split(project(2), heads)
+        dwo = queries.merge(p @ v).T @ g if want_wo else None
+        gh = queries.split(g @ wod.T, heads)
+        dp = gh @ v.swapaxes(2, 3)
+        del v
+        dv = keys.merge(p.swapaxes(2, 3) @ gh) if want_v else None
+        del gh
+        dp -= (dp * p).sum(axis=3, keepdims=True)
+        dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
+        dz *= norm
+        dys = [queries.merge(dz @ keys.split(project(1), heads)) if want_q else None,
+               keys.merge(dz.swapaxes(2, 3) @ queries.split(project(0), heads)) if want_k else None,
+               dv]
+        del dz, dv
         grads = ()
-        for (x, w, *b), (wx, ww, *_), dy in zip(weights, wants,
-                                                _attend_grads(g, p, at, project, *map(any, wants))):
+        for (x, w, *b), (wx, ww, *_) in zip(weights, wants):
+            dy = dys.pop(0)  # q's, k's, then v's, each dropped once its gradients are formed
             grads += (None,) * (2 + len(b)) if dy is None else (
                 dy @ w.T if wx else None, x.T @ dy if ww else None, *(dy.sum(axis=0) for _ in b))
-        return grads
+        return grads + (dwo, g.sum(axis=0))
 
-    return _make(out, "attention", sum(projections, ()), rule)
+    return _make(out, "attention", sum(projections, ()) + (wo, bo), rule)
 
 
 def attend(q, layout, q_offsets, causal=False):

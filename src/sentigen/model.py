@@ -12,22 +12,25 @@ to the token embedding table.
 The encoder runs on a batch of samples packed end to end. Tensors stay 2-D:
 a batch of B streams is N = the summed stream lengths rows, sample after
 sample, with ``offsets`` (B + 1 row bounds, the ``cu_seqlens`` layout)
-marking where each sample starts. Every per-row op (input gather,
-projections, each one ``ad.linear`` node, dropout, ``layer_norm`` with the
-residual add inside its node, the FFN) runs on those N rows only, so no
-arithmetic goes to padding. Multi-head attention is one fused autodiff op
-that pads the rows inside itself, through their bounds' ``ad.Segments``,
-keeps each sample's queries on its own keys and gathers back. Every attention
-block that records a graph, self- or cross-attention, in the encoder and
-the uncached decoder, is one ``ad.attention`` node with its q, k and v
-projections inside: the graph keeps its inputs (for cross-attention, the
-decoder rows and the encoder states) and softmax weights, not the
-projected rows, which its backward projects again. Cached decoding
-projects keys and values apart (``_keys_values``) and attends over them
-with ``ad.attend``. A batch's input rows are one gather from one table of every sample's token embeddings, the
-projected acoustic and visual frames and the mask vectors, so masking a
-token or a frame is a choice of row; the same node adds each row's type,
-position and dataset embeddings. The decoder's rows are B samples of n ids
+marking where each sample starts. Every per-row op (input gather, the
+frames' projections, each one ``ad.linear`` node, dropout, ``layer_norm``
+with the residual add inside its node, the FFN) runs on those N rows only,
+so no arithmetic goes to padding. Multi-head attention is one fused
+autodiff op that pads the rows inside itself, through their bounds'
+``ad.Segments``, keeps each sample's queries on its own keys and gathers
+back. Every attention block that records a graph, self- or
+cross-attention, in the encoder and the uncached decoder, is one
+``ad.attention`` node with its q, k, v and output projections inside: the
+graph keeps its inputs (for cross-attention, the decoder rows and the
+encoder states) and softmax weights, not the projected rows or the heads'
+outputs, which its backward projects and rebuilds. Each FFN is one
+``ad.ffn`` node, which keeps its input, not its (N, ffn) hidden rows.
+Cached decoding projects keys and values apart (``_keys_values``) and
+attends over them with ``ad.attend``. A batch's input rows are one
+gather from one table of every sample's token embeddings, the projected
+acoustic and visual frames and the mask vectors, so masking a token or a
+frame is a choice of row; the same node adds each row's type, position and
+dataset embeddings. The decoder's rows are B samples of n ids
 each, which is the packed layout with equal offsets; its self-attention is
 causal and its cross-attention reads the packed encoder rows through their
 offsets. ``encode`` and ``generate`` on one prompt run the batch of one,
@@ -216,14 +219,13 @@ def _keys_values(params, prefix, x_kv):
 
 def _attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
     """Multi-head attention of the packed rows ``x_q`` over ``x_kv``, each
-    side bounded by its offsets, then the block's output projection. One
-    ``ad.attention`` node projects the queries from ``x_q`` and the keys and
-    values from ``x_kv``, and keeps none of them. Self-attention passes its
-    rows as both sides."""
-    q, v = ((params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"]) for c in "qv")
-    mixed = ad.attention(x_q, x_kv, q, params[f"{prefix}_wk"], v, config.heads, q_offsets,
-                         k_offsets, causal)
-    return _linear(params, prefix, mixed, "wo", "bo")
+    side bounded by its offsets, then the block's output projection, as
+    one ``ad.attention`` node: it projects the queries from ``x_q`` and the
+    keys and values from ``x_kv``, and keeps none of them, nor the heads'
+    outputs. Self-attention passes its rows as both sides."""
+    q, v, o = ((params[f"{prefix}_w{c}"], params[f"{prefix}_b{c}"]) for c in "qvo")
+    return ad.attention(x_q, x_kv, q, params[f"{prefix}_wk"], v, o, config.heads, q_offsets,
+                        k_offsets, causal)
 
 
 def _cached_attention(params, prefix, x_q, layout, q_offsets, causal=False):
@@ -235,8 +237,7 @@ def _cached_attention(params, prefix, x_q, layout, q_offsets, causal=False):
 
 
 def _ffn(params, prefix, x):
-    h = _linear(params, prefix, x, "w1", "b1")
-    return ad.gelu_linear(h, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
+    return ad.ffn(x, *(params[f"{prefix}_{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _maybe_dropout(x, config, rng):

@@ -585,19 +585,23 @@ class _Run:
             arrays["pseudo"] = self.pseudo
         save_checkpoint(path, self.model_config, arrays, meta=meta, copies=copies)
 
-    def drive(self, pools, units_per_pass, step, validate=None):
+    def drive(self, pools, units_per_pass, step, validation=None):
         """Run the stage to its last step and return the final checkpoint path.
 
         ``pools`` is the sampling state saved with each checkpoint,
         ``units_per_pass`` the number of samples one pass over the data holds,
         and ``step()`` draws a batch and returns its (LossReport, total
         tensor, gradients of the terms it already backpropagated or None).
-        ``validate(fh)``, when given, runs after every step, before its
-        checkpoint, with the open ``val_metrics.jsonl``. The run's first
+        ``validation``, when given, is a pair ``(due, validate)``:
+        ``validate(fh)`` runs after each step s that ``due(s)`` names, before
+        its checkpoint, with the open ``val_metrics.jsonl``. The run's first
         write is its ``manifest.json``, which hashes the configs it resolved,
-        once every check has passed, a resumed ``metrics.jsonl`` that stops
-        short of the checkpoint's step among them. Every open log is synced
-        before each checkpoint is written, and closed even when a step fails."""
+        once every check has passed, among them that a resumed
+        ``metrics.jsonl`` does not stop short of the checkpoint's step, and
+        that a resumed ``val_metrics.jsonl`` ends at the last step due by
+        then, unless both logs keep no line (a resume into another
+        directory). Every open log is synced before each checkpoint is
+        written, and closed even when a step fails."""
         cfg = self.train_config
         if self._resume_meta is not None:
             # the stage built ``pools`` from the fresh data stream; the resumed
@@ -611,16 +615,24 @@ class _Run:
             # appending from the checkpoint's step would leave a gap; a log
             # with no kept line starts empty, as a missing one does
             raise ConfigError(f"{metrics}: log ends at step {last}, not at its checkpoint's step {self.step}")
+        if validation is not None:
+            due, validate = validation
+            val_metrics = self.out_dir / "val_metrics.jsonl"
+            val_kept = self.kept_lines(val_metrics)
+            last = json.loads(val_kept[-1])["step"] if val_kept else 0
+            want = next((s for s in range(self.step, 0, -1) if due(s)), 0) if kept else 0
+            if last != want:
+                raise ConfigError(f"{val_metrics}: log ends at step {last}, not at step {want}, "
+                                  f"the last validation due by its checkpoint's step {self.step}")
         write_manifest(self.out_dir, self.stage, cfg.seed,
                        {"train": cfg.to_json(), "model": self.model_config.to_json()})
         total_steps = (cfg.max_steps if cfg.max_steps is not None
                        else cfg.epochs * max(1, units_per_pass // cfg.batch_size))
-        logs, due = [], []
+        logs, pending = [], []
         try:
             logs.append(self.open_log(metrics, kept))
-            if validate is not None:
-                val_metrics = self.out_dir / "val_metrics.jsonl"
-                logs.append(self.open_log(val_metrics, self.kept_lines(val_metrics)))
+            if validation is not None:
+                logs.append(self.open_log(val_metrics, val_kept))
             while self.step < total_steps:
                 self.step += 1
                 report, total, grads = step()
@@ -628,19 +640,19 @@ class _Run:
                 self.optimize(total, grads)
                 del total, grads  # the step's graph: drop it before the next step builds its own
                 self.log_step(logs[0], report)
-                if validate is not None:  # before the checkpoint, whose sync covers its line
-                    validate(logs[1])
+                if validation is not None and due(self.step):
+                    validate(logs[1])  # before the checkpoint, whose sync covers its line
                 if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
-                    due = [self.out_dir / f"checkpoint_step{self.step}.ckpt"]
+                    pending = [self.out_dir / f"checkpoint_step{self.step}.ckpt"]
                     if self.step < total_steps:  # the last step's is written with the final one
                         self.sync_logs(logs)
-                        self.save(due.pop(), pools.state())
+                        self.save(pending.pop(), pools.state())
             self.sync_logs(logs)  # before the final checkpoint, which covers every line
         finally:
             for fh in logs:
                 fh.close()
         # a last step that is also a checkpoint step serializes its state once, for both files
-        paths = due + [self.out_dir / "checkpoint.ckpt"]
+        paths = pending + [self.out_dir / "checkpoint.ckpt"]
         self.save(paths[0], pools.state(), copies=paths[1:])
         return paths[-1]
 
@@ -760,15 +772,16 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
                                 rng=run.rngs["dropout"])
         return LossReport(total=total.item()), total, None
 
+    def due(step):
+        epoch, rest = divmod(step, steps_per_epoch)
+        return not rest and cfg.validate_every_epochs > 0 and epoch % cfg.validate_every_epochs == 0
+
     def validate(val_fh):
-        epoch, rest = divmod(run.step, steps_per_epoch)
-        if rest or cfg.validate_every_epochs <= 0 or epoch % cfg.validate_every_epochs:
-            return
         results = evaluate_prompts(val_records if val_records is not None else records,
                                    run.val_prompts, run.params, run.model_config, run.vocab,
                                    registry, max_new=cfg.max_new_tokens)
-        run.write_line(val_fh, {"step": run.step, "epoch": epoch,
+        run.write_line(val_fh, {"step": run.step, "epoch": run.step // steps_per_epoch,
                                 "datasets": {d: (results[d].metrics if d in results else None)
                                              for d in registry.dataset_ids}})
 
-    return run.drive(pools, len(records), step, validate)
+    return run.drive(pools, len(records), step, (due, validate))

@@ -216,31 +216,38 @@ def pair_contrast_ref(x, same):
     return ad._make((numer / denom).sum(), "pair_contrast", (x,), rule)
 
 
-def attention_ref(x_q, x_kv, q, wk, v, heads, q_offsets, k_offsets, causal=False, bk=None):
+def attention_ref(x_q, x_kv, q, wk, v, o, heads, q_offsets, k_offsets, causal=False, bk=None):
     """``ad.attention`` as the nodes it fuses: ``linear`` projections of
     ``x_q`` by the (w, b) pair ``q`` and of ``x_kv`` by ``v``, the keys a
     ``matmul`` of ``x_kv`` by ``wk`` (a ``linear`` with ``bk``, when a key
-    bias is given), in q, k, v order, and one node over them that keeps q,
-    k and v, on the node's forward and rule kernels."""
+    bias is given), in q, k, v order, one node over them that keeps q, k
+    and v, on the node's forward and its rule's kernels, then a ``linear``
+    of its output by the pair ``o``."""
     qt = ad.linear(x_q, *q)
     kt = ad.matmul(x_kv, wk) if bk is None else ad.linear(x_kv, wk, bk)
     vt = ad.linear(x_kv, *v)
-    out, p, at = ad._attend(qt.data, ad.head_layout(kt.data, vt.data, heads, k_offsets),
-                            q_offsets, causal)
-    wants = (qt.requires_grad, kt.requires_grad, vt.requires_grad)
-    held = (qt.data, kt.data, vt.data)
+    out, p, (queries, keys, norm) = ad._attend(
+        qt.data, ad.head_layout(kt.data, vt.data, heads, k_offsets), q_offsets, causal)
 
     def rule(g):
-        return ad._attend_grads(g, p, at, held.__getitem__, *wants)
+        gh = queries.split(g, heads)
+        dp = gh @ keys.split(vt.data, heads).swapaxes(2, 3)
+        dv = keys.merge(p.swapaxes(2, 3) @ gh)
+        dp -= (dp * p).sum(axis=3, keepdims=True)
+        dz = p * dp * norm
+        return (queries.merge(dz @ keys.split(kt.data, heads)),
+                keys.merge(dz.swapaxes(2, 3) @ queries.split(qt.data, heads)), dv)
 
-    return ad._make(out, "attention", (qt, kt, vt), rule)
+    return ad.linear(ad._make(out, "attention", (qt, kt, vt), rule), *o)
 
 
 def block_projections(params, prefix):
     """One attention block's projections as ``ad.attention`` takes them: the
-    (w, b) pair of the queries, the keys' weight, the values' pair."""
+    (w, b) pair of the queries, the keys' weight, the values' pair and the
+    output's pair."""
     return ((params[f"{prefix}_wq"], params[f"{prefix}_bq"]), params[f"{prefix}_wk"],
-            (params[f"{prefix}_wv"], params[f"{prefix}_bv"]))
+            (params[f"{prefix}_wv"], params[f"{prefix}_bv"]),
+            (params[f"{prefix}_wo"], params[f"{prefix}_bo"]))
 
 
 def msa_metrics(golds, preds):

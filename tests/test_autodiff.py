@@ -74,14 +74,15 @@ def test_elementwise_ops_match_fd(seed):
     b = rand_leaf(rng, 4, 3)
     row = rand_leaf(rng, 3)
     w = rand_leaf(rng, 3, 3)
+    w2, row2 = rand_leaf(rng, 3, 2), rand_leaf(rng, 2)
     cases = {
         "add": lambda: sum_of(gelu_ref(ad.add(a, b))),
         "linear": lambda: sum_of(ad.linear(a, w, row), ad.linear(a, w, row)),
         "scale": lambda: sum_of(ad.scale(a, -2.5)),
-        "gelu_linear": lambda: sum_of(ad.gelu_linear(a, w, row), ad.gelu_linear(a, w, row)),
+        "ffn": lambda: sum_of(ad.ffn(a, w, row, w2, row2), ad.ffn(a, w, row, w2, row2)),
     }
     for name, fn in cases.items():
-        for t in (a, b, row, w):
+        for t in (a, b, row, w, w2, row2):
             assert finite_diff_check(lambda _: fn(), t) < 1e-6, name
 
 
@@ -183,10 +184,11 @@ def packed_rows(rng, lengths, d):
 def identity_projections(d):
     """Constant projections that take x_q (N, d) to itself as the queries,
     and x_kv (M, 2d) to its first d columns as the keys and its last d as
-    the values, exactly: ``attention`` over given q, k and v."""
+    the values, exactly, and the heads' outputs to themselves: ``attention``
+    over given q, k and v."""
     eye, zero, bias = np.eye(d), np.zeros((d, d)), ad.constant(np.zeros(d))
     return ((ad.constant(eye), bias), ad.constant(np.vstack([eye, zero])),
-            (ad.constant(np.vstack([zero, eye])), bias))
+            (ad.constant(np.vstack([zero, eye])), bias), (ad.constant(eye), bias))
 
 
 def attention_over(q, kv, heads, q_off, k_off, causal=False):
@@ -323,16 +325,18 @@ def test_attention_over_a_layout_records_no_node_and_takes_no_gradient():
 def projection_leaves(rng, rows, d_in, width):
     """x (rows, d_in) and its projections to ``width`` as ``attention``
     takes them: the (w, b) pair of the queries, the keys' weight and the
-    values' pair."""
+    values' pair, and the output's pair, back to ``d_in``."""
     x = rand_leaf(rng, rows, d_in)
     q, wk = (rand_leaf(rng, d_in, width), rand_leaf(rng, width)), rand_leaf(rng, d_in, width)
-    return x, (q, wk, (rand_leaf(rng, d_in, width), rand_leaf(rng, width)))
+    v, o = (rand_leaf(rng, d_in, width), rand_leaf(rng, width)), (rand_leaf(rng, width, d_in),
+                                                                  rand_leaf(rng, d_in))
+    return x, (q, wk, v, o)
 
 
 def flat(projections):
-    """The five projection arrays, in ``attention``'s parent order."""
-    (wq, bq), wk, (wv, bv) = projections
-    return [wq, bq, wk, wv, bv]
+    """The seven projection arrays, in ``attention``'s parent order."""
+    (wq, bq), wk, (wv, bv), (wo, bo) = projections
+    return [wq, bq, wk, wv, bv, wo, bo]
 
 
 # (query sample lengths, heads, causal): equal lengths, ragged lengths with a
@@ -349,8 +353,8 @@ def key_lengths(lengths):
 
 def check_node_bytes(rng, q_len, k_len, heads, causal):
     """The ``attention`` node's output and every leaf's gradient equal, bit
-    for bit, those of ``attention_ref``'s projection nodes and attention
-    node, with ``x_q`` also the input of a residual ``layer_norm``, as in a
+    for bit, those of ``attention_ref``'s projection nodes, attention node
+    and output projection, with ``x_q`` also the input of a residual ``layer_norm``, as in a
     layer. With ``k_len`` None the node is self-attention, ``x_q`` its
     ``x_kv``: x's gradient sums the norm's, then q's, k's and v's, in that
     order, and only that order gives these bytes. Else ``x_kv`` is a leaf
@@ -388,11 +392,11 @@ def test_cross_attention_bytes_equal_three_linears_and_attention(lengths, heads,
 
 def check_node_fd(rng, q_len, k_len, heads, causal):
     """Finite differences at 1e-4 for x_q, x_kv (x_q's own rows when
-    ``k_len`` is None) and all five projection arrays."""
+    ``k_len`` is None) and all seven projection arrays."""
     q_off = np.cumsum([0] + q_len)
     x, projections = projection_leaves(rng, int(q_off[-1]), 6, 8)
     x_kv, k_off = (x, q_off) if k_len is None else packed_rows(rng, k_len, 6)
-    w = ad.constant(rng.normal(size=(int(q_off[-1]), 8)))
+    w = ad.constant(rng.normal(size=(int(q_off[-1]), 6)))
     fn = lambda _: sum_of(ad.attention(x, x_kv, *projections, heads, q_off, k_off, causal), w)
     for t in [x, x_kv] + flat(projections):
         assert finite_diff_check(fn, t) < 1e-4
@@ -422,7 +426,7 @@ def test_a_key_bias_moves_attention_by_rounding_alone(lengths, heads, causal, cr
     q_off = np.cumsum([0] + lengths)
     x, projections = projection_leaves(rng, int(q_off[-1]), 8, 8)
     x_kv, k_off = packed_rows(rng, key_lengths(lengths), 8) if cross else (x, q_off)
-    (_, bq), _, (_, bv) = projections
+    (_, bq), _, (_, bv), _ = projections
     bk = rand_leaf(rng, 8)
     out = ad.attention(x, x_kv, *projections, heads, q_off, k_off, causal)
     biased = attention_ref(x, x_kv, *projections, heads, q_off, k_off, causal, bk=bk)
@@ -435,40 +439,45 @@ def test_a_key_bias_moves_attention_by_rounding_alone(lengths, heads, causal, cr
 def test_self_attention_over_constants_records_no_node():
     rng = np.random.default_rng(37)
     x, projections = projection_leaves(rng, 5, 4, 4)
-    wq, bq, wk, wv, bv = (ad.constant(t.data) for t in flat(projections))
+    wq, bq, wk, wv, bv, wo, bo = (ad.constant(t.data) for t in flat(projections))
     c = ad.constant(x.data)
-    out = ad.attention(c, c, (wq, bq), wk, (wv, bv), 2, [0, 2, 5], [0, 2, 5], True)
+    out = ad.attention(c, c, (wq, bq), wk, (wv, bv), (wo, bo), 2, [0, 2, 5], [0, 2, 5], True)
     assert out.node is None and not out.requires_grad and out.parents == ()
     want = ad.attention(x, x, *projections, 2, [0, 2, 5], [0, 2, 5], True)
     assert np.array_equal(out.data, want.data)
 
 
 def test_self_attention_rule_holds_x_and_p_and_no_projection():
-    """The rule holds ``x``'s array, the five projection arrays, one padded
-    (B, heads, L, L) array (``p``) and the layout's row slots: no (N, width)
-    q, k or v, and no other (N, d) array. Over other rows, it holds those
-    too, and no projection of them. A constant ``x`` gets no gradient, and
-    a constant projection none either."""
+    """The rule holds ``x``'s array, the six projection arrays it reads
+    (not the output's bias), one padded (B, heads, L, L) array (``p``) and
+    the layout's row slots: no (N, width) q, k or v, none of the heads'
+    (N, width) outputs, and no other (N, d) array, its own output among
+    them. Over other rows, it holds those too, and no projection of them.
+    A constant ``x`` gets no gradient, and a constant projection none
+    either."""
     rng = np.random.default_rng(41)
     lengths, rows = [2, 4, 1], 7
     off = np.cumsum([0] + lengths)
     x, projections = projection_leaves(rng, rows, 6, 8)
     other = rand_leaf(rng, 9, 6)
-    params = {id(t.data) for t in flat(projections)}
+    *read, bo = (t.data for t in flat(projections))
+    params = {id(a) for a in read}
     for x_kv, k_off, padded in ((x, off, (3, 2, 4, 4)), (other, [0, 5, 6, 9], (3, 2, 4, 5))):
         out = ad.attention(x, x_kv, *projections, 2, off, k_off)
         held = graph_bytes.rule_arrays(out.node.rule)
         floats = [a for a in held if a.dtype == np.float64 and id(a) not in params]
         assert {id(a) for a in held} >= params | {id(x.data), id(x_kv.data)}
+        assert all(a is not bo for a in held)
         assert sorted(a.shape for a in floats) == sorted({padded, (rows, 6), x_kv.shape})
         assert all(a.shape not in ((rows, 8), (len(x_kv.data), 8)) for a in held)
         assert all(a.dtype == np.int64 and a.ndim == 1 for a in held if a.dtype != np.float64)
 
     c = ad.constant(x.data)
-    (wq, bq), wk, v = projections
+    (wq, bq), wk, v, o = projections
     frozen_q = (ad.constant(wq.data), ad.constant(bq.data))
-    grads = ad.attention(c, c, frozen_q, wk, v, 2, [0, 3, 7], [0, 3, 7]).node.rule(np.ones((rows, 8)))
-    assert grads[:4] == (None,) * 4 and grads[5] is None and grads[6] is not None
+    grads = ad.attention(c, c, frozen_q, wk, v, o, 2, [0, 3, 7], [0, 3, 7]).node.rule(np.ones((rows, 6)))
+    assert grads[:4] == (None,) * 4 and grads[5] is None
+    assert all(g is not None for g in grads[6:]) and len(grads) == 10
 
 
 def test_segment_mean_matches_per_segment_and_fd():
@@ -792,16 +801,18 @@ RETENTION_CASES = {
     "segment_mean": (lambda p: ad.segment_mean(p[0], [0, 1, 3]), [(3, 4)], set()),
     "pair_contrast": (lambda p: ad.pair_contrast(p[0], np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]],
                                                                 dtype=bool)), [(3, 4)], {0}),
-    "gelu_linear": (lambda p: ad.gelu_linear(*p), [(3, 4), (4, 2), (2,)], {0, 1}),
+    "ffn": (lambda p: ad.ffn(*p), [(3, 4), (4, 5), (5,), (5, 2), (2,)], {0, 1, 2, 3}),
     "layer_norm": (lambda p: ad.layer_norm(*p), [(3, 4), (4,), (4,)], {1}),
     "residual layer_norm": (lambda p: ad.layer_norm(p[0], p[2], p[3], residual=p[1]),
                             [(3, 4), (3, 4), (4,), (4,)], {2}),
-    "attention": (lambda p: ad.attention(p[0], p[1], (p[2], p[3]), p[4], (p[5], p[6]), 2,
-                                         [0, 1, 3], [0, 2, 5]),
-                  [(3, 4), (5, 4), (4, 4), (4,), (4, 4), (4, 4), (4,)], set(range(7))),
+    "attention": (lambda p: ad.attention(p[0], p[1], (p[2], p[3]), p[4], (p[5], p[6]),
+                                         (p[7], p[8]), 2, [0, 1, 3], [0, 2, 5]),
+                  [(3, 4), (5, 4), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 3), (3,)],
+                  set(range(8))),
     "self_attention": (lambda p: ad.attention(p[0], p[0], (p[1], p[2]), p[3], (p[4], p[5]),
-                                              2, [0, 1, 3], [0, 1, 3], True),
-                       [(3, 4), (4, 4), (4,), (4, 4), (4, 4), (4,)], set(range(6))),
+                                              (p[6], p[7]), 2, [0, 1, 3], [0, 1, 3], True),
+                       [(3, 4), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)],
+                       set(range(7))),
     "softmax_cross_entropy": (lambda p: ad.softmax_cross_entropy(p[0], [1, 0, 3]), [(3, 4)], set()),
     "dropout": (lambda p: ad.dropout(p[0], 0.5, np.random.default_rng(0)), [(3, 4)], set()),
 }
@@ -820,10 +831,12 @@ def fresh_graph(rng, build, shapes):
 def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
     """Once the caller drops its names, exactly the parents whose arrays the
     op's rule reads survive: ``linear`` x and w, ``matmul`` both operands,
-    ``gelu_linear`` a and w (its rule recomputes the GELU output and slope
-    from a), ``attention`` its inputs and projections, in its cross and
-    self forms (its rule projects q, k and v again from them, so it holds
-    none of them), ``pair_contrast`` its input (its rule
+    ``ffn`` x and every weight but the output bias (its rule rebuilds the
+    hidden rows, their GELU output and slope from x), ``attention`` its
+    inputs and every projection but the output bias, in its cross and
+    self forms (its rule projects q, k and v again from them, and rebuilds
+    the heads' outputs, so it holds none of them), ``pair_contrast`` its
+    input (its rule
     rebuilds the pair differences from it), ``layer_norm`` its gain, and no
     other op any. Backward frees them all."""
     build, shapes, reads = RETENTION_CASES[name]
@@ -839,15 +852,16 @@ def test_backward_on_a_consumed_graph_is_a_contract_error():
     ContractError that leaves every gradient the first call returned as it
     was. So is a call on a new loss over a consumed subgraph."""
     rng = np.random.default_rng(67)
-    x, w, b = rand_leaf(rng, 3, 4), rand_leaf(rng, 4, 2), rand_leaf(rng, 2)
-    h = ad.gelu_linear(x, w, b)
+    leaves = (rand_leaf(rng, 3, 4), rand_leaf(rng, 4, 5), rand_leaf(rng, 5), rand_leaf(rng, 5, 2),
+              rand_leaf(rng, 2))
+    h = ad.ffn(*leaves)
     loss = sum_of(h, h)
     grads = ad.backward(loss)
-    first = [grads[t].copy() for t in (x, w, b)]
+    first = [grads[t].copy() for t in leaves]
     for again in (loss, sum_of(h)):
         with pytest.raises(ContractError, match="consumed"):
             ad.backward(again)
-        for t, g in zip((x, w, b), first):
+        for t, g in zip(leaves, first):
             assert np.array_equal(grads[t], g)
     assert loss.node.rule is None and loss.node.inputs == () and loss.parents == ()
 
@@ -947,8 +961,14 @@ def ones(*shape):
 
 def projections():
     """``attention``'s projections of width 4 to 4: the queries' (w, b)
-    pair, the keys' weight, the values' pair."""
-    return (ones(4, 4), ones(4)), ones(4, 4), (ones(4, 4), ones(4))
+    pair, the keys' weight, the values' pair and the output's pair."""
+    return (ones(4, 4), ones(4)), ones(4, 4), (ones(4, 4), ones(4)), (ones(4, 4), ones(4))
+
+
+def output_projection(wo, bo):
+    """``attention`` of two rows of width 4 over themselves, in two heads,
+    with ``projections`` but the output's pair ``(wo, bo)``."""
+    return ad.attention(ones(2, 4), ones(2, 4), *projections()[:3], (wo, bo), 2, [0, 2], [0, 2])
 
 
 def two_heads():
@@ -984,26 +1004,43 @@ REFUSED = {
                      "rate"),
     "backward non-finite": (lambda: ad.backward(leaf(np.array(np.nan))), NumericError,
                             "not finite"),
-    "gelu_linear shapes": (lambda: ad.gelu_linear(ones(2, 3), ones(4, 2), ones(2)), ShapeError,
-                           "gelu_linear"),
-    "gelu_linear bias": (lambda: ad.gelu_linear(ones(2, 3), ones(3, 2), ones(3)), ShapeError,
-                         "gelu_linear"),
-    "gelu_linear 1-D": (lambda: ad.gelu_linear(ones(3), ones(3, 2), ones(2)), ShapeError,
-                        "gelu_linear"),
+    "ffn shapes": (lambda: ad.ffn(ones(2, 3), ones(4, 2), ones(2), ones(2, 2), ones(2)),
+                   ShapeError, "ffn"),
+    "ffn bias": (lambda: ad.ffn(ones(2, 3), ones(3, 2), ones(3), ones(2, 2), ones(2)), ShapeError,
+                 "ffn"),
+    "ffn 1-D": (lambda: ad.ffn(ones(3), ones(3, 2), ones(2), ones(2, 2), ones(2)), ShapeError,
+                "ffn"),
+    "ffn 1-D weight": (lambda: ad.ffn(ones(2, 3), ones(3), ones(2), ones(2, 2), ones(2)),
+                       ShapeError, "ffn"),
+    "ffn 1-D output weight": (lambda: ad.ffn(ones(2, 3), ones(3, 2), ones(2), ones(2), ones(2)),
+                              ShapeError, "ffn"),
+    "ffn output rows": (lambda: ad.ffn(ones(2, 3), ones(3, 2), ones(2), ones(3, 2), ones(2)),
+                        ShapeError, "ffn"),
+    "ffn output bias": (lambda: ad.ffn(ones(2, 3), ones(3, 2), ones(2), ones(2, 2), ones(3)),
+                        ShapeError, "ffn"),
+    "attention output 1-D": (lambda: output_projection(ones(4), ones(4)), ShapeError,
+                             "incompatible"),
+    "attention output rows": (lambda: output_projection(ones(3, 4), ones(4)), ShapeError,
+                              "incompatible"),
+    "attention output bias": (lambda: output_projection(ones(4, 4), ones(3)), ShapeError,
+                              "incompatible"),
     "self_attention 1-D": (lambda: ad.attention(ones(4), ones(4), *projections(), 2, [0, 4], [0, 4]),
                            ShapeError, "incompatible"),
     "self_attention 2-D bias": (lambda: ad.attention(ones(2, 4), ones(2, 4),
                                                      (ones(4, 4), ones(1, 4)), ones(4, 4),
-                                                     (ones(4, 4), ones(1, 4)), 2, [0, 2], [0, 2]),
+                                                     (ones(4, 4), ones(1, 4)),
+                                                     (ones(4, 4), ones(4)), 2, [0, 2], [0, 2]),
                                 ShapeError, "incompatible"),
     "self_attention value bias": (lambda: ad.attention(ones(2, 4), ones(2, 4), (ones(4, 4), ones(4)),
-                                                       ones(4, 4), (ones(4, 4), ones(3)), 2,
-                                                       [0, 2], [0, 2]), ShapeError, "incompatible"),
+                                                       ones(4, 4), (ones(4, 4), ones(3)),
+                                                       (ones(4, 4), ones(4)), 2, [0, 2], [0, 2]),
+                                  ShapeError, "incompatible"),
     "self_attention rows": (lambda: ad.attention(ones(2, 3), ones(2, 3), *projections(), 2, [0, 2],
                                                  [0, 2]), ShapeError, "incompatible"),
     "self_attention widths": (lambda: ad.attention(ones(2, 4), ones(2, 4), (ones(4, 4), ones(4)),
                                                    ones(4, 6), (ones(4, 4), ones(4)),
-                                                   2, [0, 2], [0, 2]), ShapeError, "incompatible"),
+                                                   (ones(4, 4), ones(4)), 2, [0, 2], [0, 2]),
+                              ShapeError, "incompatible"),
     "self_attention heads": (lambda: ad.attention(ones(2, 4), ones(2, 4), *projections(), 3, [0, 2],
                                                   [0, 2]), ShapeError, "heads"),
     "self_attention offsets": (lambda: ad.attention(ones(2, 4), ones(2, 4), *projections(), 2,
@@ -1135,29 +1172,46 @@ def test_gelu_bytes_equal_the_whole_array_expressions(cols):
         assert dx[~meet].tobytes() == want[~meet].tobytes(), rows
 
 
+def same_but_nan_payloads(a, b):
+    """Whether ``a`` and ``b`` are NaN at the same elements and have the
+    same bytes at every other."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
 @pytest.mark.parametrize("cols", [16, 128])
-def test_gelu_linear_bytes_equal_linear_over_the_whole_array_gelu(cols):
-    """At one row, around one row block and over several, ``gelu_linear``'s
-    output and its three gradients have the bytes of ``linear`` over
-    ``gelu_ref``, with special values in the first and the last block of
-    the input and of the upstream gradient. As in the test above, one case
-    is only NaN for NaN: where a NaN in g @ w.T meets a NaN bracket."""
+def test_ffn_bytes_equal_linear_then_the_whole_array_gelu_then_linear(cols):
+    """At one row, around one row block and over several, ``ffn``'s output
+    and its five gradients have the bytes of ``linear``, then ``gelu_ref``,
+    then ``linear``: on normal rows, and with special values in the first
+    and the last block of the input and of the upstream gradient. There,
+    as in the test above, the hidden rows' gradient is only NaN for NaN
+    where a NaN in g @ w2.T meets a NaN bracket, and the gradients formed
+    from it, of x, w1 and b1, carry that NaN through a row or column: they
+    are NaN where the reference's are, and have its bytes elsewhere."""
     rng = np.random.default_rng(71)
     for rows in block_rows(cols):
-        a, g = special_rows(rng, rows, cols), special_rows(rng, rows, 16, flip=True)
-        w, b = rng.normal(size=(cols, 16)), rng.normal(size=16)
-        with np.errstate(all="ignore"):  # 1e308 overflows, inf * 0 is NaN
-            fused = ad.gelu_linear(leaf(a), leaf(w), leaf(b))
-            mid = gelu_ref(leaf(a))
-            ref = ad.linear(mid, leaf(w), leaf(b))
-            da, dw, db = fused.node.rule(g)
-            dh, want_dw, want_db = ref.node.rule(g)
-            (want_da,), (bracket,) = mid.node.rule(dh), mid.node.rule(np.ones_like(dh))
-        assert fused.data.tobytes() == ref.data.tobytes(), rows
-        assert dw.tobytes() == want_dw.tobytes() and db.tobytes() == want_db.tobytes(), rows
-        meet = np.isnan(dh) & np.isnan(bracket)
-        assert meet.any() and np.isnan(da[meet]).all(), rows
-        assert da[~meet].tobytes() == want_da[~meet].tobytes(), rows
+        w1, b1 = rng.normal(size=(cols, cols)) / 4.0, rng.normal(size=cols)
+        w2, b2 = rng.normal(size=(cols, 16)), rng.normal(size=16)
+        for special in (False, True):
+            x, g = ((special_rows(rng, rows, cols), special_rows(rng, rows, 16, flip=True))
+                    if special else (3.0 * rng.normal(size=(rows, cols)), rng.normal(size=(rows, 16))))
+            with np.errstate(all="ignore"):  # 1e308 overflows, inf * 0 is NaN
+                fused = ad.ffn(*(leaf(a) for a in (x, w1, b1, w2, b2)))
+                h = ad.linear(leaf(x), leaf(w1), leaf(b1))
+                mid = gelu_ref(h)
+                ref = ad.linear(mid, leaf(w2), leaf(b2))
+                dx, dw1, db1, dw2, db2 = fused.node.rule(g)
+                dm, want_dw2, want_db2 = ref.node.rule(g)
+                (want_dh,), (bracket,) = mid.node.rule(dm), mid.node.rule(np.ones_like(dm))
+                want_dx, want_dw1, want_db1 = h.node.rule(want_dh)
+            exact = [(fused.data, ref.data), (dw2, want_dw2), (db2, want_db2)]
+            formed = [(dx, want_dx), (dw1, want_dw1), (db1, want_db1)]
+            assert (np.isnan(dm) & np.isnan(bracket)).any() == special, rows
+            if not special:
+                exact, formed = exact + formed, []
+            assert all(a.tobytes() == b.tobytes() for a, b in exact), (rows, special)
+            assert all(same_but_nan_payloads(a, b) for a, b in formed), rows
 
 
 @pytest.mark.parametrize("residual", [False, True])
@@ -1214,25 +1268,28 @@ def test_pair_contrast_agrees_with_the_incidence_matrix_reference(labels, cols, 
 
 
 def test_row_kernels_hold_whole_arrays_and_share_no_buffer():
-    """Over several row blocks, ``gelu_linear``'s rule holds exactly two
-    arrays, its input's and its weight's, and no (N, ffn) array of its own;
-    over a constant input it holds only the input's and gives it no
-    gradient. ``layer_norm``'s holds exactly xhat, inv and the gain. No
+    """Over several row blocks, ``ffn``'s rule holds exactly four arrays,
+    its input's and its weights' but the output bias, and no (N, ffn)
+    array of its own; over a constant input it holds the same and gives it
+    no gradient. ``layer_norm``'s holds exactly xhat, inv and the gain. No
     rule holds block scratch, and two calls share no memory, so no buffer
     outlives the call that made it."""
     rng = np.random.default_rng(53)
     rows, cols = 3 * (ad._BLOCK // 16) + 5, 16
     x, gain, bias = leaf(rng.normal(size=(rows, cols))), rand_leaf(rng, cols), rand_leaf(rng, cols)
-    w, b = rand_leaf(rng, cols, 4), rand_leaf(rng, 4)
+    weights = (rand_leaf(rng, cols, cols), rand_leaf(rng, cols), rand_leaf(rng, cols, 4),
+               rand_leaf(rng, 4))
+    read = {id(t.data) for t in weights[:3]}
     made = []
     for _ in range(2):
-        out = ad.gelu_linear(x, w, b)
+        out = ad.ffn(x, *weights)
         held = graph_bytes.rule_arrays(out.node.rule)
-        assert len(held) == 2 and {id(a) for a in held} == {id(x.data), id(w.data)}
+        assert len(held) == 4 and {id(a) for a in held} == read | {id(x.data)}
         made.append(out.data)
         c = ad.constant(x.data)
-        out = ad.gelu_linear(c, w, b)
-        assert [id(a) for a in graph_bytes.rule_arrays(out.node.rule)] == [id(c.data)]
+        out = ad.ffn(c, *weights)
+        held = graph_bytes.rule_arrays(out.node.rule)
+        assert len(held) == 4 and {id(a) for a in held} == read | {id(c.data)}
         assert out.node.rule(np.ones(out.shape))[0] is None
         made.append(out.data)
         out = ad.layer_norm(x, gain, bias)
@@ -1260,10 +1317,21 @@ def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
     assert "peak traced memory over one pretrain-d64 round" in clean
     windows, _, tally = graph_bytes.round_peaks(0, smoke=True)
     assert tally.attempted and not tally.failed
-    for op in ("linear", "attention", "gelu_linear", "layer_norm", "pair_contrast"):
+    for op in ("linear", "attention", "ffn", "layer_norm", "pair_contrast"):
         assert windows.calls[op, "forward"] > 0 and windows.peak[op, "forward"] > 0, op
         assert windows.calls[op, "rule"] > 0 and windows.peak[op, "rule"] > 0, op
     assert windows.peak[windows.BETWEEN] > 0
+
+
+def test_graph_bytes_max_peak_mb_gates_the_round_peak(capsys):
+    """``--max-peak-mb X`` traces and prints one round as ``--peak`` does,
+    and exits 1, naming the peak and the bound, when the peak is more than
+    X MB; 0 when it is not."""
+    assert graph_bytes.main(["--smoke", "--max-peak-mb", "1000"]) == 0
+    printed = capsys.readouterr()
+    assert "peak traced memory over one pretrain-d64 round" in printed.out and printed.err == ""
+    assert graph_bytes.main(["--smoke", "--max-peak-mb", "0.01"]) == 1
+    assert "MB, exceeds --max-peak-mb 0.01" in capsys.readouterr().err
 
 
 def test_op_times_times_every_op_and_puts_the_module_back(capsys):
@@ -1275,7 +1343,7 @@ def test_op_times_times_every_op_and_puts_the_module_back(capsys):
     clock, wall, tally = op_times.time_units("pretrain-d64", 1, 0, smoke=True)
     assert tally.attempted and not tally.failed and wall > 0
     assert vars(ad).keys() == before.keys() and all(vars(ad)[k] is v for k, v in before.items())
-    for op in ("linear", "attention", "gelu_linear", "layer_norm", "dropout", "pair_contrast"):
+    for op in ("linear", "attention", "ffn", "layer_norm", "dropout", "pair_contrast"):
         assert clock.calls[op, "forward"] > 0 and clock.seconds[op, "rule"] > 0, op
     # two steps in each of two stages; a stage-one step backpropagates each pass apart
     assert clock.calls["backward", "forward"] == 6

@@ -208,29 +208,38 @@ def finetuned(cli_corpus, tmp_path_factory):
     return out / "run"
 
 
-@pytest.mark.parametrize("cut", ["short", "mistyped"])
+@pytest.mark.parametrize("cut", ["short", "mistyped", "validation"])
 def test_resume_refuses_a_log_cut_short_of_its_checkpoint(cli_corpus, tmp_path, capsys, cut):
     """A resume into a directory whose ``metrics.jsonl`` ends before the
     checkpoint's step, cut back to step 1 or with its step-2 line's step a
     string, exits 2 with one ConfigError line and changes no file: appending
-    from step 3 would leave a log with a gap."""
+    from step 3 would leave a log with a gap. So does one whose
+    ``val_metrics.jsonl``, with validation after each two-step epoch, is
+    emptied of its step-2 line."""
     out = tmp_path / "run"
+    train = {"max_steps": 4, "checkpoint_every": 2}
+    if cut == "validation":
+        train.update(validate_every_epochs=1, batch_size=12)  # 24 records
     argv = ["finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
             "--registry", str(cli_corpus / "registry.json"), "--out", str(out),
-            "--config", str(write_config(tmp_path / "cfg.json",
-                                         train={"max_steps": 4, "checkpoint_every": 2}))]
+            "--config", str(write_config(tmp_path / "cfg.json", train=train))]
     assert run(capsys, *argv)[0] == 0
-    log = out / "metrics.jsonl"
+    log = out / ("val_metrics.jsonl" if cut == "validation" else "metrics.jsonl")
     lines = log.read_text().splitlines(keepends=True)
+    message = f"{log}: log ends at step 1, not at its checkpoint's step 2"
     if cut == "short":
         log.write_text(lines[0])
-    else:
+    elif cut == "mistyped":
         log.write_text(lines[0] + lines[1].replace('"step": 2', '"step": "2"'))
+    else:
+        assert [json.loads(line)["step"] for line in lines] == [2, 4]
+        log.write_text("")
+        message = (f"{log}: log ends at step 0, not at step 2, the last validation due by its "
+                   "checkpoint's step 2")
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     code, stdout, err = run(capsys, *argv, "--resume", str(out / "checkpoint_step2.ckpt"))
     assert code == 2 and stdout == "" and len(err.splitlines()) == 1
-    assert json.loads(err) == {"error": "ConfigError",
-                               "message": f"{log}: log ends at step 1, not at its checkpoint's step 2"}
+    assert json.loads(err) == {"error": "ConfigError", "message": message}
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 

@@ -249,7 +249,7 @@ def test_batched_cached_decoder_matches_teacher_forced(world):
 
 def test_inference_computes_no_gelu_slope(world, monkeypatch):
     """No forward computes a GELU slope, in training or in inference: a
-    slope kernel that raises is never reached by ``gelu_linear`` over a
+    slope kernel that raises is never reached by ``ffn`` over a
     constant or over an input that needs a gradient, at one row block or
     several, nor by ``generate_batch`` on frozen parameters, nor by an
     encode and a training-mode decoder pass that record a graph. Only the
@@ -261,11 +261,11 @@ def test_inference_computes_no_gelu_slope(world, monkeypatch):
 
     monkeypatch.setattr(ad, "_gelu_slope_rows", refuse)
     rng = np.random.default_rng(5)
-    w, b = ad.constant(rng.normal(size=(8, 4))), ad.constant(rng.normal(size=4))
+    weights = [ad.constant(rng.normal(size=shape)) for shape in ((8, 8), (8,), (8, 4), (4,))]
     for rows in (3, 3 * (ad._BLOCK // 8) + 1):
         x = rng.normal(size=(rows, 8))
-        assert ad.gelu_linear(ad.constant(x), w, b).node is None
-        assert ad.gelu_linear(ad.Tensor(x, requires_grad=True), w, b).node is not None
+        assert ad.ffn(ad.constant(x), *weights).node is None
+        assert ad.ffn(ad.Tensor(x, requires_grad=True), *weights).node is not None
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:6]]
     assert len(model.generate_batch(prompts, freeze_params(params), config, vocab, max_new=4)) == 6
     enc = encode(prompts[0], params, config, vocab)
@@ -549,7 +549,6 @@ def reference_encode(ps, plan, params, config, vocab):
     for i in range(config.layers_enc):
         prefix = f"enc{i}_attn"
         a = attention_ref(x, x, *block_projections(params, prefix), config.heads, [0, n], [0, n])
-        a = model._linear(params, prefix, a, "wo", "bo")
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = model._ffn(params, f"enc{i}_ffn", x)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
@@ -644,7 +643,7 @@ def test_encoder_input_graph_does_not_grow_with_batch(world):
 
 def test_encoder_rows_are_packed(world, monkeypatch):
     """On a batch of uneven streams, every per-row op of the encoder graph
-    (each ``gelu_linear`` and ``layer_norm``) runs on N = the summed stream
+    (each ``ffn`` and ``layer_norm``) runs on N = the summed stream
     lengths rows, not batch size times the longest. A vertex holds no
     output, so each one's output shape is noted when its op records it."""
     vocab, registry, records, config, params = world
@@ -672,8 +671,8 @@ def test_encoder_rows_are_packed(world, monkeypatch):
             stack.extend(node.parents)
             shape = node.shape if isinstance(node, ad.Tensor) else shapes[id(node)]
             rows.setdefault(node.op, []).append(shape[0])
-    assert len(rows["gelu_linear"]) == 2 and len(rows["layer_norm"]) == 4
-    assert set(rows["gelu_linear"]) | set(rows["layer_norm"]) == {sum(lengths)}
+    assert len(rows["ffn"]) == 2 and len(rows["layer_norm"]) == 4
+    assert set(rows["ffn"]) | set(rows["layer_norm"]) == {sum(lengths)}
 
 
 def test_row_chunks_stay_within_budget(world, monkeypatch):

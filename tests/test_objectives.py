@@ -18,7 +18,7 @@ from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
 from sentigen.prompt import build_prompt
 
 from conftest import (attention_ref, block_projections, div, finite_diff_check, gather_cols,
-                      loss_value_and_grads, small_config, sqrt, sub, sum_of)
+                      gelu_ref, loss_value_and_grads, small_config, sqrt, sub, sum_of)
 
 
 @pytest.fixture(scope="module")
@@ -381,18 +381,26 @@ def test_stage1_recomposes_weighted_components(rig):
 
 
 def reference_attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
-    """``model._attention`` as ``attention_ref``'s projection nodes and
-    attention node, then the output projection."""
-    mixed = attention_ref(x_q, x_kv, *block_projections(params, prefix), config.heads, q_offsets,
-                          k_offsets, causal)
-    return ad.linear(mixed, params[f"{prefix}_wo"], params[f"{prefix}_bo"])
+    """``model._attention`` as ``attention_ref``'s projection nodes,
+    attention node and output projection."""
+    return attention_ref(x_q, x_kv, *block_projections(params, prefix), config.heads, q_offsets,
+                         k_offsets, causal)
+
+
+def reference_ffn(params, prefix, x):
+    """``model._ffn`` as a ``linear`` node, ``gelu_ref``'s node and a
+    ``linear`` node."""
+    h = ad.linear(x, params[f"{prefix}_w1"], params[f"{prefix}_b1"])
+    return ad.linear(gelu_ref(h), params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
 @pytest.mark.parametrize("layers_dec", [1, 2])
 def test_stage1_step_gradients_equal_the_reference_graph(rig, monkeypatch, layers_dec):
-    """One stage-one step, dropout on, gives with its ``attention`` nodes
-    the gradients of the graph with ``attention_ref``'s projection nodes
-    and attention node in each attention block. With one decoder layer every
+    """One stage-one step, dropout on, gives with its ``attention`` and
+    ``ffn`` nodes the gradients of the graph with ``attention_ref``'s
+    projection nodes, attention node and output projection in each
+    attention block and ``reference_ffn``'s three nodes in each FFN. With
+    one decoder layer every
     parameter's are equal byte for byte. With two, every decoder
     parameter's and each mask vector's are (only the corrupted pass reaches
     the mask vectors). The encoder states' gradient sums the second layer's
@@ -413,6 +421,7 @@ def test_stage1_step_gradients_equal_the_reference_graph(rig, monkeypatch, layer
 
     got = step()
     monkeypatch.setattr(model, "_attention", reference_attention)
+    monkeypatch.setattr(model, "_ffn", reference_ffn)
     want = step()
     assert got.keys() == want.keys()
     assert all(params[name] in got for name in params if name.startswith(("enc", "dec")))

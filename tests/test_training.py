@@ -624,6 +624,41 @@ def test_a_validation_line_is_synced_before_its_checkpoint(toy, tmp_path, monkey
                     "checkpoint.ckpt": [3, 6]}
 
 
+@pytest.mark.parametrize("val_steps", [[], [3, 6]], ids=["emptied", "uncut"])
+def test_resume_refuses_a_validation_log_cut_short_of_its_checkpoint(toy, tmp_path, val_steps):
+    """Validation after steps 3 and 6 (24 records in batches of 8), a
+    checkpoint every 3: with ``metrics.jsonl`` cut back to the step-3
+    checkpoint, a ``val_metrics.jsonl`` emptied, the durable state had the
+    step-3 line been lost, is a one-line ConfigError before the resume
+    writes anything, as appending from step 4 would leave it without step
+    3. One whose step-6 line is past the checkpoint keeps its step-3 line
+    and resumes to the uninterrupted run's bytes."""
+    config = small_config(toy["vocab"], toy["registry"])
+    cfg = train_cfg(max_steps=6, batch_size=8, checkpoint_every=3, validate_every_epochs=1,
+                    max_new_tokens=2)
+    full = run_finetune(toy["records"], toy["registry"], config, cfg, tmp_path / "full")
+    out = tmp_path / "run"
+    run_finetune(toy["records"], toy["registry"], config, cfg, out)
+    metrics, val_log = out / "metrics.jsonl", out / "val_metrics.jsonl"
+    metrics.write_text("".join(metrics.read_text().splitlines(keepends=True)[:3]))
+    val_lines = val_log.read_text().splitlines(keepends=True)
+    assert [json.loads(line)["step"] for line in val_lines] == [3, 6]
+    val_log.write_text("".join(val_lines[:len(val_steps)]))
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    resume = lambda: run_finetune(toy["records"], toy["registry"], config, cfg, out,
+                                  resume_from=out / "checkpoint_step3.ckpt")
+    if not val_steps:
+        with pytest.raises(ConfigError) as err:
+            resume()
+        assert str(err.value) == (f"{val_log}: log ends at step 0, not at step 3, the last "
+                                  "validation due by its checkpoint's step 3")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        return
+    assert resume().read_bytes() == full.read_bytes()
+    for name in ("metrics.jsonl", "val_metrics.jsonl"):
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
 def test_a_failed_log_sync_is_config_error(toy, tmp_path, monkeypatch):
     """A log that cannot be synced stops the run with a one-line
     ConfigError naming it, before the checkpoint it would precede."""
@@ -794,7 +829,7 @@ def test_stage1_step_holds_one_pass_graph_at_a_time(toy, tmp_path, monkeypatch):
 # by op, the parents whose arrays its backward rule reads (-2: layer_norm's
 # gain, with or without a residual); ``sqrt``'s rule reads its own output
 RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
-              "attention": (0, 3), "gelu_linear": (0, 1),
+              "attention": (0, 3), "ffn": (0, 1, 2, 3),
               "pair_contrast": (0,), "layer_norm": (-2,)}
 
 
@@ -844,6 +879,42 @@ def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_pa
     run_pretrain_stage1(toy["records"], toy["registry"], config,
                         train_cfg(max_steps=1, dropout_rate=0.1), tmp_path)
     assert len(checked) == 2 and min(checked) > 0
+
+
+def test_first_stage_one_backward_holds_no_hidden_rows_and_no_heads_outputs(toy, tmp_path,
+                                                                            monkeypatch):
+    """At the first backward of a first d=16 stage-one step (the corrupted
+    pass's), no FFN's (N, ffn) hidden rows, before or after their GELU, and
+    no attention block's (N, d) heads' outputs, before their output
+    projection, are alive: each ``ffn`` and ``attention`` node rebuilds
+    them in its rule, so no rule, nor anything else, holds them."""
+    real_attend, real_by_rows, real_backward = ad._attend, ad._by_rows, ad.backward
+    made, alive = [], []
+
+    def attend(*args):
+        out = real_attend(*args)
+        made.append(("heads' outputs", weakref.ref(out[0])))
+        return out
+
+    def by_rows(kernel, ins, shapes):
+        outs = real_by_rows(kernel, ins, shapes)
+        if kernel is ad._gelu_rows:
+            made.extend(("hidden rows", weakref.ref(a)) for a in (ins[0],) + outs)
+        return outs
+
+    def probe(loss, grads=None):
+        if not alive:
+            alive.append([name for name, ref in made if ref() is not None])
+        return real_backward(loss, grads)
+
+    monkeypatch.setattr(ad, "_attend", attend)
+    monkeypatch.setattr(ad, "_by_rows", by_rows)
+    monkeypatch.setattr(ad, "backward", probe)
+    config = small_config(toy["vocab"], toy["registry"])
+    run_pretrain_stage1(toy["records"], toy["registry"], config,
+                        train_cfg(max_steps=1, dropout_rate=0.1), tmp_path)
+    assert {name for name, _ in made} == {"heads' outputs", "hidden rows"}
+    assert alive == [[]]
 
 
 def test_resume_rejects_wrong_stage(toy, tmp_path):
