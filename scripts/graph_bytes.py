@@ -11,8 +11,10 @@ and counts every distinct buffer once, a view as the array it views, under
 the op of the first vertex that holds it and one of three holders:
 
 - ``output``: the output array of a vertex whose tensor is still alive;
-- ``rule``: an array a backward rule holds, a parent's (``ffn``'s input,
-  say) or one the op made (``pair_contrast``'s pair distances);
+- ``rule``: an array a backward rule holds, a parent's (``pair_contrast``'s
+  input, say), one a kept input's rebuild reads (``layer_norm``'s
+  normalised rows, which its own rule holds too), or one the op made
+  (``pair_contrast``'s pair distances);
 - ``constant``: the array of a constant leaf of the graph.
 
 Parameters are counted apart: the model holds them whether a step runs or
@@ -64,9 +66,9 @@ def _buffer(a):
 
 def rule_arrays(rule):
     """The arrays a backward rule holds, through its closure, the closures
-    of the functions it calls, the tuples and lists it holds, the slots of
-    any ``Segments`` it holds (attention's row layouts), and the data of any
-    tensor it holds."""
+    of the functions it calls (a kept input's rebuild among them), the
+    tuples and lists it holds, the slots of any ``Segments`` it holds
+    (attention's row layouts), and the data of any tensor it holds."""
     found, stack, seen = [], [rule], set()
     while stack:
         obj = stack.pop()

@@ -14,7 +14,10 @@ q, k, v and output projections inside) does not count its ``head_layout``,
 and ``backward`` does not count its rules. ``ffn`` is every feed-forward
 block that records a graph, both its projections inside; ``attend`` is
 cached decoding's graph-free attention, and ``linear`` every other
-projection: the input frames', and cached decoding's. Every unit's
+projection: the input frames', and cached decoding's. A rule's seconds
+include the rebuilds of the inputs it keeps (see ``ad.Tensor``): the
+``layer_norm`` outputs that ``ffn`` and ``attention`` read, and the token
+rows that the input ``matmul`` reads. Every unit's
 outputs are checked as the benchmark checks them, and a failed check exits
 1. The script writes only inside a temporary directory. BLAS threads follow the environment; set
 ``OPENBLAS_NUM_THREADS=1`` to time what ``benchmarks/run.py`` times.
@@ -68,8 +71,8 @@ class OpClock:
                 and (not name.startswith("_") or name == "_make")}
         make = real["_make"]
 
-        def timed_make(data, op, parents, rule):
-            return make(data, op, parents, self.timed(rule, (op, "rule")))
+        def timed_make(data, op, parents, rule, rebuild=None):
+            return make(data, op, parents, self.timed(rule, (op, "rule")), rebuild)
 
         try:
             for name, fn in real.items():

@@ -34,7 +34,12 @@ k and v again and rebuilds the heads' outputs, not padded copies of them;
 and their GELU output and slope; ``dropout``'s a bool mask; and
 ``pair_contrast``'s its input, from which it rebuilds its pair
 differences. Recomputing is chosen where it is cheap in arithmetic and
-the array is large. ``Segments`` owns packed rows' bounds and their padded
+the array is large. So a node that reads an input's array in its rule
+(``matmul`` its left operand, ``ffn`` and ``attention`` their inputs) keeps
+the input's ``rebuild`` in its place when it has one, and calls it once in
+its rule: a ``layer_norm`` output is redone from its own node's normalised
+rows, and a one-pair ``embedding`` from a parameter from its ids, bit for
+bit, so the graph holds one copy of each, not two. ``Segments`` owns packed rows' bounds and their padded
 per-head layout, for ``attention``, ``attend`` (attention's forward over a
 ``HeadLayout``; it records no node) and ``segment_mean``. The module keeps
 only the ops the rest of the package calls.
@@ -68,15 +73,17 @@ class Tensor:
     (``node``; None for a leaf). An op whose inputs all lack
     ``requires_grad`` records none, so a pass over constants leaves no graph.
     Data is immutable once an op has read it. A tensor holds no gradient:
-    ``backward`` returns them."""
+    ``backward`` returns them. ``rebuild`` is None, or a function that
+    returns ``data`` bit for bit from arrays its own node keeps: only a
+    recorded ``layer_norm`` or one-pair ``embedding`` from a parameter sets one."""
 
-    __slots__ = ("data", "requires_grad", "op", "node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "op", "node", "rebuild", "__weakref__")
 
     def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = _as_f64(data)
         self.requires_grad = bool(requires_grad)
         self.op = op
-        self.node = None
+        self.node = self.rebuild = None
 
     @property
     def shape(self):
@@ -119,12 +126,23 @@ def constant(data):
     return Tensor(data, requires_grad=False, op="const")
 
 
-def _make(data, op, parents, rule):
+def _make(data, op, parents, rule, rebuild=None):
     out = Tensor(data, op=op)
     if any([p.requires_grad for p in parents]):  # a list: faster than a generator on 1-3 parents
         out.requires_grad = True
         out.node = Node(op, [p.node or p for p in parents], rule, out)
+        out.rebuild = rebuild
     return out
+
+
+def _kept(t):
+    """What a rule that reads ``t``'s array keeps: ``t.rebuild`` when it
+    has one, else the array. ``_read`` gives the array back."""
+    return t.data if t.rebuild is None else t.rebuild
+
+
+def _read(kept):
+    return kept if type(kept) is np.ndarray else kept()
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +167,10 @@ def matmul(a, b):
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
 
     # each operand is read only for the other's gradient
-    x = a.data if b.requires_grad else None
+    x = _kept(a) if b.requires_grad else None
     y = b.data if a.requires_grad else None
     return _make(a.data @ b.data, "matmul", (a, b),
-                 lambda g: (None if y is None else g @ y.T, None if x is None else x.T @ g))
+                 lambda g: (None if y is None else g @ y.T, None if x is None else _read(x).T @ g))
 
 
 def linear(x, w, b):
@@ -235,7 +253,7 @@ def embedding(table, ids, *summed):
     pairs = ((table, ids),) + summed
     tables = tuple(t for t, _ in pairs)
     idxs = [_gather_ids(t, i) for t, i in pairs]
-    out = table.data[idxs[0]]
+    out, td = table.data[idxs[0]], table.data
     for t, idx in zip(tables[1:], idxs[1:]):
         if t.shape[1] != table.shape[1] or idx.shape != idxs[0].shape:
             raise ShapeError(f"embedding: {idx.size} rows of width {t.shape[1]} do not add "
@@ -247,7 +265,10 @@ def embedding(table, ids, *summed):
         return tuple(None if shape is None else _row_sums(g, idx, shape)
                      for shape, idx in zip(shapes, idxs))
 
-    return _make(out, "embedding", tables, rule)
+    # one gather from a parameter is redone from the ids; a summed one, or
+    # one from an activation, is not: that would keep more, not less
+    rebuild = None if summed or table.node is not None else lambda: td[idxs[0]]
+    return _make(out, "embedding", tables, rule, rebuild)
 
 
 class Segments:
@@ -396,8 +417,8 @@ def _gelu_slope_rows(x, t, slope, s):
 
 def ffn(x, w1, b1, w2, b2):
     """A feed-forward block, ``linear(gelu(linear(x, w1, b1)), w2, b2)``,
-    as one node that keeps only its input and the weights its rule reads,
-    all but ``b2``. Its forward computes no slope and drops the (N, ffn)
+    as one node that keeps only its input (its rebuild, when it has one)
+    and the weights its rule reads, all but ``b2``. Its forward computes no slope and drops the (N, ffn)
     hidden rows once it has the output; its rule rebuilds them (``x @ w1``,
     then ``+= b1``), runs the GELU kernel again, with the slope, and frees
     the GELU output once it has formed w2's gradient. Each array has the
@@ -407,20 +428,21 @@ def ffn(x, w1, b1, w2, b2):
             or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
         raise ShapeError(f"ffn: incompatible x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
                          f"w2 {w2.shape}, b2 {b2.shape}")
-    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    xk, w1d, b1d, w2d = _kept(x), w1.data, b1.data, w2.data
 
-    def gelu_hidden(slope=None):
+    def gelu_hidden(xd, slope=None):
         h = xd @ w1d
         h += b1d
         return _by_rows(_gelu_rows, (h, slope), (h.shape,))[0]
 
-    out = gelu_hidden() @ w2d
+    out = gelu_hidden(x.data) @ w2d
     out += b2.data
     want_x, want_w1, want_w2 = x.requires_grad, w1.requires_grad, w2.requires_grad
 
     def rule(g):
+        xd = _read(xk)
         slope = np.empty((len(xd), len(b1d)))
-        h = gelu_hidden(slope)
+        h = gelu_hidden(xd, slope)
         dw2 = h.T @ g if want_w2 else None
         del h
         dh = g @ w2d.T
@@ -461,6 +483,11 @@ def layer_norm(a, gain, bias, residual=None):
         np.multiply(xhat, gd, out)
         out += bd
 
+    def rebuild():  # the output from the rule's xhat, elementwise as the blocks made it
+        y = np.multiply(xhat, gd)
+        y += bd
+        return y
+
     x = a.data
     xhat, inv, out = _by_rows(rows, (x, None if residual is None else residual.data),
                               (x.shape, (len(x), 1), x.shape))
@@ -481,7 +508,7 @@ def layer_norm(a, gain, bias, residual=None):
         _by_rows(rule_rows, (xhat, g, inv, dx), ())
         return (dx,) * inputs + (dgain, dbias)
 
-    return _make(out, "layer_norm", parents, rule)
+    return _make(out, "layer_norm", parents, rule, rebuild)
 
 
 class HeadLayout:
@@ -568,9 +595,9 @@ def attention(x_q, x_kv, q, wk, v, o, heads, q_offsets, k_offsets, causal=False)
     block h of width d / heads belongs to head h. Returns one projected
     row per row of ``x_q``.
 
-    The node keeps only ``x_q``, ``x_kv``, the weights and the softmax
-    weights ``p``: not the heads' (N, d) outputs, which the forward drops
-    once projected. Its rule projects and splits v once, rebuilds those
+    The node keeps only ``x_q``, ``x_kv`` (or their rebuilds, called once
+    each when its rule runs), the weights and the softmax weights ``p``:
+    not the heads' (N, d) outputs, which the forward drops once projected. Its rule projects and splits v once, rebuilds those
     outputs from ``p`` and v for ``o``'s weight gradient, reads v again
     for the scores' gradient and drops it, then projects k and q, each
     when it reads it; every gradient is ``linear``'s (for k, ``matmul``'s)
@@ -585,24 +612,28 @@ def attention(x_q, x_kv, q, wk, v, o, heads, q_offsets, k_offsets, causal=False)
             wo.data.ndim != 2 or wo.shape[:1] != width or bo.shape != wo.shape[1:]):
         raise ShapeError(f"attention: incompatible x_q {x_q.shape}, x_kv {x_kv.shape} and "
                          f"projections {[t.shape for t in (*q, wk, *v, *o)]}")
-    weights = tuple(tuple(t.data for t in projection) for projection in projections)
+    weights = tuple(tuple(t.data for t in projection[1:]) for projection in projections)
 
-    def project(i):
-        x, w, *b = weights[i]
+    def project(x, i):
+        w, *b = weights[i]
         out = x @ w
         return np.add(out, *b, out=out) if b else out
 
     # q, then k and v, then the keys' layout: that order measured fastest
     mixed, p, (queries, keys, norm) = _attend(
-        project(0), head_layout(project(1), project(2), heads, k_offsets), q_offsets, causal)
+        project(x_q.data, 0),
+        head_layout(project(x_kv.data, 1), project(x_kv.data, 2), heads, k_offsets), q_offsets, causal)
     out = mixed @ wo.data
     out += bo.data
     del mixed
     wants = tuple(tuple(t.requires_grad for t in projection) for projection in projections)
     (want_q, want_k, want_v), wod, want_wo = map(any, wants), wo.data, wo.requires_grad
+    kept_q, kept_kv = _kept(x_q), _kept(x_kv)
 
     def rule(g):
-        v = keys.split(project(2), heads)
+        xkv = _read(kept_kv)
+        xq = xkv if kept_q is kept_kv else _read(kept_q)
+        v = keys.split(project(xkv, 2), heads)
         dwo = queries.merge(p @ v).T @ g if want_wo else None
         gh = queries.split(g @ wod.T, heads)
         dp = gh @ v.swapaxes(2, 3)
@@ -612,12 +643,12 @@ def attention(x_q, x_kv, q, wk, v, o, heads, q_offsets, k_offsets, causal=False)
         dp -= (dp * p).sum(axis=3, keepdims=True)
         dz = np.multiply(p, dp, dp)  # dz = p * (dp - (dp * p).sum(...)) * norm, in dp's buffer
         dz *= norm
-        dys = [queries.merge(dz @ keys.split(project(1), heads)) if want_q else None,
-               keys.merge(dz.swapaxes(2, 3) @ queries.split(project(0), heads)) if want_k else None,
+        dys = [queries.merge(dz @ keys.split(project(xkv, 1), heads)) if want_q else None,
+               keys.merge(dz.swapaxes(2, 3) @ queries.split(project(xq, 0), heads)) if want_k else None,
                dv]
         del dz, dv
         grads = ()
-        for (x, w, *b), (wx, ww, *_) in zip(weights, wants):
+        for x, (w, *b), (wx, ww, *_) in zip((xq, xkv, xkv), weights, wants):
             dy = dys.pop(0)  # q's, k's, then v's, each dropped once its gradients are formed
             grads += (None,) * (2 + len(b)) if dy is None else (
                 dy @ w.T if wx else None, x.T @ dy if ww else None, *(dy.sum(axis=0) for _ in b))

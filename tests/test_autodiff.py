@@ -847,6 +847,138 @@ def test_a_graph_keeps_exactly_the_parent_arrays_its_rules_read(name):
     assert all(ref() is None for ref in refs), name
 
 
+# ---------------------------------------------------------------------------
+# rebuilds: an output that the nodes reading it redo from its own node's arrays
+
+
+def layer_norm_output(rng, rows, cols=6, residual=False):
+    """A recorded ``layer_norm`` of fresh leaves, one input row constant;
+    with ``residual``, of their sum with a fresh residual."""
+    a = rng.normal(size=(rows, cols))
+    a[rows // 2] = 1.5
+    r = rand_leaf(rng, rows, cols) if residual else None
+    return ad.layer_norm(leaf(a), rand_leaf(rng, cols), rand_leaf(rng, cols), residual=r)
+
+
+def parameter_gather(rng, rows, cols=6):
+    """A one-pair ``embedding`` of ``rows`` ids, repeats among them, from a
+    (9, ``cols``) parameter table."""
+    return ad.embedding(rand_leaf(rng, 9, cols), rng.integers(0, 9, size=rows))
+
+
+PRODUCERS = {"layer_norm": layer_norm_output, "embedding": parameter_gather}
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("cols", [16, 64])
+def test_a_layer_norm_rebuild_returns_its_output_bit_for_bit(cols, residual):
+    """At one row, around one row block and over several, with and without
+    a residual, a recorded ``layer_norm``'s rebuild returns a fresh
+    row-major array with its output's bytes, each time it is called."""
+    rng = np.random.default_rng(53)
+    for rows in block_rows(cols):
+        out = layer_norm_output(rng, rows, cols, residual)
+        for again in (out.rebuild(), out.rebuild()):
+            assert again is not out.data and again.flags.c_contiguous, rows
+            assert same_bytes(again, out.data), rows
+
+
+def test_a_parameter_gather_rebuild_returns_its_rows_bit_for_bit():
+    out = parameter_gather(np.random.default_rng(59), 40)
+    again = out.rebuild()
+    assert again is not out.data and again.flags.c_contiguous and same_bytes(again, out.data)
+
+
+def test_only_a_recorded_layer_norm_and_one_gather_from_a_parameter_carry_a_rebuild():
+    """A pass over constants records no node and so carries no rebuild. A
+    gather of summed pairs, or one from an activation, carries none either:
+    redoing it would keep its tables alive, which holds more, not less. A
+    leaf, and any other op's output, carries none."""
+    rng = np.random.default_rng(61)
+    table, other, ids = rand_leaf(rng, 9, 6), rand_leaf(rng, 9, 6), rng.integers(0, 9, size=12)
+    x, gain, bias = (ad.constant(rng.normal(size=shape)) for shape in ((12, 6), (6,), (6,)))
+    frozen = (ad.layer_norm(x, gain, bias), ad.layer_norm(x, gain, bias, residual=x),
+              ad.embedding(ad.constant(table.data), ids))
+    assert all(t.node is None and t.rebuild is None for t in frozen)
+    assert ad.embedding(table, ids, (other, ids)).rebuild is None
+    assert ad.embedding(ad.scale(table, 1.0), ids).rebuild is None
+    assert table.rebuild is None and x.rebuild is None
+    recorded = ad.layer_norm(leaf(x.data), gain, bias)
+    assert recorded.rebuild is not None and ad.embedding(table, ids).rebuild is not None
+    assert ad.matmul(recorded, rand_leaf(rng, 6, 2)).rebuild is None
+
+
+def consumers(rng, d=6):
+    """Each op that keeps an input for its rule, as a function of its input
+    ``x`` (7 rows) and, for cross-attention, ``kv`` (9 rows), with fixed
+    weights: ``matmul`` reads x for its right operand's gradient, ``ffn``
+    and ``attention`` for their projections' gradients."""
+    w, ffn_weights = rand_leaf(rng, d, 3), (rand_leaf(rng, d, 5), rand_leaf(rng, 5),
+                                            rand_leaf(rng, 5, d), rand_leaf(rng, d))
+    _, projections = projection_leaves(rng, 7, d, 8)
+    off, kv_off = [0, 2, 6, 7], [0, 3, 5, 9]
+    return {"matmul": lambda x, kv: ad.matmul(x, w),
+            "ffn": lambda x, kv: ad.ffn(x, *ffn_weights),
+            "self-attention": lambda x, kv: ad.attention(x, x, *projections, 2, off, off, True),
+            "cross-attention": lambda x, kv: ad.attention(x, kv, *projections, 2, off, kv_off)}
+
+
+def counting(t):
+    """The calls of ``t``'s rebuild from now on, one entry each."""
+    calls, real = [], t.rebuild
+
+    def rebuild():
+        calls.append(1)
+        return real()
+
+    t.rebuild = rebuild
+    return calls
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+@pytest.mark.parametrize("consumer", ["matmul", "ffn", "self-attention", "cross-attention"])
+def test_a_consumer_keeps_its_inputs_rebuild_and_gives_the_same_bytes(consumer, producer):
+    """``matmul``, ``ffn`` and ``attention``, self and cross, over inputs
+    that carry a rebuild give the output and every parent gradient of the
+    same op over plain leaves of the same values, bit for bit. Their rule
+    holds neither input's array, and calls each input's rebuild once, once
+    in all when self-attention's two inputs are one tensor."""
+    rng = np.random.default_rng(67)
+    op = consumers(rng)[consumer]
+    x, kv = PRODUCERS[producer](rng, 7), PRODUCERS[producer](rng, 9)
+    calls = {"x": counting(x), "kv": counting(kv)}
+    out, plain = op(x, kv), op(leaf(x.data.copy()), leaf(kv.data.copy()))
+    assert same_bytes(out.data, plain.data)
+    held = {id(graph_bytes._buffer(a)) for a in graph_bytes.rule_arrays(out.node.rule)}
+    assert not held & {id(x.data), id(kv.data)}
+    g = rng.normal(size=out.shape)
+    got, want = out.node.rule(g), plain.node.rule(g)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None) and (a is None or same_bytes(a, b))
+    assert (len(calls["x"]), len(calls["kv"])) == (1, consumer == "cross-attention")
+
+
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+@pytest.mark.parametrize("consumer", ["matmul", "ffn", "self-attention", "cross-attention"])
+def test_a_dropped_input_frees_its_array_while_its_consumer_is_alive(consumer, producer):
+    """Once the caller drops a ``layer_norm`` output or a parameter gather,
+    its array is freed, though the node that reads it is alive and its
+    backward still runs."""
+    rng = np.random.default_rng(71)
+    op = consumers(rng)[consumer]
+    x, kv = PRODUCERS[producer](rng, 7), PRODUCERS[producer](rng, 9)
+    refs = [weakref.ref(x.data), weakref.ref(kv.data)][:1 + (consumer == "cross-attention")]
+    out = op(x, kv)
+    del x, kv
+    assert all(ref() is None for ref in refs) and out.node.rule is not None
+    assert ad.backward(sum_of(out))
+
+
 def test_backward_on_a_consumed_graph_is_a_contract_error():
     """Backward consumes the graph; a second call on the same loss is a
     ContractError that leaves every gradient the first call returned as it
@@ -1172,6 +1304,28 @@ def test_gelu_bytes_equal_the_whole_array_expressions(cols):
         assert dx[~meet].tobytes() == want[~meet].tobytes(), rows
 
 
+# (x, gelu(x), d gelu / dx) of the tanh form, 0.5 x (1 + tanh(c (x + a x^3))),
+# with c = sqrt(2 / pi) and a = 0.044715 as published (Hendrycks & Gimpel
+# 2016), worked apart from the code at 40 digits and rounded to float64
+GELU_POINTS = ((-3.0, -0.003637392081773019, -0.011584166630969726),
+               (-1.0, -0.1588080093917233, -0.08296408384578255),
+               (-0.5, -0.15428599017485609, 0.1326300964653577),
+               (0.25, 0.149675350701685, 0.6953540951510604),
+               (1.0, 0.8411919906082767, 1.0829640838457826),
+               (2.5, 2.484915733910001, 1.037951576212666))
+
+
+def test_gelu_and_its_slope_equal_literal_values():
+    """``ffn`` with unit weights and zero biases is GELU alone: its output
+    and its input's gradient equal the tanh form's literal values. The
+    references above read the module's constants, so they move with it."""
+    x, one, zero = leaf([[p[0]] for p in GELU_POINTS]), leaf([[1.0]]), leaf([0.0])
+    out = ad.ffn(x, one, zero, one, zero)
+    np.testing.assert_allclose(out.data[:, 0], [p[1] for p in GELU_POINTS], rtol=0, atol=2e-15)
+    slope = ad.backward(sum_of(out))[x][:, 0]
+    np.testing.assert_allclose(slope, [p[2] for p in GELU_POINTS], rtol=0, atol=2e-15)
+
+
 def same_but_nan_payloads(a, b):
     """Whether ``a`` and ``b`` are NaN at the same elements and have the
     same bytes at every other."""
@@ -1321,6 +1475,38 @@ def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
         assert windows.calls[op, "forward"] > 0 and windows.peak[op, "forward"] > 0, op
         assert windows.calls[op, "rule"] > 0 and windows.peak[op, "rule"] > 0, op
     assert windows.peak[windows.BETWEEN] > 0
+
+
+def test_no_rule_holds_a_layer_norm_output_or_the_gathered_token_rows(monkeypatch):
+    """At the first backward of a smoke stage-one step, no rule of the graph
+    holds the array of a ``layer_norm`` output or of a one-pair gather from
+    a parameter (the encoder's and decoder's token rows): the nodes that
+    read them keep their rebuilds."""
+    made = []  # weak references to each such output's array
+
+    def noting(op, keeps):
+        def call(*args, **kwargs):
+            out = op(*args, **kwargs)
+            if keeps(*args):
+                made.append(weakref.ref(out.data))
+            return out
+        return call
+
+    monkeypatch.setattr(ad, "layer_norm", noting(ad.layer_norm, lambda *args: True))
+    monkeypatch.setattr(ad, "embedding", noting(
+        ad.embedding, lambda table, ids, *summed: not summed and table.node is None))
+    real, held = graph_bytes.census, []
+
+    def census(loss):
+        if not held:
+            live = {id(a) for a in (ref() for ref in made) if a is not None}
+            held.append([(v.op, a.shape) for v in ad._topological_order(loss) if type(v) is ad.Node
+                         for a in graph_bytes.rule_arrays(v.rule) if id(graph_bytes._buffer(a)) in live])
+        return real(loss)
+
+    monkeypatch.setattr(graph_bytes, "census", census)
+    graph_bytes.first_step_censuses(0, smoke=True)
+    assert len(made) > 10 and held == [[]]
 
 
 def test_graph_bytes_max_peak_mb_gates_the_round_peak(capsys):

@@ -78,6 +78,20 @@ def test_adam_matches_reference_updates():
     assert opt.t == 3
 
 
+def test_two_adam_steps_equal_literal_values():
+    """Two steps from ones at lr 0.1, against values worked apart from the
+    code, at 40 digits, with the paper's beta1 0.9, beta2 0.999 and eps 1e-8
+    (Kingma & Ba 2015): bias correction cancels beta2 in the first step, so
+    only the second sees it, and the first sees eps at 2e-8 of its size.
+    The reference above shares the module's constants, so it cannot."""
+    params = make_params((2,))
+    opt = Adam(params, lr=0.1)
+    for g, want in (([0.5, -2.0], [0.900000002, 1.0999999995]),
+                    ([-1.0, 0.25], [0.9366103542405656, 1.1572534566710448])):
+        opt.step(opt.gather(params, {params["p0"]: np.array(g)}))
+        np.testing.assert_allclose(params["p0"].data, want, rtol=0, atol=1e-15)
+
+
 def test_adam_skips_missing_gradients():
     params = make_params((2,), (3,))
     before = params["p1"].data.copy()
@@ -101,6 +115,16 @@ def test_clip_gradients_global_norm():
     # a matrix and a zero vector: sqrt(9 * 4)
     norm = clip_gradients(gathered(p=np.full((3, 3), 2.0), q=np.zeros(2)), 0.0)
     assert norm == pytest.approx(6.0, abs=1e-12)
+
+
+def test_clip_gradients_clips_a_norm_between_one_and_two_ceilings():
+    """A global norm of 1.5 against a ceiling of 1 is scaled down to it: the
+    test above clips a norm of 5 and leaves 0.5, neither between one and
+    two times the ceiling."""
+    grads = gathered(p0=[0.9], p1=[1.2])
+    assert clip_gradients(grads, 1.0) == pytest.approx(1.5, abs=1e-12)
+    np.testing.assert_allclose(grads.views["p0"], [0.6], rtol=1e-12)
+    np.testing.assert_allclose(grads.views["p1"], [0.8], rtol=1e-12)
 
 
 def test_clip_gradients_writes_into_no_array():
@@ -422,6 +446,18 @@ def test_finetune_logs_and_checkpoints(toy, tmp_path):
     vals = [json.loads(l) for l in (out / "val_metrics.jsonl").read_text().splitlines()]
     assert vals and set(vals[0]) == {"step", "epoch", "datasets"}
     assert set(vals[0]["datasets"]) == set(toy["registry"].dataset_ids)
+
+
+def test_a_run_without_max_steps_takes_its_epochs_of_whole_batches(toy, tmp_path):
+    """With ``max_steps`` null, the README's default, a run takes ``epochs``
+    passes of ``len(records) // batch_size`` steps each (at least one): 24
+    toy records in batches of 4 over 2 epochs log steps 1 to 12."""
+    config = small_config(toy["vocab"], toy["registry"])
+    assert len(toy["records"]) == 24
+    run_finetune(toy["records"], toy["registry"], config, train_cfg(max_steps=None, epochs=2),
+                 tmp_path / "ft")
+    lines = (tmp_path / "ft" / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == list(range(1, 13))
 
 
 def test_stage1_step_and_resume_bit_exact(toy, tmp_path):
