@@ -7,7 +7,7 @@ optional JSON file plus flags (flags win). Runtime failures print a single
 JSON line on stderr and exit 1; configuration/usage problems exit 2. Each
 command reads and checks its inputs and computes its results before its
 first write (a training run builds its prompt table before its manifest),
-and writes every file through ``data``.
+and writes ``--out`` through a ``data.RunDir``, entered at that write.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .bias import (AccuracyMatrix, bias_report, build_accuracy_matrix, fixture_accuracy_matrix,
                    render_bias_report)
-from .data import (POOL_DATASET_ID, Registry, load_corpus, read_json, read_jsonl,
-                   write_feature_sidecar, write_json, write_jsonl, write_manifest)
+from .data import (POOL_DATASET_ID, Registry, RunDir, load_corpus, read_json, read_jsonl,
+                   write_feature_sidecar, write_json, write_jsonl)
 from .errors import ConfigError, DataError, SentigenError
 from .evaluation import evaluate_records
 from .model import ModelConfig, config_from_json, pooled_vectors
@@ -89,16 +89,20 @@ _MSA_SIGN = {"up": 1.0, "down": -1.0}
 _MSA_MAG = {"one": 1.0, "two": 2.0, "three": 3.0}
 
 
+def _check_corpus_args(seed, per_task):
+    if per_task < 1:
+        raise ConfigError(f"per_task {per_task} must be at least 1")
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be non-negative")
+
+
 def make_synthetic_corpus(out_dir, seed=0, per_task=6):
     """Write a small deterministic corpus with planted lexical cues (so tiny
     models can actually fit it) plus its registry. One conversation record
     references a binary feature sidecar; everything else is inline. Returns
     (corpus_path, registry_path). ``per_task`` below 1, or a negative
     ``seed``, is a ConfigError, raised before anything is written."""
-    if per_task < 1:
-        raise ConfigError(f"per_task {per_task} must be at least 1")
-    if seed < 0:
-        raise ConfigError(f"seed {seed} must be non-negative")
+    _check_corpus_args(seed, per_task)
     out = Path(out_dir)
     rng = np.random.default_rng(seed)
     rows = []
@@ -181,9 +185,10 @@ def make_synthetic_corpus(out_dir, seed=0, per_task=6):
 
 
 def cmd_make_corpus(args):
-    corpus, registry = make_synthetic_corpus(args.out, seed=args.seed, per_task=args.per_task)
-    write_manifest(args.out, "make-corpus", args.seed,
-                   {"per_task": args.per_task, "seed": args.seed})
+    _check_corpus_args(args.seed, args.per_task)
+    with RunDir(args.out, "make-corpus", args.seed, {"per_task": args.per_task, "seed": args.seed},
+                files=("corpus.jsonl", "registry.json", "*.saev")):
+        corpus, registry = make_synthetic_corpus(args.out, seed=args.seed, per_task=args.per_task)
     print(json.dumps({"corpus": str(corpus), "registry": str(registry)}))
     return 0
 
@@ -201,6 +206,8 @@ def cmd_validate(args):
 
 def _run_training(args, runner, **extra):
     config = _load_config_file(args.config)
+    if "dropout_rate" in config.model:
+        raise ConfigError("config file sets model.dropout_rate; a run uses train.dropout_rate")
     train_cfg = _resolve_train_config(args, config)
     model_cfg = ModelConfig.from_json(config.model)
     records, registry = _load_inputs(args)
@@ -248,8 +255,9 @@ def cmd_eval(args):
     payload = {d: {**r.metrics, "fallback_rate": r.fallback_rate, "samples": len(r.golds)}
                for d, r in sorted(results.items())}
     if args.out:
-        write_manifest(args.out, "eval", None, {"checkpoint": str(args.checkpoint)})
-        write_json(Path(args.out) / "eval.json", payload, sort_keys=True)
+        with RunDir(args.out, "eval", None, {"checkpoint": str(args.checkpoint)},
+                    files=("eval.json",)) as out:
+            write_json(out.path / "eval.json", payload, sort_keys=True)
     print(_metric_table(payload))
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -264,9 +272,10 @@ def cmd_export_embeddings(args):
              "label": registry.spec(record.dataset_id).answer.render(record.label),
              "vector": [float(x) for x in vec]}
             for i, (record, vec) in enumerate(zip(records, vectors))]
-    write_manifest(args.out, "export-embeddings", None, {"checkpoint": str(args.checkpoint)})
     path = Path(args.out) / "embeddings.jsonl"
-    write_jsonl(path, rows)
+    with RunDir(args.out, "export-embeddings", None, {"checkpoint": str(args.checkpoint)},
+                files=(path.name,)):
+        write_jsonl(path, rows)
     print(json.dumps({"embeddings": str(path), "records": len(records)}))
     return 0
 
@@ -326,9 +335,10 @@ def cmd_bias_report(args):
     report = bias_report(matrix)
     text = render_bias_report(report)
     if args.out:
-        write_manifest(args.out, "bias-report", None, matrix.to_json())
-        write_json(Path(args.out) / "bias_report.json",
-                   {"accuracy": matrix.to_json(), **report.to_json()})
+        with RunDir(args.out, "bias-report", None, matrix.to_json(),
+                    files=("bias_report.json",)) as out:
+            write_json(out.path / "bias_report.json",
+                       {"accuracy": matrix.to_json(), **report.to_json()})
     print(text)
     return 0
 
@@ -408,9 +418,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = getattr(args, "out", None)
-        if out is not None and Path(out).exists() and not Path(out).is_dir():
-            raise ConfigError(f"output directory {out} exists and is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

@@ -9,11 +9,15 @@ Every file the package reads is read inside ``reading`` (``read_bytes``,
 or a checkpoint's streaming load) and every file it writes goes through
 ``write_file_atomic``, bar a training log's append handle, so
 a path that cannot be read or written is one ``ConfigError`` line and a
-failed or killed write leaves the old file whole.
+failed or killed write leaves the old file whole. A command's output
+directory has one owner, ``RunDir``: it locks the directory, writes the
+manifest, keeps and appends the per-step logs, and syncs them before each
+checkpoint.
 """
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import itertools
 import json
@@ -235,14 +239,104 @@ def write_jsonl(path, rows):
                              for row in rows])
 
 
-def write_manifest(out_dir, command, seed, effective_config):
-    """Write ``out_dir/manifest.json``, synced: the command, its seed, the
-    SHA-256 of ``effective_config`` as sorted-key JSON, and the code version."""
-    config_hash = hashlib.sha256(json.dumps(effective_config, sort_keys=True)
-                                 .encode("utf-8")).hexdigest()
-    write_json(Path(out_dir) / "manifest.json",
-               {"command": command, "seed": seed, "config_hash": config_hash,
-                "code_version": __version__}, sort_keys=True, sync=True)
+class RunDir:
+    """The one writer of the output directory ``path``, entered by a command
+    at its first write, once its plan has passed. Entering makes the
+    directory and takes an exclusive ``flock`` on it, which the kernel drops
+    when its holder exits or dies, so a second command on a busy directory
+    is a ConfigError before it writes. Under the lock it checks the per-step
+    JSONL logs a resume from step ``resume_step`` keeps, removes the temp
+    files that killed writes of the manifest, the logs and ``files`` (glob
+    patterns) left, and writes ``manifest.json``, synced: the command, its
+    seed, the SHA-256 of ``config`` as sorted-key JSON and the code version.
+    Then it swaps in each log's kept lines whole. ``logs`` maps each log's
+    name to None, for a line every step (the first log), or to its
+    schedule, ``due(step)``."""
+
+    def __init__(self, path, command, seed, config, files=(), logs=(), resume_step=None):
+        config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+        self.manifest = {"command": command, "seed": seed, "config_hash": config_hash,
+                         "code_version": __version__}
+        self.path, self.step, self.schedules, self.logs = Path(path), resume_step, dict(logs), {}
+        self.files = ("manifest.json", *self.schedules, *files)
+
+    def _plan_logs(self):
+        """Each log's lines up to the resumed checkpoint's step (none for a
+        fresh run), up to a line that is torn, not UTF-8 or not JSON, once
+        each log ends where its schedule says: at that step, or at the last
+        step due by then; with no line, if no log before it keeps one (a
+        resume into another directory)."""
+        kept = {}
+        for name, due in self.schedules.items():
+            path, lines = self.path / name, []
+            raw = read_bytes(path, "training log") if self.step is not None and path.exists() else b""
+            for line in raw.splitlines(keepends=True):
+                try:
+                    if not line.endswith(b"\n") or json.loads(line.decode("utf-8"))["step"] > self.step:
+                        break
+                except (ValueError, KeyError, TypeError):
+                    break  # a line torn by the interruption, or not one of ours
+                lines.append(line)
+            last = json.loads(lines[-1])["step"] if lines else 0
+            if due is None:  # appending from the checkpoint's step would leave a gap
+                if lines and last != self.step:
+                    raise ConfigError(f"{path}: log ends at step {last}, "
+                                      f"not at its checkpoint's step {self.step}")
+            elif last != (want := next((s for s in range(self.step, 0, -1) if due(s)), 0)
+                          if any(kept.values()) else 0):
+                raise ConfigError(f"{path}: log ends at step {last}, not at step {want}, "
+                                  f"the last validation due by its checkpoint's step {self.step}")
+            kept[name] = lines
+        return kept
+
+    def __enter__(self):
+        with contextlib.ExitStack() as stack:
+            try:
+                self.path.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, os.O_RDONLY)
+                stack.callback(os.close, fd)
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ConfigError(f"--out {self.path} is in use by another command") from None
+            except OSError as exc:
+                raise ConfigError(f"cannot make or lock {self.path} ({exc.strerror})") from None
+            kept = self._plan_logs()
+            for pattern in self.files:  # no live writer owns these under the lock
+                for tmp in self.path.glob(f"{pattern}.[0-9]*-[0-9]*.tmp"):
+                    with contextlib.suppress(OSError):
+                        tmp.unlink()
+            write_json(self.path / "manifest.json", self.manifest, sort_keys=True, sync=True)
+            for name, lines in kept.items():
+                write_file_atomic(self.path / name, lines, sync=True)
+                self.logs[name] = stack.enter_context(open(self.path / name, "a", encoding="utf-8"))
+            self._exit = stack.pop_all()
+        return self
+
+    def __exit__(self, *exc):
+        self._exit.close()  # the logs, then the lock
+
+    def append(self, name, obj):
+        """Append ``obj`` to log ``name`` as one JSON line; a failed write (a
+        full disk, say) is a one-line ConfigError. The handle is closed first,
+        so a failed flush's buffered bytes cannot fail again on exit."""
+        fh = self.logs[name]
+        try:
+            fh.write(json.dumps(obj) + "\n")
+            fh.flush()
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                fh.close()
+            raise ConfigError(f"cannot write {fh.name} ({exc.strerror})") from None
+
+    def checkpoint(self, save, *args, **kwargs):
+        """Sync every open log, then ``save(*args, **kwargs)``, so no
+        checkpoint reaches the disk ahead of a log line it covers."""
+        for fh in self.logs.values():
+            try:
+                os.fsync(fh.fileno())
+            except OSError as exc:
+                raise ConfigError(f"cannot sync {fh.name} ({exc.strerror})") from None
+        save(*args, **kwargs)
 
 
 class _RepeatedKey(Exception):

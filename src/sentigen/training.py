@@ -9,12 +9,12 @@ builds its pool, a ``GroupPools`` whose ``deal`` hands batch slots to groups
 round-robin, or stage two's ``IndexPool``.
 
 ``_Run.drive`` owns the loop every stage shares: restore pool state on
-resume, write the manifest, step, check the loss is finite, back-propagate,
-clip, update, log, save periodically and finally write the last checkpoint.
-A stage supplies only its sampling pool, the number of units one pass over
-the data holds, a step function that draws a batch and returns its loss, and
-(fine-tuning only) a validation hook. Every log line goes through
-``_Run.write_line``.
+resume, step, check the loss is finite, back-propagate, clip, update, log,
+save periodically and finally write the last checkpoint. A stage supplies
+only its sampling pool, the number of units one pass over the data holds, a
+step function that draws a batch and returns its loss, and (fine-tuning
+only) a validation hook. The run directory, its manifest, logs and the sync
+before each checkpoint, is ``data.RunDir``'s.
 
 Runs are bit-deterministic for a fixed (seed, config, corpus): RNG streams are
 spawned from the seed per concern (data order, masking, dropout, init), pools
@@ -25,17 +25,13 @@ run exactly.
 """
 from __future__ import annotations
 
-import contextlib
-import json
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import (POOL_DATASET_ID, Polarity, TASK_ORDER, read_bytes, to_polarity,
-                   write_file_atomic, write_manifest)
+from .data import POOL_DATASET_ID, TASK_ORDER, Polarity, RunDir, to_polarity
 from .errors import ConfigError, NumericError, ShapeError, VocabularyError
 from .evaluation import evaluate_prompts
 from .evaluation import evaluate_records  # noqa: F401  traced by name by benchmarks/tracing.py
@@ -490,62 +486,6 @@ class _Run:
         self.pseudo = arrays.get("pseudo")
         self._resume_meta = meta
 
-    def kept_lines(self, path):
-        """The lines of the per-step JSONL log at ``path`` that the run keeps:
-        none for a fresh run or a log that does not exist, and for a resumed
-        run the lines up to its checkpoint step, so the log ends up as an
-        uninterrupted run's would. A line that is torn, not UTF-8 or not JSON
-        ends them."""
-        kept = []
-        if self._resume_meta is None or not path.exists():
-            return kept
-        for line in read_bytes(path, "training log").splitlines(keepends=True):
-            try:
-                if not line.endswith(b"\n") or json.loads(line.decode("utf-8"))["step"] > self.step:
-                    break
-            except (ValueError, KeyError, TypeError):
-                break  # a line torn by the interruption, or not one of ours
-            kept.append(line)
-        return kept
-
-    @staticmethod
-    def open_log(path, kept):
-        """Open a per-step JSONL log for appending, holding the ``kept``
-        lines. They are swapped in whole, so a crash while they are written
-        loses none."""
-        write_file_atomic(path, kept, sync=True)
-        return open(path, "a", encoding="utf-8")
-
-    @staticmethod
-    def sync_logs(logs):
-        """Make every line appended to the open ``logs`` durable, so no
-        checkpoint reaches the disk ahead of a log line it covers. A failed
-        sync is a one-line ConfigError."""
-        for fh in logs:
-            try:
-                os.fsync(fh.fileno())
-            except OSError as exc:
-                raise ConfigError(f"cannot sync {fh.name} ({exc.strerror})") from None
-
-    @staticmethod
-    def write_line(fh, obj):
-        """Append ``obj`` to an open log as one JSON line. A failed write (a
-        full disk, say) is the one-line ConfigError ``write_file_atomic``
-        raises. The handle is closed first, so the bytes a failed flush left
-        in its buffer cannot fail again, as a raw OSError, when the run
-        closes its logs."""
-        try:
-            fh.write(json.dumps(obj) + "\n")
-            fh.flush()
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                fh.close()
-            raise ConfigError(f"cannot write {fh.name} ({exc.strerror})") from None
-
-    def log_step(self, fh, report):
-        self.write_line(fh, {"step": self.step, "stage": self.stage, **vars(report),
-                             "lr": self.train_config.learning_rate})
-
     def check_finite(self, report):
         terms = vars(report)  # the five loss floats, uncopied
         if not all(np.isfinite(v) for v in terms.values()):
@@ -585,75 +525,49 @@ class _Run:
             arrays["pseudo"] = self.pseudo
         save_checkpoint(path, self.model_config, arrays, meta=meta, copies=copies)
 
-    def drive(self, pools, units_per_pass, step, validation=None):
+    def drive(self, pools, units_per_pass, step, due=None, validate=None):
         """Run the stage to its last step and return the final checkpoint path.
 
         ``pools`` is the sampling state saved with each checkpoint,
         ``units_per_pass`` the number of samples one pass over the data holds,
         and ``step()`` draws a batch and returns its (LossReport, total
         tensor, gradients of the terms it already backpropagated or None).
-        ``validation``, when given, is a pair ``(due, validate)``:
-        ``validate(fh)`` runs after each step s that ``due(s)`` names, before
-        its checkpoint, with the open ``val_metrics.jsonl``. The run's first
-        write is its ``manifest.json``, which hashes the configs it resolved,
-        once every check has passed, among them that a resumed
-        ``metrics.jsonl`` does not stop short of the checkpoint's step, and
-        that a resumed ``val_metrics.jsonl`` ends at the last step due by
-        then, unless both logs keep no line (a resume into another
-        directory). Every open log is synced before each checkpoint is
-        written, and closed even when a step fails."""
+        ``validate()``, when given, runs after each step s that ``due(s)``
+        names, before its checkpoint, and returns its ``val_metrics.jsonl``
+        line. The run enters its ``RunDir``, whose manifest hashes the
+        configs it resolved, once every check but the resumed logs' has
+        passed."""
         cfg = self.train_config
         if self._resume_meta is not None:
             # the stage built ``pools`` from the fresh data stream; the resumed
             # streams and pools replace both together
             self.rngs.update(_parsed_field(self._resume_meta, "rng", _restore_rngs, self.resume_from))
             _parsed_field(self._resume_meta, "pools", pools.load_state, self.resume_from)
-        metrics = self.out_dir / "metrics.jsonl"
-        kept = self.kept_lines(metrics)
-        last = json.loads(kept[-1])["step"] if kept else self.step
-        if last != self.step:
-            # appending from the checkpoint's step would leave a gap; a log
-            # with no kept line starts empty, as a missing one does
-            raise ConfigError(f"{metrics}: log ends at step {last}, not at its checkpoint's step {self.step}")
-        if validation is not None:
-            due, validate = validation
-            val_metrics = self.out_dir / "val_metrics.jsonl"
-            val_kept = self.kept_lines(val_metrics)
-            last = json.loads(val_kept[-1])["step"] if val_kept else 0
-            want = next((s for s in range(self.step, 0, -1) if due(s)), 0) if kept else 0
-            if last != want:
-                raise ConfigError(f"{val_metrics}: log ends at step {last}, not at step {want}, "
-                                  f"the last validation due by its checkpoint's step {self.step}")
-        write_manifest(self.out_dir, self.stage, cfg.seed,
-                       {"train": cfg.to_json(), "model": self.model_config.to_json()})
+        logs = {"metrics.jsonl": None, **({"val_metrics.jsonl": due} if due else {})}
         total_steps = (cfg.max_steps if cfg.max_steps is not None
                        else cfg.epochs * max(1, units_per_pass // cfg.batch_size))
-        logs, pending = [], []
-        try:
-            logs.append(self.open_log(metrics, kept))
-            if validation is not None:
-                logs.append(self.open_log(val_metrics, val_kept))
+        pending = []
+        with RunDir(self.out_dir, self.stage, cfg.seed,
+                    {"train": cfg.to_json(), "model": self.model_config.to_json()},
+                    files=("checkpoint*.ckpt",), logs=logs,
+                    resume_step=None if self._resume_meta is None else self.step) as out:
             while self.step < total_steps:
                 self.step += 1
                 report, total, grads = step()
                 self.check_finite(report)
                 self.optimize(total, grads)
                 del total, grads  # the step's graph: drop it before the next step builds its own
-                self.log_step(logs[0], report)
-                if validation is not None and due(self.step):
-                    validate(logs[1])  # before the checkpoint, whose sync covers its line
+                out.append("metrics.jsonl", {"step": self.step, "stage": self.stage, **vars(report),
+                                             "lr": cfg.learning_rate})
+                if due and due(self.step):
+                    out.append("val_metrics.jsonl", validate())  # before the checkpoint covering it
                 if cfg.checkpoint_every and self.step % cfg.checkpoint_every == 0:
                     pending = [self.out_dir / f"checkpoint_step{self.step}.ckpt"]
                     if self.step < total_steps:  # the last step's is written with the final one
-                        self.sync_logs(logs)
-                        self.save(pending.pop(), pools.state())
-            self.sync_logs(logs)  # before the final checkpoint, which covers every line
-        finally:
-            for fh in logs:
-                fh.close()
-        # a last step that is also a checkpoint step serializes its state once, for both files
-        paths = pending + [self.out_dir / "checkpoint.ckpt"]
-        self.save(paths[0], pools.state(), copies=paths[1:])
+                        out.checkpoint(self.save, pending.pop(), pools.state())
+            # a last step that is also a checkpoint step serializes its state once, for both files
+            paths = pending + [self.out_dir / "checkpoint.ckpt"]
+            out.checkpoint(self.save, paths[0], pools.state(), copies=paths[1:])
         return paths[-1]
 
 
@@ -776,12 +690,12 @@ def run_finetune(records, registry, model_config, train_config, out_dir,
         epoch, rest = divmod(step, steps_per_epoch)
         return not rest and cfg.validate_every_epochs > 0 and epoch % cfg.validate_every_epochs == 0
 
-    def validate(val_fh):
+    def validate():
         results = evaluate_prompts(val_records if val_records is not None else records,
                                    run.val_prompts, run.params, run.model_config, run.vocab,
                                    registry, max_new=cfg.max_new_tokens)
-        run.write_line(val_fh, {"step": run.step, "epoch": run.step // steps_per_epoch,
-                                "datasets": {d: (results[d].metrics if d in results else None)
-                                             for d in registry.dataset_ids}})
+        return {"step": run.step, "epoch": run.step // steps_per_epoch,
+                "datasets": {d: (results[d].metrics if d in results else None)
+                             for d in registry.dataset_ids}}
 
-    return run.drive(pools, len(records), step, (due, validate))
+    return run.drive(pools, len(records), step, due, validate)

@@ -1,6 +1,11 @@
 import argparse
 import builtins
+import fcntl
 import json
+import os
+import shutil
+import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -898,6 +903,14 @@ def bad_file_bytes(valid, case):
             for i, byte in spots]
 
 
+def valid_argv(command, valid_inputs):
+    """{flag: value} for ``command``'s required flags, and its config (the
+    default recipe trains for 40 epochs), each naming a valid file."""
+    return {f: str(valid_inputs[INPUT_FILES[command, f]])
+            for f, action in cli_options()[command].items()
+            if (action.required or f == "--config") and (command, f) in INPUT_FILES}
+
+
 @pytest.mark.parametrize("case", sorted(INPUT_FILE_ROWS))
 def test_bad_input_file_is_one_line_config_error(cli_corpus, valid_inputs, tmp_path, capsys, case):
     """Every input file of every subcommand, missing, a directory, empty,
@@ -913,10 +926,7 @@ def test_bad_input_file_is_one_line_config_error(cli_corpus, valid_inputs, tmp_p
     if flag != "--out":
         assert (command, flag) in INPUT_FILES, \
             f"{command} {flag}: add the file it names to INPUT_FILES, or the flag to NOT_INPUT_FILES"
-    # the command's required flags, and its config (the default recipe trains for 40
-    # epochs), each naming a valid file
-    argv = {f: str(valid_inputs[INPUT_FILES[command, f]]) for f, action in options.items()
-            if (action.required or f == "--config") and (command, f) in INPUT_FILES}
+    argv = valid_argv(command, valid_inputs)
     if flag in NEEDS:
         argv[NEEDS[flag]] = str(valid_inputs[INPUT_FILES[command, NEEDS[flag]]])
     if "--out" in options:
@@ -950,6 +960,87 @@ def test_bad_input_file_is_one_line_config_error(cli_corpus, valid_inputs, tmp_p
         data = kind == "not-utf8" and INPUT_FILES[command, flag] in DATA_FILES
         assert error == ("DataError" if data else "ConfigError")
         assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", sorted(c for c, o in cli_options().items() if "--out" in o))
+def test_a_busy_out_is_refused_before_any_write(valid_inputs, tmp_path, capsys, command):
+    """While another descriptor holds the lock on ``--out`` (a pretrain1
+    run's directory, with a killed write's temp file beside it), every
+    command that writes there exits 2 with one ConfigError line naming
+    ``--out``, and the directory's listing and bytes stay as they were: the
+    temp file is not swept either."""
+    out = tmp_path / "run"
+    shutil.copytree(valid_inputs["pretrain1-checkpoint"].parent, out)
+    (out / "checkpoint.ckpt.99999-0.tmp").write_bytes(b"cut")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    argv = [x for kv in valid_argv(command, valid_inputs).items() for x in kv]
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        code, stdout, err = run(capsys, command, *argv, "--out", str(out))
+    finally:
+        os.close(fd)
+    assert code == 2 and stdout == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ConfigError",
+                               "message": f"--out {out} is in use by another command"}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_commands_share_one_out_one_after_another(cli_corpus, tmp_path, capsys):
+    """The README's sequence: a fine-tune into ``runs/ft``, then ``eval``,
+    ``export-embeddings`` and ``bias-report`` into it one after another.
+    Each takes the lock its predecessor released, and the last writes the
+    manifest."""
+    out = tmp_path / "ft"
+    io = ["--corpus", str(cli_corpus / "corpus.jsonl"),
+          "--registry", str(cli_corpus / "registry.json")]
+    ckpt = ["--checkpoint", str(out / "checkpoint.ckpt")]
+    for argv in (["finetune", *io, "--config", str(write_config(tmp_path / "cfg.json"))],
+                 ["eval", *io, *ckpt], ["export-embeddings", *io, *ckpt],
+                 ["bias-report", "--embeddings", str(out / "embeddings.jsonl")]):
+        assert run(capsys, *argv, "--out", str(out))[0] == 0, argv[0]
+    assert {"checkpoint.ckpt", "metrics.jsonl", "eval.json", "embeddings.jsonl",
+            "bias_report.json"} < {p.name for p in out.iterdir()}
+    assert json.loads((out / "manifest.json").read_text())["command"] == "bias-report"
+
+
+def test_a_killed_lock_holder_does_not_block_the_next_command(tmp_path, capsys):
+    """A child process that holds ``--out`` through a ``RunDir`` is
+    SIGKILLed: while it lives a command on that ``--out`` exits 2, and once
+    it is gone the kernel has dropped its lock and the command runs."""
+    out = tmp_path / "out"
+    holder = ("import sys, time\nfrom sentigen.data import RunDir\n"
+              "with RunDir(sys.argv[1], 'holder', None, {}):\n"
+              "    print('held', flush=True)\n    time.sleep(60)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with subprocess.Popen([sys.executable, "-c", holder, str(out)], stdout=subprocess.PIPE,
+                          text=True, env=env) as child:
+        try:
+            assert child.stdout.readline() == "held\n"
+            assert run(capsys, "bias-report", "--out", str(out))[0] == 2
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+    assert run(capsys, "bias-report", "--out", str(out))[0] == 0
+    assert json.loads((out / "manifest.json").read_text())["command"] == "bias-report"
+
+
+def test_model_dropout_rate_in_a_config_file_is_refused(cli_corpus, tmp_path, capsys):
+    """A run's dropout is ``train.dropout_rate``; a config file that also
+    sets ``model.dropout_rate`` exits 2 with one ConfigError line naming the
+    rate the run uses, before it writes anything."""
+    cfg = json.loads(write_config(tmp_path / "cfg.json").read_text())
+    cfg["model"]["dropout_rate"] = 0.5
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "pretrain1", "--corpus", str(cli_corpus / "corpus.jsonl"),
+                         "--registry", str(cli_corpus / "registry.json"),
+                         "--out", str(tmp_path / "out"), "--config", str(tmp_path / "cfg.json"))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ConfigError", "message": "config file sets "
+                               "model.dropout_rate; a run uses train.dropout_rate"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_quality_check_of_a_tree_against_itself_prints_zero_differences(capsys):

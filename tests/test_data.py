@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import sentigen
-from sentigen.data import (Polarity, Registry, TaskType, load_corpus, read_feature_sidecar,
-                           render_scalar_label, to_polarity, write_feature_sidecar, write_json,
-                           write_file_atomic, write_jsonl, write_manifest)
+from sentigen.data import (Polarity, Registry, RunDir, TaskType, load_corpus,
+                           read_feature_sidecar, render_scalar_label, to_polarity,
+                           write_feature_sidecar, write_json, write_file_atomic, write_jsonl)
 from sentigen.errors import ConfigError, ContractError, DataError, SentigenError
 
 from conftest import serialize_corpus
@@ -437,13 +437,14 @@ def file_writes(tree):
 
 def test_data_is_the_only_writer():
     """Every file the package writes goes through ``data.write_file_atomic``,
-    the one place that makes directories too. The only other write call is
-    the append handle of a training log, whose kept lines that writer swaps
+    which makes directories too. The only other write calls are
+    ``RunDir``'s: it makes the output directory it locks, and opens the
+    append handle of each per-step log, whose kept lines that writer swaps
     in first."""
     writers = set()
     for path in sorted(Path(sentigen.__file__).parent.glob("*.py")):
         writers |= {(path.name, scope) for scope in file_writes(ast.parse(path.read_text()))}
-    assert writers == {("data.py", "write_file_atomic"), ("training.py", "_Run.open_log")}
+    assert writers == {("data.py", "write_file_atomic"), ("data.py", "RunDir.__enter__")}
 
 
 def test_only_run_state_is_synced(tmp_path, monkeypatch):
@@ -457,7 +458,8 @@ def test_only_run_state_is_synced(tmp_path, monkeypatch):
     write_feature_sidecar(tmp_path / "a.saev", np.zeros((1, 2)))
     mini_registry().save(tmp_path / "registry.json")
     assert synced == []
-    write_manifest(tmp_path, "test", 0, {})
+    with RunDir(tmp_path, "test", 0, {}):
+        pass
     save_checkpoint(tmp_path / "a.ckpt", ModelConfig(), {}, meta={})
     assert len(synced) == 4
 

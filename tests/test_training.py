@@ -1296,6 +1296,19 @@ def test_stage2_label_collision_fails_before_logs(toy, tmp_path):
     assert not (tmp_path / "s2").exists()
 
 
+def test_a_run_sweeps_the_temp_files_of_killed_writes(toy, tmp_path):
+    """The temp files that killed writes of a run's checkpoints and logs
+    left (``<name>.<pid>-<n>.tmp``) are gone after the next run into that
+    directory; a ``.tmp`` file of another name stays."""
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("checkpoint.ckpt.99999-0.tmp", "metrics.jsonl.1-2.tmp", "notes.tmp"):
+        (out / name).write_bytes(b"cut")
+    run_finetune(toy["records"], toy["registry"], small_config(toy["vocab"], toy["registry"]),
+                 train_cfg(max_steps=1), out)
+    assert sorted(p.name for p in out.glob("*.tmp")) == ["notes.tmp"]
+
+
 def test_checkpoint_write_is_atomic(toy, tmp_path, monkeypatch):
     """A write that fails partway through the payload leaves the previous
     checkpoint's bytes in place and no temporary file behind."""
