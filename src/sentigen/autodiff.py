@@ -16,33 +16,30 @@ consumes the graph: a vertex drops its rule and edges once it has passed its
 gradients on, so the arrays the rule held are freed during the pass.
 ``backward(loss, grads)`` continues the sums of an earlier call's
 ``grads``, so a loss that is a sum of terms can be backpropagated one term
-at a time, each term's graph freed before the next is built. The result
-has the bytes of one pass over the sum when the terms' graphs share only
-leaves and are taken left to right: one pass reaches a leaf from the left
-term's vertices before the right's, and each vertex in the order a pass
-over its own term alone would.
+at a time, each term's graph freed before the next is built, with the bytes
+of one pass over the sum when the terms' graphs share only leaves and are
+taken left to right.
 
-``linear``, ``ffn`` (``linear``, GELU, ``linear``), ``attention`` (q and
-v ``linear``, k ``matmul``, multi-head attention, then the output
-``linear``), ``layer_norm``'s ``residual`` and ``embedding``'s extra
-``(table, ids)`` pairs each fuse several nodes into one, with the same
-floats in the same order; ``pair_contrast`` is a whole loss in one node.
-Rules keep only what they read, and a block's node only its inputs:
-``attention``'s its inputs and softmax weights, from which it projects q,
-k and v again and rebuilds the heads' outputs, not padded copies of them;
-``ffn``'s its input and weights, from which it rebuilds the hidden rows
-and their GELU output and slope; ``dropout``'s a bool mask; and
-``pair_contrast``'s its input, from which it rebuilds its pair
-differences. Recomputing is chosen where it is cheap in arithmetic and
-the array is large. So a node that reads an input's array in its rule
-(``matmul`` its left operand, ``ffn`` and ``attention`` their inputs) keeps
+``linear``, ``ffn`` (``linear``, GELU, ``linear``), ``attention`` (q, k and
+v projections, multi-head attention, the output ``linear``),
+``layer_norm``'s ``residual`` and ``embedding``'s extra ``(table, ids)``
+pairs each fuse several nodes into one, with the same floats in the same
+order; ``pair_contrast`` and ``token_loss`` (a head through the tied
+vocabulary projection) are whole losses in one node. Rules keep only what
+they read, and a block's node only its inputs, from which ``attention``
+rebuilds q, k, v and the heads' outputs, ``ffn`` its hidden rows and
+``pair_contrast`` its pair differences; ``dropout`` keeps a bool mask.
+Recomputing is chosen where it is cheap in arithmetic and the array is
+large. So a node that reads an input's array in its rule (``matmul`` its
+left operand, ``ffn``, ``attention`` and ``token_loss`` their inputs) keeps
 the input's ``rebuild`` in its place when it has one, and calls it once in
 its rule: a ``layer_norm`` output is redone from its own node's normalised
 rows, and a one-pair ``embedding`` from a parameter from its ids, bit for
-bit, so the graph holds one copy of each, not two. ``Segments`` owns packed rows' bounds and their padded
-per-head layout, for ``attention``, ``attend`` (attention's forward over a
-``HeadLayout``; it records no node) and ``segment_mean``. The module keeps
-only the ops the rest of the package calls.
+bit, so the graph holds one copy of each, not two. ``Segments`` owns
+packed rows' bounds (``_bounds``, all ``segment_mean`` needs) and padded
+per-head layout, for ``attention`` and ``attend`` (attention's forward
+over a ``HeadLayout``; it records no node). The module keeps only the ops
+the rest of the package calls.
 
 GELU and ``layer_norm`` work in place over cache-sized row blocks
 (``_by_rows``) with the ufuncs of the whole-array expressions, in their order
@@ -188,12 +185,6 @@ def linear(x, w, b):
     return _make(out, "linear", (x, w, b), rule)
 
 
-def transpose(a):
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: needs a 2-D operand, got {a.shape}")
-    return _make(a.data.T, "transpose", (a,), lambda g: (g.T,))
-
-
 def reshape(a, shape):
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
@@ -218,15 +209,15 @@ def concat_rows(parts):
     return _make(np.concatenate([p.data for p in parts], axis=0), "concat_rows", parts, rule)
 
 
-def _gather_ids(table, ids):
-    """``ids`` as a flat int array of rows of the 2-D ``table``."""
+def _gather_ids(table, ids, op="embedding"):
+    """``ids`` as a flat int array of rows of the 2-D ``table``, for ``op``."""
     if table.data.ndim != 2:
-        raise ShapeError(f"embedding: table must be 2-D, got {table.shape}")
+        raise ShapeError(f"{op}: table must be 2-D, got {table.shape}")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError("embedding: ids must be a flat sequence")
+        raise ShapeError(f"{op}: ids must be a flat sequence")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(f"embedding: index out of range for table with {table.shape[0]} rows")
+        raise IndexError(f"{op}: index out of range for table with {table.shape[0]} rows")
     return idx
 
 
@@ -271,30 +262,31 @@ def embedding(table, ids, *summed):
     return _make(out, "embedding", tables, rule, rebuild)
 
 
+def _bounds(offsets, rows, op):
+    """``offsets``, B + 1 ascending int bounds of packed rows from 0 to
+    ``rows`` (``cu_seqlens``), checked for ``op``; the B lengths; and their
+    least and most as ints, from a list: faster on a decode step's few."""
+    off = np.asarray(offsets, dtype=np.int64)
+    if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows:
+        raise ShapeError(f"{op}: offsets of shape {off.shape} do not bound {rows} rows")
+    lengths = off[1:] - off[:-1]
+    listed = lengths.tolist()
+    shortest, longest = min(listed), max(listed)
+    if shortest < 0:
+        raise ShapeError(f"{op}: offsets are not ascending")
+    return off, lengths, shortest, longest
+
+
 class Segments:
-    """B samples' rows packed end to end (the ``cu_seqlens`` layout),
-    checked: ``off`` is ``offsets`` as B + 1 ascending int row bounds from 0
-    to ``rows`` (sample i owns rows off[i]:off[i + 1]; ``op`` names the
-    caller in an error), ``lengths`` the B segment lengths, and ``shortest``
-    and ``longest`` their least and most as ints, from a list: on a decode
-    step's few samples, two numpy reductions cost more than the rest of the
-    check. ``slot`` is each row's index in the (B * longest)-row padded
-    layout; None when no segment is padded, and packed rows already are it."""
+    """``_bounds``' ``off``, ``lengths``, ``shortest`` and ``longest``, and each
+    row's ``slot`` in the (B * longest)-row padded layout (None if unpadded)."""
 
     __slots__ = ("off", "lengths", "shortest", "longest", "slot")
 
     def __init__(self, offsets, rows, op):
-        off = np.asarray(offsets, dtype=np.int64)
-        if off.ndim != 1 or off.size < 2 or off[0] != 0 or off[-1] != rows:
-            raise ShapeError(f"{op}: offsets of shape {off.shape} do not bound {rows} rows")
-        lengths = off[1:] - off[:-1]
-        listed = lengths.tolist()
-        shortest, longest = min(listed), max(listed)
-        if shortest < 0:
-            raise ShapeError(f"{op}: offsets are not ascending")
-        self.off, self.lengths, self.shortest, self.longest = off, lengths, shortest, longest
-        self.slot = (None if shortest == longest else
-                     np.arange(rows) + np.repeat(np.arange(len(lengths)) * longest - off[:-1], lengths))
+        self.off, self.lengths, self.shortest, self.longest = _bounds(offsets, rows, op)
+        self.slot = (None if self.shortest == self.longest else np.arange(rows) + np.repeat(
+            np.arange(len(self.lengths)) * self.longest - self.off[:-1], self.lengths))
 
     def split(self, x, heads):
         """Packed rows (N, d) -> (B, heads, longest, d / heads), scattered
@@ -314,15 +306,14 @@ class Segments:
 
 def segment_mean(a, offsets):
     """Mean of each segment of rows of ``a`` bounded by ``offsets`` (see
-    ``Segments``): (B, d), all summed in one segmented reduction, each
+    ``_bounds``): (B, d), all summed in one segmented reduction, each
     exactly as its segment's alone would be."""
     if a.data.ndim != 2:
         raise ShapeError(f"segment_mean: needs a 2-D operand, got {a.shape}")
-    rows = Segments(offsets, a.shape[0], "segment_mean")
-    if rows.shortest == 0:
+    off, counts, shortest, _ = _bounds(offsets, a.shape[0], "segment_mean")
+    if shortest == 0:
         raise ContractError("segment_mean: empty segment")
-    counts = rows.lengths
-    means = np.add.reduceat(a.data, rows.off[:-1], axis=0) / counts[:, None]
+    means = np.add.reduceat(a.data, off[:-1], axis=0) / counts[:, None]
     return _make(means, "segment_mean", (a,), lambda g: ((g / counts[:, None]).repeat(counts, axis=0),))
 
 
@@ -668,41 +659,63 @@ def attend(q, layout, q_offsets, causal=False):
     return Tensor(_attend(q.data, layout, q_offsets, causal)[0], op="attend")
 
 
-def softmax_cross_entropy(logits, targets, hidden=None):
-    """Mean over rows of -log softmax(logits)[target].
+def tied_logits(h, w_text, table):
+    """``h @ w_text.T @ table.T`` on arrays, each transpose a fresh contiguous
+    copy, which fixes the products' bits: the ``w_text.T`` copy, the first
+    product, the ``table.T`` copy and the logits, which decoding reads."""
+    wt, tt = np.ascontiguousarray(w_text.T), np.ascontiguousarray(table.T)
+    first = h @ wt
+    return wt, first, tt, first @ tt
 
-    ``targets`` are class indices, one per logit row. ``hidden``, when
-    given, is a bool array of the logits' shape: -1e30 is added to the
-    logits it marks, which takes them out of their rows' softmax, as
-    ``attention`` hides keys; no target may be hidden. Computed with the
-    usual max-subtraction so large logits do not overflow.
-    """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy: logits must be 2-D, got {logits.shape}")
-    b, v = logits.shape
+
+def token_loss(h, w_text, table, targets, weight, rows=None, cols=None, hidden=None):
+    """``weight`` times the mean over rows of -log softmax(logits)[target] in
+    one node, the logits ``tied_logits`` of rows ``rows`` of ``h`` over rows
+    ``cols`` of ``table`` (all when None), -1e30 added to those the bool mask
+    ``hidden`` marks (no target may be hidden). It has the floats of the
+    seven nodes it fuses (a row gather, two transposed copies, two products,
+    a cross-entropy, a scale) and keeps what they kept, each array only for
+    a gradient that needs it."""
+    hd, wd, td = h.data, w_text.data, table.data
+    if not hd.ndim == wd.ndim == td.ndim == 2 or (hd.shape[1], td.shape[1]) != wd.shape[::-1]:
+        raise ShapeError(f"token_loss: incompatible h {h.shape}, w_text {w_text.shape} and "
+                         f"table {table.shape}")
+    ridx = None if rows is None else _gather_ids(h, rows, "token_loss")
+    cidx = None if cols is None else _gather_ids(table, cols, "token_loss")
+    b, v = len(hd if ridx is None else ridx), len(td if cidx is None else cidx)
     idx = np.asarray(targets, dtype=np.int64)
     if idx.shape != (b,) or (hidden is not None and np.shape(hidden) != (b, v)):
-        raise ShapeError(f"softmax_cross_entropy: {b} rows of {v} but {idx.shape} targets and "
+        raise ShapeError(f"token_loss: {b} rows of {v} but {idx.shape} targets and "
                          f"a hidden mask of {np.shape(hidden)}")
     if idx.size and (idx.min() < 0 or idx.max() >= v):
-        raise IndexError(f"softmax_cross_entropy: target outside [0, {v})")
+        raise IndexError(f"token_loss: target outside [0, {v})")
     if hidden is not None and hidden[np.arange(b), idx].any():
-        raise ContractError("softmax_cross_entropy: a target is hidden")
-    x = logits.data if hidden is None else logits.data + np.where(hidden, _NEG_INF, 0.0)
-    z = x - x.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    losses = lse - z[np.arange(b), idx]
-    out = losses.mean()
-    if not np.isfinite(out):
-        raise NumericError("non-finite values produced by softmax_cross_entropy")
+        raise ContractError("token_loss: a target is hidden")
+    x = hd if ridx is None else hd[ridx]
+    wt, first, tt, z = tied_logits(x, wd, td if cidx is None else td[cidx])
+    if hidden is not None:
+        z += np.where(hidden, _NEG_INF, 0.0)
+    z -= z.max(axis=1, keepdims=True)
+    mean = (np.log(np.exp(z).sum(axis=1)) - z[np.arange(b), idx]).mean()
+    if not np.isfinite(mean):
+        raise NumericError("non-finite values produced by token_loss")
+    weight, hshape, tshape = float(weight), h.shape, table.shape
+    kept = None if not w_text.requires_grad else _kept(h) if ridx is None else x
+    wt, tt = (wt if h.requires_grad else None), (tt if h.requires_grad or kept is not None else None)
+    first = first if table.requires_grad else None
 
     def rule(g):
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(b), idx] -= 1.0
-        return (p * (float(np.asarray(g).reshape(())) / b),)
+        p *= float(np.asarray(g).reshape(())) * weight / b
+        dfirst, dtable = None if tt is None else p @ tt.T, None if first is None else (first.T @ p).T
+        dx = None if wt is None else dfirst @ wt.T
+        return (dx if ridx is None or dx is None else _row_sums(dx, ridx, hshape),
+                None if kept is None else (_read(kept).T @ dfirst).T,
+                dtable if cidx is None or dtable is None else _row_sums(dtable, cidx, tshape))
 
-    return _make(out, "softmax_cross_entropy", (logits,), rule)
+    return _make(mean * weight, "token_loss", (h, w_text, table), rule)
 
 
 def dropout(a, rate, rng):
@@ -754,12 +767,11 @@ def backward(loss, grads=None):
     (the module docstring says when it has the bytes of one pass).
 
     ``loss`` must hold a single value. Each gradient is C-contiguous, so a
-    sum over it never depends on the view a rule returned (``transpose``'s
-    is one), and may be the very array another leaf is given (``add`` hands
-    both parents one): a caller never writes into it. The pass consumes the
-    graph, so backward through a vertex an earlier call consumed is a
-    ContractError.
-    """
+    sum over it never depends on the view a rule returned (``token_loss``'s
+    weights get transposed ones), and may be the very array another leaf is
+    given (``add`` hands both parents one): a caller never writes into it.
+    The pass consumes the graph, so backward through a vertex an earlier
+    call consumed is a ContractError."""
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not np.isfinite(loss.data.reshape(())):

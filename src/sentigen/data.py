@@ -247,18 +247,18 @@ class RunDir:
     is a ConfigError before it writes. Under the lock it checks the per-step
     JSONL logs a resume from step ``resume_step`` keeps, removes the temp
     files that killed writes of the manifest, the logs and ``files`` (glob
-    patterns) left, and writes ``manifest.json``, synced: the command, its
-    seed, the SHA-256 of ``config`` as sorted-key JSON and the code version.
-    Then it swaps in each log's kept lines whole. ``logs`` maps each log's
-    name to None, for a line every step (the first log), or to its
-    schedule, ``due(step)``."""
+    patterns) left, and writes its own ``manifest-<command>.json``, synced:
+    the command, its seed, the SHA-256 of ``config`` as sorted-key JSON and
+    the code version. Then it swaps in each log's kept lines whole. ``logs``
+    maps each log's name to None, for a line every step (the first log), or
+    to its schedule, ``due(step)``."""
 
     def __init__(self, path, command, seed, config, files=(), logs=(), resume_step=None):
         config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
         self.manifest = {"command": command, "seed": seed, "config_hash": config_hash,
                          "code_version": __version__}
         self.path, self.step, self.schedules, self.logs = Path(path), resume_step, dict(logs), {}
-        self.files = ("manifest.json", *self.schedules, *files)
+        self.files = (f"manifest-{command}.json", *self.schedules, *files)
 
     def _plan_logs(self):
         """Each log's lines up to the resumed checkpoint's step (none for a
@@ -305,7 +305,7 @@ class RunDir:
                 for tmp in self.path.glob(f"{pattern}.[0-9]*-[0-9]*.tmp"):
                     with contextlib.suppress(OSError):
                         tmp.unlink()
-            write_json(self.path / "manifest.json", self.manifest, sort_keys=True, sync=True)
+            write_json(self.path / self.files[0], self.manifest, sort_keys=True, sync=True)
             for name, lines in kept.items():
                 write_file_atomic(self.path / name, lines, sync=True)
                 self.logs[name] = stack.enter_context(open(self.path / name, "a", encoding="utf-8"))

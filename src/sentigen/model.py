@@ -7,7 +7,7 @@ embedding row for the record's dataset. A stream holds no pad token:
 ``_encode`` rejects one, so every position is real and is the one at its
 index. Attention is bidirectional. The decoder is autoregressive with
 cross-attention into the encoder states, and its output projection is tied
-to the token embedding table.
+to the token embedding table: ``ad.token_loss`` and ``token_logits`` share its forward.
 
 The encoder runs on a batch of samples packed end to end. Tensors stay 2-D:
 a batch of B streams is N = the summed stream lengths rows, sample after
@@ -15,18 +15,15 @@ sample, with ``offsets`` (B + 1 row bounds, the ``cu_seqlens`` layout)
 marking where each sample starts. Every per-row op (input gather, the
 frames' projections, each one ``ad.linear`` node, dropout, ``layer_norm``
 with the residual add inside its node, the FFN) runs on those N rows only,
-so no arithmetic goes to padding. Multi-head attention is one fused
-autodiff op that pads the rows inside itself, through their bounds'
-``ad.Segments``, keeps each sample's queries on its own keys and gathers
-back. Every attention block that records a graph, self- or
-cross-attention, in the encoder and the uncached decoder, is one
-``ad.attention`` node with its q, k, v and output projections inside: the
-graph keeps its inputs (for cross-attention, the decoder rows and the
-encoder states) and softmax weights, not the projected rows or the heads'
-outputs, which its backward projects and rebuilds. Each FFN is one
-``ad.ffn`` node, which keeps its input, not its (N, ffn) hidden rows.
-Cached decoding projects keys and values apart (``_keys_values``) and
-attends over them with ``ad.attend``. A batch's input rows are one
+so no arithmetic goes to padding. Every attention block that records a
+graph, self- or cross-attention, is one ``ad.attention`` node with its
+projections inside, which pads the rows inside itself through their
+bounds' ``ad.Segments``, keeps each sample's queries on its own keys, and
+keeps its inputs and softmax weights, not the projected rows or the heads'
+outputs, which its backward rebuilds. Each FFN is one ``ad.ffn`` node,
+which keeps its input, not its (N, ffn) hidden rows. Cached decoding
+projects keys and values apart (``_keys_values``) and attends over them
+with ``ad.attend``. A batch's input rows are one
 gather from one table of every sample's token embeddings, the projected
 acoustic and visual frames and the mask vectors, so masking a token or a
 frame is a choice of row; the same node adds each row's type, position and
@@ -57,9 +54,10 @@ one encoding and lays out all its state then, in attention's padded
 per-head layout: each decoder layer's cross-attention keys, split into
 (B, heads, L, d / heads) with their key mask, and its (B, heads, capacity,
 d / heads) self-attention buffers, into which a step writes its new
-positions and of which attention reads those fed so far as a view. A step
-lays out only what it feeds and copies nothing held; training passes no
-cache, so its attention lays out its own keys.
+positions and of which attention reads those fed so far as a view, every
+layer through the step's one ``ad.Segments``. A step lays out only what it
+feeds and copies nothing held; training passes no cache, so its attention
+lays out its own keys.
 
 Checkpoints are written, synced, through ``data.write_file_atomic``, so a
 failed save leaves the old checkpoint whole. A load checks the header and
@@ -377,15 +375,11 @@ class DecoderCache:
     of one prompt or a batch of B, laid out whole when the cache is made:
     ``_keys_values``' keys (unbiased) and values in attention's padded
     per-head layout, one entry per decoder layer, so a call lays out only
-    the positions it feeds:
-
-    - ``length``: how many positions each sample has been fed;
-    - ``cross``: each layer's cross-attention keys and values, an
-      ``ad.HeadLayout`` of the encoder states, their ``Segments`` and key mask;
-    - ``held``: each layer's self-attention keys and values, two
-      (B, heads, capacity, d / heads) buffers. A call writes its new
-      positions into them at ``length`` on, and attention reads the
-      ``[:, :, :length]`` view of the positions fed so far.
+    the positions it feeds. ``length`` counts the positions each sample has
+    been fed; ``cross`` holds each layer's cross-attention ``ad.HeadLayout``
+    of the encoder states; ``held`` each layer's self-attention keys and
+    values, two (B, heads, capacity, d / heads) buffers, written at
+    ``length`` on and read as the ``[:, :, :length]`` view of those fed.
 
     ``capacity`` is the most positions the cache takes (``generate_batch``
     passes the ``max_new`` it feeds). A cache serves ``enc_out`` alone,
@@ -401,16 +395,15 @@ class DecoderCache:
         shape = (len(enc_out.offsets) - 1, config.heads, capacity, config.model_dim // config.heads)
         self.held = [(np.empty(shape), np.empty(shape)) for _ in range(config.layers_dec)]
 
-    def grown_keys(self, params, i, x, n):
-        """Layer ``i``'s self-attention keys and values for every position up
-        to ``n``, n per sample: the new rows ``x`` (B * (n - length), d) are
-        written into its buffers at ``length:n``, after the ones held."""
+    def grown_keys(self, params, i, x, keys):
+        """Layer ``i``'s self-attention keys and values for the n positions
+        per sample that ``keys``, the step's ``ad.Segments`` for every layer,
+        bounds: the new rows ``x`` go into its buffers after the ones held."""
         k, v = self.held[i]
-        batch, heads, _, hd = k.shape
+        (batch, heads, _, hd), n = k.shape, keys.longest
         for buf, rows in zip((k, v), _keys_values(params, f"dec{i}_self", x)):
             buf[:, :, self.length:n] = rows.reshape(batch, -1, heads, hd).transpose(0, 2, 1, 3)
-        return ad.HeadLayout(k[:, :, :n], v[:, :, :n],
-                             ad.Segments(np.arange(batch + 1) * n, batch * n, "attention"))
+        return ad.HeadLayout(k[:, :, :n], v[:, :, :n], keys)
 
 
 def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
@@ -422,13 +415,12 @@ def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
     cross-attention reads the packed encoder rows through ``enc_out.offsets``.
 
     Without a ``cache`` the ids are the whole teacher-forced stream. With one,
-    they continue the positions already fed through that cache: each call
-    writes the new positions' self-attention keys and values after the held
-    ones and reads the cross-attention layouts the cache made, so a token
-    is never run through the decoder twice. Both give the same states up to
-    rounding. A cache made for another ``enc_out``, even one of the same
-    batch size, is a ContractError before anything is fed; so is feeding a
-    cache past its capacity, or through parameters that record a graph.
+    they continue the positions fed through it (``DecoderCache.grown_keys``),
+    so a token is never run through the decoder twice; both give the same
+    states up to rounding. A cache made for another ``enc_out``, even one of
+    the same batch size, is a ContractError before anything is fed; so is
+    feeding a cache past its capacity, or through parameters that record a
+    graph.
     """
     batch = len(enc_out.offsets) - 1
     ids = np.asarray(dec_ids, dtype=np.int64)
@@ -451,12 +443,13 @@ def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
     x = _maybe_dropout(x, config, rng)
 
     fed = np.arange(batch + 1) * ids.shape[1]  # each sample's new rows
+    keys = None if cache is None else ad.Segments(np.arange(batch + 1) * n, batch * n, "attention")
     for i in range(config.layers_dec):
         prefix = f"dec{i}_self"
         if cache is None:  # the new rows are the whole stream, and their own keys
             a = _attention(params, prefix, x, x, config, fed, fed, causal=True)
         else:
-            a = _cached_attention(params, prefix, x, cache.grown_keys(params, i, x, n), fed, True)
+            a = _cached_attention(params, prefix, x, cache.grown_keys(params, i, x, keys), fed, True)
         a = _maybe_dropout(a, config, rng)
         x = ad.layer_norm(x, params[f"dec{i}_ln1_g"], params[f"dec{i}_ln1_b"], residual=a)
         prefix = f"dec{i}_cross"
@@ -473,14 +466,10 @@ def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
     return x
 
 
-def token_logits(hidden, params, cols=None):
-    """Project decoder (or encoder) states onto the vocabulary through the
-    tied output projection, ``w_text`` and the token embedding table, both
-    transposed; with ``cols``, onto those token ids' columns alone. Every
-    loss and every decoding step scores tokens through it. Each transpose
-    is a contiguous copy, made per call, which fixes the products' bits."""
-    tok_emb = params["tok_emb"] if cols is None else ad.embedding(params["tok_emb"], cols)
-    return ad.matmul(ad.matmul(hidden, ad.transpose(params["w_text"])), ad.transpose(tok_emb))
+def token_logits(hidden, params):
+    """A decoding step's (rows, V) scores of the states ``hidden``, with no
+    graph: ``ad.tied_logits``, which every loss's ``ad.token_loss`` runs too."""
+    return ad.tied_logits(hidden.data, params["w_text"].data, params["tok_emb"].data)[-1]
 
 
 # encoder rows per inference batch, counted as if padded to the longest
@@ -560,7 +549,7 @@ def generate_batch(prompts, params, config, vocab, max_new=8):
         nxt = np.full(len(group), vocab.bos_id)
         for _ in range(max_new):
             h = decoder_states(nxt[:, None], enc, params, config, cache=cache)
-            nxt = np.argmax(token_logits(h, params).data, axis=1)
+            nxt = np.argmax(token_logits(h, params), axis=1)
             for i in np.flatnonzero(running):
                 ids[i].append(int(nxt[i]))
             running &= nxt != vocab.eos_id

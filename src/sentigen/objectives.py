@@ -22,14 +22,15 @@ linearity the expected loss is that of two separate passes. The four losses:
   for the sample's own task), summed over the tasks.
 
 Both predictions are one label head (``_label_head``) that scores only the
-label tokens: the polarity tokens, or each task's label tokens.
+label tokens: the polarity tokens, or each task's label tokens. Every head
+is one ``ad.token_loss`` node through the tied output projection.
 
 Stage one totals reconstruction + polarity + contrastive, and backpropagates
 its corrupted pass before it encodes the clean one, so a step holds one
 pass's graph at a time; stage two totals reconstruction + cross-task
-prediction. A pseudo label is an index into its
-task's sorted label table, so stage two's labels are one (N, T) int64 matrix
-over N records and the table's T tasks. ``build_centroids`` and
+prediction. A pseudo label is an index into its task's sorted label table,
+so stage two's labels are one (N, T) int64 matrix over N records and the
+table's T tasks. ``build_centroids`` and
 ``assign_pseudo_labels`` compute it with ``bias.label_centroids`` and
 ``bias.nearest_labels``, the kernel the dataset-bias cross-annotation also
 uses, and ``label_token_ids`` turns the table into ``loss_cep``'s classes
@@ -45,8 +46,8 @@ from . import autodiff as ad
 from .bias import label_centroids, nearest_labels
 from .data import Polarity
 from .errors import ContractError, VocabularyError
-from .model import decoder_states, encode_batch, token_logits
-from .model import encode  # noqa: F401  traced by name by benchmarks/tracing.py
+from .model import decoder_states, encode_batch
+from .model import encode, token_logits  # noqa: F401  traced by name by benchmarks/tracing.py
 from .prompt import tokenize
 
 POLARITY_ORDER = (Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL)
@@ -102,8 +103,8 @@ def loss_mcm(enc, batch, params):
         targets.extend(ps.ids[p] for p in plan.masked_token_positions)
     if not rows:
         return ad.constant(0.0)
-    ce = ad.softmax_cross_entropy(token_logits(ad.embedding(enc.states, rows), params), targets)
-    return ad.scale(ce, len(rows) / len(batch))
+    return ad.token_loss(enc.states, params["w_text"], params["tok_emb"], targets,
+                         len(rows) / len(batch), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +114,16 @@ def loss_mcm(enc, batch, params):
 def _label_head(enc, dec_ids, classes, targets, params, config, rng):
     """Label cross-entropy from ``enc``: the decoder is fed ``dec_ids``
     (B, n), and position i scores only the tokens ``classes[i]`` against
-    ``targets`` (B, n), indices into them. The logits are ``token_logits``
-    over the n lists' tokens side by side, each position's other columns
-    hidden in one cross-entropy: per sample the positions' sum, averaged
-    over the batch."""
+    ``targets`` (B, n), indices into them, in one ``ad.token_loss`` over the
+    n lists' tokens side by side, each position's others hidden: per sample
+    the positions' sum, averaged over the batch."""
     h = decoder_states(dec_ids, enc, params, config, rng=rng)
     cols = np.concatenate(classes)
-    logits = token_logits(h, params, cols)
     start = np.cumsum([0] + [len(c) for c in classes])
     own = (start[:-1, None] <= np.arange(len(cols))) & (np.arange(len(cols)) < start[1:, None])
     picked = (np.asarray(targets) + start[:-1]).reshape(-1)
-    ce = ad.softmax_cross_entropy(logits, picked, hidden=np.tile(~own, (len(dec_ids), 1)))
-    return ad.scale(ce, len(classes))
+    return ad.token_loss(h, params["w_text"], params["tok_emb"], picked, len(classes), cols=cols,
+                         hidden=np.tile(~own, (len(dec_ids), 1)))
 
 
 def loss_spp(enc, polarities, params, config, vocab, rng=None):
@@ -300,5 +299,5 @@ def generation_loss(batch, params, config, vocab, rng=None):
         rows.extend(range(i * n, i * n + len(gold) + 1))
         targets.extend([*gold, vocab.eos_id])
     h = decoder_states(dec_in, enc, params, config, rng=rng)
-    ce = ad.softmax_cross_entropy(token_logits(ad.embedding(h, rows), params), targets)
-    return ad.scale(ce, len(rows) / len(batch))
+    return ad.token_loss(h, params["w_text"], params["tok_emb"], targets, len(rows) / len(batch),
+                         rows=rows)

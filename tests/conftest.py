@@ -120,7 +120,8 @@ def finite_diff_check(f, x, eps=1e-5):
 
 # ---------------------------------------------------------------------------
 # reference ops that ``autodiff`` does not keep, for tests only: composed
-# from the ops it keeps, except ``sqrt`` and ``div``, one node each
+# from the ops it keeps, except ``sqrt``, ``div``, ``transpose`` and
+# ``cross_entropy``, one node each
 
 
 def sum_of(a, b=None):
@@ -135,9 +136,38 @@ def sub(a, b):
     return ad.add(a, ad.scale(b, -1.0))
 
 
+def transpose(a):
+    """A contiguous copy of the 2-D ``a``'s transpose, as one node."""
+    return ad._make(a.data.T, "transpose", (a,), lambda g: (g.T,))
+
+
 def gather_cols(a, cols):
     """Column gather: out[:, j] = a[:, cols[j]]."""
-    return ad.transpose(ad.embedding(ad.transpose(a), cols))
+    return transpose(ad.embedding(transpose(a), cols))
+
+
+def tied_logits_ref(h, w_text, table):
+    """``h @ w_text.T @ table.T`` as the nodes ``ad.token_loss`` fuses: two
+    ``matmul`` nodes through ``transpose`` copies of ``w_text`` and ``table``."""
+    return ad.matmul(ad.matmul(h, transpose(w_text)), transpose(table))
+
+
+def cross_entropy(logits, targets, hidden=None):
+    """Mean over rows of -log softmax(logits)[target] as one node, -1e30
+    added to the logits ``hidden`` marks: the expressions of the
+    cross-entropy node that ``ad.token_loss`` fuses, for any logits."""
+    b, idx = logits.shape[0], np.asarray(targets, dtype=np.int64)
+    x = logits.data if hidden is None else logits.data + np.where(hidden, -1e30, 0.0)
+    z = x - x.max(axis=1, keepdims=True)
+    losses = np.log(np.exp(z).sum(axis=1)) - z[np.arange(b), idx]
+
+    def rule(g):
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(b), idx] -= 1.0
+        return (p * (float(np.asarray(g).reshape(())) / b),)
+
+    return ad._make(losses.mean(), "cross_entropy", (logits,), rule)
 
 
 def sqrt(a):

@@ -160,7 +160,23 @@ def test_c02_gradient_fidelity(acc):
                 assert err <= 1e-4, f"{loss_name} vs {name} at seed {seed}: {err}"
                 worst[loss_name] = max(worst.get(loss_name, 0.0), err)
 
-        assert set(worst) == {"mcm", "spp", "ccl", "cep", "stage1", "stage2", "generation"}
+            # the tied vocabulary head alone, against each of its three parents:
+            # gathered rows, or gathered classes with the others hidden, by turns
+            h, w_text, table = (ad.Tensor(rng.normal(size=shape), requires_grad=True)
+                                for shape in ((5, 4), (3, 4), (7, 3)))
+            if seed % 2:
+                targets, kwargs = rng.integers(0, 7, size=6), {"rows": rng.integers(0, 5, size=6)}
+            else:
+                targets, kwargs = (np.arange(5) + 1) % 4, {"cols": [6, 1, 4, 2],
+                                                           "hidden": np.eye(5, 4) > 0}
+            for t in (h, w_text, table):
+                err = finite_diff_check(
+                    lambda _: ad.token_loss(h, w_text, table, targets, 1.5, **kwargs), t)
+                assert err <= 1e-4, f"token_loss vs its {t.shape} parent at seed {seed}: {err}"
+                worst["token_loss"] = max(worst.get("token_loss", 0.0), err)
+
+        assert set(worst) == {"mcm", "spp", "ccl", "cep", "stage1", "stage2", "generation",
+                              "token_loss"}
         assert time.monotonic() - t0 < 120.0
 
 

@@ -11,8 +11,8 @@ import pytest
 import sentigen.autodiff as ad
 from sentigen.errors import ContractError, NumericError, ShapeError
 
-from conftest import (attention_ref, finite_diff_check, gelu_ref, layer_norm_ref,
-                      pair_contrast_ref, sum_of)
+from conftest import (attention_ref, cross_entropy, finite_diff_check, gelu_ref, layer_norm_ref,
+                      pair_contrast_ref, sum_of, tied_logits_ref, transpose)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import graph_bytes  # noqa: E402
@@ -35,6 +35,13 @@ def rand_leaf(rng, *shape):
     return leaf(rng.normal(0.0, 1.0, size=shape))
 
 
+def identity_head(h, targets, weight=1.0, **kwargs):
+    """``token_loss`` of ``h`` through identity weights, whose logits are
+    ``h``'s rows exactly."""
+    eye = ad.constant(np.eye(h.shape[1]))
+    return ad.token_loss(h, eye, eye, targets, weight, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # frozen scalar oracles
 
@@ -42,13 +49,13 @@ def rand_leaf(rng, *shape):
 def test_cross_entropy_hand_value():
     # softmax([1,2,3]) -> -log p[2] computed by hand beforehand
     logits = leaf([[1.0, 2.0, 3.0]])
-    loss = ad.softmax_cross_entropy(logits, [2])
+    loss = identity_head(logits, [2])
     assert abs(loss.item() - 0.4076059644443806) < 1e-12
 
 
 def test_cross_entropy_uniform_is_log_k():
     logits = leaf(np.zeros((1, 7)))
-    loss = ad.softmax_cross_entropy(logits, [3])
+    loss = identity_head(logits, [3])
     assert abs(loss.item() - math.log(7)) < 1e-12
 
 
@@ -95,8 +102,8 @@ def test_structural_ops_match_fd(seed):
     def fn():
         cat = ad.concat_rows([a, b])
         sl = ad.embedding(cat, range(1, 6))
-        cols = ad.transpose(ad.embedding(ad.transpose(sl), range(1, 3)))  # columns 1:3
-        tr = ad.transpose(ad.reshape(cols, (2, 5)))
+        cols = transpose(ad.embedding(transpose(sl), range(1, 3)))  # columns 1:3
+        tr = transpose(ad.reshape(cols, (2, 5)))
         return sum_of(tr, tr)
 
     assert finite_diff_check(lambda _: fn(), a) < 1e-6
@@ -114,7 +121,7 @@ def test_reduction_norm_softmax_match_fd(seed):
         "layer_norm": lambda: sum_of(ad.layer_norm(a, gain, bias), ad.layer_norm(a, gain, bias)),
         "segment_mean": lambda: sum_of(ad.segment_mean(a, [0, 3, 4]),
                                        ad.segment_mean(a, [0, 3, 4])),
-        "ce": lambda: ad.softmax_cross_entropy(a, [1, 0, 5, 3]),
+        "token_loss": lambda: identity_head(a, [1, 0, 5, 3]),
     }
     for name, fn in cases.items():
         for t in (a, gain, bias):
@@ -131,19 +138,19 @@ def test_cross_entropy_hides_marked_logits():
     hidden = np.zeros((4, 6), dtype=bool)
     hidden[[0, 0, 1, 3], [1, 4, 0, 5]] = True
     targets = [2, 3, 5, 0]
-    loss = ad.softmax_cross_entropy(a, targets, hidden=hidden)
-    rows = [ad.softmax_cross_entropy(ad.constant(a.data[i:i + 1, ~hidden[i]]),
-                                     [int((~hidden[i])[:t].sum())]).item()
+    loss = identity_head(a, targets, hidden=hidden)
+    rows = [identity_head(ad.constant(a.data[i:i + 1, ~hidden[i]]),
+                          [int((~hidden[i])[:t].sum())]).item()
             for i, t in enumerate(targets)]
     assert abs(loss.item() - np.mean(rows)) <= 1e-12
     grad = ad.backward(loss)[a]
     assert np.all(grad[hidden] == 0.0) and np.all(grad[~hidden] != 0.0)
-    fn = lambda _: ad.softmax_cross_entropy(a, targets, hidden=hidden)
+    fn = lambda _: identity_head(a, targets, hidden=hidden)
     assert finite_diff_check(fn, a) < 1e-6
     with pytest.raises(ContractError):
-        ad.softmax_cross_entropy(a, [1, 3, 5, 0], hidden=hidden)
+        identity_head(a, [1, 3, 5, 0], hidden=hidden)
     with pytest.raises(ShapeError):
-        ad.softmax_cross_entropy(a, targets, hidden=hidden[:, :5])
+        identity_head(a, targets, hidden=hidden[:, :5])
 
 
 def test_embedding_rows_and_fd():
@@ -689,7 +696,7 @@ def test_matmul_gives_a_constant_parent_no_gradient():
     g = rng.normal(size=(3, 2))
     assert ad.matmul(c, x).node.rule(g)[0] is None
     assert np.allclose(ad.matmul(c, x).node.rule(g)[1], c.data.T @ g)
-    assert ad.matmul(ad.transpose(x), ad.constant(rng.normal(size=(4, 3)))).node.rule(g.T)[1] is None
+    assert ad.matmul(transpose(x), ad.constant(rng.normal(size=(4, 3)))).node.rule(g.T)[1] is None
 
 
 def fused_cases(rng):
@@ -741,6 +748,65 @@ def test_fused_ops_equal_their_compositions_bitwise(seed):
         assert np.array_equal(got, want)
 
 
+def token_chain(h, w_text, table, targets, weight, rows=None, cols=None, hidden=None):
+    """The seven nodes that ``token_loss`` fuses: a gather of ``h``'s rows,
+    ``transpose`` copies of ``w_text`` and of the gathered ``table`` rows,
+    two ``matmul`` nodes, the cross-entropy node and a ``scale``."""
+    x = h if rows is None else ad.embedding(h, rows)
+    t = table if cols is None else ad.embedding(table, cols)
+    return ad.scale(cross_entropy(tied_logits_ref(x, w_text, t), targets, hidden), weight)
+
+
+def token_case(rng, form):
+    """``token_loss``'s parents and arguments for one of its forms: ``rows``
+    gathers 7 rows, repeats among them, from an activation's 5, as the
+    model's states are gathered; ``cols hidden`` scores a ``layer_norm`` output,
+    which carries a rebuild, over 6 of 9 table rows, each row's other
+    classes hidden as ``_label_head`` hides them; ``all`` does both, over an
+    activation's rows."""
+    h = (layer_norm_output(rng, 5, 6) if form == "cols hidden" else
+         ad.scale(rand_leaf(rng, 5, 6), 1.0))
+    w_text, table = rand_leaf(rng, 3, 6), rand_leaf(rng, 9, 3)
+    b = 5 if form == "cols hidden" else 7  # no power of two: dividing by b rounds
+    kwargs = {} if form == "cols hidden" else {"rows": rng.integers(0, 5, size=b)}
+    if form != "rows":
+        kwargs["cols"] = [8, 2, 5, 0, 2, 7]
+        kwargs["hidden"] = np.arange(6) // 3 != (np.arange(b) % 2)[:, None]
+    targets = rng.integers(0, 3, size=b) + (3 * (np.arange(b) % 2) if form != "rows" else 0)
+    return (h, w_text, table), (targets, 2.3), kwargs
+
+
+def held_floats(loss):
+    """The shapes of the float arrays every rule of ``loss``'s graph holds."""
+    return sorted(a.shape for v in ad._topological_order(loss) if type(v) is ad.Node
+                  for a in graph_bytes.rule_arrays(v.rule) if a.dtype == np.float64)
+
+
+@pytest.mark.parametrize("form", ["rows", "cols hidden", "all"])
+def test_token_loss_equals_the_chain_it_fuses_bitwise(form):
+    """``token_loss`` gives the value of the seven nodes it fuses and each
+    of its three parents' gradients, under a non-uniform upstream gradient,
+    bit for bit; its one node holds the float arrays their rules held, and
+    no array of a parent. Over a ``layer_norm`` output it calls the output's
+    rebuild once in its rule, as the chain's ``matmul`` does."""
+    (h, *weights), args, kwargs = token_case(np.random.default_rng(73), form)
+    (twin, *twin_weights), _, _ = token_case(np.random.default_rng(73), form)  # a graph of its own
+    calls = counting(h) if form == "cols hidden" else []
+    fused, chain = ad.token_loss(h, *weights, *args, **kwargs), token_chain(twin, *twin_weights,
+                                                                            *args, **kwargs)
+    assert fused.op == "token_loss" and same_bytes(fused.data, chain.data)
+    held = {id(graph_bytes._buffer(a)) for a in graph_bytes.rule_arrays(fused.node.rule)}
+    assert not held & {id(t.data) for t in (h, *weights)}
+    assert held_floats(fused) == held_floats(chain)
+    leaves = [[v for v in ad._topological_order(x) if type(v) is ad.Tensor] + w
+              for x, w in ((h, weights), (twin, twin_weights))]
+    got = ad.backward(ad.scale(fused, -0.3))
+    assert len(calls) == (form == "cols hidden")
+    want = ad.backward(ad.scale(chain, -0.3))
+    assert len(got) == len(want) == len(leaves[0]) == 2 + (1 if form != "cols hidden" else 3)
+    assert all(same_bytes(got[x], want[y]) for x, y in zip(*leaves))
+
+
 def test_linear_gives_a_constant_input_no_gradient():
     rng = np.random.default_rng(23)
     c, w, b = ad.constant(rng.normal(size=(3, 4))), rand_leaf(rng, 4, 2), rand_leaf(rng, 2)
@@ -755,7 +821,7 @@ def test_linear_gives_a_constant_input_no_gradient():
 
 def test_ops_over_constants_record_no_graph():
     a = ad.constant(np.ones((2, 2)))
-    out = sum_of(ad.matmul(a, ad.transpose(a)))
+    out = sum_of(ad.matmul(a, transpose(a)))
     assert out.parents == () and out.node is None and not out.requires_grad
     x = leaf(np.ones((2, 2)))
     assert ad.matmul(a, x).parents == (a, x)
@@ -772,12 +838,13 @@ def test_composite_matches_fd(seed):
     w = rand_leaf(rng, 8, 5)
     gain = leaf(np.ones(5))
     bias = leaf(np.zeros(5))
+    w_text, table = rand_leaf(rng, 4, 5), rand_leaf(rng, 6, 4)
 
     def fn():
         h = ad.layer_norm(ad.matmul(x, w), gain, bias)
-        return ad.softmax_cross_entropy(h, [0, 3, 2])
+        return ad.token_loss(h, w_text, table, [0, 3, 2], 1.5)
 
-    for t in (x, w, gain, bias):
+    for t in (x, w, gain, bias, w_text, table):
         assert finite_diff_check(lambda _: fn(), t) < 1e-4
 
 
@@ -794,7 +861,6 @@ RETENTION_CASES = {
     "scale": (lambda p: ad.scale(p[0], 2.0), [(3, 4)], set()),
     "matmul": (lambda p: ad.matmul(*p), [(3, 4), (4, 2)], {0, 1}),
     "linear": (lambda p: ad.linear(*p), [(3, 4), (4, 2), (2,)], {0, 1}),
-    "transpose": (lambda p: ad.transpose(p[0]), [(3, 4)], set()),
     "reshape": (lambda p: ad.reshape(p[0], (4, 3)), [(3, 4)], set()),
     "concat_rows": (lambda p: ad.concat_rows(p), [(3, 4), (2, 4)], set()),
     "embedding": (lambda p: ad.embedding(p[0], [0, 2, 2], (p[1], [1, 0, 1])), [(3, 4), (2, 4)], set()),
@@ -813,7 +879,10 @@ RETENTION_CASES = {
                                               (p[6], p[7]), 2, [0, 1, 3], [0, 1, 3], True),
                        [(3, 4), (4, 4), (4,), (4, 4), (4, 4), (4,), (4, 4), (4,)],
                        set(range(7))),
-    "softmax_cross_entropy": (lambda p: ad.softmax_cross_entropy(p[0], [1, 0, 3]), [(3, 4)], set()),
+    "token_loss": (lambda p: ad.token_loss(*p, [1, 0, 3], 2.0), [(3, 4), (5, 4), (6, 5)], {0}),
+    "token_loss rows cols": (lambda p: ad.token_loss(*p, [1, 0, 3], 2.0, rows=[2, 0, 2],
+                                                     cols=[5, 1, 0, 3], hidden=np.eye(3, 4) > 1),
+                             [(3, 4), (5, 4), (6, 5)], set()),
     "dropout": (lambda p: ad.dropout(p[0], 0.5, np.random.default_rng(0)), [(3, 4)], set()),
 }
 
@@ -1001,8 +1070,8 @@ def test_backward_on_a_consumed_graph_is_a_contract_error():
 def test_backward_needs_scalar_and_graph_is_acyclic():
     x = leaf(np.ones((1, 2)))
     with pytest.raises(ContractError):
-        ad.backward(ad.matmul(ad.transpose(x), x))
-    y = ad.matmul(x, ad.transpose(x))
+        ad.backward(ad.matmul(transpose(x), x))
+    y = ad.matmul(x, transpose(x))
     loss = ad.add(y, ad.scale(y, 2.0))
     order = ad._topological_order(loss)
     assert order[-1] is loss.node
@@ -1016,9 +1085,9 @@ def test_backward_needs_scalar_and_graph_is_acyclic():
 
 def test_backward_returns_row_major_gradients():
     """Every returned gradient is C-contiguous, whatever view a rule handed
-    its leaf: ``transpose``'s ``g.T`` among them, and ``concat_rows``'s row
-    slices. Only the leaves that need a gradient and that the loss reaches
-    are keys."""
+    its leaf: ``transpose``'s ``g.T`` among them, ``token_loss``'s
+    transposed weight gradients, and ``concat_rows``'s row slices. Only the
+    leaves that need a gradient and that the loss reaches are keys."""
     a, b, unused = leaf(np.ones((2, 3))), leaf(np.ones((2, 3))), leaf(np.ones(2))
     grads = ad.backward(sum_of(ad.add(a, b)))
     assert set(grads) == {a, b} and unused not in grads
@@ -1026,9 +1095,15 @@ def test_backward_returns_row_major_gradients():
     c, d = leaf(np.ones((2, 2))), leaf(np.ones((3, 2)))
     grads.update(ad.backward(sum_of(ad.concat_rows([c, d]))))
     e = leaf(np.ones((2, 3)))
-    grads.update(ad.backward(sum_of(ad.transpose(e), leaf(np.arange(6.0).reshape(3, 2)))))
+    grads.update(ad.backward(sum_of(transpose(e), leaf(np.arange(6.0).reshape(3, 2)))))
     assert np.array_equal(grads[e], np.arange(6.0).reshape(3, 2).T)
-    for t in (a, b, c, d, e):
+    h, w_text, table = leaf(np.ones((2, 3))), leaf(np.ones((4, 3))), leaf(np.ones((5, 4)))
+    head = ad.token_loss(h, w_text, table, [0, 4], 1.0)
+    dw, dt = head.node.rule(np.array(1.0))[1:]
+    assert not dw.flags.c_contiguous and not dt.flags.c_contiguous
+    grads.update(ad.backward(head))
+    assert np.array_equal(grads[w_text], dw) and np.array_equal(grads[table], dt)
+    for t in (a, b, c, d, e, h, w_text, table):
         assert grads[t].flags.c_contiguous, t
 
 
@@ -1049,10 +1124,10 @@ def test_backward_continues_an_earlier_calls_sums_in_one_pass_order():
     targets = [0, 1, 2, 0, 1, 2]
 
     def a():
-        return ad.softmax_cross_entropy(ad.add(ad.matmul(x, w), ad.matmul(x, u)), targets)
+        return cross_entropy(ad.add(ad.matmul(x, w), ad.matmul(x, u)), targets)
 
     def b():
-        return ad.softmax_cross_entropy(ad.matmul(x, v), targets[::-1])
+        return cross_entropy(ad.matmul(x, v), targets[::-1])
 
     joint = ad.backward(ad.add(a(), b()))
     first = ad.backward(a())
@@ -1113,7 +1188,6 @@ def two_heads():
 REFUSED = {
     "item of many": (lambda: ones(2).item(), ContractError, "item"),
     "matmul 1-D": (lambda: ad.matmul(ones(3), ones(3, 2)), ShapeError, "2-D"),
-    "transpose 1-D": (lambda: ad.transpose(ones(3)), ShapeError, "2-D"),
     "reshape size": (lambda: ad.reshape(ones(2, 3), (4, 2)), ShapeError, "cannot view"),
     "concat_rows empty": (lambda: ad.concat_rows([]), ContractError, "empty"),
     "concat_rows widths": (lambda: ad.concat_rows([ones(2, 3), ones(2, 4)]), ShapeError,
@@ -1128,10 +1202,27 @@ REFUSED = {
                             ShapeError, "residual"),
     "attention widths": (lambda: ad.attention(ones(2, 4), ones(2, 6), *projections(), 2, [0, 2],
                                               [0, 2]), ShapeError, "incompatible"),
-    "softmax_cross_entropy 1-D": (lambda: ad.softmax_cross_entropy(ones(3), [0]), ShapeError,
-                                  "2-D"),
-    "softmax_cross_entropy target": (lambda: ad.softmax_cross_entropy(ones(2, 3), [0, 3]),
-                                     IndexError, "outside"),
+    "token_loss 1-D": (lambda: ad.token_loss(ones(3), ones(3, 3), ones(3, 3), [0], 1.0),
+                       ShapeError, "incompatible"),
+    "token_loss widths": (lambda: ad.token_loss(ones(2, 3), ones(3, 4), ones(5, 3), [0, 1], 1.0),
+                          ShapeError, "incompatible"),
+    "token_loss table": (lambda: ad.token_loss(ones(2, 3), ones(4, 3), ones(5, 3), [0, 1], 1.0),
+                         ShapeError, "incompatible"),
+    "token_loss targets": (lambda: identity_head(ones(2, 3), [0, 1, 2]), ShapeError,
+                           r"\(3,\) targets"),
+    "token_loss hidden shape": (lambda: identity_head(ones(2, 3), [0, 1], hidden=np.eye(2) > 1),
+                                ShapeError, r"hidden mask of \(2, 2\)"),
+    "token_loss target": (lambda: identity_head(ones(2, 3), [0, 3]), IndexError, "outside"),
+    "token_loss column target": (lambda: identity_head(ones(2, 3), [0, 2], cols=[2, 0]),
+                                 IndexError, "outside"),
+    "token_loss row": (lambda: identity_head(ones(2, 3), [0], rows=[2]), IndexError,
+                       "token_loss: index out of range"),
+    "token_loss column": (lambda: identity_head(ones(2, 3), [0, 0], cols=[3]), IndexError,
+                          "token_loss: index out of range"),
+    "token_loss hidden target": (lambda: identity_head(ones(2, 3), [0, 1], hidden=np.eye(2, 3) > 0),
+                                 ContractError, "a target is hidden"),
+    "token_loss non-finite": (lambda: identity_head(leaf([[np.nan, 0.0]]), [1]), NumericError,
+                              "non-finite values produced by token_loss"),
     "dropout rate": (lambda: ad.dropout(ones(3), 1.0, np.random.default_rng(0)), ContractError,
                      "rate"),
     "backward non-finite": (lambda: ad.backward(leaf(np.array(np.nan))), NumericError,

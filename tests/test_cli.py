@@ -270,7 +270,7 @@ def test_a_resume_into_another_out_runs_again_the_same(cli_corpus, tmp_path, cap
 def test_finetune_writes_manifest_and_checkpoint(finetuned, capsys):
     assert (finetuned / "checkpoint.ckpt").exists()
     assert (finetuned / "metrics.jsonl").exists()
-    manifest = json.loads((finetuned / "manifest.json").read_text())
+    manifest = json.loads((finetuned / "manifest-finetune.json").read_text())
     assert manifest["command"] == "finetune"
     assert manifest["seed"] == 3
     assert len(manifest["config_hash"]) == 64
@@ -283,13 +283,13 @@ def test_config_hash_tracks_effective_config(cli_corpus, finetuned, tmp_path, ca
                      "--registry", str(cli_corpus / "registry.json"),
                      "--out", str(tmp_path / "same"), "--config", str(cfg))
     assert code == 0
-    base = json.loads((finetuned / "manifest.json").read_text())["config_hash"]
-    same = json.loads((tmp_path / "same" / "manifest.json").read_text())["config_hash"]
+    base = json.loads((finetuned / "manifest-finetune.json").read_text())["config_hash"]
+    same = json.loads((tmp_path / "same" / "manifest-finetune.json").read_text())["config_hash"]
     assert same == base
     code, _, _ = run(capsys, "finetune", "--corpus", str(cli_corpus / "corpus.jsonl"),
                      "--registry", str(cli_corpus / "registry.json"),
                      "--out", str(tmp_path / "seeded"), "--config", str(cfg), "--seed", "8")
-    seeded = json.loads((tmp_path / "seeded" / "manifest.json").read_text())["config_hash"]
+    seeded = json.loads((tmp_path / "seeded" / "manifest-finetune.json").read_text())["config_hash"]
     assert seeded != base
 
 
@@ -309,7 +309,8 @@ def test_config_hash_tracks_checkpoint_model(cli_corpus, finetuned, tmp_path, ca
                          "--out", str(tmp_path / name), "--config", str(path),
                          "--init", str(finetuned / "checkpoint.ckpt"))
         assert code == 0
-        hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
+        hashes.append(json.loads((tmp_path / name / "manifest-finetune.json").read_text())
+                      ["config_hash"])
     assert hashes[0] == hashes[1]
     assert (tmp_path / "with" / "checkpoint.ckpt").read_bytes() == \
         (tmp_path / "without" / "checkpoint.ckpt").read_bytes()
@@ -989,8 +990,9 @@ def test_a_busy_out_is_refused_before_any_write(valid_inputs, tmp_path, capsys, 
 def test_commands_share_one_out_one_after_another(cli_corpus, tmp_path, capsys):
     """The README's sequence: a fine-tune into ``runs/ft``, then ``eval``,
     ``export-embeddings`` and ``bias-report`` into it one after another.
-    Each takes the lock its predecessor released, and the last writes the
-    manifest."""
+    Each takes the lock its predecessor released and writes a manifest of
+    its own, so all four survive: the fine-tune's keeps its seed and config
+    hash, and each later one records its own command and inputs."""
     out = tmp_path / "ft"
     io = ["--corpus", str(cli_corpus / "corpus.jsonl"),
           "--registry", str(cli_corpus / "registry.json")]
@@ -1001,7 +1003,15 @@ def test_commands_share_one_out_one_after_another(cli_corpus, tmp_path, capsys):
         assert run(capsys, *argv, "--out", str(out))[0] == 0, argv[0]
     assert {"checkpoint.ckpt", "metrics.jsonl", "eval.json", "embeddings.jsonl",
             "bias_report.json"} < {p.name for p in out.iterdir()}
-    assert json.loads((out / "manifest.json").read_text())["command"] == "bias-report"
+    commands = ("finetune", "eval", "export-embeddings", "bias-report")
+    manifests = {c: json.loads((out / f"manifest-{c}.json").read_text()) for c in commands}
+    assert sorted(p.name for p in out.glob("manifest*")) == sorted(f"manifest-{c}.json"
+                                                                    for c in commands)
+    assert all(m["command"] == c and m["code_version"] for c, m in manifests.items())
+    assert [manifests[c]["seed"] for c in commands] == [3, None, None, None]
+    hashes = [manifests[c]["config_hash"] for c in commands]
+    assert all(len(h) == 64 for h in hashes) and len(set(hashes)) == 3
+    assert hashes[1] == hashes[2]  # eval and export-embeddings hash the same checkpoint path
 
 
 def test_a_killed_lock_holder_does_not_block_the_next_command(tmp_path, capsys):
@@ -1024,7 +1034,7 @@ def test_a_killed_lock_holder_does_not_block_the_next_command(tmp_path, capsys):
             child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
     assert run(capsys, "bias-report", "--out", str(out))[0] == 0
-    assert json.loads((out / "manifest.json").read_text())["command"] == "bias-report"
+    assert json.loads((out / "manifest-bias-report.json").read_text())["command"] == "bias-report"
 
 
 def test_model_dropout_rate_in_a_config_file_is_refused(cli_corpus, tmp_path, capsys):

@@ -15,7 +15,8 @@ from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, f
                             params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
 from sentigen.prompt import build_prompt
 
-from conftest import attention_ref, block_projections, small_config, sum_of
+from conftest import (attention_ref, block_projections, cross_entropy, small_config, sum_of,
+                      transpose)
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +157,7 @@ def test_logits_projection_is_tied(world):
     ps = build_prompt(pick(records, "sst-toy"), vocab, registry, config.max_len)
     enc = encode(ps, params, config, vocab)
     h = decoder_states([[vocab.bos_id]], enc, params, config)
-    logits = token_logits(h, params).data
+    logits = token_logits(h, params)
     manual = h.data @ params["w_text"].data.T @ params["tok_emb"].data.T
     assert logits.shape == (1, config.vocab_size)
     assert np.allclose(logits, manual, atol=1e-12)
@@ -165,17 +166,22 @@ def test_logits_projection_is_tied(world):
 def test_decode_logits_equal_per_step_transposes(world, monkeypatch):
     """The logits of every decode step, whose ``token_logits`` call
     transposes the output weights itself, equal bit for bit the logits of
-    the same call on the trainable parameters, and the products through
-    transposed copies made once for all steps."""
+    the same call on the trainable parameters, the products through
+    transposed copies made once for all steps; and a training loss's
+    ``token_loss`` over the step's states is the cross-entropy of those
+    logits, bit for bit."""
     vocab, registry, records, config, params = world
     prompts = [build_prompt(r, vocab, registry, config.max_len) for r in records[:5]]
     real, steps = model.token_logits, []
-    w_text, tok_emb = (ad.transpose(ad.constant(params[name].data)) for name in ("w_text", "tok_emb"))
+    w_text, tok_emb = (transpose(ad.constant(params[name].data)) for name in ("w_text", "tok_emb"))
 
     def checked(hidden, p):
         out = real(hidden, p)
-        assert np.array_equal(out.data, real(hidden, params).data)
-        assert np.array_equal(out.data, ad.matmul(ad.matmul(hidden, w_text), tok_emb).data)
+        assert type(out) is np.ndarray and np.array_equal(out, real(hidden, params))
+        assert np.array_equal(out, ad.matmul(ad.matmul(hidden, w_text), tok_emb).data)
+        targets = np.arange(len(out)) % out.shape[1]
+        trained = ad.token_loss(hidden, params["w_text"], params["tok_emb"], targets, 1.0)
+        assert trained.data.tobytes() == cross_entropy(ad.constant(out), targets).data.tobytes()
         steps.append(out)
         return out
 
@@ -461,7 +467,7 @@ def test_generate_is_greedy_over_its_own_output(world):
             ids = generate(ps, p, config, vocab, max_new=max_new)
             enc = encode(ps, p, config, vocab)
             h = decoder_states([[vocab.bos_id] + ids[:-1]], enc, p, config)
-            assert list(np.argmax(token_logits(h, p).data, axis=1)) == ids
+            assert list(np.argmax(token_logits(h, p), axis=1)) == ids
             assert vocab.eos_id not in ids[:-1]
             assert len(ids) == max_new or ids[-1] == vocab.eos_id
             early += len(ids) < max_new
@@ -835,7 +841,7 @@ def test_frozen_inference_builds_no_graph(world, monkeypatch):
     monkeypatch.setattr(ad, "backward", lambda loss: pytest.fail("generate ran a backward pass"))
     ids = generate(ps, params, config, vocab, max_new=4)
     assert len(seen) == 2 + 2 * len(ids)
-    assert all(t.parents == () and not t.requires_grad for t in seen)
+    assert all(type(t) is np.ndarray or t.parents == () and not t.requires_grad for t in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +856,7 @@ def test_full_model_gradient_matches_fd(world):
     def loss():
         enc = encode(ps, params, config, vocab)
         h = decoder_states([[vocab.bos_id, 15]], enc, params, config)
-        return ad.softmax_cross_entropy(token_logits(h, params), [15, vocab.eos_id])
+        return ad.token_loss(h, params["w_text"], params["tok_emb"], [15, vocab.eos_id], 1.0)
 
     for name in ("enc0_attn_bq", "enc0_ln1_g", "dec0_cross_bv", "type_emb", "mask_vec_acoustic"):
         assert fd_check_param(loss, params, name) < 1e-4, name

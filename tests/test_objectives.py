@@ -10,15 +10,16 @@ from sentigen import model
 from sentigen.data import Polarity, TASK_ORDER, TaskType
 from sentigen.errors import ContractError, VocabularyError
 from sentigen.masking import apply_modal_setting, sample_mcm_plan, sample_modal_setting
-from sentigen.model import decoder_states, encode, encode_batch, init_params, token_logits
+from sentigen.model import decoder_states, encode, encode_batch, init_params
 from sentigen.objectives import (POLARITY_ORDER, Stage1Example, Stage2Example,
                                  assign_pseudo_labels, build_centroids, generation_loss,
                                  label_token_id, label_token_ids, loss_ccl, loss_cep, loss_mcm,
                                  loss_spp, polarity_token_ids, stage1_loss, stage2_loss)
 from sentigen.prompt import build_prompt
 
-from conftest import (attention_ref, block_projections, div, finite_diff_check, gather_cols,
-                      gelu_ref, loss_value_and_grads, small_config, sqrt, sub, sum_of)
+from conftest import (attention_ref, block_projections, cross_entropy, div, finite_diff_check,
+                      gather_cols, gelu_ref, loss_value_and_grads, small_config, sqrt, sub, sum_of,
+                      tied_logits_ref)
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +501,30 @@ def test_loss_graphs_keep_their_fused_nodes(rig, monkeypatch):
         check(name, loss)
 
 
+def test_each_loss_head_is_one_token_loss_node(rig):
+    """The graphs of ``loss_mcm``, ``loss_spp``, ``loss_cep`` and
+    ``generation_loss`` each hold exactly one ``token_loss`` vertex, the
+    loss's own, whose inputs are the last ``layer_norm`` of the states it
+    scores and the two tied weights: no ``transpose``, ``matmul``, ``scale``
+    or ``embedding`` vertex lies on the head side."""
+    vocab, config, params = rig["vocab"], rig["config"], rig["params"]
+    label_ids = label_token_ids(four_task_labels(vocab), vocab)
+    pairs = [(rig["prompts"][name], plan_for(rig, name)) for name in ("sst-toy", "meld-toy")]
+    prompts = [ps for ps, _ in pairs]
+    losses = {"mcm": loss_mcm(encoded(rig, pairs), pairs, params),
+              "spp": loss_spp(encoded(rig, prompts), [Polarity.POSITIVE, Polarity.NEUTRAL], params,
+                              config, vocab),
+              "cep": loss_cep(encoded(rig, pairs), first_labels(2), params, config, vocab,
+                              label_ids),
+              "generation": generation_loss([(ps, [4, 5]) for ps in prompts], params, config,
+                                            vocab)}
+    for name, loss in losses.items():
+        states, w_text, table = loss.node.inputs
+        assert loss.op == "token_loss" and states.op == "layer_norm", name
+        assert w_text is params["w_text"] and table is params["tok_emb"], name
+        assert [v.op for v in ad._topological_order(loss)].count("token_loss") == 1, name
+
+
 def test_stage2_requires_centroid_index(rig):
     example = Stage2Example(prompt=rig["prompts"]["sst-toy"], plan=plan_for(rig, "sst-toy"),
                             pseudo=np.zeros(0, dtype=np.int64))
@@ -583,6 +608,12 @@ def test_generation_gradients(rig):
 # batched losses against a per-sample reference
 
 
+def logits_ref(h, params):
+    """``h``'s logits over the vocabulary through the tied projection, as
+    the nodes ``ad.token_loss`` fuses."""
+    return tied_logits_ref(h, params["w_text"], params["tok_emb"])
+
+
 def ref_mcm(batch, params, config, vocab):
     total = ad.constant(0.0)
     for ps, plan in batch:
@@ -590,8 +621,8 @@ def ref_mcm(batch, params, config, vocab):
         if pos:
             enc = encode(ps, params, config, vocab, mask_plan=plan)
             original = list(ps.ids)
-            ce = ad.softmax_cross_entropy(token_logits(ad.embedding(enc.states, pos), params),
-                                          [original[p] for p in pos])
+            ce = cross_entropy(logits_ref(ad.embedding(enc.states, pos), params),
+                               [original[p] for p in pos])
             total = ad.add(total, ad.scale(ce, len(pos)))
     return ad.scale(total, 1.0 / len(batch))
 
@@ -600,8 +631,8 @@ def ref_spp(batch, params, config, vocab):
     total = ad.constant(0.0)
     for ps, pol in batch:
         h = decoder_states([[vocab.bos_id]], encode(ps, params, config, vocab), params, config)
-        logits = gather_cols(token_logits(h, params), list(polarity_token_ids(vocab)))
-        total = ad.add(total, ad.softmax_cross_entropy(logits, [POLARITY_ORDER.index(pol)]))
+        logits = gather_cols(logits_ref(h, params), list(polarity_token_ids(vocab)))
+        total = ad.add(total, cross_entropy(logits, [POLARITY_ORDER.index(pol)]))
     return ad.scale(total, 1.0 / len(batch))
 
 
@@ -634,12 +665,12 @@ def ref_cep(batch, params, config, vocab, table):
     for ps, plan, pseudo in batch:
         enc = encode(ps, params, config, vocab, mask_plan=plan)
         h = decoder_states([[vocab.task_id(t) for t in tasks]], enc, params, config)
-        logits = token_logits(h, params)
+        logits = logits_ref(h, params)
         for i, task in enumerate(tasks):
             labels = table[task]
             row = gather_cols(ad.embedding(logits, range(i, i + 1)),
                               [label_token_id(lab, vocab) for lab in labels])
-            total = ad.add(total, ad.softmax_cross_entropy(row, [labels.index(pseudo[task])]))
+            total = ad.add(total, cross_entropy(row, [labels.index(pseudo[task])]))
     return ad.scale(total, 1.0 / len(batch))
 
 
@@ -648,7 +679,7 @@ def ref_generation(batch, params, config, vocab):
     for ps, gold in batch:
         h = decoder_states([[vocab.bos_id] + gold], encode(ps, params, config, vocab), params,
                            config)
-        ce = ad.softmax_cross_entropy(token_logits(h, params), gold + [vocab.eos_id])
+        ce = cross_entropy(logits_ref(h, params), gold + [vocab.eos_id])
         total = ad.add(total, ad.scale(ce, len(gold) + 1))
     return ad.scale(total, 1.0 / len(batch))
 

@@ -866,7 +866,7 @@ def test_stage1_step_holds_one_pass_graph_at_a_time(toy, tmp_path, monkeypatch):
 # gain, with or without a residual); ``sqrt``'s rule reads its own output
 RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
               "attention": (0, 3), "ffn": (0, 1, 2, 3),
-              "pair_contrast": (0,), "layer_norm": (-2,)}
+              "pair_contrast": (0,), "layer_norm": (-2,), "token_loss": (0,)}
 
 
 def test_first_stage_one_backward_holds_no_output_that_no_rule_reads(toy, tmp_path, monkeypatch):
