@@ -16,8 +16,10 @@ block that records a graph, both its projections inside; ``attend`` is
 cached decoding's graph-free attention, and ``linear`` every other
 projection: the input frames', and cached decoding's. A rule's seconds
 include the rebuilds of the inputs it keeps (see ``ad.Tensor``): the
-``layer_norm`` outputs that ``ffn`` and ``attention`` read, and the token
-rows that the input ``matmul`` reads. Every unit's
+``layer_norm`` outputs that ``ffn``, ``attention`` and ``token_loss``
+read. ``embedding`` is every stream's input rows, the token rows'
+projection by ``w_text`` inside, and its rule gathers those rows again for
+``w_text``'s gradient. Every unit's
 outputs are checked as the benchmark checks them, and a failed check exits
 1. The script writes only inside a temporary directory. BLAS threads follow the environment; set
 ``OPENBLAS_NUM_THREADS=1`` to time what ``benchmarks/run.py`` times.

@@ -22,20 +22,20 @@ taken left to right.
 
 ``linear``, ``ffn`` (``linear``, GELU, ``linear``), ``attention`` (q, k and
 v projections, multi-head attention, the output ``linear``),
-``layer_norm``'s ``residual`` and ``embedding``'s extra ``(table, ids)``
-pairs each fuse several nodes into one, with the same floats in the same
-order; ``pair_contrast`` and ``token_loss`` (a head through the tied
-vocabulary projection) are whole losses in one node. Rules keep only what
+``layer_norm``'s ``residual``, and ``embedding``'s ``proj`` and extra
+``(table, ids)`` pairs each fuse several nodes into one, with the same
+floats in the same order: ``embedding`` takes a stream's tokens in through
+the tied vocabulary projection, and ``token_loss`` scores a head through
+it, a whole loss in one node, as ``pair_contrast`` is. Rules keep only what
 they read, and a block's node only its inputs, from which ``attention``
-rebuilds q, k, v and the heads' outputs, ``ffn`` its hidden rows and
-``pair_contrast`` its pair differences; ``dropout`` keeps a bool mask.
-Recomputing is chosen where it is cheap in arithmetic and the array is
-large. So a node that reads an input's array in its rule (``matmul`` its
-left operand, ``ffn``, ``attention`` and ``token_loss`` their inputs) keeps
-the input's ``rebuild`` in its place when it has one, and calls it once in
-its rule: a ``layer_norm`` output is redone from its own node's normalised
-rows, and a one-pair ``embedding`` from a parameter from its ids, bit for
-bit, so the graph holds one copy of each, not two. ``Segments`` owns
+rebuilds q, k, v and the heads' outputs, ``ffn`` its hidden rows,
+``pair_contrast`` its pair differences and ``embedding`` its gathered rows;
+``dropout`` keeps a bool mask. Recomputing is chosen where it is cheap in
+arithmetic and the array is large. So a node that reads an input's array
+in its rule (``ffn``, ``attention``, ``token_loss``) keeps the input's
+``rebuild`` in its place when it has one, and calls it once in its rule: a
+``layer_norm`` output is redone bit for bit from its own node's normalised
+rows, so the graph holds one copy of it, not two. ``Segments`` owns
 packed rows' bounds (``_bounds``, all ``segment_mean`` needs) and padded
 per-head layout, for ``attention`` and ``attend`` (attention's forward
 over a ``HeadLayout``; it records no node). The module keeps only the ops
@@ -72,7 +72,7 @@ class Tensor:
     Data is immutable once an op has read it. A tensor holds no gradient:
     ``backward`` returns them. ``rebuild`` is None, or a function that
     returns ``data`` bit for bit from arrays its own node keeps: only a
-    recorded ``layer_norm`` or one-pair ``embedding`` from a parameter sets one."""
+    recorded ``layer_norm`` sets one."""
 
     __slots__ = ("data", "requires_grad", "op", "node", "rebuild", "__weakref__")
 
@@ -157,19 +157,6 @@ def scale(a, s):
     return _make(a.data * s, "scale", (a,), lambda g: (g * s,))
 
 
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-
-    # each operand is read only for the other's gradient
-    x = _kept(a) if b.requires_grad else None
-    y = b.data if a.requires_grad else None
-    return _make(a.data @ b.data, "matmul", (a, b),
-                 lambda g: (None if y is None else g @ y.T, None if x is None else _read(x).T @ g))
-
-
 def linear(x, w, b):
     """``x @ w + b``, the bias row ``b`` added to every row, as one node."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
@@ -185,28 +172,20 @@ def linear(x, w, b):
     return _make(out, "linear", (x, w, b), rule)
 
 
-def reshape(a, shape):
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    before = a.shape
-    return _make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(before),))
-
-
 def concat_rows(parts):
+    """The rows of ``parts`` stacked in order, a 1-D part as one row."""
     parts = tuple(parts)
     if not parts:
         raise ContractError("concat_rows: empty input")
-    cols = parts[0].shape[-1]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != cols:
-            raise ShapeError(f"concat_rows: inconsistent shapes {[p.shape for p in parts]}")
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+    if any(p.data.ndim not in (1, 2) or p.shape[-1] != parts[0].shape[-1] for p in parts):
+        raise ShapeError(f"concat_rows: inconsistent shapes {[p.shape for p in parts]}")
+    shapes = [p.shape for p in parts]
+    bounds = np.cumsum([0] + [len(np.atleast_2d(p.data)) for p in parts])
 
     def rule(g):
-        return tuple(g[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        return tuple(g[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds[:-1], bounds[1:], shapes))
 
-    return _make(np.concatenate([p.data for p in parts], axis=0), "concat_rows", parts, rule)
+    return _make(np.vstack([p.data for p in parts]), "concat_rows", parts, rule)
 
 
 def _gather_ids(table, ids, op="embedding"):
@@ -235,31 +214,41 @@ def _row_sums(g, idx, shape):
     return buf
 
 
-def embedding(table, ids, *summed):
-    """Row gather: out[i] = table[ids[i]]. Each further ``(table, ids)``
-    pair of ``summed`` adds its gathered rows in place, left to right, as
-    one node: the floats of a gather per table and an ``add`` node per
-    pair, with one array kept. Backward gives each table the rows of the
-    gradient summed by id (see ``_row_sums``)."""
+def embedding(table, ids, *summed, proj=None):
+    """Row gather: out[i] = table[ids[i]], times the 2-D ``proj`` when one
+    is given. Each further ``(table, ids)`` pair of ``summed`` then adds its
+    gathered rows in place, left to right, all as one node (parents
+    ``table``, ``proj``, the summed tables): the floats of a gather per
+    table, a product and an ``add`` node per pair, with one array kept.
+    Backward gives each table the rows of the gradient summed by id (see
+    ``_row_sums``), the first through ``proj``, and ``proj`` its product
+    with the first table's rows, gathered again from the ids."""
     pairs = ((table, ids),) + summed
     tables = tuple(t for t, _ in pairs)
     idxs = [_gather_ids(t, i) for t, i in pairs]
-    out, td = table.data[idxs[0]], table.data
+    out = table.data[idxs[0]]
+    if proj is not None:
+        if proj.data.ndim != 2 or proj.shape[0] != out.shape[1]:
+            raise ShapeError(f"embedding: projection {proj.shape} does not fit rows of width "
+                             f"{out.shape[1]}")
+        out = out @ proj.data
     for t, idx in zip(tables[1:], idxs[1:]):
-        if t.shape[1] != table.shape[1] or idx.shape != idxs[0].shape:
+        if t.shape[1] != out.shape[1] or idx.shape != idxs[0].shape:
             raise ShapeError(f"embedding: {idx.size} rows of width {t.shape[1]} do not add "
-                             f"onto {idxs[0].size} of width {table.shape[1]}")
+                             f"onto {idxs[0].size} of width {out.shape[1]}")
         out += t.data[idx]
     shapes = [t.shape if t.requires_grad else None for t in tables]
+    projected = proj is not None
+    pd = proj.data if projected and table.requires_grad else None
+    td = table.data if projected and proj.requires_grad else None
 
-    def rule(g):
-        return tuple(None if shape is None else _row_sums(g, idx, shape)
-                     for shape, idx in zip(shapes, idxs))
+    def rule(g):  # proj's gradient first, as the chain's matmul rule ran before the gathers'
+        mid = (None if td is None else td[idxs[0]].T @ g,) if projected else ()
+        grads = [None if shape is None else _row_sums(g if pd is None or i else g @ pd.T, idx, shape)
+                 for i, (shape, idx) in enumerate(zip(shapes, idxs))]
+        return (grads[0], *mid, *grads[1:])
 
-    # one gather from a parameter is redone from the ids; a summed one, or
-    # one from an activation, is not: that would keep more, not less
-    rebuild = None if summed or table.node is not None else lambda: td[idxs[0]]
-    return _make(out, "embedding", tables, rule, rebuild)
+    return _make(out, "embedding", tables if proj is None else (table, proj) + tables[1:], rule)
 
 
 def _bounds(offsets, rows, op):
@@ -591,7 +580,7 @@ def attention(x_q, x_kv, q, wk, v, o, heads, q_offsets, k_offsets, causal=False)
     not the heads' (N, d) outputs, which the forward drops once projected. Its rule projects and splits v once, rebuilds those
     outputs from ``p`` and v for ``o``'s weight gradient, reads v again
     for the scores' gradient and drops it, then projects k and q, each
-    when it reads it; every gradient is ``linear``'s (for k, ``matmul``'s)
+    when it reads it; every gradient is ``linear``'s (for k, unbiased)
     on the same floats. Its parents are ``(x_q, *q, x_kv, wk, x_kv, *v,
     *o)``, so when ``x_q`` is ``x_kv`` its three gradients add onto it in
     q, k, v order, as three projection nodes' would.

@@ -6,8 +6,9 @@ carrying a modality-type embedding, a position embedding, and the dataset
 embedding row for the record's dataset. A stream holds no pad token:
 ``_encode`` rejects one, so every position is real and is the one at its
 index. Attention is bidirectional. The decoder is autoregressive with
-cross-attention into the encoder states, and its output projection is tied
-to the token embedding table: ``ad.token_loss`` and ``token_logits`` share its forward.
+cross-attention into the encoder states. Token rows come in and scores go
+out through ``w_text`` and the token embedding table, tied: ``ad.embedding``'s
+``proj``, and ``ad.token_loss`` and ``token_logits``, which share a forward.
 
 The encoder runs on a batch of samples packed end to end. Tensors stay 2-D:
 a batch of B streams is N = the summed stream lengths rows, sample after
@@ -24,11 +25,12 @@ outputs, which its backward rebuilds. Each FFN is one ``ad.ffn`` node,
 which keeps its input, not its (N, ffn) hidden rows. Cached decoding
 projects keys and values apart (``_keys_values``) and attends over them
 with ``ad.attend``. A batch's input rows are one
-gather from one table of every sample's token embeddings, the projected
-acoustic and visual frames and the mask vectors, so masking a token or a
-frame is a choice of row; the same node adds each row's type, position and
-dataset embeddings. The decoder's rows are B samples of n ids
-each, which is the packed layout with equal offsets; its self-attention is
+gather from one table of every sample's projected token rows (one node),
+the projected acoustic and visual frames and the mask vectors (a row
+each), so masking a token or a frame is a choice of row; the same node
+adds each row's type, position and dataset embeddings. The decoder's rows,
+projected token rows plus position rows in one node, are B samples of n
+ids each: the packed layout with equal offsets. Its self-attention is
 causal and its cross-attention reads the packed encoder rows through their
 offsets. ``encode`` and ``generate`` on one prompt run the batch of one,
 and return what the batch does for it: ``encode``'s ``pooled`` is (1, d).
@@ -211,8 +213,7 @@ def _linear(params, prefix, x, w, b):
 def _keys_values(params, prefix, x_kv):
     """Key and value projections of ``x_kv`` for one attention block, as the
     arrays a ``DecoderCache`` holds: keys by ``wk`` alone, as in ``ad.attention``."""
-    return (ad.matmul(x_kv, params[f"{prefix}_wk"]).data,
-            _linear(params, prefix, x_kv, "wv", "bv").data)
+    return x_kv.data @ params[f"{prefix}_wk"].data, _linear(params, prefix, x_kv, "wv", "bv").data
 
 
 def _attention(params, prefix, x_q, x_kv, config, q_offsets, k_offsets, causal=False):
@@ -319,15 +320,15 @@ def _encode(prompts, mask_plans, params, config, vocab, rng):
 
     # a block no position reads stays out, so its parameters get no gradient;
     # frames all masked still project, and their projection gets a zero one
-    d = config.model_dim
-    table = {0: ad.matmul(ad.embedding(params["tok_emb"], tokens), params["w_text"])}
+    table = {0: ad.embedding(params["tok_emb"], tokens, proj=params["w_text"])}
     for kind, block in (("acoustic", 1), ("visual", 2)):
         if frames[kind]:
             table[block] = ad.linear(ad.constant(np.concatenate(frames[kind])),
                                      params[f"proj_{kind}_w"], params[f"proj_{kind}_b"])
         if (src == block + 2).any():
-            table[block + 2] = ad.reshape(params[f"mask_vec_{kind}"], (1, d))
-    first = np.cumsum([0] + [table[b].shape[0] if b in table else 0 for b in range(len(_BLOCK_TYPE))])
+            table[block + 2] = params[f"mask_vec_{kind}"]
+    first = np.cumsum([0] + [len(np.atleast_2d(table[b].data)) if b in table else 0
+                             for b in range(len(_BLOCK_TYPE))])
     x = ad.embedding(ad.concat_rows([table[b] for b in sorted(table)]), first[src] + rows,
                      (params["type_emb"], _BLOCK_TYPE[src]), (params["pos_emb"], pos_ids),
                      (params["dataset_emb"],
@@ -437,9 +438,9 @@ def decoder_states(dec_ids, enc_out, params, config, rng=None, cache=None):
     if cache is not None and n > cache.capacity:
         raise ContractError(f"decoder stream of {n} positions exceeds its cache's "
                             f"capacity {cache.capacity}")
-    x = ad.matmul(ad.embedding(params["tok_emb"], ids.reshape(-1)), params["w_text"])
     positions = np.arange(past, n)[None].repeat(batch, axis=0).reshape(-1)
-    x = ad.add(x, ad.embedding(params["pos_emb"], positions))
+    x = ad.embedding(params["tok_emb"], ids.reshape(-1), (params["pos_emb"], positions),
+                     proj=params["w_text"])
     x = _maybe_dropout(x, config, rng)
 
     fed = np.arange(batch + 1) * ids.shape[1]  # each sample's new rows

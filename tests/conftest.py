@@ -120,8 +120,23 @@ def finite_diff_check(f, x, eps=1e-5):
 
 # ---------------------------------------------------------------------------
 # reference ops that ``autodiff`` does not keep, for tests only: composed
-# from the ops it keeps, except ``sqrt``, ``div``, ``transpose`` and
-# ``cross_entropy``, one node each
+# from the ops it keeps, except ``matmul``, ``reshape``, ``sqrt``, ``div``,
+# ``transpose`` and ``cross_entropy``, one node each
+
+
+def matmul(a, b):
+    """``a @ b`` as one node, whose rule reads each operand for the other's
+    gradient, ``a`` through its rebuild when it has one."""
+    x = ad._kept(a) if b.requires_grad else None
+    y = b.data if a.requires_grad else None
+    return ad._make(a.data @ b.data, "matmul", (a, b),
+                    lambda g: (None if y is None else g @ y.T, None if x is None else ad._read(x).T @ g))
+
+
+def reshape(a, shape):
+    """A view of ``a`` as ``shape``, as one node."""
+    before = a.shape
+    return ad._make(a.data.reshape(shape), "reshape", (a,), lambda g: (g.reshape(before),))
 
 
 def sum_of(a, b=None):
@@ -129,7 +144,7 @@ def sum_of(a, b=None):
     ones: ``a``'s entries as a row times ``b``'s as a column."""
     if not isinstance(b, ad.Tensor):
         b = ad.constant(np.ones(a.shape) if b is None else b)
-    return ad.reshape(ad.matmul(ad.reshape(a, (1, a.data.size)), ad.reshape(b, (b.data.size, 1))), ())
+    return reshape(matmul(reshape(a, (1, a.data.size)), reshape(b, (b.data.size, 1))), ())
 
 
 def sub(a, b):
@@ -149,7 +164,7 @@ def gather_cols(a, cols):
 def tied_logits_ref(h, w_text, table):
     """``h @ w_text.T @ table.T`` as the nodes ``ad.token_loss`` fuses: two
     ``matmul`` nodes through ``transpose`` copies of ``w_text`` and ``table``."""
-    return ad.matmul(ad.matmul(h, transpose(w_text)), transpose(table))
+    return matmul(matmul(h, transpose(w_text)), transpose(table))
 
 
 def cross_entropy(logits, targets, hidden=None):
@@ -254,7 +269,7 @@ def attention_ref(x_q, x_kv, q, wk, v, o, heads, q_offsets, k_offsets, causal=Fa
     and v, on the node's forward and its rule's kernels, then a ``linear``
     of its output by the pair ``o``."""
     qt = ad.linear(x_q, *q)
-    kt = ad.matmul(x_kv, wk) if bk is None else ad.linear(x_kv, wk, bk)
+    kt = matmul(x_kv, wk) if bk is None else ad.linear(x_kv, wk, bk)
     vt = ad.linear(x_kv, *v)
     out, p, (queries, keys, norm) = ad._attend(
         qt.data, ad.head_layout(kt.data, vt.data, heads, k_offsets), q_offsets, causal)

@@ -12,7 +12,7 @@ import sentigen.autodiff as ad
 from sentigen.errors import ContractError, NumericError, ShapeError
 
 from conftest import (attention_ref, cross_entropy, finite_diff_check, gelu_ref, layer_norm_ref,
-                      pair_contrast_ref, sum_of, tied_logits_ref, transpose)
+                      matmul, pair_contrast_ref, reshape, sum_of, tied_logits_ref, transpose)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import graph_bytes  # noqa: E402
@@ -63,9 +63,9 @@ def test_matmul_shape_and_grads():
     rng = np.random.default_rng(0)
     a = rand_leaf(rng, 3, 4)
     b = rand_leaf(rng, 4, 2)
-    out = ad.matmul(a, b)
+    out = matmul(a, b)
     assert out.data.shape == (3, 2)
-    loss_fn = lambda t: sum_of(ad.matmul(a, b), ad.matmul(a, b))
+    loss_fn = lambda t: sum_of(matmul(a, b), matmul(a, b))
     assert finite_diff_check(loss_fn, a) < 1e-6
     assert finite_diff_check(loss_fn, b) < 1e-6
 
@@ -103,7 +103,7 @@ def test_structural_ops_match_fd(seed):
         cat = ad.concat_rows([a, b])
         sl = ad.embedding(cat, range(1, 6))
         cols = transpose(ad.embedding(transpose(sl), range(1, 3)))  # columns 1:3
-        tr = transpose(ad.reshape(cols, (2, 5)))
+        tr = transpose(reshape(cols, (2, 5)))
         return sum_of(tr, tr)
 
     assert finite_diff_check(lambda _: fn(), a) < 1e-6
@@ -506,7 +506,7 @@ def test_segment_mean_matches_per_segment_and_fd():
     with pytest.raises(ShapeError):
         ad.segment_mean(a, offsets[:-1])
     with pytest.raises(ShapeError):
-        ad.segment_mean(ad.reshape(a, (44,)), [0, 44])
+        ad.segment_mean(reshape(a, (44,)), [0, 44])
 
 
 def test_masked_mean_rows_per_sample():
@@ -611,6 +611,80 @@ def test_summed_embedding_matches_fd_and_checks_its_pairs():
         ad.embedding(*pairs[0], (pairs[1][0], [0] * 6))
 
 
+def projected_chain(table, ids, proj, pairs):
+    """The input rows as the encoder and the decoder built them before
+    ``embedding`` took ``proj``: a gather, a ``matmul`` node by ``proj``,
+    then a gather and an ``add`` node per summed pair."""
+    x = matmul(ad.embedding(table, ids), proj)
+    for t, i in pairs:
+        x = ad.add(x, ad.embedding(t, i))
+    return x
+
+
+@pytest.mark.parametrize("summed", [0, 1, 3])
+def test_projected_embedding_equals_the_gather_matmul_add_chain_bitwise(summed):
+    """``embedding(table, ids, *pairs, proj=w)`` gives the output of a
+    gather, a ``matmul`` by w and an ``add`` node per summed pair, and
+    under a non-uniform upstream gradient each parent's gradient, bit for
+    bit: the table's, w's (from the rows gathered again) and each summed
+    table's. Its rule holds the table's and w's arrays, and no gathered or
+    projected rows."""
+    rng = np.random.default_rng(740 + summed)
+    table, proj, ids = rand_leaf(rng, 9, 3), rand_leaf(rng, 3, 5), rng.integers(0, 9, size=40)
+    pairs = [(t, i) for t, i in input_pairs(rng)[1:1 + summed]]
+    leaves = [table, proj] + [t for t, _ in pairs]
+    up = ad.constant(rng.normal(size=(40, 5)))
+    fused, chain = ad.embedding(table, ids, *pairs, proj=proj), projected_chain(table, ids, proj, pairs)
+    assert fused.op == "embedding" and fused.parents == tuple(leaves)
+    assert same_bytes(fused.data, chain.data)
+    held = [a for a in graph_bytes.rule_arrays(fused.node.rule) if a.dtype == np.float64]
+    assert sorted(map(id, held)) == sorted((id(table.data), id(proj.data)))
+    got, want = (ad.backward(sum_of(out, up)) for out in (fused, chain))
+    assert set(got) == set(want) == set(leaves)
+    assert all(same_bytes(got[t], want[t]) for t in leaves)
+
+
+def test_projected_embedding_keeps_each_array_for_the_gradient_that_reads_it():
+    """A constant table gets no gradient, and the rule does not hold the
+    projection; a constant projection gets none, and the rule does not hold
+    the table. Over constants alone, no node is recorded."""
+    rng = np.random.default_rng(743)
+    table, proj, ids = rand_leaf(rng, 9, 3), rand_leaf(rng, 3, 5), rng.integers(0, 9, size=8)
+    g = rng.normal(size=(8, 5))
+    for t, w, kept in ((ad.constant(table.data), proj, table.data),
+                       (table, ad.constant(proj.data), proj.data)):
+        out = ad.embedding(t, ids, proj=w)
+        held = [a for a in graph_bytes.rule_arrays(out.node.rule) if a.dtype == np.float64]
+        assert [id(a) for a in held] == [id(kept)]
+        got, want = out.node.rule(g), projected_chain(t, ids, w, []).node.rule(g)  # the matmul's
+        assert [a is None for a in got] == [t is not table, w is not proj]
+        if w is proj:
+            assert same_bytes(got[1], want[1])
+        else:
+            assert same_bytes(got[0], ad.embedding(t, ids).node.rule(want[0])[0])
+    frozen = ad.embedding(ad.constant(table.data), ids, proj=ad.constant(proj.data))
+    assert frozen.node is None and same_bytes(frozen.data, table.data[ids] @ proj.data)
+
+
+def test_projected_embedding_matches_fd_and_checks_its_projection():
+    """Finite differences for the table, the projection and each summed
+    table; a projection that is not 2-D, or whose rows do not match the
+    table's width, is a ShapeError, and so is a summed pair of the table's
+    width rather than the projection's."""
+    rng = np.random.default_rng(37)
+    table, proj, ids = rand_leaf(rng, 6, 3), rand_leaf(rng, 3, 5), rng.integers(0, 6, size=7)
+    pairs = input_pairs(rng, n=7)[1:]
+    w = ad.constant(rng.normal(size=(7, 5)))
+    fn = lambda _: sum_of(gelu_ref(ad.embedding(table, ids, *pairs, proj=proj)), w)
+    for t in [table, proj] + [t for t, _ in pairs]:
+        assert finite_diff_check(fn, t) < 1e-6
+    for bad in (rand_leaf(rng, 4, 5), rand_leaf(rng, 3), rand_leaf(rng, 3, 5, 1)):
+        with pytest.raises(ShapeError, match="projection"):
+            ad.embedding(table, ids, proj=bad)
+    with pytest.raises(ShapeError, match="do not add"):
+        ad.embedding(table, ids, (rand_leaf(rng, 4, 3), ids % 4), proj=proj)
+
+
 def attention_keeping_copies(q, k, v, heads, q_off, k_off, g, causal):
     """``attention``'s forward and backward as they were when the node kept
     its padded copies of q, k and v for the rule: returns the output and the
@@ -694,9 +768,9 @@ def test_matmul_gives_a_constant_parent_no_gradient():
     rng = np.random.default_rng(19)
     c, x = ad.constant(rng.normal(size=(3, 4))), rand_leaf(rng, 4, 2)
     g = rng.normal(size=(3, 2))
-    assert ad.matmul(c, x).node.rule(g)[0] is None
-    assert np.allclose(ad.matmul(c, x).node.rule(g)[1], c.data.T @ g)
-    assert ad.matmul(transpose(x), ad.constant(rng.normal(size=(4, 3)))).node.rule(g.T)[1] is None
+    assert matmul(c, x).node.rule(g)[0] is None
+    assert np.allclose(matmul(c, x).node.rule(g)[1], c.data.T @ g)
+    assert matmul(transpose(x), ad.constant(rng.normal(size=(4, 3)))).node.rule(g.T)[1] is None
 
 
 def fused_cases(rng):
@@ -821,10 +895,10 @@ def test_linear_gives_a_constant_input_no_gradient():
 
 def test_ops_over_constants_record_no_graph():
     a = ad.constant(np.ones((2, 2)))
-    out = sum_of(ad.matmul(a, transpose(a)))
+    out = sum_of(matmul(a, transpose(a)))
     assert out.parents == () and out.node is None and not out.requires_grad
     x = leaf(np.ones((2, 2)))
-    assert ad.matmul(a, x).parents == (a, x)
+    assert matmul(a, x).parents == (a, x)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +915,7 @@ def test_composite_matches_fd(seed):
     w_text, table = rand_leaf(rng, 4, 5), rand_leaf(rng, 6, 4)
 
     def fn():
-        h = ad.layer_norm(ad.matmul(x, w), gain, bias)
+        h = ad.layer_norm(matmul(x, w), gain, bias)
         return ad.token_loss(h, w_text, table, [0, 3, 2], 1.5)
 
     for t in (x, w, gain, bias, w_text, table):
@@ -850,7 +924,7 @@ def test_composite_matches_fd(seed):
 
 def test_shared_subexpression_grad():
     x = leaf([[2.0]])
-    y = ad.matmul(x, x)       # x^2
+    y = matmul(x, x)       # x^2
     z = ad.add(y, y)          # 2 x^2 -> dz/dx = 4x = 8
     assert ad.backward(sum_of(z))[x][0, 0] == pytest.approx(8.0, abs=1e-12)
 
@@ -859,11 +933,13 @@ def test_shared_subexpression_grad():
 RETENTION_CASES = {
     "add": (lambda p: ad.add(*p), [(3, 4), (3, 4)], set()),
     "scale": (lambda p: ad.scale(p[0], 2.0), [(3, 4)], set()),
-    "matmul": (lambda p: ad.matmul(*p), [(3, 4), (4, 2)], {0, 1}),
+    "matmul": (lambda p: matmul(*p), [(3, 4), (4, 2)], {0, 1}),
     "linear": (lambda p: ad.linear(*p), [(3, 4), (4, 2), (2,)], {0, 1}),
-    "reshape": (lambda p: ad.reshape(p[0], (4, 3)), [(3, 4)], set()),
+    "reshape": (lambda p: reshape(p[0], (4, 3)), [(3, 4)], set()),
     "concat_rows": (lambda p: ad.concat_rows(p), [(3, 4), (2, 4)], set()),
     "embedding": (lambda p: ad.embedding(p[0], [0, 2, 2], (p[1], [1, 0, 1])), [(3, 4), (2, 4)], set()),
+    "embedding proj": (lambda p: ad.embedding(p[0], [0, 2, 2], (p[2], [1, 0, 1]), proj=p[1]),
+                       [(3, 4), (4, 5), (2, 5)], {0, 1}),
     "segment_mean": (lambda p: ad.segment_mean(p[0], [0, 1, 3]), [(3, 4)], set()),
     "pair_contrast": (lambda p: ad.pair_contrast(p[0], np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]],
                                                                 dtype=bool)), [(3, 4)], {0}),
@@ -929,13 +1005,7 @@ def layer_norm_output(rng, rows, cols=6, residual=False):
     return ad.layer_norm(leaf(a), rand_leaf(rng, cols), rand_leaf(rng, cols), residual=r)
 
 
-def parameter_gather(rng, rows, cols=6):
-    """A one-pair ``embedding`` of ``rows`` ids, repeats among them, from a
-    (9, ``cols``) parameter table."""
-    return ad.embedding(rand_leaf(rng, 9, cols), rng.integers(0, 9, size=rows))
-
-
-PRODUCERS = {"layer_norm": layer_norm_output, "embedding": parameter_gather}
+PRODUCERS = {"layer_norm": layer_norm_output}
 
 
 def same_bytes(a, b):
@@ -956,29 +1026,26 @@ def test_a_layer_norm_rebuild_returns_its_output_bit_for_bit(cols, residual):
             assert same_bytes(again, out.data), rows
 
 
-def test_a_parameter_gather_rebuild_returns_its_rows_bit_for_bit():
-    out = parameter_gather(np.random.default_rng(59), 40)
-    again = out.rebuild()
-    assert again is not out.data and again.flags.c_contiguous and same_bytes(again, out.data)
-
-
-def test_only_a_recorded_layer_norm_and_one_gather_from_a_parameter_carry_a_rebuild():
-    """A pass over constants records no node and so carries no rebuild. A
-    gather of summed pairs, or one from an activation, carries none either:
-    redoing it would keep its tables alive, which holds more, not less. A
-    leaf, and any other op's output, carries none."""
+def test_only_a_recorded_layer_norm_carries_a_rebuild():
+    """A pass over constants records no node and so carries no rebuild. No
+    gather carries one, of one pair or of summed pairs, projected or not,
+    from a parameter or from an activation: ``embedding`` gathers its rows
+    again from its ids in its own rule. A leaf, and any other op's output,
+    carries none."""
     rng = np.random.default_rng(61)
-    table, other, ids = rand_leaf(rng, 9, 6), rand_leaf(rng, 9, 6), rng.integers(0, 9, size=12)
+    table, other, ids = rand_leaf(rng, 9, 6), rand_leaf(rng, 9, 2), rng.integers(0, 9, size=12)
     x, gain, bias = (ad.constant(rng.normal(size=shape)) for shape in ((12, 6), (6,), (6,)))
     frozen = (ad.layer_norm(x, gain, bias), ad.layer_norm(x, gain, bias, residual=x),
               ad.embedding(ad.constant(table.data), ids))
     assert all(t.node is None and t.rebuild is None for t in frozen)
-    assert ad.embedding(table, ids, (other, ids)).rebuild is None
-    assert ad.embedding(ad.scale(table, 1.0), ids).rebuild is None
+    proj = rand_leaf(rng, 6, 2)
+    gathers = (ad.embedding(table, ids), ad.embedding(table, ids, (other, ids), proj=proj),
+               ad.embedding(table, ids, proj=proj), ad.embedding(ad.scale(table, 1.0), ids))
+    assert all(t.node is not None and t.rebuild is None for t in gathers)
     assert table.rebuild is None and x.rebuild is None
     recorded = ad.layer_norm(leaf(x.data), gain, bias)
-    assert recorded.rebuild is not None and ad.embedding(table, ids).rebuild is not None
-    assert ad.matmul(recorded, rand_leaf(rng, 6, 2)).rebuild is None
+    assert recorded.rebuild is not None
+    assert ad.linear(recorded, rand_leaf(rng, 6, 2), rand_leaf(rng, 2)).rebuild is None
 
 
 def consumers(rng, d=6):
@@ -990,7 +1057,7 @@ def consumers(rng, d=6):
                                             rand_leaf(rng, 5, d), rand_leaf(rng, d))
     _, projections = projection_leaves(rng, 7, d, 8)
     off, kv_off = [0, 2, 6, 7], [0, 3, 5, 9]
-    return {"matmul": lambda x, kv: ad.matmul(x, w),
+    return {"matmul": lambda x, kv: matmul(x, w),
             "ffn": lambda x, kv: ad.ffn(x, *ffn_weights),
             "self-attention": lambda x, kv: ad.attention(x, x, *projections, 2, off, off, True),
             "cross-attention": lambda x, kv: ad.attention(x, kv, *projections, 2, off, kv_off)}
@@ -1035,9 +1102,8 @@ def test_a_consumer_keeps_its_inputs_rebuild_and_gives_the_same_bytes(consumer, 
 @pytest.mark.parametrize("producer", sorted(PRODUCERS))
 @pytest.mark.parametrize("consumer", ["matmul", "ffn", "self-attention", "cross-attention"])
 def test_a_dropped_input_frees_its_array_while_its_consumer_is_alive(consumer, producer):
-    """Once the caller drops a ``layer_norm`` output or a parameter gather,
-    its array is freed, though the node that reads it is alive and its
-    backward still runs."""
+    """Once the caller drops a ``layer_norm`` output, its array is freed,
+    though the node that reads it is alive and its backward still runs."""
     rng = np.random.default_rng(71)
     op = consumers(rng)[consumer]
     x, kv = PRODUCERS[producer](rng, 7), PRODUCERS[producer](rng, 9)
@@ -1070,8 +1136,8 @@ def test_backward_on_a_consumed_graph_is_a_contract_error():
 def test_backward_needs_scalar_and_graph_is_acyclic():
     x = leaf(np.ones((1, 2)))
     with pytest.raises(ContractError):
-        ad.backward(ad.matmul(transpose(x), x))
-    y = ad.matmul(x, transpose(x))
+        ad.backward(matmul(transpose(x), x))
+    y = matmul(x, transpose(x))
     loss = ad.add(y, ad.scale(y, 2.0))
     order = ad._topological_order(loss)
     assert order[-1] is loss.node
@@ -1124,10 +1190,10 @@ def test_backward_continues_an_earlier_calls_sums_in_one_pass_order():
     targets = [0, 1, 2, 0, 1, 2]
 
     def a():
-        return cross_entropy(ad.add(ad.matmul(x, w), ad.matmul(x, u)), targets)
+        return cross_entropy(ad.add(matmul(x, w), matmul(x, u)), targets)
 
     def b():
-        return cross_entropy(ad.matmul(x, v), targets[::-1])
+        return cross_entropy(matmul(x, v), targets[::-1])
 
     joint = ad.backward(ad.add(a(), b()))
     first = ad.backward(a())
@@ -1159,7 +1225,7 @@ def test_shape_mismatch_is_shape_error():
     with pytest.raises(ShapeError):
         ad.add(a, b)
     with pytest.raises(ShapeError):
-        ad.matmul(a, a)
+        ad.embedding(a, [0], proj=a)
 
 
 def ones(*shape):
@@ -1187,13 +1253,15 @@ def two_heads():
 # and a pattern of its message that no other check of the call matches
 REFUSED = {
     "item of many": (lambda: ones(2).item(), ContractError, "item"),
-    "matmul 1-D": (lambda: ad.matmul(ones(3), ones(3, 2)), ShapeError, "2-D"),
-    "reshape size": (lambda: ad.reshape(ones(2, 3), (4, 2)), ShapeError, "cannot view"),
     "concat_rows empty": (lambda: ad.concat_rows([]), ContractError, "empty"),
     "concat_rows widths": (lambda: ad.concat_rows([ones(2, 3), ones(2, 4)]), ShapeError,
                            "inconsistent"),
     "embedding 1-D table": (lambda: ad.embedding(ones(3), [0]), ShapeError, "table must be 2-D"),
     "embedding 2-D ids": (lambda: ad.embedding(ones(3, 2), [[0, 1]]), ShapeError, "flat"),
+    "embedding proj 1-D": (lambda: ad.embedding(ones(3, 2), [0], proj=ones(2)), ShapeError,
+                           r"projection \(2,\) does not fit"),
+    "embedding proj rows": (lambda: ad.embedding(ones(3, 2), [0], proj=ones(3, 4)), ShapeError,
+                            r"projection \(3, 4\) does not fit rows of width 2"),
     "pair_contrast labels": (lambda: ad.pair_contrast(ones(3, 2), np.ones((2, 2), dtype=bool)),
                              ShapeError, "label matrix"),
     "layer_norm 1-D": (lambda: ad.layer_norm(ones(4), ones(4), ones(4)), ShapeError, "2-D"),
@@ -1570,9 +1638,12 @@ def test_graph_bytes_peak_traces_a_round_and_puts_the_module_back(capsys):
 
 def test_no_rule_holds_a_layer_norm_output_or_the_gathered_token_rows(monkeypatch):
     """At the first backward of a smoke stage-one step, no rule of the graph
-    holds the array of a ``layer_norm`` output or of a one-pair gather from
-    a parameter (the encoder's and decoder's token rows): the nodes that
-    read them keep their rebuilds."""
+    holds the array of a ``layer_norm`` output, whose readers keep its
+    rebuild, or of a one-pair gather from a parameter: the encoder's
+    projected token rows, one block per pass, which only ``concat_rows``
+    reads. The gathered rows themselves never outlive their ``embedding``
+    node's forward, and the decoder's input rows, token and position rows
+    in one node, are its self-attention's input, which that node keeps."""
     made = []  # weak references to each such output's array
 
     def noting(op, keeps):
@@ -1597,7 +1668,7 @@ def test_no_rule_holds_a_layer_norm_output_or_the_gathered_token_rows(monkeypatc
 
     monkeypatch.setattr(graph_bytes, "census", census)
     graph_bytes.first_step_censuses(0, smoke=True)
-    assert len(made) > 10 and held == [[]]
+    assert len(made) == 7 + 2 and held == [[]]  # seven ``layer_norm`` outputs, two token blocks
 
 
 def test_graph_bytes_max_peak_mb_gates_the_round_peak(capsys):

@@ -15,8 +15,8 @@ from sentigen.model import (DecoderCache, ModelConfig, decoder_states, encode, f
                             params_from_arrays, params_to_arrays, save_checkpoint, token_logits)
 from sentigen.prompt import build_prompt
 
-from conftest import (attention_ref, block_projections, cross_entropy, small_config, sum_of,
-                      transpose)
+from conftest import (attention_ref, block_projections, cross_entropy, matmul, reshape, small_config,
+                      sum_of, transpose)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ def test_decode_logits_equal_per_step_transposes(world, monkeypatch):
     def checked(hidden, p):
         out = real(hidden, p)
         assert type(out) is np.ndarray and np.array_equal(out, real(hidden, params))
-        assert np.array_equal(out, ad.matmul(ad.matmul(hidden, w_text), tok_emb).data)
+        assert np.array_equal(out, matmul(matmul(hidden, w_text), tok_emb).data)
         targets = np.arange(len(out)) % out.shape[1]
         trained = ad.token_loss(hidden, params["w_text"], params["tok_emb"], targets, 1.0)
         assert trained.data.tobytes() == cross_entropy(ad.constant(out), targets).data.tobytes()
@@ -532,7 +532,7 @@ def reference_encode(ps, plan, params, config, vocab):
     ids = list(ps.ids)
     for pos in plan.masked_token_positions:
         ids[pos] = vocab.mask_id
-    parts = [ad.matmul(ad.embedding(params["tok_emb"], ids), params["w_text"])]
+    parts = [matmul(ad.embedding(params["tok_emb"], ids), params["w_text"])]
     types = [0] * len(ids)
     for seg in ps.modal_segments:
         feats = ad.constant(np.asarray(seg.features, dtype=np.float64))
@@ -540,8 +540,8 @@ def reference_encode(ps, plan, params, config, vocab):
         rows = feats.shape[0]
         hit = list(plan.masked_modal_frames.get(seg.kind, ()))
         if hit:
-            tiled = ad.matmul(ad.constant(np.ones((rows, 1))),
-                              ad.reshape(params[f"mask_vec_{seg.kind}"], (1, d)))
+            tiled = matmul(ad.constant(np.ones((rows, 1))),
+                           reshape(params[f"mask_vec_{seg.kind}"], (1, d)))
             pick = np.arange(rows)
             pick[hit] += rows  # a masked frame's row comes from the tiled mask vector
             proj = ad.embedding(ad.concat_rows([proj, tiled]), pick)
@@ -558,7 +558,7 @@ def reference_encode(ps, plan, params, config, vocab):
         x = ad.layer_norm(ad.add(x, a), params[f"enc{i}_ln1_g"], params[f"enc{i}_ln1_b"])
         f = model._ffn(params, f"enc{i}_ffn", x)
         x = ad.layer_norm(ad.add(x, f), params[f"enc{i}_ln2_g"], params[f"enc{i}_ln2_b"])
-    return x, ad.reshape(ad.matmul(ad.constant(np.full((1, n), 1.0 / n)), x), (d,))
+    return x, reshape(matmul(ad.constant(np.full((1, n), 1.0 / n)), x), (d,))
 
 
 def grads_of(loss, params):

@@ -1,5 +1,6 @@
 import math
 import string
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -456,11 +457,11 @@ def test_stage2_recomposes_weighted_components(rig):
 
 def test_loss_graphs_keep_their_fused_nodes(rig, monkeypatch):
     """Structural guard over the training loss graphs of stage one (its
-    corrupted and its clean half), stage two and fine-tuning, dropout on: no
-    add node sums a matmul and a bias, and no add node feeds a
-    ``layer_norm``, whose residual sum happens inside it. The one add over a
-    matmul is the decoder input: token rows plus position rows, which no
-    bias can stand for."""
+    corrupted and its clean half), stage two and fine-tuning, dropout on:
+    the only add nodes sum two scaled loss terms, so none sums a product
+    and a bias, none adds position rows onto token rows (one ``embedding``
+    node does both), and none feeds a ``layer_norm``, whose residual sum
+    happens inside it."""
     vocab = rig["vocab"]
     config = replace(rig["config"], layers_enc=2, layers_dec=2, dropout_rate=0.1)
     params = init_params(config, np.random.default_rng(11))
@@ -478,8 +479,8 @@ def test_loss_graphs_keep_their_fused_nodes(rig, monkeypatch):
         assert {"linear", "layer_norm", "dropout"} <= {n.op for n in nodes}, name
         for node in nodes:
             parents = sorted(p.op for p in node.parents)
-            if node.op == "add" and "matmul" in parents:
-                assert parents == ["embedding", "matmul"], name
+            if node.op == "add":
+                assert parents == ["scale", "scale"], name
             if node.op == "layer_norm":
                 assert "add" not in parents and len(parents) == 4, name
 
@@ -499,6 +500,67 @@ def test_loss_graphs_keep_their_fused_nodes(rig, monkeypatch):
                                            vocab, rng=rng))
     for name, loss in losses.items():
         check(name, loss)
+
+
+# the op multiset of each graph below, at the rig's one encoder and one
+# decoder layer, dropout off, over the rig's four prompts (one with an
+# acoustic segment, one with an acoustic and a visual one): per encoder
+# pass a token ``embedding`` through ``w_text``, a ``linear`` per modality's
+# frames, one ``concat_rows`` and one input ``embedding``, then one
+# ``attention``, one ``ffn`` and two ``layer_norm``s per layer; per decoder
+# pass one input ``embedding`` (token and position rows through ``w_text``),
+# then two ``attention``s, one ``ffn`` and three ``layer_norm``s per layer
+ENCODER = {"embedding": 2, "linear": 2, "concat_rows": 1, "attention": 1, "ffn": 1,
+           "layer_norm": 2}
+DECODER = {"embedding": 1, "attention": 2, "ffn": 1, "layer_norm": 3}
+STEP_OPS = {
+    "finetune": Counter(ENCODER) + Counter(DECODER) + Counter(token_loss=1),
+    "stage1 corrupted": Counter(ENCODER) + Counter(token_loss=1, scale=1),
+    "stage1 clean": Counter(ENCODER) + Counter(DECODER) + Counter(
+        token_loss=1, segment_mean=1, pair_contrast=1, scale=2, add=1),
+}
+
+
+def test_each_stream_takes_its_tokens_in_through_one_embedding_node(rig, monkeypatch):
+    """The op multisets of one fine-tune step's graph and of stage one's two
+    passes are pinned (``STEP_OPS``): 17, 11 and 22 vertices. No ``matmul``
+    or ``reshape`` is recorded, the one ``add`` sums the clean pass's two
+    scaled terms, and each stream, the encoder's and the decoder's, reads
+    its tokens through one ``embedding`` node whose inputs are the token
+    table and ``w_text``, so a gather and product chain that creeps back
+    fails here. A masked acoustic frame reads the mask vector, a parameter,
+    as a row of ``concat_rows``."""
+    vocab, config, params = rig["vocab"], rig["config"], rig["params"]
+    prompts = list(rig["prompts"].values())
+    assert [len(ps.modal_segments) for ps in prompts] == [0, 0, 1, 2]
+    rng = np.random.default_rng(0)
+    plans = [sample_mcm_plan(ps, 0.5, rng) for ps in prompts]
+    assert [dict(plan.masked_modal_frames) for plan in plans] == [{}, {}, {"acoustic": (1,)}, {}]
+    stage1 = [Stage1Example(prompt=ps, plan=plan, polarity=POLARITY_ORDER[i % 3])
+              for i, (ps, plan) in enumerate(zip(prompts, plans))]
+    graphs, real_backward = {}, ad.backward
+
+    def vertices(loss):
+        """Each vertex's op and inputs, read before a ``backward`` consumes them."""
+        return [(v.op, list(v.inputs)) for v in ad._topological_order(loss) if type(v) is ad.Node]
+
+    def backward(loss, grads=None):  # stage one backpropagates its corrupted pass in the call
+        graphs["stage1 corrupted"] = vertices(loss)
+        return real_backward(loss, grads)
+
+    monkeypatch.setattr(ad, "backward", backward)
+    graphs["stage1 clean"] = vertices(stage1_loss(stage1, params, config, vocab, rng=rng)[1])
+    monkeypatch.undo()
+    graphs["finetune"] = vertices(generation_loss([(ps, [4, 5]) for ps in prompts], params, config,
+                                                  vocab))
+    tokens, mask_vec = [params["tok_emb"], params["w_text"]], params["mask_vec_acoustic"]
+    for name, nodes in graphs.items():
+        assert Counter(op for op, _ in nodes) == STEP_OPS[name], name
+        streams = [inputs for op, inputs in nodes if op == "embedding" and tokens[1] in inputs]
+        assert len(streams) == 1 + (name != "stage1 corrupted"), name
+        assert all(inputs[:2] == tokens for inputs in streams), name
+        (concat,) = (inputs for op, inputs in nodes if op == "concat_rows")
+        assert (mask_vec in concat) == (name == "stage1 corrupted"), name
 
 
 def test_each_loss_head_is_one_token_loss_node(rig):

@@ -22,7 +22,7 @@ from sentigen.training import (Adam, ADAM_BETA1, ADAM_BETA2, ADAM_EPS, IndexPool
                                run_pretrain_stage1, run_pretrain_stage2, task_average_sample,
                                task_pools)
 
-from conftest import TornWrite, small_config, sum_of
+from conftest import TornWrite, matmul, small_config, sum_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import graph_bytes  # noqa: E402
@@ -715,6 +715,49 @@ def test_a_failed_log_sync_is_config_error(toy, tmp_path, monkeypatch):
     assert not list(out.glob("*.ckpt*"))
 
 
+def test_a_fine_tune_chunk_into_its_own_directory_syncs_six_times(toy, tmp_path, monkeypatch):
+    """A fine-tune run into a fresh directory, first from scratch and then
+    resumed from it into a directory of its own, as a chunked job runs,
+    makes six ``os.fsync`` calls each: the manifest and its directory, each
+    log before the final checkpoint, then that checkpoint and its
+    directory. The logs keep no line, so each is made in place before the
+    manifest, whose directory sync persists its entry: no log has a temp
+    file, a rename or a sync of its own before its first line."""
+    config = small_config(toy["vocab"], toy["registry"])
+    real_fsync, real_replace = os.fsync, os.replace
+    synced, renamed, checkpoint = [], [], None
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd).st_ino) or real_fsync(fd))
+    monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(Path(dst).name)
+                        or real_replace(src, dst))
+    for steps in (2, 4):
+        out = tmp_path / f"chunk{steps}"
+        synced.clear()
+        checkpoint = run_finetune(toy["records"], toy["registry"], config,
+                                  train_cfg(max_steps=steps, validate_every_epochs=1,
+                                            max_new_tokens=2), out, resume_from=checkpoint)
+        names = {(out / name).stat().st_ino: name
+                 for name in (".", "manifest-finetune.json", "metrics.jsonl", "val_metrics.jsonl",
+                              "checkpoint.ckpt")}
+        assert [names.get(ino) for ino in synced] == ["manifest-finetune.json", ".", "metrics.jsonl",
+                                                      "val_metrics.jsonl", "checkpoint.ckpt", "."]
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 2
+    assert renamed == ["manifest-finetune.json", "checkpoint.ckpt"] * 2
+
+
+def test_a_log_that_cannot_be_made_is_one_line_config_error(toy, tmp_path):
+    """A log whose path cannot be opened for writing, a directory here, is
+    the one-line ConfigError a failed write is, raised before the manifest
+    is written."""
+    out = tmp_path / "run"
+    (out / "val_metrics.jsonl").mkdir(parents=True)
+    config = small_config(toy["vocab"], toy["registry"])
+    with pytest.raises(ConfigError) as err:
+        run_finetune(toy["records"], toy["registry"], config,
+                     train_cfg(max_steps=1, validate_every_epochs=1), out)
+    assert str(err.value) == f"cannot write {out / 'val_metrics.jsonl'} (Is a directory)"
+    assert sorted(path.name for path in out.iterdir()) == ["metrics.jsonl", "val_metrics.jsonl"]
+
+
 @pytest.mark.parametrize("stage,passes", [("pretrain1", 2), ("pretrain2", 1), ("finetune", 1)])
 def test_encoder_passes_per_step(toy, tmp_path, monkeypatch, stage, passes):
     """Stage one encodes each batch twice (corrupted, clean); stage two's
@@ -864,7 +907,7 @@ def test_stage1_step_holds_one_pass_graph_at_a_time(toy, tmp_path, monkeypatch):
 
 # by op, the parents whose arrays its backward rule reads (-2: layer_norm's
 # gain, with or without a residual); ``sqrt``'s rule reads its own output
-RULE_READS = {"mul": (0, 1), "div": (0, 1), "matmul": (0, 1), "linear": (0, 1),
+RULE_READS = {"mul": (0, 1), "div": (0, 1), "linear": (0, 1),
               "attention": (0, 3), "ffn": (0, 1, 2, 3),
               "pair_contrast": (0,), "layer_norm": (-2,), "token_loss": (0,)}
 
@@ -1041,7 +1084,7 @@ def test_non_finite_gradient_stops_before_the_update(toy, tmp_path, monkeypatch,
     poison_gradient(monkeypatch, run.params, value)
     params = {name: p.data.copy() for name, p in run.params.items()}
     moments = {name: a.copy() for name, a in run.adam.state_arrays().items()}
-    total = sum_of(ad.matmul(run.params["tok_emb"], run.params["w_text"]))
+    total = sum_of(matmul(run.params["tok_emb"], run.params["w_text"]))
     with pytest.raises(NumericError, match="gradient norm .* at step 3"):
         run.optimize(total, None)
     assert run.adam.t == 0
