@@ -247,12 +247,11 @@ class RunDir:
     is a ConfigError before it writes. Under the lock it checks the per-step
     JSONL logs a resume from step ``resume_step`` keeps, removes the temp
     files that killed writes of the manifest, the logs and ``files`` (glob
-    patterns) left, empties each log that keeps no line in place, and
-    writes its own ``manifest-<command>.json``, synced with its directory:
+    patterns) left, and writes its own ``manifest-<command>.json``, synced:
     the command, its seed, the SHA-256 of ``config`` as sorted-key JSON and
-    the code version. Then it swaps in each other log's kept lines whole.
-    ``logs`` maps each log's name to None, for a line every step (the first
-    log), or to its schedule, ``due(step)``."""
+    the code version. Then it swaps in each log's kept lines whole. ``logs``
+    maps each log's name to None, for a line every step (the first log), or
+    to its schedule, ``due(step)``."""
 
     def __init__(self, path, command, seed, config, files=(), logs=(), resume_step=None):
         config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
@@ -306,17 +305,10 @@ class RunDir:
                 for tmp in self.path.glob(f"{pattern}.[0-9]*-[0-9]*.tmp"):
                     with contextlib.suppress(OSError):
                         tmp.unlink()
-            try:
-                for name in (name for name, lines in kept.items() if not lines):
-                    self.logs[name] = stack.enter_context(open(self.path / name, "a", encoding="utf-8"))
-                    self.logs[name].truncate(0)
-            except OSError as exc:
-                raise ConfigError(f"cannot write {self.path / name} ({exc.strerror})") from None
             write_json(self.path / self.files[0], self.manifest, sort_keys=True, sync=True)
             for name, lines in kept.items():
-                if lines:
-                    write_file_atomic(self.path / name, lines, sync=True)
-                    self.logs[name] = stack.enter_context(open(self.path / name, "a", encoding="utf-8"))
+                write_file_atomic(self.path / name, lines, sync=True)
+                self.logs[name] = stack.enter_context(open(self.path / name, "a", encoding="utf-8"))
             self._exit = stack.pop_all()
         return self
 

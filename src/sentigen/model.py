@@ -327,8 +327,8 @@ def _encode(prompts, mask_plans, params, config, vocab, rng):
                                      params[f"proj_{kind}_w"], params[f"proj_{kind}_b"])
         if (src == block + 2).any():
             table[block + 2] = params[f"mask_vec_{kind}"]
-    first = np.cumsum([0] + [len(np.atleast_2d(table[b].data)) if b in table else 0
-                             for b in range(len(_BLOCK_TYPE))])
+    first = np.cumsum([0] + [(table[b].shape[0] if b < 3 else 1) if b in table else 0
+                             for b in range(len(_BLOCK_TYPE))])  # a mask vector is one row
     x = ad.embedding(ad.concat_rows([table[b] for b in sorted(table)]), first[src] + rows,
                      (params["type_emb"], _BLOCK_TYPE[src]), (params["pos_emb"], pos_ids),
                      (params["dataset_emb"],

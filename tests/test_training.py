@@ -715,39 +715,9 @@ def test_a_failed_log_sync_is_config_error(toy, tmp_path, monkeypatch):
     assert not list(out.glob("*.ckpt*"))
 
 
-def test_a_fine_tune_chunk_into_its_own_directory_syncs_six_times(toy, tmp_path, monkeypatch):
-    """A fine-tune run into a fresh directory, first from scratch and then
-    resumed from it into a directory of its own, as a chunked job runs,
-    makes six ``os.fsync`` calls each: the manifest and its directory, each
-    log before the final checkpoint, then that checkpoint and its
-    directory. The logs keep no line, so each is made in place before the
-    manifest, whose directory sync persists its entry: no log has a temp
-    file, a rename or a sync of its own before its first line."""
-    config = small_config(toy["vocab"], toy["registry"])
-    real_fsync, real_replace = os.fsync, os.replace
-    synced, renamed, checkpoint = [], [], None
-    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd).st_ino) or real_fsync(fd))
-    monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(Path(dst).name)
-                        or real_replace(src, dst))
-    for steps in (2, 4):
-        out = tmp_path / f"chunk{steps}"
-        synced.clear()
-        checkpoint = run_finetune(toy["records"], toy["registry"], config,
-                                  train_cfg(max_steps=steps, validate_every_epochs=1,
-                                            max_new_tokens=2), out, resume_from=checkpoint)
-        names = {(out / name).stat().st_ino: name
-                 for name in (".", "manifest-finetune.json", "metrics.jsonl", "val_metrics.jsonl",
-                              "checkpoint.ckpt")}
-        assert [names.get(ino) for ino in synced] == ["manifest-finetune.json", ".", "metrics.jsonl",
-                                                      "val_metrics.jsonl", "checkpoint.ckpt", "."]
-        assert len((out / "metrics.jsonl").read_text().splitlines()) == 2
-    assert renamed == ["manifest-finetune.json", "checkpoint.ckpt"] * 2
-
-
-def test_a_log_that_cannot_be_made_is_one_line_config_error(toy, tmp_path):
-    """A log whose path cannot be opened for writing, a directory here, is
-    the one-line ConfigError a failed write is, raised before the manifest
-    is written."""
+def test_a_log_that_cannot_be_written_is_one_line_config_error(toy, tmp_path):
+    """A log whose path cannot be written, a directory here, is a one-line
+    ConfigError naming it, raised after the manifest is written."""
     out = tmp_path / "run"
     (out / "val_metrics.jsonl").mkdir(parents=True)
     config = small_config(toy["vocab"], toy["registry"])
@@ -755,7 +725,25 @@ def test_a_log_that_cannot_be_made_is_one_line_config_error(toy, tmp_path):
         run_finetune(toy["records"], toy["registry"], config,
                      train_cfg(max_steps=1, validate_every_epochs=1), out)
     assert str(err.value) == f"cannot write {out / 'val_metrics.jsonl'} (Is a directory)"
-    assert sorted(path.name for path in out.iterdir()) == ["metrics.jsonl", "val_metrics.jsonl"]
+    assert sorted(path.name for path in out.iterdir()) == ["manifest-finetune.json", "metrics.jsonl",
+                                                          "val_metrics.jsonl"]
+
+
+def test_a_failed_manifest_write_leaves_the_directorys_logs_whole(toy, tmp_path):
+    """A fresh run into a directory that holds a run writes its manifest
+    before it empties any log, so a manifest that cannot be written leaves
+    the earlier run's logs as they were."""
+    out = tmp_path / "run"
+    config = small_config(toy["vocab"], toy["registry"])
+    cfg = train_cfg(max_steps=3, batch_size=8, validate_every_epochs=1, max_new_tokens=2)
+    run_finetune(toy["records"], toy["registry"], config, cfg, out)
+    logs = {name: (out / name).read_bytes() for name in ("metrics.jsonl", "val_metrics.jsonl")}
+    (out / "manifest-finetune.json").unlink()
+    (out / "manifest-finetune.json").mkdir()
+    with pytest.raises(ConfigError, match=r"cannot write .*manifest-finetune\.json"):
+        run_finetune(toy["records"], toy["registry"], config, cfg, out)
+    assert {name: (out / name).read_bytes() for name in logs} == logs
+    assert all(logs.values())
 
 
 @pytest.mark.parametrize("stage,passes", [("pretrain1", 2), ("pretrain2", 1), ("finetune", 1)])
